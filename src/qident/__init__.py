@@ -15,12 +15,12 @@ from .appell import (
     appell_limit,
     build_R,
     check_functional_equation,
-    closed_product_F_coefficient,
     congruence_product_series,
     theorem_product,
 )
 from .overpartitions import (
     Overpartition,
+    count_bounded,
     count_Dk,
     count_pj,
     count_rj,
@@ -68,11 +68,11 @@ __all__ = [
     "appell_limit",
     "build_R",
     "check_functional_equation",
-    "closed_product_F_coefficient",
     "congruence_product_series",
     "count_B",
     "count_C",
     "count_Dk",
+    "count_bounded",
     "count_pj",
     "count_rj",
     "count_schur_gap",

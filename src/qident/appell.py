@@ -162,10 +162,6 @@ def closed_product_F_coefficients(
     return xc
 
 
-def closed_product_F_coefficient(k: int, j: int, q_order: int, a_order: int | None = None):
-    return closed_product_F_coefficients(k, j, q_order, a_order)[j]
-
-
 @dataclass
 class FormalLimit:
     """The coefficientwise limit of a series sequence, with certification data.

@@ -12,6 +12,14 @@ import click
 from . import appell, overpartitions, partitions, verify
 from ._backend import BACKEND
 
+K = click.IntRange(min=2)
+NONNEG = click.IntRange(min=0)
+
+
+def _check_i(k, i):
+    if not 0 <= i < k:
+        raise click.BadParameter(f"must lie in [0, {k - 1}] for k={k}", param_hint="'--i'")
+
 
 def _emit_reports(ctx, reports):
     fmt = ctx.obj["format"]
@@ -31,10 +39,8 @@ def _emit_reports(ctx, reports):
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text",
               help="Output format (csv applies to coeffs tables only).")
 @click.option("--jobs", type=int, default=1, help="Worker processes for verify all.")
-@click.option("--seed", type=int, default=None,
-              help="Reserved; no randomized behavior in this version.")
 @click.pass_context
-def main(ctx, fmt, jobs, seed):
+def main(ctx, fmt, jobs):
     """Mechanical verification of a family of partition and overpartition identities."""
     ctx.ensure_object(dict)
     ctx.obj["format"] = fmt
@@ -48,53 +54,54 @@ def verify_group(ctx):
 
 
 @verify_group.command("overpartition")
-@click.option("--k", type=int, required=True)
-@click.option("--n-max", type=int, required=True)
-@click.option("--m-max", type=int, default=None)
+@click.option("--k", type=K, required=True)
+@click.option("--n-max", type=NONNEG, required=True)
+@click.option("--m-max", type=NONNEG, default=None)
 @click.pass_context
 def verify_overpartition_cmd(ctx, k, n_max, m_max):
     _emit_reports(ctx, [verify.verify_overpartition(k, n_max, m_max)])
 
 
 @verify_group.command("corollary")
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=K, required=True)
 @click.option("--i", type=int, required=True)
-@click.option("--n-max", type=int, default=200)
-@click.option("--enum-limit", type=int, default=25)
+@click.option("--n-max", type=NONNEG, default=200)
+@click.option("--enum-limit", type=NONNEG, default=25)
 @click.pass_context
 def verify_corollary_cmd(ctx, k, i, n_max, enum_limit):
+    _check_i(k, i)
     _emit_reports(ctx, [verify.verify_corollary(k, i, n_max, enum_limit)])
 
 
 @verify_group.command("andrews")
-@click.option("--k", type=int, required=True)
-@click.option("--n-max", type=int, default=200)
-@click.option("--enum-limit", type=int, default=25)
+@click.option("--k", type=K, required=True)
+@click.option("--n-max", type=NONNEG, default=200)
+@click.option("--enum-limit", type=NONNEG, default=25)
 @click.pass_context
 def verify_andrews_cmd(ctx, k, n_max, enum_limit):
     _emit_reports(ctx, [verify.verify_andrews(k, n_max, enum_limit)])
 
 
 @verify_group.command("dual")
-@click.option("--k", type=int, required=True)
-@click.option("--n-max", type=int, default=200)
-@click.option("--enum-limit", type=int, default=25)
+@click.option("--k", type=K, required=True)
+@click.option("--n-max", type=NONNEG, default=200)
+@click.option("--enum-limit", type=NONNEG, default=25)
 @click.pass_context
 def verify_dual_cmd(ctx, k, n_max, enum_limit):
     _emit_reports(ctx, [verify.verify_dual(k, n_max, enum_limit)])
 
 
 @verify_group.command("schur")
-@click.option("--n-max", type=int, default=40)
+@click.option("--n-max", type=NONNEG, default=40)
 @click.pass_context
 def verify_schur_cmd(ctx, n_max):
     _emit_reports(ctx, [verify.verify_schur(n_max)])
 
 
 @verify_group.command("machinery")
-@click.option("--k", type=int, required=True)
-@click.option("--q-order", type=int, default=60)
-@click.option("--j-max", type=int, default=None)
+@click.option("--k", type=K, required=True)
+@click.option("--q-order", type=NONNEG, default=60)
+@click.option("--j-max", type=NONNEG, default=None, help="Default: q-order + k.")
 @click.pass_context
 def verify_machinery_cmd(ctx, k, q_order, j_max):
     _emit_reports(ctx, [verify.verify_machinery(k, q_order, j_max)])
@@ -117,13 +124,14 @@ def golden_cmd(ctx):
 @main.command("coeffs")
 @click.option("--side", type=click.Choice(["product", "sum", "overpartition-product"]),
               required=True)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=K, required=True)
 @click.option("--i", type=int, default=0)
-@click.option("--n-max", type=int, default=30)
+@click.option("--n-max", type=NONNEG, default=30)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default=None)
 @click.pass_context
 def coeffs_cmd(ctx, side, k, i, n_max, fmt):
     """Print a coefficient table for one side of an identity."""
+    _check_i(k, i)
     fmt = fmt or ctx.obj["format"]
     if side == "overpartition-product":
         series = appell.theorem_product(k, n_max)
@@ -155,12 +163,13 @@ def coeffs_cmd(ctx, side, k, i, n_max, fmt):
 
 @main.command("list")
 @click.option("--side", type=click.Choice(["B", "C", "D"]), required=True)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=K, required=True)
 @click.option("--i", type=int, default=0)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=NONNEG, required=True)
 @click.pass_context
 def list_cmd(ctx, side, k, i, n):
     """Print the witness objects counted on one side at a single n."""
+    _check_i(k, i)
     if n > verify.ENUM_HARD_LIMIT:
         raise click.UsageError(f"enumeration refused beyond n={verify.ENUM_HARD_LIMIT}")
     if side == "B":

@@ -131,35 +131,57 @@ def count_Dk_table(n_max: int, k: int, m_max: int | None = None) -> list:
     return table
 
 
-def count_pj(m: int, n: int, j: int, k: int) -> int:
-    """Admissible overpartitions of n with m overlines and all parts <= j."""
+def _check_bound(j: int, k: int) -> None:
     if k < 2:
         raise ValueError("k must be at least 2")
     if j < 0:
         raise ValueError("j must be non-negative")
-    return sum(
-        1
-        for o in enumerate_overpartitions(n, max_part=j)
-        if o.overline_count == m and is_Dk_admissible(o, k)
-    )
+
+
+def count_bounded(n: int, j_max: int, k: int, m_max: int) -> tuple:
+    """The bounded counts of weight n for every j <= j_max, from one enumeration.
+
+    Returns (r, p) with r[j][m] = count_rj(m, n, j, k) and
+    p[j][m] = count_pj(m, n, j, k) for 0 <= j <= j_max, 0 <= m <= m_max.
+    An admissible overpartition with largest part L is counted in p[j] for
+    every j >= L, and in r[j] for every j >= max(L, b + k - 1), where b is
+    its largest overlined value (in r[j] for every j >= L if none is).
+    """
+    _check_bound(j_max, k)
+    # *_first[j][m]: objects whose smallest counting bound is exactly j
+    r_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
+    p_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
+    for o in enumerate_overpartitions(n, max_part=j_max):
+        m = o.overline_count
+        if m > m_max or not is_Dk_admissible(o, k):
+            continue
+        largest = o.entries[0][0] if o.entries else 0
+        top_over = max(o.overlined_values, default=0)
+        r_from = max(largest, top_over + k - 1) if top_over else largest
+        p_first[largest][m] += 1
+        if r_from <= j_max:
+            r_first[r_from][m] += 1
+    return _accumulate(r_first), _accumulate(p_first)
+
+
+def _accumulate(first: list) -> list:
+    """Running sums down the j axis: row j totals rows 0..j of first."""
+    out = [first[0]]
+    for row in first[1:]:
+        out.append([a + b for a, b in zip(out[-1], row)])
+    return out
+
+
+def count_pj(m: int, n: int, j: int, k: int) -> int:
+    """Admissible overpartitions of n with m overlines and all parts <= j."""
+    _check_bound(j, k)
+    return count_bounded(n, j, k, m)[1][j][m] if m >= 0 else 0
 
 
 def count_rj(m: int, n: int, j: int, k: int) -> int:
     """As count_pj, but additionally no overlined value in {j-k+2, ..., j}."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if j < 0:
-        raise ValueError("j must be non-negative")
-    forbidden = set(range(max(1, j - k + 2), j + 1))
-    count = 0
-    for o in enumerate_overpartitions(n, max_part=j):
-        if o.overline_count != m:
-            continue
-        if o.overlined_values & forbidden:
-            continue
-        if is_Dk_admissible(o, k):
-            count += 1
-    return count
+    _check_bound(j, k)
+    return count_bounded(n, j, k, m)[0][j][m] if m >= 0 else 0
 
 
 def specialize_overpartition(o: Overpartition, i: int, k: int) -> tuple:

@@ -259,7 +259,8 @@ def verify_machinery(
     """Bundle the recursion-level checks into one report with sub-reports."""
     start = time.perf_counter()
     if j_max is None:
-        j_max = q_order + 5
+        # the coefficient of q^d settles by j = d + k - 1 (Appell limit bound)
+        j_max = q_order + k
     params = {"k": k}
     rng = {"q_order": q_order, "j_max": j_max}
     subs = []
@@ -334,18 +335,25 @@ def verify_machinery(
 
     t0 = time.perf_counter()
     status, witness = "pass", None
-    m_top = appell.max_overline_count(k, enum_n)
-    for j in range(min(enum_j, j_max) + 1):
+    j_top = min(enum_j, j_max)
+    n_top = min(enum_n, q_order)
+    m_top = min(appell.max_overline_count(k, enum_n), rs.a_order)
+    # one enumeration per n fills the counts for every (j, m) at once
+    tables = []
+    if j_top >= 0:
+        tables = [overpartitions.count_bounded(n, j_top, k, m_top) for n in range(n_top + 1)]
+    for j in range(j_top + 1):
         pj = appell.pj_series(rs, j)
-        for n in range(min(enum_n, q_order) + 1):
-            for m in range(min(m_top, rs.a_order) + 1):
-                r_enum = overpartitions.count_rj(m, n, j, k)
+        for n in range(n_top + 1):
+            r_table, p_table = tables[n]
+            for m in range(m_top + 1):
+                r_enum = r_table[j][m]
                 if r_enum != rs.terms[j].coefficient(m, n):
                     status = "fail"
                     witness = {"series": "R", "j": j, "m": m, "n": n,
                                "enumeration": r_enum, "coefficient": rs.terms[j].coefficient(m, n)}
                     break
-                p_enum = overpartitions.count_pj(m, n, j, k)
+                p_enum = p_table[j][m]
                 if p_enum != pj.coefficient(m, n):
                     status = "fail"
                     witness = {"series": "P", "j": j, "m": m, "n": n,
@@ -358,7 +366,7 @@ def verify_machinery(
     subs.append(
         VerificationReport(
             "machinery/bounded-enumeration", params,
-            {"j_max": min(enum_j, j_max), "n_max": min(enum_n, q_order)},
+            {"j_max": j_top, "n_max": n_top},
             status, witness, timing=time.perf_counter() - t0,
         )
     )

@@ -7,7 +7,6 @@ from qident.appell import (
     appell_limit,
     build_R,
     check_functional_equation,
-    closed_product_F_coefficient,
     closed_product_F_coefficients,
     congruence_product_series,
     geometric_inverse,
@@ -87,10 +86,10 @@ class TestFunctionalEquation:
 
 class TestClosedProduct:
     def test_x0_coefficient_is_one(self):
-        assert closed_product_F_coefficient(2, 0, 8, 2) == BivariateSeries.one(2, 8)
+        assert closed_product_F_coefficients(2, 0, 8, 2)[0] == BivariateSeries.one(2, 8)
 
     def test_x1_coefficient_is_geometric(self):
-        coeff = closed_product_F_coefficient(2, 1, 8, 2)
+        coeff = closed_product_F_coefficients(2, 1, 8, 2)[1]
         assert coeff == BivariateSeries.from_qseries(geometric_inverse(1, 8), 2)
 
     @pytest.mark.parametrize("k", [2, 3, 4])

@@ -6,6 +6,7 @@ from qident.overpartitions import (
     Overpartition,
     count_Dk,
     count_Dk_table,
+    count_bounded,
     count_pj,
     count_rj,
     enumerate_overpartitions,
@@ -15,6 +16,29 @@ from qident.overpartitions import (
 from qident.partitions import c_witnesses, enumerate_partitions
 from qident.series import Monomial, euler_product, pochhammer_inf
 from qident.appell import theorem_product
+
+
+def filter_count_pj(m, n, j, k):
+    """The per-(j, n, m) filter count_pj was before it read count_bounded."""
+    return sum(
+        1
+        for o in enumerate_overpartitions(n, max_part=j)
+        if o.overline_count == m and is_Dk_admissible(o, k)
+    )
+
+
+def filter_count_rj(m, n, j, k):
+    """The per-(j, n, m) filter count_rj was before it read count_bounded."""
+    forbidden = set(range(max(1, j - k + 2), j + 1))
+    count = 0
+    for o in enumerate_overpartitions(n, max_part=j):
+        if o.overline_count != m:
+            continue
+        if o.overlined_values & forbidden:
+            continue
+        if is_Dk_admissible(o, k):
+            count += 1
+    return count
 
 
 def overpartition_counting_series(order):
@@ -147,6 +171,19 @@ class TestBoundedCounters:
                     d = count_Dk(m, n, k)
                     assert count_pj(m, n, n + k, k) == d
                     assert count_rj(m, n, n + k, k) == d
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_tables_match_per_cell_filter(self, k):
+        for n in range(13):
+            r, p = count_bounded(n, 8, k, n)
+            for j in range(9):
+                for m in range(n + 1):
+                    assert r[j][m] == filter_count_rj(m, n, j, k), ("R", j, m, n)
+                    assert p[j][m] == filter_count_pj(m, n, j, k), ("P", j, m, n)
+
+    def test_negative_m_counts_nothing(self):
+        assert count_pj(-1, 4, 4, 2) == 0
+        assert count_rj(-1, 4, 4, 2) == 0
 
     def test_frozen_r6_table(self):
         expected = [

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from qident import appell, partitions, verify
+from qident import appell, overpartitions, partitions, verify
 from qident.cli import main
 from qident.series import BivariateSeries
 
@@ -39,6 +39,12 @@ class TestReports:
             "machinery/appell-limit",
             "machinery/bounded-enumeration",
         }
+
+    def test_machinery_default_j_max_covers_large_k(self):
+        # the limit needs j_max >= q_order + k - 1 to settle every q^d
+        rep = verify.verify_machinery(7, 30)
+        assert rep.range["j_max"] == 37
+        assert rep.status == "pass"
 
     def test_machinery_aborts_without_stabilization(self):
         rep = verify.verify_machinery(3, 24, 20, closed_product_j=4, enum_j=3, enum_n=8)
@@ -118,6 +124,24 @@ class TestMutations:
         assert rep.status == "fail"
         assert rep.witness["n"] == 7
 
+    @pytest.mark.parametrize("series, j, m, n", [("R", 3, 1, 5), ("P", 4, 2, 7)])
+    def test_bounded_enumeration_perturbed_table(self, monkeypatch, series, j, m, n):
+        real = overpartitions.count_bounded
+
+        def perturbed(n_, j_max, k, m_max):
+            r, p = real(n_, j_max, k, m_max)
+            if n_ == n:
+                (r if series == "R" else p)[j][m] += 1
+            return r, p
+
+        monkeypatch.setattr(overpartitions, "count_bounded", perturbed)
+        rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=6, enum_n=10)
+        sub = {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
+        assert sub.status == "fail"
+        w = sub.witness
+        assert (w["series"], w["j"], w["m"], w["n"]) == (series, j, m, n)
+        assert w["enumeration"] == w["coefficient"] + 1
+
     def test_schur_perturbed_table(self, monkeypatch):
         real = partitions.count_schur_product_table
 
@@ -160,6 +184,22 @@ class TestCli:
     def test_verify_machinery(self):
         result = self.run("verify", "machinery", "--k", "2", "--q-order", "16", "--j-max", "20")
         assert result.exit_code == 0
+
+    def test_verify_machinery_default_j_max(self):
+        result = self.run("--format", "json", "verify", "machinery", "--k", "7", "--q-order", "30")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["range"]["j_max"] == 37
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "schur", "--n-max", "-1"),
+        ("verify", "machinery", "--k", "2", "--q-order", "-3"),
+        ("verify", "machinery", "--k", "1"),
+        ("verify", "corollary", "--k", "3", "--i", "5"),
+    ])
+    def test_bad_input_is_usage_error(self, args):
+        result = self.run(*args)
+        assert result.exit_code == 2
+        assert "Invalid value" in result.output
 
     def test_nonzero_exit_on_abort(self):
         result = self.run("verify", "schur", "--n-max", str(verify.ENUM_HARD_LIMIT + 1))
