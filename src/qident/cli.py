@@ -10,7 +10,6 @@ import sys
 import click
 
 from . import appell, overpartitions, partitions, verify
-from ._backend import BACKEND
 
 K = click.IntRange(min=2)
 NONNEG = click.IntRange(min=0)
@@ -188,12 +187,6 @@ def list_cmd(ctx, side, k, i, n):
         for item in items:
             click.echo(item)
         click.echo(f"total: {len(items)}")
-
-
-@main.command("backend")
-def backend_cmd():
-    """Show which convolution kernel backend is active."""
-    click.echo(BACKEND)
 
 
 if __name__ == "__main__":

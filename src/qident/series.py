@@ -17,7 +17,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._backend import bivar_mul, conv_trunc
+# The convolution kernels.  QSeries and BivariateSeries look them up in this
+# module's globals at call time, so rebinding series.conv_trunc or
+# series.bivar_mul reaches every product.
+
+
+def conv_trunc(c1, c2, order):
+    """Cauchy product of two coefficient lists, truncated at `order`."""
+    out = [0] * (order + 1)
+    n2 = len(c2)
+    for i, a in enumerate(c1):
+        if a == 0 or i > order:
+            continue
+        top = min(n2, order - i + 1)
+        for j in range(top):
+            b = c2[j]
+            if b:
+                out[i + j] += a * b
+    return out
+
+
+def bivar_mul(rows1, rows2, a_order, q_order):
+    """Product of two (a, q) coefficient matrices, truncated at both orders.
+
+    rows*[m][n] is the coefficient of a^m q^n; input row counts may be
+    smaller than a_order + 1.
+    """
+    r1 = len(rows1)
+    r2 = len(rows2)
+    out = []
+    for m in range(a_order + 1):
+        acc = [0] * (q_order + 1)
+        for i in range(min(m, r1 - 1) + 1):
+            j = m - i
+            if j >= r2:
+                continue
+            row_i = rows1[i]
+            row_j = rows2[j]
+            for p, a in enumerate(row_i):
+                if a == 0 or p > q_order:
+                    continue
+                top = min(len(row_j), q_order - p + 1)
+                for s in range(top):
+                    b = row_j[s]
+                    if b:
+                        acc[p + s] += a * b
+        out.append(acc)
+    return out
 
 
 def _as_coeff_tuple(coeffs: Iterable[int], order: int) -> tuple:
@@ -329,50 +375,13 @@ def finite_pochhammer(q_order: int, t: int) -> QSeries:
     return out.to_qseries()
 
 
-def substitute_q_power(s: BivariateSeries, t: int) -> BivariateSeries:
-    """Map q -> q^t; the output q-order is t times the input q-order."""
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    q_out = t * s.q_order
-    rows = []
-    for row in s.coeffs:
-        new = [0] * (q_out + 1)
-        for n, c in enumerate(row):
-            new[t * n] = c
-        rows.append(tuple(new))
-    return BivariateSeries(tuple(rows))
-
-
-def specialize_a(s: BivariateSeries, e: int, out_order: int | None = None) -> QSeries:
-    """Map a -> q^e by exponent bookkeeping: a^m q^n contributes at q^{n+m*e}.
+def specialize(s: BivariateSeries, t: int, e: int, out_order: int | None = None) -> QSeries:
+    """Map (a, q) -> (q^e, q^t): a^m q^n contributes at q^{t*n + m*e}.
 
     `e` may be negative provided no nonzero term lands at a negative
     exponent; this keeps the i=0 specialization out of Laurent-series
-    territory.  Terms landing beyond `out_order` (default: the input
-    q-order) are dropped, consistent with truncation.
-    """
-    if out_order is None:
-        out_order = s.q_order
-    out = [0] * (out_order + 1)
-    for m, row in enumerate(s.coeffs):
-        off = m * e
-        for n, c in enumerate(row):
-            if c == 0:
-                continue
-            d = n + off
-            if d < 0:
-                raise ValueError(
-                    f"term a^{m} q^{n} would land at negative exponent {d} under a -> q^{e}"
-                )
-            if d <= out_order:
-                out[d] += c
-    return QSeries(tuple(out))
-
-
-def specialize(s: BivariateSeries, t: int, e: int, out_order: int | None = None) -> QSeries:
-    """One-pass (a, q) -> (q^e, q^t): a^m q^n contributes at q^{t*n + m*e}.
-
-    Agrees with substitute_q_power followed by specialize_a.
+    territory.  Terms landing beyond `out_order` (default: t times the
+    input q-order) are dropped, consistent with truncation.
     """
     if t < 1:
         raise ValueError("t must be a positive integer")

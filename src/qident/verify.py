@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from . import appell, overpartitions, partitions
-from .series import specialize
 
 SCHEMA_VERSION = 1
 
@@ -84,6 +83,26 @@ def _timed(report: VerificationReport, start: float) -> VerificationReport:
     return report
 
 
+def _aborted(identity: str, params: dict, rng: dict, note: str, start: float) -> VerificationReport:
+    return _timed(VerificationReport(identity, params, rng, "aborted", notes=[note]), start)
+
+
+def _bad_input(k: int | None = None, i: int | None = None, **ranges: int) -> str | None:
+    """Name the first bad parameter (k < 2, i outside [0, k-1], a negative
+    order or range), or None when every one is valid."""
+    if k is not None and k < 2:
+        return "k must be at least 2"
+    if i is not None and not 0 <= i < k:
+        return f"i must lie in [0, {k - 1}]"
+    for name, value in ranges.items():
+        if value < 0:
+            return f"{name} must be non-negative"
+    return None
+
+
+_REFUSED = f"enumeration refused beyond n={ENUM_HARD_LIMIT}"
+
+
 # ---------------------------------------------------------------------------
 # Theorem 1.4-style overpartition identity
 # ---------------------------------------------------------------------------
@@ -96,14 +115,11 @@ def verify_overpartition(k: int, n_max: int, m_max: int | None = None) -> Verifi
         m_max = min(n_max, 8)
     params = {"k": k}
     rng = {"n_max": n_max, "m_max": m_max}
+    bad = _bad_input(k, n_max=n_max, m_max=m_max)
+    if bad:
+        return _aborted("overpartition", params, rng, bad, start)
     if n_max > ENUM_HARD_LIMIT:
-        return _timed(
-            VerificationReport(
-                "overpartition", params, rng, "aborted",
-                notes=[f"enumeration refused beyond n={ENUM_HARD_LIMIT}"],
-            ),
-            start,
-        )
+        return _aborted("overpartition", params, rng, _REFUSED, start)
     product = appell.theorem_product(k, n_max, max(m_max, appell.max_overline_count(k, n_max)))
     table = overpartitions.count_Dk_table(n_max, k, m_max)
     for n in range(n_max + 1):
@@ -139,14 +155,11 @@ def verify_corollary(
     params = {"k": k, "i": i}
     enum_top = min(n_max, enum_limit)
     rng = {"n_max": n_max, "enum_limit": enum_top}
+    bad = _bad_input(k, i, n_max=n_max, enum_limit=enum_limit)
+    if bad:
+        return _aborted("corollary", params, rng, bad, start)
     if enum_top > ENUM_HARD_LIMIT:
-        return _timed(
-            VerificationReport(
-                "corollary", params, rng, "aborted",
-                notes=[f"enumeration refused beyond n={ENUM_HARD_LIMIT}"],
-            ),
-            start,
-        )
+        return _aborted("corollary", params, rng, _REFUSED, start)
     b_table = partitions.count_B_table(n_max, k, i)
     series = appell.congruence_product_series(k, i, n_max)
     notes = []
@@ -221,14 +234,11 @@ def verify_dual(k: int, n_max: int = 200, enum_limit: int = 25) -> VerificationR
 def verify_schur(n_max: int = 40) -> VerificationReport:
     start = time.perf_counter()
     rng = {"n_max": n_max}
+    bad = _bad_input(n_max=n_max)
+    if bad:
+        return _aborted("schur", {}, rng, bad, start)
     if n_max > ENUM_HARD_LIMIT:
-        return _timed(
-            VerificationReport(
-                "schur", {}, rng, "aborted",
-                notes=[f"enumeration refused beyond n={ENUM_HARD_LIMIT}"],
-            ),
-            start,
-        )
+        return _aborted("schur", {}, rng, _REFUSED, start)
     product = partitions.count_schur_product_table(n_max)
     for n in range(n_max + 1):
         gap_list = partitions.schur_gap_witnesses(n)
@@ -263,14 +273,14 @@ def verify_machinery(
         j_max = q_order + k
     params = {"k": k}
     rng = {"q_order": q_order, "j_max": j_max}
+    bad = _bad_input(
+        k, q_order=q_order, j_max=j_max, closed_product_j=closed_product_j,
+        enum_j=enum_j, enum_n=enum_n,
+    )
+    if bad:
+        return _aborted("machinery", params, rng, bad, start)
     subs = []
-    try:
-        rs = appell.build_R(k, j_max, q_order)
-    except ValueError as exc:
-        return _timed(
-            VerificationReport("machinery", params, rng, "aborted", notes=[str(exc)]),
-            start,
-        )
+    rs = appell.build_R(k, j_max, q_order)
 
     t0 = time.perf_counter()
     feq = appell.check_functional_equation(rs)
@@ -339,9 +349,7 @@ def verify_machinery(
     n_top = min(enum_n, q_order)
     m_top = min(appell.max_overline_count(k, enum_n), rs.a_order)
     # one enumeration per n fills the counts for every (j, m) at once
-    tables = []
-    if j_top >= 0:
-        tables = [overpartitions.count_bounded(n, j_top, k, m_top) for n in range(n_top + 1)]
+    tables = [overpartitions.count_bounded(n, j_top, k, m_top) for n in range(n_top + 1)]
     for j in range(j_top + 1):
         pj = appell.pj_series(rs, j)
         for n in range(n_top + 1):

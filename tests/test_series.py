@@ -1,9 +1,12 @@
-"""Series-core tests: arithmetic, Pochhammer products, specializations."""
+"""Series-core tests: kernels, arithmetic, Pochhammer products, specialization."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident import series
 from qident.series import (
     BivariateSeries,
     Monomial,
@@ -12,8 +15,6 @@ from qident.series import (
     finite_pochhammer,
     pochhammer_inf,
     specialize,
-    specialize_a,
-    substitute_q_power,
 )
 
 ORDER = 8
@@ -47,6 +48,78 @@ def pentagonal_series(order):
             break
         j += 1
     return tuple(c)
+
+
+def naive_conv(c1, c2, order):
+    out = [0] * (order + 1)
+    for i, a in enumerate(c1):
+        for j, b in enumerate(c2):
+            if i + j <= order:
+                out[i + j] += a * b
+    return out
+
+
+def naive_bivar(rows1, rows2, a_order, q_order):
+    out = [[0] * (q_order + 1) for _ in range(a_order + 1)]
+    for i, row_i in enumerate(rows1):
+        for j, row_j in enumerate(rows2):
+            if i + j <= a_order:
+                for p, a in enumerate(row_i):
+                    for s, b in enumerate(row_j):
+                        if p + s <= q_order:
+                            out[i + j][p + s] += a * b
+    return out
+
+
+def random_coeffs(rng, length, bits=80):
+    # large values exercise the arbitrary-precision path
+    return [rng.randint(-(1 << bits), 1 << bits) for _ in range(length)]
+
+
+class TestKernels:
+    def test_small_products(self):
+        assert series.conv_trunc([1, -1], [1, 1, 1, 1], 3) == [1, 0, 0, 0]
+        assert series.bivar_mul([[1, 1]], [[1, 1]], 1, 2) == [[1, 2, 1], [0, 0, 0]]
+
+    def test_products_look_kernels_up_in_module_globals(self, monkeypatch):
+        # rebinding series.conv_trunc / series.bivar_mul must reach every product
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapper
+
+        for name in ("conv_trunc", "bivar_mul"):
+            monkeypatch.setattr(series, name, counting(name, getattr(series, name)))
+        q = QSeries.from_coeffs([1, 1], 3)
+        b = BivariateSeries.one(1, 3)
+        assert (q * q).coeffs == (1, 2, 1, 0)
+        assert b * b == b
+        assert b.mul_qseries(q).coeffs[0] == q.coeffs
+        assert calls == ["conv_trunc", "bivar_mul", "bivar_mul"]
+
+    def test_conv_trunc_matches_naive_product(self):
+        rng = random.Random(7)
+        for _ in range(25):
+            c1 = random_coeffs(rng, rng.randint(1, 30))
+            c2 = random_coeffs(rng, rng.randint(1, 30))
+            order = rng.randint(0, 40)
+            assert series.conv_trunc(c1, c2, order) == naive_conv(c1, c2, order)
+
+    def test_bivar_mul_matches_naive_product(self):
+        rng = random.Random(11)
+        for _ in range(15):
+            width = rng.randint(1, 20)
+            m1 = [random_coeffs(rng, width) for _ in range(rng.randint(1, 6))]
+            m2 = [random_coeffs(rng, width) for _ in range(rng.randint(1, 6))]
+            a_order = rng.randint(0, 8)
+            q_order = rng.randint(0, 25)
+            assert series.bivar_mul(m1, m2, a_order, q_order) == naive_bivar(
+                m1, m2, a_order, q_order
+            )
 
 
 class TestQSeries:
@@ -153,38 +226,48 @@ class TestPochhammer:
             pochhammer_inf(Monomial(0, 0, -1), 1, 5)
 
 
+def termwise_specialize(s, t, e, out_order):
+    """Oracle: a^m q^n lands at q^{t*n + m*e}; None if a term lands below q^0."""
+    landed = {}
+    for m in range(s.a_order + 1):
+        for n in range(s.q_order + 1):
+            c = s.coefficient(m, n)
+            if c:
+                d = t * n + m * e
+                if d < 0:
+                    return None
+                landed[d] = landed.get(d, 0) + c
+    return tuple(landed.get(d, 0) for d in range(out_order + 1))
+
+
 class TestSpecialization:
     def test_substitute_monomial(self):
         s = BivariateSeries.from_dict({(0, 0): 1, (0, 1): 1}, 0, 1)
-        out = substitute_q_power(s, 2)
-        assert out.q_order == 2
-        assert out.coeffs[0] == (1, 0, 1)
+        out = specialize(s, 2, 0)
+        assert out.order == 2
+        assert out.coeffs == (1, 0, 1)
 
     def test_substitute_euler(self):
-        e = substitute_q_power(BivariateSeries.from_qseries(euler_product(10), 0), 2)
+        e = specialize(BivariateSeries.from_qseries(euler_product(10), 0), 2, 0)
         direct = pochhammer_inf(Monomial(0, 2, -1), 2, 20)
-        assert e == direct
+        assert e == direct.to_qseries()
 
     def test_specialize_single_term(self):
         s = BivariateSeries.from_dict({(1, 2): 1}, 1, 2)
-        assert specialize_a(s, -1).coeffs == (0, 1, 0)
-        assert specialize_a(s, 1, out_order=3).coeffs == (0, 0, 0, 1)
+        assert specialize(s, 1, -1).coeffs == (0, 1, 0)
+        assert specialize(s, 1, 1, out_order=3).coeffs == (0, 0, 0, 1)
 
     def test_specialize_rejects_negative_landing(self):
         s = BivariateSeries.from_dict({(2, 1): 1}, 2, 1)
         with pytest.raises(ValueError):
-            specialize_a(s, -1)
+            specialize(s, 1, -1)
 
-    @given(small_bivar, st.integers(0, 3), st.integers(1, 3))
-    @settings(max_examples=40, deadline=None)
-    def test_one_pass_specialize_commutes(self, s, e, t):
-        two_step = specialize_a(substitute_q_power(s, t), e, out_order=20)
-        one_pass = specialize(s, t, e, out_order=20)
-        assert one_pass.coeffs == two_step.coeffs
-
-    def test_one_pass_specialize_commutes_negative_e(self):
-        # n >= m throughout, so a -> q^{-1} stays at non-negative exponents
-        s = BivariateSeries.from_dict({(0, 0): 1, (1, 1): 2, (2, 3): 5}, 2, 3)
-        two_step = specialize_a(substitute_q_power(s, 2), -1, out_order=10)
-        one_pass = specialize(s, 2, -1, out_order=10)
-        assert one_pass.coeffs == two_step.coeffs
+    @given(small_bivar, st.integers(1, 3), st.integers(-2, 3), st.none() | st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_specialize_matches_termwise_oracle(self, s, t, e, out_order):
+        expected = termwise_specialize(s, t, e, t * s.q_order if out_order is None else out_order)
+        if expected is None:
+            with pytest.raises(ValueError):
+                specialize(s, t, e, out_order)
+        else:
+            assert specialize(s, t, e, out_order).coeffs == expected

@@ -60,6 +60,24 @@ class TestReports:
         rep = verify.verify_schur(verify.ENUM_HARD_LIMIT + 1)
         assert rep.status == "aborted"
 
+    @pytest.mark.parametrize("fn, args, note", [
+        (verify.verify_corollary, (3, 5, 20, 5), "i must lie in [0, 2]"),
+        (verify.verify_corollary, (1, 0, 20, 5), "k must be at least 2"),
+        (verify.verify_corollary, (2, 0, 20, -1), "enum_limit must be non-negative"),
+        (verify.verify_andrews, (1,), "k must be at least 2"),
+        (verify.verify_dual, (0,), "k must be at least 2"),
+        (verify.verify_overpartition, (1, 5), "k must be at least 2"),
+        (verify.verify_overpartition, (2, -3), "n_max must be non-negative"),
+        (verify.verify_overpartition, (2, 5, -1), "m_max must be non-negative"),
+        (verify.verify_schur, (-1,), "n_max must be non-negative"),
+        (verify.verify_machinery, (2, -1), "q_order must be non-negative"),
+    ], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
+    def test_bad_input_is_aborted(self, fn, args, note):
+        rep = fn(*args)
+        identity = fn.__name__.removeprefix("verify_")
+        assert (rep.identity, rep.status, rep.notes) == (identity, "aborted", [note])
+        assert not rep.passed
+
     def test_golden_example(self):
         rep = verify.golden_example_n10()
         assert rep.status == "pass"
@@ -234,7 +252,3 @@ class TestCli:
         assert "total: 10" in result.output
         result = self.run("list", "--side", "D", "--k", "2", "--i", "0", "--n", "2")
         assert "total: 3" in result.output
-
-    def test_backend_command(self):
-        result = self.run("backend")
-        assert result.output.strip() in ("cython", "python")
