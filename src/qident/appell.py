@@ -15,6 +15,7 @@ R_infty, which must reproduce the infinite product
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .partitions import b_part_allowed, _check_ki, _count_by_dp
 from .series import (
@@ -33,16 +34,6 @@ class StabilizationError(ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness  # (a_degree, q_degree) or None
-
-
-def geometric_inverse(j: int, q_order: int) -> QSeries:
-    """1 / (1 - q^j) = 1 + q^j + q^{2j} + ..., truncated."""
-    if j < 1:
-        raise ValueError("j must be positive")
-    c = [0] * (q_order + 1)
-    for e in range(0, q_order + 1, j):
-        c[e] = 1
-    return QSeries(tuple(c))
 
 
 def max_overline_count(k: int, q_order: int) -> int:
@@ -72,10 +63,19 @@ class RSequence:
         return len(self.terms) - 1
 
 
+def _add_shifted(rows: list, src, a_exp: int, q_exp: int) -> None:
+    """rows += a^{a_exp} q^{q_exp} * src in place, truncated at the orders of rows."""
+    for m in range(a_exp, len(rows)):
+        row = rows[m]
+        row[q_exp:] = map(add, row[q_exp:], src[m - a_exp])
+
+
 def build_R(k: int, j_max: int, q_order: int, a_order: int | None = None) -> RSequence:
     """Run the recursion from R_0 = 1 (with R_j = 0 for -k < j < 0).
 
     a_order defaults to the exact overline-count bound for this truncation.
+    Each term is built as a running sum in place: R_{j-1} + a q^{j-k+1} R_{j-k},
+    then divided by (1 - q^j) through c[n] += c[n - j] for n ascending.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -85,10 +85,13 @@ def build_R(k: int, j_max: int, q_order: int, a_order: int | None = None) -> RSe
         a_order = max_overline_count(k, q_order)
     terms = [BivariateSeries.one(a_order, q_order)]
     for j in range(1, j_max + 1):
-        t = terms[j - 1]
+        rows = [list(r) for r in terms[j - 1].coeffs]
         if j - k >= 0:
-            t = t + terms[j - k].shift(1, j - k + 1)
-        terms.append(t.mul_qseries(geometric_inverse(j, q_order)))
+            _add_shifted(rows, terms[j - k].coeffs, 1, j - k + 1)
+        for row in rows:
+            for n in range(j, q_order + 1):
+                row[n] += row[n - j]
+        terms.append(BivariateSeries(tuple(tuple(r) for r in rows)))
     return RSequence(k, q_order, a_order, terms)
 
 
@@ -136,30 +139,25 @@ def closed_product_F_coefficients(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    if j_top < 0:
+        raise ValueError("j_top must be non-negative")
     if a_order is None:
         a_order = max_overline_count(k, q_order)
-    zero = BivariateSeries.zero(a_order, q_order)
-    xc = [BivariateSeries.one(a_order, q_order)] + [zero] * j_top
-    # numerator: each factor shifts the x-degree by k and multiplies by a q^{tk+1}
+    xc = [[[0] * (q_order + 1) for _ in range(a_order + 1)] for _ in range(j_top + 1)]
+    xc[0][0][0] = 1
+    # numerator: (1 + a x^k q^{tk+1}) adds a q^{tk+1} xc[d-k] to xc[d]; d descending
+    # reads each xc[d-k] before the factor reaches it
     t = 0
     while t * k + 1 <= q_order:
-        new = list(xc)
-        for d in range(k, j_top + 1):
-            new[d] = xc[d] + xc[d - k].shift(1, t * k + 1)
-        xc = new
+        for d in range(j_top, k - 1, -1):
+            _add_shifted(xc[d], xc[d - k], 1, t * k + 1)
         t += 1
-    # denominator: 1/(1 - x q^t) contributes x^s q^{ts} for every s >= 0
+    # denominator: 1/(1 - x q^t) is the running sum new[d] = xc[d] + q^t new[d-1];
+    # d ascending makes xc[d-1] already the new value
     for t in range(0, q_order + 1):
-        new = []
-        for d in range(j_top + 1):
-            acc = xc[d]
-            for s in range(1, d + 1):
-                if t * s > q_order:
-                    break
-                acc = acc + xc[d - s].shift(0, t * s)
-            new.append(acc)
-        xc = new
-    return xc
+        for d in range(1, j_top + 1):
+            _add_shifted(xc[d], xc[d - 1], 0, t)
+    return [BivariateSeries(tuple(tuple(r) for r in rows)) for rows in xc]
 
 
 @dataclass

@@ -37,7 +37,7 @@ def _emit_reports(ctx, reports):
 @click.group()
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text",
               help="Output format (csv applies to coeffs tables only).")
-@click.option("--jobs", type=int, default=1, help="Worker processes for verify all.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, help="Worker processes for verify all.")
 @click.pass_context
 def main(ctx, fmt, jobs):
     """Mechanical verification of a family of partition and overpartition identities."""
@@ -107,7 +107,7 @@ def verify_machinery_cmd(ctx, k, q_order, j_max):
 
 
 @verify_group.command("all")
-@click.option("--k-max", type=int, default=5)
+@click.option("--k-max", type=K, default=5)
 @click.pass_context
 def verify_all_cmd(ctx, k_max):
     _emit_reports(ctx, verify.verify_all(k_max, jobs=ctx.obj["jobs"]))

@@ -477,7 +477,11 @@ def _job(spec: tuple) -> VerificationReport:
 
 
 def verify_all(k_max: int = 5, jobs: int = 1) -> list:
-    """The default desk-scale suite over every identity and parameter cell."""
+    """The default desk-scale suite over every identity and parameter cell.
+
+    The k-indexed cells (overpartition, corollary, machinery) run for
+    2 <= k <= k_max, so k_max < 2 runs only golden-n10 and schur.
+    """
     specs: list[tuple[str, tuple]] = [("golden", ()), ("schur", (40,))]
     for k in range(2, k_max + 1):
         specs.append(("overpartition", (k, 22)))

@@ -64,7 +64,10 @@ def test_criterion_5_machinery():
         rep = verify.verify_machinery(k, q_order=60, j_max=65,
                                       closed_product_j=10, enum_j=10, enum_n=18)
         ok = ok and rep.status == "pass" and all(s.status == "pass" for s in rep.subreports)
-    _report("5 machinery k=2..4 q_order=60", ok, time.perf_counter() - start, 60.0)
+    rep = verify.verify_machinery(2, q_order=240)
+    ok = ok and rep.range == {"q_order": 240, "j_max": 242}
+    ok = ok and rep.status == "pass" and all(s.status == "pass" for s in rep.subreports)
+    _report("5 machinery k=2..4 q_order=60, k=2 q_order=240", ok, time.perf_counter() - start, 60.0)
 
 
 def test_criterion_6_property_suites():

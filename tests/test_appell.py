@@ -1,6 +1,8 @@
 """The recursion, functional equation, closed product, and formal limit."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qident.appell import (
     StabilizationError,
@@ -9,7 +11,6 @@ from qident.appell import (
     check_functional_equation,
     closed_product_F_coefficients,
     congruence_product_series,
-    geometric_inverse,
     initial_R,
     max_overline_count,
     pj_series,
@@ -17,7 +18,85 @@ from qident.appell import (
     theorem_product,
 )
 from qident.overpartitions import count_Dk, count_pj, count_rj
-from qident.series import BivariateSeries, specialize
+from qident.series import BivariateSeries, QSeries, specialize
+
+
+# Oracles: the series-arithmetic formulations that build_R and
+# closed_product_F_coefficients replaced with in-place running sums.
+
+
+def geometric_inverse(j: int, q_order: int) -> QSeries:
+    """1 / (1 - q^j) = 1 + q^j + q^{2j} + ..., truncated."""
+    c = [0] * (q_order + 1)
+    for e in range(0, q_order + 1, j):
+        c[e] = 1
+    return QSeries(tuple(c))
+
+
+def build_R_by_convolution(k, j_max, q_order, a_order):
+    """R_j = (R_{j-1} + a q^{j-k+1} R_{j-k}) * (1 / (1 - q^j)) as a series product."""
+    terms = [BivariateSeries.one(a_order, q_order)]
+    for j in range(1, j_max + 1):
+        t = terms[j - 1]
+        if j - k >= 0:
+            t = t + terms[j - k].shift(1, j - k + 1)
+        terms.append(t.mul_qseries(geometric_inverse(j, q_order)))
+    return terms
+
+
+def closed_product_by_shifted_sums(k, j_top, q_order, a_order):
+    """Each 1/(1 - x q^t) applied as the sum over s of x^s q^{ts} times a shifted copy."""
+    zero = BivariateSeries.zero(a_order, q_order)
+    xc = [BivariateSeries.one(a_order, q_order)] + [zero] * j_top
+    t = 0
+    while t * k + 1 <= q_order:
+        new = list(xc)
+        for d in range(k, j_top + 1):
+            new[d] = xc[d] + xc[d - k].shift(1, t * k + 1)
+        xc = new
+        t += 1
+    for t in range(0, q_order + 1):
+        new = []
+        for d in range(j_top + 1):
+            acc = xc[d]
+            for s in range(1, d + 1):
+                if t * s > q_order:
+                    break
+                acc = acc + xc[d - s].shift(0, t * s)
+            new.append(acc)
+        xc = new
+    return xc
+
+
+# a_order: the default, or an explicit offset from max_overline_count (below and above it)
+a_order_offsets = st.none() | st.integers(-3, 2)
+
+
+def _a_order(k, q_order, offset):
+    return None if offset is None else max(0, max_overline_count(k, q_order) + offset)
+
+
+class TestRunningSumsMatchOracles:
+    @given(st.integers(2, 5), st.integers(0, 30), st.integers(0, 36), a_order_offsets)
+    @example(5, 20, 4, None)  # j_max below k: only the closed initial terms
+    @example(3, 0, 2, -3)
+    @example(2, 30, 34, 2)
+    @settings(max_examples=80, deadline=None)
+    def test_build_R(self, k, q_order, j_max, offset):
+        rs = build_R(k, j_max, q_order, _a_order(k, q_order, offset))
+        assert rs.terms == build_R_by_convolution(k, j_max, q_order, rs.a_order)
+
+    @given(st.integers(2, 5), st.integers(0, 30), st.integers(0, 12), a_order_offsets)
+    @example(4, 30, 2, None)  # j_top below k: no numerator factor reaches it
+    @example(3, 30, 12, 2)
+    @example(2, 0, 12, -3)
+    @settings(max_examples=80, deadline=None)
+    def test_closed_product(self, k, q_order, j_top, offset):
+        a_order = _a_order(k, q_order, offset)
+        got = closed_product_F_coefficients(k, j_top, q_order, a_order)
+        if a_order is None:
+            a_order = max_overline_count(k, q_order)
+        assert got == closed_product_by_shifted_sums(k, j_top, q_order, a_order)
 
 
 class TestBuildR:
@@ -91,6 +170,12 @@ class TestClosedProduct:
     def test_x1_coefficient_is_geometric(self):
         coeff = closed_product_F_coefficients(2, 1, 8, 2)[1]
         assert coeff == BivariateSeries.from_qseries(geometric_inverse(1, 8), 2)
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError):
+            closed_product_F_coefficients(1, 4, 8)
+        with pytest.raises(ValueError):
+            closed_product_F_coefficients(2, -1, 8)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_recursion(self, k):

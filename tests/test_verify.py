@@ -160,6 +160,42 @@ class TestMutations:
         assert (w["series"], w["j"], w["m"], w["n"]) == (series, j, m, n)
         assert w["enumeration"] == w["coefficient"] + 1
 
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    def test_closed_product_perturbed_coefficient(self, monkeypatch, j):
+        real = appell.closed_product_F_coefficients
+
+        def perturbed(k, j_top, q_order, a_order=None):
+            xc = real(k, j_top, q_order, a_order)
+            rows = [list(r) for r in xc[j].coeffs]
+            rows[1][j + 2] += 1
+            xc[j] = BivariateSeries(tuple(tuple(r) for r in rows))
+            return xc
+
+        monkeypatch.setattr(appell, "closed_product_F_coefficients", perturbed)
+        rep = verify.verify_machinery(2, 16, 20, closed_product_j=6, enum_j=3, enum_n=8)
+        sub = {s.identity: s for s in rep.subreports}["machinery/closed-product"]
+        assert (sub.status, sub.witness) == ("fail", {"j": j})
+        assert rep.status == "fail"
+
+    @pytest.mark.parametrize("m, n", [(0, 5), (2, 9)])
+    def test_appell_limit_perturbed_product(self, monkeypatch, m, n):
+        real = appell.theorem_product
+
+        def perturbed(k, q_order, a_order=None):
+            good = real(k, q_order, a_order)
+            rows = [list(r) for r in good.coeffs]
+            rows[m][n] += 1
+            return BivariateSeries(tuple(tuple(r) for r in rows))
+
+        monkeypatch.setattr(appell, "theorem_product", perturbed)
+        rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=3, enum_n=8)
+        sub = {s.identity: s for s in rep.subreports}["machinery/appell-limit"]
+        assert sub.status == "fail"
+        w = sub.witness
+        assert (w["a_degree"], w["q_degree"]) == (m, n)
+        assert w["product"] == w["limit"] + 1
+        assert rep.status == "fail"
+
     def test_schur_perturbed_table(self, monkeypatch):
         real = partitions.count_schur_product_table
 
@@ -213,6 +249,10 @@ class TestCli:
         ("verify", "machinery", "--k", "2", "--q-order", "-3"),
         ("verify", "machinery", "--k", "1"),
         ("verify", "corollary", "--k", "3", "--i", "5"),
+        ("verify", "all", "--k-max", "1"),
+        ("verify", "all", "--k-max", "0"),
+        ("--jobs", "-3", "verify", "all", "--k-max", "0"),
+        ("--jobs", "0", "verify", "all"),
     ])
     def test_bad_input_is_usage_error(self, args):
         result = self.run(*args)
