@@ -1,7 +1,7 @@
 """Mechanical verification of a family of partition and overpartition identities.
 
-Both sides of each identity are computed two independent ways: brute-force
-enumeration under the combinatorial rules, and exact truncated q-series
+Both sides of each identity are computed two independent ways: enumeration
+pruned by the combinatorial rules, and exact truncated q-series
 arithmetic (infinite products, a q-difference recursion, and a formal
 Appell-style limit).  Verifiers report agreement or the first
 counterexample.

@@ -176,11 +176,7 @@ def list_cmd(ctx, side, k, i, n):
     elif side == "C":
         items = [partitions.format_partition(p) for p in partitions.c_witnesses(n, k, i)]
     else:
-        items = [
-            str(o)
-            for o in overpartitions.enumerate_overpartitions(n)
-            if overpartitions.is_Dk_admissible(o, k)
-        ]
+        items = [str(o) for o in overpartitions.admissible_overpartitions(n, k)]
     if ctx.obj["format"] == "json":
         click.echo(json.dumps(items, indent=2))
     else:

@@ -6,6 +6,13 @@ value may be overlined.  It is stored per distinct value as
 carry the overline, "value v has a non-overlined occurrence" is decidable
 locally: multiplicity(v) >= 2, or multiplicity(v) == 1 and v is not
 overlined.
+
+The D_k rule is local to each underlying partition, so admissible objects
+are listed per partition as bitmasks over its distinct values (bit idx
+overlines the idx-th largest value), and only admissible masks are ever
+formed.  The counters tally those masks directly; objects are built only
+where a caller asks for them.  `is_Dk_admissible` stays the definition
+that the masks are tested against.
 """
 
 from __future__ import annotations
@@ -64,6 +71,17 @@ class Overpartition:
         return "+".join(pieces) if pieces else "0"
 
 
+def _groups(parts: tuple) -> list:
+    """[(value, multiplicity), ...] of a partition, values strictly decreasing."""
+    return [(v, len(list(g))) for v, g in groupby(parts)]
+
+
+def _build(groups: list, mask: int) -> Overpartition:
+    return Overpartition(
+        tuple((v, mult, bool((mask >> idx) & 1)) for idx, (v, mult) in enumerate(groups))
+    )
+
+
 def enumerate_overpartitions(n: int, max_part: int | None = None) -> Iterator[Overpartition]:
     """Yield every overpartition of n (parts <= max_part) exactly once.
 
@@ -71,15 +89,51 @@ def enumerate_overpartitions(n: int, max_part: int | None = None) -> Iterator[Ov
     then overline subsets by increasing bitmask over the distinct values.
     """
     for parts in enumerate_partitions(n, max_part):
-        groups = [(v, len(list(g))) for v, g in groupby(parts)]
-        d = len(groups)
-        for mask in range(1 << d):
-            yield Overpartition(
-                tuple(
-                    (v, mult, bool((mask >> idx) & 1))
-                    for idx, (v, mult) in enumerate(groups)
-                )
-            )
+        groups = _groups(parts)
+        for mask in range(1 << len(groups)):
+            yield _build(groups, mask)
+
+
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise ValueError("k must be at least 2")
+
+
+def admissible_masks(groups: list, k: int) -> list:
+    """The D_k-admissible overline masks of one partition, ascending.
+
+    groups is [(value, multiplicity), ...] with values strictly decreasing;
+    bit idx overlines groups[idx].  A value b may be overlined only if it
+    occurs once and no part lies in b+1..b+k-2, and two overlined values
+    differ by at least k.  Together these are is_Dk_admissible's rules: a
+    part in b+1..b+k-2 is plain or, overlined, too close to b.
+    """
+    _check_k(k)
+    masks = [0]
+    for idx, (b, mult) in enumerate(groups):
+        if mult > 1 or (idx and groups[idx - 1][0] < b + k - 1):
+            continue
+        # every mask so far lies below bit idx, so appending keeps the list
+        # ascending; its highest set bit is its smallest overlined value
+        masks += [
+            mask | (1 << idx)
+            for mask in masks
+            if not mask or groups[mask.bit_length() - 1][0] >= b + k
+        ]
+    return masks
+
+
+def admissible_overpartitions(
+    n: int, k: int, max_part: int | None = None
+) -> Iterator[Overpartition]:
+    """The D_k-admissible overpartitions of n (parts <= max_part), in the
+    order of enumerate_overpartitions."""
+    _check_k(k)
+    return (
+        _build(groups, mask)
+        for groups in map(_groups, enumerate_partitions(n, max_part))
+        for mask in admissible_masks(groups, k)
+    )
 
 
 def is_Dk_admissible(o: Overpartition, k: int) -> bool:
@@ -90,8 +144,7 @@ def is_Dk_admissible(o: Overpartition, k: int) -> bool:
     An overlined b alone is legal; b together with a second, plain copy of
     b is not (the plain copy is a non-overlined appearance of b).
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    _check_k(k)
     over = o.overlined_values
     for b in over:
         for v in range(b, b + k - 1):
@@ -105,11 +158,7 @@ def is_Dk_admissible(o: Overpartition, k: int) -> bool:
 
 def d_witnesses(m: int, n: int, k: int) -> list:
     """Admissible overpartitions of n with exactly m overlined values."""
-    return [
-        o
-        for o in enumerate_overpartitions(n)
-        if o.overline_count == m and is_Dk_admissible(o, k)
-    ]
+    return [o for o in admissible_overpartitions(n, k) if o.overline_count == m]
 
 
 def count_Dk(m: int, n: int, k: int) -> int:
@@ -120,20 +169,21 @@ def count_Dk(m: int, n: int, k: int) -> int:
 
 def count_Dk_table(n_max: int, k: int, m_max: int | None = None) -> list:
     """table[m][n] = D_k(m, n) for m <= m_max (default n_max), n <= n_max."""
+    _check_k(k)
     if m_max is None:
         m_max = n_max
     table = [[0] * (n_max + 1) for _ in range(m_max + 1)]
     for n in range(n_max + 1):
-        for o in enumerate_overpartitions(n):
-            m = o.overline_count
-            if m <= m_max and is_Dk_admissible(o, k):
-                table[m][n] += 1
+        for parts in enumerate_partitions(n):
+            for mask in admissible_masks(_groups(parts), k):
+                m = mask.bit_count()
+                if m <= m_max:
+                    table[m][n] += 1
     return table
 
 
 def _check_bound(j: int, k: int) -> None:
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    _check_k(k)
     if j < 0:
         raise ValueError("j must be non-negative")
 
@@ -151,16 +201,21 @@ def count_bounded(n: int, j_max: int, k: int, m_max: int) -> tuple:
     # *_first[j][m]: objects whose smallest counting bound is exactly j
     r_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
     p_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
-    for o in enumerate_overpartitions(n, max_part=j_max):
-        m = o.overline_count
-        if m > m_max or not is_Dk_admissible(o, k):
-            continue
-        largest = o.entries[0][0] if o.entries else 0
-        top_over = max(o.overlined_values, default=0)
-        r_from = max(largest, top_over + k - 1) if top_over else largest
-        p_first[largest][m] += 1
-        if r_from <= j_max:
-            r_first[r_from][m] += 1
+    for parts in enumerate_partitions(n, max_part=j_max):
+        groups = _groups(parts)
+        largest = parts[0] if parts else 0
+        for mask in admissible_masks(groups, k):
+            m = mask.bit_count()
+            if m > m_max:
+                continue
+            r_from = largest
+            if mask:
+                # the lowest set bit overlines the largest overlined value
+                top_over = groups[(mask & -mask).bit_length() - 1][0]
+                r_from = max(largest, top_over + k - 1)
+            p_first[largest][m] += 1
+            if r_from <= j_max:
+                r_first[r_from][m] += 1
     return _accumulate(r_first), _accumulate(p_first)
 
 

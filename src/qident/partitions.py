@@ -4,23 +4,34 @@ A partition is represented as a tuple of weakly decreasing positive
 integers.  Enumeration order is lexicographically decreasing with the
 largest part first, so witness lists are deterministic and diffable.
 
-Two counting routes exist for the congruence ("product") sides: an
-unbounded-knapsack dynamic program over the allowed part sizes, which
-scales to n in the hundreds, and a brute-force filter over the full
-enumeration, kept as a test oracle.  The difference-condition ("sum")
-sides are inherently enumeration-based.
+The congruence ("product") sides are counted by an unbounded-knapsack
+dynamic program over the allowed part sizes, which scales to n in the
+hundreds.  The witness lists of every side come from one generator that
+extends a prefix only while the side's own rule still holds for it: the
+part rule on the B side, Schur's gap rule, and the difference-condition
+predicates on the C side.  Each rule is prefix-closed (a violation in a
+prefix survives every extension), so pruning yields exactly the partitions
+the rule accepts, in the order of the full enumeration.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 
 
-def enumerate_partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """Yield every partition of n (parts <= max_part) in lex-decreasing order."""
+def enumerate_partitions(
+    n: int, max_part: int | None = None, fits: Callable[[tuple], bool] | None = None
+) -> Iterator[Partition]:
+    """Yield every partition of n (parts <= max_part) in lex-decreasing order.
+
+    With fits given, a prefix is extended by a part only if
+    fits(prefix + (part,)) holds, so only partitions whose every prefix
+    fits are yielded.  For a prefix-closed rule that is exactly the
+    partitions satisfying it, in the same order as filtering.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     cap = n if max_part is None else min(max_part, n)
@@ -30,7 +41,9 @@ def enumerate_partitions(n: int, max_part: int | None = None) -> Iterator[Partit
             yield prefix
             return
         for part in range(min(limit, remaining), 0, -1):
-            yield from gen(remaining - part, part, prefix + (part,))
+            extended = prefix + (part,)
+            if fits is None or fits(extended):
+                yield from gen(remaining - part, part, extended)
 
     if n == 0:
         yield ()
@@ -91,17 +104,13 @@ def count_B(n: int, k: int, i: int) -> int:
 
 
 def b_witnesses(n: int, k: int, i: int) -> list:
-    """All partitions counted by B_{i,k}(n), by filtering the enumeration."""
+    """All partitions counted by B_{i,k}(n), generated from allowed parts only."""
     _check_ki(k, i)
-    return [
-        parts
-        for parts in enumerate_partitions(n)
-        if all(b_part_allowed(p, k, i) for p in parts)
-    ]
+    return list(enumerate_partitions(n, fits=lambda prefix: b_part_allowed(prefix[-1], k, i)))
 
 
 def count_B_by_enumeration(n: int, k: int, i: int) -> int:
-    """Brute-force oracle for count_B."""
+    """Enumeration oracle for count_B."""
     return len(b_witnesses(n, k, i))
 
 
@@ -198,8 +207,9 @@ def _c_predicate(k: int, i: int, phrasing: str):
 
 def c_witnesses(n: int, k: int, i: int, phrasing: str = "corollary") -> list:
     """All partitions counted by C_{i,k}(n) under the selected phrasing."""
-    pred = _c_predicate(k, i, phrasing)
-    return [parts for parts in enumerate_partitions(n) if pred(parts)]
+    # every phrasing is prefix-closed; thm12's smallest-part clause too, since
+    # its window forbids any part below an odd part <= 2k-3
+    return list(enumerate_partitions(n, fits=_c_predicate(k, i, phrasing)))
 
 
 def count_C(n: int, k: int, i: int, phrasing: str = "corollary") -> int:
@@ -235,7 +245,7 @@ def satisfies_schur_gap(parts: Partition) -> bool:
 
 
 def schur_gap_witnesses(n: int) -> list:
-    return [parts for parts in enumerate_partitions(n) if satisfies_schur_gap(parts)]
+    return list(enumerate_partitions(n, fits=lambda prefix: satisfies_schur_gap(prefix[-2:])))
 
 
 def count_schur_gap(n: int) -> int:

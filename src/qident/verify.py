@@ -432,11 +432,10 @@ def golden_example_n10() -> VerificationReport:
     sum_side_corollary = set(partitions.c_witnesses(10, 2, 0, "corollary"))
     image = set()
     for w in range(1, 11):
-        for o in overpartitions.enumerate_overpartitions(w):
-            if overpartitions.is_Dk_admissible(o, 2):
-                parts = overpartitions.specialize_overpartition(o, 0, 2)
-                if sum(parts) == 10:
-                    image.add(parts)
+        for o in overpartitions.admissible_overpartitions(w, 2):
+            parts = overpartitions.specialize_overpartition(o, 0, 2)
+            if sum(parts) == 10:
+                image.add(parts)
     problems = {}
     if product_side != GOLDEN_PRODUCT_SIDE_10:
         problems["product_side_only"] = _cap(sorted(product_side - GOLDEN_PRODUCT_SIDE_10))

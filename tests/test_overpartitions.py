@@ -1,14 +1,19 @@
 """Overpartition enumeration, admissibility, and the specialization maps."""
 
+from itertools import groupby
+
 import pytest
 
 from qident.overpartitions import (
     Overpartition,
+    admissible_masks,
+    admissible_overpartitions,
     count_Dk,
     count_Dk_table,
     count_bounded,
     count_pj,
     count_rj,
+    d_witnesses,
     enumerate_overpartitions,
     is_Dk_admissible,
     specialize_overpartition,
@@ -39,6 +44,20 @@ def filter_count_rj(m, n, j, k):
         if is_Dk_admissible(o, k):
             count += 1
     return count
+
+
+def filter_admissible(n, k, max_part=None):
+    """The brute-force route: every overpartition, filtered by the rule."""
+    return [o for o in enumerate_overpartitions(n, max_part) if is_Dk_admissible(o, k)]
+
+
+def filter_Dk_table(n_max, k, m_max):
+    table = [[0] * (n_max + 1) for _ in range(m_max + 1)]
+    for n in range(n_max + 1):
+        for o in filter_admissible(n, k):
+            if o.overline_count <= m_max:
+                table[o.overline_count][n] += 1
+    return table
 
 
 def overpartition_counting_series(order):
@@ -110,6 +129,60 @@ class TestAdmissibility:
             assert is_Dk_admissible(o, k)
 
 
+class TestAdmissibleMasks:
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_masks_equal_filter(self, k):
+        # ascending, and exactly the masks is_Dk_admissible accepts
+        for n in range(17):
+            for parts in enumerate_partitions(n):
+                groups = [(v, len(list(g))) for v, g in groupby(parts)]
+                expected = [
+                    mask
+                    for mask in range(1 << len(groups))
+                    if is_Dk_admissible(
+                        Overpartition(tuple(
+                            (v, mult, bool(mask >> idx & 1))
+                            for idx, (v, mult) in enumerate(groups)
+                        )),
+                        k,
+                    )
+                ]
+                assert admissible_masks(groups, k) == expected, (parts, k)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_objects_equal_filter(self, k):
+        for n in range(17):
+            for max_part in (None, 1, 3, 6, n):
+                assert list(admissible_overpartitions(n, k, max_part)) == filter_admissible(
+                    n, k, max_part
+                ), (n, k, max_part)
+
+    def test_rules(self):
+        # k = 3: 5 eligible (4 is not in 6..6), 4 not (5 lies in 5..5),
+        # 1 eligible; 5 and 1 are far enough apart to be overlined together
+        assert admissible_masks([(5, 1), (4, 1), (1, 1)], 3) == [0, 1, 4, 5]
+        # a repeated value is never overlined, here 2 (mult 2)
+        assert admissible_masks([(4, 1), (2, 2)], 2) == [0, 1]
+        # overlined values closer than k exclude each other
+        assert admissible_masks([(3, 1), (1, 1)], 3) == [0, 1, 2]
+        assert admissible_masks([], 4) == [0]
+
+
+class TestDkEntryPointsRejectSmallK:
+    @pytest.mark.parametrize("call", [
+        lambda: count_Dk_table(5, 1),
+        lambda: count_Dk_table(-1, 0),
+        lambda: d_witnesses(1, 5, 1),
+        lambda: count_Dk(0, 3, 1),
+        lambda: admissible_masks([(1, 1)], 1),
+        lambda: admissible_overpartitions(4, 0),
+        lambda: is_Dk_admissible(Overpartition(()), 1),
+    ], ids=["table", "empty-table", "witnesses", "count", "masks", "objects", "rule"])
+    def test_value_error(self, call):
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            call()
+
+
 class TestCountDk:
     def test_no_overlines_gives_unrestricted_partitions(self):
         for k in range(2, 6):
@@ -125,6 +198,18 @@ class TestCountDk:
         assert [count_Dk(1, n, 2) for n in range(9)] == expected
         product = theorem_product(2, 8)
         assert [product.coefficient(1, n) for n in range(9)] == expected
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_table_equals_filter(self, k):
+        assert count_Dk_table(14, k) == filter_Dk_table(14, k, 14)
+        assert count_Dk_table(14, k, 2) == filter_Dk_table(14, k, 2)
+
+    def test_witnesses_equal_filter(self):
+        for k in (2, 3, 5):
+            for n in range(13):
+                for m in range(4):
+                    expected = [o for o in filter_admissible(n, k) if o.overline_count == m]
+                    assert d_witnesses(m, n, k) == expected, (m, n, k)
 
     def test_table_vs_product_k_grid(self):
         for k in (2, 3, 5):

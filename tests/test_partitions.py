@@ -3,6 +3,7 @@
 import pytest
 
 from qident.partitions import (
+    b_part_allowed,
     b_witnesses,
     c_witnesses,
     count_B,
@@ -13,8 +14,29 @@ from qident.partitions import (
     count_schur_product,
     enumerate_partitions,
     partition_numbers,
+    satisfies_corollary,
+    satisfies_schur_gap,
+    satisfies_thm12,
+    satisfies_thm13,
+    schur_gap_witnesses,
 )
 from qident.series import euler_product
+
+
+def filter_witnesses(n, accepts):
+    """The brute-force route the witness lists took before pruning: filter
+    the full enumeration by the whole-partition rule."""
+    return [parts for parts in enumerate_partitions(n) if accepts(parts)]
+
+
+def c_rules(k, i):
+    """phrasing -> whole-partition rule, for every phrasing valid at (k, i)."""
+    rules = {"corollary": lambda parts: satisfies_corollary(parts, k, i)}
+    if i == k - 1:
+        rules["thm12"] = lambda parts: satisfies_thm12(parts, k)
+    if i == 0:
+        rules["thm13"] = lambda parts: satisfies_thm13(parts, k)
+    return rules
 
 
 class TestEnumeration:
@@ -41,6 +63,22 @@ class TestEnumeration:
     def test_max_part_bound(self):
         assert list(enumerate_partitions(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
         assert list(enumerate_partitions(3, max_part=0)) == []
+
+    def test_fits_prunes_by_prefix(self):
+        seen = []
+
+        def even_parts(prefix):
+            seen.append(prefix)
+            return prefix[-1] % 2 == 0
+
+        assert list(enumerate_partitions(6, fits=even_parts)) == [(6,), (4, 2), (2, 2, 2)]
+        # a rejected prefix is never extended: nothing below (5,), (3,) or (1,)
+        assert all(p[0] % 2 == 0 for p in seen if len(p) > 1)
+        assert list(enumerate_partitions(6, 3, even_parts)) == [(2, 2, 2)]
+
+    def test_fits_sees_the_whole_prefix(self):
+        distinct = list(enumerate_partitions(8, fits=lambda p: len(set(p)) == len(p)))
+        assert distinct == [(8,), (7, 1), (6, 2), (5, 3), (5, 2, 1), (4, 3, 1)]
 
     def test_counts_match_series_inverse(self):
         # p(n) read off the inverse of the Euler product
@@ -85,6 +123,15 @@ class TestCountB:
                 for n in range(19):
                     assert table[n] == count_B_by_enumeration(n, k, i), (n, k, i)
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_pruned_list_equals_filter(self, k):
+        for i in range(k):
+            for n in range(23):
+                expected = filter_witnesses(
+                    n, lambda parts: all(b_part_allowed(p, k, i) for p in parts)
+                )
+                assert b_witnesses(n, k, i) == expected, (n, k, i)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             count_B(5, 1, 0)
@@ -120,6 +167,15 @@ class TestCountC:
         expected = [1, 0, 1, 1, 2, 1, 3, 2, 5, 4, 7, 6, 12, 9, 16, 15]
         assert [count_C(n, 3, 1) for n in range(16)] == expected
         assert count_B_table(15, 3, 1) == expected
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_pruned_lists_equal_filter(self, k):
+        # order-exact: pruning keeps the order of the full enumeration
+        for i in range(k):
+            for phrasing, rule in c_rules(k, i).items():
+                for n in range(23):
+                    expected = filter_witnesses(n, rule)
+                    assert c_witnesses(n, k, i, phrasing) == expected, (n, k, i, phrasing)
 
     def test_phrasing_equivalence(self):
         for k in range(2, 6):
@@ -158,3 +214,7 @@ class TestSchur:
     def test_identity_to_30(self):
         for n in range(31):
             assert count_schur_product(n) == count_schur_gap(n)
+
+    def test_pruned_list_equals_filter(self):
+        for n in range(31):
+            assert schur_gap_witnesses(n) == filter_witnesses(n, satisfies_schur_gap), n

@@ -108,7 +108,83 @@ class TestReports:
         }
 
 
+def cutting(real, cut):
+    """enumerate_partitions with one valid branch pruned: wherever a rule is
+    given, the prefix `cut` is never extended and never yielded."""
+
+    def enumerate_partitions(n, max_part=None, fits=None):
+        if fits is None:
+            return real(n, max_part)
+        return real(n, max_part, lambda prefix: prefix != cut and fits(prefix))
+
+    return enumerate_partitions
+
+
+def first_weight_below(cut, n_max, accepts):
+    """The smallest n whose rule-filtered full enumeration has a partition
+    starting with `cut`: the first n a generator pruning `cut` gets wrong."""
+    return next(
+        n
+        for n in range(n_max + 1)
+        if any(p[: len(cut)] == cut for p in partitions.enumerate_partitions(n) if accepts(p))
+    )
+
+
+def dropping_last_eligible(real, min_distinct):
+    """admissible_masks that, on partitions with at least min_distinct
+    values, drops every mask overlining its last (smallest) eligible value."""
+
+    def admissible_masks(groups, k):
+        masks = real(groups, k)
+        eligible = 0
+        for mask in masks:
+            eligible |= mask
+        if len(groups) < min_distinct or not eligible:
+            return masks
+        last = 1 << (eligible.bit_length() - 1)
+        return [mask for mask in masks if not mask & last]
+
+    return admissible_masks
+
+
 class TestMutations:
+    @pytest.mark.parametrize("k, i, cut", [(2, 0, (5, 4)), (3, 1, (6,)), (4, 3, (10, 8, 7))])
+    def test_corollary_pruned_branch(self, monkeypatch, k, i, cut):
+        first = first_weight_below(cut, 25, lambda p: partitions.satisfies_corollary(p, k, i))
+        monkeypatch.setattr(
+            partitions, "enumerate_partitions", cutting(partitions.enumerate_partitions, cut)
+        )
+        rep = verify.verify_corollary(k, i, 40, 25)
+        assert rep.status == "fail"
+        assert rep.witness["n"] == first
+        assert rep.witness["count_C"] < rep.witness["count_B"]
+
+    @pytest.mark.parametrize("cut", [(4,), (7, 1), (10, 6, 2)])
+    def test_schur_pruned_branch(self, monkeypatch, cut):
+        first = first_weight_below(cut, 30, partitions.satisfies_schur_gap)
+        assert first == sum(cut)  # each cut is a gap partition itself
+        monkeypatch.setattr(
+            partitions, "enumerate_partitions", cutting(partitions.enumerate_partitions, cut)
+        )
+        rep = verify.verify_schur(30)
+        assert rep.status == "fail"
+        assert rep.witness["n"] == first
+        assert rep.witness["gap_count"] == rep.witness["product_count"] - 1
+
+    @pytest.mark.parametrize("min_distinct, n, m, lost", [(1, 1, 1, "1~"), (2, 3, 1, "2+1~")])
+    def test_overpartition_dropped_mask(self, monkeypatch, min_distinct, n, m, lost):
+        # lost is the first admissible object the mutant drops, at weight n
+        assert lost in {str(o) for o in overpartitions.d_witnesses(m, n, 2)}
+        monkeypatch.setattr(
+            overpartitions, "admissible_masks",
+            dropping_last_eligible(overpartitions.admissible_masks, min_distinct),
+        )
+        rep = verify.verify_overpartition(2, 10)
+        assert rep.status == "fail"
+        assert (rep.witness["n"], rep.witness["m"]) == (n, m)
+        assert rep.witness["enumeration_count"] == rep.witness["product_coefficient"] - 1
+        assert lost not in rep.witness["overpartitions"]
+
     def test_overpartition_off_by_one_product(self, monkeypatch):
         real = appell.theorem_product
 
