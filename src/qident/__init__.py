@@ -20,7 +20,6 @@ from .appell import (
 from .overpartitions import (
     Overpartition,
     count_bounded,
-    count_Dk,
     count_pj,
     count_rj,
     enumerate_overpartitions,
@@ -30,8 +29,6 @@ from .overpartitions import (
 from .partitions import (
     count_B,
     count_C,
-    count_schur_gap,
-    count_schur_product,
     enumerate_partitions,
 )
 from .series import (
@@ -71,12 +68,9 @@ __all__ = [
     "congruence_product_series",
     "count_B",
     "count_C",
-    "count_Dk",
     "count_bounded",
     "count_pj",
     "count_rj",
-    "count_schur_gap",
-    "count_schur_product",
     "enumerate_overpartitions",
     "enumerate_partitions",
     "golden_example_n10",

@@ -17,15 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import add
 
-from .partitions import b_part_allowed, _check_ki, _count_by_dp
-from .series import (
-    BivariateSeries,
-    Monomial,
-    QSeries,
-    euler_product,
-    finite_pochhammer,
-    pochhammer_inf,
-)
+from .partitions import _check_ki
+from .series import BivariateSeries, Monomial, QSeries, euler_product, pochhammer_inf
 
 
 class StabilizationError(ValueError):
@@ -95,14 +88,6 @@ def build_R(k: int, j_max: int, q_order: int, a_order: int | None = None) -> RSe
     return RSequence(k, q_order, a_order, terms)
 
 
-def initial_R(k: int, j: int, q_order: int, a_order: int) -> BivariateSeries:
-    """The closed initial condition R_j = 1 / (q;q)_j for 0 <= j < k."""
-    if not 0 <= j < k:
-        raise ValueError("closed initial condition only holds for 0 <= j < k")
-    inv = finite_pochhammer(q_order, j).invert_unit()
-    return BivariateSeries.from_qseries(inv, a_order)
-
-
 @dataclass
 class FunctionalEquationResult:
     ok: bool
@@ -121,11 +106,9 @@ def check_functional_equation(rs: RSequence) -> FunctionalEquationResult:
         rhs = rs.terms[j].shift(0, j)
         if j - k >= 0:
             rhs = rhs + rs.terms[j - k].shift(1, j - k + 1)
-        if lhs != rhs:
-            for m in range(rs.a_order + 1):
-                for n in range(rs.q_order + 1):
-                    if lhs.coeffs[m][n] != rhs.coeffs[m][n]:
-                        return FunctionalEquationResult(False, (j, m, n))
+        diff = lhs.first_difference(rhs)
+        if diff is not None:
+            return FunctionalEquationResult(False, (j, *diff))
     return FunctionalEquationResult(True)
 
 
@@ -183,14 +166,13 @@ def appell_limit(rs: RSequence) -> FormalLimit:
             f"not stabilized: j_max={rs.j_max} < q_order+1={rs.q_order + 1}"
         )
     last = rs.terms[-1]
-    prev = rs.terms[-2]
-    for m in range(rs.a_order + 1):
-        for d in range(rs.q_order + 1):
-            if last.coeffs[m][d] != prev.coeffs[m][d]:
-                raise StabilizationError(
-                    f"not stabilized: coefficient of a^{m} q^{d} changed at j={rs.j_max}",
-                    witness=(m, d),
-                )
+    moved = last.first_difference(rs.terms[-2])
+    if moved is not None:
+        m, d = moved
+        raise StabilizationError(
+            f"not stabilized: coefficient of a^{m} q^{d} changed at j={rs.j_max}",
+            witness=moved,
+        )
     index: dict = {}
     for d in range(rs.q_order + 1):
         idx = 0
@@ -230,11 +212,18 @@ def pj_series(rs: RSequence, j: int) -> BivariateSeries:
 
 
 def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
-    """Generating function of the congruence-condition count B_{i,k}.
+    """The product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf of the corollary family.
 
-    The product over allowed parts p of 1/(1 - q^p), expanded by the same
-    unbounded-knapsack recurrence that backs the direct counter.
+    Expanded from the product itself, not from the allowed parts that
+    count_B_table sums over, so the two are independent routes to B_{i,k}.
+    Each factor (1 + q^e) adds a copy shifted by e; each 1/(1 - q^p) is the
+    running sum c[n] += c[n - p], taken one block of p coefficients at a time.
     """
     _check_ki(k, i)
-    allowed = [p for p in range(1, q_order + 1) if b_part_allowed(p, k, i)]
-    return QSeries(tuple(_count_by_dp(q_order, allowed)))
+    row = [1] + [0] * q_order
+    for e in range(2 * i + 1, q_order + 1, 2 * k):
+        row[e:] = map(add, row[e:], row[: q_order + 1 - e])
+    for p in range(2, q_order + 1, 2):
+        for s in range(p, q_order + 1, p):
+            row[s : s + p] = map(add, row[s : s + p], row[s - p : s])
+    return QSeries(tuple(row))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 
 import click
 
@@ -126,12 +125,11 @@ def golden_cmd(ctx):
 @click.option("--k", type=K, required=True)
 @click.option("--i", type=int, default=0)
 @click.option("--n-max", type=NONNEG, default=30)
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default=None)
 @click.pass_context
-def coeffs_cmd(ctx, side, k, i, n_max, fmt):
+def coeffs_cmd(ctx, side, k, i, n_max):
     """Print a coefficient table for one side of an identity."""
     _check_i(k, i)
-    fmt = fmt or ctx.obj["format"]
+    fmt = ctx.obj["format"]
     if side == "overpartition-product":
         series = appell.theorem_product(k, n_max)
         rows = [

@@ -50,12 +50,6 @@ class Overpartition:
     def overlined_values(self) -> frozenset:
         return frozenset(v for v, _, over in self.entries if over)
 
-    def multiplicity(self, v: int) -> int:
-        for value, mult, _ in self.entries:
-            if value == v:
-                return mult
-        return 0
-
     def has_nonoverlined_occurrence(self, v: int) -> bool:
         for value, mult, over in self.entries:
             if value == v:
@@ -161,25 +155,14 @@ def d_witnesses(m: int, n: int, k: int) -> list:
     return [o for o in admissible_overpartitions(n, k) if o.overline_count == m]
 
 
-def count_Dk(m: int, n: int, k: int) -> int:
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
-    return len(d_witnesses(m, n, k))
-
-
 def count_Dk_table(n_max: int, k: int, m_max: int | None = None) -> list:
     """table[m][n] = D_k(m, n) for m <= m_max (default n_max), n <= n_max."""
     _check_k(k)
     if m_max is None:
         m_max = n_max
-    table = [[0] * (n_max + 1) for _ in range(m_max + 1)]
-    for n in range(n_max + 1):
-        for parts in enumerate_partitions(n):
-            for mask in admissible_masks(_groups(parts), k):
-                m = mask.bit_count()
-                if m <= m_max:
-                    table[m][n] += 1
-    return table
+    # with j = n no part is out of bound, so p[n] counts all of D_k at weight n
+    columns = [count_bounded(n, n, k, m_max)[1][n] for n in range(n_max + 1)]
+    return [[col[m] for col in columns] for m in range(m_max + 1)]
 
 
 def _check_bound(j: int, k: int) -> None:

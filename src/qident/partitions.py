@@ -61,11 +61,6 @@ def _count_by_dp(n_max: int, allowed_parts: Sequence[int]) -> list:
     return ways
 
 
-def partition_numbers(n_max: int) -> list:
-    """p(0..n_max) via the DP over all parts."""
-    return _count_by_dp(n_max, range(1, n_max + 1))
-
-
 # ---------------------------------------------------------------------------
 # B side: congruence conditions modulo 4k
 # ---------------------------------------------------------------------------
@@ -107,11 +102,6 @@ def b_witnesses(n: int, k: int, i: int) -> list:
     """All partitions counted by B_{i,k}(n), generated from allowed parts only."""
     _check_ki(k, i)
     return list(enumerate_partitions(n, fits=lambda prefix: b_part_allowed(prefix[-1], k, i)))
-
-
-def count_B_by_enumeration(n: int, k: int, i: int) -> int:
-    """Enumeration oracle for count_B."""
-    return len(b_witnesses(n, k, i))
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +217,6 @@ def count_schur_product_table(n_max: int) -> list:
     return _count_by_dp(n_max, allowed)
 
 
-def count_schur_product(n: int) -> int:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return count_schur_product_table(n)[n]
-
-
 def satisfies_schur_gap(parts: Partition) -> bool:
     """Adjacent parts differ by >= 3, and by >= 6 when both are multiples of 3."""
     for a, b in zip(parts, parts[1:]):
@@ -246,12 +230,6 @@ def satisfies_schur_gap(parts: Partition) -> bool:
 
 def schur_gap_witnesses(n: int) -> list:
     return list(enumerate_partitions(n, fits=lambda prefix: satisfies_schur_gap(prefix[-2:])))
-
-
-def count_schur_gap(n: int) -> int:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return len(schur_gap_witnesses(n))
 
 
 def format_partition(parts: Partition) -> str:

@@ -66,6 +66,13 @@ def bivar_mul(rows1, rows2, a_order, q_order):
     return out
 
 
+def _shifted(items: tuple, exp: int, zero=0) -> tuple:
+    """items moved up exp places at the same length: zero fills the front
+    and items moved past the end fall off."""
+    kept = items[: max(0, len(items) - exp)]
+    return (zero,) * (len(items) - len(kept)) + tuple(kept)
+
+
 def _as_coeff_tuple(coeffs: Iterable[int], order: int) -> tuple:
     out = list(coeffs)[: order + 1]
     if len(out) < order + 1:
@@ -100,23 +107,11 @@ class QSeries:
     def one(cls, order: int) -> "QSeries":
         return cls.from_coeffs([1], order)
 
-    @classmethod
-    def monomial(cls, coeff: int, exp: int, order: int) -> "QSeries":
-        if exp < 0:
-            raise ValueError("monomial exponent must be non-negative")
-        c = [0] * (order + 1)
-        if exp <= order:
-            c[exp] = coeff
-        return cls(tuple(c))
-
     def coefficient(self, n: int) -> int:
         """Coefficient of q^n; raises IndexError beyond the truncation order."""
         if n < 0:
             return 0
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "QSeries":
-        return QSeries.from_coeffs(self.coeffs, order)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         order = min(self.order, other.order)
@@ -125,9 +120,6 @@ class QSeries:
     def __sub__(self, other: "QSeries") -> "QSeries":
         order = min(self.order, other.order)
         return QSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(order + 1)))
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -143,8 +135,7 @@ class QSeries:
         """Multiply by q^exp (exp >= 0); terms past the order fall off."""
         if exp < 0:
             raise ValueError("shift exponent must be non-negative")
-        n = self.order
-        return QSeries(tuple([0] * min(exp, n + 1) + list(self.coeffs[: n + 1 - exp])))
+        return QSeries(_shifted(self.coeffs, exp))
 
     def invert_unit(self) -> "QSeries":
         """Multiplicative inverse up to the truncation order.
@@ -165,23 +156,6 @@ class QSeries:
                     s += c[i] * t[d - i]
             t[d] = -eps * s
         return QSeries(tuple(t))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __str__(self) -> str:
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = "" if abs(c) == 1 and n > 0 else str(abs(c))
-            var = "" if n == 0 else ("q" if n == 1 else f"q^{n}")
-            body = (mag + ("*" if mag and var else "") + var) or "1"
-            terms.append(("- " if c < 0 else "+ ") + body)
-        if not terms:
-            return "0"
-        head = terms[0].lstrip("+ ").replace("- ", "-", 1) if terms[0].startswith("- ") else terms[0][2:]
-        return " ".join([head] + terms[1:]) + f" + O(q^{self.order + 1})"
 
 
 @dataclass(frozen=True)
@@ -245,13 +219,6 @@ class BivariateSeries:
             return 0
         return self.coeffs[m][n]
 
-    def truncate(self, a_order: int, q_order: int) -> "BivariateSeries":
-        rows = []
-        for m in range(a_order + 1):
-            row = self.coeffs[m] if m <= self.a_order else ()
-            rows.append(_as_coeff_tuple(row, q_order))
-        return BivariateSeries(tuple(rows))
-
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
         a = min(self.a_order, other.a_order)
         q = min(self.q_order, other.q_order)
@@ -310,14 +277,22 @@ class BivariateSeries:
         """Multiply by a^{a_exp} q^{q_exp}; terms past either order fall off."""
         if a_exp < 0 or q_exp < 0:
             raise ValueError("shift exponents must be non-negative")
-        rows = []
-        for m in range(self.a_order + 1):
-            if m < a_exp:
-                rows.append((0,) * (self.q_order + 1))
-            else:
-                src = self.coeffs[m - a_exp]
-                rows.append(tuple([0] * min(q_exp, self.q_order + 1) + list(src[: self.q_order + 1 - q_exp])))
-        return BivariateSeries(tuple(rows))
+        rows = tuple(_shifted(row, q_exp) for row in self.coeffs)
+        return BivariateSeries(_shifted(rows, a_exp, (0,) * (self.q_order + 1)))
+
+    def first_difference(self, other: "BivariateSeries") -> tuple | None:
+        """The first (a-degree, q-degree) where the two series differ, a-degree
+        first, or None if they are equal.  Series of different orders raise
+        ValueError, so unequal shapes never compare as equal."""
+        if (self.a_order, self.q_order) != (other.a_order, other.q_order):
+            raise ValueError(
+                f"cannot compare a series of orders ({self.a_order}, {self.q_order}) "
+                f"with one of orders ({other.a_order}, {other.q_order})"
+            )
+        for m, (row, other_row) in enumerate(zip(self.coeffs, other.coeffs)):
+            if row != other_row:
+                return m, next(n for n, (c, d) in enumerate(zip(row, other_row)) if c != d)
+        return None
 
     def to_qseries(self) -> QSeries:
         """Project to a QSeries; every a-degree above 0 must vanish."""
@@ -336,9 +311,6 @@ class BivariateSeries:
                 if row[n]:
                     out[n] += w * row[n]
         return QSeries(tuple(out))
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.coeffs)
 
 
 def pochhammer_inf(factor: Monomial, step_q: int, q_order: int, a_order: int = 0) -> BivariateSeries:
@@ -365,16 +337,6 @@ def euler_product(q_order: int) -> QSeries:
     return pochhammer_inf(Monomial(0, 1, -1), 1, q_order).to_qseries()
 
 
-def finite_pochhammer(q_order: int, t: int) -> QSeries:
-    """(q;q)_t = prod_{m=1..t} (1 - q^m), truncated at q_order."""
-    out = BivariateSeries.one(0, q_order)
-    for m in range(1, t + 1):
-        if m > q_order:
-            break
-        out = out.mul_binomial(Monomial(0, m, -1))
-    return out.to_qseries()
-
-
 def specialize(s: BivariateSeries, t: int, e: int, out_order: int | None = None) -> QSeries:
     """Map (a, q) -> (q^e, q^t): a^m q^n contributes at q^{t*n + m*e}.
 
@@ -387,6 +349,8 @@ def specialize(s: BivariateSeries, t: int, e: int, out_order: int | None = None)
         raise ValueError("t must be a positive integer")
     if out_order is None:
         out_order = t * s.q_order
+    if out_order < 0:
+        raise ValueError("out_order must be non-negative")
     out = [0] * (out_order + 1)
     for m, row in enumerate(s.coeffs):
         off = m * e

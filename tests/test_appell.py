@@ -11,13 +11,12 @@ from qident.appell import (
     check_functional_equation,
     closed_product_F_coefficients,
     congruence_product_series,
-    initial_R,
     max_overline_count,
     pj_series,
     RSequence,
     theorem_product,
 )
-from qident.overpartitions import count_Dk, count_pj, count_rj
+from qident.overpartitions import count_pj, count_rj, d_witnesses
 from qident.series import BivariateSeries, QSeries, specialize
 
 
@@ -68,6 +67,14 @@ def closed_product_by_shifted_sums(k, j_top, q_order, a_order):
     return xc
 
 
+def initial_R(j: int, q_order: int, a_order: int) -> BivariateSeries:
+    """The closed form R_j = 1 / (q;q)_j, which holds for 0 <= j < k."""
+    pochhammer = QSeries.one(q_order)
+    for m in range(1, j + 1):
+        pochhammer = pochhammer * QSeries.from_coeffs([1] + [0] * (m - 1) + [-1], q_order)
+    return BivariateSeries.from_qseries(pochhammer.invert_unit(), a_order)
+
+
 # a_order: the default, or an explicit offset from max_overline_count (below and above it)
 a_order_offsets = st.none() | st.integers(-3, 2)
 
@@ -114,7 +121,7 @@ class TestBuildR:
         for k in range(2, 7):
             rs = build_R(k, k - 1, 12, 3)
             for j in range(k):
-                assert rs.terms[j] == initial_R(k, j, 12, 3), (k, j)
+                assert rs.terms[j] == initial_R(j, 12, 3), (k, j)
 
     def test_terms_match_bounded_enumeration(self):
         rs = build_R(2, 6, 12, 3)
@@ -146,21 +153,30 @@ class TestFunctionalEquation:
         for k in (2, 3):
             rs = build_R(k, 20, 16)
             assert check_functional_equation(rs).ok
+        # j from q_order + 2 up to k - 1: the right side is a shift of R_j alone
+        assert check_functional_equation(build_R(5, 8, 2)).ok
 
     def test_large_k2_case(self):
         rs = build_R(2, 40, 40, 6)
         assert check_functional_equation(rs).ok
 
-    def test_mutation_gives_witness(self):
+    # the second case differs at two a-degrees; the lower one is reported
+    # although its q-degree is the higher
+    @pytest.mark.parametrize("cells, witness", [
+        ([(0, 3)], (4, 0, 3)),
+        ([(1, 5), (2, 1)], (4, 1, 5)),
+    ], ids=["a-degree-0", "a-degree-1"])
+    def test_mutation_gives_witness(self, cells, witness):
         rs = build_R(2, 8, 8, 2)
         rows = [list(r) for r in rs.terms[4].coeffs]
-        rows[0][3] += 1
+        for m, n in cells:
+            rows[m][n] += 1
         mutated = list(rs.terms)
         mutated[4] = BivariateSeries(tuple(tuple(r) for r in rows))
         broken = RSequence(rs.k, rs.q_order, rs.a_order, mutated)
         result = check_functional_equation(broken)
         assert not result.ok
-        assert result.witness == (4, 0, 3)
+        assert result.witness == witness
 
 
 class TestClosedProduct:
@@ -256,7 +272,7 @@ class TestTheoremProduct:
             product = theorem_product(k, 12)
             for m in range(product.a_order + 1):
                 for n in range(13):
-                    assert product.coefficient(m, n) == count_Dk(m, n, k)
+                    assert product.coefficient(m, n) == len(d_witnesses(m, n, k))
 
     def test_max_overline_count(self):
         assert max_overline_count(2, 0) == 0

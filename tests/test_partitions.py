@@ -7,13 +7,10 @@ from qident.partitions import (
     b_witnesses,
     c_witnesses,
     count_B,
-    count_B_by_enumeration,
     count_B_table,
     count_C,
-    count_schur_gap,
-    count_schur_product,
+    count_schur_product_table,
     enumerate_partitions,
-    partition_numbers,
     satisfies_corollary,
     satisfies_schur_gap,
     satisfies_thm12,
@@ -84,8 +81,6 @@ class TestEnumeration:
         # p(n) read off the inverse of the Euler product
         p = euler_product(40).invert_unit()
         for n in range(41):
-            assert partition_numbers(40)[n] == p.coefficient(n)
-        for n in range(0, 41, 8):
             assert sum(1 for _ in enumerate_partitions(n)) == p.coefficient(n)
 
 
@@ -114,14 +109,14 @@ class TestCountB:
         # computed by brute-force filtering of the full enumeration
         expected = [1, 0, 1, 1, 2, 1, 3, 3, 5, 4, 8, 8, 12]
         assert count_B_table(12, 2, 1) == expected
-        assert [count_B_by_enumeration(n, 2, 1) for n in range(13)] == expected
+        assert [len(b_witnesses(n, 2, 1)) for n in range(13)] == expected
 
     def test_dp_matches_enumeration_grid(self):
         for k in range(2, 6):
             for i in range(k):
                 table = count_B_table(18, k, i)
                 for n in range(19):
-                    assert table[n] == count_B_by_enumeration(n, k, i), (n, k, i)
+                    assert table[n] == len(b_witnesses(n, k, i)), (n, k, i)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_pruned_list_equals_filter(self, k):
@@ -199,6 +194,14 @@ class TestCountC:
             count_C(5, 3, 1, "thm13")
         with pytest.raises(ValueError):
             count_C(5, 3, 1, "nonsense")
+
+
+def count_schur_product(n):
+    return count_schur_product_table(n)[n]
+
+
+def count_schur_gap(n):
+    return len(schur_gap_witnesses(n))
 
 
 class TestSchur:

@@ -12,7 +12,6 @@ from qident.series import (
     Monomial,
     QSeries,
     euler_product,
-    finite_pochhammer,
     pochhammer_inf,
     specialize,
 )
@@ -150,10 +149,16 @@ class TestQSeries:
         with pytest.raises(ValueError):
             QSeries.zero(4).invert_unit()
 
-    def test_finite_pochhammer_inverse_counts_bounded_partitions(self):
+    def test_inverse_counts_bounded_partitions(self):
         # coefficient of q^n in 1/((1-q)(1-q^2)) counts partitions into parts <= 2
-        inv = finite_pochhammer(10, 2).invert_unit()
+        inv = (QSeries.from_coeffs([1, -1], 10) * QSeries.from_coeffs([1, 0, -1], 10)).invert_unit()
         assert inv.coeffs == (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6)
+
+    # exponents up to, at, and past the order, up to twice the order and beyond
+    @pytest.mark.parametrize("exp", [0, 2, 3, 4, 5, 6, 9])
+    def test_shift(self, exp):
+        s = QSeries.from_coeffs([1, 2, 3, 4], 3)
+        assert s.shift(exp) == QSeries.from_coeffs([0] * exp + [1, 2, 3, 4], 3)
 
     def test_mixed_order_truncates_to_min(self):
         a = QSeries.one(10)
@@ -199,6 +204,25 @@ class TestBivariateSeries:
     @settings(max_examples=40, deadline=None)
     def test_mul_commutes(self, a, b):
         assert a * b == b * a
+
+    @pytest.mark.parametrize("a_exp, q_exp", [(0, 0), (1, 2), (0, 5), (0, 6), (2, 1), (3, 0)])
+    def test_shift(self, a_exp, q_exp):
+        s = BivariateSeries.from_dict({(0, 0): 1, (1, 2): 3, (0, 3): 2, (2, 1): -1}, 2, 3)
+        expected = BivariateSeries.from_dict(
+            {(m + a_exp, n + q_exp): s.coefficient(m, n) for m in range(3) for n in range(4)}, 2, 3
+        )
+        assert s.shift(a_exp, q_exp) == expected
+
+    def test_first_difference_scans_a_degree_first(self):
+        s = BivariateSeries.from_dict({(0, 0): 1}, 2, 4)
+        t = BivariateSeries.from_dict({(0, 0): 1, (1, 3): 1, (2, 1): 1}, 2, 4)
+        assert s.first_difference(s) is None
+        assert s.first_difference(t) == (1, 3)
+
+    @pytest.mark.parametrize("orders", [(1, 4), (2, 3)])
+    def test_first_difference_rejects_other_orders(self, orders):
+        with pytest.raises(ValueError, match="cannot compare"):
+            BivariateSeries.zero(2, 4).first_difference(BivariateSeries.zero(*orders))
 
     def test_to_qseries_rejects_marked_terms(self):
         s = BivariateSeries.from_dict({(1, 1): 1}, 2, 3)
@@ -256,6 +280,10 @@ class TestSpecialization:
         s = BivariateSeries.from_dict({(1, 2): 1}, 1, 2)
         assert specialize(s, 1, -1).coeffs == (0, 1, 0)
         assert specialize(s, 1, 1, out_order=3).coeffs == (0, 0, 0, 1)
+
+    def test_specialize_rejects_negative_out_order(self):
+        with pytest.raises(ValueError, match="out_order"):
+            specialize(BivariateSeries.one(0, 3), 1, 0, out_order=-1)
 
     def test_specialize_rejects_negative_landing(self):
         s = BivariateSeries.from_dict({(2, 1): 1}, 2, 1)

@@ -1,10 +1,12 @@
 """Verifier reports, mutation behaviour, and the command-line interface."""
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import qident
 from qident import appell, overpartitions, partitions, verify
 from qident.cli import main
 from qident.series import BivariateSeries
@@ -106,6 +108,10 @@ class TestReports:
             "corollary",
             "machinery",
         }
+
+
+def test_public_names_resolve():
+    assert all(hasattr(qident, name) for name in qident.__all__)
 
 
 def cutting(real, cut):
@@ -217,6 +223,25 @@ class TestMutations:
         rep = verify.verify_corollary(2, 0, 30, 12)
         assert rep.status == "fail"
         assert rep.witness["n"] == 7
+
+    def test_corollary_dp_off_by_one(self, monkeypatch):
+        # a slip in the B-side knapsack reaches every module that binds it; the
+        # product route must not be one of them, or the slip goes unseen
+        real = partitions._count_by_dp
+
+        def off_by_one(n_max, allowed_parts):
+            ways = real(n_max, allowed_parts)
+            if n_max >= 40:
+                ways[40] += 1
+            return ways
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qident") and getattr(module, "_count_by_dp", None) is real:
+                monkeypatch.setattr(module, "_count_by_dp", off_by_one)
+        rep = verify.verify_corollary(2, 0, 60, 12)
+        assert rep.status == "fail"
+        assert rep.witness["n"] == 40
+        assert rep.witness["count_B"] == rep.witness["product_coefficient"] + 1
 
     @pytest.mark.parametrize("series, j, m, n", [("R", 3, 1, 5), ("P", 4, 2, 7)])
     def test_bounded_enumeration_perturbed_table(self, monkeypatch, series, j, m, n):
@@ -340,16 +365,16 @@ class TestCli:
         assert result.exit_code == 1
 
     def test_coeffs_product_csv(self):
-        result = self.run("coeffs", "--side", "product", "--k", "2", "--i", "0",
-                          "--n-max", "10", "--format", "csv")
+        result = self.run("--format", "csv", "coeffs", "--side", "product", "--k", "2",
+                          "--i", "0", "--n-max", "10")
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
         assert lines[0] == "n,coefficient"
         assert lines[-1] == "10,10"
 
     def test_coeffs_overpartition_product_json(self):
-        result = self.run("coeffs", "--side", "overpartition-product", "--k", "2",
-                          "--n-max", "5", "--format", "json")
+        result = self.run("--format", "json", "coeffs", "--side", "overpartition-product",
+                          "--k", "2", "--n-max", "5")
         assert result.exit_code == 0
         rows = {(r["m"], r["n"]): r["coefficient"] for r in json.loads(result.output)}
         assert rows[(1, 1)] == 1
