@@ -29,7 +29,9 @@ from .overpartitions import (
 from .partitions import (
     count_B,
     count_C,
+    count_C_table,
     enumerate_partitions,
+    partitions_up_to,
 )
 from .series import (
     BivariateSeries,
@@ -68,6 +70,7 @@ __all__ = [
     "congruence_product_series",
     "count_B",
     "count_C",
+    "count_C_table",
     "count_bounded",
     "count_pj",
     "count_rj",
@@ -75,6 +78,7 @@ __all__ = [
     "enumerate_partitions",
     "golden_example_n10",
     "is_Dk_admissible",
+    "partitions_up_to",
     "pochhammer_inf",
     "specialize",
     "specialize_overpartition",

@@ -144,7 +144,8 @@ def coeffs_cmd(ctx, side, k, i, n_max):
     else:  # sum side: enumeration counts
         if n_max > verify.ENUM_HARD_LIMIT:
             raise click.UsageError(f"sum-side enumeration refused beyond n={verify.ENUM_HARD_LIMIT}")
-        rows = [{"n": n, "coefficient": partitions.count_C(n, k, i)} for n in range(n_max + 1)]
+        table = partitions.count_C_table(n_max, k, i)
+        rows = [{"n": n, "coefficient": c} for n, c in enumerate(table)]
     if fmt == "json":
         click.echo(json.dumps(rows, indent=2))
     elif fmt == "csv":

@@ -13,6 +13,11 @@ overlines the idx-th largest value), and only admissible masks are ever
 formed.  The counters tally those masks directly; objects are built only
 where a caller asks for them.  `is_Dk_admissible` stays the definition
 that the masks are tested against.
+
+Without a rule on the underlying partition, every node of the prefix walk
+`partitions_up_to(N)` is a partition of its own weight, so `count_bounded`
+tallies every weight n <= N from that one walk, and every other counter
+(`count_Dk_table`, `count_pj`, `count_rj`) reads its table.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator
 
-from .partitions import enumerate_partitions
+from .partitions import enumerate_partitions, partitions_up_to
 
 
 @dataclass(frozen=True)
@@ -160,9 +165,9 @@ def count_Dk_table(n_max: int, k: int, m_max: int | None = None) -> list:
     _check_k(k)
     if m_max is None:
         m_max = n_max
-    # with j = n no part is out of bound, so p[n] counts all of D_k at weight n
-    columns = [count_bounded(n, n, k, m_max)[1][n] for n in range(n_max + 1)]
-    return [[col[m] for col in columns] for m in range(m_max + 1)]
+    # with j = n no part is out of bound, so p[n][n] counts all of D_k at weight n
+    p = count_bounded(n_max, n_max, k, m_max)[1]
+    return [[p[n][n][m] for n in range(n_max + 1)] for m in range(m_max + 1)]
 
 
 def _check_bound(j: int, k: int) -> None:
@@ -171,21 +176,25 @@ def _check_bound(j: int, k: int) -> None:
         raise ValueError("j must be non-negative")
 
 
-def count_bounded(n: int, j_max: int, k: int, m_max: int) -> tuple:
-    """The bounded counts of weight n for every j <= j_max, from one enumeration.
+def count_bounded(n_max: int, j_max: int, k: int, m_max: int) -> tuple:
+    """The bounded counts of every weight n <= n_max and bound j <= j_max,
+    from one walk.
 
-    Returns (r, p) with r[j][m] = count_rj(m, n, j, k) and
-    p[j][m] = count_pj(m, n, j, k) for 0 <= j <= j_max, 0 <= m <= m_max.
-    An admissible overpartition with largest part L is counted in p[j] for
-    every j >= L, and in r[j] for every j >= max(L, b + k - 1), where b is
-    its largest overlined value (in r[j] for every j >= L if none is).
+    Returns (r, p) with r[n][j][m] = count_rj(m, n, j, k) and
+    p[n][j][m] = count_pj(m, n, j, k) for 0 <= n <= n_max, 0 <= j <= j_max,
+    0 <= m <= m_max.  The walk partitions_up_to(n_max, max_part=j_max)
+    visits every partition of weight <= n_max with parts <= j_max once.  An
+    admissible overpartition with largest part L is counted in p[n][j] for
+    every j >= L, and in r[n][j] for every j >= max(L, b + k - 1), where b
+    is its largest overlined value (in r[n][j] for every j >= L if none is).
     """
     _check_bound(j_max, k)
-    # *_first[j][m]: objects whose smallest counting bound is exactly j
-    r_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
-    p_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
-    for parts in enumerate_partitions(n, max_part=j_max):
+    # *_first[n][j][m]: objects of weight n whose smallest counting bound is exactly j
+    r_first = [[[0] * (m_max + 1) for _ in range(j_max + 1)] for _ in range(n_max + 1)]
+    p_first = [[[0] * (m_max + 1) for _ in range(j_max + 1)] for _ in range(n_max + 1)]
+    for parts in partitions_up_to(n_max, max_part=j_max):
         groups = _groups(parts)
+        weight = sum(parts)
         largest = parts[0] if parts else 0
         for mask in admissible_masks(groups, k):
             m = mask.bit_count()
@@ -196,10 +205,10 @@ def count_bounded(n: int, j_max: int, k: int, m_max: int) -> tuple:
                 # the lowest set bit overlines the largest overlined value
                 top_over = groups[(mask & -mask).bit_length() - 1][0]
                 r_from = max(largest, top_over + k - 1)
-            p_first[largest][m] += 1
+            p_first[weight][largest][m] += 1
             if r_from <= j_max:
-                r_first[r_from][m] += 1
-    return _accumulate(r_first), _accumulate(p_first)
+                r_first[weight][r_from][m] += 1
+    return [_accumulate(rows) for rows in r_first], [_accumulate(rows) for rows in p_first]
 
 
 def _accumulate(first: list) -> list:
@@ -213,13 +222,13 @@ def _accumulate(first: list) -> list:
 def count_pj(m: int, n: int, j: int, k: int) -> int:
     """Admissible overpartitions of n with m overlines and all parts <= j."""
     _check_bound(j, k)
-    return count_bounded(n, j, k, m)[1][j][m] if m >= 0 else 0
+    return count_bounded(n, j, k, m)[1][n][j][m] if m >= 0 else 0
 
 
 def count_rj(m: int, n: int, j: int, k: int) -> int:
     """As count_pj, but additionally no overlined value in {j-k+2, ..., j}."""
     _check_bound(j, k)
-    return count_bounded(n, j, k, m)[0][j][m] if m >= 0 else 0
+    return count_bounded(n, j, k, m)[0][n][j][m] if m >= 0 else 0
 
 
 def specialize_overpartition(o: Overpartition, i: int, k: int) -> tuple:

@@ -6,12 +6,15 @@ largest part first, so witness lists are deterministic and diffable.
 
 The congruence ("product") sides are counted by an unbounded-knapsack
 dynamic program over the allowed part sizes, which scales to n in the
-hundreds.  The witness lists of every side come from one generator that
-extends a prefix only while the side's own rule still holds for it: the
-part rule on the B side, Schur's gap rule, and the difference-condition
-predicates on the C side.  Each rule is prefix-closed (a violation in a
-prefix survives every extension), so pruning yields exactly the partitions
-the rule accepts, in the order of the full enumeration.
+hundreds.  The other sides come from one walk of the prefix tree,
+`partitions_up_to`, which extends a prefix only while the side's own rule
+still holds for it: the part rule on the B side, Schur's gap rule, and the
+difference-condition predicates on the C side.  Each rule is prefix-closed
+(a violation in a prefix survives every extension), so pruning yields
+exactly the partitions the rule accepts.  It also makes every node of the
+walk a counted partition of its own weight, so one walk to N tallies every
+n <= N (`count_C_table`, `count_schur_gap_table`), and a witness list is
+the weight-n slice of the walk (`enumerate_partitions`).
 """
 
 from __future__ import annotations
@@ -22,33 +25,52 @@ from typing import Callable, Iterator, Sequence
 Partition = tuple  # weakly decreasing tuple of positive ints
 
 
+def partitions_up_to(
+    n_max: int, max_part: int | None = None, fits: Callable[[tuple], bool] | None = None
+) -> Iterator[Partition]:
+    """Yield every partition of weight <= n_max (parts <= max_part) whose
+    every prefix fits, in depth-first pre-order.
+
+    A prefix is extended by a part only if fits(prefix + (part,)) holds; the
+    empty partition is yielded without a test.  Children follow their
+    parent, largest new part first, so the partitions of any one weight
+    come out in lex-decreasing order.
+    """
+    if n_max < 0:
+        raise ValueError("n must be non-negative")
+    cap = n_max if max_part is None else min(max_part, n_max)
+    # (prefix, remaining weight, largest part allowed next); children are
+    # pushed smallest part first so the largest is walked first
+    stack = [((), n_max, cap)]
+    pop, push = stack.pop, stack.append  # bound once: this loop runs once per node
+    while stack:
+        prefix, remaining, limit = pop()
+        yield prefix
+        for part in range(1, (limit if limit < remaining else remaining) + 1):
+            extended = prefix + (part,)
+            if fits is None or fits(extended):
+                push((extended, remaining - part, part))
+
+
 def enumerate_partitions(
     n: int, max_part: int | None = None, fits: Callable[[tuple], bool] | None = None
 ) -> Iterator[Partition]:
     """Yield every partition of n (parts <= max_part) in lex-decreasing order.
 
-    With fits given, a prefix is extended by a part only if
-    fits(prefix + (part,)) holds, so only partitions whose every prefix
-    fits are yielded.  For a prefix-closed rule that is exactly the
-    partitions satisfying it, in the same order as filtering.
+    The weight-n slice of partitions_up_to(n, max_part, fits): with fits
+    given, only partitions whose every prefix fits are yielded.  For a
+    prefix-closed rule that is exactly the partitions satisfying it, in the
+    same order as filtering.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    cap = n if max_part is None else min(max_part, n)
+    return (parts for parts in partitions_up_to(n, max_part, fits) if sum(parts) == n)
 
-    def gen(remaining: int, limit: int, prefix: tuple) -> Iterator[tuple]:
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(limit, remaining), 0, -1):
-            extended = prefix + (part,)
-            if fits is None or fits(extended):
-                yield from gen(remaining - part, part, extended)
 
-    if n == 0:
-        yield ()
-        return
-    yield from gen(n, cap, ())
+def _tally(n_max: int, fits: Callable[[tuple], bool]) -> list:
+    """counts[n] = number of partitions of n whose every prefix fits, n <= n_max."""
+    counts = [0] * (n_max + 1)
+    for parts in partitions_up_to(n_max, fits=fits):
+        counts[sum(parts)] += 1
+    return counts
 
 
 def _count_by_dp(n_max: int, allowed_parts: Sequence[int]) -> list:
@@ -202,8 +224,13 @@ def c_witnesses(n: int, k: int, i: int, phrasing: str = "corollary") -> list:
     return list(enumerate_partitions(n, fits=_c_predicate(k, i, phrasing)))
 
 
+def count_C_table(n_max: int, k: int, i: int, phrasing: str = "corollary") -> list:
+    """C_{i,k}(0..n_max) under the selected phrasing, from one walk."""
+    return _tally(n_max, _c_predicate(k, i, phrasing))
+
+
 def count_C(n: int, k: int, i: int, phrasing: str = "corollary") -> int:
-    return len(c_witnesses(n, k, i, phrasing))
+    return count_C_table(n, k, i, phrasing)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +255,17 @@ def satisfies_schur_gap(parts: Partition) -> bool:
     return True
 
 
+def _schur_gap_fits(prefix: tuple) -> bool:
+    return satisfies_schur_gap(prefix[-2:])
+
+
+def count_schur_gap_table(n_max: int) -> list:
+    """Gap partitions of Schur's identity for n = 0..n_max, from one walk."""
+    return _tally(n_max, _schur_gap_fits)
+
+
 def schur_gap_witnesses(n: int) -> list:
-    return list(enumerate_partitions(n, fits=lambda prefix: satisfies_schur_gap(prefix[-2:])))
+    return list(enumerate_partitions(n, fits=_schur_gap_fits))
 
 
 def format_partition(parts: Partition) -> str:

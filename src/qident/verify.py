@@ -163,6 +163,10 @@ def verify_corollary(
     series = appell.congruence_product_series(k, i, n_max)
     notes = []
     alt_phrasing = "thm12" if i == k - 1 else ("thm13" if i == 0 else None)
+    c_table = partitions.count_C_table(enum_top, k, i, "corollary")
+    alt_table = (
+        partitions.count_C_table(enum_top, k, i, alt_phrasing) if alt_phrasing is not None else None
+    )
     for n in range(n_max + 1):
         lhs = b_table[n]
         rhs = series.coefficient(n)
@@ -175,36 +179,36 @@ def verify_corollary(
                 start,
             )
         if n <= enum_top:
-            c_list = partitions.c_witnesses(n, k, i, "corollary")
-            if len(c_list) != lhs:
+            count_c = c_table[n]
+            if count_c != lhs:
                 witness = {
                     "n": n,
                     "count_B": lhs,
-                    "count_C": len(c_list),
+                    "count_C": count_c,
                     "B_partitions": _cap(
                         [partitions.format_partition(p) for p in partitions.b_witnesses(n, k, i)]
                     ),
-                    "C_partitions": _cap([partitions.format_partition(p) for p in c_list]),
+                    "C_partitions": _cap(
+                        [partitions.format_partition(p) for p in partitions.c_witnesses(n, k, i)]
+                    ),
                 }
                 return _timed(
                     VerificationReport("corollary", params, rng, "fail", witness),
                     start,
                 )
-            if alt_phrasing is not None:
-                alt = partitions.count_C(n, k, i, alt_phrasing)
-                if alt != len(c_list):
-                    return _timed(
-                        VerificationReport(
-                            "corollary", params, rng, "fail",
-                            {
-                                "n": n,
-                                "count_C_corollary": len(c_list),
-                                f"count_C_{alt_phrasing}": alt,
-                            },
-                            notes=[f"phrasing {alt_phrasing} diverged from corollary phrasing"],
-                        ),
-                        start,
-                    )
+            if alt_table is not None and alt_table[n] != count_c:
+                return _timed(
+                    VerificationReport(
+                        "corollary", params, rng, "fail",
+                        {
+                            "n": n,
+                            "count_C_corollary": count_c,
+                            f"count_C_{alt_phrasing}": alt_table[n],
+                        },
+                        notes=[f"phrasing {alt_phrasing} diverged from corollary phrasing"],
+                    ),
+                    start,
+                )
     if alt_phrasing is not None:
         notes.append(
             f"theorem phrasing '{alt_phrasing}' agreed with the corollary phrasing for n <= {enum_top}"
@@ -239,14 +243,16 @@ def verify_schur(n_max: int = 40) -> VerificationReport:
     if n_max > ENUM_HARD_LIMIT:
         return _aborted("schur", {}, rng, _REFUSED, start)
     product = partitions.count_schur_product_table(n_max)
+    gap = partitions.count_schur_gap_table(n_max)
     for n in range(n_max + 1):
-        gap_list = partitions.schur_gap_witnesses(n)
-        if len(gap_list) != product[n]:
+        if gap[n] != product[n]:
             witness = {
                 "n": n,
                 "product_count": product[n],
-                "gap_count": len(gap_list),
-                "gap_partitions": _cap([partitions.format_partition(p) for p in gap_list]),
+                "gap_count": gap[n],
+                "gap_partitions": _cap(
+                    [partitions.format_partition(p) for p in partitions.schur_gap_witnesses(n)]
+                ),
             }
             return _timed(VerificationReport("schur", {}, rng, "fail", witness), start)
     return _timed(VerificationReport("schur", {}, rng, "pass"), start)
@@ -338,46 +344,41 @@ def verify_machinery(
             )
         )
 
-    t0 = time.perf_counter()
-    status, witness = "pass", None
-    j_top = min(enum_j, j_max)
-    n_top = min(enum_n, q_order)
     m_top = min(appell.max_overline_count(k, enum_n), rs.a_order)
-    # one enumeration per n fills the counts for every (j, m) at once
-    tables = [overpartitions.count_bounded(n, j_top, k, m_top) for n in range(n_top + 1)]
-    for j in range(j_top + 1):
-        pj = appell.pj_series(rs, j)
-        for n in range(n_top + 1):
-            r_table, p_table = tables[n]
-            for m in range(m_top + 1):
-                r_enum = r_table[j][m]
-                if r_enum != rs.terms[j].coefficient(m, n):
-                    status = "fail"
-                    witness = {"series": "R", "j": j, "m": m, "n": n,
-                               "enumeration": r_enum, "coefficient": rs.terms[j].coefficient(m, n)}
-                    break
-                p_enum = p_table[j][m]
-                if p_enum != pj.coefficient(m, n):
-                    status = "fail"
-                    witness = {"series": "P", "j": j, "m": m, "n": n,
-                               "enumeration": p_enum, "coefficient": pj.coefficient(m, n)}
-                    break
-            if witness:
-                break
-        if witness:
-            break
     subs.append(
-        VerificationReport(
-            "machinery/bounded-enumeration", params,
-            {"j_max": j_top, "n_max": n_top},
-            status, witness, timing=time.perf_counter() - t0,
-        )
+        _bounded_enumeration(rs, k, params, min(enum_j, j_max), min(enum_n, q_order), m_top)
     )
 
     overall = "pass" if all(s.status == "pass" for s in subs) else (
         "aborted" if any(s.status == "aborted" for s in subs) else "fail"
     )
     return _timed(VerificationReport("machinery", params, rng, overall, subreports=subs), start)
+
+
+def _bounded_enumeration(
+    rs: appell.RSequence, k: int, params: dict, j_top: int, n_top: int, m_top: int
+) -> VerificationReport:
+    """Direct counts r_j(m, n), p_j(m, n) against the coefficients of R_j,
+    P_j for j <= j_top, n <= n_top, m <= m_top; the first mismatch, R before
+    P, is the witness."""
+    t0 = time.perf_counter()
+    name = "machinery/bounded-enumeration"
+    rng = {"j_max": j_top, "n_max": n_top}
+    if n_top > ENUM_HARD_LIMIT:
+        return _aborted(name, params, rng, _REFUSED, t0)
+    # one walk fills the counts for every (n, j, m) at once
+    r_table, p_table = overpartitions.count_bounded(n_top, j_top, k, m_top)
+    for j in range(j_top + 1):
+        pj = appell.pj_series(rs, j)
+        for n in range(n_top + 1):
+            for m in range(m_top + 1):
+                for series, counts, coeff in (("R", r_table, rs.terms[j]), ("P", p_table, pj)):
+                    enum, want = counts[n][j][m], coeff.coefficient(m, n)
+                    if enum != want:
+                        witness = {"series": series, "j": j, "m": m, "n": n,
+                                   "enumeration": enum, "coefficient": want}
+                        return _timed(VerificationReport(name, params, rng, "fail", witness), t0)
+    return _timed(VerificationReport(name, params, rng, "pass"), t0)
 
 
 # ---------------------------------------------------------------------------

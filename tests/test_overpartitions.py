@@ -45,6 +45,35 @@ def filter_count_rj(m, n, j, k):
     return count
 
 
+def single_weight_bounded(n, j_max, k, m_max):
+    """The bounded tables of one weight n, from the partitions of n alone:
+    the per-n route count_bounded took before it tallied every weight."""
+    r_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
+    p_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
+    for parts in enumerate_partitions(n, max_part=j_max):
+        groups = [(v, len(list(g))) for v, g in groupby(parts)]
+        largest = parts[0] if parts else 0
+        for mask in admissible_masks(groups, k):
+            m = mask.bit_count()
+            if m > m_max:
+                continue
+            r_from = largest
+            if mask:
+                top_over = groups[(mask & -mask).bit_length() - 1][0]
+                r_from = max(largest, top_over + k - 1)
+            p_first[largest][m] += 1
+            if r_from <= j_max:
+                r_first[r_from][m] += 1
+
+    def accumulate(first):
+        out = [first[0]]
+        for row in first[1:]:
+            out.append([a + b for a, b in zip(out[-1], row)])
+        return out
+
+    return accumulate(r_first), accumulate(p_first)
+
+
 def filter_admissible(n, k, max_part=None):
     """The brute-force route: every overpartition, filtered by the rule."""
     return [o for o in enumerate_overpartitions(n, max_part) if is_Dk_admissible(o, k)]
@@ -261,12 +290,20 @@ class TestBoundedCounters:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_tables_match_per_cell_filter(self, k):
+        r, p = count_bounded(12, 8, k, 12)
         for n in range(13):
-            r, p = count_bounded(n, 8, k, n)
             for j in range(9):
                 for m in range(n + 1):
-                    assert r[j][m] == filter_count_rj(m, n, j, k), ("R", j, m, n)
-                    assert p[j][m] == filter_count_pj(m, n, j, k), ("P", j, m, n)
+                    assert r[n][j][m] == filter_count_rj(m, n, j, k), ("R", j, m, n)
+                    assert p[n][j][m] == filter_count_pj(m, n, j, k), ("P", j, m, n)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("m_max", [2, 14])
+    def test_every_weight_matches_single_weight_tables(self, k, m_max):
+        r, p = count_bounded(14, 8, k, m_max)
+        assert len(r) == len(p) == 15
+        for n in range(15):
+            assert (r[n], p[n]) == single_weight_bounded(n, 8, k, m_max), n
 
     def test_negative_m_counts_nothing(self):
         assert count_pj(-1, 4, 4, 2) == 0

@@ -1,6 +1,8 @@
 """Partition enumeration and the B/C/Schur counters."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qident.partitions import (
     b_part_allowed,
@@ -9,8 +11,11 @@ from qident.partitions import (
     count_B,
     count_B_table,
     count_C,
+    count_C_table,
+    count_schur_gap_table,
     count_schur_product_table,
     enumerate_partitions,
+    partitions_up_to,
     satisfies_corollary,
     satisfies_schur_gap,
     satisfies_thm12,
@@ -34,6 +39,39 @@ def c_rules(k, i):
     if i == 0:
         rules["thm13"] = lambda parts: satisfies_thm13(parts, k)
     return rules
+
+
+def recursive_partitions(n, max_part=None, fits=None):
+    """The recursive generator enumerate_partitions was before it became the
+    weight-n slice of partitions_up_to: the order oracle."""
+    cap = n if max_part is None else min(max_part, n)
+
+    def gen(remaining, limit, prefix):
+        if remaining == 0:
+            yield prefix
+            return
+        for part in range(min(limit, remaining), 0, -1):
+            extended = prefix + (part,)
+            if fits is None or fits(extended):
+                yield from gen(remaining - part, part, extended)
+
+    if n == 0:
+        yield ()
+        return
+    yield from gen(n, cap, ())
+
+
+# prefix rules of every kind a side passes: none, the B part rule (k=3,
+# i=1), Schur's gap rule, and each C phrasing (k=3, i=1; thm12 at k=3,
+# thm13 at k=2)
+PREFIX_RULES = {
+    "none": None,
+    "B": lambda prefix: b_part_allowed(prefix[-1], 3, 1),
+    "schur": lambda prefix: satisfies_schur_gap(prefix[-2:]),
+    "corollary": lambda parts: satisfies_corollary(parts, 3, 1),
+    "thm12": lambda parts: satisfies_thm12(parts, 3),
+    "thm13": lambda parts: satisfies_thm13(parts, 2),
+}
 
 
 class TestEnumeration:
@@ -82,6 +120,33 @@ class TestEnumeration:
         p = euler_product(40).invert_unit()
         for n in range(41):
             assert sum(1 for _ in enumerate_partitions(n)) == p.coefficient(n)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_slice_matches_recursive_generator(self, data):
+        n = data.draw(st.integers(0, 20), label="n")
+        max_part = data.draw(st.none() | st.integers(0, n), label="max_part")
+        fits = PREFIX_RULES[data.draw(st.sampled_from(sorted(PREFIX_RULES)), label="rule")]
+        assert list(enumerate_partitions(n, max_part, fits)) == list(
+            recursive_partitions(n, max_part, fits)
+        )
+
+    @pytest.mark.parametrize("rule", sorted(PREFIX_RULES))
+    def test_walk_is_every_weight_in_preorder(self, rule):
+        fits = PREFIX_RULES[rule]
+        walk = list(partitions_up_to(16, 9, fits))
+        assert sorted(walk) == sorted(
+            parts for n in range(17) for parts in recursive_partitions(n, 9, fits)
+        )
+        # pre-order: each partition comes after the prefix it extends
+        position = {parts: idx for idx, parts in enumerate(walk)}
+        assert walk[0] == ()
+        assert all(position[parts[:-1]] < idx for idx, parts in enumerate(walk) if parts)
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError):
+            list(partitions_up_to(-1))
 
 
 class TestCountB:
@@ -172,6 +237,16 @@ class TestCountC:
                     expected = filter_witnesses(n, rule)
                     assert c_witnesses(n, k, i, phrasing) == expected, (n, k, i, phrasing)
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_table_matches_witness_lists(self, k):
+        # one walk to 22 against the per-n witness lists
+        for i in range(k):
+            for phrasing in c_rules(k, i):
+                table = count_C_table(22, k, i, phrasing)
+                assert len(table) == 23
+                for n in range(23):
+                    assert table[n] == len(c_witnesses(n, k, i, phrasing)), (n, k, i, phrasing)
+
     def test_phrasing_equivalence(self):
         for k in range(2, 6):
             for n in range(26):
@@ -221,3 +296,7 @@ class TestSchur:
     def test_pruned_list_equals_filter(self):
         for n in range(31):
             assert schur_gap_witnesses(n) == filter_witnesses(n, satisfies_schur_gap), n
+
+    def test_gap_table_matches_witness_lists(self):
+        table = count_schur_gap_table(30)
+        assert table == [len(schur_gap_witnesses(n)) for n in range(31)]

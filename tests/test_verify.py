@@ -62,6 +62,18 @@ class TestReports:
         rep = verify.verify_schur(verify.ENUM_HARD_LIMIT + 1)
         assert rep.status == "aborted"
 
+    def test_machinery_enumeration_range_refused(self):
+        # the bounded-enumeration stage refuses n = 46; the series stages still run
+        rep = verify.verify_machinery(2, 46, j_max=48, closed_product_j=2, enum_j=2, enum_n=46)
+        sub = {s.identity: s for s in rep.subreports}
+        stage = sub["machinery/bounded-enumeration"]
+        assert stage.status == "aborted"
+        assert stage.notes == [verify._REFUSED]
+        assert stage.range == {"j_max": 2, "n_max": 46}
+        assert all(s.status == "pass" for s in rep.subreports if s is not stage)
+        assert rep.status == "aborted"
+        assert not rep.passed
+
     @pytest.mark.parametrize("fn, args, note", [
         (verify.verify_corollary, (3, 5, 20, 5), "i must lie in [0, 2]"),
         (verify.verify_corollary, (1, 0, 20, 5), "k must be at least 2"),
@@ -115,15 +127,16 @@ def test_public_names_resolve():
 
 
 def cutting(real, cut):
-    """enumerate_partitions with one valid branch pruned: wherever a rule is
-    given, the prefix `cut` is never extended and never yielded."""
+    """partitions_up_to with one valid branch pruned: wherever a rule is
+    given, the prefix `cut` is never extended and never yielded.  The
+    tallies and the witness lists both walk through it."""
 
-    def enumerate_partitions(n, max_part=None, fits=None):
+    def partitions_up_to(n_max, max_part=None, fits=None):
         if fits is None:
-            return real(n, max_part)
-        return real(n, max_part, lambda prefix: prefix != cut and fits(prefix))
+            return real(n_max, max_part)
+        return real(n_max, max_part, lambda prefix: prefix != cut and fits(prefix))
 
-    return enumerate_partitions
+    return partitions_up_to
 
 
 def first_weight_below(cut, n_max, accepts):
@@ -158,7 +171,7 @@ class TestMutations:
     def test_corollary_pruned_branch(self, monkeypatch, k, i, cut):
         first = first_weight_below(cut, 25, lambda p: partitions.satisfies_corollary(p, k, i))
         monkeypatch.setattr(
-            partitions, "enumerate_partitions", cutting(partitions.enumerate_partitions, cut)
+            partitions, "partitions_up_to", cutting(partitions.partitions_up_to, cut)
         )
         rep = verify.verify_corollary(k, i, 40, 25)
         assert rep.status == "fail"
@@ -170,7 +183,7 @@ class TestMutations:
         first = first_weight_below(cut, 30, partitions.satisfies_schur_gap)
         assert first == sum(cut)  # each cut is a gap partition itself
         monkeypatch.setattr(
-            partitions, "enumerate_partitions", cutting(partitions.enumerate_partitions, cut)
+            partitions, "partitions_up_to", cutting(partitions.partitions_up_to, cut)
         )
         rep = verify.verify_schur(30)
         assert rep.status == "fail"
@@ -247,10 +260,9 @@ class TestMutations:
     def test_bounded_enumeration_perturbed_table(self, monkeypatch, series, j, m, n):
         real = overpartitions.count_bounded
 
-        def perturbed(n_, j_max, k, m_max):
-            r, p = real(n_, j_max, k, m_max)
-            if n_ == n:
-                (r if series == "R" else p)[j][m] += 1
+        def perturbed(n_max, j_max, k, m_max):
+            r, p = real(n_max, j_max, k, m_max)
+            (r if series == "R" else p)[n][j][m] += 1
             return r, p
 
         monkeypatch.setattr(overpartitions, "count_bounded", perturbed)
