@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import add
 
-from .partitions import _check_ki
+from .partitions import check_params
 from .series import BivariateSeries, Monomial, QSeries, euler_product, pochhammer_inf
 
 
@@ -70,10 +70,7 @@ def build_R(k: int, j_max: int, q_order: int, a_order: int | None = None) -> RSe
     Each term is built as a running sum in place: R_{j-1} + a q^{j-k+1} R_{j-k},
     then divided by (1 - q^j) through c[n] += c[n - j] for n ascending.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if j_max < 0:
-        raise ValueError("j_max must be non-negative")
+    check_params(k, j_max=j_max)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
     terms = [BivariateSeries.one(a_order, q_order)]
@@ -88,17 +85,12 @@ def build_R(k: int, j_max: int, q_order: int, a_order: int | None = None) -> RSe
     return RSequence(k, q_order, a_order, terms)
 
 
-@dataclass
-class FunctionalEquationResult:
-    ok: bool
-    witness: tuple | None = None  # (j, a_degree, q_degree)
-
-
-def check_functional_equation(rs: RSequence) -> FunctionalEquationResult:
+def check_functional_equation(rs: RSequence) -> tuple | None:
     """Verify R_j - R_{j-1} = q^j R_j + a q^{j-k+1} R_{j-k} for 1 <= j <= j_max.
 
     This is the x^j coefficient of (1-x)F = (1 + a x^k q) F(x -> xq).
-    Returns the first failing (j, a-degree, q-degree) triple on failure.
+    Returns the first failing (j, a-degree, q-degree), or None when every
+    equation holds, as BivariateSeries.first_difference does.
     """
     k = rs.k
     for j in range(1, rs.j_max + 1):
@@ -108,8 +100,8 @@ def check_functional_equation(rs: RSequence) -> FunctionalEquationResult:
             rhs = rhs + rs.terms[j - k].shift(1, j - k + 1)
         diff = lhs.first_difference(rhs)
         if diff is not None:
-            return FunctionalEquationResult(False, (j, *diff))
-    return FunctionalEquationResult(True)
+            return (j, *diff)
+    return None
 
 
 def closed_product_F_coefficients(
@@ -120,10 +112,7 @@ def closed_product_F_coefficients(
     Expanding the closed product solution of the functional equation; the
     returned coefficients must equal the recursion's terms.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if j_top < 0:
-        raise ValueError("j_top must be non-negative")
+    check_params(k, j_top=j_top)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
     xc = [[[0] * (q_order + 1) for _ in range(a_order + 1)] for _ in range(j_top + 1)]
@@ -188,8 +177,7 @@ def appell_limit(rs: RSequence) -> FormalLimit:
 
 def theorem_product(k: int, q_order: int, a_order: int | None = None) -> BivariateSeries:
     """The product side (-aq; q^k)_inf / (q; q)_inf of the overpartition identity."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    check_params(k)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
     numer = pochhammer_inf(Monomial(1, 1, 1), k, q_order, a_order)
@@ -219,7 +207,7 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
     Each factor (1 + q^e) adds a copy shifted by e; each 1/(1 - q^p) is the
     running sum c[n] += c[n - p], taken one block of p coefficients at a time.
     """
-    _check_ki(k, i)
+    check_params(k, i)
     row = [1] + [0] * q_order
     for e in range(2 * i + 1, q_order + 1, 2 * k):
         row[e:] = map(add, row[e:], row[: q_order + 1 - e])

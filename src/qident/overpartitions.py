@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator
 
-from .partitions import enumerate_partitions, partitions_up_to
+from .partitions import check_params, enumerate_partitions, partitions_up_to
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,6 @@ def enumerate_overpartitions(n: int, max_part: int | None = None) -> Iterator[Ov
             yield _build(groups, mask)
 
 
-def _check_k(k: int) -> None:
-    if k < 2:
-        raise ValueError("k must be at least 2")
-
-
 def admissible_masks(groups: list, k: int) -> list:
     """The D_k-admissible overline masks of one partition, ascending.
 
@@ -107,7 +102,7 @@ def admissible_masks(groups: list, k: int) -> list:
     differ by at least k.  Together these are is_Dk_admissible's rules: a
     part in b+1..b+k-2 is plain or, overlined, too close to b.
     """
-    _check_k(k)
+    check_params(k)
     masks = [0]
     for idx, (b, mult) in enumerate(groups):
         if mult > 1 or (idx and groups[idx - 1][0] < b + k - 1):
@@ -127,7 +122,7 @@ def admissible_overpartitions(
 ) -> Iterator[Overpartition]:
     """The D_k-admissible overpartitions of n (parts <= max_part), in the
     order of enumerate_overpartitions."""
-    _check_k(k)
+    check_params(k)
     return (
         _build(groups, mask)
         for groups in map(_groups, enumerate_partitions(n, max_part))
@@ -143,7 +138,7 @@ def is_Dk_admissible(o: Overpartition, k: int) -> bool:
     An overlined b alone is legal; b together with a second, plain copy of
     b is not (the plain copy is a non-overlined appearance of b).
     """
-    _check_k(k)
+    check_params(k)
     over = o.overlined_values
     for b in over:
         for v in range(b, b + k - 1):
@@ -162,18 +157,11 @@ def d_witnesses(m: int, n: int, k: int) -> list:
 
 def count_Dk_table(n_max: int, k: int, m_max: int | None = None) -> list:
     """table[m][n] = D_k(m, n) for m <= m_max (default n_max), n <= n_max."""
-    _check_k(k)
     if m_max is None:
         m_max = n_max
     # with j = n no part is out of bound, so p[n][n] counts all of D_k at weight n
     p = count_bounded(n_max, n_max, k, m_max)[1]
     return [[p[n][n][m] for n in range(n_max + 1)] for m in range(m_max + 1)]
-
-
-def _check_bound(j: int, k: int) -> None:
-    _check_k(k)
-    if j < 0:
-        raise ValueError("j must be non-negative")
 
 
 def count_bounded(n_max: int, j_max: int, k: int, m_max: int) -> tuple:
@@ -188,7 +176,7 @@ def count_bounded(n_max: int, j_max: int, k: int, m_max: int) -> tuple:
     every j >= L, and in r[n][j] for every j >= max(L, b + k - 1), where b
     is its largest overlined value (in r[n][j] for every j >= L if none is).
     """
-    _check_bound(j_max, k)
+    check_params(k, n_max=n_max, j_max=j_max)
     # *_first[n][j][m]: objects of weight n whose smallest counting bound is exactly j
     r_first = [[[0] * (m_max + 1) for _ in range(j_max + 1)] for _ in range(n_max + 1)]
     p_first = [[[0] * (m_max + 1) for _ in range(j_max + 1)] for _ in range(n_max + 1)]
@@ -221,13 +209,13 @@ def _accumulate(first: list) -> list:
 
 def count_pj(m: int, n: int, j: int, k: int) -> int:
     """Admissible overpartitions of n with m overlines and all parts <= j."""
-    _check_bound(j, k)
+    check_params(k, j=j)
     return count_bounded(n, j, k, m)[1][n][j][m] if m >= 0 else 0
 
 
 def count_rj(m: int, n: int, j: int, k: int) -> int:
     """As count_pj, but additionally no overlined value in {j-k+2, ..., j}."""
-    _check_bound(j, k)
+    check_params(k, j=j)
     return count_bounded(n, j, k, m)[0][n][j][m] if m >= 0 else 0
 
 
@@ -238,8 +226,7 @@ def specialize_overpartition(o: Overpartition, i: int, k: int) -> tuple:
     overlined value j becomes the odd part 2j + 2i - 1.  The result is the
     partition counted on the difference-condition side at parameters (i, k).
     """
-    if not 0 <= i <= k - 1:
-        raise ValueError(f"i must lie in [0, {k - 1}]")
+    check_params(k, i)
     if not is_Dk_admissible(o, k):
         raise ValueError("overpartition is not admissible for this k")
     parts = []

@@ -25,6 +25,19 @@ from typing import Callable, Iterator, Sequence
 Partition = tuple  # weakly decreasing tuple of positive ints
 
 
+def check_params(k: int | None = None, i: int | None = None, **ranges: int) -> None:
+    """The one bad-input rule: raise ValueError naming the first bad value,
+    k < 2, then i outside [0, k-1], then a negative order or range (named by
+    its keyword).  Verifiers turn the message into an `aborted` note."""
+    if k is not None and k < 2:
+        raise ValueError("k must be at least 2")
+    if i is not None and not 0 <= i < k:
+        raise ValueError(f"i must lie in [0, {k - 1}]")
+    for name, value in ranges.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
+
+
 def partitions_up_to(
     n_max: int, max_part: int | None = None, fits: Callable[[tuple], bool] | None = None
 ) -> Iterator[Partition]:
@@ -36,8 +49,7 @@ def partitions_up_to(
     parent, largest new part first, so the partitions of any one weight
     come out in lex-decreasing order.
     """
-    if n_max < 0:
-        raise ValueError("n must be non-negative")
+    check_params(n_max=n_max)
     cap = n_max if max_part is None else min(max_part, n_max)
     # (prefix, remaining weight, largest part allowed next); children are
     # pushed smallest part first so the largest is walked first
@@ -88,13 +100,6 @@ def _count_by_dp(n_max: int, allowed_parts: Sequence[int]) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _check_ki(k: int, i: int) -> None:
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if not 0 <= i <= k - 1:
-        raise ValueError(f"i must lie in [0, {k - 1}]")
-
-
 def b_part_allowed(p: int, k: int, i: int) -> bool:
     """Whether part p may occur on the product side at parameters (i, k).
 
@@ -109,9 +114,7 @@ def b_part_allowed(p: int, k: int, i: int) -> bool:
 
 def count_B_table(n_max: int, k: int, i: int) -> list:
     """B_{i,k}(0..n_max) by dynamic programming over the allowed parts."""
-    _check_ki(k, i)
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    check_params(k, i, n_max=n_max)
     allowed = [p for p in range(1, n_max + 1) if b_part_allowed(p, k, i)]
     return _count_by_dp(n_max, allowed)
 
@@ -122,7 +125,7 @@ def count_B(n: int, k: int, i: int) -> int:
 
 def b_witnesses(n: int, k: int, i: int) -> list:
     """All partitions counted by B_{i,k}(n), generated from allowed parts only."""
-    _check_ki(k, i)
+    check_params(k, i)
     return list(enumerate_partitions(n, fits=lambda prefix: b_part_allowed(prefix[-1], k, i)))
 
 
@@ -201,16 +204,14 @@ def satisfies_thm13(parts: Partition, k: int) -> bool:
 
 
 def _c_predicate(k: int, i: int, phrasing: str):
+    check_params(k, i)
     if phrasing == "corollary":
-        _check_ki(k, i)
         return lambda parts: satisfies_corollary(parts, k, i)
     if phrasing == "thm12":
-        _check_ki(k, i)
         if i != k - 1:
             raise ValueError("phrasing thm12 requires i = k-1")
         return lambda parts: satisfies_thm12(parts, k)
     if phrasing == "thm13":
-        _check_ki(k, i)
         if i != 0:
             raise ValueError("phrasing thm13 requires i = 0")
         return lambda parts: satisfies_thm13(parts, k)

@@ -92,6 +92,36 @@ class TestReports:
         assert (rep.identity, rep.status, rep.notes) == (identity, "aborted", [note])
         assert not rep.passed
 
+    # each library function names a bad value in the words of the verifier
+    # that receives the same value
+    @pytest.mark.parametrize("call, report", [
+        (lambda: partitions.count_B_table(10, 1, 0), lambda: verify.verify_corollary(1, 0)),
+        (lambda: partitions.count_B_table(10, 3, 5), lambda: verify.verify_corollary(3, 5)),
+        (lambda: partitions.count_B_table(-1, 2, 0), lambda: verify.verify_corollary(2, 0, -1)),
+        (lambda: list(partitions.partitions_up_to(-1)), lambda: verify.verify_schur(-1)),
+        (lambda: appell.build_R(1, 5, 8), lambda: verify.verify_machinery(1)),
+        (lambda: appell.build_R(2, -1, 8), lambda: verify.verify_machinery(2, 8, -1)),
+        (lambda: appell.closed_product_F_coefficients(1, 4, 8), lambda: verify.verify_machinery(1)),
+        (lambda: appell.theorem_product(1, 8), lambda: verify.verify_overpartition(1, 5)),
+        (lambda: overpartitions.count_bounded(5, 5, 1, 2), lambda: verify.verify_overpartition(1, 5)),
+        (lambda: overpartitions.count_bounded(-2, 5, 2, 2), lambda: verify.verify_overpartition(2, -2)),
+        (lambda: overpartitions.count_bounded(5, -1, 2, 2), lambda: verify.verify_machinery(2, 8, -1)),
+        (lambda: overpartitions.specialize_overpartition(overpartitions.Overpartition(()), 5, 3),
+         lambda: verify.verify_corollary(3, 5)),
+        (lambda: overpartitions.specialize_overpartition(overpartitions.Overpartition(()), 0, 1),
+         lambda: verify.verify_corollary(1, 0)),
+    ], ids=[
+        "count_B_table-k", "count_B_table-i", "count_B_table-n_max", "partitions_up_to-n_max",
+        "build_R-k", "build_R-j_max", "closed_product-k", "theorem_product-k", "count_bounded-k",
+        "count_bounded-n_max", "count_bounded-j_max", "specialize-i", "specialize-k",
+    ])
+    def test_bad_input_has_one_wording(self, call, report):
+        with pytest.raises(ValueError) as raised:
+            call()
+        rep = report()
+        assert rep.status == "aborted"
+        assert rep.notes == [str(raised.value)]
+
     def test_golden_example(self):
         rep = verify.golden_example_n10()
         assert rep.status == "pass"
@@ -109,6 +139,17 @@ class TestReports:
         assert payload["schema_version"] == verify.SCHEMA_VERSION
         assert payload["status"] == "pass"
         assert len(payload["subreports"]) == 4
+
+    def test_verify_all_jobs_match_one_process(self):
+        def untimed(reports):
+            out = [r.to_dict() for r in reports]
+            for d in out:
+                d["timing"] = 0.0
+                for sub in d["subreports"]:
+                    sub["timing"] = 0.0
+            return out
+
+        assert untimed(verify.verify_all(2, jobs=2)) == untimed(verify.verify_all(2, jobs=1))
 
     def test_verify_all_smoke(self):
         reports = verify.verify_all(k_max=2)
@@ -272,6 +313,24 @@ class TestMutations:
         w = sub.witness
         assert (w["series"], w["j"], w["m"], w["n"]) == (series, j, m, n)
         assert w["enumeration"] == w["coefficient"] + 1
+
+    def test_functional_equation_perturbed_term(self, monkeypatch):
+        real = appell.build_R
+
+        def perturbed(k, j_max, q_order, a_order=None):
+            rs = real(k, j_max, q_order, a_order)
+            rows = [list(r) for r in rs.terms[6].coeffs]
+            rows[1][5] += 1
+            terms = list(rs.terms)
+            terms[6] = BivariateSeries(tuple(tuple(r) for r in rows))
+            return appell.RSequence(rs.k, rs.q_order, rs.a_order, terms)
+
+        monkeypatch.setattr(appell, "build_R", perturbed)
+        rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=3, enum_n=8)
+        sub = {s.identity: s for s in rep.subreports}["machinery/functional-equation"]
+        assert (sub.status, sub.witness) == ("fail", {"j": 6, "a_degree": 1, "q_degree": 5})
+        assert all(s.status == "pass" for s in rep.subreports if s is not sub)
+        assert rep.status == "fail"
 
     @pytest.mark.parametrize("j", [0, 3, 6])
     def test_closed_product_perturbed_coefficient(self, monkeypatch, j):
