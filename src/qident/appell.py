@@ -9,7 +9,17 @@ checks the termwise content of the functional equation
 (1 - x) F = (1 + a x^k q) F(x -> xq) for F = sum_j R_j x^j, expands the
 closed product solution for F, and takes the formal coefficientwise limit
 R_infty, which must reproduce the infinite product
-(-aq; q^k)_inf / (q; q)_inf.
+(-aq; q^k)_inf / (q; q)_inf.  It also expands the corollary family's
+product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf from the inverse of Euler's
+product, so that route shares no algorithm with the B-side knapsack.
+
+The routes work on whole coefficient rows, as lists: a shifted copy is
+added as row[e:] = map(add, row[e:], src), the functional equation is
+compared a-row by a-row without building series objects, the closed product
+expands only the a-rows that can be nonzero, and the limit's stabilization
+index walks the transposed columns of each a-row.  Only build_R's division
+by (1 - q^j) is a running sum over single coefficients: at q-order 200 its
+slice forms measured slower.
 """
 
 from __future__ import annotations
@@ -57,8 +67,9 @@ class RSequence:
 
 
 def _add_shifted(rows: list, src, a_exp: int, q_exp: int) -> None:
-    """rows += a^{a_exp} q^{q_exp} * src in place, truncated at the orders of rows."""
-    for m in range(a_exp, len(rows)):
+    """rows += a^{a_exp} q^{q_exp} * src in place, truncated at the orders of
+    rows; rows beyond those src reaches are left as they are."""
+    for m in range(a_exp, min(len(rows), len(src) + a_exp)):
         row = rows[m]
         row[q_exp:] = map(add, row[q_exp:], src[m - a_exp])
 
@@ -88,19 +99,23 @@ def build_R(k: int, j_max: int, q_order: int, a_order: int | None = None) -> RSe
 def check_functional_equation(rs: RSequence) -> tuple | None:
     """Verify R_j - R_{j-1} = q^j R_j + a q^{j-k+1} R_{j-k} for 1 <= j <= j_max.
 
-    This is the x^j coefficient of (1-x)F = (1 + a x^k q) F(x -> xq).
-    Returns the first failing (j, a-degree, q-degree), or None when every
-    equation holds, as BivariateSeries.first_difference does.
+    This is the x^j coefficient of (1-x)F = (1 + a x^k q) F(x -> xq).  Each
+    a-row of R_j is compared, as a list, with the same row of
+    R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k}.  Returns the first failing
+    (j, a-degree, q-degree), a-degree before q-degree, or None when every
+    equation holds.
     """
     k = rs.k
     for j in range(1, rs.j_max + 1):
-        lhs = rs.terms[j] - rs.terms[j - 1]
-        rhs = rs.terms[j].shift(0, j)
-        if j - k >= 0:
-            rhs = rhs + rs.terms[j - k].shift(1, j - k + 1)
-        diff = lhs.first_difference(rhs)
-        if diff is not None:
-            return (j, *diff)
+        term, prev = rs.terms[j].coeffs, rs.terms[j - 1].coeffs
+        low = rs.terms[j - k].coeffs if j >= k else ()
+        for m, (row, prev_row) in enumerate(zip(term, prev)):
+            expected = list(prev_row)
+            expected[j:] = map(add, expected[j:], row)
+            if m and low:
+                expected[j - k + 1 :] = map(add, expected[j - k + 1 :], low[m - 1])
+            if tuple(row) != tuple(expected):
+                return j, m, next(n for n, (c, e) in enumerate(zip(row, expected)) if c != e)
     return None
 
 
@@ -110,12 +125,14 @@ def closed_product_F_coefficients(
     """x^0..x^{j_top} coefficients of prod_{t>=0} (1 + a x^k q^{tk+1}) / (1 - x q^t).
 
     Expanding the closed product solution of the functional equation; the
-    returned coefficients must equal the recursion's terms.
+    returned coefficients must equal the recursion's terms.  Every a comes
+    with x^k, so the x^d coefficient has a-degree at most d // k: only those
+    rows are expanded, and the rest are returned as zeros.
     """
     check_params(k, j_top=j_top)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
-    xc = [[[0] * (q_order + 1) for _ in range(a_order + 1)] for _ in range(j_top + 1)]
+    xc = [[[0] * (q_order + 1) for _ in range(min(d // k, a_order) + 1)] for d in range(j_top + 1)]
     xc[0][0][0] = 1
     # numerator: (1 + a x^k q^{tk+1}) adds a q^{tk+1} xc[d-k] to xc[d]; d descending
     # reads each xc[d-k] before the factor reaches it
@@ -129,7 +146,11 @@ def closed_product_F_coefficients(
     for t in range(0, q_order + 1):
         for d in range(1, j_top + 1):
             _add_shifted(xc[d], xc[d - 1], 0, t)
-    return [BivariateSeries(tuple(tuple(r) for r in rows)) for rows in xc]
+    zero = (0,) * (q_order + 1)
+    return [
+        BivariateSeries(tuple(map(tuple, rows)) + (zero,) * (a_order + 1 - len(rows)))
+        for rows in xc
+    ]
 
 
 @dataclass
@@ -162,16 +183,16 @@ def appell_limit(rs: RSequence) -> FormalLimit:
             f"not stabilized: coefficient of a^{m} q^{d} changed at j={rs.j_max}",
             witness=moved,
         )
-    index: dict = {}
-    for d in range(rs.q_order + 1):
-        idx = 0
-        for m in range(rs.a_order + 1):
-            final = last.coeffs[m][d]
+    # one column per q-degree: the coefficient of a^m q^d at j = 0..j_max
+    index = dict.fromkeys(range(rs.q_order + 1), 0)
+    for m in range(rs.a_order + 1):
+        for d, column in enumerate(zip(*(term.coeffs[m] for term in rs.terms))):
+            final = column[-1]
             j = rs.j_max
-            while j > 0 and rs.terms[j - 1].coeffs[m][d] == final:
+            while j > 0 and column[j - 1] == final:
                 j -= 1
-            idx = max(idx, j)
-        index[d] = idx
+            if j > index[d]:
+                index[d] = j
     return FormalLimit(limit=last, stabilization_index=index)
 
 
@@ -202,16 +223,15 @@ def pj_series(rs: RSequence, j: int) -> BivariateSeries:
 def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
     """The product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf of the corollary family.
 
-    Expanded from the product itself, not from the allowed parts that
-    count_B_table sums over, so the two are independent routes to B_{i,k}.
-    Each factor (1 + q^e) adds a copy shifted by e; each 1/(1 - q^p) is the
-    running sum c[n] += c[n - p], taken one block of p coefficients at a time.
+    Expanded from the product itself, sharing no algorithm with the allowed
+    parts that count_B_table's knapsack sums over, so the two are
+    independent routes to B_{i,k}.  1/(q^2; q^2)_inf is the inverse of
+    Euler's product (q; q)_inf (the pentagonal recurrence) placed on the even
+    exponents; each factor (1 + q^e) then adds a copy shifted by e.
     """
-    check_params(k, i)
-    row = [1] + [0] * q_order
+    check_params(k, i, q_order=q_order)
+    row = [0] * (q_order + 1)
+    row[::2] = euler_product(q_order // 2).invert_unit().coeffs
     for e in range(2 * i + 1, q_order + 1, 2 * k):
         row[e:] = map(add, row[e:], row[: q_order + 1 - e])
-    for p in range(2, q_order + 1, 2):
-        for s in range(p, q_order + 1, p):
-            row[s : s + p] = map(add, row[s : s + p], row[s - p : s])
     return QSeries(tuple(row))

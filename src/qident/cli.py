@@ -15,8 +15,11 @@ NONNEG = click.IntRange(min=0)
 
 
 def _check_i(k, i):
-    if not 0 <= i < k:
-        raise click.BadParameter(f"must lie in [0, {k - 1}] for k={k}", param_hint="'--i'")
+    """The library's i rule, as a usage error on --i."""
+    try:
+        partitions.check_params(k, i)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--i'") from exc
 
 
 def _emit_reports(ctx, reports):

@@ -20,6 +20,8 @@ the weight-n slice of the walk (`enumerate_partitions`).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
+from operator import add
 from typing import Callable, Iterator, Sequence
 
 Partition = tuple  # weakly decreasing tuple of positive ints
@@ -86,12 +88,20 @@ def _tally(n_max: int, fits: Callable[[tuple], bool]) -> list:
 
 
 def _count_by_dp(n_max: int, allowed_parts: Sequence[int]) -> list:
-    """ways[s] = number of multisets from allowed_parts summing to s."""
-    ways = [0] * (n_max + 1)
-    ways[0] = 1
+    """ways[s] = number of multisets from allowed_parts summing to s.
+
+    Each part p is the running sum ways[s] += ways[s - p], s ascending: for
+    a small part (p * p <= n_max) as a prefix sum down each residue class
+    mod p, for a larger one a block of p sums at a time.
+    """
+    ways = [1] + [0] * n_max
     for p in sorted(allowed_parts):
-        for s in range(p, n_max + 1):
-            ways[s] += ways[s - p]
+        if p * p <= n_max:
+            for r in range(p):
+                ways[r::p] = accumulate(ways[r::p])
+        else:
+            for s in range(p, n_max + 1, p):
+                ways[s : s + p] = map(add, ways[s : s + p], ways[s - p : s])
     return ways
 
 

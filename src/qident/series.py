@@ -10,11 +10,17 @@ order.
 
 Values are immutable after construction and every operation is a pure
 function, so series may be shared freely across threads and processes.
+
+Operations work on whole coefficient rows where they can: a multiplication
+by a binomial 1 +- a^s q^e is one slice add or subtract per a-row, and
+inversion of a unit sums over the nonzero coefficients only, so inverting
+the sparse Euler product (q; q)_inf is the pentagonal recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterable, Sequence
 
 # The convolution kernels.  QSeries and BivariateSeries look them up in this
@@ -140,20 +146,23 @@ class QSeries:
     def invert_unit(self) -> "QSeries":
         """Multiplicative inverse up to the truncation order.
 
-        The constant term must be +1 or -1 (a unit in the integers).
+        The constant term must be +1 or -1 (a unit in the integers).  Each
+        t[d] sums over the nonzero coefficients only, so a sparse series such
+        as (q; q)_inf (the pentagonal recurrence) costs one term per nonzero
+        coefficient below d.
         """
         c = self.coeffs
         eps = c[0]
         if eps not in (1, -1):
             raise ValueError(f"constant term {eps} is not a unit in the integers")
-        n = self.order
-        t = [0] * (n + 1)
-        t[0] = eps
-        for d in range(1, n + 1):
+        nonzero = [(i, ci) for i, ci in enumerate(c) if ci and i]
+        t = [eps] + [0] * self.order
+        for d in range(1, self.order + 1):
             s = 0
-            for i in range(1, d + 1):
-                if c[i]:
-                    s += c[i] * t[d - i]
+            for i, ci in nonzero:
+                if i > d:
+                    break
+                s += ci * t[d - i]
             t[d] = -eps * s
         return QSeries(tuple(t))
 
@@ -260,18 +269,17 @@ class BivariateSeries:
         return BivariateSeries(tuple(tuple(r) for r in rows))
 
     def mul_binomial(self, factor: Monomial) -> "BivariateSeries":
-        """Multiply by 1 + sign * a^{a_exp} q^{q_exp} in a single shifted add."""
-        if factor.q_exp < 0:
+        """Multiply by 1 + sign * a^{a_exp} q^{q_exp}: each a-row gains the row
+        a_exp below it, shifted by q_exp, in one add (or subtract) of slices."""
+        e = factor.q_exp
+        if e < 0:
             raise ValueError("binomial q-exponent must be non-negative")
-        rows = [list(r) for r in self.coeffs]
-        for m in range(self.a_order, factor.a_exp - 1, -1):
-            src = self.coeffs[m - factor.a_exp]
-            row = rows[m]
-            for n in range(self.q_order, factor.q_exp - 1, -1):
-                c = src[n - factor.q_exp]
-                if c:
-                    row[n] += factor.sign * c
-        return BivariateSeries(tuple(tuple(r) for r in rows))
+        op = add if factor.sign > 0 else sub
+        rows = list(self.coeffs)
+        for m in range(factor.a_exp, self.a_order + 1):
+            row = self.coeffs[m]
+            rows[m] = row[:e] + tuple(map(op, row[e:], self.coeffs[m - factor.a_exp]))
+        return BivariateSeries(tuple(rows))
 
     def shift(self, a_exp: int, q_exp: int) -> "BivariateSeries":
         """Multiply by a^{a_exp} q^{q_exp}; terms past either order fall off."""

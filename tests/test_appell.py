@@ -67,6 +67,45 @@ def closed_product_by_shifted_sums(k, j_top, q_order, a_order):
     return xc
 
 
+def functional_equation_by_series(rs):
+    """check_functional_equation as built from BivariateSeries sums,
+    differences and shifts, one new series per side and j."""
+    for j in range(1, rs.j_max + 1):
+        lhs = rs.terms[j] - rs.terms[j - 1]
+        rhs = rs.terms[j].shift(0, j)
+        if j - rs.k >= 0:
+            rhs = rhs + rs.terms[j - rs.k].shift(1, j - rs.k + 1)
+        diff = lhs.first_difference(rhs)
+        if diff is not None:
+            return (j, *diff)
+    return None
+
+
+def stabilization_by_scalar_walk(rs):
+    """appell_limit's stabilization index, walked one coefficient at a time
+    through the terms."""
+    index = {}
+    for d in range(rs.q_order + 1):
+        idx = 0
+        for m in range(rs.a_order + 1):
+            final = rs.terms[-1].coeffs[m][d]
+            j = rs.j_max
+            while j > 0 and rs.terms[j - 1].coeffs[m][d] == final:
+                j -= 1
+            idx = max(idx, j)
+        index[d] = idx
+    return index
+
+
+def perturbed(rs, j, m, n, delta):
+    """rs with delta added to the coefficient of a^m q^n in R_j."""
+    rows = [list(r) for r in rs.terms[j].coeffs]
+    rows[m][n] += delta
+    terms = list(rs.terms)
+    terms[j] = BivariateSeries(tuple(tuple(r) for r in rows))
+    return RSequence(rs.k, rs.q_order, rs.a_order, terms)
+
+
 def initial_R(j: int, q_order: int, a_order: int) -> BivariateSeries:
     """The closed form R_j = 1 / (q;q)_j, which holds for 0 <= j < k."""
     pochhammer = QSeries.one(q_order)
@@ -103,7 +142,11 @@ class TestRunningSumsMatchOracles:
         got = closed_product_F_coefficients(k, j_top, q_order, a_order)
         if a_order is None:
             a_order = max_overline_count(k, q_order)
-        assert got == closed_product_by_shifted_sums(k, j_top, q_order, a_order)
+        want = closed_product_by_shifted_sums(k, j_top, q_order, a_order)
+        assert got == want
+        # the rows above a-degree d // k, which are returned as zeros, are zero
+        for d, coeff in enumerate(want):
+            assert not any(map(any, coeff.coeffs[d // k + 1 :])), d
 
 
 class TestBuildR:
@@ -176,6 +219,23 @@ class TestFunctionalEquation:
         broken = RSequence(rs.k, rs.q_order, rs.a_order, mutated)
         assert check_functional_equation(broken) == witness
 
+    # perturbations at a-degree 0, above it, and below q^j (n < j), where
+    # q^j R_j adds nothing, at full and truncated a-orders; out-of-range
+    # draws are clamped to the last index
+    @given(st.integers(2, 4), st.integers(0, 14), st.integers(0, 6), a_order_offsets,
+           st.integers(0, 20), st.integers(0, 6), st.integers(0, 14), st.sampled_from([1, -1, 5]))
+    @example(2, 10, 2, None, 5, 0, 6, 1)
+    @example(2, 10, 2, None, 5, 1, 7, 1)
+    @example(3, 12, 3, None, 9, 2, 3, -1)
+    @example(2, 10, 2, -2, 0, 0, 0, 1)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_series_arithmetic(self, k, q_order, extra_j, offset, j, m, n, delta):
+        rs = build_R(k, q_order + extra_j, q_order, _a_order(k, q_order, offset))
+        rs = perturbed(rs, min(j, rs.j_max), min(m, rs.a_order), min(n, q_order), delta)
+        witness = functional_equation_by_series(rs)
+        assert witness is not None or rs.j_max == 0
+        assert check_functional_equation(rs) == witness
+
 
 class TestClosedProduct:
     def test_x0_coefficient_is_one(self):
@@ -220,6 +280,27 @@ class TestAppellLimit:
             lim = appell_limit(rs)
             for d, idx in lim.stabilization_index.items():
                 assert idx <= d + k - 1, (k, d, idx)
+
+    @given(st.integers(0, 4), st.integers(0, 2), st.integers(1, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_index_matches_scalar_walk(self, q_order, a_order, extra_j, data):
+        # coefficients drawn from {0, 1} repeat often, so runs of every length occur
+        j_max = q_order + extra_j
+        terms = [
+            BivariateSeries(tuple(
+                tuple(data.draw(st.lists(st.integers(0, 1), min_size=q_order + 1,
+                                         max_size=q_order + 1)))
+                for _ in range(a_order + 1)
+            ))
+            for _ in range(j_max)
+        ]
+        rs = RSequence(2, q_order, a_order, terms + terms[-1:])
+        assert appell_limit(rs).stabilization_index == stabilization_by_scalar_walk(rs)
+
+    @pytest.mark.parametrize("k, q_order", [(2, 30), (3, 24), (5, 12)])
+    def test_index_of_recursion_matches_scalar_walk(self, k, q_order):
+        rs = build_R(k, q_order + k, q_order)
+        assert appell_limit(rs).stabilization_index == stabilization_by_scalar_walk(rs)
 
     def test_requires_enough_terms(self):
         rs = build_R(3, 10, 12)

@@ -1,10 +1,11 @@
 """Partition enumeration and the B/C/Schur counters."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qident.partitions import (
+    _count_by_dp,
     b_part_allowed,
     b_witnesses,
     c_witnesses,
@@ -29,6 +30,16 @@ def filter_witnesses(n, accepts):
     """The brute-force route the witness lists took before pruning: filter
     the full enumeration by the whole-partition rule."""
     return [parts for parts in enumerate_partitions(n) if accepts(parts)]
+
+
+def count_by_scalar_loop(n_max, allowed_parts):
+    """The knapsack as _count_by_dp ran it before slicing: one running-sum
+    step ways[s] += ways[s - p] at a time."""
+    ways = [1] + [0] * n_max
+    for p in sorted(allowed_parts):
+        for s in range(p, n_max + 1):
+            ways[s] += ways[s - p]
+    return ways
 
 
 def c_rules(k, i):
@@ -191,6 +202,16 @@ class TestCountB:
                     n, lambda parts: all(b_part_allowed(p, k, i) for p in parts)
                 )
                 assert b_witnesses(n, k, i) == expected, (n, k, i)
+
+    # parts above n_max, a part whose square is n_max exactly, and n_max = 0
+    @given(st.integers(0, 120), st.lists(st.integers(1, 130), max_size=12))
+    @example(0, [1, 3])
+    @example(49, [7])
+    @example(48, [7, 6, 50])
+    @example(100, [10, 11, 101, 3, 3])
+    @settings(max_examples=100, deadline=None)
+    def test_dp_matches_scalar_loop(self, n_max, parts):
+        assert _count_by_dp(n_max, parts) == count_by_scalar_loop(n_max, parts)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qident import series
@@ -30,6 +30,9 @@ unit_qseries = st.tuples(
 small_bivar = st.lists(
     st.lists(st.integers(-5, 5), min_size=5, max_size=5), min_size=3, max_size=3
 ).map(lambda rows: BivariateSeries(tuple(tuple(r) for r in rows)))
+
+
+SPARSE_BIVAR = BivariateSeries.from_dict({(0, 0): 1, (1, 2): -3, (2, 4): 5}, 2, 4)
 
 
 def pentagonal_series(order):
@@ -68,6 +71,33 @@ def naive_bivar(rows1, rows2, a_order, q_order):
                         if p + s <= q_order:
                             out[i + j][p + s] += a * b
     return out
+
+
+def invert_unit_by_scalar_loop(c):
+    """The inverse as invert_unit computed it before skipping zero
+    coefficients: every t[d] sums over every i = 1..d."""
+    n = len(c) - 1
+    t = [0] * (n + 1)
+    t[0] = c[0]
+    for d in range(1, n + 1):
+        s = 0
+        for i in range(1, d + 1):
+            if c[i]:
+                s += c[i] * t[d - i]
+        t[d] = -c[0] * s
+    return tuple(t)
+
+
+def mul_binomial_by_scalar_loop(coeffs, a_exp, q_exp, sign):
+    """1 + sign a^{a_exp} q^{q_exp} times coeffs, one coefficient at a time,
+    as mul_binomial did before it added whole rows."""
+    rows = [list(r) for r in coeffs]
+    for m in range(len(rows) - 1, a_exp - 1, -1):
+        src = coeffs[m - a_exp]
+        for n in range(len(rows[m]) - 1, q_exp - 1, -1):
+            if src[n - q_exp]:
+                rows[m][n] += sign * src[n - q_exp]
+    return tuple(tuple(r) for r in rows)
 
 
 def random_coeffs(rng, length, bits=80):
@@ -180,6 +210,18 @@ class TestQSeries:
     def test_invert_roundtrip(self, s):
         assert (s * s.invert_unit()).coeffs == QSeries.one(ORDER).coeffs
 
+    # dense tails draw every coefficient, sparse ones are mostly zero
+    @given(st.sampled_from([1, -1]),
+           st.lists(st.integers(-9, 9), max_size=40)
+           | st.lists(st.sampled_from((0,) * 8 + (1, -1, 5)), max_size=40))
+    @example(-1, [])
+    @example(-1, [0] * 12 + [3])
+    @example(1, list(euler_product(40).coeffs[1:]))
+    @settings(max_examples=100, deadline=None)
+    def test_invert_matches_scalar_loop(self, eps, tail):
+        c = (eps, *tail)
+        assert QSeries(c).invert_unit().coeffs == invert_unit_by_scalar_loop(c)
+
 
 class TestBivariateSeries:
     def test_mul_identity(self):
@@ -199,6 +241,16 @@ class TestBivariateSeries:
         s = BivariateSeries.from_dict({(0, 0): 1, (1, 1): 2, (0, 3): -1}, 3, 6)
         binom = BivariateSeries.from_dict({(0, 0): 1, (1, 2): -1}, 3, 6)
         assert s.mul_binomial(Monomial(1, 2, -1)) == s * binom
+
+    # small_bivar has a-order 2 and q-order 4; both exponents also run past them
+    @given(small_bivar, st.integers(0, 3), st.integers(0, 6), st.sampled_from([1, -1]))
+    @example(SPARSE_BIVAR, 0, 0, -1)
+    @example(SPARSE_BIVAR, 1, 0, 1)
+    @example(SPARSE_BIVAR, 1, 5, -1)
+    @settings(max_examples=100, deadline=None)
+    def test_mul_binomial_matches_scalar_loop(self, s, a_exp, q_exp, sign):
+        got = s.mul_binomial(Monomial(a_exp, q_exp, sign))
+        assert got.coeffs == mul_binomial_by_scalar_loop(s.coeffs, a_exp, q_exp, sign)
 
     @given(small_bivar, small_bivar)
     @settings(max_examples=40, deadline=None)

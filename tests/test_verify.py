@@ -9,7 +9,7 @@ from click.testing import CliRunner
 import qident
 from qident import appell, overpartitions, partitions, verify
 from qident.cli import main
-from qident.series import BivariateSeries
+from qident.series import BivariateSeries, QSeries
 
 
 class TestReports:
@@ -297,6 +297,28 @@ class TestMutations:
         assert rep.witness["n"] == 40
         assert rep.witness["count_B"] == rep.witness["product_coefficient"] + 1
 
+    def test_corollary_inverse_off_by_one(self, monkeypatch):
+        # a slip in the inverse of Euler's product reaches the product route
+        # alone: 1/(q^2; q^2) puts its q^20 coefficient at n = 40, and the
+        # knapsack keeps count_B, so the two routes share no kernel
+        count_b = partitions.count_B_table(60, 2, 0)
+        real = QSeries.invert_unit
+
+        def off_by_one(self):
+            inverse = real(self)
+            c = list(inverse.coeffs)
+            if len(c) > 20:
+                c[20] += 1
+            return QSeries(tuple(c))
+
+        monkeypatch.setattr(QSeries, "invert_unit", off_by_one)
+        assert partitions.count_B_table(60, 2, 0) == count_b
+        rep = verify.verify_corollary(2, 0, 60, 12)
+        assert rep.status == "fail"
+        assert rep.witness["n"] == 40
+        assert rep.witness["count_B"] == count_b[40]
+        assert rep.witness["product_coefficient"] == count_b[40] + 1
+
     @pytest.mark.parametrize("series, j, m, n", [("R", 3, 1, 5), ("P", 4, 2, 7)])
     def test_bounded_enumeration_perturbed_table(self, monkeypatch, series, j, m, n):
         real = overpartitions.count_bounded
@@ -430,6 +452,20 @@ class TestCli:
         result = self.run(*args)
         assert result.exit_code == 2
         assert "Invalid value" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "corollary", "--k", "3", "--i", "5"),
+        ("coeffs", "--side", "product", "--k", "2", "--i", "-1"),
+        ("list", "--side", "B", "--k", "4", "--i", "4", "--n", "5"),
+    ])
+    def test_i_rule_has_the_library_wording(self, args):
+        k = int(args[args.index("--k") + 1])
+        with pytest.raises(ValueError) as exc:
+            partitions.check_params(k, int(args[args.index("--i") + 1]))
+        result = self.run(*args)
+        assert result.exit_code == 2
+        assert f"Invalid value for '--i': {exc.value}" in result.output
+        assert f"i must lie in [0, {k - 1}]" in result.output
 
     def test_nonzero_exit_on_abort(self):
         result = self.run("verify", "schur", "--n-max", str(verify.ENUM_HARD_LIMIT + 1))
