@@ -22,16 +22,29 @@ def _check_i(k, i):
         raise click.BadParameter(str(exc), param_hint="'--i'") from exc
 
 
-def _emit_reports(ctx, reports):
+def _emit(ctx, payload, text_lines, csv_rows=None):
+    """The one output path: payload as JSON, csv_rows as CSV, or text_lines
+    one per line, as --format asks.  csv applies only where a command passes
+    rows; elsewhere it is a usage error."""
     fmt = ctx.obj["format"]
     if fmt == "json":
-        payload = [r.to_dict() for r in reports]
-        click.echo(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+        click.echo(json.dumps(payload, indent=2))
     elif fmt == "csv":
-        raise click.UsageError("csv format applies to `coeffs` only")
+        if csv_rows is None:
+            raise click.UsageError("csv format applies to `coeffs` only")
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(csv_rows)
+        click.echo(buf.getvalue(), nl=False)
     else:
-        for r in reports:
-            click.echo(r.render_text())
+        for line in text_lines:
+            click.echo(line)
+
+
+def _emit_reports(ctx, reports):
+    payload = [r.to_dict() for r in reports]
+    _emit(ctx, payload[0] if len(payload) == 1 else payload, (r.render_text() for r in reports))
     if not all(r.passed for r in reports):
         ctx.exit(1)
 
@@ -132,7 +145,6 @@ def golden_cmd(ctx):
 def coeffs_cmd(ctx, side, k, i, n_max):
     """Print a coefficient table for one side of an identity."""
     _check_i(k, i)
-    fmt = ctx.obj["format"]
     if side == "overpartition-product":
         series = appell.theorem_product(k, n_max)
         rows = [
@@ -149,17 +161,8 @@ def coeffs_cmd(ctx, side, k, i, n_max):
             raise click.UsageError(f"sum-side enumeration refused beyond n={verify.ENUM_HARD_LIMIT}")
         table = partitions.count_C_table(n_max, k, i)
         rows = [{"n": n, "coefficient": c} for n, c in enumerate(table)]
-    if fmt == "json":
-        click.echo(json.dumps(rows, indent=2))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-        click.echo(buf.getvalue(), nl=False)
-    else:
-        for row in rows:
-            click.echo(" ".join(f"{k_}={v}" for k_, v in row.items()))
+    text = (" ".join(f"{k_}={v}" for k_, v in row.items()) for row in rows)
+    _emit(ctx, rows, text, rows)
 
 
 @main.command("list")
@@ -179,12 +182,7 @@ def list_cmd(ctx, side, k, i, n):
         items = [partitions.format_partition(p) for p in partitions.c_witnesses(n, k, i)]
     else:
         items = [str(o) for o in overpartitions.admissible_overpartitions(n, k)]
-    if ctx.obj["format"] == "json":
-        click.echo(json.dumps(items, indent=2))
-    else:
-        for item in items:
-            click.echo(item)
-        click.echo(f"total: {len(items)}")
+    _emit(ctx, items, [*items, f"total: {len(items)}"])
 
 
 if __name__ == "__main__":

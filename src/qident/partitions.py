@@ -4,17 +4,18 @@ A partition is represented as a tuple of weakly decreasing positive
 integers.  Enumeration order is lexicographically decreasing with the
 largest part first, so witness lists are deterministic and diffable.
 
-The congruence ("product") sides are counted by an unbounded-knapsack
-dynamic program over the allowed part sizes, which scales to n in the
-hundreds.  The other sides come from one walk of the prefix tree,
-`partitions_up_to`, which extends a prefix only while the side's own rule
-still holds for it: the part rule on the B side, Schur's gap rule, and the
-difference-condition predicates on the C side.  Each rule is prefix-closed
-(a violation in a prefix survives every extension), so pruning yields
-exactly the partitions the rule accepts.  It also makes every node of the
-walk a counted partition of its own weight, so one walk to N tallies every
-n <= N (`count_C_table`, `count_schur_gap_table`), and a witness list is
-the weight-n slice of the walk (`enumerate_partitions`).
+The B side is counted by an unbounded-knapsack dynamic program over the
+allowed part sizes, which scales to n in the hundreds; Schur's product side
+is the expansion of its infinite product.  The other sides come from one
+walk of the prefix tree, `partitions_up_to`, which extends a prefix only
+while the side's own rule still holds for it: the part rule on the B side,
+Schur's gap rule, and the difference-condition predicates on the C side.
+Each rule is prefix-closed (a violation in a prefix survives every
+extension), so pruning yields exactly the partitions the rule accepts.  It
+also makes every node of the walk a counted partition of its own weight, so
+one walk to N tallies every n <= N (`count_C_table`,
+`count_schur_gap_table`), and a witness list is the weight-n slice of the
+walk (`enumerate_partitions`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from collections import Counter
 from itertools import accumulate
 from operator import add
 from typing import Callable, Iterator, Sequence
+
+from .series import Monomial, pochhammer_inf
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 
@@ -143,9 +146,6 @@ def b_witnesses(n: int, k: int, i: int) -> list:
 # C side: difference conditions
 # ---------------------------------------------------------------------------
 
-C_PHRASINGS = ("corollary", "thm12", "thm13")
-
-
 def satisfies_corollary(parts: Partition, k: int, i: int) -> bool:
     """The general difference condition at parameters (i, k).
 
@@ -250,9 +250,11 @@ def count_C(n: int, k: int, i: int, phrasing: str = "corollary") -> int:
 
 
 def count_schur_product_table(n_max: int) -> list:
-    """Partitions into parts congruent to +-1 mod 6, for n = 0..n_max."""
-    allowed = [p for p in range(1, n_max + 1) if p % 6 in (1, 5)]
-    return _count_by_dp(n_max, allowed)
+    """Partitions into parts congruent to +-1 mod 6, for n = 0..n_max: the
+    coefficients of the product 1/((q; q^6)_inf (q^5; q^6)_inf)."""
+    check_params(n_max=n_max)
+    ones, fives = (pochhammer_inf(Monomial(0, e, -1), 6, n_max) for e in (1, 5))
+    return list((ones * fives).to_qseries().invert_unit().coeffs)
 
 
 def satisfies_schur_gap(parts: Partition) -> bool:

@@ -23,24 +23,16 @@ from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterable, Sequence
 
-# The convolution kernels.  QSeries and BivariateSeries look them up in this
-# module's globals at call time, so rebinding series.conv_trunc or
-# series.bivar_mul reaches every product.
+# The convolution kernel.  bivar_mul is the one multiply loop; conv_trunc,
+# the product of two q-series, is its one-row case.  QSeries and
+# BivariateSeries look both names up in this module's globals at call time,
+# so rebinding series.conv_trunc or series.bivar_mul reaches every product.
 
 
 def conv_trunc(c1, c2, order):
-    """Cauchy product of two coefficient lists, truncated at `order`."""
-    out = [0] * (order + 1)
-    n2 = len(c2)
-    for i, a in enumerate(c1):
-        if a == 0 or i > order:
-            continue
-        top = min(n2, order - i + 1)
-        for j in range(top):
-            b = c2[j]
-            if b:
-                out[i + j] += a * b
-    return out
+    """Cauchy product of two coefficient lists, truncated at `order`: the
+    one-row case of bivar_mul."""
+    return _bivar_mul([c1], [c2], 0, order)[0]
 
 
 def bivar_mul(rows1, rows2, a_order, q_order):
@@ -70,6 +62,18 @@ def bivar_mul(rows1, rows2, a_order, q_order):
                         acc[p + s] += a * b
         out.append(acc)
     return out
+
+
+# bound once, so a rebinding of series.bivar_mul sees only the products that
+# call it by that name, and a q-series product counts as conv_trunc alone
+_bivar_mul = bivar_mul
+
+
+def _termwise(op, rows1, rows2) -> tuple:
+    """op applied term by term to two coefficient matrices; zip stops at the
+    shorter row and the shorter list of rows, so a sum or difference is
+    truncated at the smaller order in both variables."""
+    return tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(rows1, rows2))
 
 
 def _shifted(items: tuple, exp: int, zero=0) -> tuple:
@@ -120,12 +124,10 @@ class QSeries:
         return self.coeffs[n]
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        order = min(self.order, other.order)
-        return QSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(order + 1)))
+        return QSeries(_termwise(add, [self.coeffs], [other.coeffs])[0])
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        order = min(self.order, other.order)
-        return QSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(order + 1)))
+        return QSeries(_termwise(sub, [self.coeffs], [other.coeffs])[0])
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -229,24 +231,10 @@ class BivariateSeries:
         return self.coeffs[m][n]
 
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        a = min(self.a_order, other.a_order)
-        q = min(self.q_order, other.q_order)
-        return BivariateSeries(
-            tuple(
-                tuple(self.coeffs[m][n] + other.coeffs[m][n] for n in range(q + 1))
-                for m in range(a + 1)
-            )
-        )
+        return BivariateSeries(_termwise(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        a = min(self.a_order, other.a_order)
-        q = min(self.q_order, other.q_order)
-        return BivariateSeries(
-            tuple(
-                tuple(self.coeffs[m][n] - other.coeffs[m][n] for n in range(q + 1))
-                for m in range(a + 1)
-            )
-        )
+        return BivariateSeries(_termwise(sub, self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -166,48 +166,47 @@ def verify_corollary(
     except ValueError as exc:
         return _aborted("corollary", params, rng, str(exc), start)
     b_table = partitions.count_B_table(n_max, k, i)
-    series = appell.congruence_product_series(k, i, n_max)
+    product = appell.congruence_product_series(k, i, n_max).coeffs
     alt_phrasing = "thm12" if i == k - 1 else ("thm13" if i == 0 else None)
     c_table = partitions.count_C_table(enum_top, k, i, "corollary")
     alt_table = (
         partitions.count_C_table(enum_top, k, i, alt_phrasing) if alt_phrasing is not None else None
     )
-    for n in range(n_max + 1):
-        lhs = b_table[n]
-        rhs = series.coefficient(n)
-        if lhs != rhs:
-            witness = {"n": n, "count_B": lhs, "product_coefficient": rhs}
-            return _outcome("corollary", params, rng, witness, start)
-        if n <= enum_top:
-            count_c = c_table[n]
-            if count_c != lhs:
-                witness = {
-                    "n": n,
-                    "count_B": lhs,
-                    "count_C": count_c,
-                    "B_partitions": _cap(
-                        [partitions.format_partition(p) for p in partitions.b_witnesses(n, k, i)]
-                    ),
-                    "C_partitions": _cap(
-                        [partitions.format_partition(p) for p in partitions.c_witnesses(n, k, i)]
-                    ),
-                }
-                return _outcome("corollary", params, rng, witness, start)
-            if alt_table is not None and alt_table[n] != count_c:
-                witness = {
-                    "n": n,
-                    "count_C_corollary": count_c,
-                    f"count_C_{alt_phrasing}": alt_table[n],
-                }
-                notes = [f"phrasing {alt_phrasing} diverged from corollary phrasing"]
-                return _outcome("corollary", params, rng, witness, start, notes)
-    notes = []
-    if alt_phrasing is not None:
-        notes.append(
-            f"theorem phrasing '{alt_phrasing}' agreed with the corollary phrasing for n <= {enum_top}"
-        )
-    notes.append(f"three-way check for n <= {enum_top}; DP-vs-series for n <= {n_max}")
-    return _outcome("corollary", params, rng, None, start, notes)
+    witness, notes = None, []
+    # the first disagreement, in this order: B against the product, then C
+    # against B, then the theorem phrasing against C
+    for n, count_b in enumerate(b_table):
+        enumerated = n <= enum_top
+        if product[n] != count_b:
+            witness = {"n": n, "count_B": count_b, "product_coefficient": product[n]}
+        elif enumerated and c_table[n] != count_b:
+            witness = {
+                "n": n,
+                "count_B": count_b,
+                "count_C": c_table[n],
+                "B_partitions": _cap(
+                    [partitions.format_partition(p) for p in partitions.b_witnesses(n, k, i)]
+                ),
+                "C_partitions": _cap(
+                    [partitions.format_partition(p) for p in partitions.c_witnesses(n, k, i)]
+                ),
+            }
+        elif enumerated and alt_table is not None and alt_table[n] != c_table[n]:
+            witness = {
+                "n": n,
+                "count_C_corollary": c_table[n],
+                f"count_C_{alt_phrasing}": alt_table[n],
+            }
+            notes = [f"phrasing {alt_phrasing} diverged from corollary phrasing"]
+        if witness is not None:
+            break
+    else:
+        if alt_phrasing is not None:
+            notes.append(
+                f"theorem phrasing '{alt_phrasing}' agreed with the corollary phrasing for n <= {enum_top}"
+            )
+        notes.append(f"three-way check for n <= {enum_top}; DP-vs-series for n <= {n_max}")
+    return _outcome("corollary", params, rng, witness, start, notes)
 
 
 def verify_andrews(k: int, n_max: int = 200, enum_limit: int = 25) -> VerificationReport:

@@ -314,6 +314,16 @@ class TestSchur:
         for n in range(31):
             assert count_schur_product(n) == count_schur_gap(n)
 
+    # the product expansion against the knapsack over parts +-1 mod 6
+    @pytest.mark.parametrize("n_max", [0, 1, 5, 6, 200])
+    def test_product_matches_knapsack(self, n_max):
+        parts = [p for p in range(1, n_max + 1) if p % 6 in (1, 5)]
+        assert count_schur_product_table(n_max) == count_by_scalar_loop(n_max, parts)
+
+    def test_product_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            count_schur_product_table(-1)
+
     def test_pruned_list_equals_filter(self):
         for n in range(31):
             assert schur_gap_witnesses(n) == filter_witnesses(n, satisfies_schur_gap), n

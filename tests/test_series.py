@@ -1,6 +1,7 @@
 """Series-core tests: kernels, arithmetic, Pochhammer products, specialization."""
 
 import random
+from operator import add, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,27 @@ unit_qseries = st.tuples(
 small_bivar = st.lists(
     st.lists(st.integers(-5, 5), min_size=5, max_size=5), min_size=3, max_size=3
 ).map(lambda rows: BivariateSeries(tuple(tuple(r) for r in rows)))
+
+
+# series of every (a, q) order up to 3 x 9, so sums and differences mix orders
+mixed_qseries = st.lists(st.integers(-9, 9), min_size=1, max_size=10).map(
+    lambda c: QSeries(tuple(c))
+)
+
+mixed_bivar = st.integers(1, 10).flatmap(
+    lambda width: st.lists(
+        st.lists(st.integers(-5, 5), min_size=width, max_size=width).map(tuple),
+        min_size=1, max_size=4,
+    )
+).map(lambda rows: BivariateSeries(tuple(rows)))
+
+
+def termwise_by_index(op, rows1, rows2):
+    """Sum or difference as the series methods wrote it before _termwise:
+    an index loop up to the smaller a-order and the smaller q-order."""
+    a = min(len(rows1), len(rows2)) - 1
+    q = min(len(rows1[0]), len(rows2[0])) - 1
+    return tuple(tuple(op(rows1[m][n], rows2[m][n]) for n in range(q + 1)) for m in range(a + 1))
 
 
 SPARSE_BIVAR = BivariateSeries.from_dict({(0, 0): 1, (1, 2): -3, (2, 4): 5}, 2, 4)
@@ -205,6 +227,12 @@ class TestQSeries:
         assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
         assert (a * (b + c)).coeffs == (a * b + a * c).coeffs
 
+    @given(mixed_qseries, mixed_qseries)
+    @settings(max_examples=100, deadline=None)
+    def test_sum_and_difference_match_index_loop(self, s, t):
+        assert (s + t).coeffs == termwise_by_index(add, [s.coeffs], [t.coeffs])[0]
+        assert (s - t).coeffs == termwise_by_index(sub, [s.coeffs], [t.coeffs])[0]
+
     @given(unit_qseries)
     @settings(max_examples=100, deadline=None)
     def test_invert_roundtrip(self, s):
@@ -251,6 +279,12 @@ class TestBivariateSeries:
     def test_mul_binomial_matches_scalar_loop(self, s, a_exp, q_exp, sign):
         got = s.mul_binomial(Monomial(a_exp, q_exp, sign))
         assert got.coeffs == mul_binomial_by_scalar_loop(s.coeffs, a_exp, q_exp, sign)
+
+    @given(mixed_bivar, mixed_bivar)
+    @settings(max_examples=100, deadline=None)
+    def test_sum_and_difference_match_index_loop(self, s, t):
+        assert (s + t).coeffs == termwise_by_index(add, s.coeffs, t.coeffs)
+        assert (s - t).coeffs == termwise_by_index(sub, s.coeffs, t.coeffs)
 
     @given(small_bivar, small_bivar)
     @settings(max_examples=40, deadline=None)

@@ -278,6 +278,36 @@ class TestMutations:
         assert rep.status == "fail"
         assert rep.witness["n"] == 7
 
+    def test_corollary_reports_product_before_c(self, monkeypatch):
+        # the product and C both differ from B at n = 7: B against the product
+        # is reported; with the product mended, C against B, before C against
+        # the theorem phrasing (which the C slip also breaks)
+        real_series, real_c = appell.congruence_product_series, partitions.count_C_table
+
+        def series_off(k, i, q_order):
+            c = list(real_series(k, i, q_order).coeffs)
+            c[7] += 1
+            return QSeries(tuple(c))
+
+        def c_off(n_max, k, i, phrasing="corollary"):
+            table = real_c(n_max, k, i, phrasing)
+            if phrasing == "corollary":
+                table[7] += 1
+            return table
+
+        monkeypatch.setattr(partitions, "count_C_table", c_off)
+        monkeypatch.setattr(appell, "congruence_product_series", series_off)
+        count_b = partitions.count_B_table(30, 2, 0)[7]
+        rep = verify.verify_corollary(2, 0, 30, 12)
+        assert (rep.status, rep.notes) == ("fail", [])
+        assert rep.witness == {"n": 7, "count_B": count_b, "product_coefficient": count_b + 1}
+        monkeypatch.setattr(appell, "congruence_product_series", real_series)
+        rep = verify.verify_corollary(2, 0, 30, 12)
+        assert (rep.status, rep.notes) == ("fail", [])
+        assert (rep.witness["n"], rep.witness["count_B"], rep.witness["count_C"]) == (
+            7, count_b, count_b + 1
+        )
+
     def test_corollary_dp_off_by_one(self, monkeypatch):
         # a slip in the B-side knapsack reaches every module that binds it; the
         # product route must not be one of them, or the slip goes unseen
@@ -335,6 +365,43 @@ class TestMutations:
         w = sub.witness
         assert (w["series"], w["j"], w["m"], w["n"]) == (series, j, m, n)
         assert w["enumeration"] == w["coefficient"] + 1
+
+    # (6, 0, 0) perturbs the constant term, which every P_j has
+    @pytest.mark.parametrize("j, m, n", [(4, 2, 7), (6, 0, 0), (3, 1, 10)])
+    def test_bounded_enumeration_perturbed_pj_series(self, monkeypatch, j, m, n):
+        real = appell.pj_series
+
+        def perturbed(rs, j_):
+            good = real(rs, j_)
+            if j_ != j:
+                return good
+            rows = [list(r) for r in good.coeffs]
+            rows[m][n] += 1
+            return BivariateSeries(tuple(tuple(r) for r in rows))
+
+        monkeypatch.setattr(appell, "pj_series", perturbed)
+        rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=6, enum_n=10)
+        sub = {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
+        assert sub.status == "fail"
+        w = sub.witness
+        assert (w["series"], w["j"], w["m"], w["n"]) == ("P", j, m, n)
+        assert w["coefficient"] == w["enumeration"] + 1
+        assert all(s.status == "pass" for s in rep.subreports if s is not sub)
+
+    def test_dual_thm13_phrasing_accepts_extra_partition(self, monkeypatch):
+        # 3+3 repeats an odd part, so no phrasing at k = 2 counts it; a thm13
+        # that accepts it alone must be caught at n = 6 against the corollary
+        extra = (3, 3)
+        assert not partitions.satisfies_thm13(extra, 2)
+        real = partitions.satisfies_thm13
+        monkeypatch.setattr(
+            partitions, "satisfies_thm13", lambda parts, k: parts == extra or real(parts, k)
+        )
+        count_c = partitions.count_C_table(6, 2, 0)[6]
+        rep = verify.verify_dual(2, 30, 12)
+        assert rep.status == "fail"
+        assert rep.witness == {"n": 6, "count_C_corollary": count_c, "count_C_thm13": count_c + 1}
+        assert rep.notes == ["phrasing thm13 diverged from corollary phrasing"]
 
     def test_functional_equation_perturbed_term(self, monkeypatch):
         real = appell.build_R
@@ -478,6 +545,17 @@ class TestCli:
         lines = result.output.strip().splitlines()
         assert lines[0] == "n,coefficient"
         assert lines[-1] == "10,10"
+
+    # csv has rows only in coeffs; every other command refuses it alike
+    @pytest.mark.parametrize("args", [
+        ("list", "--side", "B", "--k", "2", "--n", "6"),
+        ("verify", "schur", "--n-max", "6"),
+        ("golden-n10",),
+    ])
+    def test_csv_outside_coeffs_is_usage_error(self, args):
+        result = self.run("--format", "csv", *args)
+        assert result.exit_code == 2
+        assert "csv format applies to `coeffs` only" in result.output
 
     def test_coeffs_overpartition_product_json(self):
         result = self.run("--format", "json", "coeffs", "--side", "overpartition-product",
