@@ -8,7 +8,6 @@ counterexample.
 """
 
 from .appell import (
-    FormalLimit,
     RSequence,
     StabilizationError,
     appell_limit,
@@ -57,7 +56,6 @@ BACKEND = "python"
 
 __all__ = [
     "BivariateSeries",
-    "FormalLimit",
     "Monomial",
     "Overpartition",
     "QSeries",

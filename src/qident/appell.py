@@ -13,21 +13,23 @@ R_infty, which must reproduce the infinite product
 product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf from the inverse of Euler's
 product, so that route shares no algorithm with the B-side knapsack.
 
-The routes work on whole coefficient rows, as lists: a shifted copy is
-added as row[e:] = map(add, row[e:], src), the functional equation is
-compared a-row by a-row without building series objects, the closed product
-expands only the a-rows that can be nonzero, and the limit's stabilization
-index walks the transposed columns of each a-row.  Only build_R's division
-by (1 - q^j) is a running sum over single coefficients: at q-order 200 its
+Euler's two identities give R_j in closed form: its a^d row is
+q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}).  The closed product
+counts each row from that form, sharing no code with build_R, and the
+limit checks the bound it implies: the coefficient of q^e is fixed once
+j >= e + k - 1.  The routes work on whole coefficient rows, as lists: the
+functional equation is compared a-row by a-row without building series
+objects, and the limit compares row slices.  Only build_R's division by
+(1 - q^j) is a running sum over single coefficients: at q-order 200 its
 slice forms measured slower.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 
-from .partitions import check_params
+from .partitions import _count_by_dp, check_params
 from .series import BivariateSeries, Monomial, QSeries, euler_product, pochhammer_inf
 
 
@@ -124,76 +126,53 @@ def closed_product_F_coefficients(
 ) -> list:
     """x^0..x^{j_top} coefficients of prod_{t>=0} (1 + a x^k q^{tk+1}) / (1 - x q^t).
 
-    Expanding the closed product solution of the functional equation; the
-    returned coefficients must equal the recursion's terms.  Every a comes
-    with x^k, so the x^d coefficient has a-degree at most d // k: only those
-    rows are expanded, and the rest are returned as zeros.
+    Euler's two identities expand the product: the a^d row of the x^j
+    coefficient is q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}), zero
+    when kd > j, counted as partitions into the parts k, 2k, ..., dk and
+    1, ..., j - kd.  The coefficients must equal the recursion's terms.
     """
     check_params(k, j_top=j_top)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
-    xc = [[[0] * (q_order + 1) for _ in range(min(d // k, a_order) + 1)] for d in range(j_top + 1)]
-    xc[0][0][0] = 1
-    # numerator: (1 + a x^k q^{tk+1}) adds a q^{tk+1} xc[d-k] to xc[d]; d descending
-    # reads each xc[d-k] before the factor reaches it
-    t = 0
-    while t * k + 1 <= q_order:
-        for d in range(j_top, k - 1, -1):
-            _add_shifted(xc[d], xc[d - k], 1, t * k + 1)
-        t += 1
-    # denominator: 1/(1 - x q^t) is the running sum new[d] = xc[d] + q^t new[d-1];
-    # d ascending makes xc[d-1] already the new value
-    for t in range(0, q_order + 1):
-        for d in range(1, j_top + 1):
-            _add_shifted(xc[d], xc[d - 1], 0, t)
     zero = (0,) * (q_order + 1)
+
+    def row(j, d):
+        shift = d + k * d * (d - 1) // 2
+        if k * d > j or shift > q_order:
+            return zero
+        parts = [k * t for t in range(1, d + 1)] + list(range(1, j - k * d + 1))
+        return (0,) * shift + tuple(_count_by_dp(q_order - shift, parts))
+
     return [
-        BivariateSeries(tuple(map(tuple, rows)) + (zero,) * (a_order + 1 - len(rows)))
-        for rows in xc
+        BivariateSeries(tuple(row(j, d) for d in range(a_order + 1))) for j in range(j_top + 1)
     ]
 
 
-@dataclass
-class FormalLimit:
-    """The coefficientwise limit of a series sequence, with certification data.
+def appell_limit(rs: RSequence) -> BivariateSeries:
+    """The formal evaluation of lim_{x->1} (1-x) F(a,x,q): R_{j_max}, certified.
 
-    stabilization_index[d] is the least j from which the coefficient of q^d
-    (at every a-degree) stayed constant through j_max.
+    By the closed form the coefficient of q^e is fixed for j >= e + k - 1.
+    That bound is checked: each a-row of R_j, k - 1 <= j < j_max, must equal
+    R_{j_max}'s below q^{j-k+2}.  j_max >= q_order + k makes the last
+    comparison cover every q^e; the first mismatch raises with its
+    (a-degree, q-degree).
     """
-
-    limit: BivariateSeries
-    stabilization_index: dict = field(default_factory=dict)
-
-
-def appell_limit(rs: RSequence) -> FormalLimit:
-    """The formal evaluation of lim_{x->1} (1-x) F(a,x,q) as terms[j] stabilize.
-
-    Requires j_max >= q_order + 1 and refuses to certify a limit whose
-    coefficients were still moving at the final index.
-    """
-    if rs.j_max < rs.q_order + 1:
+    k, last = rs.k, rs.terms[-1].coeffs
+    if rs.j_max < rs.q_order + k:
         raise StabilizationError(
-            f"not stabilized: j_max={rs.j_max} < q_order+1={rs.q_order + 1}"
+            f"not stabilized: j_max={rs.j_max} < q_order+k={rs.q_order + k}"
         )
-    last = rs.terms[-1]
-    moved = last.first_difference(rs.terms[-2])
-    if moved is not None:
-        m, d = moved
-        raise StabilizationError(
-            f"not stabilized: coefficient of a^{m} q^{d} changed at j={rs.j_max}",
-            witness=moved,
-        )
-    # one column per q-degree: the coefficient of a^m q^d at j = 0..j_max
-    index = dict.fromkeys(range(rs.q_order + 1), 0)
-    for m in range(rs.a_order + 1):
-        for d, column in enumerate(zip(*(term.coeffs[m] for term in rs.terms))):
-            final = column[-1]
-            j = rs.j_max
-            while j > 0 and column[j - 1] == final:
-                j -= 1
-            if j > index[d]:
-                index[d] = j
-    return FormalLimit(limit=last, stabilization_index=index)
+    for j in range(k - 1, rs.j_max):
+        top = j - k + 2
+        for m, (row, final) in enumerate(zip(rs.terms[j].coeffs, last)):
+            if row[:top] != final[:top]:
+                e = next(e for e, (c, f) in enumerate(zip(row, final)) if c != f)
+                raise StabilizationError(
+                    f"not stabilized: coefficient of a^{m} q^{e} differs between"
+                    f" j={j} and j={rs.j_max}, though it settles by j={e + k - 1}",
+                    witness=(m, e),
+                )
+    return rs.terms[-1]
 
 
 def theorem_product(k: int, q_order: int, a_order: int | None = None) -> BivariateSeries:

@@ -22,20 +22,17 @@ def _check_i(k, i):
         raise click.BadParameter(str(exc), param_hint="'--i'") from exc
 
 
-def _emit(ctx, payload, text_lines, csv_rows=None):
-    """The one output path: payload as JSON, csv_rows as CSV, or text_lines
-    one per line, as --format asks.  csv applies only where a command passes
-    rows; elsewhere it is a usage error."""
+def _emit(ctx, payload, text_lines):
+    """The one output path: payload as JSON or CSV rows, or text_lines one
+    per line, as --format asks (main admits csv for `coeffs` only)."""
     fmt = ctx.obj["format"]
     if fmt == "json":
         click.echo(json.dumps(payload, indent=2))
     elif fmt == "csv":
-        if csv_rows is None:
-            raise click.UsageError("csv format applies to `coeffs` only")
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
+        writer = csv.DictWriter(buf, fieldnames=list(payload[0].keys()))
         writer.writeheader()
-        writer.writerows(csv_rows)
+        writer.writerows(payload)
         click.echo(buf.getvalue(), nl=False)
     else:
         for line in text_lines:
@@ -56,6 +53,8 @@ def _emit_reports(ctx, reports):
 @click.pass_context
 def main(ctx, fmt, jobs):
     """Mechanical verification of a family of partition and overpartition identities."""
+    if fmt == "csv" and ctx.invoked_subcommand != "coeffs":
+        raise click.UsageError("csv format applies to `coeffs` only")
     ctx.ensure_object(dict)
     ctx.obj["format"] = fmt
     ctx.obj["jobs"] = jobs
@@ -162,7 +161,7 @@ def coeffs_cmd(ctx, side, k, i, n_max):
         table = partitions.count_C_table(n_max, k, i)
         rows = [{"n": n, "coefficient": c} for n, c in enumerate(table)]
     text = (" ".join(f"{k_}={v}" for k_, v in row.items()) for row in rows)
-    _emit(ctx, rows, text, rows)
+    _emit(ctx, rows, text)
 
 
 @main.command("list")

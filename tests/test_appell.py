@@ -20,8 +20,9 @@ from qident.overpartitions import count_pj, count_rj, d_witnesses
 from qident.series import BivariateSeries, QSeries, specialize
 
 
-# Oracles: the series-arithmetic formulations that build_R and
-# closed_product_F_coefficients replaced with in-place running sums.
+# Oracles: the series-arithmetic formulations that build_R replaced with
+# in-place running sums and closed_product_F_coefficients with Euler's
+# closed form.
 
 
 def geometric_inverse(j: int, q_order: int) -> QSeries:
@@ -82,8 +83,8 @@ def functional_equation_by_series(rs):
 
 
 def stabilization_by_scalar_walk(rs):
-    """appell_limit's stabilization index, walked one coefficient at a time
-    through the terms."""
+    """index[d]: the least j from which the coefficient of q^d, at every
+    a-degree, stays constant through j_max, walked one coefficient at a time."""
     index = {}
     for d in range(rs.q_order + 1):
         idx = 0
@@ -264,48 +265,60 @@ class TestAppellLimit:
     def test_constant_sequence(self):
         s = BivariateSeries.from_dict({(0, 0): 2, (1, 3): 1}, 2, 4)
         rs = RSequence(2, 4, 2, [s] * 8)
-        lim = appell_limit(rs)
-        assert lim.limit == s
-        assert all(v == 0 for v in lim.stabilization_index.values())
+        assert appell_limit(rs) == s
 
     def test_limit_is_theorem_product(self):
         rs = build_R(2, 45, 40)
-        lim = appell_limit(rs)
-        assert lim.limit == theorem_product(2, 40, rs.a_order)
+        assert appell_limit(rs) == theorem_product(2, 40, rs.a_order)
 
     def test_stabilization_index_bound(self):
-        # empirical bound: coefficient of q^d settles by j = d + k - 1
-        for k in (2, 3, 4):
+        # the closed form's bound, d + k - 1, holds and is reached
+        for k in (2, 3, 4, 5):
             rs = build_R(k, 30 + k, 24)
-            lim = appell_limit(rs)
-            for d, idx in lim.stabilization_index.items():
-                assert idx <= d + k - 1, (k, d, idx)
+            index = stabilization_by_scalar_walk(rs)
+            assert max(idx - d for d, idx in index.items()) == k - 1, k
+            assert appell_limit(rs) == rs.terms[-1]
 
-    @given(st.integers(0, 4), st.integers(0, 2), st.integers(1, 5), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_index_matches_scalar_walk(self, q_order, a_order, extra_j, data):
-        # coefficients drawn from {0, 1} repeat often, so runs of every length occur
-        j_max = q_order + extra_j
+    # each coefficient settles at a drawn j no later than one past its bound,
+    # with values drawn from {0, 1} before it, so both outcomes occur often
+    @given(st.integers(2, 4), st.integers(0, 4), st.integers(0, 2), st.integers(0, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_raises_exactly_past_the_bound(self, k, q_order, a_order, extra_j, data):
+        j_max = q_order + k + extra_j
+        columns = {}
+        for m in range(a_order + 1):
+            for d in range(q_order + 1):
+                settle = data.draw(st.integers(0, d + k))
+                values = data.draw(st.lists(st.integers(0, 1), min_size=settle + 1,
+                                            max_size=settle + 1))
+                columns[m, d] = values + values[-1:] * (j_max - settle)
         terms = [
             BivariateSeries(tuple(
-                tuple(data.draw(st.lists(st.integers(0, 1), min_size=q_order + 1,
-                                         max_size=q_order + 1)))
-                for _ in range(a_order + 1)
+                tuple(columns[m, d][j] for d in range(q_order + 1)) for m in range(a_order + 1)
             ))
-            for _ in range(j_max)
+            for j in range(j_max + 1)
         ]
-        rs = RSequence(2, q_order, a_order, terms + terms[-1:])
-        assert appell_limit(rs).stabilization_index == stabilization_by_scalar_walk(rs)
-
-    @pytest.mark.parametrize("k, q_order", [(2, 30), (3, 24), (5, 12)])
-    def test_index_of_recursion_matches_scalar_walk(self, k, q_order):
-        rs = build_R(k, q_order + k, q_order)
-        assert appell_limit(rs).stabilization_index == stabilization_by_scalar_walk(rs)
+        rs = RSequence(k, q_order, a_order, terms)
+        index = stabilization_by_scalar_walk(rs)
+        late = [d for d, idx in index.items() if idx > d + k - 1]
+        if not late:
+            assert appell_limit(rs) == terms[-1]
+            return
+        with pytest.raises(StabilizationError) as exc:
+            appell_limit(rs)
+        m, d = exc.value.witness
+        assert d in late
+        assert f"a^{m} q^{d} " in str(exc.value)
 
     def test_requires_enough_terms(self):
         rs = build_R(3, 10, 12)
         with pytest.raises(StabilizationError):
             appell_limit(rs)
+        # one term short of q_order + k is refused, q_order + k is enough
+        for k in (2, 5):
+            with pytest.raises(StabilizationError, match=f"q_order\\+k={12 + k}"):
+                appell_limit(build_R(k, 12 + k - 1, 12))
+            assert appell_limit(build_R(k, 12 + k, 12)) == theorem_product(k, 12)
 
     def test_detects_unstabilized_sequence(self):
         terms = [BivariateSeries.from_dict({(0, 0): j}, 1, 2) for j in range(8)]

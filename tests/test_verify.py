@@ -43,7 +43,7 @@ class TestReports:
         }
 
     def test_machinery_default_j_max_covers_large_k(self):
-        # the limit needs j_max >= q_order + k - 1 to settle every q^d
+        # the limit needs j_max >= q_order + k to check every q^d settled
         rep = verify.verify_machinery(7, 30)
         assert rep.range["j_max"] == 37
         assert rep.status == "pass"
@@ -403,23 +403,45 @@ class TestMutations:
         assert rep.witness == {"n": 6, "count_C_corollary": count_c, "count_C_thm13": count_c + 1}
         assert rep.notes == ["phrasing thm13 diverged from corollary phrasing"]
 
-    def test_functional_equation_perturbed_term(self, monkeypatch):
+    @staticmethod
+    def _perturb_build_R(monkeypatch, j, m, n):
+        """build_R with the coefficient of a^m q^n in R_j off by one."""
         real = appell.build_R
 
         def perturbed(k, j_max, q_order, a_order=None):
             rs = real(k, j_max, q_order, a_order)
-            rows = [list(r) for r in rs.terms[6].coeffs]
-            rows[1][5] += 1
+            rows = [list(r) for r in rs.terms[j].coeffs]
+            rows[m][n] += 1
             terms = list(rs.terms)
-            terms[6] = BivariateSeries(tuple(tuple(r) for r in rows))
+            terms[j] = BivariateSeries(tuple(tuple(r) for r in rows))
             return appell.RSequence(rs.k, rs.q_order, rs.a_order, terms)
 
         monkeypatch.setattr(appell, "build_R", perturbed)
+
+    def test_functional_equation_perturbed_term(self, monkeypatch):
+        # a q^5 settles by j = 6, so R_6 off there also stops the limit
+        self._perturb_build_R(monkeypatch, 6, 1, 5)
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=3, enum_n=8)
-        sub = {s.identity: s for s in rep.subreports}["machinery/functional-equation"]
-        assert (sub.status, sub.witness) == ("fail", {"j": 6, "a_degree": 1, "q_degree": 5})
-        assert all(s.status == "pass" for s in rep.subreports if s is not sub)
-        assert rep.status == "fail"
+        sub = {s.identity: s for s in rep.subreports}
+        assert (sub["machinery/functional-equation"].status,
+                sub["machinery/functional-equation"].witness) == (
+            "fail", {"j": 6, "a_degree": 1, "q_degree": 5})
+        limit = sub.pop("machinery/appell-limit")
+        assert limit.status == "aborted"
+        assert "a^1 q^5" in limit.notes[0]
+        assert all(s.status == "pass" for name, s in sub.items()
+                   if name != "machinery/functional-equation")
+        assert rep.status == "aborted"
+
+    def test_appell_limit_perturbed_settled_term(self, monkeypatch):
+        # R_15 off at a q^5, long after q^5 settles (j = 6) and before the
+        # last two terms, which still agree: the settling bound catches it
+        self._perturb_build_R(monkeypatch, 15, 1, 5)
+        rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=3, enum_n=8)
+        sub = {s.identity: s for s in rep.subreports}["machinery/appell-limit"]
+        assert sub.status == "aborted"
+        assert "a^1 q^5" in sub.notes[0]
+        assert not rep.passed
 
     @pytest.mark.parametrize("j", [0, 3, 6])
     def test_closed_product_perturbed_coefficient(self, monkeypatch, j):
@@ -554,6 +576,15 @@ class TestCli:
     ])
     def test_csv_outside_coeffs_is_usage_error(self, args):
         result = self.run("--format", "csv", *args)
+        assert result.exit_code == 2
+        assert "csv format applies to `coeffs` only" in result.output
+
+    def test_csv_refused_before_the_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("verify_all ran")
+
+        monkeypatch.setattr(verify, "verify_all", work)
+        result = self.run("--format", "csv", "verify", "all")
         assert result.exit_code == 2
         assert "csv format applies to `coeffs` only" in result.output
 
