@@ -180,7 +180,10 @@ def list_cmd(ctx, side, k, i, n):
     elif side == "C":
         items = [partitions.format_partition(p) for p in partitions.c_witnesses(n, k, i)]
     else:
-        items = [str(o) for o in overpartitions.admissible_overpartitions(n, k)]
+        items = [
+            overpartitions.format_overpartition(groups, mask)
+            for groups, mask in overpartitions.admissible_pairs(n, k)
+        ]
     _emit(ctx, items, [*items, f"total: {len(items)}"])
 
 

@@ -10,9 +10,12 @@ overlined.
 The D_k rule is local to each underlying partition, so admissible objects
 are listed per partition as bitmasks over its distinct values (bit idx
 overlines the idx-th largest value), and only admissible masks are ever
-formed.  The counters tally those masks directly; objects are built only
-where a caller asks for them.  `is_Dk_admissible` stays the definition
-that the masks are tested against.
+formed.  The counters tally those masks directly, and witness lists are
+printed from them: `format_overpartition` writes an object's string from
+its (groups, mask), and `Overpartition.__str__` delegates to it.  Objects
+are built only where a caller asks for them (`admissible_overpartitions`,
+`d_witnesses`, which builds only the masks with m overlines).
+`is_Dk_admissible` stays the definition that the masks are tested against.
 
 Without a rule on the underlying partition, every node of the prefix walk
 `partitions_up_to(N)` is a partition of its own weight, so `count_bounded`
@@ -62,17 +65,27 @@ class Overpartition:
         return False
 
     def __str__(self) -> str:
-        pieces = []
-        for v, mult, over in self.entries:
-            pieces.extend([str(v)] * (mult - 1 if over else mult))
-            if over:
-                pieces.append(f"{v}~")
-        return "+".join(pieces) if pieces else "0"
+        groups = [(v, mult) for v, mult, _ in self.entries]
+        mask = sum(1 << idx for idx, (_, _, over) in enumerate(self.entries) if over)
+        return format_overpartition(groups, mask)
 
 
 def _groups(parts: tuple) -> list:
     """[(value, multiplicity), ...] of a partition, values strictly decreasing."""
     return [(v, len(list(g))) for v, g in groupby(parts)]
+
+
+def format_overpartition(groups: list, mask: int) -> str:
+    """The one string form of an overpartition, from its groups
+    [(value, multiplicity), ...] and overline mask (bit idx overlines
+    groups[idx]): parts largest first, joined by '+', the last occurrence
+    of an overlined value v written v~; '0' for the empty overpartition."""
+    pieces = []
+    for idx, (v, mult) in enumerate(groups):
+        pieces += [str(v)] * mult
+        if mask >> idx & 1:
+            pieces[-1] += "~"
+    return "+".join(pieces) if pieces else "0"
 
 
 def _build(groups: list, mask: int) -> Overpartition:
@@ -117,17 +130,23 @@ def admissible_masks(groups: list, k: int) -> list:
     return masks
 
 
+def admissible_pairs(n: int, k: int, max_part: int | None = None) -> Iterator[tuple]:
+    """(groups, mask) of every D_k-admissible overpartition of n (parts <=
+    max_part), in the order of enumerate_overpartitions; no object is built."""
+    check_params(k)
+    return (
+        (groups, mask)
+        for groups in map(_groups, enumerate_partitions(n, max_part))
+        for mask in admissible_masks(groups, k)
+    )
+
+
 def admissible_overpartitions(
     n: int, k: int, max_part: int | None = None
 ) -> Iterator[Overpartition]:
     """The D_k-admissible overpartitions of n (parts <= max_part), in the
     order of enumerate_overpartitions."""
-    check_params(k)
-    return (
-        _build(groups, mask)
-        for groups in map(_groups, enumerate_partitions(n, max_part))
-        for mask in admissible_masks(groups, k)
-    )
+    return (_build(groups, mask) for groups, mask in admissible_pairs(n, k, max_part))
 
 
 def is_Dk_admissible(o: Overpartition, k: int) -> bool:
@@ -152,7 +171,9 @@ def is_Dk_admissible(o: Overpartition, k: int) -> bool:
 
 def d_witnesses(m: int, n: int, k: int) -> list:
     """Admissible overpartitions of n with exactly m overlined values."""
-    return [o for o in admissible_overpartitions(n, k) if o.overline_count == m]
+    return [
+        _build(groups, mask) for groups, mask in admissible_pairs(n, k) if mask.bit_count() == m
+    ]
 
 
 def count_Dk_table(n_max: int, k: int, m_max: int | None = None) -> list:

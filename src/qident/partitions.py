@@ -16,6 +16,14 @@ also makes every node of the walk a counted partition of its own weight, so
 one walk to N tallies every n <= N (`count_C_table`,
 `count_schur_gap_table`), and a witness list is the weight-n slice of the
 walk (`enumerate_partitions`).
+
+Since the walk extends only prefixes that fit, a prefix test need only look
+at the new, smallest part.  The corollary phrasing does exactly that: it
+checks the new part against the few larger parts within its windows, and
+`satisfies_corollary` is the whole-partition definition it is tested
+against.  The thm12 and thm13 phrasings pass their whole-partition
+predicates, so at i = k-1 and i = 0 they check the corollary's new-part
+test by a second route.
 """
 
 from __future__ import annotations
@@ -213,10 +221,50 @@ def satisfies_thm13(parts: Partition, k: int) -> bool:
     return True
 
 
+def _corollary_fits(k: int, i: int) -> Callable[[tuple], bool]:
+    """The corollary rule as a prefix test for `partitions_up_to`.
+
+    The walk extends only prefixes that already satisfy the rule, so only
+    the new, smallest part p can add a violation, and only against the
+    parts just above it.  An odd p needs p >= 2i+1, no part in
+    p..p+2k-1 that is odd (a repeat, or an odd part in p's window), and no
+    even part <= p+2k-2i-3 (p's even window).  An even p must not lie in
+    the even window of an odd part v <= p+2i-1, i.e. p <= v+2k-2i-3 is
+    forbidden there.  satisfies_corollary is the whole-partition rule that
+    the resulting lists are tested against.
+    """
+    low_odd = 2 * i + 1
+    odd_reach = 2 * k - 1  # an odd p scans the parts <= p + odd_reach
+    even_reach = 2 * k - 2 * i - 3  # an odd v's even window ends at v + even_reach
+    back_reach = 2 * i - 1  # an even p scans the parts <= p + back_reach
+
+    def fits(parts: tuple) -> bool:
+        p = parts[-1]
+        if p % 2:
+            if p < low_odd:
+                return False
+            for v in reversed(parts[:-1]):
+                if v > p + odd_reach:
+                    break
+                if v % 2 or v <= p + even_reach:
+                    return False
+        else:
+            for v in reversed(parts[:-1]):
+                if v > p + back_reach:
+                    break
+                if v % 2 and p <= v + even_reach:
+                    return False
+        return True
+
+    return fits
+
+
 def _c_predicate(k: int, i: int, phrasing: str):
+    """The prefix test of one phrasing: the corollary's reads only the new
+    part; thm12 and thm13 test the whole prefix with their own rules."""
     check_params(k, i)
     if phrasing == "corollary":
-        return lambda parts: satisfies_corollary(parts, k, i)
+        return _corollary_fits(k, i)
     if phrasing == "thm12":
         if i != k - 1:
             raise ValueError("phrasing thm12 requires i = k-1")

@@ -8,12 +8,14 @@ from qident.overpartitions import (
     Overpartition,
     admissible_masks,
     admissible_overpartitions,
+    admissible_pairs,
     count_Dk_table,
     count_bounded,
     count_pj,
     count_rj,
     d_witnesses,
     enumerate_overpartitions,
+    format_overpartition,
     is_Dk_admissible,
     specialize_overpartition,
 )
@@ -92,6 +94,27 @@ def overpartition_counting_series(order):
     """(-q;q)_inf / (q;q)_inf, the unrestricted overpartition count."""
     numer = pochhammer_inf(Monomial(0, 1, 1), 1, order).to_qseries()
     return numer * euler_product(order).invert_unit()
+
+
+def entries_string(o):
+    """The string rule read off the entries, as __str__ wrote it before it
+    delegated to format_overpartition."""
+    pieces = []
+    for v, mult, over in o.entries:
+        pieces.extend([str(v)] * (mult - 1 if over else mult))
+        if over:
+            pieces.append(f"{v}~")
+    return "+".join(pieces) if pieces else "0"
+
+
+class TestFormat:
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_masks_print_as_objects(self, k):
+        for n in range(17):
+            objects = list(admissible_overpartitions(n, k))
+            strings = [format_overpartition(groups, mask) for groups, mask in admissible_pairs(n, k)]
+            assert [str(o) for o in objects] == strings, (n, k)
+            assert [entries_string(o) for o in objects] == strings, (n, k)
 
 
 class TestEnumeration:

@@ -207,7 +207,61 @@ def dropping_last_eligible(real, min_distinct):
     return admissible_masks
 
 
+def ignoring_partner(real, partner):
+    """_corollary_fits with one forbidden pair left out: the new part p is
+    tested as if the prefix had no part equal to partner(p, k, i)."""
+
+    def corollary_fits(k, i):
+        fits = real(k, i)
+
+        def mutant(parts):
+            p = parts[-1]
+            skip = partner(p, k, i)
+            return fits(tuple(v for v in parts[:-1] if v != skip) + (p,))
+
+        return mutant
+
+    return corollary_fits
+
+
+def odd_repeat(p, k, i):
+    """An odd p's partner is its own copy: odd parts may repeat."""
+    return p if p % 2 else None
+
+
+def even_window_top(p, k, i):
+    """The pair at the top of an odd part v's even window, w = v + 2k-2i-3:
+    each even window is one value short."""
+    top = 2 * k - 2 * i - 3
+    return p + top if p % 2 else p - top
+
+
 class TestMutations:
+    @pytest.mark.parametrize("partner, k, i, extra", [
+        (odd_repeat, 2, 0, (1, 1)),
+        (odd_repeat, 3, 1, (3, 3)),
+        (even_window_top, 2, 0, (2, 1)),
+        (even_window_top, 3, 1, (4, 3)),
+        (even_window_top, 2, 1, (3, 2)),
+    ], ids=["repeat-2-0", "repeat-3-1", "window-2-0", "window-3-1", "window-2-1"])
+    def test_corollary_new_part_slip(self, monkeypatch, partner, k, i, extra):
+        # extra is the one partition the slip admits at the first weight it
+        # affects, so C exceeds B by one there and nowhere below
+        n = sum(extra)
+        assert not partitions.satisfies_corollary(extra, k, i)
+        monkeypatch.setattr(
+            partitions, "_corollary_fits", ignoring_partner(partitions._corollary_fits, partner)
+        )
+        rep = verify.verify_corollary(k, i, 40, 25)
+        assert (rep.status, rep.notes) == ("fail", [])
+        assert (rep.witness["n"], rep.witness["count_C"]) == (n, rep.witness["count_B"] + 1)
+        assert partitions.format_partition(extra) in rep.witness["C_partitions"]
+        alt = {0: "thm13", k - 1: "thm12"}.get(i)
+        if alt is not None:
+            # the theorem phrasing keeps its whole predicate, so it is a
+            # second route that also sees the slip
+            assert partitions.count_C_table(n, k, i, alt)[n] == rep.witness["count_B"]
+
     @pytest.mark.parametrize("k, i, cut", [(2, 0, (5, 4)), (3, 1, (6,)), (4, 3, (10, 8, 7))])
     def test_corollary_pruned_branch(self, monkeypatch, k, i, cut):
         first = first_weight_below(cut, 25, lambda p: partitions.satisfies_corollary(p, k, i))
@@ -599,6 +653,15 @@ class TestCli:
         out_sum = self.run("coeffs", "--side", "sum", "--k", "2", "--i", "0", "--n-max", "12")
         out_prod = self.run("coeffs", "--side", "product", "--k", "2", "--i", "0", "--n-max", "12")
         assert out_sum.output == out_prod.output
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_list_d_prints_the_objects(self, k):
+        for n in (0, 1, 7, 16):
+            expected = [str(o) for o in overpartitions.admissible_overpartitions(n, k)]
+            result = self.run("--format", "json", "list", "--side", "D", "--k", str(k), "--n", str(n))
+            assert json.loads(result.output) == expected, (k, n)
+            result = self.run("list", "--side", "D", "--k", str(k), "--n", str(n))
+            assert result.output.splitlines() == [*expected, f"total: {len(expected)}"], (k, n)
 
     def test_list_sides(self):
         result = self.run("list", "--side", "B", "--k", "2", "--i", "0", "--n", "10")
