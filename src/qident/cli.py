@@ -24,7 +24,8 @@ def _check_i(k, i):
 
 def _emit(ctx, payload, text_lines):
     """The one output path: payload as JSON or CSV rows, or text_lines one
-    per line, as --format asks (main admits csv for `coeffs` only)."""
+    per line in one write, as --format asks (main admits csv for `coeffs`
+    only)."""
     fmt = ctx.obj["format"]
     if fmt == "json":
         click.echo(json.dumps(payload, indent=2))
@@ -35,8 +36,7 @@ def _emit(ctx, payload, text_lines):
         writer.writerows(payload)
         click.echo(buf.getvalue(), nl=False)
     else:
-        for line in text_lines:
-            click.echo(line)
+        click.echo("".join(line + "\n" for line in text_lines), nl=False)
 
 
 def _emit_reports(ctx, reports):

@@ -10,26 +10,35 @@ overlined.
 The D_k rule is local to each underlying partition, so admissible objects
 are listed per partition as bitmasks over its distinct values (bit idx
 overlines the idx-th largest value), and only admissible masks are ever
-formed.  The counters tally those masks directly, and witness lists are
-printed from them: `format_overpartition` writes an object's string from
-its (groups, mask), and `Overpartition.__str__` delegates to it.  Objects
-are built only where a caller asks for them (`admissible_overpartitions`,
+formed.  The rule looks only upward from an overlined value, so a smaller
+new value never spoils a mask: a partition's masks are its largest-first
+prefix's masks plus those that overline the new value.  `_overline_step`
+is that one-group step, the one place the rule is written for masks;
+`admissible_masks` folds it over one partition's groups.
+
+`admissible_walk(N, k, max_part)` is one depth-first walk over the
+partitions of weight <= N, grouped by distinct value, that carries each
+node's masks to its children through the step, so k is checked once per
+walk and no partition is regrouped or re-masked.  Without a rule on the
+underlying partition every node is a partition of its own weight, so
+`count_bounded` tallies every weight n <= N from that one walk, and every
+other counter (`count_Dk_table`, `count_pj`, `count_rj`) reads its table.
+Witness lists take the walk's weight-n slice (`admissible_pairs`) and are
+printed from it: `format_overpartition` writes an object's string from its
+(groups, mask), and `Overpartition.__str__` delegates to it.  Objects are
+built only where a caller asks for them (`admissible_overpartitions`,
 `d_witnesses`, which builds only the masks with m overlines).
 `is_Dk_admissible` stays the definition that the masks are tested against.
-
-Without a rule on the underlying partition, every node of the prefix walk
-`partitions_up_to(N)` is a partition of its own weight, so `count_bounded`
-tallies every weight n <= N from that one walk, and every other counter
-(`count_Dk_table`, `count_pj`, `count_rj`) reads its table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
+from math import isqrt
 from typing import Iterator
 
-from .partitions import check_params, enumerate_partitions, partitions_up_to
+from .partitions import check_params, enumerate_partitions
 
 
 @dataclass(frozen=True)
@@ -70,9 +79,9 @@ class Overpartition:
         return format_overpartition(groups, mask)
 
 
-def _groups(parts: tuple) -> list:
-    """[(value, multiplicity), ...] of a partition, values strictly decreasing."""
-    return [(v, len(list(g))) for v, g in groupby(parts)]
+def _groups(parts: tuple) -> tuple:
+    """((value, multiplicity), ...) of a partition, values strictly decreasing."""
+    return tuple((v, len(list(g))) for v, g in groupby(parts))
 
 
 def format_overpartition(groups: list, mask: int) -> str:
@@ -106,38 +115,85 @@ def enumerate_overpartitions(n: int, max_part: int | None = None) -> Iterator[Ov
             yield _build(groups, mask)
 
 
-def admissible_masks(groups: list, k: int) -> list:
-    """The D_k-admissible overline masks of one partition, ascending.
+def _overline_step(masks: list, groups: tuple, k: int) -> list:
+    """The one-group step of the D_k rule: the admissible masks of groups,
+    from masks, those of groups[:-1].
 
-    groups is [(value, multiplicity), ...] with values strictly decreasing;
-    bit idx overlines groups[idx].  A value b may be overlined only if it
-    occurs once and no part lies in b+1..b+k-2, and two overlined values
-    differ by at least k.  Together these are is_Dk_admissible's rules: a
-    part in b+1..b+k-2 is plain or, overlined, too close to b.
+    groups is ((value, multiplicity), ...) with values strictly decreasing,
+    and bit idx overlines groups[idx].  Adding a new smallest value keeps
+    every mask of the prefix admissible (the rules look only upward from an
+    overlined value).  The new value b may itself be overlined only if it
+    occurs once and no part lies in b+1..b+k-2, and then only beside masks
+    whose smallest overlined value is at least b+k.  Together these are
+    is_Dk_admissible's rules: a part in b+1..b+k-2 is plain or, overlined,
+    too close to b.  masks is returned as is when nothing is added; it is
+    shared, never changed in place.
     """
+    idx = len(groups) - 1
+    b, mult = groups[idx]
+    if mult > 1 or (idx and groups[idx - 1][0] < b + k - 1):
+        return masks
+    # every mask of the prefix lies below bit idx, so appending keeps the
+    # list ascending; a mask's highest set bit is its smallest overlined value
+    return masks + [
+        mask | (1 << idx)
+        for mask in masks
+        if not mask or groups[mask.bit_length() - 1][0] >= b + k
+    ]
+
+
+def admissible_masks(groups: list, k: int) -> list:
+    """The D_k-admissible overline masks of one partition, ascending: the
+    one-group step folded over its groups [(value, multiplicity), ...]."""
     check_params(k)
     masks = [0]
-    for idx, (b, mult) in enumerate(groups):
-        if mult > 1 or (idx and groups[idx - 1][0] < b + k - 1):
-            continue
-        # every mask so far lies below bit idx, so appending keeps the list
-        # ascending; its highest set bit is its smallest overlined value
-        masks += [
-            mask | (1 << idx)
-            for mask in masks
-            if not mask or groups[mask.bit_length() - 1][0] >= b + k
-        ]
+    for idx in range(len(groups)):
+        masks = _overline_step(masks, groups[: idx + 1], k)
     return masks
+
+
+def admissible_walk(n_max: int, k: int, max_part: int | None = None) -> Iterator[tuple]:
+    """(weight, groups, masks) for every partition of weight <= n_max with
+    parts <= max_part, in depth-first pre-order: groups is ((value,
+    multiplicity), ...) with values strictly decreasing, and masks its
+    D_k-admissible overline masks, ascending, as admissible_masks gives them.
+
+    A child adds a new smallest value v with multiplicity c to its parent
+    and takes its masks from the parent's through the one-group step, so
+    the rule is applied once per group, not once per partition, and k is
+    checked once per walk.  Children are pushed v ascending, then c
+    ascending, so the largest is walked first and the partitions of any one
+    weight come out in lex-decreasing order.
+    """
+    check_params(k, n_max=n_max)
+    cap = n_max if max_part is None else min(max_part, n_max)
+    step = _overline_step
+    # (weight, groups, smallest value so far, masks); the root's bound
+    # cap + 1 lets its children take any value up to cap
+    stack = [(0, (), cap + 1, [0])]
+    pop, push = stack.pop, stack.append  # bound once: this loop runs once per node
+    while stack:
+        weight, groups, last, masks = pop()
+        yield weight, groups, masks
+        room = n_max - weight
+        for v in range(1, min(last - 1, room) + 1):
+            child = groups + ((v, 1),)
+            push((weight + v, child, v, step(masks, child, k)))
+            # the step never overlines a repeated value, so c >= 2 keeps masks
+            for c in range(2, room // v + 1):
+                push((weight + c * v, groups + ((v, c),), v, masks))
 
 
 def admissible_pairs(n: int, k: int, max_part: int | None = None) -> Iterator[tuple]:
     """(groups, mask) of every D_k-admissible overpartition of n (parts <=
-    max_part), in the order of enumerate_overpartitions; no object is built."""
+    max_part), in the order of enumerate_overpartitions: the weight-n slice
+    of admissible_walk; no object is built."""
     check_params(k)
     return (
         (groups, mask)
-        for groups in map(_groups, enumerate_partitions(n, max_part))
-        for mask in admissible_masks(groups, k)
+        for weight, groups, masks in admissible_walk(n, k, max_part)
+        if weight == n
+        for mask in masks
     )
 
 
@@ -191,41 +247,50 @@ def count_bounded(n_max: int, j_max: int, k: int, m_max: int) -> tuple:
 
     Returns (r, p) with r[n][j][m] = count_rj(m, n, j, k) and
     p[n][j][m] = count_pj(m, n, j, k) for 0 <= n <= n_max, 0 <= j <= j_max,
-    0 <= m <= m_max.  The walk partitions_up_to(n_max, max_part=j_max)
-    visits every partition of weight <= n_max with parts <= j_max once.  An
-    admissible overpartition with largest part L is counted in p[n][j] for
-    every j >= L, and in r[n][j] for every j >= max(L, b + k - 1), where b
-    is its largest overlined value (in r[n][j] for every j >= L if none is).
+    0 <= m <= m_max.  admissible_walk(n_max, k, max_part=j_max) visits every
+    partition of weight <= n_max with parts <= j_max once, with its
+    admissible masks.  An admissible overpartition with largest part L is
+    counted in p[n][j] for every j >= L, and in r[n][j] for every
+    j >= max(L, b + k - 1), where b is its largest overlined value (every
+    j >= L if none is).  A value b below L is overlined only with a part of
+    at least b + k - 1 above it, so that bound is L + k - 1 when L itself is
+    overlined (mask bit 0) and L otherwise: the walk tallies each mask by
+    (n, L, m) and that one bit.
     """
     check_params(k, n_max=n_max, j_max=j_max)
-    # *_first[n][j][m]: objects of weight n whose smallest counting bound is exactly j
-    r_first = [[[0] * (m_max + 1) for _ in range(j_max + 1)] for _ in range(n_max + 1)]
-    p_first = [[[0] * (m_max + 1) for _ in range(j_max + 1)] for _ in range(n_max + 1)]
-    for parts in partitions_up_to(n_max, max_part=j_max):
-        groups = _groups(parts)
-        weight = sum(parts)
-        largest = parts[0] if parts else 0
-        for mask in admissible_masks(groups, k):
-            m = mask.bit_count()
-            if m > m_max:
-                continue
-            r_from = largest
-            if mask:
-                # the lowest set bit overlines the largest overlined value
-                top_over = groups[(mask & -mask).bit_length() - 1][0]
-                r_from = max(largest, top_over + k - 1)
-            p_first[weight][largest][m] += 1
-            if r_from <= j_max:
-                r_first[weight][r_from][m] += 1
-    return [_accumulate(rows) for rows in r_first], [_accumulate(rows) for rows in p_first]
+    # a mask's popcount is at most the number of distinct parts d, and
+    # d(d+1)/2 <= n_max, so rows of this width take every m; they are cut
+    # to m_max + 1 below
+    width = max(m_max, (isqrt(8 * n_max + 1) - 1) // 2) + 1
+    # by_top[t][n][L][m]: objects of weight n, largest part L and m
+    # overlines, whose part L is overlined (t = 1) or not (t = 0)
+    by_top = [
+        [[[0] * width for _ in range(j_max + 1)] for _ in range(n_max + 1)] for _ in range(2)
+    ]
+    for weight, groups, masks in admissible_walk(n_max, k, max_part=j_max):
+        largest = groups[0][0] if groups else 0
+        rows = (by_top[0][weight][largest], by_top[1][weight][largest])
+        for mask in masks:
+            rows[mask & 1][mask.bit_count()] += 1
+    plain, top = by_top
+    zeros = [0] * width
+    # the rows summed down the j axis count the objects of weight n whose
+    # smallest counting bound is exactly j
+    p = [_accumulate(_add(plain[n][j], top[n][j], m_max) for j in range(j_max + 1))
+         for n in range(n_max + 1)]
+    r = [_accumulate(_add(plain[n][j], top[n][j - k + 1] if j >= k - 1 else zeros, m_max)
+                     for j in range(j_max + 1)) for n in range(n_max + 1)]
+    return r, p
 
 
-def _accumulate(first: list) -> list:
+def _add(row: list, other: list, m_max: int) -> list:
+    """Entries 0..m_max of row + other."""
+    return [a + b for a, b in zip(row[: m_max + 1], other)]
+
+
+def _accumulate(first) -> list:
     """Running sums down the j axis: row j totals rows 0..j of first."""
-    out = [first[0]]
-    for row in first[1:]:
-        out.append([a + b for a, b in zip(out[-1], row)])
-    return out
+    return list(accumulate(first, lambda total, row: [a + b for a, b in zip(total, row)]))
 
 
 def count_pj(m: int, n: int, j: int, k: int) -> int:

@@ -9,6 +9,7 @@ from qident.overpartitions import (
     admissible_masks,
     admissible_overpartitions,
     admissible_pairs,
+    admissible_walk,
     count_Dk_table,
     count_bounded,
     count_pj,
@@ -21,7 +22,8 @@ from qident.overpartitions import (
 )
 from qident.partitions import c_witnesses, enumerate_partitions
 from qident.series import Monomial, euler_product, pochhammer_inf
-from qident.appell import theorem_product
+from qident.appell import max_overline_count, theorem_product
+from qident.overpartitions import _groups
 
 
 def filter_count_pj(m, n, j, k):
@@ -208,6 +210,21 @@ class TestAdmissibleMasks:
                     n, k, max_part
                 ), (n, k, max_part)
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("max_part", [None, 1, 3])
+    def test_walk_slices_equal_per_partition_masks(self, k, max_part):
+        # one walk to 16, sliced at each weight, order included
+        nodes = list(admissible_walk(16, k, max_part))
+        for n in range(17):
+            expected = [
+                (groups, admissible_masks(groups, k))
+                for groups in map(_groups, enumerate_partitions(n, max_part))
+            ]
+            assert [(g, masks) for w, g, masks in nodes if w == n] == expected, n
+            assert list(admissible_pairs(n, k, max_part)) == [
+                (g, mask) for g, masks in expected for mask in masks
+            ], n
+
     def test_rules(self):
         # k = 3: 5 eligible (4 is not in 6..6), 4 not (5 lies in 5..5),
         # 1 eligible; 5 and 1 are far enough apart to be overlined together
@@ -327,6 +344,19 @@ class TestBoundedCounters:
         assert len(r) == len(p) == 15
         for n in range(15):
             assert (r[n], p[n]) == single_weight_bounded(n, 8, k, m_max), n
+
+    @pytest.mark.parametrize("n_max, j_max, k, m_max", [
+        (14, 5, 2, max_overline_count(2, 14)),
+        (10, 15, 3, 10),
+        (16, 16, 2, max_overline_count(2, 16) - 1),
+        (16, 12, 4, max_overline_count(4, 16) - 1),
+        (5, 7, 7, 5),
+        (6, 3, 9, 0),
+    ], ids=["j-below-n", "j-above-n", "m-below-k2", "m-below-k4", "k-above-n", "k-above-n-m0"])
+    def test_tables_match_per_partition_oracle(self, n_max, j_max, k, m_max):
+        r, p = count_bounded(n_max, j_max, k, m_max)
+        for n in range(n_max + 1):
+            assert (r[n], p[n]) == single_weight_bounded(n, j_max, k, m_max), n
 
     def test_negative_m_counts_nothing(self):
         assert count_pj(-1, 4, 4, 2) == 0

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import qident
-from qident import appell, overpartitions, partitions, verify
+from qident import appell, cli, overpartitions, partitions, verify
 from qident.cli import main
 from qident.series import BivariateSeries, QSeries
 
@@ -190,21 +190,15 @@ def first_weight_below(cut, n_max, accepts):
     )
 
 
-def dropping_last_eligible(real, min_distinct):
-    """admissible_masks that, on partitions with at least min_distinct
-    values, drops every mask overlining its last (smallest) eligible value."""
+def dropping_new_overlines(real, min_distinct):
+    """_overline_step that, once a prefix has at least min_distinct values,
+    adds no mask overlining its new, smallest value."""
 
-    def admissible_masks(groups, k):
-        masks = real(groups, k)
-        eligible = 0
-        for mask in masks:
-            eligible |= mask
-        if len(groups) < min_distinct or not eligible:
-            return masks
-        last = 1 << (eligible.bit_length() - 1)
-        return [mask for mask in masks if not mask & last]
+    def overline_step(masks, groups, k):
+        extended = real(masks, groups, k)
+        return masks if len(groups) >= min_distinct else extended
 
-    return admissible_masks
+    return overline_step
 
 
 def ignoring_partner(real, partner):
@@ -290,8 +284,8 @@ class TestMutations:
         # lost is the first admissible object the mutant drops, at weight n
         assert lost in {str(o) for o in overpartitions.d_witnesses(m, n, 2)}
         monkeypatch.setattr(
-            overpartitions, "admissible_masks",
-            dropping_last_eligible(overpartitions.admissible_masks, min_distinct),
+            overpartitions, "_overline_step",
+            dropping_new_overlines(overpartitions._overline_step, min_distinct),
         )
         rep = verify.verify_overpartition(2, 10)
         assert rep.status == "fail"
@@ -662,6 +656,24 @@ class TestCli:
             assert json.loads(result.output) == expected, (k, n)
             result = self.run("list", "--side", "D", "--k", str(k), "--n", str(n))
             assert result.output.splitlines() == [*expected, f"total: {len(expected)}"], (k, n)
+
+    @pytest.mark.parametrize("args", [
+        ("list", "--side", "D", "--k", "2", "--n", "8"),
+        ("verify", "all", "--k-max", "2"),
+    ], ids=["list-D", "verify-all"])
+    def test_text_is_the_lines_joined(self, monkeypatch, args):
+        emitted = []
+        real = cli._emit
+
+        def capturing(ctx, payload, text_lines):
+            emitted.append(list(text_lines))
+            real(ctx, payload, emitted[-1])
+
+        monkeypatch.setattr(cli, "_emit", capturing)
+        result = self.run(*args)
+        assert result.exit_code == 0
+        [lines] = emitted
+        assert result.stdout_bytes == ("\n".join(lines) + "\n").encode()
 
     def test_list_sides(self):
         result = self.run("list", "--side", "B", "--k", "2", "--i", "0", "--n", "10")
