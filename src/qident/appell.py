@@ -176,12 +176,15 @@ def appell_limit(rs: RSequence) -> BivariateSeries:
 
 
 def theorem_product(k: int, q_order: int, a_order: int | None = None) -> BivariateSeries:
-    """The product side (-aq; q^k)_inf / (q; q)_inf of the overpartition identity."""
+    """The product side (-aq; q^k)_inf / (q; q)_inf of the overpartition identity.
+
+    Each a-row of the numerator is divided by (q; q)_inf through the
+    pentagonal recurrence, so 1/(q; q)_inf is never expanded or convolved."""
     check_params(k)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
     numer = pochhammer_inf(Monomial(1, 1, 1), k, q_order, a_order)
-    return numer.mul_qseries(euler_product(q_order).invert_unit())
+    return numer.div_qseries(euler_product(q_order))
 
 
 def pj_series(rs: RSequence, j: int) -> BivariateSeries:

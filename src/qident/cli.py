@@ -181,8 +181,9 @@ def list_cmd(ctx, side, k, i, n):
         items = [partitions.format_partition(p) for p in partitions.c_witnesses(n, k, i)]
     else:
         items = [
-            overpartitions.format_overpartition(groups, mask)
-            for groups, mask in overpartitions.admissible_pairs(n, k)
+            item
+            for groups, masks in overpartitions.masks_of_weight(n, k)
+            for item in overpartitions.format_overpartitions(groups, masks)
         ]
     _emit(ctx, items, [*items, f"total: {len(items)}"])
 

@@ -23,11 +23,16 @@ walk and no partition is regrouped or re-masked.  Without a rule on the
 underlying partition every node is a partition of its own weight, so
 `count_bounded` tallies every weight n <= N from that one walk, and every
 other counter (`count_Dk_table`, `count_pj`, `count_rj`) reads its table.
-Witness lists take the walk's weight-n slice (`admissible_pairs`) and are
-printed from it: `format_overpartition` writes an object's string from its
-(groups, mask), and `Overpartition.__str__` delegates to it.  Objects are
-built only where a caller asks for them (`admissible_overpartitions`,
-`d_witnesses`, which builds only the masks with m overlines).
+Witness lists run the same loop headed for weight n alone
+(`masks_of_weight`, and `admissible_pairs` over it): the value 1 is taken
+only as the whole remainder, so no node that cannot reach n is walked, and
+only the weight-n nodes are yielded.  They are printed per partition:
+`format_overpartitions(groups, masks)` builds each group's string once and
+marks the overlined groups of each mask; `format_overpartition` (one mask)
+and `Overpartition.__str__` delegate to it, so there is one string rule.
+Objects are built only where a caller asks for them
+(`admissible_overpartitions`, `d_witnesses`, which builds only the masks
+with m overlines).
 `is_Dk_admissible` stays the definition that the masks are tested against.
 """
 
@@ -84,17 +89,28 @@ def _groups(parts: tuple) -> tuple:
     return tuple((v, len(list(g))) for v, g in groupby(parts))
 
 
+def format_overpartitions(groups: list, masks: list) -> list:
+    """The one string form of overpartitions, one per mask, from their
+    shared groups [(value, multiplicity), ...] and overline masks (bit idx
+    overlines groups[idx]): parts largest first, joined by '+', the last
+    occurrence of an overlined value v written v~; '0' for the empty
+    overpartition.  Each group's plain string is built once for all masks,
+    and a mask only marks its overlined groups."""
+    plain = ["+".join([str(v)] * mult) for v, mult in groups]
+    out = []
+    for mask in masks:
+        pieces = plain.copy()
+        while mask:
+            idx = mask.bit_length() - 1
+            pieces[idx] += "~"
+            mask ^= 1 << idx
+        out.append("+".join(pieces) or "0")
+    return out
+
+
 def format_overpartition(groups: list, mask: int) -> str:
-    """The one string form of an overpartition, from its groups
-    [(value, multiplicity), ...] and overline mask (bit idx overlines
-    groups[idx]): parts largest first, joined by '+', the last occurrence
-    of an overlined value v written v~; '0' for the empty overpartition."""
-    pieces = []
-    for idx, (v, mult) in enumerate(groups):
-        pieces += [str(v)] * mult
-        if mask >> idx & 1:
-            pieces[-1] += "~"
-    return "+".join(pieces) if pieces else "0"
+    """The string of one overpartition: format_overpartitions on one mask."""
+    return format_overpartitions(groups, [mask])[0]
 
 
 def _build(groups: list, mask: int) -> Overpartition:
@@ -152,7 +168,9 @@ def admissible_masks(groups: list, k: int) -> list:
     return masks
 
 
-def admissible_walk(n_max: int, k: int, max_part: int | None = None) -> Iterator[tuple]:
+def admissible_walk(
+    n_max: int, k: int, max_part: int | None = None, *, _exact: bool = False
+) -> Iterator[tuple]:
     """(weight, groups, masks) for every partition of weight <= n_max with
     parts <= max_part, in depth-first pre-order: groups is ((value,
     multiplicity), ...) with values strictly decreasing, and masks its
@@ -164,19 +182,35 @@ def admissible_walk(n_max: int, k: int, max_part: int | None = None) -> Iterator
     checked once per walk.  Children are pushed v ascending, then c
     ascending, so the largest is walked first and the partitions of any one
     weight come out in lex-decreasing order.
+
+    With _exact, the walk heads only for weight n_max (masks_of_weight): it
+    yields only the nodes of that weight, and takes the value 1 only as the
+    whole remainder (1, n_max - weight).  A node whose smallest value is at
+    least 2 can always be finished with 1s, so this prunes exactly the
+    nodes that cannot reach n_max, and the weight-n_max nodes keep their
+    order.
     """
     check_params(k, n_max=n_max)
     cap = n_max if max_part is None else min(max_part, n_max)
     step = _overline_step
+    # a node is yielded when its remaining weight is at most floor, and
+    # values below low are not walked one multiplicity at a time
+    floor, low = (0, 2) if _exact else (n_max, 1)
     # (weight, groups, smallest value so far, masks); the root's bound
     # cap + 1 lets its children take any value up to cap
     stack = [(0, (), cap + 1, [0])]
     pop, push = stack.pop, stack.append  # bound once: this loop runs once per node
     while stack:
         weight, groups, last, masks = pop()
-        yield weight, groups, masks
         room = n_max - weight
-        for v in range(1, min(last - 1, room) + 1):
+        if room <= floor:
+            yield weight, groups, masks
+        if _exact and room and last > 1:
+            # pushed before the larger values, so walked after them: the 1s
+            # come last in lex-decreasing order
+            child = groups + ((1, room),)
+            push((n_max, child, 1, step(masks, child, k)))
+        for v in range(low, min(last - 1, room) + 1):
             child = groups + ((v, 1),)
             push((weight + v, child, v, step(masks, child, k)))
             # the step never overlines a repeated value, so c >= 2 keeps masks
@@ -184,17 +218,18 @@ def admissible_walk(n_max: int, k: int, max_part: int | None = None) -> Iterator
                 push((weight + c * v, groups + ((v, c),), v, masks))
 
 
+def masks_of_weight(n: int, k: int, max_part: int | None = None) -> Iterator[tuple]:
+    """(groups, masks) of every partition of n with parts <= max_part, in
+    lex-decreasing order, with its D_k-admissible overline masks ascending:
+    the walk of admissible_walk headed for weight n alone."""
+    check_params(k)
+    return ((groups, masks) for _, groups, masks in admissible_walk(n, k, max_part, _exact=True))
+
+
 def admissible_pairs(n: int, k: int, max_part: int | None = None) -> Iterator[tuple]:
     """(groups, mask) of every D_k-admissible overpartition of n (parts <=
-    max_part), in the order of enumerate_overpartitions: the weight-n slice
-    of admissible_walk; no object is built."""
-    check_params(k)
-    return (
-        (groups, mask)
-        for weight, groups, masks in admissible_walk(n, k, max_part)
-        if weight == n
-        for mask in masks
-    )
+    max_part), in the order of enumerate_overpartitions; no object is built."""
+    return ((groups, mask) for groups, masks in masks_of_weight(n, k, max_part) for mask in masks)
 
 
 def admissible_overpartitions(

@@ -14,8 +14,9 @@ Each rule is prefix-closed (a violation in a prefix survives every
 extension), so pruning yields exactly the partitions the rule accepts.  It
 also makes every node of the walk a counted partition of its own weight, so
 one walk to N tallies every n <= N (`count_C_table`,
-`count_schur_gap_table`), and a witness list is the weight-n slice of the
-walk (`enumerate_partitions`).
+`count_schur_gap_table`).  A witness list runs the same loop to weight n
+and yields only the nodes whose remaining weight is 0
+(`enumerate_partitions`), so no node is summed or filtered afterwards.
 
 Since the walk extends only prefixes that fit, a prefix test need only look
 at the new, smallest part.  The corollary phrasing does exactly that: it
@@ -52,7 +53,11 @@ def check_params(k: int | None = None, i: int | None = None, **ranges: int) -> N
 
 
 def partitions_up_to(
-    n_max: int, max_part: int | None = None, fits: Callable[[tuple], bool] | None = None
+    n_max: int,
+    max_part: int | None = None,
+    fits: Callable[[tuple], bool] | None = None,
+    *,
+    _exact: bool = False,
 ) -> Iterator[Partition]:
     """Yield every partition of weight <= n_max (parts <= max_part) whose
     every prefix fits, in depth-first pre-order.
@@ -60,17 +65,22 @@ def partitions_up_to(
     A prefix is extended by a part only if fits(prefix + (part,)) holds; the
     empty partition is yielded without a test.  Children follow their
     parent, largest new part first, so the partitions of any one weight
-    come out in lex-decreasing order.
+    come out in lex-decreasing order.  With _exact, only the nodes of weight
+    n_max are yielded (enumerate_partitions); the walk is the same.
     """
     check_params(n_max=n_max)
     cap = n_max if max_part is None else min(max_part, n_max)
+    # a node is yielded when its remaining weight is at most floor: 0 for
+    # the weight-n_max nodes alone, n_max for every node
+    floor = 0 if _exact else n_max
     # (prefix, remaining weight, largest part allowed next); children are
     # pushed smallest part first so the largest is walked first
     stack = [((), n_max, cap)]
     pop, push = stack.pop, stack.append  # bound once: this loop runs once per node
     while stack:
         prefix, remaining, limit = pop()
-        yield prefix
+        if remaining <= floor:
+            yield prefix
         for part in range(1, (limit if limit < remaining else remaining) + 1):
             extended = prefix + (part,)
             if fits is None or fits(extended):
@@ -82,12 +92,12 @@ def enumerate_partitions(
 ) -> Iterator[Partition]:
     """Yield every partition of n (parts <= max_part) in lex-decreasing order.
 
-    The weight-n slice of partitions_up_to(n, max_part, fits): with fits
-    given, only partitions whose every prefix fits are yielded.  For a
-    prefix-closed rule that is exactly the partitions satisfying it, in the
-    same order as filtering.
+    The walk of partitions_up_to(n, max_part, fits), yielding only the
+    nodes whose remaining weight is 0: with fits given, only partitions
+    whose every prefix fits are yielded.  For a prefix-closed rule that is
+    exactly the partitions satisfying it, in the same order as filtering.
     """
-    return (parts for parts in partitions_up_to(n, max_part, fits) if sum(parts) == n)
+    return partitions_up_to(n, max_part, fits, _exact=True)
 
 
 def _tally(n_max: int, fits: Callable[[tuple], bool]) -> list:

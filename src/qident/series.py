@@ -13,8 +13,9 @@ function, so series may be shared freely across threads and processes.
 
 Operations work on whole coefficient rows where they can: a multiplication
 by a binomial 1 +- a^s q^e is one slice add or subtract per a-row, and
-inversion of a unit sums over the nonzero coefficients only, so inverting
-the sparse Euler product (q; q)_inf is the pentagonal recurrence.
+division by a unit (inversion is division of 1) sums over the nonzero
+coefficients only, so dividing by the sparse Euler product (q; q)_inf is
+the pentagonal recurrence.
 """
 
 from __future__ import annotations
@@ -67,6 +68,32 @@ def bivar_mul(rows1, rows2, a_order, q_order):
 # bound once, so a rebinding of series.bivar_mul sees only the products that
 # call it by that name, and a q-series product counts as conv_trunc alone
 _bivar_mul = bivar_mul
+
+
+def _divide_rows(rows, unit) -> list:
+    """Each coefficient row divided by the q-series unit, truncated at the
+    row's length: t[d] = eps * (row[d] - sum_{i>=1} unit[i] t[d - i]), with
+    eps = unit[0] = +-1 and the sum over the nonzero unit[i] only, so
+    dividing by the sparse Euler product (q; q)_inf is the pentagonal
+    recurrence.  unit must reach every row's order; t is 0 below the row's
+    first nonzero coefficient, so the loop starts there."""
+    eps = unit[0]
+    if eps not in (1, -1):
+        raise ValueError(f"constant term {eps} is not a unit in the integers")
+    nonzero = [(i, ci) for i, ci in enumerate(unit) if ci and i]
+    out = []
+    for row in rows:
+        t = [0] * len(row)
+        start = next((d for d, c in enumerate(row) if c), len(row))
+        for d in range(start, len(row)):
+            s = 0
+            for i, ci in nonzero:
+                if i > d:
+                    break
+                s += ci * t[d - i]
+            t[d] = eps * (row[d] - s)
+        out.append(t)
+    return out
 
 
 def _termwise(op, rows1, rows2) -> tuple:
@@ -148,25 +175,13 @@ class QSeries:
     def invert_unit(self) -> "QSeries":
         """Multiplicative inverse up to the truncation order.
 
-        The constant term must be +1 or -1 (a unit in the integers).  Each
-        t[d] sums over the nonzero coefficients only, so a sparse series such
-        as (q; q)_inf (the pentagonal recurrence) costs one term per nonzero
+        The constant term must be +1 or -1 (a unit in the integers).  It is
+        1 divided by the series (_divide_rows), so a sparse series such as
+        (q; q)_inf (the pentagonal recurrence) costs one term per nonzero
         coefficient below d.
         """
-        c = self.coeffs
-        eps = c[0]
-        if eps not in (1, -1):
-            raise ValueError(f"constant term {eps} is not a unit in the integers")
-        nonzero = [(i, ci) for i, ci in enumerate(c) if ci and i]
-        t = [eps] + [0] * self.order
-        for d in range(1, self.order + 1):
-            s = 0
-            for i, ci in nonzero:
-                if i > d:
-                    break
-                s += ci * t[d - i]
-            t[d] = -eps * s
-        return QSeries(tuple(t))
+        one = [1] + [0] * self.order
+        return QSeries(tuple(_divide_rows([one], self.coeffs)[0]))
 
 
 @dataclass(frozen=True)
@@ -254,6 +269,14 @@ class BivariateSeries:
         """Multiply by a pure q-series without padding it to full a-order."""
         q = min(self.q_order, s.order)
         rows = bivar_mul([list(r) for r in self.coeffs], [list(s.coeffs)], self.a_order, q)
+        return BivariateSeries(tuple(tuple(r) for r in rows))
+
+    def div_qseries(self, s: QSeries) -> "BivariateSeries":
+        """Divide by a pure q-series whose constant term is +-1, a-row by
+        a-row through the division invert_unit runs, so no inverse is
+        expanded and no product is convolved."""
+        q = min(self.q_order, s.order)
+        rows = _divide_rows([r[: q + 1] for r in self.coeffs], s.coeffs)
         return BivariateSeries(tuple(tuple(r) for r in rows))
 
     def mul_binomial(self, factor: Monomial) -> "BivariateSeries":

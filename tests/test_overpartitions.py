@@ -17,7 +17,9 @@ from qident.overpartitions import (
     d_witnesses,
     enumerate_overpartitions,
     format_overpartition,
+    format_overpartitions,
     is_Dk_admissible,
+    masks_of_weight,
     specialize_overpartition,
 )
 from qident.partitions import c_witnesses, enumerate_partitions
@@ -213,7 +215,8 @@ class TestAdmissibleMasks:
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("max_part", [None, 1, 3])
     def test_walk_slices_equal_per_partition_masks(self, k, max_part):
-        # one walk to 16, sliced at each weight, order included
+        # one walk to 16, sliced at each weight, order included; the walk
+        # headed for weight n alone gives the same slice, formatted alike
         nodes = list(admissible_walk(16, k, max_part))
         for n in range(17):
             expected = [
@@ -221,9 +224,14 @@ class TestAdmissibleMasks:
                 for groups in map(_groups, enumerate_partitions(n, max_part))
             ]
             assert [(g, masks) for w, g, masks in nodes if w == n] == expected, n
+            assert list(masks_of_weight(n, k, max_part)) == expected, n
             assert list(admissible_pairs(n, k, max_part)) == [
                 (g, mask) for g, masks in expected for mask in masks
             ], n
+            for groups, masks in expected:
+                assert format_overpartitions(groups, masks) == [
+                    format_overpartition(groups, mask) for mask in masks
+                ], groups
 
     def test_rules(self):
         # k = 3: 5 eligible (4 is not in 6..6), 4 not (5 lies in 5..5),

@@ -5,7 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qident.partitions import (
+    _c_predicate,
     _count_by_dp,
+    _schur_gap_fits,
     b_part_allowed,
     b_witnesses,
     c_witnesses,
@@ -158,6 +160,23 @@ class TestEnumeration:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             list(partitions_up_to(-1))
+
+    def test_witness_lists_equal_walk_slices(self):
+        # each list walks only toward n; it must equal the weight-n slice of
+        # the walk over every weight <= n under the same prefix test
+        def walk_slice(n, fits):
+            return [parts for parts in partitions_up_to(n, fits=fits) if sum(parts) == n]
+
+        for n in range(21):
+            assert schur_gap_witnesses(n) == walk_slice(n, _schur_gap_fits), n
+            for k in range(2, 6):
+                for i in range(k):
+                    b_fits = lambda prefix: b_part_allowed(prefix[-1], k, i)
+                    assert b_witnesses(n, k, i) == walk_slice(n, b_fits), (n, k, i)
+                    for phrasing in c_rules(k, i):
+                        assert c_witnesses(n, k, i, phrasing) == walk_slice(
+                            n, _c_predicate(k, i, phrasing)
+                        ), (n, k, i, phrasing)
 
 
 class TestCountB:

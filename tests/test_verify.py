@@ -169,13 +169,14 @@ def test_public_names_resolve():
 
 def cutting(real, cut):
     """partitions_up_to with one valid branch pruned: wherever a rule is
-    given, the prefix `cut` is never extended and never yielded.  The
-    tallies and the witness lists both walk through it."""
+    given, the prefix `cut` is never extended and never yielded.  It is the
+    one walk loop: the tallies walk it for every node and the witness lists
+    (enumerate_partitions) for the weight-n nodes, so both see the cut."""
 
-    def partitions_up_to(n_max, max_part=None, fits=None):
+    def partitions_up_to(n_max, max_part=None, fits=None, **private):
         if fits is None:
-            return real(n_max, max_part)
-        return real(n_max, max_part, lambda prefix: prefix != cut and fits(prefix))
+            return real(n_max, max_part, **private)
+        return real(n_max, max_part, lambda prefix: prefix != cut and fits(prefix), **private)
 
     return partitions_up_to
 
@@ -259,6 +260,7 @@ class TestMutations:
     @pytest.mark.parametrize("k, i, cut", [(2, 0, (5, 4)), (3, 1, (6,)), (4, 3, (10, 8, 7))])
     def test_corollary_pruned_branch(self, monkeypatch, k, i, cut):
         first = first_weight_below(cut, 25, lambda p: partitions.satisfies_corollary(p, k, i))
+        listed = len(partitions.c_witnesses(first, k, i))
         monkeypatch.setattr(
             partitions, "partitions_up_to", cutting(partitions.partitions_up_to, cut)
         )
@@ -266,6 +268,9 @@ class TestMutations:
         assert rep.status == "fail"
         assert rep.witness["n"] == first
         assert rep.witness["count_C"] < rep.witness["count_B"]
+        # the cut reaches the witness list as well as the tally
+        lost = rep.witness["count_B"] - rep.witness["count_C"]
+        assert len(partitions.c_witnesses(first, k, i)) == listed - lost
 
     @pytest.mark.parametrize("cut", [(4,), (7, 1), (10, 6, 2)])
     def test_schur_pruned_branch(self, monkeypatch, cut):
