@@ -108,21 +108,36 @@ def _tally(n_max: int, fits: Callable[[tuple], bool]) -> list:
     return counts
 
 
+def _add_part(ways: list, p: int) -> None:
+    """Multiply ways by 1/(1 - q^p) in place: the running sum
+    ways[s] += ways[s - p], s ascending, as a prefix sum down each residue
+    class mod p for a small part (p * p <= the last index), and a block of
+    p sums at a time for a larger one."""
+    n_max = len(ways) - 1
+    if p * p <= n_max:
+        for r in range(p):
+            ways[r::p] = accumulate(ways[r::p])
+    else:
+        for s in range(p, n_max + 1, p):
+            ways[s : s + p] = map(add, ways[s : s + p], ways[s - p : s])
+
+
 def _count_by_dp(n_max: int, allowed_parts: Sequence[int]) -> list:
     """ways[s] = number of multisets from allowed_parts summing to s.
 
-    Each part p is the running sum ways[s] += ways[s - p], s ascending: for
-    a small part (p * p <= n_max) as a prefix sum down each residue class
-    mod p, for a larger one a block of p sums at a time.
+    An even part only reaches even sums, so the even parts run first, as the
+    parts p // 2 on the even-index slice ways[::2] at half the length; the
+    odd parts then run on the full list.  Each part is one _add_part.
     """
     ways = [1] + [0] * n_max
-    for p in sorted(allowed_parts):
-        if p * p <= n_max:
-            for r in range(p):
-                ways[r::p] = accumulate(ways[r::p])
-        else:
-            for s in range(p, n_max + 1, p):
-                ways[s : s + p] = map(add, ways[s : s + p], ways[s - p : s])
+    half = ways[::2]
+    for p in allowed_parts:
+        if p % 2 == 0:
+            _add_part(half, p // 2)
+    ways[::2] = half
+    for p in allowed_parts:
+        if p % 2:
+            _add_part(ways, p)
     return ways
 
 

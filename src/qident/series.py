@@ -15,7 +15,9 @@ Operations work on whole coefficient rows where they can: a multiplication
 by a binomial 1 +- a^s q^e is one slice add or subtract per a-row, and
 division by a unit (inversion is division of 1) sums over the nonzero
 coefficients only, so dividing by the sparse Euler product (q; q)_inf is
-the pentagonal recurrence.
+the pentagonal recurrence.  Euler's product itself is not multiplied out:
+by the pentagonal number theorem its only nonzero coefficients are +-1 at
+the generalized pentagonal numbers, and euler_product writes just those.
 """
 
 from __future__ import annotations
@@ -352,8 +354,18 @@ def pochhammer_inf(factor: Monomial, step_q: int, q_order: int, a_order: int = 0
 
 
 def euler_product(q_order: int) -> QSeries:
-    """(q;q)_inf truncated at q_order."""
-    return pochhammer_inf(Monomial(0, 1, -1), 1, q_order).to_qseries()
+    """(q;q)_inf truncated at q_order, read off Euler's pentagonal number
+    theorem: (-1)^m at q^{m(3m-1)/2} and q^{m(3m+1)/2} for each m >= 0, and
+    0 elsewhere, so O(sqrt(q_order)) terms are written and no binomial is
+    multiplied out."""
+    coeffs = [0] * (q_order + 1)
+    m = 0
+    while m * (3 * m - 1) // 2 <= q_order:
+        for e in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+            if e <= q_order:
+                coeffs[e] = (-1) ** m
+        m += 1
+    return QSeries(tuple(coeffs))
 
 
 def specialize(s: BivariateSeries, t: int, e: int, out_order: int | None = None) -> QSeries:

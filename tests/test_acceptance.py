@@ -8,7 +8,7 @@ import random
 import time
 
 from qident import appell, overpartitions, partitions, verify
-from qident.series import QSeries, euler_product
+from qident.series import Monomial, QSeries, euler_product, pochhammer_inf
 
 from test_series import pentagonal_series
 
@@ -85,8 +85,9 @@ def test_criterion_6_property_suites():
         unit = QSeries((rng.choice([1, -1]),) + tuple(rng.randint(-9, 9) for _ in range(8)))
         ok = ok and (unit * unit.invert_unit()).coeffs == QSeries.one(8).coeffs
 
-    # pentagonal-number oracle at q-order 200
+    # pentagonal-number oracle and the factor-by-factor product at q-order 200
     ok = ok and euler_product(200).coeffs == pentagonal_series(200)
+    ok = ok and euler_product(200) == pochhammer_inf(Monomial(0, 1, -1), 1, 200).to_qseries()
 
     # specialization injectivity and image characterization, weights <= 12
     for k, i in [(2, 0), (2, 1), (3, 0), (3, 2)]:

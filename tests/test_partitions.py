@@ -222,12 +222,18 @@ class TestCountB:
                 )
                 assert b_witnesses(n, k, i) == expected, (n, k, i)
 
-    # parts above n_max, a part whose square is n_max exactly, and n_max = 0
+    # parts above n_max, a part whose square is n_max exactly, and n_max = 0;
+    # even parts alone at an odd n_max, where the half-length slice ends one
+    # short of n_max (14 // 2 = 7 squares to that slice's last index, 49),
+    # and odd parts alone
     @given(st.integers(0, 120), st.lists(st.integers(1, 130), max_size=12))
     @example(0, [1, 3])
     @example(49, [7])
     @example(48, [7, 6, 50])
     @example(100, [10, 11, 101, 3, 3])
+    @example(1, [2])
+    @example(99, [2, 4, 4, 14])
+    @example(50, [1, 3, 5])
     @settings(max_examples=100, deadline=None)
     def test_dp_matches_scalar_loop(self, n_max, parts):
         assert _count_by_dp(n_max, parts) == count_by_scalar_loop(n_max, parts)

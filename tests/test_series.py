@@ -333,6 +333,13 @@ class TestPochhammer:
     def test_euler_function_matches_pentagonal_oracle(self):
         assert euler_product(200).coeffs == pentagonal_series(200)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 5, 200])
+    def test_euler_function_matches_factor_by_factor_product(self, order):
+        # euler_product writes the pentagonal theorem's terms; the product of
+        # the binomials (1 - q^j) is the oracle that does not assume it
+        product = pochhammer_inf(Monomial(0, 1, -1), 1, order).to_qseries()
+        assert euler_product(order) == product
+
     def test_overline_product_step2(self):
         # (1+aq)(1+aq^3)(1+aq^5)... at low order
         s = pochhammer_inf(Monomial(1, 1, 1), 2, 6, 2)

@@ -402,6 +402,32 @@ class TestMutations:
         assert rep.witness["count_B"] == count_b[40]
         assert rep.witness["product_coefficient"] == count_b[40] + 1
 
+    def test_euler_product_off_by_one(self, monkeypatch):
+        # a slip in Euler's product reaches the two product routes alone: the
+        # corollary's 1/(q^2; q^2) puts q^7 at n = 14, the theorem's divides
+        # the a^0 row first, and neither count table moves
+        count_b = partitions.count_B_table(60, 2, 0)
+        count_dk = overpartitions.count_Dk_table(10, 2, 8)
+        real = appell.euler_product
+
+        def off_by_one(q_order):
+            c = list(real(q_order).coeffs)
+            if len(c) > 7:
+                c[7] += 1
+            return QSeries(tuple(c))
+
+        monkeypatch.setattr(appell, "euler_product", off_by_one)
+        assert partitions.count_B_table(60, 2, 0) == count_b
+        assert overpartitions.count_Dk_table(10, 2, 8) == count_dk
+        rep = verify.verify_corollary(2, 0, 60, 12)
+        assert rep.status == "fail"
+        assert rep.witness["n"] == 14
+        assert rep.witness["product_coefficient"] == count_b[14] - 1
+        rep = verify.verify_overpartition(2, 10)
+        assert rep.status == "fail"
+        assert (rep.witness["m"], rep.witness["n"]) == (0, 7)
+        assert rep.witness["product_coefficient"] == count_dk[0][7] - 1
+
     @pytest.mark.parametrize("series, j, m, n", [("R", 3, 1, 5), ("P", 4, 2, 7)])
     def test_bounded_enumeration_perturbed_table(self, monkeypatch, series, j, m, n):
         real = overpartitions.count_bounded
