@@ -1,49 +1,37 @@
-"""Overpartition enumeration, the D_k admissibility rule, and specializations.
+"""Overpartitions, the D_k admissibility rule, its sweep, and specializations.
 
 An overpartition is a partition in which the last occurrence of any part
 value may be overlined.  It is stored per distinct value as
-(value, multiplicity, overlined); because only the last occurrence can
-carry the overline, "value v has a non-overlined occurrence" is decidable
-locally: multiplicity(v) >= 2, or multiplicity(v) == 1 and v is not
-overlined.
+(value, multiplicity, overlined), so "v has a non-overlined occurrence" is
+local: multiplicity(v) >= 2, or multiplicity(v) == 1 and v is not overlined.
 
-The D_k rule is local to each underlying partition, so admissible objects
-are listed per partition as bitmasks over its distinct values (bit idx
-overlines the idx-th largest value), and only admissible masks are ever
-formed.  The rule looks only upward from an overlined value, so a smaller
-new value never spoils a mask: a partition's masks are its largest-first
-prefix's masks plus those that overline the new value.  `_overline_step`
-is that one-group step, the one place the rule is written for masks;
-`admissible_masks` folds it over one partition's groups.
+D_k is counted by the transfer-matrix sweep (`partitions.sweep`), whose
+state before value v is the distance to the last overlined value, capped
+at k: `count_Dk_table` reads its last states, and the bounded counts
+(`count_bounded`, `count_pj`, `count_rj`) its states after value j, R_j
+from state k and P_j from them all.
 
-`admissible_walk(N, k, max_part)` is one depth-first walk over the
-partitions of weight <= N, grouped by distinct value, that carries each
-node's masks to its children through the step, so k is checked once per
-walk and no partition is regrouped or re-masked.  Without a rule on the
-underlying partition every node is a partition of its own weight, so
-`count_bounded` tallies every weight n <= N from that one walk, and every
-other counter (`count_Dk_table`, `count_pj`, `count_rj`) reads its table.
-Witness lists run the same loop headed for weight n alone
-(`masks_of_weight`, and `admissible_pairs` over it): the value 1 is taken
-only as the whole remainder, so no node that cannot reach n is walked, and
-only the weight-n nodes are yielded.  They are printed per partition:
-`format_overpartitions(groups, masks)` builds each group's string once and
-marks the overlined groups of each mask; `format_overpartition` (one mask)
-and `Overpartition.__str__` delegate to it, so there is one string rule.
-Objects are built only where a caller asks for them
-(`admissible_overpartitions`, `d_witnesses`, which builds only the masks
-with m overlines).
-`is_Dk_admissible` stays the definition that the masks are tested against.
+Witness lists enumerate.  An admissible object is a bitmask over its
+partition's distinct values (bit idx overlines the idx-th largest), and
+only admissible masks are formed: the rule looks only upward from an
+overlined value, so a partition's masks are its largest-first prefix's
+plus those that overline the new value.  `_overline_step` is that
+one-group step, `admissible_masks` folds it over one partition, and
+`masks_of_weight` carries it down one walk headed for weight n.
+`format_overpartitions` is the one string rule, and objects are built only
+where a caller asks for them.  `is_Dk_admissible` stays the definition the
+masks and the sweep are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby
-from math import isqrt
+from itertools import groupby
 from typing import Iterator
 
-from .partitions import check_params, enumerate_partitions
+from .partitions import (
+    ANY, OVER, SKIP, check_params, enumerate_partitions, final_states, state_total, sweep,
+)
 
 
 @dataclass(frozen=True)
@@ -168,62 +156,48 @@ def admissible_masks(groups: list, k: int) -> list:
     return masks
 
 
-def admissible_walk(
-    n_max: int, k: int, max_part: int | None = None, *, _exact: bool = False
-) -> Iterator[tuple]:
-    """(weight, groups, masks) for every partition of weight <= n_max with
-    parts <= max_part, in depth-first pre-order: groups is ((value,
-    multiplicity), ...) with values strictly decreasing, and masks its
-    D_k-admissible overline masks, ascending, as admissible_masks gives them.
+def masks_of_weight(n: int, k: int, max_part: int | None = None) -> Iterator[tuple]:
+    """(groups, masks) of every partition of n with parts <= max_part, in
+    lex-decreasing order: groups is ((value, multiplicity), ...) with values
+    strictly decreasing, and masks its D_k-admissible overline masks,
+    ascending, as admissible_masks gives them.
 
-    A child adds a new smallest value v with multiplicity c to its parent
-    and takes its masks from the parent's through the one-group step, so
-    the rule is applied once per group, not once per partition, and k is
-    checked once per walk.  Children are pushed v ascending, then c
-    ascending, so the largest is walked first and the partitions of any one
-    weight come out in lex-decreasing order.
-
-    With _exact, the walk heads only for weight n_max (masks_of_weight): it
-    yields only the nodes of that weight, and takes the value 1 only as the
-    whole remainder (1, n_max - weight).  A node whose smallest value is at
-    least 2 can always be finished with 1s, so this prunes exactly the
-    nodes that cannot reach n_max, and the weight-n_max nodes keep their
-    order.
+    One depth-first walk headed for weight n: a child adds a new smallest
+    value v with multiplicity c to its parent and takes its masks from the
+    parent's through the one-group step, so the rule is applied once per
+    group and k is checked once per walk.  The value 1 is taken only as the
+    whole remainder; a node whose smallest value is at least 2 can always
+    be finished with 1s, so no node that cannot reach n is walked.
+    Children are pushed v ascending, then c ascending, so the largest is
+    walked first.
     """
-    check_params(k, n_max=n_max)
-    cap = n_max if max_part is None else min(max_part, n_max)
+    check_params(k, n=n)
+    return _walk_to(n, k, n if max_part is None else min(max_part, n))
+
+
+def _walk_to(n: int, k: int, cap: int) -> Iterator[tuple]:
+    """The walk of masks_of_weight, with parts <= cap."""
     step = _overline_step
-    # a node is yielded when its remaining weight is at most floor, and
-    # values below low are not walked one multiplicity at a time
-    floor, low = (0, 2) if _exact else (n_max, 1)
     # (weight, groups, smallest value so far, masks); the root's bound
     # cap + 1 lets its children take any value up to cap
     stack = [(0, (), cap + 1, [0])]
     pop, push = stack.pop, stack.append  # bound once: this loop runs once per node
     while stack:
         weight, groups, last, masks = pop()
-        room = n_max - weight
-        if room <= floor:
-            yield weight, groups, masks
-        if _exact and room and last > 1:
+        room = n - weight
+        if not room:
+            yield groups, masks
+        elif last > 1:
             # pushed before the larger values, so walked after them: the 1s
             # come last in lex-decreasing order
             child = groups + ((1, room),)
-            push((n_max, child, 1, step(masks, child, k)))
-        for v in range(low, min(last - 1, room) + 1):
+            push((n, child, 1, step(masks, child, k)))
+        for v in range(2, min(last - 1, room) + 1):
             child = groups + ((v, 1),)
             push((weight + v, child, v, step(masks, child, k)))
             # the step never overlines a repeated value, so c >= 2 keeps masks
             for c in range(2, room // v + 1):
                 push((weight + c * v, groups + ((v, c),), v, masks))
-
-
-def masks_of_weight(n: int, k: int, max_part: int | None = None) -> Iterator[tuple]:
-    """(groups, masks) of every partition of n with parts <= max_part, in
-    lex-decreasing order, with its D_k-admissible overline masks ascending:
-    the walk of admissible_walk headed for weight n alone."""
-    check_params(k)
-    return ((groups, masks) for _, groups, masks in admissible_walk(n, k, max_part, _exact=True))
 
 
 def admissible_pairs(n: int, k: int, max_part: int | None = None) -> Iterator[tuple]:
@@ -267,77 +241,65 @@ def d_witnesses(m: int, n: int, k: int) -> list:
     ]
 
 
+def _dk_moves(k: int):
+    """The D_k rule as sweep moves.  Before value v the state is
+    d = min(v - b, k), b the largest overlined value below v (d = k when
+    there is none).  Plain copies of v need d >= k-1, and an overlined v
+    needs d = k and leaves d = 1: together is_Dk_admissible's two rules."""
+
+    def moves(v: int, d: int) -> tuple:
+        plain = (ANY if d >= k - 1 else SKIP, min(d + 1, k))
+        return (plain, (OVER, 1)) if d == k else (plain,)
+
+    return moves
+
+
+def dk_sweep(n_max: int, k: int, m_max: int, j_max: int | None = None) -> Iterator[dict]:
+    """The D_k sweep over the values 1..j_max (default n_max), weights
+    <= n_max and a-rows 0..m_max.  After value j, state k counts R_j's
+    objects (no overlined value in j-k+2..j) and all states P_j's."""
+    check_params(k, n_max=n_max)
+    return sweep(n_max, k, _dk_moves(k), j_max, m_max)
+
+
 def count_Dk_table(n_max: int, k: int, m_max: int | None = None) -> list:
-    """table[m][n] = D_k(m, n) for m <= m_max (default n_max), n <= n_max."""
-    if m_max is None:
-        m_max = n_max
-    # with j = n no part is out of bound, so p[n][n] counts all of D_k at weight n
-    p = count_bounded(n_max, n_max, k, m_max)[1]
-    return [[p[n][n][m] for n in range(n_max + 1)] for m in range(m_max + 1)]
+    """table[m][n] = D_k(m, n) for m <= m_max (default n_max), n <= n_max,
+    from the sweep."""
+    m_max = n_max if m_max is None else m_max
+    states = final_states(dk_sweep(n_max, k, m_max))
+    return [state_total(states, m) for m in range(m_max + 1)]
 
 
 def count_bounded(n_max: int, j_max: int, k: int, m_max: int) -> tuple:
     """The bounded counts of every weight n <= n_max and bound j <= j_max,
-    from one walk.
+    read off one D_k sweep stopped at each j.
 
     Returns (r, p) with r[n][j][m] = count_rj(m, n, j, k) and
     p[n][j][m] = count_pj(m, n, j, k) for 0 <= n <= n_max, 0 <= j <= j_max,
-    0 <= m <= m_max.  admissible_walk(n_max, k, max_part=j_max) visits every
-    partition of weight <= n_max with parts <= j_max once, with its
-    admissible masks.  An admissible overpartition with largest part L is
-    counted in p[n][j] for every j >= L, and in r[n][j] for every
-    j >= max(L, b + k - 1), where b is its largest overlined value (every
-    j >= L if none is).  A value b below L is overlined only with a part of
-    at least b + k - 1 above it, so that bound is L + k - 1 when L itself is
-    overlined (mask bit 0) and L otherwise: the walk tallies each mask by
-    (n, L, m) and that one bit.
+    0 <= m <= m_max.
     """
     check_params(k, n_max=n_max, j_max=j_max)
-    # a mask's popcount is at most the number of distinct parts d, and
-    # d(d+1)/2 <= n_max, so rows of this width take every m; they are cut
-    # to m_max + 1 below
-    width = max(m_max, (isqrt(8 * n_max + 1) - 1) // 2) + 1
-    # by_top[t][n][L][m]: objects of weight n, largest part L and m
-    # overlines, whose part L is overlined (t = 1) or not (t = 0)
-    by_top = [
-        [[[0] * width for _ in range(j_max + 1)] for _ in range(n_max + 1)] for _ in range(2)
-    ]
-    for weight, groups, masks in admissible_walk(n_max, k, max_part=j_max):
-        largest = groups[0][0] if groups else 0
-        rows = (by_top[0][weight][largest], by_top[1][weight][largest])
-        for mask in masks:
-            rows[mask & 1][mask.bit_count()] += 1
-    plain, top = by_top
-    zeros = [0] * width
-    # the rows summed down the j axis count the objects of weight n whose
-    # smallest counting bound is exactly j
-    p = [_accumulate(_add(plain[n][j], top[n][j], m_max) for j in range(j_max + 1))
-         for n in range(n_max + 1)]
-    r = [_accumulate(_add(plain[n][j], top[n][j - k + 1] if j >= k - 1 else zeros, m_max)
-                     for j in range(j_max + 1)) for n in range(n_max + 1)]
-    return r, p
-
-
-def _add(row: list, other: list, m_max: int) -> list:
-    """Entries 0..m_max of row + other."""
-    return [a + b for a, b in zip(row[: m_max + 1], other)]
-
-
-def _accumulate(first) -> list:
-    """Running sums down the j axis: row j totals rows 0..j of first."""
-    return list(accumulate(first, lambda total, row: [a + b for a, b in zip(total, row)]))
+    r, p = [], []  # [j][m][n], turned to [n][j][m] below
+    for states in dk_sweep(n_max, k, m_max, j_max):
+        r.append(states[k])
+        p.append([state_total(states, m) for m in range(m_max + 1)])
+    return tuple(
+        [[[rows[m][n] for m in range(m_max + 1)] for rows in table] for n in range(n_max + 1)]
+        for table in (r, p)
+    )
 
 
 def count_pj(m: int, n: int, j: int, k: int) -> int:
-    """Admissible overpartitions of n with m overlines and all parts <= j."""
+    """Admissible overpartitions of n with m overlines and all parts <= j:
+    one sweep to value j at weight n."""
     check_params(k, j=j)
-    return count_bounded(n, j, k, m)[1][n][j][m] if m >= 0 else 0
+    return state_total(final_states(dk_sweep(n, k, m, j)), m)[n] if m >= 0 else 0
 
 
 def count_rj(m: int, n: int, j: int, k: int) -> int:
     """As count_pj, but additionally no overlined value in {j-k+2, ..., j}."""
     check_params(k, j=j)
-    return count_bounded(n, j, k, m)[0][n][j][m] if m >= 0 else 0
+    return final_states(dk_sweep(n, k, m, j))[k][m][n] if m >= 0 else 0
 
 
 def specialize_overpartition(o: Overpartition, i: int, k: int) -> tuple:

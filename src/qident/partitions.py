@@ -1,40 +1,36 @@
-"""Partition enumeration and the congruence/difference-condition counters.
+"""Partition enumeration, the transfer-matrix sweep, and the B/C/Schur counters.
 
-A partition is represented as a tuple of weakly decreasing positive
-integers.  Enumeration order is lexicographically decreasing with the
-largest part first, so witness lists are deterministic and diffable.
+A partition is a tuple of weakly decreasing positive integers.  Lists come
+out lexicographically decreasing, largest part first, so they diff cleanly.
 
-The B side is counted by an unbounded-knapsack dynamic program over the
-allowed part sizes, which scales to n in the hundreds; Schur's product side
-is the expansion of its infinite product.  The other sides come from one
-walk of the prefix tree, `partitions_up_to`, which extends a prefix only
-while the side's own rule still holds for it: the part rule on the B side,
-Schur's gap rule, and the difference-condition predicates on the C side.
-Each rule is prefix-closed (a violation in a prefix survives every
-extension), so pruning yields exactly the partitions the rule accepts.  It
-also makes every node of the walk a counted partition of its own weight, so
-one walk to N tallies every n <= N (`count_C_table`,
-`count_schur_gap_table`).  A witness list runs the same loop to weight n
-and yields only the nodes whose remaining weight is 0
-(`enumerate_partitions`), so no node is summed or filtered afterwards.
+Every sum-side rule is local, so each side is counted by `sweep`, one pass
+over the part values v = 1..N whose state is a capped distance to the last
+relevant part: Schur's gaps and the corollary's difference conditions here,
+the D_k rule in overpartitions.  A side is a `moves(v, state)` table, not a
+loop of its own.  The B side is the knapsack over its allowed parts, and
+both run on `_add_part`; Schur's product side expands its product.
 
-Since the walk extends only prefixes that fit, a prefix test need only look
-at the new, smallest part.  The corollary phrasing does exactly that: it
-checks the new part against the few larger parts within its windows, and
-`satisfies_corollary` is the whole-partition definition it is tested
-against.  The thm12 and thm13 phrasings pass their whole-partition
-predicates, so at i = k-1 and i = 0 they check the corollary's new-part
-test by a second route.
+Enumeration is one walk of the prefix tree, `partitions_up_to`, that
+extends a prefix only while the side's rule holds for it.  Each rule is
+prefix-closed, so pruning yields exactly the partitions it accepts, and
+every node is a counted partition of its own weight: one walk to N tallies
+every n <= N (`walk_C_table`, `walk_schur_gap_table`), the route the
+verifiers check the sweep against.  A witness list runs the same loop to
+weight n and yields only the nodes of weight n (`enumerate_partitions`).
+The corollary's prefix test looks only at the new, smallest part, against
+the few larger parts within its windows; `satisfies_corollary` is the
+whole-partition definition it is tested against, and the thm12 and thm13
+phrasings pass their whole predicates, a second route at i = k-1 and i = 0.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import accumulate
 from operator import add
 from typing import Callable, Iterator, Sequence
 
-from .series import Monomial, pochhammer_inf
+from .series import BivariateSeries, Monomial
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 
@@ -120,6 +116,65 @@ def _add_part(ways: list, p: int) -> None:
     else:
         for s in range(p, n_max + 1, p):
             ways[s : s + p] = map(add, ways[s : s + p], ways[s - p : s])
+
+
+# The moves a sweep may take at a part value v: leave v out, any number of
+# plain copies (1/(1 - q^v)), at least one (q^v/(1 - q^v)), exactly one
+# (q^v), or one overlined copy (a q^v).
+SKIP, ANY, SOME, ONE, OVER = range(5)
+
+
+def sweep(
+    n_max: int, start, moves: Callable, v_max: int | None = None, a_order: int = 0
+) -> Iterator[dict]:
+    """The transfer-matrix sweep over the part values v = 1..v_max (default
+    n_max): yields {state: rows} before the first value and after each one.
+
+    rows[m][n] counts the objects of weight n <= n_max with m overlined
+    parts (m <= a_order), built from the values so far, that end in that
+    state; the sweep starts from the empty object in state start.
+    moves(v, state) lists the (kind, target state) moves at v, and a state
+    reached by several moves sums them.  No yielded row changes later.
+    """
+    zero = [0] * (n_max + 1)
+    states = {start: [[1] + zero[1:]] + [zero] * a_order}
+    yield states
+    for v in range(1, (n_max if v_max is None else v_max) + 1):
+        reached = {}
+        for state, rows in states.items():
+            for kind, target in moves(v, state):
+                moved = _moved(kind, rows, v, zero)
+                old = reached.get(target)
+                reached[target] = moved if old is None else [
+                    list(map(add, a, b)) for a, b in zip(old, moved)
+                ]
+        states = reached
+        yield states
+
+
+def _moved(kind: int, rows: list, v: int, zero: list) -> list:
+    """rows times the generating function of one kind of move at v, as new
+    rows; a skip returns rows itself."""
+    if kind == SKIP:
+        return rows
+    if kind == OVER:
+        rows = [zero] + rows[:-1]
+    # a shift by q^v, or for ANY a copy, so _add_part changes no shared row
+    rows = [row.copy() for row in rows] if kind == ANY else [zero[:v] + row[:-v] for row in rows]
+    if kind == ANY or kind == SOME:
+        for row in rows:
+            _add_part(row, v)
+    return rows
+
+
+def final_states(snapshots: Iterator[dict]) -> dict:
+    """The states a sweep yields last; no earlier snapshot is kept."""
+    return deque(snapshots, maxlen=1)[0]
+
+
+def state_total(states: dict, m: int = 0) -> list:
+    """a-row m of a sweep's states, summed over every state."""
+    return [sum(column) for column in zip(*(rows[m] for rows in states.values()))]
 
 
 def _count_by_dp(n_max: int, allowed_parts: Sequence[int]) -> list:
@@ -308,8 +363,40 @@ def c_witnesses(n: int, k: int, i: int, phrasing: str = "corollary") -> list:
     return list(enumerate_partitions(n, fits=_c_predicate(k, i, phrasing)))
 
 
+def _corollary_moves(k: int, i: int) -> Callable:
+    """The corollary rule as sweep moves.  Before value w the state is
+    (o, e): w minus the last odd part, capped at 2k, and w minus the last
+    even part, capped at 2i+1 (each at its cap when there is none).  An
+    even w (one copy or more) needs o > 2k-2i-3 and leaves e = 1; an odd w
+    (one copy) needs w >= 2i+1, o = 2k and e > 2i-1, and leaves o = 1."""
+    o_cap, e_cap = 2 * k, 2 * i + 1
+
+    def moves(w: int, state: tuple) -> list:
+        o, e = state
+        o1, e1 = min(o + 1, o_cap), min(e + 1, e_cap)
+        out = [(SKIP, (o1, e1))]
+        if w % 2 == 0:
+            if o > 2 * k - 2 * i - 3:
+                out.append((SOME, (o1, 1)))
+        elif w >= e_cap and o == o_cap and e > 2 * i - 1:
+            out.append((ONE, (1, e1)))
+        return out
+
+    return moves
+
+
 def count_C_table(n_max: int, k: int, i: int, phrasing: str = "corollary") -> list:
-    """C_{i,k}(0..n_max) under the selected phrasing, from one walk."""
+    """C_{i,k}(0..n_max) under the selected phrasing: the corollary's from
+    the sweep, thm12's and thm13's from one walk each (walk_C_table)."""
+    if phrasing != "corollary":
+        return walk_C_table(n_max, k, i, phrasing)
+    check_params(k, i, n_max=n_max)
+    return state_total(final_states(sweep(n_max, (2 * k, 2 * i + 1), _corollary_moves(k, i))))
+
+
+def walk_C_table(n_max: int, k: int, i: int, phrasing: str = "corollary") -> list:
+    """C_{i,k}(0..n_max) under the selected phrasing, tallied from one walk
+    of its prefix test: the enumeration route, the witness lists' own."""
     return _tally(n_max, _c_predicate(k, i, phrasing))
 
 
@@ -324,10 +411,14 @@ def count_C(n: int, k: int, i: int, phrasing: str = "corollary") -> int:
 
 def count_schur_product_table(n_max: int) -> list:
     """Partitions into parts congruent to +-1 mod 6, for n = 0..n_max: the
-    coefficients of the product 1/((q; q^6)_inf (q^5; q^6)_inf)."""
+    coefficients of the product 1/((q; q^6)_inf (q^5; q^6)_inf), one
+    binomial per factor of both residue classes, then inverted."""
     check_params(n_max=n_max)
-    ones, fives = (pochhammer_inf(Monomial(0, e, -1), 6, n_max) for e in (1, 5))
-    return list((ones * fives).to_qseries().invert_unit().coeffs)
+    denominator = BivariateSeries.one(0, n_max)
+    for e in range(1, n_max + 1):
+        if e % 6 in (1, 5):
+            denominator = denominator.mul_binomial(Monomial(0, e, -1))
+    return list(denominator.to_qseries().invert_unit().coeffs)
 
 
 def satisfies_schur_gap(parts: Partition) -> bool:
@@ -345,8 +436,26 @@ def _schur_gap_fits(prefix: tuple) -> bool:
     return satisfies_schur_gap(prefix[-2:])
 
 
+def _schur_moves(v: int, state: tuple) -> list:
+    """Schur's gap rule as sweep moves.  Before value v the state is the
+    gap from v to the last part, capped at 6, and whether that part is a
+    multiple of 3; v (one copy) needs a gap of 3, or of 6 when v and the
+    last part are both multiples of 3."""
+    gap, three = state
+    out = [(SKIP, (min(gap + 1, 6), three))]
+    if gap >= (6 if three and v % 3 == 0 else 3):
+        out.append((ONE, (1, v % 3 == 0)))
+    return out
+
+
 def count_schur_gap_table(n_max: int) -> list:
-    """Gap partitions of Schur's identity for n = 0..n_max, from one walk."""
+    """Gap partitions of Schur's identity for n = 0..n_max, from the sweep."""
+    check_params(n_max=n_max)
+    return state_total(final_states(sweep(n_max, (6, False), _schur_moves)))
+
+
+def walk_schur_gap_table(n_max: int) -> list:
+    """The same counts tallied from one walk: the enumeration route."""
     return _tally(n_max, _schur_gap_fits)
 
 

@@ -1,11 +1,13 @@
 """Top-level identity verifiers and their report format.
 
-Each verifier computes both sides of an identity by two independent routes
-(combinatorial enumeration vs. truncated series arithmetic) and reports
-agreement or the first discrepancy.  Reports are deterministic apart from
-the timing field, and a report never claims a pass for a range it did not
-fully check: enumeration ranges that are refused come back with status
-"aborted", never a silent pass.
+Each verifier computes both sides of an identity by independent routes
+and reports agreement or the first discrepancy.  The sum sides are
+counted by the transfer-matrix sweep; the C and Schur sides are also
+tallied from the enumeration walk their witness lists take, and every
+count is compared with a product expanded by series arithmetic.  Reports
+are deterministic apart from the timing field, and a report never claims a
+pass for a range it did not fully check: enumeration ranges that are
+refused come back with status "aborted", never a silent pass.
 
 Every verifier turns bad input (`partitions.check_params`, the rule the
 library functions raise) or a refused range into an `aborted` report, and
@@ -118,7 +120,7 @@ def _refuse_beyond(n: int) -> None:
 
 
 def verify_overpartition(k: int, n_max: int, m_max: int | None = None) -> VerificationReport:
-    """Brute-force D_k(m, n) vs. the coefficient of a^m q^n in the product."""
+    """D_k(m, n) from the sweep vs. the coefficient of a^m q^n in the product."""
     start = time.perf_counter()
     if m_max is None:
         m_max = min(n_max, 8)
@@ -131,19 +133,17 @@ def verify_overpartition(k: int, n_max: int, m_max: int | None = None) -> Verifi
         return _aborted("overpartition", params, rng, str(exc), start)
     product = appell.theorem_product(k, n_max, max(m_max, appell.max_overline_count(k, n_max)))
     table = overpartitions.count_Dk_table(n_max, k, m_max)
-    witnesses = (
-        {
-            "n": n,
-            "m": m,
-            "enumeration_count": table[m][n],
-            "product_coefficient": product.coefficient(m, n),
-            "overpartitions": _cap(overpartitions.d_witnesses(m, n, k)),
-        }
-        for n in range(n_max + 1)
-        for m in range(m_max + 1)
-        if table[m][n] != product.coefficient(m, n)
-    )
-    return _outcome("overpartition", params, rng, next(witnesses, None), start)
+    first = next(((n, m) for n in range(n_max + 1) for m in range(m_max + 1)
+                  if table[m][n] != product.coefficient(m, n)), None)
+    witness = None
+    if first is not None:
+        # the objects listed at the first difference; their number is the
+        # enumeration count, a third count beside the sweep's and the product's
+        n, m = first
+        objects = overpartitions.d_witnesses(m, n, k)
+        witness = {"n": n, "m": m, "enumeration_count": len(objects), "sweep_count": table[m][n],
+                   "product_coefficient": product.coefficient(m, n), "overpartitions": _cap(objects)}
+    return _outcome("overpartition", params, rng, witness, start)
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +168,26 @@ def verify_corollary(
     b_table = partitions.count_B_table(n_max, k, i)
     product = appell.congruence_product_series(k, i, n_max).coeffs
     alt_phrasing = "thm12" if i == k - 1 else ("thm13" if i == 0 else None)
-    c_table = partitions.count_C_table(enum_top, k, i, "corollary")
+    c_table = partitions.walk_C_table(enum_top, k, i, "corollary")
+    c_sweep = partitions.count_C_table(enum_top, k, i, "corollary")
     alt_table = (
         partitions.count_C_table(enum_top, k, i, alt_phrasing) if alt_phrasing is not None else None
     )
     witness, notes = None, []
     # the first disagreement, in this order: B against the product, then C
-    # against B, then the theorem phrasing against C
+    # (the walk, then the sweep) against B, then the theorem phrasing
+    # against the walk
     for n, count_b in enumerate(b_table):
         enumerated = n <= enum_top
         if product[n] != count_b:
             witness = {"n": n, "count_B": count_b, "product_coefficient": product[n]}
-        elif enumerated and c_table[n] != count_b:
+        elif enumerated and (c_table[n] != count_b or c_sweep[n] != count_b):
+            walked = c_table[n] != count_b
             witness = {
                 "n": n,
                 "count_B": count_b,
-                "count_C": c_table[n],
+                "count_C": c_table[n] if walked else c_sweep[n],
+                **({} if walked else {"route": "sweep"}),
                 "B_partitions": _cap(
                     [partitions.format_partition(p) for p in partitions.b_witnesses(n, k, i)]
                 ),
@@ -235,17 +239,21 @@ def verify_schur(n_max: int = 40) -> VerificationReport:
     except ValueError as exc:
         return _aborted("schur", {}, rng, str(exc), start)
     product = partitions.count_schur_product_table(n_max)
-    gap = partitions.count_schur_gap_table(n_max)
+    routes = (
+        ("gap_count", partitions.walk_schur_gap_table(n_max)),
+        ("sweep_count", partitions.count_schur_gap_table(n_max)),
+    )
     witnesses = (
         {
             "n": n,
             "product_count": product[n],
-            "gap_count": gap[n],
+            route: gap[n],
             "gap_partitions": _cap(
                 [partitions.format_partition(p) for p in partitions.schur_gap_witnesses(n)]
             ),
         }
         for n in range(n_max + 1)
+        for route, gap in routes
         if gap[n] != product[n]
     )
     return _outcome("schur", {}, rng, next(witnesses, None), start)
@@ -442,7 +450,8 @@ def verify_all(k_max: int = 5, jobs: int = 1) -> list:
     for k in range(2, k_max + 1):
         specs.append((verify_overpartition, (k, 22)))
         specs += [(verify_corollary, (k, i, 200, 25)) for i in range(k)]
-        specs.append((verify_machinery, (k, 60, 65)))
+        # the Appell limit needs j_max >= q_order + k, past 65 once k > 5
+        specs.append((verify_machinery, (k, 60, max(65, 60 + k))))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -151,6 +151,14 @@ class TestReports:
 
         assert untimed(verify.verify_all(2, jobs=2)) == untimed(verify.verify_all(2, jobs=1))
 
+    def test_verify_all_past_k5_passes(self):
+        # the machinery cells keep j_max = 65 up to k = 5 and take
+        # q_order + k beyond, where the limit needs it
+        reports = verify.verify_all(k_max=6)
+        assert all(r.passed for r in reports)
+        machinery = [r.range["j_max"] for r in reports if r.identity == "machinery"]
+        assert machinery == [65, 65, 65, 65, 66]
+
     def test_verify_all_smoke(self):
         reports = verify.verify_all(k_max=2)
         assert all(r.passed for r in reports)
@@ -231,6 +239,22 @@ def even_window_top(p, k, i):
     return p + top if p % 2 else p - top
 
 
+def edited_moves(real, edit):
+    """A side's moves factory whose tables pass through edit(v, state,
+    moves): one transition off."""
+
+    def factory(*params):
+        moves = real(*params)
+        return lambda v, state: edit(v, state, moves(v, state))
+
+    return factory
+
+
+def dropping(kind, at):
+    """An edit that drops the moves of one kind from the states at(state) picks."""
+    return lambda v, state, moves: [mv for mv in moves if not (mv[0] == kind and at(state))]
+
+
 class TestMutations:
     @pytest.mark.parametrize("partner, k, i, extra", [
         (odd_repeat, 2, 0, (1, 1)),
@@ -285,18 +309,91 @@ class TestMutations:
         assert rep.witness["gap_count"] == rep.witness["product_count"] - 1
 
     @pytest.mark.parametrize("min_distinct, n, m, lost", [(1, 1, 1, "1~"), (2, 3, 1, "2+1~")])
-    def test_overpartition_dropped_mask(self, monkeypatch, min_distinct, n, m, lost):
-        # lost is the first admissible object the mutant drops, at weight n
+    def test_overpartition_dropped_mask_against_sweep(self, monkeypatch, min_distinct, n, m, lost):
+        # lost is the first admissible object the mutant drops, at weight n.
+        # The verifier counts D_k by the sweep, which runs no mask step, so
+        # the slip reaches the witness lists alone; the sweep's table is the
+        # count they fall short of, first at (n, m)
         assert lost in {str(o) for o in overpartitions.d_witnesses(m, n, 2)}
+        table = overpartitions.count_Dk_table(10, 2, 8)
         monkeypatch.setattr(
             overpartitions, "_overline_step",
             dropping_new_overlines(overpartitions._overline_step, min_distinct),
         )
+        assert overpartitions.count_Dk_table(10, 2, 8) == table
+        assert verify.verify_overpartition(2, 10).status == "pass"
+        listed = [[len(overpartitions.d_witnesses(mm, nn, 2)) for nn in range(11)] for mm in range(9)]
+        short = [(nn, mm) for nn in range(11) for mm in range(9) if listed[mm][nn] != table[mm][nn]]
+        assert short[0] == (n, m)
+        assert listed[m][n] == table[m][n] - 1
+        assert lost not in {str(o) for o in overpartitions.d_witnesses(m, n, 2)}
+
+    def test_Dk_sweep_transition_off(self, monkeypatch):
+        # plain copies of v one past an overlined v - 1 (d = k - 1 = 1) are
+        # refused, as if they needed d = k; the first object lost is 2+1~,
+        # at n = 3 with m = 1
+        def plain_needs_k(v, d, moves):
+            return [(partitions.SKIP, t) if d == 1 and kind == partitions.ANY else (kind, t)
+                    for kind, t in moves]
+
+        monkeypatch.setattr(overpartitions, "_dk_moves",
+                            edited_moves(overpartitions._dk_moves, plain_needs_k))
         rep = verify.verify_overpartition(2, 10)
         assert rep.status == "fail"
-        assert (rep.witness["n"], rep.witness["m"]) == (n, m)
-        assert rep.witness["enumeration_count"] == rep.witness["product_coefficient"] - 1
-        assert lost not in rep.witness["overpartitions"]
+        w = rep.witness
+        assert (w["n"], w["m"]) == (3, 1)
+        assert w["sweep_count"] == w["enumeration_count"] - 1 == w["product_coefficient"] - 1
+        assert "2+1~" in w["overpartitions"]
+        # the bounded stage reads the same sweep: R_2 holds 2+1~
+        rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=6, enum_n=10)
+        sub = {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
+        w = sub.witness
+        assert (sub.status, w["series"], w["j"], w["m"], w["n"]) == ("fail", "R", 2, 1, 3)
+        assert w["enumeration"] == w["coefficient"] - 1
+
+    def test_corollary_sweep_transition_off(self, monkeypatch):
+        # at (k, i) = (3, 1) an even part may follow an odd one at a
+        # distance o >= 2; with o = 3 off, 6+3 is the first partition lost
+        monkeypatch.setattr(partitions, "_corollary_moves", edited_moves(
+            partitions._corollary_moves, dropping(partitions.SOME, lambda state: state[0] == 3)))
+        rep = verify.verify_corollary(3, 1, 40, 25)
+        assert (rep.status, rep.notes) == ("fail", [])
+        w = rep.witness
+        assert (w["n"], w["route"], w["count_C"]) == (9, "sweep", w["count_B"] - 1)
+        assert "6+3" in w["C_partitions"]
+
+    def test_schur_sweep_transition_off(self, monkeypatch):
+        # a part exactly 3 above the last is dropped; 4+1 is lost at n = 5
+        real, edit = partitions._schur_moves, dropping(partitions.ONE, lambda state: state[0] == 3)
+        monkeypatch.setattr(partitions, "_schur_moves",
+                            lambda v, state: edit(v, state, real(v, state)))
+        rep = verify.verify_schur(12)
+        assert rep.status == "fail"
+        w = rep.witness
+        assert (w["n"], "gap_count" in w) == (5, False)
+        assert w["sweep_count"] == w["product_count"] - 1
+        assert "4+1" in w["gap_partitions"]
+
+    def test_shared_running_sum_slip(self, monkeypatch):
+        # the knapsack and the sweep both run on _add_part; a slip there
+        # (the part 5 summed twice) is caught against the products, which
+        # do not use it, at the first weight the part 5 reaches
+        real = partitions._add_part
+
+        def twice_for_5(ways, p):
+            real(ways, p)
+            if p == 5:
+                real(ways, p)
+
+        monkeypatch.setattr(partitions, "_add_part", twice_for_5)
+        rep = verify.verify_corollary(2, 0, 60, 25)
+        assert rep.status == "fail"
+        assert rep.witness["n"] == 5
+        assert rep.witness["count_B"] == rep.witness["product_coefficient"] + 1
+        rep = verify.verify_overpartition(2, 10)
+        assert rep.status == "fail"
+        w = rep.witness
+        assert (w["n"], w["m"], w["sweep_count"]) == (5, 0, w["product_coefficient"] + 1)
 
     def test_overpartition_off_by_one_product(self, monkeypatch):
         real = appell.theorem_product
