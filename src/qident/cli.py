@@ -155,9 +155,9 @@ def coeffs_cmd(ctx, side, k, i, n_max):
     elif side == "product":
         series = appell.congruence_product_series(k, i, n_max)
         rows = [{"n": n, "coefficient": series.coefficient(n)} for n in range(n_max + 1)]
-    else:  # sum side: enumeration counts
+    else:  # sum side: the corollary sweep's table
         if n_max > verify.ENUM_HARD_LIMIT:
-            raise click.UsageError(f"sum-side enumeration refused beyond n={verify.ENUM_HARD_LIMIT}")
+            raise click.UsageError(f"sum-side table refused beyond n={verify.ENUM_HARD_LIMIT}")
         table = partitions.count_C_table(n_max, k, i)
         rows = [{"n": n, "coefficient": c} for n, c in enumerate(table)]
     text = (" ".join(f"{k_}={v}" for k_, v in row.items()) for row in rows)

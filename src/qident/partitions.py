@@ -17,10 +17,9 @@ every node is a counted partition of its own weight: one walk to N tallies
 every n <= N (`walk_C_table`, `walk_schur_gap_table`), the route the
 verifiers check the sweep against.  A witness list runs the same loop to
 weight n and yields only the nodes of weight n (`enumerate_partitions`).
-The corollary's prefix test looks only at the new, smallest part, against
-the few larger parts within its windows; `satisfies_corollary` is the
-whole-partition definition it is tested against, and the thm12 and thm13
-phrasings pass their whole predicates, a second route at i = k-1 and i = 0.
+Each C phrasing's prefix test reads only the new, smallest part, by rules
+of its own (thm12 and thm13 are a second route at i = k-1 and i = 0); the
+`satisfies_*` predicates are the definitions the lists are tested against.
 """
 
 from __future__ import annotations
@@ -339,27 +338,52 @@ def _corollary_fits(k: int, i: int) -> Callable[[tuple], bool]:
     return fits
 
 
+def _thm12_fits(k: int) -> Callable[[tuple], bool]:
+    """The thm12 rule as a prefix test of the new, smallest part p: no odd
+    p <= 2k-3, and no odd part in p..p+2k-2 (p in its window, or a repeat)."""
+    reach = 2 * k - 2
+
+    def fits(parts: tuple) -> bool:
+        p = parts[-1]
+        if p % 2 and p < reach:
+            return False
+        for v in reversed(parts[:-1]):
+            if v > p + reach:
+                break
+            if v % 2:
+                return False
+        return True
+
+    return fits
+
+
+def _thm13_fits(k: int) -> Callable[[tuple], bool]:
+    """The thm13 rule as a prefix test: an even new part p always fits, an
+    odd one only first or below a part > p+2k-2, the top of its window."""
+    reach = 2 * k - 2
+    return lambda parts: parts[-1] % 2 == 0 or len(parts) == 1 or parts[-2] > parts[-1] + reach
+
+
 def _c_predicate(k: int, i: int, phrasing: str):
-    """The prefix test of one phrasing: the corollary's reads only the new
-    part; thm12 and thm13 test the whole prefix with their own rules."""
+    """The prefix test of one phrasing, each reading only the new part."""
     check_params(k, i)
     if phrasing == "corollary":
         return _corollary_fits(k, i)
     if phrasing == "thm12":
         if i != k - 1:
             raise ValueError("phrasing thm12 requires i = k-1")
-        return lambda parts: satisfies_thm12(parts, k)
+        return _thm12_fits(k)
     if phrasing == "thm13":
         if i != 0:
             raise ValueError("phrasing thm13 requires i = 0")
-        return lambda parts: satisfies_thm13(parts, k)
+        return _thm13_fits(k)
     raise ValueError(f"unknown phrasing {phrasing!r}")
 
 
 def c_witnesses(n: int, k: int, i: int, phrasing: str = "corollary") -> list:
     """All partitions counted by C_{i,k}(n) under the selected phrasing."""
-    # every phrasing is prefix-closed; thm12's smallest-part clause too, since
-    # its window forbids any part below an odd part <= 2k-3
+    # each phrasing's test reads only the new part (every rule is prefix-closed;
+    # thm12's smallest-part clause too: no part lies below an odd part <= 2k-3)
     return list(enumerate_partitions(n, fits=_c_predicate(k, i, phrasing)))
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qident import partitions
 from qident.partitions import (
     _c_predicate,
     _count_by_dp,
@@ -24,6 +25,7 @@ from qident.partitions import (
     satisfies_thm12,
     satisfies_thm13,
     schur_gap_witnesses,
+    walk_C_table,
 )
 from qident.series import euler_product
 
@@ -298,6 +300,28 @@ class TestCountC:
             for n in range(26):
                 assert count_C(n, k, k - 1, "corollary") == count_C(n, k, k - 1, "thm12")
                 assert count_C(n, k, 0, "corollary") == count_C(n, k, 0, "thm13")
+
+    def test_walks_borrow_no_route(self, monkeypatch):
+        # each phrasing's walk runs on its own new-part test alone: with
+        # every other route raising, the theorem walks still count C (the
+        # corollary sweep's table), and so does the corollary walk with the
+        # theorem tests raising.  No whole-prefix scan runs in either.
+        expected = {(k, i): count_C_table(25, k, i) for k in range(2, 6) for i in range(k)}
+
+        def raising(*args):
+            raise AssertionError("another route was called")
+
+        with monkeypatch.context() as patched:
+            for name in ("_corollary_fits", "satisfies_corollary", "satisfies_thm12",
+                         "satisfies_thm13"):
+                patched.setattr(partitions, name, raising)
+            for k in range(2, 6):
+                assert walk_C_table(25, k, k - 1, "thm12") == expected[k, k - 1], k
+                assert walk_C_table(25, k, 0, "thm13") == expected[k, 0], k
+        for name in ("_thm12_fits", "_thm13_fits"):
+            monkeypatch.setattr(partitions, name, raising)
+        for (k, i), table in expected.items():
+            assert walk_C_table(25, k, i, "corollary") == table, (k, i)
 
     def test_monotone_inclusion_in_k(self):
         # the forbidden windows grow with k, so witnesses at k+1 embed in k

@@ -189,6 +189,21 @@ def cutting(real, cut):
     return partitions_up_to
 
 
+def admitting(real, child):
+    """partitions_up_to that, wherever a rule is given, also extends the one
+    rejected prefix `child` once its parent is reached: the walk's own
+    guarantee, that no prefix that failed is extended, broken at one node.
+    The new-part tests trust that guarantee, so child's descendants that
+    fit at their new part come along."""
+
+    def partitions_up_to(n_max, max_part=None, fits=None, **private):
+        if fits is None:
+            return real(n_max, max_part, **private)
+        return real(n_max, max_part, lambda prefix: prefix == child or fits(prefix), **private)
+
+    return partitions_up_to
+
+
 def first_weight_below(cut, n_max, accepts):
     """The smallest n whose rule-filtered full enumeration has a partition
     starting with `cut`: the first n a generator pruning `cut` gets wrong."""
@@ -277,9 +292,24 @@ class TestMutations:
         assert partitions.format_partition(extra) in rep.witness["C_partitions"]
         alt = {0: "thm13", k - 1: "thm12"}.get(i)
         if alt is not None:
-            # the theorem phrasing keeps its whole predicate, so it is a
-            # second route that also sees the slip
+            # the theorem phrasing's new-part test shares no helper with the
+            # corollary's, so it is a second route that also sees the slip
             assert partitions.count_C_table(n, k, i, alt)[n] == rep.witness["count_B"]
+
+    @pytest.mark.parametrize("k, i, child", [(2, 0, (3, 3)), (2, 0, (4, 3)), (3, 2, (5, 4))])
+    def test_walk_extends_a_rejected_prefix(self, monkeypatch, k, i, child):
+        # every new-part test assumes the walk extends only prefixes that
+        # fit; one rejected child pushed anyway must be caught at its weight
+        assert partitions.satisfies_corollary(child[:-1], k, i)
+        assert not partitions.satisfies_corollary(child, k, i)
+        monkeypatch.setattr(
+            partitions, "partitions_up_to", admitting(partitions.partitions_up_to, child)
+        )
+        rep = verify.verify_corollary(k, i, 40, 25)
+        assert (rep.status, rep.notes) == ("fail", [])
+        assert rep.witness["n"] == sum(child)
+        assert rep.witness["count_C"] > rep.witness["count_B"]
+        assert partitions.format_partition(child) in rep.witness["C_partitions"]
 
     @pytest.mark.parametrize("k, i, cut", [(2, 0, (5, 4)), (3, 1, (6,)), (4, 3, (10, 8, 7))])
     def test_corollary_pruned_branch(self, monkeypatch, k, i, cut):
@@ -566,18 +596,42 @@ class TestMutations:
 
     def test_dual_thm13_phrasing_accepts_extra_partition(self, monkeypatch):
         # 3+3 repeats an odd part, so no phrasing at k = 2 counts it; a thm13
-        # that accepts it alone must be caught at n = 6 against the corollary
+        # prefix test that admits it must be caught at n = 6 against the
+        # corollary
         extra = (3, 3)
         assert not partitions.satisfies_thm13(extra, 2)
-        real = partitions.satisfies_thm13
+        real = partitions._thm13_fits
         monkeypatch.setattr(
-            partitions, "satisfies_thm13", lambda parts, k: parts == extra or real(parts, k)
+            partitions, "_thm13_fits", lambda k: lambda parts: parts == extra or real(k)(parts)
         )
         count_c = partitions.count_C_table(6, 2, 0)[6]
         rep = verify.verify_dual(2, 30, 12)
         assert rep.status == "fail"
         assert rep.witness == {"n": 6, "count_C_corollary": count_c, "count_C_thm13": count_c + 1}
         assert rep.notes == ["phrasing thm13 diverged from corollary phrasing"]
+
+    def test_andrews_thm12_window_slip(self, monkeypatch):
+        # a thm12 prefix test blind to the part p + 1 just above the new part
+        # p lets an even p into the downward window of the odd part p + 1.
+        # At k = 3 the first part 3 is refused, so 5+4 at n = 9 is the first
+        # partition that slips in
+        extra = (5, 4)
+        assert not partitions.satisfies_thm12(extra, 3)
+        real = partitions._thm12_fits
+
+        def blind_above(k):
+            fits = real(k)
+            return lambda parts: fits(tuple(v for v in parts if v != parts[-1] + 1))
+
+        monkeypatch.setattr(partitions, "_thm12_fits", blind_above)
+        assert partitions.c_witnesses(9, 3, 2, "thm12") == sorted(
+            [*partitions.c_witnesses(9, 3, 2), extra], reverse=True
+        )
+        count_c = partitions.count_C_table(9, 3, 2)[9]
+        rep = verify.verify_andrews(3, 30, 12)
+        assert rep.status == "fail"
+        assert rep.witness == {"n": 9, "count_C_corollary": count_c, "count_C_thm12": count_c + 1}
+        assert rep.notes == ["phrasing thm12 diverged from corollary phrasing"]
 
     @staticmethod
     def _perturb_build_R(monkeypatch, j, m, n):
@@ -770,6 +824,12 @@ class TestCli:
         assert result.exit_code == 0
         rows = {(r["m"], r["n"]): r["coefficient"] for r in json.loads(result.output)}
         assert rows[(1, 1)] == 1
+
+    def test_coeffs_sum_refused_past_the_limit(self):
+        limit = verify.ENUM_HARD_LIMIT
+        result = self.run("coeffs", "--side", "sum", "--k", "2", "--n-max", str(limit + 1))
+        assert result.exit_code == 2
+        assert f"sum-side table refused beyond n={limit}" in result.output
 
     def test_coeffs_sum_matches_product(self):
         out_sum = self.run("coeffs", "--side", "sum", "--k", "2", "--i", "0", "--n-max", "12")
