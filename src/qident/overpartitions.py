@@ -171,7 +171,7 @@ def masks_of_weight(n: int, k: int, max_part: int | None = None) -> Iterator[tup
     Children are pushed v ascending, then c ascending, so the largest is
     walked first.
     """
-    check_params(k, n=n)
+    check_params(k, n=n, max_part=max_part)
     return _walk_to(n, k, n if max_part is None else min(max_part, n))
 
 

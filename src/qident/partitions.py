@@ -10,22 +10,22 @@ the D_k rule in overpartitions.  A side is a `moves(v, state)` table, not a
 loop of its own.  The B side is the knapsack over its allowed parts, and
 both run on `_add_part`; Schur's product side expands its product.
 
-Enumeration is one walk of the prefix tree, `partitions_up_to`, that
-extends a prefix only while the side's rule holds for it.  Each rule is
-prefix-closed, so pruning yields exactly the partitions it accepts, and
-every node is a counted partition of its own weight: one walk to N tallies
-every n <= N (`walk_C_table`, `walk_schur_gap_table`), the route the
-verifiers check the sweep against.  A witness list runs the same loop to
-weight n and yields only the nodes of weight n (`enumerate_partitions`).
-Each C phrasing's prefix test reads only the new, smallest part, by rules
-of its own (thm12 and thm13 are a second route at i = k-1 and i = 0); the
-`satisfies_*` predicates are the definitions the lists are tested against.
+Enumeration is one walk of the prefix tree, `partitions_up_to`, on a
+side's rule, which lists once per walk the parts each state may add (the
+state: the smallest part, and for the C phrasings the smallest odd part,
+capped).  Every node is a counted partition of its own weight: one walk to
+N tallies every n <= N (`walk_C_table`, `walk_schur_gap_table`), the route
+the verifiers check the sweep against, and a witness list yields only the
+nodes of weight n (`enumerate_partitions`).  The rules share no helper with
+the sweep's moves or each other (thm12 and thm13 are a second route at
+i = k-1 and i = 0); the `satisfies_*` predicates are their definitions.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import accumulate
+from math import inf
 from operator import add
 from typing import Callable, Iterator, Sequence
 
@@ -37,68 +37,72 @@ Partition = tuple  # weakly decreasing tuple of positive ints
 def check_params(k: int | None = None, i: int | None = None, **ranges: int) -> None:
     """The one bad-input rule: raise ValueError naming the first bad value,
     k < 2, then i outside [0, k-1], then a negative order or range (named by
-    its keyword).  Verifiers turn the message into an `aborted` note."""
+    its keyword; None passes).  Verifiers turn the message into an `aborted` note."""
     if k is not None and k < 2:
         raise ValueError("k must be at least 2")
     if i is not None and not 0 <= i < k:
         raise ValueError(f"i must lie in [0, {k - 1}]")
     for name, value in ranges.items():
-        if value < 0:
+        if value is not None and value < 0:
             raise ValueError(f"{name} must be non-negative")
 
 
 def partitions_up_to(
-    n_max: int,
-    max_part: int | None = None,
-    fits: Callable[[tuple], bool] | None = None,
-    *,
-    _exact: bool = False,
+    n_max: int, max_part: int | None = None, rule: tuple | None = None, *, _exact: bool = False
 ) -> Iterator[Partition]:
-    """Yield every partition of weight <= n_max (parts <= max_part) whose
-    every prefix fits, in depth-first pre-order.
+    """Yield every partition of weight <= n_max (parts <= max_part) that
+    rule admits, in depth-first pre-order.
 
-    A prefix is extended by a part only if fits(prefix + (part,)) holds; the
-    empty partition is yielded without a test.  Children follow their
-    parent, largest new part first, so the partitions of any one weight
-    come out in lex-decreasing order.  With _exact, only the nodes of weight
-    n_max are yielded (enumerate_partitions); the walk is the same.
+    A rule is (start, nexts): a prefix's state is all the rule needs to
+    know of it, the empty prefix's being start, and nexts(state, top) lists
+    the (part, child state) pairs it may add, parts <= top ascending (top
+    bounds the root alone, whose smallest part is unbounded).  Without a
+    rule any part up to the last may follow.  Each state is listed once, in
+    a table that lives as long as the walk.  Children follow their parent,
+    largest first, so the partitions of any one weight come out in
+    lex-decreasing order.  With _exact, only the nodes of weight n_max are
+    yielded (enumerate_partitions); the walk is the same.
     """
-    check_params(n_max=n_max)
-    cap = n_max if max_part is None else min(max_part, n_max)
+    check_params(n_max=n_max, max_part=max_part)
+    start, nexts = _ANY_PART if rule is None else rule
+    top = n_max if max_part is None else min(max_part, n_max)
     # a node is yielded when its remaining weight is at most floor: 0 for
     # the weight-n_max nodes alone, n_max for every node
     floor = 0 if _exact else n_max
-    # (prefix, remaining weight, largest part allowed next); children are
-    # pushed smallest part first so the largest is walked first
-    stack = [((), n_max, cap)]
-    pop, push = stack.pop, stack.append  # bound once: this loop runs once per node
+    # (prefix, remaining weight, state); children are pushed smallest part
+    # first so the largest is walked first
+    stack, table = [((), n_max, start)], {}
+    pop, push, listed = stack.pop, stack.append, table.get  # bound once: once per node
     while stack:
-        prefix, remaining, limit = pop()
+        prefix, remaining, state = pop()
         if remaining <= floor:
             yield prefix
-        for part in range(1, (limit if limit < remaining else remaining) + 1):
-            extended = prefix + (part,)
-            if fits is None or fits(extended):
-                push((extended, remaining - part, part))
+        children = listed(state)
+        if children is None:
+            children = table[state] = nexts(state, top)
+        for part, child in children:
+            if part > remaining:
+                break
+            push((prefix + (part,), remaining - part, child))
+
+
+# no rule: the state is the smallest part s, and every part <= s may follow
+_ANY_PART = (inf, lambda s, top: [(p, p) for p in range(1, min(s, top) + 1)])
 
 
 def enumerate_partitions(
-    n: int, max_part: int | None = None, fits: Callable[[tuple], bool] | None = None
+    n: int, max_part: int | None = None, rule: tuple | None = None
 ) -> Iterator[Partition]:
-    """Yield every partition of n (parts <= max_part) in lex-decreasing order.
-
-    The walk of partitions_up_to(n, max_part, fits), yielding only the
-    nodes whose remaining weight is 0: with fits given, only partitions
-    whose every prefix fits are yielded.  For a prefix-closed rule that is
-    exactly the partitions satisfying it, in the same order as filtering.
-    """
-    return partitions_up_to(n, max_part, fits, _exact=True)
+    """Yield every partition of n (parts <= max_part) that rule admits, in
+    lex-decreasing order: the nodes of partitions_up_to(n, max_part, rule)
+    whose remaining weight is 0."""
+    return partitions_up_to(n, max_part, rule, _exact=True)
 
 
-def _tally(n_max: int, fits: Callable[[tuple], bool]) -> list:
-    """counts[n] = number of partitions of n whose every prefix fits, n <= n_max."""
+def _tally(n_max: int, rule: tuple) -> list:
+    """counts[n] = number of partitions of n that rule admits, n <= n_max."""
     counts = [0] * (n_max + 1)
-    for parts in partitions_up_to(n_max, fits=fits):
+    for parts in partitions_up_to(n_max, rule=rule):
         counts[sum(parts)] += 1
     return counts
 
@@ -226,7 +230,14 @@ def count_B(n: int, k: int, i: int) -> int:
 def b_witnesses(n: int, k: int, i: int) -> list:
     """All partitions counted by B_{i,k}(n), generated from allowed parts only."""
     check_params(k, i)
-    return list(enumerate_partitions(n, fits=lambda prefix: b_part_allowed(prefix[-1], k, i)))
+    return list(enumerate_partitions(n, rule=_b_rule(k, i)))
+
+
+def _b_rule(k: int, i: int) -> tuple:
+    """The B side as a walk rule: any allowed part up to the last may follow."""
+    return inf, lambda s, top: [
+        (p, p) for p in range(1, min(s, top) + 1) if b_part_allowed(p, k, i)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -300,91 +311,76 @@ def satisfies_thm13(parts: Partition, k: int) -> bool:
     return True
 
 
-def _corollary_fits(k: int, i: int) -> Callable[[tuple], bool]:
-    """The corollary rule as a prefix test for `partitions_up_to`.
-
-    The walk extends only prefixes that already satisfy the rule, so only
-    the new, smallest part p can add a violation, and only against the
-    parts just above it.  An odd p needs p >= 2i+1, no part in
-    p..p+2k-1 that is odd (a repeat, or an odd part in p's window), and no
-    even part <= p+2k-2i-3 (p's even window).  An even p must not lie in
-    the even window of an odd part v <= p+2i-1, i.e. p <= v+2k-2i-3 is
-    forbidden there.  satisfies_corollary is the whole-partition rule that
-    the resulting lists are tested against.
+def _corollary_rule(k: int, i: int) -> tuple:
+    """The corollary as a walk rule.  The state is (s, o): the smallest part
+    and the smallest odd part capped at s+2k, both unbounded at the root.
+    A new part p is the smallest, so it can only clash with the parts just
+    above it.  An odd p needs p >= 2i+1, o > p+2k-1 (no odd part in
+    p..p+2k-1: a repeat, or one in p's window) and s > p+2k-2i-3 (no part
+    in p's even window), and leaves (p, p).  An even p needs o > p+2i-1 (it
+    lies in the even window of no odd part), and leaves (p, min(o, p+2k)).
     """
-    low_odd = 2 * i + 1
-    odd_reach = 2 * k - 1  # an odd p scans the parts <= p + odd_reach
-    even_reach = 2 * k - 2 * i - 3  # an odd v's even window ends at v + even_reach
-    back_reach = 2 * i - 1  # an even p scans the parts <= p + back_reach
+    odd_reach, even_reach, back_reach = 2 * k - 1, 2 * k - 2 * i - 3, 2 * i - 1
 
-    def fits(parts: tuple) -> bool:
-        p = parts[-1]
-        if p % 2:
-            if p < low_odd:
-                return False
-            for v in reversed(parts[:-1]):
-                if v > p + odd_reach:
-                    break
-                if v % 2 or v <= p + even_reach:
-                    return False
-        else:
-            for v in reversed(parts[:-1]):
-                if v > p + back_reach:
-                    break
-                if v % 2 and p <= v + even_reach:
-                    return False
-        return True
+    def nexts(state: tuple, top: int) -> list:
+        s, o = state
+        out = []
+        for p in range(1, min(s, top) + 1):
+            if p % 2 == 0:
+                if o > p + back_reach:
+                    out.append((p, (p, min(o, p + 2 * k))))
+            elif p > back_reach and o > p + odd_reach and s > p + even_reach:  # odd p >= 2i+1
+                out.append((p, (p, p)))
+        return out
 
-    return fits
+    return (inf, inf), nexts
 
 
-def _thm12_fits(k: int) -> Callable[[tuple], bool]:
-    """The thm12 rule as a prefix test of the new, smallest part p: no odd
-    p <= 2k-3, and no odd part in p..p+2k-2 (p in its window, or a repeat)."""
+def _thm12_rule(k: int) -> tuple:
+    """The thm12 rule as a walk rule, on the corollary's states (s, o): a
+    new part p needs no odd part in p..p+2k-2 (p in its downward window,
+    or an odd repeat), and an odd p also p >= 2k-1."""
     reach = 2 * k - 2
 
-    def fits(parts: tuple) -> bool:
-        p = parts[-1]
-        if p % 2 and p < reach:
-            return False
-        for v in reversed(parts[:-1]):
-            if v > p + reach:
-                break
-            if v % 2:
-                return False
-        return True
+    def nexts(state: tuple, top: int) -> list:
+        s, o = state
+        return [
+            (p, (p, p) if p % 2 else (p, min(o, p + 2 * k)))
+            for p in range(1, min(s, top) + 1)
+            if o > p + reach and (p % 2 == 0 or p > reach)
+        ]
 
-    return fits
+    return (inf, inf), nexts
 
 
-def _thm13_fits(k: int) -> Callable[[tuple], bool]:
-    """The thm13 rule as a prefix test: an even new part p always fits, an
-    odd one only first or below a part > p+2k-2, the top of its window."""
+def _thm13_rule(k: int) -> tuple:
+    """The thm13 rule as a walk rule on the smallest part s: an even p
+    always follows, an odd one only below s > p+2k-2, its window's top."""
     reach = 2 * k - 2
-    return lambda parts: parts[-1] % 2 == 0 or len(parts) == 1 or parts[-2] > parts[-1] + reach
+    return inf, lambda s, top: [
+        (p, p) for p in range(1, min(s, top) + 1) if p % 2 == 0 or s > p + reach
+    ]
 
 
-def _c_predicate(k: int, i: int, phrasing: str):
-    """The prefix test of one phrasing, each reading only the new part."""
+def _c_rule(k: int, i: int, phrasing: str) -> tuple:
+    """The walk rule of one phrasing; each has rules of its own."""
     check_params(k, i)
     if phrasing == "corollary":
-        return _corollary_fits(k, i)
+        return _corollary_rule(k, i)
     if phrasing == "thm12":
         if i != k - 1:
             raise ValueError("phrasing thm12 requires i = k-1")
-        return _thm12_fits(k)
+        return _thm12_rule(k)
     if phrasing == "thm13":
         if i != 0:
             raise ValueError("phrasing thm13 requires i = 0")
-        return _thm13_fits(k)
+        return _thm13_rule(k)
     raise ValueError(f"unknown phrasing {phrasing!r}")
 
 
 def c_witnesses(n: int, k: int, i: int, phrasing: str = "corollary") -> list:
     """All partitions counted by C_{i,k}(n) under the selected phrasing."""
-    # each phrasing's test reads only the new part (every rule is prefix-closed;
-    # thm12's smallest-part clause too: no part lies below an odd part <= 2k-3)
-    return list(enumerate_partitions(n, fits=_c_predicate(k, i, phrasing)))
+    return list(enumerate_partitions(n, rule=_c_rule(k, i, phrasing)))
 
 
 def _corollary_moves(k: int, i: int) -> Callable:
@@ -420,8 +416,8 @@ def count_C_table(n_max: int, k: int, i: int, phrasing: str = "corollary") -> li
 
 def walk_C_table(n_max: int, k: int, i: int, phrasing: str = "corollary") -> list:
     """C_{i,k}(0..n_max) under the selected phrasing, tallied from one walk
-    of its prefix test: the enumeration route, the witness lists' own."""
-    return _tally(n_max, _c_predicate(k, i, phrasing))
+    of its rule: the enumeration route, the witness lists' own."""
+    return _tally(n_max, _c_rule(k, i, phrasing))
 
 
 def count_C(n: int, k: int, i: int, phrasing: str = "corollary") -> int:
@@ -456,8 +452,11 @@ def satisfies_schur_gap(parts: Partition) -> bool:
     return True
 
 
-def _schur_gap_fits(prefix: tuple) -> bool:
-    return satisfies_schur_gap(prefix[-2:])
+# Schur's gap rule as a walk rule on the smallest part s: p may follow if
+# p <= s-3, and p <= s-6 when s and p are both multiples of 3
+_SCHUR_GAP_RULE = (inf, lambda s, top: [
+    (p, p) for p in range(1, min(s - 3, top) + 1) if p <= s - 6 or p % 3 or s % 3
+])
 
 
 def _schur_moves(v: int, state: tuple) -> list:
@@ -480,11 +479,11 @@ def count_schur_gap_table(n_max: int) -> list:
 
 def walk_schur_gap_table(n_max: int) -> list:
     """The same counts tallied from one walk: the enumeration route."""
-    return _tally(n_max, _schur_gap_fits)
+    return _tally(n_max, _SCHUR_GAP_RULE)
 
 
 def schur_gap_witnesses(n: int) -> list:
-    return list(enumerate_partitions(n, fits=_schur_gap_fits))
+    return list(enumerate_partitions(n, rule=_SCHUR_GAP_RULE))
 
 
 def format_partition(parts: Partition) -> str:

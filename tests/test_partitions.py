@@ -1,14 +1,21 @@
 """Partition enumeration and the B/C/Schur counters."""
 
+from collections import Counter
+from math import inf
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qident import partitions
 from qident.partitions import (
-    _c_predicate,
+    _SCHUR_GAP_RULE,
+    _b_rule,
+    _c_rule,
+    _corollary_rule,
     _count_by_dp,
-    _schur_gap_fits,
+    _thm12_rule,
+    _thm13_rule,
     b_part_allowed,
     b_witnesses,
     c_witnesses,
@@ -56,7 +63,7 @@ def c_rules(k, i):
     return rules
 
 
-def recursive_partitions(n, max_part=None, fits=None):
+def recursive_partitions(n, max_part=None):
     """The recursive generator enumerate_partitions was before it became the
     weight-n slice of partitions_up_to: the order oracle."""
     cap = n if max_part is None else min(max_part, n)
@@ -66,9 +73,7 @@ def recursive_partitions(n, max_part=None, fits=None):
             yield prefix
             return
         for part in range(min(limit, remaining), 0, -1):
-            extended = prefix + (part,)
-            if fits is None or fits(extended):
-                yield from gen(remaining - part, part, extended)
+            yield from gen(remaining - part, part, prefix + (part,))
 
     if n == 0:
         yield ()
@@ -76,17 +81,39 @@ def recursive_partitions(n, max_part=None, fits=None):
     yield from gen(n, cap, ())
 
 
-# prefix rules of every kind a side passes: none, the B part rule (k=3,
-# i=1), Schur's gap rule, and each C phrasing (k=3, i=1; thm12 at k=3,
-# thm13 at k=2)
-PREFIX_RULES = {
-    "none": None,
-    "B": lambda prefix: b_part_allowed(prefix[-1], 3, 1),
-    "schur": lambda prefix: satisfies_schur_gap(prefix[-2:]),
-    "corollary": lambda parts: satisfies_corollary(parts, 3, 1),
-    "thm12": lambda parts: satisfies_thm12(parts, 3),
-    "thm13": lambda parts: satisfies_thm13(parts, 2),
+# every walk rule in src, with the whole-partition rule it must agree with:
+# none, the B part rule (k=3, i=1), Schur's gap rule, and each C phrasing
+# (k=3, i=1; thm12 at k=3, thm13 at k=2)
+RULES = {
+    "none": (None, lambda parts: True),
+    "B": (_b_rule(3, 1), lambda parts: all(b_part_allowed(p, 3, 1) for p in parts)),
+    "schur": (_SCHUR_GAP_RULE, satisfies_schur_gap),
+    "corollary": (_corollary_rule(3, 1), lambda parts: satisfies_corollary(parts, 3, 1)),
+    "thm12": (_thm12_rule(3), lambda parts: satisfies_thm12(parts, 3)),
+    "thm13": (_thm13_rule(2), lambda parts: satisfies_thm13(parts, 2)),
 }
+
+
+def filtered_recursive(n, max_part, accepts):
+    return [parts for parts in recursive_partitions(n, max_part) if accepts(parts)]
+
+
+def counting_calls(real, seen):
+    """A rule factory whose rules record, in a Counter appended to seen per
+    rule built, every state their nexts is called on."""
+
+    def factory(*params):
+        start, nexts = real(*params)
+        calls = Counter()
+        seen.append(calls)
+
+        def counted(state, top):
+            calls[state] += 1
+            return nexts(state, top)
+
+        return start, counted
+
+    return factory
 
 
 class TestEnumeration:
@@ -114,21 +141,27 @@ class TestEnumeration:
         assert list(enumerate_partitions(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
         assert list(enumerate_partitions(3, max_part=0)) == []
 
-    def test_fits_prunes_by_prefix(self):
+    def test_rule_lists_only_what_is_walked(self):
         seen = []
 
-        def even_parts(prefix):
-            seen.append(prefix)
-            return prefix[-1] % 2 == 0
+        def even_parts(s, top):
+            seen.append((s, top))
+            return [(p, p) for p in range(2, min(s, top) + 1, 2)]
 
-        assert list(enumerate_partitions(6, fits=even_parts)) == [(6,), (4, 2), (2, 2, 2)]
-        # a rejected prefix is never extended: nothing below (5,), (3,) or (1,)
-        assert all(p[0] % 2 == 0 for p in seen if len(p) > 1)
-        assert list(enumerate_partitions(6, 3, even_parts)) == [(2, 2, 2)]
+        assert list(enumerate_partitions(6, rule=(inf, even_parts))) == [(6,), (4, 2), (2, 2, 2)]
+        # only listed children are walked, so no state is odd, and each
+        # state is listed once; top is the walk's bound on the root's parts
+        assert seen == [(inf, 6), (6, 6), (4, 6), (2, 6)]
+        seen.clear()
+        assert list(enumerate_partitions(6, 3, (inf, even_parts))) == [(2, 2, 2)]
+        assert seen == [(inf, 3), (2, 3)]
 
-    def test_fits_sees_the_whole_prefix(self):
-        distinct = list(enumerate_partitions(8, fits=lambda p: len(set(p)) == len(p)))
-        assert distinct == [(8,), (7, 1), (6, 2), (5, 3), (5, 2, 1), (4, 3, 1)]
+    def test_state_carries_what_the_rule_needs(self):
+        # distinct parts: the last part is all the rule needs to know
+        distinct = (inf, lambda s, top: [(p, p) for p in range(1, min(s - 1, top) + 1)])
+        assert list(enumerate_partitions(8, rule=distinct)) == [
+            (8,), (7, 1), (6, 2), (5, 3), (5, 2, 1), (4, 3, 1)
+        ]
 
     def test_counts_match_series_inverse(self):
         # p(n) read off the inverse of the Euler product
@@ -142,17 +175,17 @@ class TestEnumeration:
     def test_slice_matches_recursive_generator(self, data):
         n = data.draw(st.integers(0, 20), label="n")
         max_part = data.draw(st.none() | st.integers(0, n), label="max_part")
-        fits = PREFIX_RULES[data.draw(st.sampled_from(sorted(PREFIX_RULES)), label="rule")]
-        assert list(enumerate_partitions(n, max_part, fits)) == list(
-            recursive_partitions(n, max_part, fits)
+        rule, accepts = RULES[data.draw(st.sampled_from(sorted(RULES)), label="rule")]
+        assert list(enumerate_partitions(n, max_part, rule)) == filtered_recursive(
+            n, max_part, accepts
         )
 
-    @pytest.mark.parametrize("rule", sorted(PREFIX_RULES))
+    @pytest.mark.parametrize("rule", sorted(RULES))
     def test_walk_is_every_weight_in_preorder(self, rule):
-        fits = PREFIX_RULES[rule]
-        walk = list(partitions_up_to(16, 9, fits))
+        rule, accepts = RULES[rule]
+        walk = list(partitions_up_to(16, 9, rule))
         assert sorted(walk) == sorted(
-            parts for n in range(17) for parts in recursive_partitions(n, 9, fits)
+            parts for n in range(17) for parts in filtered_recursive(n, 9, accepts)
         )
         # pre-order: each partition comes after the prefix it extends
         position = {parts: idx for idx, parts in enumerate(walk)}
@@ -163,21 +196,57 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(partitions_up_to(-1))
 
+    def test_negative_max_part_rejected(self):
+        with pytest.raises(ValueError, match="max_part must be non-negative"):
+            list(partitions_up_to(3, -2))
+        with pytest.raises(ValueError, match="max_part must be non-negative"):
+            list(enumerate_partitions(3, -1))
+
+    def test_each_state_is_listed_once(self, monkeypatch):
+        # each walk lists a state at most once, and sees few states: a lost
+        # cap on the smallest odd part, or a lost table, shows here
+        n = 45
+        seen = []
+
+        def check(walk, *args, bound, per_part=1):
+            walk(n, *args)
+            calls = seen.pop()
+            assert not seen and max(calls.values()) == 1, (walk.__name__, args)
+            assert len(calls) <= bound, (walk.__name__, args, len(calls))
+            # the same bound row by row: a smallest part s has at most
+            # per_part states, which a state keeping every odd part breaks
+            rows = Counter(state[0] if isinstance(state, tuple) else state for state in calls)
+            assert max(rows.values()) <= per_part, (walk.__name__, args)
+
+        for name in ("_b_rule", "_corollary_rule", "_thm12_rule", "_thm13_rule"):
+            monkeypatch.setattr(partitions, name, counting_calls(getattr(partitions, name), seen))
+        for walk in (schur_gap_witnesses, partitions.walk_schur_gap_table):
+            monkeypatch.setattr(
+                partitions, "_SCHUR_GAP_RULE", counting_calls(lambda: _SCHUR_GAP_RULE, seen)()
+            )
+            check(walk, bound=n + 2)
+        for k in (2, 3, 5):
+            for i in range(k):
+                check(b_witnesses, k, i, bound=n + 2)
+                for phrasing in c_rules(k, i):
+                    per_part = 1 if phrasing == "thm13" else 2 * k + 2
+                    for walk in (c_witnesses, walk_C_table):
+                        check(walk, k, i, phrasing, bound=(n + 2) * per_part, per_part=per_part)
+
     def test_witness_lists_equal_walk_slices(self):
         # each list walks only toward n; it must equal the weight-n slice of
         # the walk over every weight <= n under the same prefix test
-        def walk_slice(n, fits):
-            return [parts for parts in partitions_up_to(n, fits=fits) if sum(parts) == n]
+        def walk_slice(n, rule):
+            return [parts for parts in partitions_up_to(n, rule=rule) if sum(parts) == n]
 
         for n in range(21):
-            assert schur_gap_witnesses(n) == walk_slice(n, _schur_gap_fits), n
+            assert schur_gap_witnesses(n) == walk_slice(n, _SCHUR_GAP_RULE), n
             for k in range(2, 6):
                 for i in range(k):
-                    b_fits = lambda prefix: b_part_allowed(prefix[-1], k, i)
-                    assert b_witnesses(n, k, i) == walk_slice(n, b_fits), (n, k, i)
+                    assert b_witnesses(n, k, i) == walk_slice(n, _b_rule(k, i)), (n, k, i)
                     for phrasing in c_rules(k, i):
                         assert c_witnesses(n, k, i, phrasing) == walk_slice(
-                            n, _c_predicate(k, i, phrasing)
+                            n, _c_rule(k, i, phrasing)
                         ), (n, k, i, phrasing)
 
 
@@ -302,23 +371,23 @@ class TestCountC:
                 assert count_C(n, k, 0, "corollary") == count_C(n, k, 0, "thm13")
 
     def test_walks_borrow_no_route(self, monkeypatch):
-        # each phrasing's walk runs on its own new-part test alone: with
-        # every other route raising, the theorem walks still count C (the
-        # corollary sweep's table), and so does the corollary walk with the
-        # theorem tests raising.  No whole-prefix scan runs in either.
+        # each phrasing's walk runs on its own rule alone: with every other
+        # route raising, the theorem walks still count C (the corollary
+        # sweep's table), and so does the corollary walk with the theorem
+        # rules raising.  No whole-partition predicate runs in either.
         expected = {(k, i): count_C_table(25, k, i) for k in range(2, 6) for i in range(k)}
 
         def raising(*args):
             raise AssertionError("another route was called")
 
         with monkeypatch.context() as patched:
-            for name in ("_corollary_fits", "satisfies_corollary", "satisfies_thm12",
+            for name in ("_corollary_rule", "satisfies_corollary", "satisfies_thm12",
                          "satisfies_thm13"):
                 patched.setattr(partitions, name, raising)
             for k in range(2, 6):
                 assert walk_C_table(25, k, k - 1, "thm12") == expected[k, k - 1], k
                 assert walk_C_table(25, k, 0, "thm13") == expected[k, 0], k
-        for name in ("_thm12_fits", "_thm13_fits"):
+        for name in ("_thm12_rule", "_thm13_rule"):
             monkeypatch.setattr(partitions, name, raising)
         for (k, i), table in expected.items():
             assert walk_C_table(25, k, i, "corollary") == table, (k, i)

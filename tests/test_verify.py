@@ -99,6 +99,8 @@ class TestReports:
         (lambda: partitions.count_B_table(10, 3, 5), lambda: verify.verify_corollary(3, 5)),
         (lambda: partitions.count_B_table(-1, 2, 0), lambda: verify.verify_corollary(2, 0, -1)),
         (lambda: list(partitions.partitions_up_to(-1)), lambda: verify.verify_schur(-1)),
+        (lambda: list(partitions.partitions_up_to(3, -2)), "max_part must be non-negative"),
+        (lambda: list(overpartitions.masks_of_weight(3, 2, -1)), "max_part must be non-negative"),
         (lambda: appell.build_R(1, 5, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.build_R(2, -1, 8), lambda: verify.verify_machinery(2, 8, -1)),
         (lambda: appell.closed_product_F_coefficients(1, 4, 8), lambda: verify.verify_machinery(1)),
@@ -112,12 +114,17 @@ class TestReports:
          lambda: verify.verify_corollary(1, 0)),
     ], ids=[
         "count_B_table-k", "count_B_table-i", "count_B_table-n_max", "partitions_up_to-n_max",
+        "partitions_up_to-max_part", "masks_of_weight-max_part",
         "build_R-k", "build_R-j_max", "closed_product-k", "theorem_product-k", "count_bounded-k",
         "count_bounded-n_max", "count_bounded-j_max", "specialize-i", "specialize-k",
     ])
     def test_bad_input_has_one_wording(self, call, report):
         with pytest.raises(ValueError) as raised:
             call()
+        if isinstance(report, str):
+            # no verifier takes this value: the wording is check_params' own
+            assert str(raised.value) == report
+            return
         rep = report()
         assert rep.status == "aborted"
         assert rep.notes == [str(raised.value)]
@@ -175,31 +182,25 @@ def test_public_names_resolve():
     assert all(hasattr(qident, name) for name in qident.__all__)
 
 
-def cutting(real, cut):
-    """partitions_up_to with one valid branch pruned: wherever a rule is
-    given, the prefix `cut` is never extended and never yielded.  It is the
-    one walk loop: the tallies walk it for every node and the witness lists
-    (enumerate_partitions) for the weight-n nodes, so both see the cut."""
-
-    def partitions_up_to(n_max, max_part=None, fits=None, **private):
-        if fits is None:
-            return real(n_max, max_part, **private)
-        return real(n_max, max_part, lambda prefix: prefix != cut and fits(prefix), **private)
-
-    return partitions_up_to
+def state_after(rule, parts):
+    """The state a rule's walk reaches at the prefix parts, read off its
+    tables."""
+    state, nexts = rule
+    for p in parts:
+        state = dict(nexts(state, p))[p]
+    return state
 
 
-def admitting(real, child):
-    """partitions_up_to that, wherever a rule is given, also extends the one
-    rejected prefix `child` once its parent is reached: the walk's own
-    guarantee, that no prefix that failed is extended, broken at one node.
-    The new-part tests trust that guarantee, so child's descendants that
-    fit at their new part come along."""
+def admitting(real, at, entry):
+    """partitions_up_to that, wherever a rule is given, also lists entry, a
+    (part, child state) pair, in state at: the walk pushing one child its
+    table does not list.  Every side's walk trusts its table, so whatever
+    the child's state lists comes along."""
 
-    def partitions_up_to(n_max, max_part=None, fits=None, **private):
-        if fits is None:
-            return real(n_max, max_part, **private)
-        return real(n_max, max_part, lambda prefix: prefix == child or fits(prefix), **private)
+    def partitions_up_to(n_max, max_part=None, rule=None, **private):
+        if rule is not None:
+            rule = edited_rule(lambda: rule, adding_entry(at, entry))()
+        return real(n_max, max_part, rule, **private)
 
     return partitions_up_to
 
@@ -225,35 +226,6 @@ def dropping_new_overlines(real, min_distinct):
     return overline_step
 
 
-def ignoring_partner(real, partner):
-    """_corollary_fits with one forbidden pair left out: the new part p is
-    tested as if the prefix had no part equal to partner(p, k, i)."""
-
-    def corollary_fits(k, i):
-        fits = real(k, i)
-
-        def mutant(parts):
-            p = parts[-1]
-            skip = partner(p, k, i)
-            return fits(tuple(v for v in parts[:-1] if v != skip) + (p,))
-
-        return mutant
-
-    return corollary_fits
-
-
-def odd_repeat(p, k, i):
-    """An odd p's partner is its own copy: odd parts may repeat."""
-    return p if p % 2 else None
-
-
-def even_window_top(p, k, i):
-    """The pair at the top of an odd part v's even window, w = v + 2k-2i-3:
-    each even window is one value short."""
-    top = 2 * k - 2 * i - 3
-    return p + top if p % 2 else p - top
-
-
 def edited_moves(real, edit):
     """A side's moves factory whose tables pass through edit(v, state,
     moves): one transition off."""
@@ -270,53 +242,98 @@ def dropping(kind, at):
     return lambda v, state, moves: [mv for mv in moves if not (mv[0] == kind and at(state))]
 
 
+def edited_rule(real, edit):
+    """A side's walk-rule factory whose tables pass through
+    edit(state, entries): one entry added or dropped."""
+
+    def factory(*params):
+        start, nexts = real(*params)
+        return start, lambda state, top: edit(state, nexts(state, top))
+
+    return factory
+
+
+def adding_entry(at, entry):
+    """An edit that also lists entry, a (part, child state) pair, in state at."""
+    return lambda state, entries: (
+        sorted([*entries, entry], key=lambda e: e[0]) if state == at else entries
+    )
+
+
+def dropping_entry(at, part):
+    """An edit that no longer lists part in state at."""
+    return lambda state, entries: [e for e in entries if state != at or e[0] != part]
+
+
+def cutting(real, cut):
+    """A rule factory whose table no longer lists cut's last part in the
+    state that cut's parent reaches: one valid branch pruned.  The tallies
+    and the witness lists walk the one rule, so both see the cut."""
+
+    def factory(*params):
+        at = state_after(real(*params), cut[:-1])
+        return edited_rule(real, dropping_entry(at, cut[-1]))(*params)
+
+    return factory
+
+
 class TestMutations:
-    @pytest.mark.parametrize("partner, k, i, extra", [
-        (odd_repeat, 2, 0, (1, 1)),
-        (odd_repeat, 3, 1, (3, 3)),
-        (even_window_top, 2, 0, (2, 1)),
-        (even_window_top, 3, 1, (4, 3)),
-        (even_window_top, 2, 1, (3, 2)),
+    # each slip lists extra's last part, leading to state leads_to, where
+    # the corollary's table refuses it: an odd part repeated, or a part at
+    # the top of an odd part's even window (each window one value short)
+    @pytest.mark.parametrize("k, i, extra, leads_to", [
+        (2, 0, (1, 1), (1, 1)),
+        (3, 1, (3, 3), (3, 3)),
+        (2, 0, (2, 1), (1, 1)),
+        (3, 1, (4, 3), (3, 3)),
+        (2, 1, (3, 2), (2, 3)),
     ], ids=["repeat-2-0", "repeat-3-1", "window-2-0", "window-3-1", "window-2-1"])
-    def test_corollary_new_part_slip(self, monkeypatch, partner, k, i, extra):
+    def test_corollary_new_part_slip(self, monkeypatch, k, i, extra, leads_to):
         # extra is the one partition the slip admits at the first weight it
         # affects, so C exceeds B by one there and nowhere below
         n = sum(extra)
         assert not partitions.satisfies_corollary(extra, k, i)
-        monkeypatch.setattr(
-            partitions, "_corollary_fits", ignoring_partner(partitions._corollary_fits, partner)
-        )
+        at = state_after(partitions._corollary_rule(k, i), extra[:-1])
+        monkeypatch.setattr(partitions, "_corollary_rule", edited_rule(
+            partitions._corollary_rule, adding_entry(at, (extra[-1], leads_to))
+        ))
         rep = verify.verify_corollary(k, i, 40, 25)
         assert (rep.status, rep.notes) == ("fail", [])
         assert (rep.witness["n"], rep.witness["count_C"]) == (n, rep.witness["count_B"] + 1)
         assert partitions.format_partition(extra) in rep.witness["C_partitions"]
         alt = {0: "thm13", k - 1: "thm12"}.get(i)
         if alt is not None:
-            # the theorem phrasing's new-part test shares no helper with the
+            # the theorem phrasing's rule shares no helper with the
             # corollary's, so it is a second route that also sees the slip
             assert partitions.count_C_table(n, k, i, alt)[n] == rep.witness["count_B"]
 
-    @pytest.mark.parametrize("k, i, child", [(2, 0, (3, 3)), (2, 0, (4, 3)), (3, 2, (5, 4))])
-    def test_walk_extends_a_rejected_prefix(self, monkeypatch, k, i, child):
-        # every new-part test assumes the walk extends only prefixes that
-        # fit; one rejected child pushed anyway must be caught at its weight
+    @pytest.mark.parametrize("k, i, child, leads_to", [
+        (2, 0, (3, 3), (3, 3)), (2, 0, (4, 3), (3, 3)), (3, 2, (5, 4), (4, 5)),
+    ], ids=["2-0-child0", "2-0-child1", "3-2-child2"])
+    def test_walk_extends_a_rejected_prefix(self, monkeypatch, k, i, child, leads_to):
+        # every rule assumes the walk pushes only the children its table
+        # lists; one unlisted child pushed anyway must be caught at its weight
         assert partitions.satisfies_corollary(child[:-1], k, i)
         assert not partitions.satisfies_corollary(child, k, i)
-        monkeypatch.setattr(
-            partitions, "partitions_up_to", admitting(partitions.partitions_up_to, child)
-        )
+        at = state_after(partitions._corollary_rule(k, i), child[:-1])
+        monkeypatch.setattr(partitions, "partitions_up_to", admitting(
+            partitions.partitions_up_to, at, (child[-1], leads_to)
+        ))
         rep = verify.verify_corollary(k, i, 40, 25)
         assert (rep.status, rep.notes) == ("fail", [])
         assert rep.witness["n"] == sum(child)
         assert rep.witness["count_C"] > rep.witness["count_B"]
         assert partitions.format_partition(child) in rep.witness["C_partitions"]
 
-    @pytest.mark.parametrize("k, i, cut", [(2, 0, (5, 4)), (3, 1, (6,)), (4, 3, (10, 8, 7))])
+    # each cut is the lightest prefix to reach its parent's state and then
+    # add its last part, so the first weight the cut costs is its own
+    @pytest.mark.parametrize("k, i, cut", [(2, 0, (5, 4)), (3, 1, (6,)), (4, 3, (15, 8, 2))])
     def test_corollary_pruned_branch(self, monkeypatch, k, i, cut):
         first = first_weight_below(cut, 25, lambda p: partitions.satisfies_corollary(p, k, i))
+        assert first == sum(cut)
         listed = len(partitions.c_witnesses(first, k, i))
         monkeypatch.setattr(
-            partitions, "partitions_up_to", cutting(partitions.partitions_up_to, cut)
+            partitions, "_corollary_rule", cutting(partitions._corollary_rule, cut)
         )
         rep = verify.verify_corollary(k, i, 40, 25)
         assert rep.status == "fail"
@@ -326,13 +343,12 @@ class TestMutations:
         lost = rep.witness["count_B"] - rep.witness["count_C"]
         assert len(partitions.c_witnesses(first, k, i)) == listed - lost
 
-    @pytest.mark.parametrize("cut", [(4,), (7, 1), (10, 6, 2)])
+    @pytest.mark.parametrize("cut", [(4,), (7, 1), (12, 6)])
     def test_schur_pruned_branch(self, monkeypatch, cut):
         first = first_weight_below(cut, 30, partitions.satisfies_schur_gap)
         assert first == sum(cut)  # each cut is a gap partition itself
-        monkeypatch.setattr(
-            partitions, "partitions_up_to", cutting(partitions.partitions_up_to, cut)
-        )
+        real = partitions._SCHUR_GAP_RULE
+        monkeypatch.setattr(partitions, "_SCHUR_GAP_RULE", cutting(lambda: real, cut)())
         rep = verify.verify_schur(30)
         assert rep.status == "fail"
         assert rep.witness["n"] == first
@@ -596,14 +612,14 @@ class TestMutations:
 
     def test_dual_thm13_phrasing_accepts_extra_partition(self, monkeypatch):
         # 3+3 repeats an odd part, so no phrasing at k = 2 counts it; a thm13
-        # prefix test that admits it must be caught at n = 6 against the
+        # table that lists 3 below a 3 must be caught at n = 6 against the
         # corollary
         extra = (3, 3)
         assert not partitions.satisfies_thm13(extra, 2)
-        real = partitions._thm13_fits
-        monkeypatch.setattr(
-            partitions, "_thm13_fits", lambda k: lambda parts: parts == extra or real(k)(parts)
-        )
+        at = state_after(partitions._thm13_rule(2), extra[:-1])
+        monkeypatch.setattr(partitions, "_thm13_rule", edited_rule(
+            partitions._thm13_rule, adding_entry(at, (3, 3))
+        ))
         count_c = partitions.count_C_table(6, 2, 0)[6]
         rep = verify.verify_dual(2, 30, 12)
         assert rep.status == "fail"
@@ -611,19 +627,15 @@ class TestMutations:
         assert rep.notes == ["phrasing thm13 diverged from corollary phrasing"]
 
     def test_andrews_thm12_window_slip(self, monkeypatch):
-        # a thm12 prefix test blind to the part p + 1 just above the new part
-        # p lets an even p into the downward window of the odd part p + 1.
-        # At k = 3 the first part 3 is refused, so 5+4 at n = 9 is the first
-        # partition that slips in
+        # a thm12 table that lists the even part 4 below the odd part 5 lets
+        # it into 5's downward window.  At k = 3 the first part 3 is
+        # refused, so 5+4 at n = 9 is the first partition that slips in
         extra = (5, 4)
         assert not partitions.satisfies_thm12(extra, 3)
-        real = partitions._thm12_fits
-
-        def blind_above(k):
-            fits = real(k)
-            return lambda parts: fits(tuple(v for v in parts if v != parts[-1] + 1))
-
-        monkeypatch.setattr(partitions, "_thm12_fits", blind_above)
+        at = state_after(partitions._thm12_rule(3), extra[:-1])
+        monkeypatch.setattr(partitions, "_thm12_rule", edited_rule(
+            partitions._thm12_rule, adding_entry(at, (4, (4, 5)))
+        ))
         assert partitions.c_witnesses(9, 3, 2, "thm12") == sorted(
             [*partitions.c_witnesses(9, 3, 2), extra], reverse=True
         )
