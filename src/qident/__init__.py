@@ -18,7 +18,6 @@ from .appell import (
 )
 from .overpartitions import (
     Overpartition,
-    count_bounded,
     count_pj,
     count_rj,
     enumerate_overpartitions,
@@ -69,7 +68,6 @@ __all__ = [
     "count_B",
     "count_C",
     "count_C_table",
-    "count_bounded",
     "count_pj",
     "count_rj",
     "enumerate_overpartitions",

@@ -156,8 +156,6 @@ def coeffs_cmd(ctx, side, k, i, n_max):
         series = appell.congruence_product_series(k, i, n_max)
         rows = [{"n": n, "coefficient": series.coefficient(n)} for n in range(n_max + 1)]
     else:  # sum side: the corollary sweep's table
-        if n_max > verify.ENUM_HARD_LIMIT:
-            raise click.UsageError(f"sum-side table refused beyond n={verify.ENUM_HARD_LIMIT}")
         table = partitions.count_C_table(n_max, k, i)
         rows = [{"n": n, "coefficient": c} for n, c in enumerate(table)]
     text = (" ".join(f"{k_}={v}" for k_, v in row.items()) for row in rows)
@@ -174,7 +172,7 @@ def list_cmd(ctx, side, k, i, n):
     """Print the witness objects counted on one side at a single n."""
     _check_i(k, i)
     if n > verify.ENUM_HARD_LIMIT:
-        raise click.UsageError(f"enumeration refused beyond n={verify.ENUM_HARD_LIMIT}")
+        raise click.UsageError(verify._REFUSED)
     if side == "B":
         items = [partitions.format_partition(p) for p in partitions.b_witnesses(n, k, i)]
     elif side == "C":

@@ -5,11 +5,13 @@ value may be overlined.  It is stored per distinct value as
 (value, multiplicity, overlined), so "v has a non-overlined occurrence" is
 local: multiplicity(v) >= 2, or multiplicity(v) == 1 and v is not overlined.
 
-D_k is counted by the transfer-matrix sweep (`partitions.sweep`), whose
-state before value v is the distance to the last overlined value, capped
-at k: `count_Dk_table` reads its last states, and the bounded counts
-(`count_bounded`, `count_pj`, `count_rj`) its states after value j, R_j
-from state k and P_j from them all.
+D_k is counted by the transfer-matrix sweep (`dk_sweep`, on
+`partitions.sweep`), whose state before value v is the distance to the
+last overlined value, capped at k: `count_Dk_table` reads its last states,
+and the bounded counts its states after each value j, R_j from state k and
+P_j from them all.  The proof machinery's bounded stage reads every j off
+one sweep; `count_pj` and `count_rj` run one sweep to a single j.
+Counting enumerates nothing, so no weight limit applies to it.
 
 Witness lists enumerate.  An admissible object is a bitmask over its
 partition's distinct values (bit idx overlines the idx-th largest), and
@@ -258,7 +260,7 @@ def dk_sweep(n_max: int, k: int, m_max: int, j_max: int | None = None) -> Iterat
     """The D_k sweep over the values 1..j_max (default n_max), weights
     <= n_max and a-rows 0..m_max.  After value j, state k counts R_j's
     objects (no overlined value in j-k+2..j) and all states P_j's."""
-    check_params(k, n_max=n_max)
+    check_params(k, n_max=n_max, j_max=j_max)
     return sweep(n_max, k, _dk_moves(k), j_max, m_max)
 
 
@@ -268,25 +270,6 @@ def count_Dk_table(n_max: int, k: int, m_max: int | None = None) -> list:
     m_max = n_max if m_max is None else m_max
     states = final_states(dk_sweep(n_max, k, m_max))
     return [state_total(states, m) for m in range(m_max + 1)]
-
-
-def count_bounded(n_max: int, j_max: int, k: int, m_max: int) -> tuple:
-    """The bounded counts of every weight n <= n_max and bound j <= j_max,
-    read off one D_k sweep stopped at each j.
-
-    Returns (r, p) with r[n][j][m] = count_rj(m, n, j, k) and
-    p[n][j][m] = count_pj(m, n, j, k) for 0 <= n <= n_max, 0 <= j <= j_max,
-    0 <= m <= m_max.
-    """
-    check_params(k, n_max=n_max, j_max=j_max)
-    r, p = [], []  # [j][m][n], turned to [n][j][m] below
-    for states in dk_sweep(n_max, k, m_max, j_max):
-        r.append(states[k])
-        p.append([state_total(states, m) for m in range(m_max + 1)])
-    return tuple(
-        [[[rows[m][n] for m in range(m_max + 1)] for rows in table] for n in range(n_max + 1)]
-        for table in (r, p)
-    )
 
 
 def count_pj(m: int, n: int, j: int, k: int) -> int:

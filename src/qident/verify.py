@@ -6,8 +6,9 @@ counted by the transfer-matrix sweep; the C and Schur sides are also
 tallied from the enumeration walk their witness lists take, and every
 count is compared with a product expanded by series arithmetic.  Reports
 are deterministic apart from the timing field, and a report never claims a
-pass for a range it did not fully check: enumeration ranges that are
-refused come back with status "aborted", never a silent pass.
+pass for a range it did not fully check.  Only a walk is refused past
+ENUM_HARD_LIMIT: the C and Schur walks' ranges come back "aborted", and a
+D_k witness past it lists no objects.  The sweeps run to any n.
 
 Every verifier turns bad input (`partitions.check_params`, the rule the
 library functions raise) or a refused range into an `aborted` report, and
@@ -24,7 +25,7 @@ from . import appell, overpartitions, partitions
 
 SCHEMA_VERSION = 1
 
-# Enumeration beyond this weight is refused rather than attempted.
+# A walk beyond this weight is refused rather than attempted.
 ENUM_HARD_LIMIT = 45
 
 WITNESS_CAP = 50
@@ -105,13 +106,9 @@ def _outcome(
 _REFUSED = f"enumeration refused beyond n={ENUM_HARD_LIMIT}"
 
 
-class _Refused(ValueError):
-    """An enumeration range beyond ENUM_HARD_LIMIT; reported as aborted."""
-
-
 def _refuse_beyond(n: int) -> None:
     if n > ENUM_HARD_LIMIT:
-        raise _Refused(_REFUSED)
+        raise ValueError(_REFUSED)
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +125,26 @@ def verify_overpartition(k: int, n_max: int, m_max: int | None = None) -> Verifi
     rng = {"n_max": n_max, "m_max": m_max}
     try:
         partitions.check_params(k, n_max=n_max, m_max=m_max)
-        _refuse_beyond(n_max)
     except ValueError as exc:
         return _aborted("overpartition", params, rng, str(exc), start)
     product = appell.theorem_product(k, n_max, max(m_max, appell.max_overline_count(k, n_max)))
     table = overpartitions.count_Dk_table(n_max, k, m_max)
     first = next(((n, m) for n in range(n_max + 1) for m in range(m_max + 1)
                   if table[m][n] != product.coefficient(m, n)), None)
-    witness = None
+    witness, notes = None, []
     if first is not None:
-        # the objects listed at the first difference; their number is the
-        # enumeration count, a third count beside the sweep's and the product's
         n, m = first
-        objects = overpartitions.d_witnesses(m, n, k)
-        witness = {"n": n, "m": m, "enumeration_count": len(objects), "sweep_count": table[m][n],
-                   "product_coefficient": product.coefficient(m, n), "overpartitions": _cap(objects)}
-    return _outcome("overpartition", params, rng, witness, start)
+        counts = {"sweep_count": table[m][n], "product_coefficient": product.coefficient(m, n)}
+        if n <= ENUM_HARD_LIMIT:
+            # the objects listed at the first difference; their number is the
+            # enumeration count, a third count beside the sweep's and the product's
+            objects = overpartitions.d_witnesses(m, n, k)
+            witness = {"n": n, "m": m, "enumeration_count": len(objects), **counts,
+                       "overpartitions": _cap(objects)}
+        else:
+            witness = {"n": n, "m": m, **counts}
+            notes = [f"no objects listed: {_REFUSED}"]
+    return _outcome("overpartition", params, rng, witness, start, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +303,6 @@ def verify_machinery(
             witness, notes = check(rs, stage_rng)
         except appell.StabilizationError as exc:
             subs.append(_aborted(name, params, stage_rng, f"aborted: {exc}", t0))
-        except _Refused as exc:
-            subs.append(_aborted(name, params, stage_rng, str(exc), t0))
         else:
             subs.append(_outcome(name, params, stage_rng, witness, t0, notes))
     # the worst stage decides: aborted over fail over pass
@@ -341,20 +340,19 @@ def _appell_limit(rs: appell.RSequence, rng: dict) -> tuple:
 
 
 def _bounded_enumeration(rs: appell.RSequence, rng: dict) -> tuple:
-    """Direct counts r_j(m, n), p_j(m, n) against the coefficients of R_j,
-    P_j for j <= j_max, n <= n_max and every m the truncation holds; the
-    first mismatch, R before P, is the witness."""
+    """The counts r_j(m, n), p_j(m, n), read off one D_k sweep after each
+    value j, against the coefficients of R_j, P_j for j <= j_max, n <= n_max
+    and every m the truncation holds; the first mismatch in (j, n, m) order,
+    R before P, is the witness."""
     j_top, n_top = rng["j_max"], rng["n_max"]
-    _refuse_beyond(n_top)
     m_top = min(appell.max_overline_count(rs.k, n_top), rs.a_order)
-    # one walk fills the counts for every (n, j, m) at once
-    r_table, p_table = overpartitions.count_bounded(n_top, j_top, rs.k, m_top)
-    for j in range(j_top + 1):
+    for j, states in enumerate(overpartitions.dk_sweep(n_top, rs.k, m_top, j_top)):
         pj = appell.pj_series(rs, j)
+        p_rows = [partitions.state_total(states, m) for m in range(m_top + 1)]
         for n in range(n_top + 1):
             for m in range(m_top + 1):
-                for series, counts, coeff in (("R", r_table, rs.terms[j]), ("P", p_table, pj)):
-                    enum, want = counts[n][j][m], coeff.coefficient(m, n)
+                for series, counts, coeff in (("R", states[rs.k], rs.terms[j]), ("P", p_rows, pj)):
+                    enum, want = counts[m][n], coeff.coefficient(m, n)
                     if enum != want:
                         return {"series": series, "j": j, "m": m, "n": n,
                                 "enumeration": enum, "coefficient": want}, []

@@ -10,10 +10,10 @@ from qident.overpartitions import (
     admissible_overpartitions,
     admissible_pairs,
     count_Dk_table,
-    count_bounded,
     count_pj,
     count_rj,
     d_witnesses,
+    dk_sweep,
     enumerate_overpartitions,
     format_overpartition,
     format_overpartitions,
@@ -28,7 +28,7 @@ from qident.overpartitions import _groups
 
 
 def filter_count_pj(m, n, j, k):
-    """The per-(j, n, m) filter count_pj was before it read count_bounded."""
+    """The per-(j, n, m) filter count_pj was before it read the sweep."""
     return sum(
         1
         for o in enumerate_overpartitions(n, max_part=j)
@@ -37,7 +37,7 @@ def filter_count_pj(m, n, j, k):
 
 
 def filter_count_rj(m, n, j, k):
-    """The per-(j, n, m) filter count_rj was before it read count_bounded."""
+    """The per-(j, n, m) filter count_rj was before it read the sweep."""
     forbidden = set(range(max(1, j - k + 2), j + 1))
     count = 0
     for o in enumerate_overpartitions(n, max_part=j):
@@ -51,8 +51,8 @@ def filter_count_rj(m, n, j, k):
 
 
 def single_weight_bounded(n, j_max, k, m_max):
-    """The bounded tables of one weight n, from the partitions of n alone:
-    the per-n route count_bounded took before it tallied every weight."""
+    """The bounded tables of one weight n, [j][m], from the partitions of n
+    alone: the per-n route the bounded counts took before the sweep."""
     r_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
     p_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
     for parts in enumerate_partitions(n, max_part=j_max):
@@ -77,6 +77,18 @@ def single_weight_bounded(n, j_max, k, m_max):
         return out
 
     return accumulate(r_first), accumulate(p_first)
+
+
+def sweep_tables(n_max, j_max, k, m_max):
+    """r[n][j][m] and p[n][j][m], read off dk_sweep's snapshot after each
+    value j <= j_max: R_j from state k, P_j from every state."""
+    snapshots = list(dk_sweep(n_max, k, m_max, j_max))
+    assert len(snapshots) == j_max + 1
+    ms = range(m_max + 1)
+    r = [[[s[k][m][n] for m in ms] for s in snapshots] for n in range(n_max + 1)]
+    p = [[[sum(rows[m][n] for rows in s.values()) for m in ms] for s in snapshots]
+         for n in range(n_max + 1)]
+    return r, p
 
 
 def filter_admissible(n, k, max_part=None):
@@ -335,7 +347,7 @@ class TestBoundedCounters:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_tables_match_per_cell_filter(self, k):
-        r, p = count_bounded(12, 8, k, 12)
+        r, p = sweep_tables(12, 8, k, 12)
         for n in range(13):
             for j in range(9):
                 for m in range(n + 1):
@@ -345,7 +357,7 @@ class TestBoundedCounters:
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("m_max", [2, 14])
     def test_every_weight_matches_single_weight_tables(self, k, m_max):
-        r, p = count_bounded(14, 8, k, m_max)
+        r, p = sweep_tables(14, 8, k, m_max)
         assert len(r) == len(p) == 15
         for n in range(15):
             assert (r[n], p[n]) == single_weight_bounded(n, 8, k, m_max), n
@@ -359,7 +371,7 @@ class TestBoundedCounters:
         (6, 3, 9, 0),
     ], ids=["j-below-n", "j-above-n", "m-below-k2", "m-below-k4", "k-above-n", "k-above-n-m0"])
     def test_tables_match_per_partition_oracle(self, n_max, j_max, k, m_max):
-        r, p = count_bounded(n_max, j_max, k, m_max)
+        r, p = sweep_tables(n_max, j_max, k, m_max)
         for n in range(n_max + 1):
             assert (r[n], p[n]) == single_weight_bounded(n, j_max, k, m_max), n
 

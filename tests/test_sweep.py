@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from qident import appell
-from qident.overpartitions import count_bounded, count_Dk_table, count_pj, count_rj, d_witnesses
+from qident.overpartitions import count_Dk_table, count_pj, count_rj, d_witnesses, dk_sweep
 from qident.partitions import (
     ANY,
     ONE,
@@ -123,7 +123,7 @@ def test_sweeps_use_no_product_route(monkeypatch):
     def sweeps():
         return (
             count_Dk_table(20, 3, 4),
-            count_bounded(12, 8, 2, 3),
+            list(dk_sweep(12, 2, 3, 8)),
             count_pj(2, 12, 9, 2),
             count_rj(2, 12, 9, 2),
             count_C_table(30, 4, 1),

@@ -57,22 +57,24 @@ class TestReports:
         assert not rep.passed
 
     def test_enumeration_range_refused(self):
-        rep = verify.verify_overpartition(2, verify.ENUM_HARD_LIMIT + 1)
-        assert rep.status == "aborted"
-        rep = verify.verify_schur(verify.ENUM_HARD_LIMIT + 1)
-        assert rep.status == "aborted"
+        # the Schur and C walks refuse n = 46
+        for rep in (verify.verify_schur(verify.ENUM_HARD_LIMIT + 1),
+                    verify.verify_corollary(2, 0, 60, verify.ENUM_HARD_LIMIT + 1)):
+            assert (rep.status, rep.notes) == ("aborted", [verify._REFUSED])
 
-    def test_machinery_enumeration_range_refused(self):
-        # the bounded-enumeration stage refuses n = 46; the series stages still run
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_overpartition_past_the_limit(self, k):
+        # the sweep and the product enumerate nothing, so n = 100 runs
+        rep = verify.verify_overpartition(k, 100)
+        assert rep.status == "pass"
+        assert rep.range == {"n_max": 100, "m_max": 8}
+
+    def test_machinery_bounded_stage_past_the_limit(self):
         rep = verify.verify_machinery(2, 46, j_max=48, closed_product_j=2, enum_j=2, enum_n=46)
-        sub = {s.identity: s for s in rep.subreports}
-        stage = sub["machinery/bounded-enumeration"]
-        assert stage.status == "aborted"
-        assert stage.notes == [verify._REFUSED]
+        stage = {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
         assert stage.range == {"j_max": 2, "n_max": 46}
-        assert all(s.status == "pass" for s in rep.subreports if s is not stage)
-        assert rep.status == "aborted"
-        assert not rep.passed
+        assert all(s.status == "pass" for s in rep.subreports)
+        assert rep.passed
 
     @pytest.mark.parametrize("fn, args, note", [
         (verify.verify_corollary, (3, 5, 20, 5), "i must lie in [0, 2]"),
@@ -105,9 +107,9 @@ class TestReports:
         (lambda: appell.build_R(2, -1, 8), lambda: verify.verify_machinery(2, 8, -1)),
         (lambda: appell.closed_product_F_coefficients(1, 4, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.theorem_product(1, 8), lambda: verify.verify_overpartition(1, 5)),
-        (lambda: overpartitions.count_bounded(5, 5, 1, 2), lambda: verify.verify_overpartition(1, 5)),
-        (lambda: overpartitions.count_bounded(-2, 5, 2, 2), lambda: verify.verify_overpartition(2, -2)),
-        (lambda: overpartitions.count_bounded(5, -1, 2, 2), lambda: verify.verify_machinery(2, 8, -1)),
+        (lambda: overpartitions.dk_sweep(5, 1, 2, 5), lambda: verify.verify_overpartition(1, 5)),
+        (lambda: overpartitions.dk_sweep(-2, 2, 2, 5), lambda: verify.verify_overpartition(2, -2)),
+        (lambda: overpartitions.dk_sweep(5, 2, 2, -1), lambda: verify.verify_machinery(2, 8, -1)),
         (lambda: overpartitions.specialize_overpartition(overpartitions.Overpartition(()), 5, 3),
          lambda: verify.verify_corollary(3, 5)),
         (lambda: overpartitions.specialize_overpartition(overpartitions.Overpartition(()), 0, 1),
@@ -115,8 +117,8 @@ class TestReports:
     ], ids=[
         "count_B_table-k", "count_B_table-i", "count_B_table-n_max", "partitions_up_to-n_max",
         "partitions_up_to-max_part", "masks_of_weight-max_part",
-        "build_R-k", "build_R-j_max", "closed_product-k", "theorem_product-k", "count_bounded-k",
-        "count_bounded-n_max", "count_bounded-j_max", "specialize-i", "specialize-k",
+        "build_R-k", "build_R-j_max", "closed_product-k", "theorem_product-k", "dk_sweep-k",
+        "dk_sweep-n_max", "dk_sweep-j_max", "specialize-i", "specialize-k",
     ])
     def test_bad_input_has_one_wording(self, call, report):
         with pytest.raises(ValueError) as raised:
@@ -275,6 +277,23 @@ def cutting(real, cut):
         return edited_rule(real, dropping_entry(at, cut[-1]))(*params)
 
     return factory
+
+
+def perturb_sweep(monkeypatch, series, j, m, n):
+    """Patch dk_sweep so its snapshot after value j >= 1 counts one more
+    object of weight n with m overlines: in state k for R (so in P too), in
+    state 1 for P alone."""
+    real = overpartitions.dk_sweep
+
+    def perturbed(n_max, k, m_max, j_max=None):
+        for j_, states in enumerate(real(n_max, k, m_max, j_max)):
+            if j_ == j:
+                # rows may be shared between states and snapshots: copy first
+                states = {d: [row.copy() for row in rows] for d, rows in states.items()}
+                states[k if series == "R" else 1][m][n] += 1
+            yield states
+
+    monkeypatch.setattr(overpartitions, "dk_sweep", perturbed)
 
 
 class TestMutations:
@@ -441,6 +460,29 @@ class TestMutations:
         w = rep.witness
         assert (w["n"], w["m"], w["sweep_count"]) == (5, 0, w["product_coefficient"] + 1)
 
+    def test_overpartition_product_slip_past_the_limit(self, monkeypatch):
+        # a slip at n = 60 is caught there, and the witness lists no objects:
+        # no walk runs past ENUM_HARD_LIMIT
+        real = appell.theorem_product
+
+        def perturbed(k, q_order, a_order=None):
+            rows = [list(r) for r in real(k, q_order, a_order).coeffs]
+            rows[0][60] += 1
+            return BivariateSeries(tuple(tuple(r) for r in rows))
+
+        def walked(*args, **kwargs):
+            raise AssertionError("an enumeration ran")
+
+        monkeypatch.setattr(appell, "theorem_product", perturbed)
+        monkeypatch.setattr(overpartitions, "d_witnesses", walked)
+        monkeypatch.setattr(overpartitions, "_walk_to", walked)
+        rep = verify.verify_overpartition(2, 100)
+        assert rep.status == "fail"
+        w = rep.witness
+        assert list(w) == ["n", "m", "sweep_count", "product_coefficient"]
+        assert (w["n"], w["m"], w["product_coefficient"]) == (60, 0, w["sweep_count"] + 1)
+        assert rep.notes == [f"no objects listed: {verify._REFUSED}"]
+
     def test_overpartition_off_by_one_product(self, monkeypatch):
         real = appell.theorem_product
 
@@ -573,19 +615,26 @@ class TestMutations:
 
     @pytest.mark.parametrize("series, j, m, n", [("R", 3, 1, 5), ("P", 4, 2, 7)])
     def test_bounded_enumeration_perturbed_table(self, monkeypatch, series, j, m, n):
-        real = overpartitions.count_bounded
-
-        def perturbed(n_max, j_max, k, m_max):
-            r, p = real(n_max, j_max, k, m_max)
-            (r if series == "R" else p)[n][j][m] += 1
-            return r, p
-
-        monkeypatch.setattr(overpartitions, "count_bounded", perturbed)
+        perturb_sweep(monkeypatch, series, j, m, n)
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=6, enum_n=10)
         sub = {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
         assert sub.status == "fail"
         w = sub.witness
         assert (w["series"], w["j"], w["m"], w["n"]) == (series, j, m, n)
+        assert w["enumeration"] == w["coefficient"] + 1
+
+    def test_bounded_enumeration_past_the_limit(self, monkeypatch):
+        def stage():
+            rep = verify.verify_machinery(2, 60, enum_j=62, enum_n=60)
+            return {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
+
+        sub = stage()
+        assert (sub.status, sub.range) == ("pass", {"j_max": 62, "n_max": 60})
+        perturb_sweep(monkeypatch, "P", 55, 3, 50)
+        sub = stage()
+        assert sub.status == "fail"
+        w = sub.witness
+        assert (w["series"], w["j"], w["m"], w["n"]) == ("P", 55, 3, 50)
         assert w["enumeration"] == w["coefficient"] + 1
 
     # (6, 0, 0) perturbs the constant term, which every P_j has
@@ -837,11 +886,14 @@ class TestCli:
         rows = {(r["m"], r["n"]): r["coefficient"] for r in json.loads(result.output)}
         assert rows[(1, 1)] == 1
 
-    def test_coeffs_sum_refused_past_the_limit(self):
-        limit = verify.ENUM_HARD_LIMIT
-        result = self.run("coeffs", "--side", "sum", "--k", "2", "--n-max", str(limit + 1))
-        assert result.exit_code == 2
-        assert f"sum-side table refused beyond n={limit}" in result.output
+    def test_coeffs_sum_runs_past_the_limit(self):
+        # the sum side is the sweep's table, so it runs past ENUM_HARD_LIMIT
+        n_max = str(verify.ENUM_HARD_LIMIT + 1)
+        out_sum = self.run("coeffs", "--side", "sum", "--k", "2", "--i", "0", "--n-max", n_max)
+        out_prod = self.run("coeffs", "--side", "product", "--k", "2", "--i", "0", "--n-max", n_max)
+        assert out_sum.exit_code == 0
+        assert "refused" not in out_sum.output
+        assert out_sum.output == out_prod.output
 
     def test_coeffs_sum_matches_product(self):
         out_sum = self.run("coeffs", "--side", "sum", "--k", "2", "--i", "0", "--n-max", "12")
