@@ -83,7 +83,7 @@ def build_R(k: int, j_max: int, q_order: int, a_order: int | None = None) -> RSe
     Each term is built as a running sum in place: R_{j-1} + a q^{j-k+1} R_{j-k},
     then divided by (1 - q^j) through c[n] += c[n - j] for n ascending.
     """
-    check_params(k, j_max=j_max)
+    check_params(k, j_max=j_max, q_order=q_order, a_order=a_order)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
     terms = [BivariateSeries.one(a_order, q_order)]
@@ -131,7 +131,7 @@ def closed_product_F_coefficients(
     when kd > j, counted as partitions into the parts k, 2k, ..., dk and
     1, ..., j - kd.  The coefficients must equal the recursion's terms.
     """
-    check_params(k, j_top=j_top)
+    check_params(k, j_top=j_top, q_order=q_order, a_order=a_order)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
     zero = (0,) * (q_order + 1)
@@ -180,7 +180,7 @@ def theorem_product(k: int, q_order: int, a_order: int | None = None) -> Bivaria
 
     Each a-row of the numerator is divided by (q; q)_inf through the
     pentagonal recurrence, so 1/(q; q)_inf is never expanded or convolved."""
-    check_params(k)
+    check_params(k, q_order=q_order, a_order=a_order)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
     numer = pochhammer_inf(Monomial(1, 1, 1), k, q_order, a_order)

@@ -49,15 +49,13 @@ def _emit_reports(ctx, reports):
 @click.group()
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text",
               help="Output format (csv applies to coeffs tables only).")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, help="Worker processes for verify all.")
 @click.pass_context
-def main(ctx, fmt, jobs):
+def main(ctx, fmt):
     """Mechanical verification of a family of partition and overpartition identities."""
     if fmt == "csv" and ctx.invoked_subcommand != "coeffs":
         raise click.UsageError("csv format applies to `coeffs` only")
     ctx.ensure_object(dict)
     ctx.obj["format"] = fmt
-    ctx.obj["jobs"] = jobs
 
 
 @main.group("verify")
@@ -124,7 +122,7 @@ def verify_machinery_cmd(ctx, k, q_order, j_max):
 @click.option("--k-max", type=K, default=5)
 @click.pass_context
 def verify_all_cmd(ctx, k_max):
-    _emit_reports(ctx, verify.verify_all(k_max, jobs=ctx.obj["jobs"]))
+    _emit_reports(ctx, verify.verify_all(k_max))
 
 
 @main.command("golden-n10")

@@ -18,11 +18,11 @@ partition's distinct values (bit idx overlines the idx-th largest), and
 only admissible masks are formed: the rule looks only upward from an
 overlined value, so a partition's masks are its largest-first prefix's
 plus those that overline the new value.  `_overline_step` is that
-one-group step, `admissible_masks` folds it over one partition, and
-`masks_of_weight` carries it down one walk headed for weight n.
-`format_overpartitions` is the one string rule, and objects are built only
-where a caller asks for them.  `is_Dk_admissible` stays the definition the
-masks and the sweep are tested against.
+one-group step, and `masks_of_weight` carries it down one walk headed for
+weight n.  `format_overpartitions` is the one string rule, and objects are
+built only where a caller asks for them.  `is_Dk_admissible` over
+`enumerate_overpartitions` stays the definition the masks and the sweep
+are tested against.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class Overpartition:
     def __str__(self) -> str:
         groups = [(v, mult) for v, mult, _ in self.entries]
         mask = sum(1 << idx for idx, (_, _, over) in enumerate(self.entries) if over)
-        return format_overpartition(groups, mask)
+        return format_overpartitions(groups, [mask])[0]
 
 
 def _groups(parts: tuple) -> tuple:
@@ -98,24 +98,19 @@ def format_overpartitions(groups: list, masks: list) -> list:
     return out
 
 
-def format_overpartition(groups: list, mask: int) -> str:
-    """The string of one overpartition: format_overpartitions on one mask."""
-    return format_overpartitions(groups, [mask])[0]
-
-
 def _build(groups: list, mask: int) -> Overpartition:
     return Overpartition(
         tuple((v, mult, bool((mask >> idx) & 1)) for idx, (v, mult) in enumerate(groups))
     )
 
 
-def enumerate_overpartitions(n: int, max_part: int | None = None) -> Iterator[Overpartition]:
-    """Yield every overpartition of n (parts <= max_part) exactly once.
+def enumerate_overpartitions(n: int) -> Iterator[Overpartition]:
+    """Yield every overpartition of n exactly once.
 
     Deterministic order: underlying partitions in lex-decreasing order,
     then overline subsets by increasing bitmask over the distinct values.
     """
-    for parts in enumerate_partitions(n, max_part):
+    for parts in enumerate_partitions(n):
         groups = _groups(parts)
         for mask in range(1 << len(groups)):
             yield _build(groups, mask)
@@ -148,21 +143,10 @@ def _overline_step(masks: list, groups: tuple, k: int) -> list:
     ]
 
 
-def admissible_masks(groups: list, k: int) -> list:
-    """The D_k-admissible overline masks of one partition, ascending: the
-    one-group step folded over its groups [(value, multiplicity), ...]."""
-    check_params(k)
-    masks = [0]
-    for idx in range(len(groups)):
-        masks = _overline_step(masks, groups[: idx + 1], k)
-    return masks
-
-
-def masks_of_weight(n: int, k: int, max_part: int | None = None) -> Iterator[tuple]:
-    """(groups, masks) of every partition of n with parts <= max_part, in
-    lex-decreasing order: groups is ((value, multiplicity), ...) with values
-    strictly decreasing, and masks its D_k-admissible overline masks,
-    ascending, as admissible_masks gives them.
+def masks_of_weight(n: int, k: int) -> Iterator[tuple]:
+    """(groups, masks) of every partition of n, in lex-decreasing order:
+    groups is ((value, multiplicity), ...) with values strictly decreasing,
+    and masks its D_k-admissible overline masks, ascending.
 
     One depth-first walk headed for weight n: a child adds a new smallest
     value v with multiplicity c to its parent and takes its masks from the
@@ -173,16 +157,16 @@ def masks_of_weight(n: int, k: int, max_part: int | None = None) -> Iterator[tup
     Children are pushed v ascending, then c ascending, so the largest is
     walked first.
     """
-    check_params(k, n=n, max_part=max_part)
-    return _walk_to(n, k, n if max_part is None else min(max_part, n))
+    check_params(k, n=n)
+    return _walk_to(n, k)
 
 
-def _walk_to(n: int, k: int, cap: int) -> Iterator[tuple]:
-    """The walk of masks_of_weight, with parts <= cap."""
+def _walk_to(n: int, k: int) -> Iterator[tuple]:
+    """The walk of masks_of_weight."""
     step = _overline_step
     # (weight, groups, smallest value so far, masks); the root's bound
-    # cap + 1 lets its children take any value up to cap
-    stack = [(0, (), cap + 1, [0])]
+    # n + 1 lets its children take any value up to n
+    stack = [(0, (), n + 1, [0])]
     pop, push = stack.pop, stack.append  # bound once: this loop runs once per node
     while stack:
         weight, groups, last, masks = pop()
@@ -200,20 +184,6 @@ def _walk_to(n: int, k: int, cap: int) -> Iterator[tuple]:
             # the step never overlines a repeated value, so c >= 2 keeps masks
             for c in range(2, room // v + 1):
                 push((weight + c * v, groups + ((v, c),), v, masks))
-
-
-def admissible_pairs(n: int, k: int, max_part: int | None = None) -> Iterator[tuple]:
-    """(groups, mask) of every D_k-admissible overpartition of n (parts <=
-    max_part), in the order of enumerate_overpartitions; no object is built."""
-    return ((groups, mask) for groups, masks in masks_of_weight(n, k, max_part) for mask in masks)
-
-
-def admissible_overpartitions(
-    n: int, k: int, max_part: int | None = None
-) -> Iterator[Overpartition]:
-    """The D_k-admissible overpartitions of n (parts <= max_part), in the
-    order of enumerate_overpartitions."""
-    return (_build(groups, mask) for groups, mask in admissible_pairs(n, k, max_part))
 
 
 def is_Dk_admissible(o: Overpartition, k: int) -> bool:
@@ -237,9 +207,13 @@ def is_Dk_admissible(o: Overpartition, k: int) -> bool:
 
 
 def d_witnesses(m: int, n: int, k: int) -> list:
-    """Admissible overpartitions of n with exactly m overlined values."""
+    """Admissible overpartitions of n with exactly m overlined values, in
+    the order of enumerate_overpartitions."""
     return [
-        _build(groups, mask) for groups, mask in admissible_pairs(n, k) if mask.bit_count() == m
+        _build(groups, mask)
+        for groups, masks in masks_of_weight(n, k)
+        for mask in masks
+        if mask.bit_count() == m
     ]
 
 
@@ -260,7 +234,7 @@ def dk_sweep(n_max: int, k: int, m_max: int, j_max: int | None = None) -> Iterat
     """The D_k sweep over the values 1..j_max (default n_max), weights
     <= n_max and a-rows 0..m_max.  After value j, state k counts R_j's
     objects (no overlined value in j-k+2..j) and all states P_j's."""
-    check_params(k, n_max=n_max, j_max=j_max)
+    check_params(k, n_max=n_max, m_max=m_max, j_max=j_max)
     return sweep(n_max, k, _dk_moves(k), j_max, m_max)
 
 

@@ -48,24 +48,24 @@ def check_params(k: int | None = None, i: int | None = None, **ranges: int) -> N
 
 
 def partitions_up_to(
-    n_max: int, max_part: int | None = None, rule: tuple | None = None, *, _exact: bool = False
+    n_max: int, rule: tuple | None = None, *, _exact: bool = False
 ) -> Iterator[Partition]:
-    """Yield every partition of weight <= n_max (parts <= max_part) that
-    rule admits, in depth-first pre-order.
+    """Yield every partition of weight <= n_max that rule admits, in
+    depth-first pre-order.
 
     A rule is (start, nexts): a prefix's state is all the rule needs to
-    know of it, the empty prefix's being start, and nexts(state, top) lists
-    the (part, child state) pairs it may add, parts <= top ascending (top
-    bounds the root alone, whose smallest part is unbounded).  Without a
-    rule any part up to the last may follow.  Each state is listed once, in
-    a table that lives as long as the walk.  Children follow their parent,
-    largest first, so the partitions of any one weight come out in
-    lex-decreasing order.  With _exact, only the nodes of weight n_max are
-    yielded (enumerate_partitions); the walk is the same.
+    know of it, the empty prefix's being start, and nexts(state, n_max)
+    lists the (part, child state) pairs it may add, parts <= n_max
+    ascending (n_max bounds the root alone, whose smallest part is
+    unbounded).  Without a rule any part up to the last may follow.  Each
+    state is listed once, in a table that lives as long as the walk.
+    Children follow their parent, largest first, so the partitions of any
+    one weight come out in lex-decreasing order.  With _exact, only the
+    nodes of weight n_max are yielded (enumerate_partitions); the walk is
+    the same.
     """
-    check_params(n_max=n_max, max_part=max_part)
+    check_params(n_max=n_max)
     start, nexts = _ANY_PART if rule is None else rule
-    top = n_max if max_part is None else min(max_part, n_max)
     # a node is yielded when its remaining weight is at most floor: 0 for
     # the weight-n_max nodes alone, n_max for every node
     floor = 0 if _exact else n_max
@@ -79,7 +79,7 @@ def partitions_up_to(
             yield prefix
         children = listed(state)
         if children is None:
-            children = table[state] = nexts(state, top)
+            children = table[state] = nexts(state, n_max)
         for part, child in children:
             if part > remaining:
                 break
@@ -90,13 +90,10 @@ def partitions_up_to(
 _ANY_PART = (inf, lambda s, top: [(p, p) for p in range(1, min(s, top) + 1)])
 
 
-def enumerate_partitions(
-    n: int, max_part: int | None = None, rule: tuple | None = None
-) -> Iterator[Partition]:
-    """Yield every partition of n (parts <= max_part) that rule admits, in
-    lex-decreasing order: the nodes of partitions_up_to(n, max_part, rule)
-    whose remaining weight is 0."""
-    return partitions_up_to(n, max_part, rule, _exact=True)
+def enumerate_partitions(n: int, rule: tuple | None = None) -> Iterator[Partition]:
+    """Yield every partition of n that rule admits, in lex-decreasing order:
+    the nodes of partitions_up_to(n, rule) whose remaining weight is 0."""
+    return partitions_up_to(n, rule, _exact=True)
 
 
 def _tally(n_max: int, rule: tuple) -> list:
@@ -405,11 +402,9 @@ def _corollary_moves(k: int, i: int) -> Callable:
     return moves
 
 
-def count_C_table(n_max: int, k: int, i: int, phrasing: str = "corollary") -> list:
-    """C_{i,k}(0..n_max) under the selected phrasing: the corollary's from
-    the sweep, thm12's and thm13's from one walk each (walk_C_table)."""
-    if phrasing != "corollary":
-        return walk_C_table(n_max, k, i, phrasing)
+def count_C_table(n_max: int, k: int, i: int) -> list:
+    """C_{i,k}(0..n_max) from the corollary's sweep; the phrasings' walks
+    are walk_C_table."""
     check_params(k, i, n_max=n_max)
     return state_total(final_states(sweep(n_max, (2 * k, 2 * i + 1), _corollary_moves(k, i))))
 
@@ -420,8 +415,8 @@ def walk_C_table(n_max: int, k: int, i: int, phrasing: str = "corollary") -> lis
     return _tally(n_max, _c_rule(k, i, phrasing))
 
 
-def count_C(n: int, k: int, i: int, phrasing: str = "corollary") -> int:
-    return count_C_table(n, k, i, phrasing)[n]
+def count_C(n: int, k: int, i: int) -> int:
+    return count_C_table(n, k, i)[n]
 
 
 # ---------------------------------------------------------------------------

@@ -170,9 +170,9 @@ def verify_corollary(
     product = appell.congruence_product_series(k, i, n_max).coeffs
     alt_phrasing = "thm12" if i == k - 1 else ("thm13" if i == 0 else None)
     c_table = partitions.walk_C_table(enum_top, k, i, "corollary")
-    c_sweep = partitions.count_C_table(enum_top, k, i, "corollary")
+    c_sweep = partitions.count_C_table(enum_top, k, i)
     alt_table = (
-        partitions.count_C_table(enum_top, k, i, alt_phrasing) if alt_phrasing is not None else None
+        partitions.walk_C_table(enum_top, k, i, alt_phrasing) if alt_phrasing is not None else None
     )
     witness, notes = None, []
     # the first disagreement, in this order: B against the product, then C
@@ -343,15 +343,19 @@ def _bounded_enumeration(rs: appell.RSequence, rng: dict) -> tuple:
     """The counts r_j(m, n), p_j(m, n), read off one D_k sweep after each
     value j, against the coefficients of R_j, P_j for j <= j_max, n <= n_max
     and every m the truncation holds; the first mismatch in (j, n, m) order,
-    R before P, is the witness."""
+    R before P, is the witness.  Each j's rows are compared whole, and its
+    cells are scanned only when a row differs."""
     j_top, n_top = rng["j_max"], rng["n_max"]
     m_top = min(appell.max_overline_count(rs.k, n_top), rs.a_order)
     for j, states in enumerate(overpartitions.dk_sweep(n_top, rs.k, m_top, j_top)):
-        pj = appell.pj_series(rs, j)
         p_rows = [partitions.state_total(states, m) for m in range(m_top + 1)]
+        routes = (("R", states[rs.k], rs.terms[j]), ("P", p_rows, appell.pj_series(rs, j)))
+        if all(counts == [list(row[: n_top + 1]) for row in coeff.coeffs[: m_top + 1]]
+               for _, counts, coeff in routes):
+            continue
         for n in range(n_top + 1):
             for m in range(m_top + 1):
-                for series, counts, coeff in (("R", states[rs.k], rs.terms[j]), ("P", p_rows, pj)):
+                for series, counts, coeff in routes:
                     enum, want = counts[m][n], coeff.coefficient(m, n)
                     if enum != want:
                         return {"series": series, "j": j, "m": m, "n": n,
@@ -432,13 +436,9 @@ def golden_example_n10() -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _job(spec: tuple) -> VerificationReport:
-    fn, args = spec
-    return fn(*args)
-
-
-def verify_all(k_max: int = 5, jobs: int = 1) -> list:
-    """The default desk-scale suite over every identity and parameter cell.
+def verify_all(k_max: int = 5) -> list:
+    """The default desk-scale suite over every identity and parameter cell,
+    run in this process, in order.
 
     The k-indexed cells (overpartition, corollary, machinery) run for
     2 <= k <= k_max, so k_max < 2 runs only golden-n10 and schur.
@@ -450,9 +450,4 @@ def verify_all(k_max: int = 5, jobs: int = 1) -> list:
         specs += [(verify_corollary, (k, i, 200, 25)) for i in range(k)]
         # the Appell limit needs j_max >= q_order + k, past 65 once k > 5
         specs.append((verify_machinery, (k, 60, max(65, 60 + k))))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_job, specs))
-    return [_job(s) for s in specs]
+    return [fn(*args) for fn, args in specs]

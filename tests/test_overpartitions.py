@@ -6,16 +6,12 @@ import pytest
 
 from qident.overpartitions import (
     Overpartition,
-    admissible_masks,
-    admissible_overpartitions,
-    admissible_pairs,
     count_Dk_table,
     count_pj,
     count_rj,
     d_witnesses,
     dk_sweep,
     enumerate_overpartitions,
-    format_overpartition,
     format_overpartitions,
     is_Dk_admissible,
     masks_of_weight,
@@ -24,15 +20,19 @@ from qident.overpartitions import (
 from qident.partitions import c_witnesses, enumerate_partitions
 from qident.series import Monomial, euler_product, pochhammer_inf
 from qident.appell import max_overline_count, theorem_product
-from qident.overpartitions import _groups
+from qident.overpartitions import _build
+
+
+def largest_part(o):
+    return o.entries[0][0] if o.entries else 0
 
 
 def filter_count_pj(m, n, j, k):
     """The per-(j, n, m) filter count_pj was before it read the sweep."""
     return sum(
         1
-        for o in enumerate_overpartitions(n, max_part=j)
-        if o.overline_count == m and is_Dk_admissible(o, k)
+        for o in enumerate_overpartitions(n)
+        if largest_part(o) <= j and o.overline_count == m and is_Dk_admissible(o, k)
     )
 
 
@@ -40,8 +40,8 @@ def filter_count_rj(m, n, j, k):
     """The per-(j, n, m) filter count_rj was before it read the sweep."""
     forbidden = set(range(max(1, j - k + 2), j + 1))
     count = 0
-    for o in enumerate_overpartitions(n, max_part=j):
-        if o.overline_count != m:
+    for o in enumerate_overpartitions(n):
+        if largest_part(o) > j or o.overline_count != m:
             continue
         if o.overlined_values & forbidden:
             continue
@@ -55,10 +55,11 @@ def single_weight_bounded(n, j_max, k, m_max):
     alone: the per-n route the bounded counts took before the sweep."""
     r_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
     p_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
-    for parts in enumerate_partitions(n, max_part=j_max):
-        groups = [(v, len(list(g))) for v, g in groupby(parts)]
-        largest = parts[0] if parts else 0
-        for mask in admissible_masks(groups, k):
+    for groups, masks in masks_of_weight(n, k):
+        largest = groups[0][0] if groups else 0
+        if largest > j_max:
+            continue
+        for mask in masks:
             m = mask.bit_count()
             if m > m_max:
                 continue
@@ -91,9 +92,19 @@ def sweep_tables(n_max, j_max, k, m_max):
     return r, p
 
 
-def filter_admissible(n, k, max_part=None):
+def filter_admissible(n, k):
     """The brute-force route: every overpartition, filtered by the rule."""
-    return [o for o in enumerate_overpartitions(n, max_part) if is_Dk_admissible(o, k)]
+    return [o for o in enumerate_overpartitions(n) if is_Dk_admissible(o, k)]
+
+
+def walk_objects(n, k):
+    """The objects of masks_of_weight(n, k), in its order."""
+    return [_build(groups, mask) for groups, masks in masks_of_weight(n, k) for mask in masks]
+
+
+def masks_of(groups, k):
+    """The masks masks_of_weight gives one partition's groups."""
+    return dict(masks_of_weight(sum(v * mult for v, mult in groups), k))[tuple(groups)]
 
 
 def filter_Dk_table(n_max, k, m_max):
@@ -113,7 +124,7 @@ def overpartition_counting_series(order):
 
 def entries_string(o):
     """The string rule read off the entries, as __str__ wrote it before it
-    delegated to format_overpartition."""
+    delegated to format_overpartitions."""
     pieces = []
     for v, mult, over in o.entries:
         pieces.extend([str(v)] * (mult - 1 if over else mult))
@@ -125,9 +136,14 @@ def entries_string(o):
 class TestFormat:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_masks_print_as_objects(self, k):
+        # the walk's strings against the filter's objects
         for n in range(17):
-            objects = list(admissible_overpartitions(n, k))
-            strings = [format_overpartition(groups, mask) for groups, mask in admissible_pairs(n, k)]
+            objects = filter_admissible(n, k)
+            strings = [
+                string
+                for groups, masks in masks_of_weight(n, k)
+                for string in format_overpartitions(groups, masks)
+            ]
             assert [str(o) for o in objects] == strings, (n, k)
             assert [entries_string(o) for o in objects] == strings, (n, k)
 
@@ -200,6 +216,7 @@ class TestAdmissibleMasks:
     def test_masks_equal_filter(self, k):
         # ascending, and exactly the masks is_Dk_admissible accepts
         for n in range(17):
+            walked = dict(masks_of_weight(n, k))
             for parts in enumerate_partitions(n):
                 groups = [(v, len(list(g))) for v, g in groupby(parts)]
                 expected = [
@@ -213,44 +230,43 @@ class TestAdmissibleMasks:
                         k,
                     )
                 ]
-                assert admissible_masks(groups, k) == expected, (parts, k)
+                assert walked[tuple(groups)] == expected, (parts, k)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_objects_equal_filter(self, k):
         for n in range(17):
-            for max_part in (None, 1, 3, 6, n):
-                assert list(admissible_overpartitions(n, k, max_part)) == filter_admissible(
-                    n, k, max_part
-                ), (n, k, max_part)
+            assert walk_objects(n, k) == filter_admissible(n, k), (n, k)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
-    @pytest.mark.parametrize("max_part", [None, 1, 3])
-    def test_walk_slices_equal_per_partition_masks(self, k, max_part):
-        # the walk headed for weight n gives each partition's masks, order
-        # included, formatted alike
+    @pytest.mark.parametrize("m", [None, 1, 3])
+    def test_walk_slices_equal_per_partition_masks(self, k, m):
+        # the walk headed for weight n gives each partition the masks
+        # is_Dk_admissible keeps over enumerate_overpartitions, order
+        # included; d_witnesses keeps those with m overlines (None: each m)
         for n in range(17):
+            admissible = filter_admissible(n, k)
             expected = [
-                (groups, admissible_masks(groups, k))
-                for groups in map(_groups, enumerate_partitions(n, max_part))
+                (groups, [sum(over << idx for idx, (_, _, over) in enumerate(o.entries))
+                          for o in objects])
+                for groups, objects in groupby(
+                    admissible, key=lambda o: tuple((v, mult) for v, mult, _ in o.entries)
+                )
             ]
-            assert list(masks_of_weight(n, k, max_part)) == expected, n
-            assert list(admissible_pairs(n, k, max_part)) == [
-                (g, mask) for g, masks in expected for mask in masks
-            ], n
-            for groups, masks in expected:
-                assert format_overpartitions(groups, masks) == [
-                    format_overpartition(groups, mask) for mask in masks
-                ], groups
+            assert list(masks_of_weight(n, k)) == expected, n
+            for count in range(n + 1) if m is None else (m,):
+                assert d_witnesses(count, n, k) == [
+                    o for o in admissible if o.overline_count == count
+                ], (n, count)
 
     def test_rules(self):
         # k = 3: 5 eligible (4 is not in 6..6), 4 not (5 lies in 5..5),
         # 1 eligible; 5 and 1 are far enough apart to be overlined together
-        assert admissible_masks([(5, 1), (4, 1), (1, 1)], 3) == [0, 1, 4, 5]
+        assert masks_of([(5, 1), (4, 1), (1, 1)], 3) == [0, 1, 4, 5]
         # a repeated value is never overlined, here 2 (mult 2)
-        assert admissible_masks([(4, 1), (2, 2)], 2) == [0, 1]
+        assert masks_of([(4, 1), (2, 2)], 2) == [0, 1]
         # overlined values closer than k exclude each other
-        assert admissible_masks([(3, 1), (1, 1)], 3) == [0, 1, 2]
-        assert admissible_masks([], 4) == [0]
+        assert masks_of([(3, 1), (1, 1)], 3) == [0, 1, 2]
+        assert masks_of([], 4) == [0]
 
 
 class TestDkEntryPointsRejectSmallK:
@@ -258,8 +274,8 @@ class TestDkEntryPointsRejectSmallK:
         lambda: count_Dk_table(5, 1),
         lambda: count_Dk_table(-1, 0),
         lambda: d_witnesses(1, 5, 1),
-        lambda: admissible_masks([(1, 1)], 1),
-        lambda: admissible_overpartitions(4, 0),
+        lambda: masks_of_weight(4, 1),
+        lambda: specialize_overpartition(Overpartition(()), 0, 1),
         lambda: is_Dk_admissible(Overpartition(()), 1),
     ], ids=["table", "empty-table", "witnesses", "masks", "objects", "rule"])
     def test_value_error(self, call):
@@ -321,7 +337,7 @@ class TestBoundedCounters:
             for j in range(k):
                 for n in range(10):
                     assert count_rj(0, n, j, k) == sum(
-                        1 for _ in enumerate_partitions(n, j)
+                        1 for parts in enumerate_partitions(n) if not parts or parts[0] <= j
                     )
                     assert count_rj(1, n, j, k) == 0
 

@@ -63,10 +63,9 @@ def c_rules(k, i):
     return rules
 
 
-def recursive_partitions(n, max_part=None):
+def recursive_partitions(n):
     """The recursive generator enumerate_partitions was before it became the
     weight-n slice of partitions_up_to: the order oracle."""
-    cap = n if max_part is None else min(max_part, n)
 
     def gen(remaining, limit, prefix):
         if remaining == 0:
@@ -78,7 +77,7 @@ def recursive_partitions(n, max_part=None):
     if n == 0:
         yield ()
         return
-    yield from gen(n, cap, ())
+    yield from gen(n, n, ())
 
 
 # every walk rule in src, with the whole-partition rule it must agree with:
@@ -94,8 +93,8 @@ RULES = {
 }
 
 
-def filtered_recursive(n, max_part, accepts):
-    return [parts for parts in recursive_partitions(n, max_part) if accepts(parts)]
+def filtered_recursive(n, accepts):
+    return [parts for parts in recursive_partitions(n) if accepts(parts)]
 
 
 def counting_calls(real, seen):
@@ -137,10 +136,6 @@ class TestEnumeration:
         assert items == sorted(items, reverse=True)
         assert len(set(items)) == len(items)
 
-    def test_max_part_bound(self):
-        assert list(enumerate_partitions(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
-        assert list(enumerate_partitions(3, max_part=0)) == []
-
     def test_rule_lists_only_what_is_walked(self):
         seen = []
 
@@ -152,9 +147,6 @@ class TestEnumeration:
         # only listed children are walked, so no state is odd, and each
         # state is listed once; top is the walk's bound on the root's parts
         assert seen == [(inf, 6), (6, 6), (4, 6), (2, 6)]
-        seen.clear()
-        assert list(enumerate_partitions(6, 3, (inf, even_parts))) == [(2, 2, 2)]
-        assert seen == [(inf, 3), (2, 3)]
 
     def test_state_carries_what_the_rule_needs(self):
         # distinct parts: the last part is all the rule needs to know
@@ -174,18 +166,15 @@ class TestEnumeration:
     @given(st.data())
     def test_slice_matches_recursive_generator(self, data):
         n = data.draw(st.integers(0, 20), label="n")
-        max_part = data.draw(st.none() | st.integers(0, n), label="max_part")
         rule, accepts = RULES[data.draw(st.sampled_from(sorted(RULES)), label="rule")]
-        assert list(enumerate_partitions(n, max_part, rule)) == filtered_recursive(
-            n, max_part, accepts
-        )
+        assert list(enumerate_partitions(n, rule)) == filtered_recursive(n, accepts)
 
     @pytest.mark.parametrize("rule", sorted(RULES))
     def test_walk_is_every_weight_in_preorder(self, rule):
         rule, accepts = RULES[rule]
-        walk = list(partitions_up_to(16, 9, rule))
+        walk = list(partitions_up_to(16, rule))
         assert sorted(walk) == sorted(
-            parts for n in range(17) for parts in filtered_recursive(n, 9, accepts)
+            parts for n in range(17) for parts in filtered_recursive(n, accepts)
         )
         # pre-order: each partition comes after the prefix it extends
         position = {parts: idx for idx, parts in enumerate(walk)}
@@ -195,12 +184,6 @@ class TestEnumeration:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             list(partitions_up_to(-1))
-
-    def test_negative_max_part_rejected(self):
-        with pytest.raises(ValueError, match="max_part must be non-negative"):
-            list(partitions_up_to(3, -2))
-        with pytest.raises(ValueError, match="max_part must be non-negative"):
-            list(enumerate_partitions(3, -1))
 
     def test_each_state_is_listed_once(self, monkeypatch):
         # each walk lists a state at most once, and sees few states: a lost
@@ -320,7 +303,7 @@ class TestCountB:
 
 class TestCountC:
     def test_worked_example(self):
-        assert count_C(10, 2, 0, "thm13") == 10
+        assert count_C(10, 2, 0) == walk_C_table(10, 2, 0, "thm13")[10] == 10
         assert set(c_witnesses(10, 2, 0, "thm13")) == {
             (10,),
             (9, 1),
@@ -356,19 +339,21 @@ class TestCountC:
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_table_matches_witness_lists(self, k):
-        # one walk to 22 against the per-n witness lists
+        # the sweep and one walk per phrasing to 22 against the per-n
+        # witness lists
         for i in range(k):
-            for phrasing in c_rules(k, i):
-                table = count_C_table(22, k, i, phrasing)
-                assert len(table) == 23
-                for n in range(23):
-                    assert table[n] == len(c_witnesses(n, k, i, phrasing)), (n, k, i, phrasing)
+            lists = {
+                phrasing: [len(c_witnesses(n, k, i, phrasing)) for n in range(23)]
+                for phrasing in c_rules(k, i)
+            }
+            assert count_C_table(22, k, i) == lists["corollary"], (k, i)
+            for phrasing, counts in lists.items():
+                assert walk_C_table(22, k, i, phrasing) == counts, (k, i, phrasing)
 
     def test_phrasing_equivalence(self):
         for k in range(2, 6):
-            for n in range(26):
-                assert count_C(n, k, k - 1, "corollary") == count_C(n, k, k - 1, "thm12")
-                assert count_C(n, k, 0, "corollary") == count_C(n, k, 0, "thm13")
+            assert count_C_table(25, k, k - 1) == walk_C_table(25, k, k - 1, "thm12"), k
+            assert count_C_table(25, k, 0) == walk_C_table(25, k, 0, "thm13"), k
 
     def test_walks_borrow_no_route(self, monkeypatch):
         # each phrasing's walk runs on its own rule alone: with every other
@@ -402,12 +387,13 @@ class TestCountC:
                     assert smaller <= larger, (n, k, i)
 
     def test_phrasing_parameter_mismatch(self):
-        with pytest.raises(ValueError):
-            count_C(5, 3, 0, "thm12")
-        with pytest.raises(ValueError):
-            count_C(5, 3, 1, "thm13")
-        with pytest.raises(ValueError):
-            count_C(5, 3, 1, "nonsense")
+        for walk in (walk_C_table, c_witnesses):
+            with pytest.raises(ValueError, match="phrasing thm12 requires i = k-1"):
+                walk(5, 3, 0, "thm12")
+            with pytest.raises(ValueError, match="phrasing thm13 requires i = 0"):
+                walk(5, 3, 1, "thm13")
+            with pytest.raises(ValueError, match="unknown phrasing 'nonsense'"):
+                walk(5, 3, 1, "nonsense")
 
 
 def count_schur_product(n):

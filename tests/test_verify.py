@@ -101,24 +101,30 @@ class TestReports:
         (lambda: partitions.count_B_table(10, 3, 5), lambda: verify.verify_corollary(3, 5)),
         (lambda: partitions.count_B_table(-1, 2, 0), lambda: verify.verify_corollary(2, 0, -1)),
         (lambda: list(partitions.partitions_up_to(-1)), lambda: verify.verify_schur(-1)),
-        (lambda: list(partitions.partitions_up_to(3, -2)), "max_part must be non-negative"),
-        (lambda: list(overpartitions.masks_of_weight(3, 2, -1)), "max_part must be non-negative"),
         (lambda: appell.build_R(1, 5, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.build_R(2, -1, 8), lambda: verify.verify_machinery(2, 8, -1)),
+        (lambda: appell.build_R(2, 5, -1), lambda: verify.verify_machinery(2, -1)),
+        (lambda: appell.build_R(2, 5, 5, -1), "a_order must be non-negative"),
         (lambda: appell.closed_product_F_coefficients(1, 4, 8), lambda: verify.verify_machinery(1)),
+        (lambda: appell.closed_product_F_coefficients(2, 3, -1), lambda: verify.verify_machinery(2, -1)),
         (lambda: appell.theorem_product(1, 8), lambda: verify.verify_overpartition(1, 5)),
+        (lambda: appell.theorem_product(2, -1), lambda: verify.verify_machinery(2, -1)),
+        (lambda: appell.theorem_product(2, 5, -1), "a_order must be non-negative"),
         (lambda: overpartitions.dk_sweep(5, 1, 2, 5), lambda: verify.verify_overpartition(1, 5)),
         (lambda: overpartitions.dk_sweep(-2, 2, 2, 5), lambda: verify.verify_overpartition(2, -2)),
         (lambda: overpartitions.dk_sweep(5, 2, 2, -1), lambda: verify.verify_machinery(2, 8, -1)),
+        (lambda: overpartitions.dk_sweep(3, 2, -1), lambda: verify.verify_overpartition(2, 5, -1)),
+        (lambda: overpartitions.count_Dk_table(5, 2, -1), lambda: verify.verify_overpartition(2, 5, -1)),
         (lambda: overpartitions.specialize_overpartition(overpartitions.Overpartition(()), 5, 3),
          lambda: verify.verify_corollary(3, 5)),
         (lambda: overpartitions.specialize_overpartition(overpartitions.Overpartition(()), 0, 1),
          lambda: verify.verify_corollary(1, 0)),
     ], ids=[
         "count_B_table-k", "count_B_table-i", "count_B_table-n_max", "partitions_up_to-n_max",
-        "partitions_up_to-max_part", "masks_of_weight-max_part",
-        "build_R-k", "build_R-j_max", "closed_product-k", "theorem_product-k", "dk_sweep-k",
-        "dk_sweep-n_max", "dk_sweep-j_max", "specialize-i", "specialize-k",
+        "build_R-k", "build_R-j_max", "build_R-q_order", "build_R-a_order", "closed_product-k",
+        "closed_product-q_order", "theorem_product-k", "theorem_product-q_order",
+        "theorem_product-a_order", "dk_sweep-k", "dk_sweep-n_max", "dk_sweep-j_max",
+        "dk_sweep-m_max", "count_Dk_table-m_max", "specialize-i", "specialize-k",
     ])
     def test_bad_input_has_one_wording(self, call, report):
         with pytest.raises(ValueError) as raised:
@@ -148,17 +154,6 @@ class TestReports:
         assert payload["schema_version"] == verify.SCHEMA_VERSION
         assert payload["status"] == "pass"
         assert len(payload["subreports"]) == 4
-
-    def test_verify_all_jobs_match_one_process(self):
-        def untimed(reports):
-            out = [r.to_dict() for r in reports]
-            for d in out:
-                d["timing"] = 0.0
-                for sub in d["subreports"]:
-                    sub["timing"] = 0.0
-            return out
-
-        assert untimed(verify.verify_all(2, jobs=2)) == untimed(verify.verify_all(2, jobs=1))
 
     def test_verify_all_past_k5_passes(self):
         # the machinery cells keep j_max = 65 up to k = 5 and take
@@ -199,10 +194,10 @@ def admitting(real, at, entry):
     table does not list.  Every side's walk trusts its table, so whatever
     the child's state lists comes along."""
 
-    def partitions_up_to(n_max, max_part=None, rule=None, **private):
+    def partitions_up_to(n_max, rule=None, **private):
         if rule is not None:
             rule = edited_rule(lambda: rule, adding_entry(at, entry))()
-        return real(n_max, max_part, rule, **private)
+        return real(n_max, rule, **private)
 
     return partitions_up_to
 
@@ -324,7 +319,7 @@ class TestMutations:
         if alt is not None:
             # the theorem phrasing's rule shares no helper with the
             # corollary's, so it is a second route that also sees the slip
-            assert partitions.count_C_table(n, k, i, alt)[n] == rep.witness["count_B"]
+            assert partitions.walk_C_table(n, k, i, alt)[n] == rep.witness["count_B"]
 
     @pytest.mark.parametrize("k, i, child, leads_to", [
         (2, 0, (3, 3), (3, 3)), (2, 0, (4, 3), (3, 3)), (3, 2, (5, 4), (4, 5)),
@@ -518,8 +513,7 @@ class TestMutations:
 
     def test_corollary_reports_product_before_c(self, monkeypatch):
         # the product and C both differ from B at n = 7: B against the product
-        # is reported; with the product mended, C against B, before C against
-        # the theorem phrasing (which the C slip also breaks)
+        # is reported; with the product mended, the C sweep against B
         real_series, real_c = appell.congruence_product_series, partitions.count_C_table
 
         def series_off(k, i, q_order):
@@ -527,10 +521,9 @@ class TestMutations:
             c[7] += 1
             return QSeries(tuple(c))
 
-        def c_off(n_max, k, i, phrasing="corollary"):
-            table = real_c(n_max, k, i, phrasing)
-            if phrasing == "corollary":
-                table[7] += 1
+        def c_off(n_max, k, i):
+            table = real_c(n_max, k, i)
+            table[7] += 1
             return table
 
         monkeypatch.setattr(partitions, "count_C_table", c_off)
@@ -635,6 +628,18 @@ class TestMutations:
         assert sub.status == "fail"
         w = sub.witness
         assert (w["series"], w["j"], w["m"], w["n"]) == ("P", 55, 3, 50)
+        assert w["enumeration"] == w["coefficient"] + 1
+
+    def test_bounded_enumeration_first_cell_of_a_j(self, monkeypatch):
+        # two slips after value 4: R at (m, n) = (0, 8), P alone at (2, 7).
+        # The witness is the first cell in (n, m) order, though R comes
+        # before P and m = 0 before m = 2; the second patch wraps the first
+        perturb_sweep(monkeypatch, "R", 4, 0, 8)
+        perturb_sweep(monkeypatch, "P", 4, 2, 7)
+        rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=6, enum_n=10)
+        sub = {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
+        w = sub.witness
+        assert (sub.status, w["series"], w["j"], w["m"], w["n"]) == ("fail", "P", 4, 2, 7)
         assert w["enumeration"] == w["coefficient"] + 1
 
     # (6, 0, 0) perturbs the constant term, which every P_j has
@@ -825,8 +830,6 @@ class TestCli:
         ("verify", "corollary", "--k", "3", "--i", "5"),
         ("verify", "all", "--k-max", "1"),
         ("verify", "all", "--k-max", "0"),
-        ("--jobs", "-3", "verify", "all", "--k-max", "0"),
-        ("--jobs", "0", "verify", "all"),
     ])
     def test_bad_input_is_usage_error(self, args):
         result = self.run(*args)
@@ -903,7 +906,10 @@ class TestCli:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_list_d_prints_the_objects(self, k):
         for n in (0, 1, 7, 16):
-            expected = [str(o) for o in overpartitions.admissible_overpartitions(n, k)]
+            expected = [
+                str(o) for o in overpartitions.enumerate_overpartitions(n)
+                if overpartitions.is_Dk_admissible(o, k)
+            ]
             result = self.run("--format", "json", "list", "--side", "D", "--k", str(k), "--n", str(n))
             assert json.loads(result.output) == expected, (k, n)
             result = self.run("list", "--side", "D", "--k", str(k), "--n", str(n))
