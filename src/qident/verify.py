@@ -317,15 +317,23 @@ def _functional_equation(rs: appell.RSequence, rng: dict) -> tuple:
 
 def _closed_product(rs: appell.RSequence, rng: dict) -> tuple:
     """The closed product's x^j coefficients against R_j; the first
-    differing j is the witness."""
+    differing j, and its first differing cell, is the witness."""
     xc = appell.closed_product_F_coefficients(rs.k, rng["j_max"], rs.q_order, rs.a_order)
-    j = next((j for j, coeff in enumerate(xc) if coeff != rs.terms[j]), None)
-    return (None if j is None else {"j": j}), []
+    diff = next(((j, *coeff.first_difference(rs.terms[j]))
+                 for j, coeff in enumerate(xc) if coeff != rs.terms[j]), None)
+    return (None if diff is None else dict(zip(("j", "a_degree", "q_degree"), diff))), []
 
 
 def _appell_limit(rs: appell.RSequence, rng: dict) -> tuple:
-    """The certified limit of R_j against the theorem's product."""
-    lim = appell.appell_limit(rs)
+    """The certified limit of R_j against the theorem's product.  A settled
+    coefficient that changes later is a mismatch found, so it fails with its
+    cell; a limit too short to certify is left to abort."""
+    try:
+        lim = appell.appell_limit(rs)
+    except appell.StabilizationError as exc:
+        if exc.witness is None:
+            raise
+        return dict(zip(("a_degree", "q_degree"), exc.witness)), [str(exc)]
     product = appell.theorem_product(rs.k, rs.q_order, rs.a_order)
     diff = lim.first_difference(product)
     if diff is not None:

@@ -27,27 +27,22 @@ def largest_part(o):
     return o.entries[0][0] if o.entries else 0
 
 
-def filter_count_pj(m, n, j, k):
-    """The per-(j, n, m) filter count_pj was before it read the sweep."""
-    return sum(
-        1
-        for o in enumerate_overpartitions(n)
-        if largest_part(o) <= j and o.overline_count == m and is_Dk_admissible(o, k)
-    )
-
-
-def filter_count_rj(m, n, j, k):
-    """The per-(j, n, m) filter count_rj was before it read the sweep."""
-    forbidden = set(range(max(1, j - k + 2), j + 1))
-    count = 0
-    for o in enumerate_overpartitions(n):
-        if largest_part(o) > j or o.overline_count != m:
+def filter_bounded(n, j_max, k, m_max):
+    """The bounded tables of one weight n, r[j][m] and p[j][m] for
+    j <= j_max, m <= m_max, by brute force: every overpartition of n is
+    filtered by the rule once, then binned by its overline count, its
+    largest part, and whether an overlined value lies in {j-k+2, ..., j}."""
+    r = [[0] * (m_max + 1) for _ in range(j_max + 1)]
+    p = [[0] * (m_max + 1) for _ in range(j_max + 1)]
+    for o in filter_admissible(n, k):
+        m = o.overline_count
+        if m > m_max:
             continue
-        if o.overlined_values & forbidden:
-            continue
-        if is_Dk_admissible(o, k):
-            count += 1
-    return count
+        for j in range(largest_part(o), j_max + 1):
+            p[j][m] += 1
+            if not o.overlined_values & set(range(max(1, j - k + 2), j + 1)):
+                r[j][m] += 1
+    return r, p
 
 
 def single_weight_bounded(n, j_max, k, m_max):
@@ -365,10 +360,7 @@ class TestBoundedCounters:
     def test_tables_match_per_cell_filter(self, k):
         r, p = sweep_tables(12, 8, k, 12)
         for n in range(13):
-            for j in range(9):
-                for m in range(n + 1):
-                    assert r[n][j][m] == filter_count_rj(m, n, j, k), ("R", j, m, n)
-                    assert p[n][j][m] == filter_count_pj(m, n, j, k), ("P", j, m, n)
+            assert (r[n], p[n]) == filter_bounded(n, 8, k, 12), n
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("m_max", [2, 14])

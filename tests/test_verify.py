@@ -1,7 +1,11 @@
 """Verifier reports, mutation behaviour, and the command-line interface."""
 
+import ast
+import dataclasses
 import json
 import sys
+from collections.abc import Iterator
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -274,24 +278,174 @@ def cutting(real, cut):
     return factory
 
 
-def perturb_sweep(monkeypatch, series, j, m, n):
-    """Patch dk_sweep so its snapshot after value j >= 1 counts one more
-    object of weight n with m overlines: in state k for R (so in P too), in
-    state 1 for P alone."""
-    real = overpartitions.dk_sweep
+def bumped(real, at, when=None):
+    """real, except that what a call returns has 1 added at the cell `at`,
+    for the calls when(*args, **kwargs) picks (every call by default).
 
-    def perturbed(n_max, k, m_max, j_max=None):
-        for j_, states in enumerate(real(n_max, k, m_max, j_max)):
-            if j_ == j:
-                # rows may be shared between states and snapshots: copy first
-                states = {d: [row.copy() for row in rows] for d, rows in states.items()}
-                states[k if series == "R" else 1][m][n] += 1
-            yield states
+    at is a path of indices into the output: n into a count list or a
+    QSeries, (m, n) into a row matrix or a BivariateSeries, (j, m, n) into
+    an RSequence's terms or the closed product's x^j list, and
+    (j, state, m, n) into a sweep's snapshots (an iterator is read into a
+    list first).  A path that ends at an object, not a count, drops that
+    object from its list.  Each level on the path is copied, so no row that
+    real returned, or shares, changes.  slip.calls keeps (args, kwargs,
+    real's output) for every bumped call."""
 
-    monkeypatch.setattr(overpartitions, "dk_sweep", perturbed)
+    def slip(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if when is not None and not when(*args, **kwargs):
+            return out
+        out = settled(out)
+        slip.calls.append((args, kwargs, out))
+        return _bumped_at(out, at)
+
+    slip.calls = []
+    return slip
+
+
+def settled(out):
+    """out, or the list of what it yields if it is an iterator."""
+    return list(out) if isinstance(out, Iterator) else out
+
+
+def _bumped_at(out, at):
+    if isinstance(out, (QSeries, BivariateSeries)):
+        return type(out)(_bumped_at(out.coeffs, at))
+    if isinstance(out, appell.RSequence):
+        return dataclasses.replace(out, terms=_bumped_at(out.terms, at))
+    here, rest = at[0], at[1:]
+    cells = dict(out) if isinstance(out, dict) else list(out)
+    if rest:
+        cells[here] = _bumped_at(cells[here], rest)
+    elif isinstance(cells[here], int):
+        cells[here] += 1
+    else:
+        del cells[here]
+    return cells if isinstance(out, (dict, list)) else type(out)(cells)
+
+
+# the calls that catch a route slip, each small enough to run per row; a
+# name with a slash is one stage of the machinery report
+VERIFIERS = {
+    "overpartition": lambda: verify.verify_overpartition(2, 10),
+    "corollary": lambda: verify.verify_corollary(2, 0, 60, 25),
+    "schur": lambda: verify.verify_schur(12),
+    "golden-n10": verify.golden_example_n10,
+    "machinery": lambda: verify.verify_machinery(
+        2, 16, 20, closed_product_j=6, enum_j=6, enum_n=10),
+}
+
+
+def route_slip(route, at, caught, when=None):
+    """A ROUTE_SLIPS row: route, a name verify reads, bumped at `at`; each
+    report or stage in caught must fail with a witness holding its items."""
+    return pytest.param(route, at, when, caught, id=route.split(".")[1])
+
+
+# one row per route a verifier compares, so dropping any row fails
+# test_every_route_has_a_slip
+ROUTE_SLIPS = [
+    route_slip("appell.theorem_product", (1, 1), {
+        "overpartition": {"n": 1, "m": 1, "sweep_count": 1, "product_coefficient": 2,
+                          "enumeration_count": 1, "overpartitions": ["1~"]},
+        "machinery/appell-limit": {"a_degree": 1, "q_degree": 1, "limit": 1, "product": 2},
+    }),
+    route_slip("overpartitions.count_Dk_table", (2, 7), {
+        "overpartition": {"n": 7, "m": 2, "sweep_count": 5, "product_coefficient": 4}}),
+    route_slip("appell.congruence_product_series", (7,), {
+        "corollary": {"n": 7, "count_B": 4, "product_coefficient": 5}}),
+    route_slip("partitions.count_B_table", (40,), {
+        "corollary": {"n": 40, "count_B": 1618, "product_coefficient": 1617}}),
+    route_slip("partitions.count_C_table", (9,), {
+        "corollary": {"n": 9, "count_B": 8, "count_C": 9, "route": "sweep"}}),
+    # both phrasings' walks are bumped alike, so the walk differs from B
+    route_slip("partitions.walk_C_table", (9,), {
+        "corollary": {"n": 9, "count_B": 8, "count_C": 9}}),
+    route_slip("partitions.count_schur_product_table", (5,), {
+        "schur": {"n": 5, "product_count": 3, "gap_count": 2}}),
+    route_slip("partitions.walk_schur_gap_table", (5,), {
+        "schur": {"n": 5, "product_count": 2, "gap_count": 3}}),
+    route_slip("partitions.count_schur_gap_table", (5,), {
+        "schur": {"n": 5, "product_count": 2, "sweep_count": 3}}),
+    # R_6 off at a^1 q^3, settled since j = 4 and inside every stage's range
+    route_slip("appell.build_R", (6, 1, 3), {
+        "machinery/functional-equation": {"j": 6, "a_degree": 1, "q_degree": 3},
+        "machinery/closed-product": {"j": 6, "a_degree": 1, "q_degree": 3},
+        "machinery/appell-limit": {"a_degree": 1, "q_degree": 3},
+        "machinery/bounded-enumeration": {"series": "R", "j": 6, "m": 1, "n": 3},
+    }),
+    route_slip("appell.closed_product_F_coefficients", (3, 1, 5), {
+        "machinery/closed-product": {"j": 3, "a_degree": 1, "q_degree": 5}}),
+    route_slip("appell.appell_limit", (2, 9), {
+        "machinery/appell-limit": {"a_degree": 2, "q_degree": 9, "limit": 13, "product": 12}}),
+    route_slip("appell.pj_series", (2, 7), {
+        "machinery/bounded-enumeration": {"series": "P", "j": 4, "m": 2, "n": 7}},
+        when=lambda rs, j: j == 4),
+    # the snapshot after value 3, in state k = 2: R_3 (and so P_3) off
+    route_slip("overpartitions.dk_sweep", (3, 2, 1, 5), {
+        "machinery/bounded-enumeration": {"series": "R", "j": 3, "m": 1, "n": 5}}),
+    route_slip("partitions.state_total", (7,), {
+        "machinery/bounded-enumeration": {"series": "P", "j": 0, "m": 2, "n": 7}},
+        when=lambda states, m=0: m == 2),
+    route_slip("partitions.b_witnesses", (0,), {
+        "golden-n10": {"product_expected_only": ["(9, 1)"]}}),
+    route_slip("partitions.c_witnesses", (0,), {
+        "golden-n10": {"sum_expected_only": ["(10,)"], "specialization_image": ["(10,)"]}}),
+    # the weight-5 preimages have no overline; the first, 5, maps to 10
+    route_slip("overpartitions.d_witnesses", (0,), {
+        "golden-n10": {"specialization_image": ["(10,)"]}},
+        when=lambda m, n, k: n == 5),
+    # 5 maps to 11 in place of 10
+    route_slip("overpartitions.specialize_overpartition", (0,), {
+        "golden-n10": {"specialization_image": ["(10,)", "(11,)"]}},
+        when=lambda o, i, k: str(o) == "5"),
+]
+
+# the names verify reads that yield no value a verifier compares
+UNROUTED = {
+    "partitions.check_params": "the bad-input rule: it raises or returns nothing",
+    "appell.max_overline_count": "an a-order bound: it sizes a comparison",
+    "partitions.format_partition": "the string form of a listed witness",
+    "partitions.schur_gap_witnesses": "it only lists a failing witness's objects",
+    "appell.check_functional_equation": "the comparison itself",
+    "appell.RSequence": "a type",
+    "appell.StabilizationError": "a type",
+}
 
 
 class TestMutations:
+    @pytest.mark.parametrize("route, at, when, caught", ROUTE_SLIPS)
+    def test_route_slip(self, monkeypatch, route, at, when, caught):
+        module_name, name = route.split(".")
+        module = getattr(verify, module_name)
+        real = getattr(module, name)
+        slip = bumped(real, at, when)
+        monkeypatch.setattr(module, name, slip)
+        for check, witness in caught.items():
+            rep = VERIFIERS[check.split("/")[0]]()
+            if "/" in check:
+                # a stage's mismatch fails the whole report, never aborts it
+                assert rep.status == "fail"
+                rep = {s.identity: s for s in rep.subreports}[check]
+            assert rep.status == "fail", check
+            assert witness.items() <= rep.witness.items(), (check, rep.witness)
+        # the bump edited copies: what the real route returned is as it was
+        assert slip.calls
+        for args, kwargs, out in slip.calls:
+            assert settled(real(*args, **kwargs)) == out
+
+    def test_every_route_has_a_slip(self):
+        # every module name verify reads has a row, or a reason in UNROUTED
+        tree = ast.parse(Path(verify.__file__).read_text())
+        read = {
+            f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("appell", "partitions", "overpartitions")
+        }
+        slipped = {row.values[0] for row in ROUTE_SLIPS}
+        assert read - slipped - UNROUTED.keys() == set()
+        assert UNROUTED.keys() <= read
+
     # each slip lists extra's last part, leading to state leads_to, where
     # the corollary's table refuses it: an odd part repeated, or a part at
     # the top of an odd part's even window (each window one value short)
@@ -458,17 +612,10 @@ class TestMutations:
     def test_overpartition_product_slip_past_the_limit(self, monkeypatch):
         # a slip at n = 60 is caught there, and the witness lists no objects:
         # no walk runs past ENUM_HARD_LIMIT
-        real = appell.theorem_product
-
-        def perturbed(k, q_order, a_order=None):
-            rows = [list(r) for r in real(k, q_order, a_order).coeffs]
-            rows[0][60] += 1
-            return BivariateSeries(tuple(tuple(r) for r in rows))
-
         def walked(*args, **kwargs):
             raise AssertionError("an enumeration ran")
 
-        monkeypatch.setattr(appell, "theorem_product", perturbed)
+        monkeypatch.setattr(appell, "theorem_product", bumped(appell.theorem_product, (0, 60)))
         monkeypatch.setattr(overpartitions, "d_witnesses", walked)
         monkeypatch.setattr(overpartitions, "_walk_to", walked)
         rep = verify.verify_overpartition(2, 100)
@@ -496,38 +643,12 @@ class TestMutations:
         assert rep.witness["enumeration_count"] == 1
         assert rep.witness["overpartitions"] == ["1~"]
 
-    def test_corollary_perturbed_series(self, monkeypatch):
-        real = appell.congruence_product_series
-
-        def perturbed(k, i, q_order):
-            s = real(k, i, q_order)
-            c = list(s.coeffs)
-            if len(c) > 7:
-                c[7] += 1
-            return type(s)(tuple(c))
-
-        monkeypatch.setattr(appell, "congruence_product_series", perturbed)
-        rep = verify.verify_corollary(2, 0, 30, 12)
-        assert rep.status == "fail"
-        assert rep.witness["n"] == 7
-
     def test_corollary_reports_product_before_c(self, monkeypatch):
         # the product and C both differ from B at n = 7: B against the product
         # is reported; with the product mended, the C sweep against B
-        real_series, real_c = appell.congruence_product_series, partitions.count_C_table
-
-        def series_off(k, i, q_order):
-            c = list(real_series(k, i, q_order).coeffs)
-            c[7] += 1
-            return QSeries(tuple(c))
-
-        def c_off(n_max, k, i):
-            table = real_c(n_max, k, i)
-            table[7] += 1
-            return table
-
-        monkeypatch.setattr(partitions, "count_C_table", c_off)
-        monkeypatch.setattr(appell, "congruence_product_series", series_off)
+        real_series = appell.congruence_product_series
+        monkeypatch.setattr(partitions, "count_C_table", bumped(partitions.count_C_table, (7,)))
+        monkeypatch.setattr(appell, "congruence_product_series", bumped(real_series, (7,)))
         count_b = partitions.count_B_table(30, 2, 0)[7]
         rep = verify.verify_corollary(2, 0, 30, 12)
         assert (rep.status, rep.notes) == ("fail", [])
@@ -543,13 +664,7 @@ class TestMutations:
         # a slip in the B-side knapsack reaches every module that binds it; the
         # product route must not be one of them, or the slip goes unseen
         real = partitions._count_by_dp
-
-        def off_by_one(n_max, allowed_parts):
-            ways = real(n_max, allowed_parts)
-            if n_max >= 40:
-                ways[40] += 1
-            return ways
-
+        off_by_one = bumped(real, (40,), when=lambda n_max, allowed_parts: n_max >= 40)
         for name, module in list(sys.modules.items()):
             if name.startswith("qident") and getattr(module, "_count_by_dp", None) is real:
                 monkeypatch.setattr(module, "_count_by_dp", off_by_one)
@@ -563,16 +678,8 @@ class TestMutations:
         # alone: 1/(q^2; q^2) puts its q^20 coefficient at n = 40, and the
         # knapsack keeps count_B, so the two routes share no kernel
         count_b = partitions.count_B_table(60, 2, 0)
-        real = QSeries.invert_unit
-
-        def off_by_one(self):
-            inverse = real(self)
-            c = list(inverse.coeffs)
-            if len(c) > 20:
-                c[20] += 1
-            return QSeries(tuple(c))
-
-        monkeypatch.setattr(QSeries, "invert_unit", off_by_one)
+        monkeypatch.setattr(QSeries, "invert_unit", bumped(
+            QSeries.invert_unit, (20,), when=lambda self: self.order >= 20))
         assert partitions.count_B_table(60, 2, 0) == count_b
         rep = verify.verify_corollary(2, 0, 60, 12)
         assert rep.status == "fail"
@@ -586,15 +693,8 @@ class TestMutations:
         # the a^0 row first, and neither count table moves
         count_b = partitions.count_B_table(60, 2, 0)
         count_dk = overpartitions.count_Dk_table(10, 2, 8)
-        real = appell.euler_product
-
-        def off_by_one(q_order):
-            c = list(real(q_order).coeffs)
-            if len(c) > 7:
-                c[7] += 1
-            return QSeries(tuple(c))
-
-        monkeypatch.setattr(appell, "euler_product", off_by_one)
+        monkeypatch.setattr(appell, "euler_product", bumped(
+            appell.euler_product, (7,), when=lambda q_order: q_order >= 7))
         assert partitions.count_B_table(60, 2, 0) == count_b
         assert overpartitions.count_Dk_table(10, 2, 8) == count_dk
         rep = verify.verify_corollary(2, 0, 60, 12)
@@ -606,16 +706,6 @@ class TestMutations:
         assert (rep.witness["m"], rep.witness["n"]) == (0, 7)
         assert rep.witness["product_coefficient"] == count_dk[0][7] - 1
 
-    @pytest.mark.parametrize("series, j, m, n", [("R", 3, 1, 5), ("P", 4, 2, 7)])
-    def test_bounded_enumeration_perturbed_table(self, monkeypatch, series, j, m, n):
-        perturb_sweep(monkeypatch, series, j, m, n)
-        rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=6, enum_n=10)
-        sub = {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
-        assert sub.status == "fail"
-        w = sub.witness
-        assert (w["series"], w["j"], w["m"], w["n"]) == (series, j, m, n)
-        assert w["enumeration"] == w["coefficient"] + 1
-
     def test_bounded_enumeration_past_the_limit(self, monkeypatch):
         def stage():
             rep = verify.verify_machinery(2, 60, enum_j=62, enum_n=60)
@@ -623,7 +713,9 @@ class TestMutations:
 
         sub = stage()
         assert (sub.status, sub.range) == ("pass", {"j_max": 62, "n_max": 60})
-        perturb_sweep(monkeypatch, "P", 55, 3, 50)
+        # the snapshot after value 55, in state 1: P alone off
+        monkeypatch.setattr(overpartitions, "dk_sweep",
+                            bumped(overpartitions.dk_sweep, (55, 1, 3, 50)))
         sub = stage()
         assert sub.status == "fail"
         w = sub.witness
@@ -631,31 +723,35 @@ class TestMutations:
         assert w["enumeration"] == w["coefficient"] + 1
 
     def test_bounded_enumeration_first_cell_of_a_j(self, monkeypatch):
-        # two slips after value 4: R at (m, n) = (0, 8), P alone at (2, 7).
-        # The witness is the first cell in (n, m) order, though R comes
-        # before P and m = 0 before m = 2; the second patch wraps the first
-        perturb_sweep(monkeypatch, "R", 4, 0, 8)
-        perturb_sweep(monkeypatch, "P", 4, 2, 7)
+        # two slips after value 4: R at (m, n) = (0, 8) in state k = 2, P
+        # alone at (2, 7) in state 1.  The witness is the first cell in
+        # (n, m) order, though R comes before P and m = 0 before m = 2
+        monkeypatch.setattr(overpartitions, "dk_sweep", bumped(
+            bumped(overpartitions.dk_sweep, (4, 2, 0, 8)), (4, 1, 2, 7)))
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=6, enum_n=10)
         sub = {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
         w = sub.witness
         assert (sub.status, w["series"], w["j"], w["m"], w["n"]) == ("fail", "P", 4, 2, 7)
         assert w["enumeration"] == w["coefficient"] + 1
 
+    # R off in state k = 2 (so P too), P alone off in state 1
+    @pytest.mark.parametrize("series, j, m, n", [("R", 3, 1, 5), ("P", 4, 2, 7)])
+    def test_bounded_enumeration_perturbed_table(self, monkeypatch, series, j, m, n):
+        state = 2 if series == "R" else 1
+        monkeypatch.setattr(overpartitions, "dk_sweep",
+                            bumped(overpartitions.dk_sweep, (j, state, m, n)))
+        rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=6, enum_n=10)
+        sub = {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
+        assert sub.status == "fail"
+        w = sub.witness
+        assert (w["series"], w["j"], w["m"], w["n"]) == (series, j, m, n)
+        assert w["enumeration"] == w["coefficient"] + 1
+
     # (6, 0, 0) perturbs the constant term, which every P_j has
     @pytest.mark.parametrize("j, m, n", [(4, 2, 7), (6, 0, 0), (3, 1, 10)])
     def test_bounded_enumeration_perturbed_pj_series(self, monkeypatch, j, m, n):
-        real = appell.pj_series
-
-        def perturbed(rs, j_):
-            good = real(rs, j_)
-            if j_ != j:
-                return good
-            rows = [list(r) for r in good.coeffs]
-            rows[m][n] += 1
-            return BivariateSeries(tuple(tuple(r) for r in rows))
-
-        monkeypatch.setattr(appell, "pj_series", perturbed)
+        monkeypatch.setattr(appell, "pj_series",
+                            bumped(appell.pj_series, (m, n), when=lambda rs, j_: j_ == j))
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=6, enum_n=10)
         sub = {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
         assert sub.status == "fail"
@@ -699,74 +795,45 @@ class TestMutations:
         assert rep.witness == {"n": 9, "count_C_corollary": count_c, "count_C_thm12": count_c + 1}
         assert rep.notes == ["phrasing thm12 diverged from corollary phrasing"]
 
-    @staticmethod
-    def _perturb_build_R(monkeypatch, j, m, n):
-        """build_R with the coefficient of a^m q^n in R_j off by one."""
-        real = appell.build_R
-
-        def perturbed(k, j_max, q_order, a_order=None):
-            rs = real(k, j_max, q_order, a_order)
-            rows = [list(r) for r in rs.terms[j].coeffs]
-            rows[m][n] += 1
-            terms = list(rs.terms)
-            terms[j] = BivariateSeries(tuple(tuple(r) for r in rows))
-            return appell.RSequence(rs.k, rs.q_order, rs.a_order, terms)
-
-        monkeypatch.setattr(appell, "build_R", perturbed)
-
     def test_functional_equation_perturbed_term(self, monkeypatch):
-        # a q^5 settles by j = 6, so R_6 off there also stops the limit
-        self._perturb_build_R(monkeypatch, 6, 1, 5)
+        # a q^5 settles by j = 6, so R_6 off there also fails the limit;
+        # the closed-product and bounded stages stop below j = 6
+        monkeypatch.setattr(appell, "build_R", bumped(appell.build_R, (6, 1, 5)))
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=3, enum_n=8)
         sub = {s.identity: s for s in rep.subreports}
         assert (sub["machinery/functional-equation"].status,
                 sub["machinery/functional-equation"].witness) == (
             "fail", {"j": 6, "a_degree": 1, "q_degree": 5})
         limit = sub.pop("machinery/appell-limit")
-        assert limit.status == "aborted"
+        assert (limit.status, limit.witness) == ("fail", {"a_degree": 1, "q_degree": 5})
         assert "a^1 q^5" in limit.notes[0]
         assert all(s.status == "pass" for name, s in sub.items()
                    if name != "machinery/functional-equation")
-        assert rep.status == "aborted"
+        assert rep.status == "fail"
 
     def test_appell_limit_perturbed_settled_term(self, monkeypatch):
         # R_15 off at a q^5, long after q^5 settles (j = 6) and before the
         # last two terms, which still agree: the settling bound catches it
-        self._perturb_build_R(monkeypatch, 15, 1, 5)
+        monkeypatch.setattr(appell, "build_R", bumped(appell.build_R, (15, 1, 5)))
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=3, enum_n=8)
         sub = {s.identity: s for s in rep.subreports}["machinery/appell-limit"]
-        assert sub.status == "aborted"
+        assert (sub.status, sub.witness) == ("fail", {"a_degree": 1, "q_degree": 5})
         assert "a^1 q^5" in sub.notes[0]
-        assert not rep.passed
+        assert rep.status == "fail"
 
     @pytest.mark.parametrize("j", [0, 3, 6])
     def test_closed_product_perturbed_coefficient(self, monkeypatch, j):
-        real = appell.closed_product_F_coefficients
-
-        def perturbed(k, j_top, q_order, a_order=None):
-            xc = real(k, j_top, q_order, a_order)
-            rows = [list(r) for r in xc[j].coeffs]
-            rows[1][j + 2] += 1
-            xc[j] = BivariateSeries(tuple(tuple(r) for r in rows))
-            return xc
-
-        monkeypatch.setattr(appell, "closed_product_F_coefficients", perturbed)
+        monkeypatch.setattr(appell, "closed_product_F_coefficients",
+                            bumped(appell.closed_product_F_coefficients, (j, 1, j + 2)))
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=6, enum_j=3, enum_n=8)
         sub = {s.identity: s for s in rep.subreports}["machinery/closed-product"]
-        assert (sub.status, sub.witness) == ("fail", {"j": j})
+        assert (sub.status, sub.witness) == (
+            "fail", {"j": j, "a_degree": 1, "q_degree": j + 2})
         assert rep.status == "fail"
 
     @pytest.mark.parametrize("m, n", [(0, 5), (2, 9)])
     def test_appell_limit_perturbed_product(self, monkeypatch, m, n):
-        real = appell.theorem_product
-
-        def perturbed(k, q_order, a_order=None):
-            good = real(k, q_order, a_order)
-            rows = [list(r) for r in good.coeffs]
-            rows[m][n] += 1
-            return BivariateSeries(tuple(tuple(r) for r in rows))
-
-        monkeypatch.setattr(appell, "theorem_product", perturbed)
+        monkeypatch.setattr(appell, "theorem_product", bumped(appell.theorem_product, (m, n)))
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=3, enum_n=8)
         sub = {s.identity: s for s in rep.subreports}["machinery/appell-limit"]
         assert sub.status == "fail"
@@ -774,21 +841,6 @@ class TestMutations:
         assert (w["a_degree"], w["q_degree"]) == (m, n)
         assert w["product"] == w["limit"] + 1
         assert rep.status == "fail"
-
-    def test_schur_perturbed_table(self, monkeypatch):
-        real = partitions.count_schur_product_table
-
-        def perturbed(n_max):
-            t = real(n_max)
-            if n_max >= 5:
-                t[5] += 1
-            return t
-
-        monkeypatch.setattr(partitions, "count_schur_product_table", perturbed)
-        rep = verify.verify_schur(12)
-        assert rep.status == "fail"
-        assert rep.witness["n"] == 5
-        assert rep.witness["product_count"] == rep.witness["gap_count"] + 1
 
 
 class TestCli:
