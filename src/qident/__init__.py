@@ -14,6 +14,7 @@ from .appell import (
     build_R,
     check_functional_equation,
     congruence_product_series,
+    r_terms,
     theorem_product,
 )
 from .overpartitions import (
@@ -76,6 +77,7 @@ __all__ = [
     "is_Dk_admissible",
     "partitions_up_to",
     "pochhammer_inf",
+    "r_terms",
     "specialize",
     "specialize_overpartition",
     "theorem_product",

@@ -13,19 +13,30 @@ R_infty, which must reproduce the infinite product
 product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf from the inverse of Euler's
 product, so that route shares no algorithm with the B-side knapsack.
 
+The recursion is a stream: r_terms yields R_0, R_1, ... and keeps only the
+last k terms, and build_R is that stream kept whole.  The functional
+equation and the limit are checked one j at a time (functional_equation_step
+reads R_j, R_{j-1}, R_{j-k}; limit_step reads R_j, R_{j-1}), so a caller
+can check them as the terms arrive; check_functional_equation and
+appell_limit are the same steps looped over an RSequence.
+
 Euler's two identities give R_j in closed form: its a^d row is
 q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}).  The closed product
-counts each row from that form, sharing no code with build_R, and the
+counts each row from that form, sharing no code with r_terms, and the
 limit checks the bound it implies: the coefficient of q^e is fixed once
-j >= e + k - 1.  The routes work on whole coefficient rows, as lists: the
+j >= e + k - 1.  Checked between neighbours, that is R_j = R_{j-1} below
+q^{j-k+1}; the windows grow with j, so the agreements chain forward to
+R_{j_max}.  The routes work on whole coefficient rows, as lists: the
 functional equation is compared a-row by a-row without building series
-objects, and the limit compares row slices.  Only build_R's division by
-(1 - q^j) is a running sum over single coefficients: at q-order 200 its
+objects, and the limit compares row slices.  Only the recursion's division
+by (1 - q^j) is a running sum over single coefficients: at q-order 200 its
 slice forms measured slower.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import add
 
@@ -76,48 +87,73 @@ def _add_shifted(rows: list, src, a_exp: int, q_exp: int) -> None:
         row[q_exp:] = map(add, row[q_exp:], src[m - a_exp])
 
 
-def build_R(k: int, j_max: int, q_order: int, a_order: int | None = None) -> RSequence:
-    """Run the recursion from R_0 = 1 (with R_j = 0 for -k < j < 0).
+def r_terms(k: int, j_max: int, q_order: int, a_order: int | None = None) -> Iterator:
+    """Yield R_0..R_{j_max} from the recursion, R_0 = 1 (with R_j = 0 for -k < j < 0).
 
     a_order defaults to the exact overline-count bound for this truncation.
     Each term is built as a running sum in place: R_{j-1} + a q^{j-k+1} R_{j-k},
-    then divided by (1 - q^j) through c[n] += c[n - j] for n ascending.
+    then divided by (1 - q^j) through c[n] += c[n - j] for n ascending.  Only
+    the last k terms are kept, so a caller that keeps no more holds O(k) terms.
+    The parameters are checked at the call, before the first term.
     """
     check_params(k, j_max=j_max, q_order=q_order, a_order=a_order)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
-    terms = [BivariateSeries.one(a_order, q_order)]
+    return _r_terms(k, j_max, q_order, a_order)
+
+
+def _r_terms(k: int, j_max: int, q_order: int, a_order: int) -> Iterator:
+    window = deque([BivariateSeries.one(a_order, q_order)], maxlen=k)  # R_{j-k}..R_{j-1}
+    yield window[0]
     for j in range(1, j_max + 1):
-        rows = [list(r) for r in terms[j - 1].coeffs]
+        rows = [list(r) for r in window[-1].coeffs]
         if j - k >= 0:
-            _add_shifted(rows, terms[j - k].coeffs, 1, j - k + 1)
+            _add_shifted(rows, window[0].coeffs, 1, j - k + 1)
         for row in rows:
             for n in range(j, q_order + 1):
                 row[n] += row[n - j]
-        terms.append(BivariateSeries(tuple(tuple(r) for r in rows)))
-    return RSequence(k, q_order, a_order, terms)
+        window.append(BivariateSeries(tuple(tuple(r) for r in rows)))
+        yield window[-1]
+
+
+def build_R(k: int, j_max: int, q_order: int, a_order: int | None = None) -> RSequence:
+    """R_0..R_{j_max} from r_terms, all kept."""
+    terms = r_terms(k, j_max, q_order, a_order)
+    if a_order is None:
+        a_order = max_overline_count(k, q_order)
+    return RSequence(k, q_order, a_order, list(terms))
+
+
+def functional_equation_step(k: int, j: int, term, prev, low) -> tuple | None:
+    """Verify R_j - R_{j-1} = q^j R_j + a q^{j-k+1} R_{j-k} at one j >= 1.
+
+    term, prev and low are R_j, R_{j-1} and R_{j-k} (None when j < k).  Each
+    a-row of R_j is compared, as a list, with the same row of
+    R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k}.  Returns the first failing
+    (a-degree, q-degree), a-degree before q-degree, or None.
+    """
+    low = low.coeffs if low is not None else ()
+    for m, (row, prev_row) in enumerate(zip(term.coeffs, prev.coeffs)):
+        expected = list(prev_row)
+        expected[j:] = map(add, expected[j:], row)
+        if m and low:
+            expected[j - k + 1 :] = map(add, expected[j - k + 1 :], low[m - 1])
+        if tuple(row) != tuple(expected):
+            return m, next(n for n, (c, e) in enumerate(zip(row, expected)) if c != e)
+    return None
 
 
 def check_functional_equation(rs: RSequence) -> tuple | None:
-    """Verify R_j - R_{j-1} = q^j R_j + a q^{j-k+1} R_{j-k} for 1 <= j <= j_max.
-
-    This is the x^j coefficient of (1-x)F = (1 + a x^k q) F(x -> xq).  Each
-    a-row of R_j is compared, as a list, with the same row of
-    R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k}.  Returns the first failing
-    (j, a-degree, q-degree), a-degree before q-degree, or None when every
-    equation holds.
+    """functional_equation_step at each 1 <= j <= j_max: the x^j coefficient
+    of (1-x)F = (1 + a x^k q) F(x -> xq).  Returns the first failing
+    (j, a-degree, q-degree), or None when every equation holds.
     """
     k = rs.k
     for j in range(1, rs.j_max + 1):
-        term, prev = rs.terms[j].coeffs, rs.terms[j - 1].coeffs
-        low = rs.terms[j - k].coeffs if j >= k else ()
-        for m, (row, prev_row) in enumerate(zip(term, prev)):
-            expected = list(prev_row)
-            expected[j:] = map(add, expected[j:], row)
-            if m and low:
-                expected[j - k + 1 :] = map(add, expected[j - k + 1 :], low[m - 1])
-            if tuple(row) != tuple(expected):
-                return j, m, next(n for n, (c, e) in enumerate(zip(row, expected)) if c != e)
+        low = rs.terms[j - k] if j >= k else None
+        diff = functional_equation_step(k, j, rs.terms[j], rs.terms[j - 1], low)
+        if diff is not None:
+            return (j, *diff)
     return None
 
 
@@ -148,31 +184,47 @@ def closed_product_F_coefficients(
     ]
 
 
+def require_depth(k: int, j_max: int, q_order: int) -> None:
+    """Refuse a limit that cannot be certified: the settling check at j_max
+    covers every q^e below q_order + 1 only when j_max >= q_order + k."""
+    if j_max < q_order + k:
+        raise StabilizationError(f"not stabilized: j_max={j_max} < q_order+k={q_order + k}")
+
+
+def limit_step(k: int, j: int, term, prev) -> BivariateSeries:
+    """One step of the settling check at j >= k: R_j = term must equal
+    R_{j-1} = prev below q^{j-k+1}.  Returns R_j, the limit so far.
+
+    By the closed form the coefficient of q^e is fixed for j >= e + k - 1, so
+    a difference below q^{j-k+1} is a settled coefficient that changed; it
+    raises with its (a-degree, q-degree), the lowest of each.
+    """
+    top = j - k + 1
+    for m, (row, before) in enumerate(zip(term.coeffs, prev.coeffs)):
+        if row[:top] != before[:top]:
+            e = next(e for e, (c, b) in enumerate(zip(row, before)) if c != b)
+            raise StabilizationError(
+                f"not stabilized: coefficient of a^{m} q^{e} changes between"
+                f" j={j - 1} and j={j}, though it settles by j={e + k - 1}",
+                witness=(m, e),
+            )
+    return term
+
+
 def appell_limit(rs: RSequence) -> BivariateSeries:
     """The formal evaluation of lim_{x->1} (1-x) F(a,x,q): R_{j_max}, certified.
 
-    By the closed form the coefficient of q^e is fixed for j >= e + k - 1.
-    That bound is checked: each a-row of R_j, k - 1 <= j < j_max, must equal
-    R_{j_max}'s below q^{j-k+2}.  j_max >= q_order + k makes the last
-    comparison cover every q^e; the first mismatch raises with its
+    limit_step at each k <= j <= j_max: R_j agrees with R_{j-1} below
+    q^{j-k+1}.  As that window grows with j, the agreements chain forward:
+    they hold exactly when each R_j agrees with R_{j_max} below q^{j-k+2},
+    the closed form's settling bound.  require_depth makes the last step
+    cover every q^e; the first changed coefficient raises with its
     (a-degree, q-degree).
     """
-    k, last = rs.k, rs.terms[-1].coeffs
-    if rs.j_max < rs.q_order + k:
-        raise StabilizationError(
-            f"not stabilized: j_max={rs.j_max} < q_order+k={rs.q_order + k}"
-        )
-    for j in range(k - 1, rs.j_max):
-        top = j - k + 2
-        for m, (row, final) in enumerate(zip(rs.terms[j].coeffs, last)):
-            if row[:top] != final[:top]:
-                e = next(e for e, (c, f) in enumerate(zip(row, final)) if c != f)
-                raise StabilizationError(
-                    f"not stabilized: coefficient of a^{m} q^{e} differs between"
-                    f" j={j} and j={rs.j_max}, though it settles by j={e + k - 1}",
-                    witness=(m, e),
-                )
-    return rs.terms[-1]
+    require_depth(rs.k, rs.j_max, rs.q_order)
+    for j in range(rs.k, rs.j_max + 1):
+        limit = limit_step(rs.k, j, rs.terms[j], rs.terms[j - 1])
+    return limit
 
 
 def theorem_product(k: int, q_order: int, a_order: int | None = None) -> BivariateSeries:

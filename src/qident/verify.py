@@ -12,13 +12,15 @@ D_k witness past it lists no objects.  The sweeps run to any n.
 
 Every verifier turns bad input (`partitions.check_params`, the rule the
 library functions raise) or a refused range into an `aborted` report, and
-its first witness, or None, into a fail or pass report through `_outcome`;
-`verify_machinery` runs its four stages through one loop the same way.
+its first witness, or None, into a fail or pass report through `_outcome`.
+`verify_machinery` builds R_j once, as a stream, and runs its four stages
+in one loop over it; each stage returns its first witness, or None.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import appell, overpartitions, partitions
@@ -274,10 +276,18 @@ def verify_machinery(
     enum_n: int = 18,
 ) -> VerificationReport:
     """Bundle the recursion-level checks into one report, a timed sub-report
-    per stage; each check(rs, stage range) returns (witness or None, notes)."""
+    per stage.
+
+    R_0..R_{j_max} are built once, by appell.r_terms, and each stage checks
+    them as they arrive through a window of the last k + 1 terms, so no more
+    is kept than the window and the head a stage asks for.  A stage is a
+    generator: it is sent the window once per term until it returns
+    (witness or None, notes), or raises StabilizationError to abort, and its
+    time is the sum of its own steps.
+    """
     start = time.perf_counter()
     if j_max is None:
-        # the least j_max for which appell_limit checks every q^d settled
+        # the least j_max for which the Appell limit checks every q^d settled
         j_max = q_order + k
     params = {"k": k}
     rng = {"q_order": q_order, "j_max": j_max}
@@ -288,53 +298,90 @@ def verify_machinery(
         )
     except ValueError as exc:
         return _aborted("machinery", params, rng, str(exc), start)
-    rs = appell.build_R(k, j_max, q_order)
+    a_order = appell.max_overline_count(k, q_order)
+    cp_rng = {"j_max": min(closed_product_j, j_max)}
+    enum_rng = {"j_max": min(enum_j, j_max), "n_max": min(enum_n, q_order)}
     stages = (
-        ("machinery/functional-equation", {"j_max": j_max}, _functional_equation),
-        ("machinery/closed-product", {"j_max": min(closed_product_j, j_max)}, _closed_product),
-        ("machinery/appell-limit", {"q_order": q_order}, _appell_limit),
-        ("machinery/bounded-enumeration",
-         {"j_max": min(enum_j, j_max), "n_max": min(enum_n, q_order)}, _bounded_enumeration),
+        ("machinery/functional-equation", {"j_max": j_max}, _functional_equation(k, j_max)),
+        ("machinery/closed-product", cp_rng,
+         _closed_product(k, q_order, a_order, cp_rng["j_max"])),
+        ("machinery/appell-limit", {"q_order": q_order}, _appell_limit(k, q_order, a_order, j_max)),
+        ("machinery/bounded-enumeration", enum_rng,
+         _bounded_enumeration(k, q_order, a_order, enum_rng["j_max"], enum_rng["n_max"])),
     )
-    subs = []
-    for name, stage_rng, check in stages:
+    outcomes, seconds = [None] * len(stages), [0.0] * len(stages)
+
+    def step(n, window):
         t0 = time.perf_counter()
         try:
-            witness, notes = check(rs, stage_rng)
+            stages[n][2].send(window)
+        except StopIteration as done:
+            outcomes[n] = done.value
         except appell.StabilizationError as exc:
-            subs.append(_aborted(name, params, stage_rng, f"aborted: {exc}", t0))
+            outcomes[n] = exc
+        seconds[n] += time.perf_counter() - t0
+
+    for n in range(len(stages)):
+        step(n, None)  # runs each stage up to its first term
+    window = deque(maxlen=k + 1)  # R_{j-k}..R_j
+    for term in appell.r_terms(k, j_max, q_order, a_order):
+        window.append(term)
+        for n, outcome in enumerate(outcomes):
+            if outcome is None:
+                step(n, window)
+        if None not in outcomes:
+            break
+    subs = []
+    for (name, stage_rng, _), outcome, timing in zip(stages, outcomes, seconds):
+        if isinstance(outcome, appell.StabilizationError):
+            status, witness, notes = "aborted", None, [f"aborted: {outcome}"]
         else:
-            subs.append(_outcome(name, params, stage_rng, witness, t0, notes))
-    # the worst stage decides: aborted over fail over pass
-    overall = max((s.status for s in subs), key=("pass", "fail", "aborted").index)
+            witness, notes = outcome
+            status = "pass" if witness is None else "fail"
+        subs.append(VerificationReport(name, params, stage_rng, status, witness, timing, notes))
+    # a mismatch found decides over a stage that could not certify: fail over
+    # aborted over pass
+    overall = max((s.status for s in subs), key=("pass", "aborted", "fail").index)
     return _timed(VerificationReport("machinery", params, rng, overall, subreports=subs), start)
 
 
-def _functional_equation(rs: appell.RSequence, rng: dict) -> tuple:
-    diff = appell.check_functional_equation(rs)
-    return (None if diff is None else dict(zip(("j", "a_degree", "q_degree"), diff))), []
+def _functional_equation(k: int, j_max: int):
+    """R_j against R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k}, read from the
+    window, for 1 <= j <= j_max."""
+    yield  # R_0 has no equation
+    for j in range(1, j_max + 1):
+        window = yield
+        low = window[0] if j >= k else None
+        diff = appell.functional_equation_step(k, j, window[-1], window[-2], low)
+        if diff is not None:
+            return dict(zip(("j", "a_degree", "q_degree"), (j, *diff))), []
+    return None, []
 
 
-def _closed_product(rs: appell.RSequence, rng: dict) -> tuple:
-    """The closed product's x^j coefficients against R_j; the first
-    differing j, and its first differing cell, is the witness."""
-    xc = appell.closed_product_F_coefficients(rs.k, rng["j_max"], rs.q_order, rs.a_order)
-    diff = next(((j, *coeff.first_difference(rs.terms[j]))
-                 for j, coeff in enumerate(xc) if coeff != rs.terms[j]), None)
-    return (None if diff is None else dict(zip(("j", "a_degree", "q_degree"), diff))), []
+def _closed_product(k: int, q_order: int, a_order: int, j_top: int):
+    """The closed product's x^j coefficients against R_j as each arrives; the
+    first differing j, and its first differing cell, is the witness."""
+    xc = appell.closed_product_F_coefficients(k, j_top, q_order, a_order)
+    for j, coeff in enumerate(xc):
+        term = (yield)[-1]
+        if coeff != term:
+            return dict(zip(("j", "a_degree", "q_degree"), (j, *coeff.first_difference(term)))), []
+    return None, []
 
 
-def _appell_limit(rs: appell.RSequence, rng: dict) -> tuple:
+def _appell_limit(k: int, q_order: int, a_order: int, j_max: int):
     """The certified limit of R_j against the theorem's product.  A settled
     coefficient that changes later is a mismatch found, so it fails with its
-    cell; a limit too short to certify is left to abort."""
+    cell; a limit too short to certify aborts before the first term."""
+    appell.require_depth(k, j_max, q_order)
     try:
-        lim = appell.appell_limit(rs)
+        for j in range(j_max + 1):
+            window = yield
+            if j >= k:
+                lim = appell.limit_step(k, j, window[-1], window[-2])
     except appell.StabilizationError as exc:
-        if exc.witness is None:
-            raise
         return dict(zip(("a_degree", "q_degree"), exc.witness)), [str(exc)]
-    product = appell.theorem_product(rs.k, rs.q_order, rs.a_order)
+    product = appell.theorem_product(k, q_order, a_order)
     diff = lim.first_difference(product)
     if diff is not None:
         m, n = diff
@@ -344,20 +391,22 @@ def _appell_limit(rs: appell.RSequence, rng: dict) -> tuple:
             "limit": lim.coeffs[m][n],
             "product": product.coeffs[m][n],
         }, []
-    return None, [f"every q^d settled by j = d + {rs.k - 1}, through j = {rs.j_max}"]
+    return None, [f"every q^d settled by j = d + {k - 1}, through j = {j_max}"]
 
 
-def _bounded_enumeration(rs: appell.RSequence, rng: dict) -> tuple:
+def _bounded_enumeration(k: int, q_order: int, a_order: int, j_top: int, n_top: int):
     """The counts r_j(m, n), p_j(m, n), read off one D_k sweep after each
-    value j, against the coefficients of R_j, P_j for j <= j_max, n <= n_max
+    value j, against the coefficients of R_j, P_j for j <= j_top, n <= n_top
     and every m the truncation holds; the first mismatch in (j, n, m) order,
-    R before P, is the witness.  Each j's rows are compared whole, and its
-    cells are scanned only when a row differs."""
-    j_top, n_top = rng["j_max"], rng["n_max"]
-    m_top = min(appell.max_overline_count(rs.k, n_top), rs.a_order)
-    for j, states in enumerate(overpartitions.dk_sweep(n_top, rs.k, m_top, j_top)):
+    R before P, is the witness.  The sweep steps with the stream, and R_0..R_j
+    are kept for P_j.  Each j's rows are compared whole, and its cells are
+    scanned only when a row differs."""
+    m_top = min(appell.max_overline_count(k, n_top), a_order)
+    head = appell.RSequence(k, q_order, a_order, [])
+    for j, states in enumerate(overpartitions.dk_sweep(n_top, k, m_top, j_top)):
+        head.terms.append((yield)[-1])
         p_rows = [partitions.state_total(states, m) for m in range(m_top + 1)]
-        routes = (("R", states[rs.k], rs.terms[j]), ("P", p_rows, appell.pj_series(rs, j)))
+        routes = (("R", states[k], head.terms[j]), ("P", p_rows, appell.pj_series(head, j)))
         if all(counts == [list(row[: n_top + 1]) for row in coeff.coeffs[: m_top + 1]]
                for _, counts, coeff in routes):
             continue

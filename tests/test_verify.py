@@ -1,9 +1,9 @@
 """Verifier reports, mutation behaviour, and the command-line interface."""
 
 import ast
-import dataclasses
 import json
 import sys
+import tracemalloc
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -45,6 +45,21 @@ class TestReports:
             "machinery/appell-limit",
             "machinery/bounded-enumeration",
         }
+        # each stage is timed by its own steps, inside the report's time
+        assert sum(s.timing for s in rep.subreports) <= rep.timing
+
+    def test_machinery_keeps_a_window_of_terms(self):
+        # R_j streams through the stages: k + 1 terms, the closed product's
+        # x^0..x^10 and the bounded stage's R_0..R_4 are alive at most;
+        # keeping every R_j to j = 205 peaked at 12.5 MB
+        tracemalloc.start()
+        try:
+            rep = verify.verify_machinery(2, 200, 205, 10, 4, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.status == "pass"
+        assert peak <= 2 * 2**20
 
     def test_machinery_default_j_max_covers_large_k(self):
         # the limit needs j_max >= q_order + k to check every q^d settled
@@ -109,6 +124,7 @@ class TestReports:
         (lambda: appell.build_R(2, -1, 8), lambda: verify.verify_machinery(2, 8, -1)),
         (lambda: appell.build_R(2, 5, -1), lambda: verify.verify_machinery(2, -1)),
         (lambda: appell.build_R(2, 5, 5, -1), "a_order must be non-negative"),
+        (lambda: appell.r_terms(1, 5, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.closed_product_F_coefficients(1, 4, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.closed_product_F_coefficients(2, 3, -1), lambda: verify.verify_machinery(2, -1)),
         (lambda: appell.theorem_product(1, 8), lambda: verify.verify_overpartition(1, 5)),
@@ -125,7 +141,8 @@ class TestReports:
          lambda: verify.verify_corollary(1, 0)),
     ], ids=[
         "count_B_table-k", "count_B_table-i", "count_B_table-n_max", "partitions_up_to-n_max",
-        "build_R-k", "build_R-j_max", "build_R-q_order", "build_R-a_order", "closed_product-k",
+        "build_R-k", "build_R-j_max", "build_R-q_order", "build_R-a_order", "r_terms-k",
+        "closed_product-k",
         "closed_product-q_order", "theorem_product-k", "theorem_product-q_order",
         "theorem_product-a_order", "dk_sweep-k", "dk_sweep-n_max", "dk_sweep-j_max",
         "dk_sweep-m_max", "count_Dk_table-m_max", "specialize-i", "specialize-k",
@@ -284,7 +301,7 @@ def bumped(real, at, when=None):
 
     at is a path of indices into the output: n into a count list or a
     QSeries, (m, n) into a row matrix or a BivariateSeries, (j, m, n) into
-    an RSequence's terms or the closed product's x^j list, and
+    the stream of R_j terms or the closed product's x^j list, and
     (j, state, m, n) into a sweep's snapshots (an iterator is read into a
     list first).  A path that ends at an object, not a count, drops that
     object from its list.  Each level on the path is copied, so no row that
@@ -311,8 +328,6 @@ def settled(out):
 def _bumped_at(out, at):
     if isinstance(out, (QSeries, BivariateSeries)):
         return type(out)(_bumped_at(out.coeffs, at))
-    if isinstance(out, appell.RSequence):
-        return dataclasses.replace(out, terms=_bumped_at(out.terms, at))
     here, rest = at[0], at[1:]
     cells = dict(out) if isinstance(out, dict) else list(out)
     if rest:
@@ -368,7 +383,7 @@ ROUTE_SLIPS = [
     route_slip("partitions.count_schur_gap_table", (5,), {
         "schur": {"n": 5, "product_count": 2, "sweep_count": 3}}),
     # R_6 off at a^1 q^3, settled since j = 4 and inside every stage's range
-    route_slip("appell.build_R", (6, 1, 3), {
+    route_slip("appell.r_terms", (6, 1, 3), {
         "machinery/functional-equation": {"j": 6, "a_degree": 1, "q_degree": 3},
         "machinery/closed-product": {"j": 6, "a_degree": 1, "q_degree": 3},
         "machinery/appell-limit": {"a_degree": 1, "q_degree": 3},
@@ -376,7 +391,8 @@ ROUTE_SLIPS = [
     }),
     route_slip("appell.closed_product_F_coefficients", (3, 1, 5), {
         "machinery/closed-product": {"j": 3, "a_degree": 1, "q_degree": 5}}),
-    route_slip("appell.appell_limit", (2, 9), {
+    # every step returns its R_j bumped, and the last is the limit compared
+    route_slip("appell.limit_step", (2, 9), {
         "machinery/appell-limit": {"a_degree": 2, "q_degree": 9, "limit": 13, "product": 12}}),
     route_slip("appell.pj_series", (2, 7), {
         "machinery/bounded-enumeration": {"series": "P", "j": 4, "m": 2, "n": 7}},
@@ -407,7 +423,8 @@ UNROUTED = {
     "appell.max_overline_count": "an a-order bound: it sizes a comparison",
     "partitions.format_partition": "the string form of a listed witness",
     "partitions.schur_gap_witnesses": "it only lists a failing witness's objects",
-    "appell.check_functional_equation": "the comparison itself",
+    "appell.functional_equation_step": "the comparison itself",
+    "appell.require_depth": "a precondition: it raises or returns nothing",
     "appell.RSequence": "a type",
     "appell.StabilizationError": "a type",
 }
@@ -798,7 +815,7 @@ class TestMutations:
     def test_functional_equation_perturbed_term(self, monkeypatch):
         # a q^5 settles by j = 6, so R_6 off there also fails the limit;
         # the closed-product and bounded stages stop below j = 6
-        monkeypatch.setattr(appell, "build_R", bumped(appell.build_R, (6, 1, 5)))
+        monkeypatch.setattr(appell, "r_terms", bumped(appell.r_terms, (6, 1, 5)))
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=3, enum_n=8)
         sub = {s.identity: s for s in rep.subreports}
         assert (sub["machinery/functional-equation"].status,
@@ -811,10 +828,39 @@ class TestMutations:
                    if name != "machinery/functional-equation")
         assert rep.status == "fail"
 
+    def test_functional_equation_slip_past_the_head(self, monkeypatch):
+        # R_14 off at a q^15: past the closed-product and bounded stages'
+        # heads (j <= 6), and at or above q^{j-k+1} in both limit steps that
+        # read R_14 (j = 14, 15), so the functional equation alone sees it
+        monkeypatch.setattr(appell, "r_terms", bumped(appell.r_terms, (14, 1, 15)))
+        rep = verify.verify_machinery(2, 16, 20, closed_product_j=6, enum_j=6, enum_n=10)
+        sub = {s.identity: s for s in rep.subreports}
+        equation = sub.pop("machinery/functional-equation")
+        assert (equation.status, equation.witness) == (
+            "fail", {"j": 14, "a_degree": 1, "q_degree": 15})
+        assert all(s.status == "pass" for s in sub.values())
+        assert rep.status == "fail"
+
+    def test_machinery_fail_over_aborted(self, monkeypatch):
+        # R_3 off at a q^5 with j_max short of q_order + k: three stages fail
+        # at that cell while the limit stage cannot certify, and the
+        # mismatch found decides the report
+        monkeypatch.setattr(appell, "r_terms", bumped(appell.r_terms, (3, 1, 5)))
+        rep = verify.verify_machinery(3, 24, 20, closed_product_j=4, enum_j=3, enum_n=8)
+        sub = {s.identity: s for s in rep.subreports}
+        assert sub.pop("machinery/appell-limit").status == "aborted"
+        cell = {"j": 3, "a_degree": 1, "q_degree": 5}
+        assert sub["machinery/functional-equation"].witness == cell
+        assert sub["machinery/closed-product"].witness == cell
+        w = sub["machinery/bounded-enumeration"].witness
+        assert (w["series"], w["j"], w["m"], w["n"]) == ("R", 3, 1, 5)
+        assert all(s.status == "fail" for s in sub.values())
+        assert rep.status == "fail"
+
     def test_appell_limit_perturbed_settled_term(self, monkeypatch):
         # R_15 off at a q^5, long after q^5 settles (j = 6) and before the
         # last two terms, which still agree: the settling bound catches it
-        monkeypatch.setattr(appell, "build_R", bumped(appell.build_R, (15, 1, 5)))
+        monkeypatch.setattr(appell, "r_terms", bumped(appell.r_terms, (15, 1, 5)))
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=3, enum_n=8)
         sub = {s.identity: s for s in rep.subreports}["machinery/appell-limit"]
         assert (sub.status, sub.witness) == ("fail", {"a_degree": 1, "q_degree": 5})
