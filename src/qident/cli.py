@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -25,10 +26,16 @@ def _check_i(k, i):
 def _emit(ctx, payload, text_lines):
     """The one output path: payload as JSON or CSV rows, or text_lines one
     per line in one write, as --format asks (main admits csv for `coeffs`
-    only)."""
+    only).  A non-empty list of strings (a witness list) is written with
+    the C string encoder, byte for byte what json.dumps(payload, indent=2)
+    writes, since with indent set json.dumps runs the pure-Python encoder;
+    reports, coefficient rows and the empty list keep json.dumps."""
     fmt = ctx.obj["format"]
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        if payload and isinstance(payload, list) and isinstance(payload[0], str):
+            click.echo("[\n  " + ",\n  ".join(map(encode_basestring_ascii, payload)) + "\n]")
+        else:
+            click.echo(json.dumps(payload, indent=2))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(payload[0].keys()))
@@ -176,11 +183,7 @@ def list_cmd(ctx, side, k, i, n):
     elif side == "C":
         items = [partitions.format_partition(p) for p in partitions.c_witnesses(n, k, i)]
     else:
-        items = [
-            item
-            for groups, masks in overpartitions.masks_of_weight(n, k)
-            for item in overpartitions.format_overpartitions(groups, masks)
-        ]
+        items = overpartitions.d_strings(n, k)
     _emit(ctx, items, [*items, f"total: {len(items)}"])
 
 

@@ -19,10 +19,13 @@ only admissible masks are formed: the rule looks only upward from an
 overlined value, so a partition's masks are its largest-first prefix's
 plus those that overline the new value.  `_overline_step` is that
 one-group step, and `masks_of_weight` carries it down one walk headed for
-weight n.  `format_overpartitions` is the one string rule, and objects are
-built only where a caller asks for them.  `is_Dk_admissible` over
-`enumerate_overpartitions` stays the definition the masks and the sweep
-are tested against.
+weight n.  The walk also carries each partition's text, built once per
+node from its parent's, so `d_strings` writes each object's string at a
+leaf by marking that text; `_mark` is the one string rule, and
+`Overpartition.__str__` calls it too.  Objects are built only where a
+caller asks for them (`d_witnesses`).  `is_Dk_admissible` over
+`enumerate_overpartitions` stays the definition the masks, the strings
+and the sweep are tested against.
 """
 
 from __future__ import annotations
@@ -69,9 +72,12 @@ class Overpartition:
         return False
 
     def __str__(self) -> str:
-        groups = [(v, mult) for v, mult, _ in self.entries]
-        mask = sum(1 << idx for idx, (_, _, over) in enumerate(self.entries) if over)
-        return format_overpartitions(groups, [mask])[0]
+        text, ends, mask = "", [], 0
+        for idx, (v, mult, over) in enumerate(self.entries):
+            text += ("+" if text else "") + "+".join([str(v)] * mult)
+            ends.append(len(text))
+            mask |= over << idx
+        return _mark(text, ends, mask)
 
 
 def _groups(parts: tuple) -> tuple:
@@ -79,23 +85,19 @@ def _groups(parts: tuple) -> tuple:
     return tuple((v, len(list(g))) for v, g in groupby(parts))
 
 
-def format_overpartitions(groups: list, masks: list) -> list:
-    """The one string form of overpartitions, one per mask, from their
-    shared groups [(value, multiplicity), ...] and overline masks (bit idx
-    overlines groups[idx]): parts largest first, joined by '+', the last
-    occurrence of an overlined value v written v~; '0' for the empty
-    overpartition.  Each group's plain string is built once for all masks,
-    and a mask only marks its overlined groups."""
-    plain = ["+".join([str(v)] * mult) for v, mult in groups]
-    out = []
-    for mask in masks:
-        pieces = plain.copy()
-        while mask:
-            idx = mask.bit_length() - 1
-            pieces[idx] += "~"
-            mask ^= 1 << idx
-        out.append("+".join(pieces) or "0")
-    return out
+def _mark(text: str, ends: list, mask: int) -> str:
+    """The one string rule: an overpartition's text from its partition's
+    text (parts largest first, joined by '+'), the end offset of each
+    group's "v+v+...+v" and its overline mask (bit idx overlines group
+    idx): '~' after the last occurrence of each overlined value, and '0'
+    for the empty overpartition.  The highest bit is marked first, so the
+    lower groups' offsets still hold."""
+    while mask:
+        idx = mask.bit_length() - 1
+        end = ends[idx]
+        text = f"{text[:end]}~{text[end:]}"
+        mask ^= 1 << idx
+    return text or "0"
 
 
 def _build(groups: list, mask: int) -> Overpartition:
@@ -158,32 +160,51 @@ def masks_of_weight(n: int, k: int) -> Iterator[tuple]:
     walked first.
     """
     check_params(k, n=n)
-    return _walk_to(n, k)
+    return ((groups, masks) for groups, masks, _, _ in _walk_to(n, k))
+
+
+def d_strings(n: int, k: int) -> list:
+    """The strings of the D_k-admissible overpartitions of n, in the order
+    of enumerate_overpartitions: each partition's text is built once along
+    the walk of masks_of_weight, and each mask marks it."""
+    check_params(k, n=n)
+    return [_mark(text, ends, mask) for _, masks, text, ends in _walk_to(n, k) for mask in masks]
 
 
 def _walk_to(n: int, k: int) -> Iterator[tuple]:
-    """The walk of masks_of_weight."""
+    """The walk of masks_of_weight, yielding (groups, masks, text, ends) at
+    weight n.  Each node also carries its partition's text and the end
+    offset of each group's "v+v+...+v" in it, a child's text being its
+    parent's, '+', and the new group's."""
     step = _overline_step
-    # (weight, groups, smallest value so far, masks); the root's bound
-    # n + 1 lets its children take any value up to n
-    stack = [(0, (), n + 1, [0])]
+    # (weight, groups, smallest value so far, masks, text, ends); the
+    # root's bound n + 1 lets its children take any value up to n
+    stack = [(0, (), n + 1, [0], "", ())]
     pop, push = stack.pop, stack.append  # bound once: this loop runs once per node
     while stack:
-        weight, groups, last, masks = pop()
+        weight, groups, last, masks, text, ends = pop()
         room = n - weight
         if not room:
-            yield groups, masks
-        elif last > 1:
+            yield groups, masks, text, ends
+            continue
+        head = text + "+" if text else ""
+        if last > 1:
             # pushed before the larger values, so walked after them: the 1s
             # come last in lex-decreasing order
             child = groups + ((1, room),)
-            push((n, child, 1, step(masks, child, k)))
+            t = head + "1+" * (room - 1) + "1"
+            push((n, child, 1, step(masks, child, k), t, ends + (len(t),)))
         for v in range(2, min(last - 1, room) + 1):
             child = groups + ((v, 1),)
-            push((weight + v, child, v, step(masks, child, k)))
-            # the step never overlines a repeated value, so c >= 2 keeps masks
+            digits = str(v)
+            t = head + digits
+            push((weight + v, child, v, step(masks, child, k), t, ends + (len(t),)))
+            # the step never overlines a repeated value, so c >= 2 keeps
+            # masks; each further copy appends "+v" to the text
+            part = "+" + digits
             for c in range(2, room // v + 1):
-                push((weight + c * v, groups + ((v, c),), v, masks))
+                t += part
+                push((weight + c * v, groups + ((v, c),), v, masks, t, ends + (len(t),)))
 
 
 def is_Dk_admissible(o: Overpartition, k: int) -> bool:
@@ -209,9 +230,10 @@ def is_Dk_admissible(o: Overpartition, k: int) -> bool:
 def d_witnesses(m: int, n: int, k: int) -> list:
     """Admissible overpartitions of n with exactly m overlined values, in
     the order of enumerate_overpartitions."""
+    check_params(k, n=n)
     return [
         _build(groups, mask)
-        for groups, masks in masks_of_weight(n, k)
+        for groups, masks, _, _ in _walk_to(n, k)
         for mask in masks
         if mask.bit_count() == m
     ]

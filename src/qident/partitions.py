@@ -482,4 +482,4 @@ def schur_gap_witnesses(n: int) -> list:
 
 
 def format_partition(parts: Partition) -> str:
-    return "+".join(str(p) for p in parts) if parts else "0"
+    return "+".join(map(str, parts)) if parts else "0"

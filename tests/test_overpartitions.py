@@ -9,10 +9,10 @@ from qident.overpartitions import (
     count_Dk_table,
     count_pj,
     count_rj,
+    d_strings,
     d_witnesses,
     dk_sweep,
     enumerate_overpartitions,
-    format_overpartitions,
     is_Dk_admissible,
     masks_of_weight,
     specialize_overpartition,
@@ -118,8 +118,8 @@ def overpartition_counting_series(order):
 
 
 def entries_string(o):
-    """The string rule read off the entries, as __str__ wrote it before it
-    delegated to format_overpartitions."""
+    """The string rule read off the entries one part at a time: the oracle
+    for the walk's text and for __str__."""
     pieces = []
     for v, mult, over in o.entries:
         pieces.extend([str(v)] * (mult - 1 if over else mult))
@@ -131,14 +131,10 @@ def entries_string(o):
 class TestFormat:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_masks_print_as_objects(self, k):
-        # the walk's strings against the filter's objects
+        # the walk's text against the filter's objects
         for n in range(17):
             objects = filter_admissible(n, k)
-            strings = [
-                string
-                for groups, masks in masks_of_weight(n, k)
-                for string in format_overpartitions(groups, masks)
-            ]
+            strings = d_strings(n, k)
             assert [str(o) for o in objects] == strings, (n, k)
             assert [entries_string(o) for o in objects] == strings, (n, k)
 

@@ -14,6 +14,7 @@ import qident
 from qident import appell, cli, overpartitions, partitions, verify
 from qident.cli import main
 from qident.series import BivariateSeries, QSeries
+from test_overpartitions import entries_string, filter_admissible
 
 
 class TestReports:
@@ -1012,6 +1013,36 @@ class TestCli:
             assert json.loads(result.output) == expected, (k, n)
             result = self.run("list", "--side", "D", "--k", str(k), "--n", str(n))
             assert result.output.splitlines() == [*expected, f"total: {len(expected)}"], (k, n)
+
+    @pytest.mark.parametrize("k", (2, 3, 5))
+    @pytest.mark.parametrize("fmt", ("json", "text"))
+    @pytest.mark.parametrize("side", "BCD")
+    def test_list_prints_the_oracles_bytes(self, side, fmt, k):
+        # the bytes of every list against strings the tests build: B and C
+        # joined here from the walks' tuples, D from the filter's entries
+        # (its enumeration stops at n = 14, so D stops at n = 10)
+        for i in range(k):
+            for n in (0, 1, 2, 5, 10) if side == "D" else (0, 1, 2, 5, 10, 26):
+                if side == "D":
+                    expected = [entries_string(o) for o in filter_admissible(n, k)]
+                else:
+                    witnesses = {"B": partitions.b_witnesses, "C": partitions.c_witnesses}[side]
+                    expected = ["+".join(map(str, p)) or "0" for p in witnesses(n, k, i)]
+                result = self.run("--format", fmt, "list", "--side", side, "--k", str(k),
+                                  "--i", str(i), "--n", str(n))
+                assert result.exit_code == 0, (side, k, i, n)
+                if fmt == "json":
+                    want = json.dumps(expected, indent=2) + "\n"
+                else:
+                    want = "".join(line + "\n" for line in [*expected, f"total: {len(expected)}"])
+                assert result.stdout_bytes == want.encode(), (side, k, i, n)
+
+    def test_list_prints_the_empty_array_and_the_empty_object(self):
+        result = self.run("--format", "json", "list", "--side", "B", "--k", "3", "--i", "1", "--n", "1")
+        assert result.stdout_bytes == b"[]\n"
+        for side in "BCD":
+            result = self.run("--format", "json", "list", "--side", side, "--k", "2", "--n", "0")
+            assert result.stdout_bytes == b'[\n  "0"\n]\n', side
 
     @pytest.mark.parametrize("args", [
         ("list", "--side", "D", "--k", "2", "--n", "8"),
