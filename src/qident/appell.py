@@ -10,7 +10,8 @@ checks the termwise content of the functional equation
 closed product solution for F, and takes the formal coefficientwise limit
 R_infty, which must reproduce the infinite product
 (-aq; q^k)_inf / (q; q)_inf.  It also expands the corollary family's
-product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf from the inverse of Euler's
+product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf: its finite numerator
+factor by factor, largest first, then each parity class divided by Euler's
 product, so that route shares no algorithm with the B-side knapsack.
 
 The recursion is a stream: r_terms yields R_0, R_1, ... and keeps only the
@@ -41,7 +42,9 @@ from dataclasses import dataclass
 from operator import add
 
 from .partitions import _count_by_dp, check_params
-from .series import BivariateSeries, Monomial, QSeries, euler_product, pochhammer_inf
+from .series import (
+    BivariateSeries, Monomial, QSeries, _divide_rows, euler_product, pochhammer_inf,
+)
 
 
 class StabilizationError(ValueError):
@@ -259,13 +262,20 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
 
     Expanded from the product itself, sharing no algorithm with the allowed
     parts that count_B_table's knapsack sums over, so the two are
-    independent routes to B_{i,k}.  1/(q^2; q^2)_inf is the inverse of
-    Euler's product (q; q)_inf (the pentagonal recurrence) placed on the even
-    exponents; each factor (1 + q^e) then adds a copy shifted by e.
+    independent routes to B_{i,k}.  The finite numerator prod (1 + q^e)
+    starts from 1 and takes its largest e first: with lo the last e taken,
+    row[1:lo] is still zero, so a factor adds row[0] at e and the copy
+    shifted by e from e + lo on.  Each parity class of the numerator is then
+    divided by Euler's product (q; q)_inf (the pentagonal recurrence), which
+    is 1/(q^2; q^2)_inf on the exponents of one parity.
     """
     check_params(k, i, q_order=q_order)
-    row = [0] * (q_order + 1)
-    row[::2] = euler_product(q_order // 2).invert_unit().coeffs
-    for e in range(2 * i + 1, q_order + 1, 2 * k):
-        row[e:] = map(add, row[e:], row[: q_order + 1 - e])
+    row = [1] + [0] * q_order
+    lo = q_order + 1
+    for e in reversed(range(2 * i + 1, q_order + 1, 2 * k)):
+        row[e] += row[0]
+        row[e + lo :] = map(add, row[e + lo :], row[lo : q_order + 1 - e])
+        lo = e
+    euler = euler_product(q_order // 2).coeffs
+    row[::2], row[1::2] = _divide_rows([row[::2], row[1::2]], euler)
     return QSeries(tuple(row))

@@ -7,8 +7,11 @@ Every sum-side rule is local, so each side is counted by `sweep`, one pass
 over the part values v = 1..N whose state is a capped distance to the last
 relevant part: Schur's gaps and the corollary's difference conditions here,
 the D_k rule in overpartitions.  A side is a `moves(v, state)` table, not a
-loop of its own.  The B side is the knapsack over its allowed parts, and
-both run on `_add_part`; Schur's product side expands its product.
+loop of its own.  The B side is the knapsack over its allowed parts, run
+largest first so that each part skips the zero prefix the larger ones
+leave; the sweep's plain copies and the knapsack's parts both run on the
+one running-sum kernel `_add_part`.  Schur's product side expands its
+product.
 
 Enumeration is one walk of the prefix tree, `partitions_up_to`, on a
 side's rule, which lists once per walk the parts each state may add (the
@@ -104,18 +107,26 @@ def _tally(n_max: int, rule: tuple) -> list:
     return counts
 
 
-def _add_part(ways: list, p: int) -> None:
+def _add_part(ways: list, p: int, lo: int = 1) -> None:
     """Multiply ways by 1/(1 - q^p) in place: the running sum
-    ways[s] += ways[s - p], s ascending, as a prefix sum down each residue
-    class mod p for a small part (p * p <= the last index), and a block of
-    p sums at a time for a larger one."""
+    ways[s] += ways[s - p], s ascending.  The caller promises ways[1:lo] is
+    zero (lo = 1 promises nothing).
+
+    A small part (p * p <= the last index) is a prefix sum down each residue
+    class mod p.  For a larger one, below p + lo only the multiples of p
+    read a nonzero ways[s - p], so they take the single step; from p + lo on
+    the sums run a block of p at a time, each reading the finished block
+    below it."""
     n_max = len(ways) - 1
     if p * p <= n_max:
         for r in range(p):
             ways[r::p] = accumulate(ways[r::p])
-    else:
-        for s in range(p, n_max + 1, p):
-            ways[s : s + p] = map(add, ways[s : s + p], ways[s - p : s])
+        return
+    start = min(p + lo, n_max + 1)
+    for s in range(p, start, p):
+        ways[s] += ways[s - p]
+    for s in range(start, n_max + 1, p):
+        ways[s : s + p] = map(add, ways[s : s + p], ways[s - p : s])
 
 
 # The moves a sweep may take at a part value v: leave v out, any number of
@@ -180,19 +191,14 @@ def state_total(states: dict, m: int = 0) -> list:
 def _count_by_dp(n_max: int, allowed_parts: Sequence[int]) -> list:
     """ways[s] = number of multisets from allowed_parts summing to s.
 
-    An even part only reaches even sums, so the even parts run first, as the
-    parts p // 2 on the even-index slice ways[::2] at half the length; the
-    odd parts then run on the full list.  Each part is one _add_part.
+    Each part is one _add_part, largest first: once every part >= lo has
+    run, ways[1:lo] is still zero, so each part skips that prefix.
     """
     ways = [1] + [0] * n_max
-    half = ways[::2]
-    for p in allowed_parts:
-        if p % 2 == 0:
-            _add_part(half, p // 2)
-    ways[::2] = half
-    for p in allowed_parts:
-        if p % 2:
-            _add_part(ways, p)
+    lo = n_max + 1
+    for p in sorted(allowed_parts, reverse=True):
+        _add_part(ways, p, lo)
+        lo = p
     return ways
 
 
@@ -216,7 +222,7 @@ def b_part_allowed(p: int, k: int, i: int) -> bool:
 def count_B_table(n_max: int, k: int, i: int) -> list:
     """B_{i,k}(0..n_max) by dynamic programming over the allowed parts."""
     check_params(k, i, n_max=n_max)
-    allowed = [p for p in range(1, n_max + 1) if b_part_allowed(p, k, i)]
+    allowed = [p for p in range(n_max, 0, -1) if b_part_allowed(p, k, i)]
     return _count_by_dp(n_max, allowed)
 
 

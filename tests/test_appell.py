@@ -1,5 +1,7 @@
 """The recursion, functional equation, closed product, and formal limit."""
 
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from qident.appell import (
     theorem_product,
 )
 from qident.overpartitions import count_pj, count_rj, d_witnesses
+from qident.partitions import count_B_table
 from qident.series import BivariateSeries, QSeries, specialize
 
 
@@ -356,6 +359,32 @@ class TestCongruenceProduct:
             via_specialization = specialize(product, 2, 2 * i - 1, out_order=N)
             direct = congruence_product_series(k, i, N)
             assert via_specialization.coeffs == direct.coeffs, (k, i)
+
+    @pytest.mark.parametrize("k, i", [(2, 0), (3, 1), (5, 4)])
+    def test_routes_share_no_kernel(self, monkeypatch, k, i):
+        # each corollary route runs with the other's kernels patched to raise,
+        # in every qident module that binds them: the knapsack without the
+        # division by Euler's product, the product without the running sum
+        def raising(*args, **kwargs):
+            raise AssertionError("a kernel of the other route ran")
+
+        def patch(mp, attrs):
+            for name, module in list(sys.modules.items()):
+                for attr in attrs:
+                    if name.startswith("qident") and hasattr(module, attr):
+                        mp.setattr(module, attr, raising)
+
+        count_b = count_B_table(300, k, i)
+        assert congruence_product_series(k, i, 300).coeffs == tuple(count_b)
+        with monkeypatch.context() as mp:
+            patch(mp, ("_divide_rows", "euler_product"))
+            with pytest.raises(AssertionError, match="other route"):
+                congruence_product_series(k, i, 300)
+            assert count_B_table(300, k, i) == count_b
+        patch(monkeypatch, ("_add_part", "_count_by_dp"))
+        with pytest.raises(AssertionError, match="other route"):
+            count_B_table(300, k, i)
+        assert congruence_product_series(k, i, 300).coeffs == tuple(count_b)
 
 
 class TestTheoremProduct:

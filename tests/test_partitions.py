@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qident import partitions
 from qident.partitions import (
     _SCHUR_GAP_RULE,
+    _add_part,
     _b_rule,
     _c_rule,
     _corollary_rule,
@@ -276,10 +277,10 @@ class TestCountB:
                 )
                 assert b_witnesses(n, k, i) == expected, (n, k, i)
 
-    # parts above n_max, a part whose square is n_max exactly, and n_max = 0;
-    # even parts alone at an odd n_max, where the half-length slice ends one
-    # short of n_max (14 // 2 = 7 squares to that slice's last index, 49),
-    # and odd parts alone
+    # parts above n_max, a part equal to n_max, a part whose square is n_max
+    # exactly (the last residue-class part), and n_max = 0; a large part
+    # repeated, so the second copy runs with lo equal to itself, and parts
+    # given in no order
     @given(st.integers(0, 120), st.lists(st.integers(1, 130), max_size=12))
     @example(0, [1, 3])
     @example(49, [7])
@@ -288,9 +289,36 @@ class TestCountB:
     @example(1, [2])
     @example(99, [2, 4, 4, 14])
     @example(50, [1, 3, 5])
+    @example(60, [9, 9, 8])
+    @example(30, [7, 31, 30])
+    @example(64, [8, 9, 8])
     @settings(max_examples=100, deadline=None)
     def test_dp_matches_scalar_loop(self, n_max, parts):
         assert _count_by_dp(n_max, parts) == count_by_scalar_loop(n_max, parts)
+
+    # ways[1:lo] zeroed keeps the kernel's promise; ways[0] and ways[lo:] are
+    # arbitrary.  A part above the last index, equal to it, or whose square
+    # it is; lo below, at and above p, lo = 1 (no promise) and lo past the end
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=121),
+        st.integers(1, 130),
+        st.integers(1, 140),
+    )
+    @example([1] + [0] * 60, 61, 70)
+    @example([2] + [0] * 29 + [1], 30, 31)
+    @example([1] + [3] * 49, 7, 8)
+    @example([1] + [0] * 8 + [1] * 52, 9, 9)
+    @example([1] + [0] * 8 + [1] * 52, 8, 9)
+    @example(list(range(61)), 8, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_zero_prefix_matches_running_sum(self, ways, p, lo):
+        ways[1:lo] = [0] * len(ways[1:lo])
+        with_lo, plain = ways.copy(), ways.copy()
+        _add_part(with_lo, p, lo)
+        _add_part(plain, p)
+        for s in range(p, len(ways)):
+            ways[s] += ways[s - p]
+        assert with_lo == plain == ways
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

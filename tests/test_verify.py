@@ -612,10 +612,10 @@ class TestMutations:
         # do not use it, at the first weight the part 5 reaches
         real = partitions._add_part
 
-        def twice_for_5(ways, p):
-            real(ways, p)
+        def twice_for_5(ways, p, lo=1):
+            real(ways, p, lo)
             if p == 5:
-                real(ways, p)
+                real(ways, p, min(lo, p))  # ways[1:5] is still zero
 
         monkeypatch.setattr(partitions, "_add_part", twice_for_5)
         rep = verify.verify_corollary(2, 0, 60, 25)
@@ -691,13 +691,29 @@ class TestMutations:
         assert rep.witness["n"] == 40
         assert rep.witness["count_B"] == rep.witness["product_coefficient"] + 1
 
-    def test_corollary_inverse_off_by_one(self, monkeypatch):
-        # a slip in the inverse of Euler's product reaches the product route
-        # alone: 1/(q^2; q^2) puts its q^20 coefficient at n = 40, and the
-        # knapsack keeps count_B, so the two routes share no kernel
+    def test_zero_prefix_block_start_slip(self, monkeypatch):
+        # the kernel's block sums start one past p + lo, so the sum at p + lo
+        # misses ways[lo]: the knapsack at (2, 0) first runs the part 8 after
+        # the part 9, and loses the partition 9+8 of 17; the product route
+        # does not use the kernel and catches it at that first n
         count_b = partitions.count_B_table(60, 2, 0)
-        monkeypatch.setattr(QSeries, "invert_unit", bumped(
-            QSeries.invert_unit, (20,), when=lambda self: self.order >= 20))
+        real = partitions._add_part
+        monkeypatch.setattr(partitions, "_add_part", lambda ways, p, lo=1: real(ways, p, lo + 1))
+        slipped = partitions.count_B_table(60, 2, 0)
+        first = next(n for n, (a, b) in enumerate(zip(slipped, count_b)) if a != b)
+        assert (first, slipped[first]) == (17, count_b[17] - 1)
+        rep = verify.verify_corollary(2, 0, 60, 25)
+        assert (rep.status, rep.notes) == ("fail", [])
+        assert rep.witness == {"n": 17, "count_B": count_b[17] - 1,
+                               "product_coefficient": count_b[17]}
+
+    def test_corollary_inverse_off_by_one(self, monkeypatch):
+        # a slip in the product route's division by Euler's product reaches
+        # that route alone: the even class's q^20 is n = 40, and the knapsack
+        # keeps count_B, so the two routes share no kernel
+        count_b = partitions.count_B_table(60, 2, 0)
+        monkeypatch.setattr(appell, "_divide_rows", bumped(
+            appell._divide_rows, (0, 20), when=lambda rows, unit: len(rows[0]) > 20))
         assert partitions.count_B_table(60, 2, 0) == count_b
         rep = verify.verify_corollary(2, 0, 60, 12)
         assert rep.status == "fail"
