@@ -29,9 +29,15 @@ j >= e + k - 1.  Checked between neighbours, that is R_j = R_{j-1} below
 q^{j-k+1}; the windows grow with j, so the agreements chain forward to
 R_{j_max}.  The routes work on whole coefficient rows, as lists: the
 functional equation is compared a-row by a-row without building series
-objects, and the limit compares row slices.  Only the recursion's division
-by (1 - q^j) is a running sum over single coefficients: at q-order 200 its
-slice forms measured slower.
+objects, and the limit compares row slices.
+
+The two producers, r_terms and theorem_product, skip what must be zero:
+by Euler's expansion of (-aq; q^k)_inf, row m is zero below the least
+weight of m overlined parts, least_weight(k, m) = m + k m(m-1)/2, so each
+row's adds and running sums start there.  The verifying stages still
+compare whole rows, so a start one too late is caught.  The recursion's
+division by (1 - q^j) stays a running sum over single coefficients, from
+the row's least weight on.
 """
 
 from __future__ import annotations
@@ -42,9 +48,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .partitions import _count_by_dp, check_params
-from .series import (
-    BivariateSeries, Monomial, QSeries, _divide_rows, euler_product, pochhammer_inf,
-)
+from .series import BivariateSeries, QSeries, _divide_rows, euler_product
 
 
 class StabilizationError(ValueError):
@@ -55,15 +59,25 @@ class StabilizationError(ValueError):
         self.witness = witness  # (a_degree, q_degree) or None
 
 
-def max_overline_count(k: int, q_order: int) -> int:
-    """Largest m whose minimum admissible weight m + k*m*(m-1)/2 fits in q_order.
+def least_weight(k: int, m: int, lo: int = 1) -> int:
+    """The least weight of m overlined parts pairwise >= k apart, all >= lo:
+    lo + (lo + k) + ... + (lo + (m-1)k) = m*lo + k*m*(m-1)/2.
 
-    Overlined values are pairwise >= k apart, so m overlines weigh at least
-    1 + (1+k) + ... + (1+(m-1)k).  a-degrees above this bound carry only
-    zero coefficients below the truncation order.
+    By Euler's expansion of (-aq; q^k)_inf, whose a^m row is
+    q^{m + k m(m-1)/2} / (q^k; q^k)_m, row m of every R_j and of the
+    theorem's product is zero below least_weight(k, m).
+    """
+    return m * lo + k * m * (m - 1) // 2
+
+
+def max_overline_count(k: int, q_order: int) -> int:
+    """Largest m whose least weight, least_weight(k, m), fits in q_order.
+
+    a-degrees above this bound carry only zero coefficients below the
+    truncation order.
     """
     m = 0
-    while (m + 1) + k * m * (m + 1) // 2 <= q_order:
+    while least_weight(k, m + 1) <= q_order:
         m += 1
     return m
 
@@ -82,22 +96,17 @@ class RSequence:
         return len(self.terms) - 1
 
 
-def _add_shifted(rows: list, src, a_exp: int, q_exp: int) -> None:
-    """rows += a^{a_exp} q^{q_exp} * src in place, truncated at the orders of
-    rows; rows beyond those src reaches are left as they are."""
-    for m in range(a_exp, min(len(rows), len(src) + a_exp)):
-        row = rows[m]
-        row[q_exp:] = map(add, row[q_exp:], src[m - a_exp])
-
-
 def r_terms(k: int, j_max: int, q_order: int, a_order: int | None = None) -> Iterator:
     """Yield R_0..R_{j_max} from the recursion, R_0 = 1 (with R_j = 0 for -k < j < 0).
 
     a_order defaults to the exact overline-count bound for this truncation.
     Each term is built as a running sum in place: R_{j-1} + a q^{j-k+1} R_{j-k},
-    then divided by (1 - q^j) through c[n] += c[n - j] for n ascending.  Only
-    the last k terms are kept, so a caller that keeps no more holds O(k) terms.
-    The parameters are checked at the call, before the first term.
+    then divided by (1 - q^j) through c[n] += c[n - j] for n ascending.  Row
+    m of every R_j is zero below L_m = least_weight(k, m), so row m reads
+    row m - 1 of R_{j-k} from L_{m-1}, adding it from j - k + 1 + L_{m-1} on,
+    and its division starts at L_m + j.  Only the last k terms are kept, so
+    a caller that keeps no more holds O(k) terms.  The parameters are
+    checked at the call, before the first term.
     """
     check_params(k, j_max=j_max, q_order=q_order, a_order=a_order)
     if a_order is None:
@@ -106,14 +115,18 @@ def r_terms(k: int, j_max: int, q_order: int, a_order: int | None = None) -> Ite
 
 
 def _r_terms(k: int, j_max: int, q_order: int, a_order: int) -> Iterator:
+    least = [least_weight(k, m) for m in range(a_order + 1)]  # row m is zero below
     window = deque([BivariateSeries.one(a_order, q_order)], maxlen=k)  # R_{j-k}..R_{j-1}
     yield window[0]
     for j in range(1, j_max + 1):
         rows = [list(r) for r in window[-1].coeffs]
-        if j - k >= 0:
-            _add_shifted(rows, window[0].coeffs, 1, j - k + 1)
-        for row in rows:
-            for n in range(j, q_order + 1):
+        if j >= k:
+            # row m gains row m - 1 of R_{j-k} from its least weight, shifted by j - k + 1
+            for row, low, s in zip(rows[1:], window[0].coeffs, least):
+                start = j - k + 1 + s
+                row[start:] = map(add, row[start:], low[s:])
+        for row, s in zip(rows, least):
+            for n in range(s + j, q_order + 1):
                 row[n] += row[n - j]
         window.append(BivariateSeries(tuple(tuple(r) for r in rows)))
         yield window[-1]
@@ -233,13 +246,29 @@ def appell_limit(rs: RSequence) -> BivariateSeries:
 def theorem_product(k: int, q_order: int, a_order: int | None = None) -> BivariateSeries:
     """The product side (-aq; q^k)_inf / (q; q)_inf of the overpartition identity.
 
-    Each a-row of the numerator is divided by (q; q)_inf through the
-    pentagonal recurrence, so 1/(q; q)_inf is never expanded or convolved."""
+    The numerator prod (1 + a q^e), e = 1, 1 + k, ..., is expanded in place
+    on a-rows, largest e first.  With lo the last e taken, row m - 1 is zero
+    below least_weight(k, m - 1, lo), so a factor adds row m - 1, shifted by
+    e, to row m only from there; row 1 gains q^e alone.  Rows are updated
+    from the top a-degree down, so each reads its neighbour before the
+    factor.  Each a-row is then divided by (q; q)_inf through the pentagonal
+    recurrence, so 1/(q; q)_inf is never expanded or convolved."""
     check_params(k, q_order=q_order, a_order=a_order)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
-    numer = pochhammer_inf(Monomial(1, 1, 1), k, q_order, a_order)
-    return numer.div_qseries(euler_product(q_order))
+    n1 = q_order + 1
+    rows = [[1] + [0] * q_order] + [[0] * n1 for _ in range(a_order)]
+    lo = n1
+    for e in reversed(range(1, n1, k)):
+        for m in range(a_order, 1, -1):
+            s = least_weight(k, m - 1, lo)
+            if e + s < n1:
+                rows[m][e + s :] = map(add, rows[m][e + s :], rows[m - 1][s : n1 - e])
+        if a_order:
+            rows[1][e] += 1
+        lo = e
+    rows = _divide_rows(rows, euler_product(q_order).coeffs)
+    return BivariateSeries(tuple(tuple(r) for r in rows))
 
 
 def pj_series(rs: RSequence, j: int) -> BivariateSeries:

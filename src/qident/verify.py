@@ -129,7 +129,7 @@ def verify_overpartition(k: int, n_max: int, m_max: int | None = None) -> Verifi
         partitions.check_params(k, n_max=n_max, m_max=m_max)
     except ValueError as exc:
         return _aborted("overpartition", params, rng, str(exc), start)
-    product = appell.theorem_product(k, n_max, max(m_max, appell.max_overline_count(k, n_max)))
+    product = appell.theorem_product(k, n_max, m_max)
     table = overpartitions.count_Dk_table(n_max, k, m_max)
     first = next(((n, m) for n in range(n_max + 1) for m in range(m_max + 1)
                   if table[m][n] != product.coefficient(m, n)), None)

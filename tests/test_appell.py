@@ -1,6 +1,7 @@
 """The recursion, functional equation, closed product, and formal limit."""
 
 import sys
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,19 +14,25 @@ from qident.appell import (
     check_functional_equation,
     closed_product_F_coefficients,
     congruence_product_series,
+    least_weight,
     max_overline_count,
     pj_series,
+    r_terms,
     RSequence,
     theorem_product,
 )
 from qident.overpartitions import count_pj, count_rj, d_witnesses
 from qident.partitions import count_B_table
-from qident.series import BivariateSeries, QSeries, specialize
+from qident.series import (
+    BivariateSeries, Monomial, QSeries, euler_product, pochhammer_inf, specialize,
+)
 
 
 # Oracles: the series-arithmetic formulations that build_R replaced with
 # in-place running sums and closed_product_F_coefficients with Euler's
-# closed form.
+# closed form, the recursion on whole rows that r_terms replaced with rows
+# started at their least weight, and the factor-by-factor product that
+# theorem_product's in-place numerator replaced.
 
 
 def geometric_inverse(j: int, q_order: int) -> QSeries:
@@ -44,6 +51,23 @@ def build_R_by_convolution(k, j_max, q_order, a_order):
         if j - k >= 0:
             t = t + terms[j - k].shift(1, j - k + 1)
         terms.append(t.mul_qseries(geometric_inverse(j, q_order)))
+    return terms
+
+
+def r_terms_full_rows(k, j_max, q_order, a_order):
+    """R_0..R_{j_max} by the running sums on whole a-rows: every add and every
+    division by (1 - q^j) runs from the row's first coefficient."""
+    terms = [BivariateSeries.one(a_order, q_order)]
+    for j in range(1, j_max + 1):
+        rows = [list(r) for r in terms[j - 1].coeffs]
+        if j >= k:
+            for m in range(1, a_order + 1):
+                row = rows[m]
+                row[j - k + 1 :] = map(add, row[j - k + 1 :], terms[j - k].coeffs[m - 1])
+        for row in rows:
+            for n in range(j, q_order + 1):
+                row[n] += row[n - j]
+        terms.append(BivariateSeries(tuple(tuple(r) for r in rows)))
     return terms
 
 
@@ -151,6 +175,35 @@ class TestRunningSumsMatchOracles:
         # the rows above a-degree d // k, which are returned as zeros, are zero
         for d, coeff in enumerate(want):
             assert not any(map(any, coeff.coeffs[d // k + 1 :])), d
+
+
+class TestLeastWeight:
+    def test_least_weight_is_the_smallest_spread_parts(self):
+        for k in (2, 3, 5):
+            for m in range(6):
+                for lo in (1, 2, 7):
+                    assert least_weight(k, m, lo) == sum(lo + t * k for t in range(m))
+
+    # a_order: the default, none above a^0, one row, and rows past the truncation
+    @pytest.mark.parametrize("a_order", [None, 0, 1, 30])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_r_terms_match_full_rows(self, k, a_order):
+        for q_order in range(61):
+            terms = list(r_terms(k, q_order + k, q_order, a_order))
+            rows = max_overline_count(k, q_order) if a_order is None else a_order
+            assert terms == r_terms_full_rows(k, q_order + k, q_order, rows), q_order
+            for j, term in enumerate(terms):
+                for m, row in enumerate(term.coeffs):
+                    assert not any(row[: least_weight(k, m)]), (q_order, j, m)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_theorem_product_matches_factor_by_factor(self, k):
+        for q_order in range(61):
+            for a_order in (None, 0, 1, 2, 3, 30):
+                rows = max_overline_count(k, q_order) if a_order is None else a_order
+                numer = pochhammer_inf(Monomial(1, 1, 1), k, q_order, rows)
+                want = numer.div_qseries(euler_product(q_order))
+                assert theorem_product(k, q_order, a_order) == want, (q_order, a_order)
 
 
 class TestBuildR:

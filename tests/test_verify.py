@@ -905,6 +905,57 @@ class TestMutations:
         assert w["product"] == w["limit"] + 1
         assert rep.status == "fail"
 
+    @staticmethod
+    def one_late_in(reader):
+        """appell.least_weight one too high at a-degree m >= 1 where the
+        function `reader` reads it, and as it was for every other reader."""
+        real = appell.least_weight
+
+        def late(k, m, lo=1):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+                frame = frame.f_back
+            return real(k, m, lo) + (m >= 1 and frame.f_code.co_name == reader)
+
+        return late
+
+    def test_r_terms_least_weight_one_late(self, monkeypatch):
+        # each row m >= 1 of R_j starts one past its least weight: R_2 loses
+        # a q^3 (the overline 1 with the part 2), which the division by
+        # 1 - q^2 no longer carries up from a q^1; the functional equation
+        # fails at that first affected cell
+        real = appell.build_R(2, 20, 16).terms
+        monkeypatch.setattr(appell, "least_weight", self.one_late_in("_r_terms"))
+        slipped = appell.build_R(2, 20, 16).terms
+        first = next((j, *t.first_difference(r)) for j, (t, r) in enumerate(zip(slipped, real))
+                     if t != r)
+        assert first == (2, 1, 3)
+        rep = VERIFIERS["machinery"]()
+        sub = {s.identity: s for s in rep.subreports}["machinery/functional-equation"]
+        assert (sub.status, sub.witness) == ("fail", {"j": 2, "a_degree": 1, "q_degree": 3})
+        assert rep.status == "fail"
+
+    def test_theorem_product_numerator_start_one_late(self, monkeypatch):
+        # each factor a q^e adds row m - 1 to row m from one past its least
+        # weight: the pair of overlines 1 + 3 is lost, so the product is one
+        # short at a^2 q^4, first in either order; the Appell limit and the
+        # D_2 sweep each catch it there
+        real = appell.theorem_product(2, 16)
+        monkeypatch.setattr(appell, "least_weight", self.one_late_in("theorem_product"))
+        slipped = appell.theorem_product(2, 16)
+        assert slipped.first_difference(real) == (2, 4)
+        assert slipped.coefficient(2, 4) == real.coefficient(2, 4) - 1
+        rep = VERIFIERS["machinery"]()
+        sub = {s.identity: s for s in rep.subreports}["machinery/appell-limit"]
+        assert sub.status == "fail"
+        w = sub.witness
+        assert (w["a_degree"], w["q_degree"], w["product"]) == (2, 4, w["limit"] - 1)
+        assert rep.status == "fail"
+        rep = VERIFIERS["overpartition"]()
+        assert rep.status == "fail"
+        w = rep.witness
+        assert (w["n"], w["m"], w["product_coefficient"]) == (4, 2, w["sweep_count"] - 1)
+
 
 class TestCli:
     def run(self, *args):
