@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 import click
@@ -23,19 +24,36 @@ def _check_i(k, i):
         raise click.BadParameter(str(exc), param_hint="'--i'") from exc
 
 
+# items per write of a witness list or of text lines: what is held at once
+CHUNK = 4096
+
+
+def _chunks(items):
+    """items as lists of CHUNK, drawn as each list is asked for."""
+    it = iter(items)
+    while chunk := list(islice(it, CHUNK)):
+        yield chunk
+
+
 def _emit(ctx, payload, text_lines):
     """The one output path: payload as JSON or CSV rows, or text_lines one
-    per line in one write, as --format asks (main admits csv for `coeffs`
-    only).  A non-empty list of strings (a witness list) is written with
-    the C string encoder, byte for byte what json.dumps(payload, indent=2)
-    writes, since with indent set json.dumps runs the pure-Python encoder;
-    reports, coefficient rows and the empty list keep json.dumps."""
+    per line, as --format asks (main admits csv for `coeffs` only).  Text
+    lines are written CHUNK at a time.  A witness list comes as an iterator
+    of strings rather than a list, and is drawn and written CHUNK strings at
+    a time with the C string encoder: byte for byte what
+    json.dumps(list(payload), indent=2) writes, since with indent set
+    json.dumps runs the pure-Python encoder.  Reports and coefficient rows,
+    a dict or a list, keep json.dumps."""
     fmt = ctx.obj["format"]
-    if fmt == "json":
-        if payload and isinstance(payload, list) and isinstance(payload[0], str):
-            click.echo("[\n  " + ",\n  ".join(map(encode_basestring_ascii, payload)) + "\n]")
-        else:
-            click.echo(json.dumps(payload, indent=2))
+    if fmt == "json" and isinstance(payload, (dict, list)):
+        click.echo(json.dumps(payload, indent=2))
+    elif fmt == "json":
+        opened = False
+        for chunk in _chunks(payload):
+            head = ",\n  " if opened else "[\n  "
+            click.echo(head + ",\n  ".join(map(encode_basestring_ascii, chunk)), nl=False)
+            opened = True
+        click.echo("\n]" if opened else "[]")
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(payload[0].keys()))
@@ -43,7 +61,16 @@ def _emit(ctx, payload, text_lines):
         writer.writerows(payload)
         click.echo(buf.getvalue(), nl=False)
     else:
-        click.echo("".join(line + "\n" for line in text_lines), nl=False)
+        for chunk in _chunks(text_lines):
+            click.echo("\n".join(chunk) + "\n", nl=False)
+
+
+def _with_total(items):
+    """A witness list's text lines: each item, then `total: N`."""
+    count = 0
+    for count, item in enumerate(items, 1):
+        yield item
+    yield f"total: {count}"
 
 
 def _emit_reports(ctx, reports):
@@ -179,12 +206,13 @@ def list_cmd(ctx, side, k, i, n):
     if n > verify.ENUM_HARD_LIMIT:
         raise click.UsageError(verify._REFUSED)
     if side == "B":
-        items = [partitions.format_partition(p) for p in partitions.b_witnesses(n, k, i)]
+        items = map(partitions.format_partition, partitions.b_witnesses(n, k, i))
     elif side == "C":
-        items = [partitions.format_partition(p) for p in partitions.c_witnesses(n, k, i)]
+        items = map(partitions.format_partition, partitions.c_witnesses(n, k, i))
     else:
         items = overpartitions.d_strings(n, k)
-    _emit(ctx, items, [*items, f"total: {len(items)}"])
+    # one iterator behind both: _emit draws the payload or the text lines
+    _emit(ctx, items, _with_total(items))
 
 
 if __name__ == "__main__":

@@ -20,10 +20,10 @@ overlined value, so a partition's masks are its largest-first prefix's
 plus those that overline the new value.  `_overline_step` is that
 one-group step, and `masks_of_weight` carries it down one walk headed for
 weight n.  The walk also carries each partition's text, built once per
-node from its parent's, so `d_strings` writes each object's string at a
-leaf by marking that text; `_mark` is the one string rule, and
-`Overpartition.__str__` calls it too.  Objects are built only where a
-caller asks for them (`d_witnesses`).  `is_Dk_admissible` over
+node from its parent's, so `d_strings` yields each object's string as
+the walk reaches its leaf, by marking that text; `_mark` is the one
+string rule, and `Overpartition.__str__` calls it too.  Objects are built
+only where a caller asks for them (`d_witnesses`).  `is_Dk_admissible` over
 `enumerate_overpartitions` stays the definition the masks, the strings
 and the sweep are tested against.
 """
@@ -163,12 +163,14 @@ def masks_of_weight(n: int, k: int) -> Iterator[tuple]:
     return ((groups, masks) for groups, masks, _, _ in _walk_to(n, k))
 
 
-def d_strings(n: int, k: int) -> list:
-    """The strings of the D_k-admissible overpartitions of n, in the order
-    of enumerate_overpartitions: each partition's text is built once along
-    the walk of masks_of_weight, and each mask marks it."""
+def d_strings(n: int, k: int) -> Iterator[str]:
+    """The strings of the D_k-admissible overpartitions of n, one at a time
+    as the walk of masks_of_weight reaches them, in the order of
+    enumerate_overpartitions: each partition's text is built once along the
+    walk, and each mask marks it.  The parameters are checked at the call,
+    before the first string."""
     check_params(k, n=n)
-    return [_mark(text, ends, mask) for _, masks, text, ends in _walk_to(n, k) for mask in masks]
+    return (_mark(text, ends, mask) for _, masks, text, ends in _walk_to(n, k) for mask in masks)
 
 
 def _walk_to(n: int, k: int) -> Iterator[tuple]:

@@ -1,5 +1,6 @@
 """Overpartition enumeration, admissibility, and the specialization maps."""
 
+import tracemalloc
 from itertools import groupby
 
 import pytest
@@ -134,9 +135,26 @@ class TestFormat:
         # the walk's text against the filter's objects
         for n in range(17):
             objects = filter_admissible(n, k)
-            strings = d_strings(n, k)
+            strings = list(d_strings(n, k))
             assert [str(o) for o in objects] == strings, (n, k)
             assert [entries_string(o) for o in objects] == strings, (n, k)
+
+    def test_d_strings_checks_at_the_call(self):
+        # a bad k raises before the first string is asked for
+        with pytest.raises(ValueError):
+            d_strings(5, 1)
+
+    def test_d_strings_streams(self):
+        # one string at a time as the walk reaches it: the list of all
+        # 32,788 strings peaked at 2.45 MB
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in d_strings(30, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == theorem_product(2, 30).set_a(1).coefficient(30)
+        assert peak < 512 * 2**10
 
 
 class TestEnumeration:

@@ -1081,28 +1081,57 @@ class TestCli:
             result = self.run("list", "--side", "D", "--k", str(k), "--n", str(n))
             assert result.output.splitlines() == [*expected, f"total: {len(expected)}"], (k, n)
 
+    @staticmethod
+    def oracle_list(side, k, i, n):
+        """The strings of a list, built by the tests: B and C joined here
+        from the walks' tuples, D from the filter's entries."""
+        if side == "D":
+            return [entries_string(o) for o in filter_admissible(n, k)]
+        witnesses = {"B": partitions.b_witnesses, "C": partitions.c_witnesses}[side]
+        return ["+".join(map(str, p)) or "0" for p in witnesses(n, k, i)]
+
+    @staticmethod
+    def oracle_bytes(fmt, expected):
+        if fmt == "json":
+            want = json.dumps(expected, indent=2) + "\n"
+        else:
+            want = "".join(line + "\n" for line in [*expected, f"total: {len(expected)}"])
+        return want.encode()
+
     @pytest.mark.parametrize("k", (2, 3, 5))
     @pytest.mark.parametrize("fmt", ("json", "text"))
     @pytest.mark.parametrize("side", "BCD")
     def test_list_prints_the_oracles_bytes(self, side, fmt, k):
-        # the bytes of every list against strings the tests build: B and C
-        # joined here from the walks' tuples, D from the filter's entries
-        # (its enumeration stops at n = 14, so D stops at n = 10)
+        # the bytes of every list against the oracle's strings (the
+        # filter's enumeration stops at n = 14, so D stops at n = 10)
         for i in range(k):
             for n in (0, 1, 2, 5, 10) if side == "D" else (0, 1, 2, 5, 10, 26):
-                if side == "D":
-                    expected = [entries_string(o) for o in filter_admissible(n, k)]
-                else:
-                    witnesses = {"B": partitions.b_witnesses, "C": partitions.c_witnesses}[side]
-                    expected = ["+".join(map(str, p)) or "0" for p in witnesses(n, k, i)]
+                expected = self.oracle_list(side, k, i, n)
                 result = self.run("--format", fmt, "list", "--side", side, "--k", str(k),
                                   "--i", str(i), "--n", str(n))
                 assert result.exit_code == 0, (side, k, i, n)
-                if fmt == "json":
-                    want = json.dumps(expected, indent=2) + "\n"
-                else:
-                    want = "".join(line + "\n" for line in [*expected, f"total: {len(expected)}"])
-                assert result.stdout_bytes == want.encode(), (side, k, i, n)
+                assert result.stdout_bytes == self.oracle_bytes(fmt, expected), (side, k, i, n)
+
+    # (k, i, n) of a list of each length (B and C have equal lengths); D is
+    # never empty, since the plain partition of n is always admissible
+    SIZED_BC = {0: (2, 1, 1), 1: (2, 0, 0), 2: (2, 0, 4), 3: (2, 0, 5)}
+    SIZED = {"B": SIZED_BC, "C": SIZED_BC, "D": {1: (2, 0, 0), 2: (2, 0, 1), 3: (2, 0, 2)}}
+
+    @pytest.mark.parametrize("chunk", (1, 2))
+    @pytest.mark.parametrize("fmt", ("json", "text"))
+    @pytest.mark.parametrize("side", "BCD")
+    def test_list_bytes_across_chunks(self, monkeypatch, side, fmt, chunk):
+        # lists of 0, 1, chunk and chunk + 1 items: the first write, a full
+        # chunk and a chunk that follows one
+        monkeypatch.setattr(cli, "CHUNK", chunk)
+        for length in {0, 1, chunk, chunk + 1} & self.SIZED[side].keys():
+            k, i, n = self.SIZED[side][length]
+            expected = self.oracle_list(side, k, i, n)
+            assert len(expected) == length, (side, k, i, n)
+            result = self.run("--format", fmt, "list", "--side", side, "--k", str(k),
+                              "--i", str(i), "--n", str(n))
+            assert result.exit_code == 0, (side, k, i, n)
+            assert result.stdout_bytes == self.oracle_bytes(fmt, expected), (side, k, i, n)
 
     def test_list_prints_the_empty_array_and_the_empty_object(self):
         result = self.run("--format", "json", "list", "--side", "B", "--k", "3", "--i", "1", "--n", "1")
