@@ -16,6 +16,7 @@ from .appell import (
     congruence_product_series,
     r_terms,
     theorem_product,
+    unpack,
 )
 from .overpartitions import (
     Overpartition,
@@ -81,6 +82,7 @@ __all__ = [
     "specialize",
     "specialize_overpartition",
     "theorem_product",
+    "unpack",
     "verify_all",
     "verify_corollary",
     "verify_machinery",

@@ -19,7 +19,21 @@ last k terms, and build_R is that stream kept whole.  The functional
 equation and the limit are checked one j at a time (functional_equation_step
 reads R_j, R_{j-1}, R_{j-k}; limit_step reads R_j, R_{j-1}), so a caller
 can check them as the terms arrive; check_functional_equation and
-appell_limit are the same steps looped over an RSequence.
+appell_limit are the same steps looped over an RSequence, packed first.
+
+The stream's terms are packed (Kronecker substitution): a-row m of R_j is
+one integer, sum_n c_{m,n} 2^{w n} for n <= q_order, in a PackedTerm.  The
+slot width w, from slot_width, leaves three guard bits above every
+coefficient the recursion can reach, so a row add is one integer add, a
+shift by q^s is a shift by w s bits, and the division by (1 - q^j) is
+ceil(log2((q_order + 1) / j)) doubling steps P += q^{j 2^t} P.  Every step
+shifts only the slots that stay at or below q^{q_order}, and r_terms checks
+after every addition that no slot has reached its guard bits
+(SlotOverflowError).  The two checks compare packed rows by residue: with
+MASK the q_order + 1 slots, (lhs - rhs) & MASK is zero exactly when every
+signed slot difference is, and its lowest set bit, divided by w, is the
+first differing q-degree.  Only this module knows the format; unpack turns
+a term back into a BivariateSeries where coefficients are read.
 
 Euler's two identities give R_j in closed form: its a^d row is
 q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}).  The closed product
@@ -27,24 +41,23 @@ counts each row from that form, sharing no code with r_terms, and the
 limit checks the bound it implies: the coefficient of q^e is fixed once
 j >= e + k - 1.  Checked between neighbours, that is R_j = R_{j-1} below
 q^{j-k+1}; the windows grow with j, so the agreements chain forward to
-R_{j_max}.  The routes work on whole coefficient rows, as lists: the
-functional equation is compared a-row by a-row without building series
-objects, and the limit compares row slices.
+R_{j_max}.
 
-The two producers, r_terms and theorem_product, skip what must be zero:
-by Euler's expansion of (-aq; q^k)_inf, row m is zero below the least
-weight of m overlined parts, least_weight(k, m) = m + k m(m-1)/2, so each
-row's adds and running sums start there.  The verifying stages still
-compare whole rows, so a start one too late is caught.  The recursion's
-division by (1 - q^j) stays a running sum over single coefficients, from
-the row's least weight on.
+theorem_product skips what must be zero: by Euler's expansion of
+(-aq; q^k)_inf, row m is zero below the least weight of m overlined parts,
+least_weight(k, m) = m + k m(m-1)/2, so each row's adds start there.  The
+Appell limit compares whole rows with it, so a start one too late is
+caught.  The packed stream needs no such start: a zero slot costs nothing
+in an integer add.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 
 from .partitions import _count_by_dp, check_params
@@ -82,6 +95,106 @@ def max_overline_count(k: int, q_order: int) -> int:
     return m
 
 
+GUARD_BITS = 3
+
+
+def slot_width(q_order: int) -> int:
+    """The bits of one packed slot for coefficients up to q^{q_order}: a
+    whole number of bytes with GUARD_BITS bits above every value the R_j
+    stream and its checks reach.
+
+    Every coefficient of R_j counts overpartitions of some n <= N = q_order
+    (configurations of n with m overlined parts), and so does every partial
+    sum on the way to it: the add step's R_{j-1} + a q^{j-k+1} R_{j-k} is
+    (1 - q^j) R_j, and the doubling steps' partial products of
+    1/(1 - q^j) sum fewer terms of R_j's nonnegative coefficients.  The
+    overpartitions of n grow with n, and a partition of N has at most
+    isqrt(2N) distinct parts (d distinct parts weigh at least d(d+1)/2), so
+    pbar(N) <= 2^isqrt(2N) p(N) < 2^isqrt(2N) e^{pi sqrt(2N/3)}, by
+    p(N) < e^{pi sqrt(2N/3)} (Apostol, Introduction to Analytic Number
+    Theory, Thm 14.5).  That is below 2^b, b = isqrt(2N) + floor(x) + 1 with
+    x = pi sqrt(2N/3) / ln 2, and w = b + GUARD_BITS rounded up to bytes:
+    48 at q_order 60, 80 at 200, 120 at 500.  Values below 2^{w-3} keep the
+    sum of two (any add) below 2^{w-2}, so no slot carries into the next,
+    and the functional equation's difference of four below 2^{w-1}.
+    """
+    x = math.pi * math.sqrt(2 * q_order / 3) / math.log(2)
+    return _whole_bytes(math.isqrt(2 * q_order) + math.floor(x) + 1)
+
+
+def slot_note(term: PackedTerm) -> str:
+    """What term's slot width rests on, for a report's note."""
+    width, n, n2 = term.width, term.q_order, 2 * term.q_order
+    return (f"a-rows packed in {width}-bit slots: each coefficient counts overpartitions"
+            f" of some n <= {n}, at most pbar({n}) <= 2^isqrt({n2}) p({n})"
+            f" < 2^isqrt({n2}) e^(pi sqrt({n2}/3)) < 2^{width - GUARD_BITS}"
+            f" (p(n) < e^(pi sqrt(2n/3)): Apostol, Thm 14.5)")
+
+
+def _whole_bytes(bits: int) -> int:
+    """bits plus the guard bits, rounded up to whole bytes."""
+    return -(-(bits + GUARD_BITS) // 8) * 8
+
+
+class SlotOverflowError(ArithmeticError):
+    """Raised when a packed slot reaches its guard bits: the slot width is
+    too narrow for the coefficients, and the row can no longer be trusted."""
+
+
+@dataclass(frozen=True)
+class PackedTerm:
+    """R_j(a, q) with a-row m packed as rows[m] = sum_n c_{m,n} 2^{width n},
+    n <= q_order.  A slot may hold a signed value below 2^{width - 1}."""
+
+    rows: tuple
+    width: int
+    q_order: int
+
+
+@lru_cache(maxsize=None)
+def _layout(width: int, q_order: int) -> tuple:
+    """(mask, guard, bias) for q_order + 1 slots of `width` bits: every slot
+    set, the top GUARD_BITS of each, and 2^{width - 1} in each."""
+    mask = (1 << width * (q_order + 1)) - 1
+    ones = mask // ((1 << width) - 1)  # 1 in every slot
+    guard = ones * (((1 << GUARD_BITS) - 1) << (width - GUARD_BITS))
+    return mask, guard, ones << (width - 1)
+
+
+def pack(series: BivariateSeries, width: int) -> PackedTerm:
+    """series with each a-row packed into `width`-bit slots; a coefficient
+    must be a signed value below 2^{width - 1}.  Each slot is biased by
+    2^{width - 1} into bytes and the bias subtracted from the row whole."""
+    q_order = series.q_order
+    size, half = width // 8, 1 << (width - 1)
+    bias = _layout(width, q_order)[2]
+    rows = tuple(
+        int.from_bytes(b"".join((c + half).to_bytes(size, "little") for c in row), "little") - bias
+        if any(row) else 0
+        for row in series.coeffs
+    )
+    return PackedTerm(rows, width, q_order)
+
+
+def unpack(term: PackedTerm) -> BivariateSeries:
+    """The BivariateSeries whose a-rows term packs: each row biased by
+    2^{width - 1} a slot, read as bytes, and each slot unbiased."""
+    width, n1 = term.width, term.q_order + 1
+    size, half = width // 8, 1 << (width - 1)
+    bias = _layout(width, term.q_order)[2]
+    read = int.from_bytes
+    zero = (0,) * n1
+    rows = []
+    for row in term.rows:
+        if not row:
+            rows.append(zero)
+            continue
+        b = (row + bias).to_bytes(size * n1, "little")
+        rows.append(tuple([read(b[i : i + size], "little") - half
+                           for i in range(0, size * n1, size)]))
+    return BivariateSeries(tuple(rows))
+
+
 @dataclass
 class RSequence:
     """terms[j] = R_j(a, q) for j = 0..j_max, at a shared truncation."""
@@ -96,17 +209,28 @@ class RSequence:
         return len(self.terms) - 1
 
 
+def _packed(rs: RSequence) -> list:
+    """rs's terms packed in slots wide enough for its largest coefficient,
+    so the checks are exact for any RSequence, a perturbed one included."""
+    top = max((abs(c) for t in rs.terms for row in t.coeffs for c in row), default=0)
+    width = _whole_bytes(top.bit_length())
+    return [pack(t, width) for t in rs.terms]
+
+
 def r_terms(k: int, j_max: int, q_order: int, a_order: int | None = None) -> Iterator:
-    """Yield R_0..R_{j_max} from the recursion, R_0 = 1 (with R_j = 0 for -k < j < 0).
+    """Yield R_0..R_{j_max} from the recursion as PackedTerms, R_0 = 1 (with
+    R_j = 0 for -k < j < 0).
 
     a_order defaults to the exact overline-count bound for this truncation.
-    Each term is built as a running sum in place: R_{j-1} + a q^{j-k+1} R_{j-k},
-    then divided by (1 - q^j) through c[n] += c[n - j] for n ascending.  Row
-    m of every R_j is zero below L_m = least_weight(k, m), so row m reads
-    row m - 1 of R_{j-k} from L_{m-1}, adding it from j - k + 1 + L_{m-1} on,
-    and its division starts at L_m + j.  Only the last k terms are kept, so
-    a caller that keeps no more holds O(k) terms.  The parameters are
-    checked at the call, before the first term.
+    Each term starts from R_{j-1}'s rows; row m gains row m - 1 of R_{j-k}
+    shifted by q^{j-k+1}, then is divided by (1 - q^j) in doubling steps
+    P += q^s P, s = j, 2j, 4j, ... while s <= q_order, the partial products
+    of 1/(1 - q^j) = (1 + q^j)(1 + q^{2j})(1 + q^{4j})...  Each add shifts
+    only the slots that stay at or below q^{q_order} and is checked against
+    the guard bits; a slot that reaches them raises SlotOverflowError naming
+    j and the a-row.  Only the last k terms are kept, so a caller that keeps
+    no more holds O(k) terms.  The parameters are checked at the call,
+    before the first term.
     """
     check_params(k, j_max=j_max, q_order=q_order, a_order=a_order)
     if a_order is None:
@@ -115,47 +239,88 @@ def r_terms(k: int, j_max: int, q_order: int, a_order: int | None = None) -> Ite
 
 
 def _r_terms(k: int, j_max: int, q_order: int, a_order: int) -> Iterator:
-    least = [least_weight(k, m) for m in range(a_order + 1)]  # row m is zero below
-    window = deque([BivariateSeries.one(a_order, q_order)], maxlen=k)  # R_{j-k}..R_{j-1}
+    width = slot_width(q_order)
+    guard = _layout(width, q_order)[1]
+
+    def overflow(j, m):
+        return SlotOverflowError(
+            f"slot overflow: the a^{m} row of R_{j} reached the guard bits of its"
+            f" {width}-bit slots at q_order={q_order}"
+        )
+
+    one = PackedTerm((1,) + (0,) * a_order, width, q_order)
+    window = deque([one], maxlen=k)  # R_{j-k}..R_{j-1}
     yield window[0]
     for j in range(1, j_max + 1):
-        rows = [list(r) for r in window[-1].coeffs]
-        if j >= k:
-            # row m gains row m - 1 of R_{j-k} from its least weight, shifted by j - k + 1
-            for row, low, s in zip(rows[1:], window[0].coeffs, least):
-                start = j - k + 1 + s
-                row[start:] = map(add, row[start:], low[s:])
-        for row, s in zip(rows, least):
-            for n in range(s + j, q_order + 1):
-                row[n] += row[n - j]
-        window.append(BivariateSeries(tuple(tuple(r) for r in rows)))
+        rows = list(window[-1].rows)
+        s = j - k + 1
+        if j >= k and s <= q_order:
+            # the slots of row m - 1 that stay at or below q^{q_order}, shifted by q^s
+            keep, bits = _low_slots(width, q_order, s), width * s
+            for m, low in enumerate(window[0].rows[:a_order], 1):
+                if low:
+                    rows[m] += (low & keep) << bits
+                    if rows[m] & guard:
+                        raise overflow(j, m)
+        steps = []
+        s = j
+        while s <= q_order:
+            steps.append((_low_slots(width, q_order, s), width * s))
+            s *= 2
+        for m, row in enumerate(rows):
+            if row:
+                for keep, bits in steps:
+                    row += (row & keep) << bits
+                    if row & guard:
+                        raise overflow(j, m)
+                rows[m] = row
+        window.append(PackedTerm(tuple(rows), width, q_order))
         yield window[-1]
 
 
 def build_R(k: int, j_max: int, q_order: int, a_order: int | None = None) -> RSequence:
-    """R_0..R_{j_max} from r_terms, all kept."""
+    """R_0..R_{j_max} from r_terms, all kept, unpacked."""
     terms = r_terms(k, j_max, q_order, a_order)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
-    return RSequence(k, q_order, a_order, list(terms))
+    return RSequence(k, q_order, a_order, [unpack(t) for t in terms])
+
+
+def _low_slots(width: int, q_order: int, s: int) -> int:
+    """The mask of the slots n <= q_order - s: those that stay at or below
+    q^{q_order} when shifted by q^s."""
+    return (1 << width * (q_order + 1 - s)) - 1
+
+
+def _lowest_slot(residue: int, width: int) -> int:
+    """The slot of residue's lowest set bit: the first differing q-degree."""
+    return ((residue & -residue).bit_length() - 1) // width
 
 
 def functional_equation_step(k: int, j: int, term, prev, low) -> tuple | None:
     """Verify R_j - R_{j-1} = q^j R_j + a q^{j-k+1} R_{j-k} at one j >= 1.
 
-    term, prev and low are R_j, R_{j-1} and R_{j-k} (None when j < k).  Each
-    a-row of R_j is compared, as a list, with the same row of
-    R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k}.  Returns the first failing
-    (a-degree, q-degree), a-degree before q-degree, or None.
+    term, prev and low are the PackedTerms R_j, R_{j-1} and R_{j-k} (None
+    when j < k).  Each a-row of R_j is compared with the same row of
+    R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k} by its residue below q^{q_order+1}.
+    Returns the first failing (a-degree, q-degree), a-degree before
+    q-degree, or None.
     """
-    low = low.coeffs if low is not None else ()
-    for m, (row, prev_row) in enumerate(zip(term.coeffs, prev.coeffs)):
-        expected = list(prev_row)
-        expected[j:] = map(add, expected[j:], row)
-        if m and low:
-            expected[j - k + 1 :] = map(add, expected[j - k + 1 :], low[m - 1])
-        if tuple(row) != tuple(expected):
-            return m, next(n for n, (c, e) in enumerate(zip(row, expected)) if c != e)
+    width, q_order = term.width, term.q_order
+    mask = _layout(width, q_order)[0]
+    # q^j R_j and a q^s R_{j-k}, s = j - k + 1, keep only the slots that
+    # stay at or below q^{q_order}
+    keep = _low_slots(width, q_order, j) if j <= q_order else 0
+    s = j - k + 1
+    under_keep = _low_slots(width, q_order, s) if low is not None and s <= q_order else 0
+    lows = (0, *low.rows) if under_keep else (0,) * len(term.rows)
+    for m, (row, before, under) in enumerate(zip(term.rows, prev.rows, lows)):
+        residue = row - before - ((row & keep) << width * j)
+        if under:
+            residue -= (under & under_keep) << width * s
+        residue &= mask
+        if residue:
+            return m, _lowest_slot(residue, width)
     return None
 
 
@@ -164,10 +329,10 @@ def check_functional_equation(rs: RSequence) -> tuple | None:
     of (1-x)F = (1 + a x^k q) F(x -> xq).  Returns the first failing
     (j, a-degree, q-degree), or None when every equation holds.
     """
-    k = rs.k
+    k, terms = rs.k, _packed(rs)
     for j in range(1, rs.j_max + 1):
-        low = rs.terms[j - k] if j >= k else None
-        diff = functional_equation_step(k, j, rs.terms[j], rs.terms[j - 1], low)
+        low = terms[j - k] if j >= k else None
+        diff = functional_equation_step(k, j, terms[j], terms[j - 1], low)
         if diff is not None:
             return (j, *diff)
     return None
@@ -207,18 +372,21 @@ def require_depth(k: int, j_max: int, q_order: int) -> None:
         raise StabilizationError(f"not stabilized: j_max={j_max} < q_order+k={q_order + k}")
 
 
-def limit_step(k: int, j: int, term, prev) -> BivariateSeries:
-    """One step of the settling check at j >= k: R_j = term must equal
-    R_{j-1} = prev below q^{j-k+1}.  Returns R_j, the limit so far.
+def limit_step(k: int, j: int, term, prev) -> PackedTerm:
+    """One step of the settling check at j >= k: the PackedTerm R_j = term
+    must equal R_{j-1} = prev below q^{j-k+1}.  Returns R_j, the limit so far.
 
     By the closed form the coefficient of q^e is fixed for j >= e + k - 1, so
     a difference below q^{j-k+1} is a settled coefficient that changed; it
-    raises with its (a-degree, q-degree), the lowest of each.
+    raises with its (a-degree, q-degree), the lowest of each, read from the
+    residue of the two rows below q^{j-k+1}.
     """
-    top = j - k + 1
-    for m, (row, before) in enumerate(zip(term.coeffs, prev.coeffs)):
-        if row[:top] != before[:top]:
-            e = next(e for e, (c, b) in enumerate(zip(row, before)) if c != b)
+    width = term.width
+    keep = (1 << width * min(j - k + 1, term.q_order + 1)) - 1
+    for m, (row, before) in enumerate(zip(term.rows, prev.rows)):
+        residue = (row - before) & keep
+        if residue:
+            e = _lowest_slot(residue, width)
             raise StabilizationError(
                 f"not stabilized: coefficient of a^{m} q^{e} changes between"
                 f" j={j - 1} and j={j}, though it settles by j={e + k - 1}",
@@ -230,17 +398,18 @@ def limit_step(k: int, j: int, term, prev) -> BivariateSeries:
 def appell_limit(rs: RSequence) -> BivariateSeries:
     """The formal evaluation of lim_{x->1} (1-x) F(a,x,q): R_{j_max}, certified.
 
-    limit_step at each k <= j <= j_max: R_j agrees with R_{j-1} below
-    q^{j-k+1}.  As that window grows with j, the agreements chain forward:
-    they hold exactly when each R_j agrees with R_{j_max} below q^{j-k+2},
-    the closed form's settling bound.  require_depth makes the last step
-    cover every q^e; the first changed coefficient raises with its
-    (a-degree, q-degree).
+    limit_step at each k <= j <= j_max, on the packed terms: R_j agrees with
+    R_{j-1} below q^{j-k+1}.  As that window grows with j, the agreements
+    chain forward: they hold exactly when each R_j agrees with R_{j_max}
+    below q^{j-k+2}, the closed form's settling bound.  require_depth makes
+    the last step cover every q^e; the first changed coefficient raises with
+    its (a-degree, q-degree).
     """
     require_depth(rs.k, rs.j_max, rs.q_order)
+    terms = _packed(rs)
     for j in range(rs.k, rs.j_max + 1):
-        limit = limit_step(rs.k, j, rs.terms[j], rs.terms[j - 1])
-    return limit
+        limit = limit_step(rs.k, j, terms[j], terms[j - 1])
+    return unpack(limit)
 
 
 def theorem_product(k: int, q_order: int, a_order: int | None = None) -> BivariateSeries:

@@ -280,10 +280,12 @@ def verify_machinery(
 
     R_0..R_{j_max} are built once, by appell.r_terms, and each stage checks
     them as they arrive through a window of the last k + 1 terms, so no more
-    is kept than the window and the head a stage asks for.  A stage is a
-    generator: it is sent the window once per term until it returns
+    is kept than the window and the head a stage asks for.  The terms are
+    packed; a stage unpacks one only where it reads coefficients.  A stage
+    is a generator: it is sent the window once per term until it returns
     (witness or None, notes), or raises StabilizationError to abort, and its
-    time is the sum of its own steps.
+    time is the sum of its own steps.  A slot overflow in the stream aborts
+    every stage that has not yet returned.
     """
     start = time.perf_counter()
     if j_max is None:
@@ -324,16 +326,20 @@ def verify_machinery(
     for n in range(len(stages)):
         step(n, None)  # runs each stage up to its first term
     window = deque(maxlen=k + 1)  # R_{j-k}..R_j
-    for term in appell.r_terms(k, j_max, q_order, a_order):
-        window.append(term)
-        for n, outcome in enumerate(outcomes):
-            if outcome is None:
-                step(n, window)
-        if None not in outcomes:
-            break
+    try:
+        for term in appell.r_terms(k, j_max, q_order, a_order):
+            window.append(term)
+            for n, outcome in enumerate(outcomes):
+                if outcome is None:
+                    step(n, window)
+            if None not in outcomes:
+                break
+    except appell.SlotOverflowError as exc:
+        # the stream stopped: every stage it had not decided is aborted
+        outcomes = [exc if outcome is None else outcome for outcome in outcomes]
     subs = []
     for (name, stage_rng, _), outcome, timing in zip(stages, outcomes, seconds):
-        if isinstance(outcome, appell.StabilizationError):
+        if isinstance(outcome, Exception):
             status, witness, notes = "aborted", None, [f"aborted: {outcome}"]
         else:
             witness, notes = outcome
@@ -347,15 +353,17 @@ def verify_machinery(
 
 def _functional_equation(k: int, j_max: int):
     """R_j against R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k}, read from the
-    window, for 1 <= j <= j_max."""
-    yield  # R_0 has no equation
+    window, for 1 <= j <= j_max.  The note names the packed terms' slot
+    width and the bound it rests on."""
+    window = yield  # R_0 has no equation
+    notes = [appell.slot_note(window[-1])]
     for j in range(1, j_max + 1):
         window = yield
         low = window[0] if j >= k else None
         diff = appell.functional_equation_step(k, j, window[-1], window[-2], low)
         if diff is not None:
-            return dict(zip(("j", "a_degree", "q_degree"), (j, *diff))), []
-    return None, []
+            return dict(zip(("j", "a_degree", "q_degree"), (j, *diff))), notes
+    return None, notes
 
 
 def _closed_product(k: int, q_order: int, a_order: int, j_top: int):
@@ -363,7 +371,7 @@ def _closed_product(k: int, q_order: int, a_order: int, j_top: int):
     first differing j, and its first differing cell, is the witness."""
     xc = appell.closed_product_F_coefficients(k, j_top, q_order, a_order)
     for j, coeff in enumerate(xc):
-        term = (yield)[-1]
+        term = appell.unpack((yield)[-1])
         if coeff != term:
             return dict(zip(("j", "a_degree", "q_degree"), (j, *coeff.first_difference(term)))), []
     return None, []
@@ -381,6 +389,7 @@ def _appell_limit(k: int, q_order: int, a_order: int, j_max: int):
                 lim = appell.limit_step(k, j, window[-1], window[-2])
     except appell.StabilizationError as exc:
         return dict(zip(("a_degree", "q_degree"), exc.witness)), [str(exc)]
+    lim = appell.unpack(lim)
     product = appell.theorem_product(k, q_order, a_order)
     diff = lim.first_difference(product)
     if diff is not None:
@@ -404,7 +413,7 @@ def _bounded_enumeration(k: int, q_order: int, a_order: int, j_top: int, n_top: 
     m_top = min(appell.max_overline_count(k, n_top), a_order)
     head = appell.RSequence(k, q_order, a_order, [])
     for j, states in enumerate(overpartitions.dk_sweep(n_top, k, m_top, j_top)):
-        head.terms.append((yield)[-1])
+        head.terms.append(appell.unpack((yield)[-1]))
         p_rows = [partitions.state_total(states, m) for m in range(m_top + 1)]
         routes = (("R", states[k], head.terms[j]), ("P", p_rows, appell.pj_series(head, j)))
         if all(counts == [list(row[: n_top + 1]) for row in coeff.coeffs[: m_top + 1]]

@@ -1,12 +1,14 @@
 """The recursion, functional equation, closed product, and formal limit."""
 
 import sys
+from itertools import islice
 from operator import add
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qident import appell
 from qident.appell import (
     StabilizationError,
     appell_limit,
@@ -19,7 +21,11 @@ from qident.appell import (
     pj_series,
     r_terms,
     RSequence,
+    SlotOverflowError,
+    pack,
+    slot_width,
     theorem_product,
+    unpack,
 )
 from qident.overpartitions import count_pj, count_rj, d_witnesses
 from qident.partitions import count_B_table
@@ -29,9 +35,9 @@ from qident.series import (
 
 
 # Oracles: the series-arithmetic formulations that build_R replaced with
-# in-place running sums and closed_product_F_coefficients with Euler's
-# closed form, the recursion on whole rows that r_terms replaced with rows
-# started at their least weight, and the factor-by-factor product that
+# packed-row running sums and closed_product_F_coefficients with Euler's
+# closed form, the recursion on whole coefficient lists that r_terms
+# replaced with packed rows, and the factor-by-factor product that
 # theorem_product's in-place numerator replaced.
 
 
@@ -157,8 +163,10 @@ class TestRunningSumsMatchOracles:
     @example(2, 30, 34, 2)
     @settings(max_examples=80, deadline=None)
     def test_build_R(self, k, q_order, j_max, offset):
+        # build_R is the packed stream unpacked
         rs = build_R(k, j_max, q_order, _a_order(k, q_order, offset))
         assert rs.terms == build_R_by_convolution(k, j_max, q_order, rs.a_order)
+        assert rs.terms == r_terms_full_rows(k, j_max, q_order, rs.a_order)
 
     @given(st.integers(2, 5), st.integers(0, 30), st.integers(0, 12), a_order_offsets)
     @example(4, 30, 2, None)  # j_top below k: no numerator factor reaches it
@@ -189,7 +197,7 @@ class TestLeastWeight:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_r_terms_match_full_rows(self, k, a_order):
         for q_order in range(61):
-            terms = list(r_terms(k, q_order + k, q_order, a_order))
+            terms = [unpack(t) for t in r_terms(k, q_order + k, q_order, a_order)]
             rows = max_overline_count(k, q_order) if a_order is None else a_order
             assert terms == r_terms_full_rows(k, q_order + k, q_order, rows), q_order
             for j, term in enumerate(terms):
@@ -204,6 +212,62 @@ class TestLeastWeight:
                 numer = pochhammer_inf(Monomial(1, 1, 1), k, q_order, rows)
                 want = numer.div_qseries(euler_product(q_order))
                 assert theorem_product(k, q_order, a_order) == want, (q_order, a_order)
+
+
+def overpartition_counts(n_max):
+    """pbar(0..n_max), the coefficients of prod (1 + q^n) / (1 - q^n)."""
+    c = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        for t in range(n_max, n - 1, -1):
+            c[t] += c[t - n]
+        for t in range(n, n_max + 1):
+            c[t] += c[t - n]
+    return c
+
+
+class TestPackedRows:
+    def test_slot_width_covers_every_overpartition_count(self):
+        # the proved bound leaves three guard bits above pbar(N) at every N
+        assert [slot_width(n) for n in (60, 200, 500)] == [48, 80, 120]
+        for n, count in enumerate(overpartition_counts(600)):
+            assert slot_width(n) % 8 == 0
+            assert count.bit_length() <= slot_width(n) - 3, n
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_largest_coefficient_has_three_guard_bits(self, k):
+        *_, last = r_terms(k, 500 + k, 500)
+        top = max(max(row) for row in unpack(last).coeffs)
+        assert top.bit_length() <= last.width - 3 == 117
+        # R_{j_max} is settled: its a^0 row is p(n) at n = 500
+        assert unpack(last).coefficient(0, 500) == 2300165032574323995027
+
+    # signed values at the slot's extremes, in the last slot, n = q_order,
+    # and at a-degree 0, where a mask or bias one slot off would show
+    @given(st.integers(0, 3), st.integers(0, 12), st.sampled_from([8, 16, 48]), st.data())
+    @example(0, 0, 8, None)
+    @settings(max_examples=60, deadline=None)
+    def test_pack_round_trip(self, a_order, q_order, width, data):
+        half = 1 << (width - 1)
+        if data is None:
+            rows = ((-half,),)
+        else:
+            value = st.integers(-half, half - 1) | st.sampled_from([-half, half - 1, -1, 0, 1])
+            rows = tuple(tuple(data.draw(st.lists(value, min_size=q_order + 1,
+                                                  max_size=q_order + 1)))
+                         for _ in range(a_order + 1))
+        series = BivariateSeries(rows)
+        term = pack(series, width)
+        assert unpack(term) == series
+        assert (term.width, term.q_order, len(term.rows)) == (width, q_order, a_order + 1)
+
+    def test_guard_bits_trip_in_the_stream(self, monkeypatch):
+        # 8-bit slots hold values below 2^5 = 32: R_2's a^0 row is at most
+        # 31, at q^60, and R_3's passes 31 in its division by 1 - q^3
+        monkeypatch.setattr(appell, "slot_width", lambda q_order: 8)
+        terms = r_terms(2, 62, 60)
+        assert max(max(row) for row in unpack(list(islice(terms, 3))[-1]).coeffs) == 31
+        with pytest.raises(SlotOverflowError, match=r"a\^0 row of R_3 .* 8-bit slots"):
+            next(terms)
 
 
 class TestBuildR:
@@ -285,6 +349,12 @@ class TestFunctionalEquation:
     @example(2, 10, 2, None, 5, 1, 7, 1)
     @example(3, 12, 3, None, 9, 2, 3, -1)
     @example(2, 10, 2, -2, 0, 0, 0, 1)
+    # the last slot, n = q_order, at a-degree 0 and above it, where a mask
+    # one slot short would hide the cell
+    @example(2, 10, 2, None, 5, 0, 10, 1)
+    @example(2, 10, 2, None, 12, 0, 10, -1)
+    @example(3, 14, 3, None, 9, 2, 14, 5)
+    @example(2, 10, 2, None, 4, 1, 10, -1)
     @settings(max_examples=100, deadline=None)
     def test_matches_series_arithmetic(self, k, q_order, extra_j, offset, j, m, n, delta):
         rs = build_R(k, q_order + extra_j, q_order, _a_order(k, q_order, offset))

@@ -68,6 +68,16 @@ class TestReports:
         assert rep.range["j_max"] == 37
         assert rep.status == "pass"
 
+    def test_machinery_aborts_on_a_slot_overflow(self, monkeypatch):
+        # 8-bit slots are too narrow at q-order 60: R_3's a^0 row reaches the
+        # guard bits, and every stage that had not decided aborts, naming it
+        monkeypatch.setattr(appell, "slot_width", lambda q_order: 8)
+        rep = verify.verify_machinery(2, 60)
+        assert rep.status == "aborted"
+        assert {s.status for s in rep.subreports} == {"aborted"}
+        for sub in rep.subreports:
+            assert any("a^0 row of R_3" in note for note in sub.notes), sub.notes
+
     def test_machinery_aborts_without_stabilization(self):
         rep = verify.verify_machinery(3, 24, 20, closed_product_j=4, enum_j=3, enum_n=8)
         sub = {s.identity: s for s in rep.subreports}
@@ -301,8 +311,9 @@ def bumped(real, at, when=None):
     for the calls when(*args, **kwargs) picks (every call by default).
 
     at is a path of indices into the output: n into a count list or a
-    QSeries, (m, n) into a row matrix or a BivariateSeries, (j, m, n) into
-    the stream of R_j terms or the closed product's x^j list, and
+    QSeries, (m, n) into a row matrix, a BivariateSeries or a packed R_j,
+    (j, m, n) into the stream of R_j terms or the closed product's x^j
+    list, and
     (j, state, m, n) into a sweep's snapshots (an iterator is read into a
     list first).  A path that ends at an object, not a count, drops that
     object from its list.  Each level on the path is copied, so no row that
@@ -327,6 +338,8 @@ def settled(out):
 
 
 def _bumped_at(out, at):
+    if isinstance(out, appell.PackedTerm):  # unpack, bump, repack
+        return appell.pack(_bumped_at(appell.unpack(out), at), out.width)
     if isinstance(out, (QSeries, BivariateSeries)):
         return type(out)(_bumped_at(out.coeffs, at))
     here, rest = at[0], at[1:]
@@ -395,6 +408,12 @@ ROUTE_SLIPS = [
     # every step returns its R_j bumped, and the last is the limit compared
     route_slip("appell.limit_step", (2, 9), {
         "machinery/appell-limit": {"a_degree": 2, "q_degree": 9, "limit": 13, "product": 12}}),
+    # every R_j a stage reads as coefficients is off at a^1 q^3, from R_0 on
+    route_slip("appell.unpack", (1, 3), {
+        "machinery/closed-product": {"j": 0, "a_degree": 1, "q_degree": 3},
+        "machinery/appell-limit": {"a_degree": 1, "q_degree": 3, "limit": 4, "product": 3},
+        "machinery/bounded-enumeration": {"series": "R", "j": 0, "m": 1, "n": 3},
+    }),
     route_slip("appell.pj_series", (2, 7), {
         "machinery/bounded-enumeration": {"series": "P", "j": 4, "m": 2, "n": 7}},
         when=lambda rs, j: j == 4),
@@ -428,6 +447,8 @@ UNROUTED = {
     "appell.require_depth": "a precondition: it raises or returns nothing",
     "appell.RSequence": "a type",
     "appell.StabilizationError": "a type",
+    "appell.SlotOverflowError": "a type",
+    "appell.slot_note": "the text of a note",
 }
 
 
@@ -918,22 +939,6 @@ class TestMutations:
             return real(k, m, lo) + (m >= 1 and frame.f_code.co_name == reader)
 
         return late
-
-    def test_r_terms_least_weight_one_late(self, monkeypatch):
-        # each row m >= 1 of R_j starts one past its least weight: R_2 loses
-        # a q^3 (the overline 1 with the part 2), which the division by
-        # 1 - q^2 no longer carries up from a q^1; the functional equation
-        # fails at that first affected cell
-        real = appell.build_R(2, 20, 16).terms
-        monkeypatch.setattr(appell, "least_weight", self.one_late_in("_r_terms"))
-        slipped = appell.build_R(2, 20, 16).terms
-        first = next((j, *t.first_difference(r)) for j, (t, r) in enumerate(zip(slipped, real))
-                     if t != r)
-        assert first == (2, 1, 3)
-        rep = VERIFIERS["machinery"]()
-        sub = {s.identity: s for s in rep.subreports}["machinery/functional-equation"]
-        assert (sub.status, sub.witness) == ("fail", {"j": 2, "a_degree": 1, "q_degree": 3})
-        assert rep.status == "fail"
 
     def test_theorem_product_numerator_start_one_late(self, monkeypatch):
         # each factor a q^e adds row m - 1 to row m from one past its least
