@@ -22,18 +22,23 @@ can check them as the terms arrive; check_functional_equation and
 appell_limit are the same steps looped over an RSequence, packed first.
 
 The stream's terms are packed (Kronecker substitution): a-row m of R_j is
-one integer, sum_n c_{m,n} 2^{w n} for n <= q_order, in a PackedTerm.  The
-slot width w, from slot_width, leaves three guard bits above every
-coefficient the recursion can reach, so a row add is one integer add, a
-shift by q^s is a shift by w s bits, and the division by (1 - q^j) is
-ceil(log2((q_order + 1) / j)) doubling steps P += q^{j 2^t} P.  Every step
-shifts only the slots that stay at or below q^{q_order}, and r_terms checks
-after every addition that no slot has reached its guard bits
-(SlotOverflowError).  The two checks compare packed rows by residue: with
-MASK the q_order + 1 slots, (lhs - rhs) & MASK is zero exactly when every
-signed slot difference is, and its lowest set bit, divided by w, is the
-first differing q-degree.  Only this module knows the format; unpack turns
-a term back into a BivariateSeries where coefficients are read.
+one integer, sum_n c_{m,n} 2^{w (q_order - n)} for n <= q_order, in a
+PackedTerm, so q^0 is the top slot.  The slot width w, from slot_width,
+leaves three guard bits above every coefficient the recursion can reach,
+so a row add is one integer add, a shift by q^s is a right shift by w s
+bits, whose slots past q^{q_order} fall off the bottom, and the division
+by (1 - q^j) is ceil(log2((q_order + 1) / j)) doubling steps
+P += q^{j 2^t} P.  An addition at most doubles a slot, so from slots below
+2^{w-3} three stay below 2^w and carry nothing: r_terms checks the guard
+bits after every third addition to a row and at the end of each row
+(SlotOverflowError).  The two checks compare packed rows by their
+difference, zero exactly when every signed slot difference is; on a
+mismatch, the first differing q-degree is the first slot of the
+difference, biased into bytes, that is not the bias.  A term with a
+negative slot (pack marks it signed) is shifted with rounding, not
+flooring, so the slots shifted out borrow nothing from those kept.  Only
+this module knows the format; unpack turns a term back into a
+BivariateSeries where coefficients are read.
 
 Euler's two identities give R_j in closed form: its a^d row is
 q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}).  The closed product
@@ -47,8 +52,8 @@ theorem_product skips what must be zero: by Euler's expansion of
 (-aq; q^k)_inf, row m is zero below the least weight of m overlined parts,
 least_weight(k, m) = m + k m(m-1)/2, so each row's adds start there.  The
 Appell limit compares whole rows with it, so a start one too late is
-caught.  The packed stream needs no such start: a zero slot costs nothing
-in an integer add.
+caught.  The packed stream needs no such start: a row's zero slots below
+its least weight are its leading zeros.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, rshift
 
 from .partitions import _count_by_dp, check_params
 from .series import BivariateSeries, QSeries, _divide_rows, euler_product
@@ -143,45 +148,48 @@ class SlotOverflowError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PackedTerm:
-    """R_j(a, q) with a-row m packed as rows[m] = sum_n c_{m,n} 2^{width n},
-    n <= q_order.  A slot may hold a signed value below 2^{width - 1}."""
+    """R_j(a, q) with a-row m packed highest q-degree last: rows[m] =
+    sum_n c_{m,n} 2^{width (q_order - n)}, n <= q_order, so q^0 is the top
+    slot.  A slot may hold a signed value below 2^{width - 1}; signed, set
+    by pack, says some slot is negative."""
 
     rows: tuple
     width: int
     q_order: int
+    signed: bool = False
 
 
 @lru_cache(maxsize=None)
-def _layout(width: int, q_order: int) -> tuple:
-    """(mask, guard, bias) for q_order + 1 slots of `width` bits: every slot
-    set, the top GUARD_BITS of each, and 2^{width - 1} in each."""
-    mask = (1 << width * (q_order + 1)) - 1
-    ones = mask // ((1 << width) - 1)  # 1 in every slot
-    guard = ones * (((1 << GUARD_BITS) - 1) << (width - GUARD_BITS))
-    return mask, guard, ones << (width - 1)
+def _layout(width: int, slots: int) -> tuple:
+    """(guard, bias) for `slots` slots of `width` bits: the top GUARD_BITS of
+    each slot, and 2^{width - 1} in each."""
+    ones = ((1 << width * slots) - 1) // ((1 << width) - 1)  # 1 in every slot
+    return ones * (((1 << GUARD_BITS) - 1) << (width - GUARD_BITS)), ones << (width - 1)
 
 
 def pack(series: BivariateSeries, width: int) -> PackedTerm:
-    """series with each a-row packed into `width`-bit slots; a coefficient
-    must be a signed value below 2^{width - 1}.  Each slot is biased by
-    2^{width - 1} into bytes and the bias subtracted from the row whole."""
+    """series with each a-row packed into `width`-bit slots, q^0 on top; a
+    coefficient must be a signed value below 2^{width - 1}.  Each slot is
+    biased by 2^{width - 1} into big-endian bytes and the bias subtracted
+    from the row whole."""
     q_order = series.q_order
     size, half = width // 8, 1 << (width - 1)
-    bias = _layout(width, q_order)[2]
+    bias = _layout(width, q_order + 1)[1]
     rows = tuple(
-        int.from_bytes(b"".join((c + half).to_bytes(size, "little") for c in row), "little") - bias
+        int.from_bytes(b"".join((c + half).to_bytes(size, "big") for c in row), "big") - bias
         if any(row) else 0
         for row in series.coeffs
     )
-    return PackedTerm(rows, width, q_order)
+    signed = any(c < 0 for row in series.coeffs for c in row)
+    return PackedTerm(rows, width, q_order, signed)
 
 
 def unpack(term: PackedTerm) -> BivariateSeries:
     """The BivariateSeries whose a-rows term packs: each row biased by
-    2^{width - 1} a slot, read as bytes, and each slot unbiased."""
+    2^{width - 1} a slot, read as big-endian bytes, and each slot unbiased."""
     width, n1 = term.width, term.q_order + 1
     size, half = width // 8, 1 << (width - 1)
-    bias = _layout(width, term.q_order)[2]
+    bias = _layout(width, n1)[1]
     read = int.from_bytes
     zero = (0,) * n1
     rows = []
@@ -189,10 +197,31 @@ def unpack(term: PackedTerm) -> BivariateSeries:
         if not row:
             rows.append(zero)
             continue
-        b = (row + bias).to_bytes(size * n1, "little")
-        rows.append(tuple([read(b[i : i + size], "little") - half
+        b = (row + bias).to_bytes(size * n1, "big")
+        rows.append(tuple([read(b[i : i + size], "big") - half
                            for i in range(0, size * n1, size)]))
     return BivariateSeries(tuple(rows))
+
+
+def _round_shift(x: int, bits: int) -> int:
+    """x >> bits for a row with signed slots: rounded, not floored, so the
+    slots shifted out, which sum to less than 2^{bits - 1} in absolute
+    value, borrow nothing from the slots kept."""
+    return (x + (1 << bits >> 1)) >> bits
+
+
+def _shifter(term: PackedTerm):
+    """The right shift that drops the low slots of term's rows exactly."""
+    return _round_shift if term.signed else rshift
+
+
+def _first_slot(residue: int, width: int, slots: int) -> int:
+    """The top nonzero slot of a nonzero residue of `slots` signed slots,
+    counted from the top: the first differing q-degree."""
+    size = width // 8
+    bias = _layout(width, slots)[1]
+    biased = zip((residue + bias).to_bytes(size * slots, "big"), bias.to_bytes(size * slots, "big"))
+    return next(i for i, (x, y) in enumerate(biased) if x != y) // size
 
 
 @dataclass
@@ -225,10 +254,11 @@ def r_terms(k: int, j_max: int, q_order: int, a_order: int | None = None) -> Ite
     Each term starts from R_{j-1}'s rows; row m gains row m - 1 of R_{j-k}
     shifted by q^{j-k+1}, then is divided by (1 - q^j) in doubling steps
     P += q^s P, s = j, 2j, 4j, ... while s <= q_order, the partial products
-    of 1/(1 - q^j) = (1 + q^j)(1 + q^{2j})(1 + q^{4j})...  Each add shifts
-    only the slots that stay at or below q^{q_order} and is checked against
-    the guard bits; a slot that reaches them raises SlotOverflowError naming
-    j and the a-row.  Only the last k terms are kept, so a caller that keeps
+    of 1/(1 - q^j) = (1 + q^j)(1 + q^{2j})(1 + q^{4j})...  Each shift drops
+    the slots past q^{q_order}.  The guard bits are read after every third
+    addition to a row and at the end of each row; a slot that reaches them
+    raises SlotOverflowError naming j and the a-row that a read after every
+    addition would name.  Only the last k terms are kept, so a caller that keeps
     no more holds O(k) terms.  The parameters are checked at the call,
     before the first term.
     """
@@ -240,7 +270,7 @@ def r_terms(k: int, j_max: int, q_order: int, a_order: int | None = None) -> Ite
 
 def _r_terms(k: int, j_max: int, q_order: int, a_order: int) -> Iterator:
     width = slot_width(q_order)
-    guard = _layout(width, q_order)[1]
+    guard = _layout(width, q_order + 1)[0]
 
     def overflow(j, m):
         return SlotOverflowError(
@@ -248,32 +278,38 @@ def _r_terms(k: int, j_max: int, q_order: int, a_order: int) -> Iterator:
             f" {width}-bit slots at q_order={q_order}"
         )
 
-    one = PackedTerm((1,) + (0,) * a_order, width, q_order)
+    one = PackedTerm((1 << width * q_order,) + (0,) * a_order, width, q_order)
     window = deque([one], maxlen=k)  # R_{j-k}..R_{j-1}
     yield window[0]
     for j in range(1, j_max + 1):
         rows = list(window[-1].rows)
         s = j - k + 1
-        if j >= k and s <= q_order:
-            # the slots of row m - 1 that stay at or below q^{q_order}, shifted by q^s
-            keep, bits = _low_slots(width, q_order, s), width * s
+        added = j >= k and s <= q_order
+        if added:
+            # row m gains row m - 1 shifted by q^s; the slots past q^{q_order} fall off
+            bits = width * s
             for m, low in enumerate(window[0].rows[:a_order], 1):
                 if low:
-                    rows[m] += (low & keep) << bits
-                    if rows[m] & guard:
-                        raise overflow(j, m)
+                    rows[m] += low >> bits
         steps = []
         s = j
         while s <= q_order:
-            steps.append((_low_slots(width, q_order, s), width * s))
+            steps.append(width * s)
             s *= 2
         for m, row in enumerate(rows):
-            if row:
-                for keep, bits in steps:
-                    row += (row & keep) << bits
-                    if row & guard:
-                        raise overflow(j, m)
-                rows[m] = row
+            if not row:
+                continue
+            # from slots below 2^{w-3}, three additions stay below 2^w and
+            # carry nothing, so the guard is read after every third and at the end
+            for t, bits in enumerate(steps, 1 + (added and m > 0)):
+                row += row >> bits
+                if t % 3 == 0 and row & guard:
+                    break
+            if row & guard:
+                # an add step that tripped a later row is named first, as a
+                # check after every addition would: rows[m:] still hold those sums
+                raise overflow(j, next((t for t in range(m, len(rows)) if rows[t] & guard), m))
+            rows[m] = row
         window.append(PackedTerm(tuple(rows), width, q_order))
         yield window[-1]
 
@@ -286,41 +322,25 @@ def build_R(k: int, j_max: int, q_order: int, a_order: int | None = None) -> RSe
     return RSequence(k, q_order, a_order, [unpack(t) for t in terms])
 
 
-def _low_slots(width: int, q_order: int, s: int) -> int:
-    """The mask of the slots n <= q_order - s: those that stay at or below
-    q^{q_order} when shifted by q^s."""
-    return (1 << width * (q_order + 1 - s)) - 1
-
-
-def _lowest_slot(residue: int, width: int) -> int:
-    """The slot of residue's lowest set bit: the first differing q-degree."""
-    return ((residue & -residue).bit_length() - 1) // width
-
-
 def functional_equation_step(k: int, j: int, term, prev, low) -> tuple | None:
     """Verify R_j - R_{j-1} = q^j R_j + a q^{j-k+1} R_{j-k} at one j >= 1.
 
     term, prev and low are the PackedTerms R_j, R_{j-1} and R_{j-k} (None
     when j < k).  Each a-row of R_j is compared with the same row of
-    R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k} by its residue below q^{q_order+1}.
+    R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k}: the shifts drop the slots past
+    q^{q_order}, and the difference is zero exactly when every slot is.
     Returns the first failing (a-degree, q-degree), a-degree before
     q-degree, or None.
     """
-    width, q_order = term.width, term.q_order
-    mask = _layout(width, q_order)[0]
-    # q^j R_j and a q^s R_{j-k}, s = j - k + 1, keep only the slots that
-    # stay at or below q^{q_order}
-    keep = _low_slots(width, q_order, j) if j <= q_order else 0
-    s = j - k + 1
-    under_keep = _low_slots(width, q_order, s) if low is not None and s <= q_order else 0
-    lows = (0, *low.rows) if under_keep else (0,) * len(term.rows)
+    width, slots = term.width, term.q_order + 1
+    shift, bits = _shifter(term), width * j
+    lows = (0, *low.rows) if low is not None else (0,) * len(term.rows)
     for m, (row, before, under) in enumerate(zip(term.rows, prev.rows, lows)):
-        residue = row - before - ((row & keep) << width * j)
-        if under:
-            residue -= (under & under_keep) << width * s
-        residue &= mask
+        residue = row - before - shift(row, bits)
+        if under:  # a q^{j-k+1} R_{j-k}
+            residue -= _shifter(low)(under, width * (j - k + 1))
         if residue:
-            return m, _lowest_slot(residue, width)
+            return m, _first_slot(residue, width, slots)
     return None
 
 
@@ -378,15 +398,17 @@ def limit_step(k: int, j: int, term, prev) -> PackedTerm:
 
     By the closed form the coefficient of q^e is fixed for j >= e + k - 1, so
     a difference below q^{j-k+1} is a settled coefficient that changed; it
-    raises with its (a-degree, q-degree), the lowest of each, read from the
-    residue of the two rows below q^{j-k+1}.
+    raises with its (a-degree, q-degree), the lowest of each.  Shifting out
+    the slots from q^{j-k+1} up leaves the slots compared.
     """
     width = term.width
-    keep = (1 << width * min(j - k + 1, term.q_order + 1)) - 1
+    slots = min(j - k + 1, term.q_order + 1)
+    cut = width * (term.q_order + 1 - slots)
+    shift, prev_shift = _shifter(term), _shifter(prev)
     for m, (row, before) in enumerate(zip(term.rows, prev.rows)):
-        residue = (row - before) & keep
-        if residue:
-            e = _lowest_slot(residue, width)
+        kept, kept_before = shift(row, cut), prev_shift(before, cut)
+        if kept != kept_before:
+            e = _first_slot(kept - kept_before, width, slots)
             raise StabilizationError(
                 f"not stabilized: coefficient of a^{m} q^{e} changes between"
                 f" j={j - 1} and j={j}, though it settles by j={e + k - 1}",

@@ -1,6 +1,8 @@
 """The recursion, functional equation, closed product, and formal limit."""
 
+import re
 import sys
+from collections import deque
 from itertools import islice
 from operator import add
 
@@ -16,7 +18,9 @@ from qident.appell import (
     check_functional_equation,
     closed_product_F_coefficients,
     congruence_product_series,
+    functional_equation_step,
     least_weight,
+    limit_step,
     max_overline_count,
     pj_series,
     r_terms,
@@ -75,6 +79,38 @@ def r_terms_full_rows(k, j_max, q_order, a_order):
                 row[n] += row[n - j]
         terms.append(BivariateSeries(tuple(tuple(r) for r in rows)))
     return terms
+
+
+def guard_trip_per_addition(k, j_max, q_order, width):
+    """(j, a-degree) of the first a-row of R_1..R_{j_max} to reach its guard
+    bits, or None: the stream's loop on rows packed lowest q-degree first,
+    each shift masked to the slots that stay at or below q^{q_order}, and
+    the guard read after every addition."""
+    a_order = max_overline_count(k, q_order)
+    ones = ((1 << width * (q_order + 1)) - 1) // ((1 << width) - 1)
+    guard = ones * (7 << (width - 3))
+
+    def low_slots(s):
+        return (1 << width * (q_order + 1 - s)) - 1
+
+    window = deque([(1,) + (0,) * a_order], maxlen=k)
+    for j in range(1, j_max + 1):
+        rows = list(window[-1])
+        s = j - k + 1
+        if j >= k and s <= q_order:
+            for m, low in enumerate(window[0][:a_order], 1):
+                rows[m] += (low & low_slots(s)) << width * s
+                if rows[m] & guard:
+                    return j, m
+        for m in range(len(rows)):
+            s = j
+            while s <= q_order:
+                rows[m] += (rows[m] & low_slots(s)) << width * s
+                if rows[m] & guard:
+                    return j, m
+                s *= 2
+        window.append(tuple(rows))
+    return None
 
 
 def closed_product_by_shifted_sums(k, j_top, q_order, a_order):
@@ -269,6 +305,30 @@ class TestPackedRows:
         with pytest.raises(SlotOverflowError, match=r"a\^0 row of R_3 .* 8-bit slots"):
             next(terms)
 
+    # the guard is read after every third addition and at the end of each
+    # row; the stream must still name the row a read after every addition
+    # names.  At 16-bit slots, q_order 48, and at 24-bit slots, q_order 100
+    # (k = 2) and 68 (k = 5), R_j's a^1 row trips in its add step and its
+    # a^0 row only in the division, so a stream that read each row once,
+    # in order, would name the a^0 row
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("width", [8, 16, 24])
+    def test_guard_read_every_third_addition_names_the_same_row(self, monkeypatch, k, width):
+        monkeypatch.setattr(appell, "slot_width", lambda q_order: width)
+        trips = 0
+        for q_order in range(0, 121, 4):
+            want = guard_trip_per_addition(k, q_order + k, q_order, width)
+            try:
+                for _ in r_terms(k, q_order + k, q_order):
+                    pass
+                got = None
+            except SlotOverflowError as exc:
+                m, j = map(int, re.search(r"a\^(\d+) row of R_(\d+) ", str(exc)).groups())
+                got = j, m
+            assert got == want, q_order
+            trips += got is not None
+        assert trips >= 10
+
 
 class TestBuildR:
     def test_r0_is_one(self):
@@ -355,6 +415,9 @@ class TestFunctionalEquation:
     @example(2, 10, 2, None, 12, 0, 10, -1)
     @example(3, 14, 3, None, 9, 2, 14, 5)
     @example(2, 10, 2, None, 4, 1, 10, -1)
+    # a negative slot at q^{q_order}, which the shift q^j R_j drops: a
+    # floored shift borrows one from the slot kept, and the witness is wrong
+    @example(k=2, q_order=1, extra_j=0, offset=None, j=1, m=1, n=1, delta=-1)
     @settings(max_examples=100, deadline=None)
     def test_matches_series_arithmetic(self, k, q_order, extra_j, offset, j, m, n, delta):
         rs = build_R(k, q_order + extra_j, q_order, _a_order(k, q_order, offset))
@@ -362,6 +425,28 @@ class TestFunctionalEquation:
         witness = functional_equation_by_series(rs)
         assert witness is not None or rs.j_max == 0
         assert check_functional_equation(rs) == witness
+
+    # the witness's q-degree read from the top slot, q^0, and the bottom
+    # one, q^{q_order}, for either sign
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("j, m, n", [(5, 0, 0), (6, 1, 0), (5, 0, 10), (12, 1, 10)])
+    def test_witness_at_the_end_slots(self, j, m, n, delta):
+        rs = perturbed(build_R(2, 12, 10), j, m, n, delta)
+        witness = functional_equation_by_series(rs)
+        assert witness[2] in (0, 10)
+        assert check_functional_equation(rs) == witness
+
+    def test_step_reads_the_stream_terms(self):
+        terms = list(r_terms(3, 14, 10))
+        for j in range(1, 15):
+            low = terms[j - 3] if j >= 3 else None
+            assert functional_equation_step(3, j, terms[j], terms[j - 1], low) is None
+        # R_9's a^1 row bumped at q^0 and at q^10, packed with the stream's width
+        for n in (0, 10):
+            bumped = [list(r) for r in unpack(terms[9]).coeffs]
+            bumped[1][n] += 1
+            term = pack(BivariateSeries(tuple(map(tuple, bumped))), terms[9].width)
+            assert functional_equation_step(3, 9, term, terms[8], terms[6]) == (1, n)
 
 
 class TestClosedProduct:
@@ -445,6 +530,38 @@ class TestAppellLimit:
             with pytest.raises(StabilizationError, match=f"q_order\\+k={12 + k}"):
                 appell_limit(build_R(k, 12 + k - 1, 12))
             assert appell_limit(build_R(k, 12 + k, 12)) == theorem_product(k, 12)
+
+    # rows of 8-bit slots, q^0..q^4, compared below q^{j-k+1} = q^2 (k = 2,
+    # j = 3): the -1 at q^2 is just past the slots compared, and a floored
+    # shift would borrow one from the q^1 slot
+    @pytest.mark.parametrize("row, before, witness", [
+        ((0, 1, -1, 0, 0), (0, 0, 0, 0, 0), (0, 1)),  # a floored shift hides q^1
+        ((0, 1, -1, 0, 0), (0, 1, 0, 0, 0), None),  # a floored shift fakes q^1
+        ((0, 0, 0, 0, 0), (0, 1, -1, 0, 0), (0, 1)),
+        ((5, 0, -3, 7, 0), (5, 0, 2, 0, 1), None),
+        ((0, 2, -100, 0, 0), (-1, 2, 0, 0, 0), (0, 0)),
+    ], ids=["hides", "fakes", "hides-in-prev", "signed-past-the-window", "top-slot"])
+    def test_signed_slots_just_past_the_window(self, row, before, witness):
+        term, prev = (pack(BivariateSeries((r,)), 8) for r in (row, before))
+        if witness is None:
+            assert limit_step(2, 3, term, prev) is term
+            return
+        with pytest.raises(StabilizationError) as exc:
+            limit_step(2, 3, term, prev)
+        assert exc.value.witness == witness
+
+    # j - k >= q_order: every slot is compared, the bottom one q^{q_order} included
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("n", [0, 10])
+    def test_witness_at_the_end_slots(self, n, delta):
+        terms = list(r_terms(2, 14, 10))
+        bumped = [list(r) for r in unpack(terms[13]).coeffs]
+        bumped[2][n] += delta
+        term = pack(BivariateSeries(tuple(map(tuple, bumped))), terms[13].width)
+        with pytest.raises(StabilizationError) as exc:
+            limit_step(2, 13, terms[13], term)
+        assert exc.value.witness == (2, n)
+        assert limit_step(2, 14, terms[14], terms[13]) is terms[14]
 
     def test_detects_unstabilized_sequence(self):
         terms = [BivariateSeries.from_dict({(0, 0): j}, 1, 2) for j in range(8)]
