@@ -13,6 +13,12 @@ R_infty, which must reproduce the infinite product
 product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf: its finite numerator
 factor by factor, largest first, then each parity class divided by Euler's
 product, so that route shares no algorithm with the B-side knapsack.
+Both products divide their rows (a-rows, or parity classes) in one pass of
+the pentagonal recurrence over packed columns (_divided_columns): column d
+holds row m's coefficient of q^d in slot m, slot_width(q_order) bits wide.
+The recurrence is linear integer arithmetic, so it is exact on the packed
+columns whatever its partial sums reach, and each quotient slot is a count
+below the slot bound, read back by mask and shift.
 
 The recursion is a stream: r_terms yields R_0, R_1, ... and keeps only the
 last k terms, and build_R is that stream kept whole.  The functional
@@ -65,7 +71,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, rshift
 
-from .partitions import _count_by_dp, check_params
+from .partitions import GUARD_BITS, SlotOverflowError, _count_by_dp, check_params
 from .series import BivariateSeries, QSeries, _divide_rows, euler_product
 
 
@@ -100,9 +106,6 @@ def max_overline_count(k: int, q_order: int) -> int:
     return m
 
 
-GUARD_BITS = 3
-
-
 def slot_width(q_order: int) -> int:
     """The bits of one packed slot for coefficients up to q^{q_order}: a
     whole number of bytes with GUARD_BITS bits above every value the R_j
@@ -121,7 +124,10 @@ def slot_width(q_order: int) -> int:
     x = pi sqrt(2N/3) / ln 2, and w = b + GUARD_BITS rounded up to bytes:
     48 at q_order 60, 80 at 200, 120 at 500.  Values below 2^{w-3} keep the
     sum of two (any add) below 2^{w-2}, so no slot carries into the next,
-    and the functional equation's difference of four below 2^{w-1}.
+    and the functional equation's difference of four below 2^{w-1}.  The
+    same bound covers both products' quotient coefficients, which count
+    overpartitions (theorem_product) or partitions (the corollary's
+    product) of some n <= N, so it is also their columns' slot width.
     """
     x = math.pi * math.sqrt(2 * q_order / 3) / math.log(2)
     return _whole_bytes(math.isqrt(2 * q_order) + math.floor(x) + 1)
@@ -139,11 +145,6 @@ def slot_note(term: PackedTerm) -> str:
 def _whole_bytes(bits: int) -> int:
     """bits plus the guard bits, rounded up to whole bytes."""
     return -(-(bits + GUARD_BITS) // 8) * 8
-
-
-class SlotOverflowError(ArithmeticError):
-    """Raised when a packed slot reaches its guard bits: the slot width is
-    too narrow for the coefficients, and the row can no longer be trusted."""
 
 
 @dataclass(frozen=True)
@@ -442,8 +443,9 @@ def theorem_product(k: int, q_order: int, a_order: int | None = None) -> Bivaria
     below least_weight(k, m - 1, lo), so a factor adds row m - 1, shifted by
     e, to row m only from there; row 1 gains q^e alone.  Rows are updated
     from the top a-degree down, so each reads its neighbour before the
-    factor.  Each a-row is then divided by (q; q)_inf through the pentagonal
-    recurrence, so 1/(q; q)_inf is never expanded or convolved."""
+    factor.  The a-rows are then divided by (q; q)_inf together, as packed
+    columns, in one pass of the pentagonal recurrence, so 1/(q; q)_inf is
+    never expanded or convolved."""
     check_params(k, q_order=q_order, a_order=a_order)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
@@ -458,8 +460,8 @@ def theorem_product(k: int, q_order: int, a_order: int | None = None) -> Bivaria
         if a_order:
             rows[1][e] += 1
         lo = e
-    rows = _divide_rows(rows, euler_product(q_order).coeffs)
-    return BivariateSeries(tuple(tuple(r) for r in rows))
+    rows = _divided_columns(rows, euler_product(q_order).coeffs, slot_width(q_order))
+    return BivariateSeries(tuple(map(tuple, rows)))
 
 
 def pj_series(rs: RSequence, j: int) -> BivariateSeries:
@@ -485,9 +487,10 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
     independent routes to B_{i,k}.  The finite numerator prod (1 + q^e)
     starts from 1 and takes its largest e first: with lo the last e taken,
     row[1:lo] is still zero, so a factor adds row[0] at e and the copy
-    shifted by e from e + lo on.  Each parity class of the numerator is then
-    divided by Euler's product (q; q)_inf (the pentagonal recurrence), which
-    is 1/(q^2; q^2)_inf on the exponents of one parity.
+    shifted by e from e + lo on.  Both parity classes of the numerator are
+    then divided by Euler's product (q; q)_inf, which is 1/(q^2; q^2)_inf on
+    the exponents of one parity, in one pass of the pentagonal recurrence
+    over their packed columns.
     """
     check_params(k, i, q_order=q_order)
     row = [1] + [0] * q_order
@@ -497,5 +500,22 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
         row[e + lo :] = map(add, row[e + lo :], row[lo : q_order + 1 - e])
         lo = e
     euler = euler_product(q_order // 2).coeffs
-    row[::2], row[1::2] = _divide_rows([row[::2], row[1::2]], euler)
+    row[::2], row[1::2] = _divided_columns([row[::2], row[1::2]], euler, slot_width(q_order))
     return QSeries(tuple(row))
+
+
+def _divided_columns(rows: list, unit, width: int) -> list:
+    """rows, each divided by the q-series unit at its own length, in one
+    _divide_rows pass over their columns: column d is
+    sum_m rows[m][d] 2^{width m} (a row shorter than rows[0] adds 0 past
+    its end).  The recurrence is integer arithmetic, linear in the row, so
+    it divides every packed row at once, exactly, whatever its partial sums
+    reach; each quotient row is read back by mask and shift, exact when
+    every quotient coefficient lies in [0, 2^width)."""
+    columns = [0] * len(rows[0])
+    for m, row in enumerate(rows):
+        bits = width * m
+        columns[: len(row)] = map(add, columns, (c << bits for c in row))
+    (columns,) = _divide_rows([columns], unit)
+    mask = (1 << width) - 1
+    return [[c >> width * m & mask for c in columns[: len(row)]] for m, row in enumerate(rows)]

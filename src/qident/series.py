@@ -15,7 +15,9 @@ Operations work on whole coefficient rows where they can: a multiplication
 by a binomial 1 +- a^s q^e is one slice add or subtract per a-row, and
 division by a unit (inversion is division of 1) sums over the nonzero
 coefficients only, so dividing by the sparse Euler product (q; q)_inf is
-the pentagonal recurrence.  Euler's product itself is not multiplied out:
+the pentagonal recurrence.  That division is plain integer arithmetic,
+linear in the row, so appell runs it once on rows packed as columns.
+Euler's product itself is not multiplied out:
 by the pentagonal number theorem its only nonzero coefficients are +-1 at
 the generalized pentagonal numbers, and euler_product writes just those.
 """
@@ -78,7 +80,9 @@ def _divide_rows(rows, unit) -> list:
     eps = unit[0] = +-1 and the sum over the nonzero unit[i] only, so
     dividing by the sparse Euler product (q; q)_inf is the pentagonal
     recurrence.  unit must reach every row's order; t is 0 below the row's
-    first nonzero coefficient, so the loop starts there."""
+    first nonzero coefficient, so the loop starts there.  Only integer
+    adds and products by the unit's coefficients are used, so a row of
+    packed columns is divided exactly, each slot as its own row."""
     eps = unit[0]
     if eps not in (1, -1):
         raise ValueError(f"constant term {eps} is not a unit in the integers")
@@ -271,14 +275,6 @@ class BivariateSeries:
         """Multiply by a pure q-series without padding it to full a-order."""
         q = min(self.q_order, s.order)
         rows = bivar_mul([list(r) for r in self.coeffs], [list(s.coeffs)], self.a_order, q)
-        return BivariateSeries(tuple(tuple(r) for r in rows))
-
-    def div_qseries(self, s: QSeries) -> "BivariateSeries":
-        """Divide by a pure q-series whose constant term is +-1, a-row by
-        a-row through the division invert_unit runs, so no inverse is
-        expanded and no product is convolved."""
-        q = min(self.q_order, s.order)
-        rows = _divide_rows([r[: q + 1] for r in self.coeffs], s.coeffs)
         return BivariateSeries(tuple(tuple(r) for r in rows))
 
     def mul_binomial(self, factor: Monomial) -> "BivariateSeries":

@@ -158,7 +158,9 @@ def verify_corollary(
     k: int, i: int, n_max: int = 200, enum_limit: int = 25
 ) -> VerificationReport:
     """Three-way check B = C = product coefficient up to enum_limit, then
-    two-way DP-vs-product up to n_max."""
+    two-way DP-vs-product up to n_max.  A slot overflow in B's packed
+    knapsack aborts the report, naming the slot width; a pass notes the
+    width and the bound it rests on."""
     start = time.perf_counter()
     params = {"k": k, "i": i}
     enum_top = min(n_max, enum_limit)
@@ -166,9 +168,9 @@ def verify_corollary(
     try:
         partitions.check_params(k, i, n_max=n_max, enum_limit=enum_limit)
         _refuse_beyond(enum_top)
-    except ValueError as exc:
+        b_table = partitions.count_B_table(n_max, k, i)
+    except (ValueError, partitions.SlotOverflowError) as exc:
         return _aborted("corollary", params, rng, str(exc), start)
-    b_table = partitions.count_B_table(n_max, k, i)
     product = appell.congruence_product_series(k, i, n_max).coeffs
     alt_phrasing = "thm12" if i == k - 1 else ("thm13" if i == 0 else None)
     c_table = partitions.walk_C_table(enum_top, k, i, "corollary")
@@ -213,6 +215,7 @@ def verify_corollary(
                 f"theorem phrasing '{alt_phrasing}' agreed with the corollary phrasing for n <= {enum_top}"
             )
         notes.append(f"three-way check for n <= {enum_top}; DP-vs-series for n <= {n_max}")
+        notes.append(partitions.b_slot_note(n_max, k, i))
     return _outcome("corollary", params, rng, witness, start, notes)
 
 

@@ -11,10 +11,12 @@ from qident import partitions
 from qident.partitions import (
     _SCHUR_GAP_RULE,
     _add_part,
+    _b_parts,
     _b_rule,
     _c_rule,
     _corollary_rule,
     _count_by_dp,
+    _knapsack_split,
     _thm12_rule,
     _thm13_rule,
     b_part_allowed,
@@ -52,6 +54,12 @@ def count_by_scalar_loop(n_max, allowed_parts):
         for s in range(p, n_max + 1):
             ways[s] += ways[s - p]
     return ways
+
+
+def closed_product_parts(k, d, j):
+    """The parts the closed product's a^d row of the x^j term counts:
+    k, 2k, ..., dk and 1, ..., j - kd."""
+    return [k * t for t in range(1, d + 1)] + list(range(1, j - k * d + 1))
 
 
 def c_rules(k, i):
@@ -279,8 +287,7 @@ class TestCountB:
 
     # parts above n_max, a part equal to n_max, a part whose square is n_max
     # exactly (the last residue-class part), and n_max = 0; a large part
-    # repeated, so the second copy runs with lo equal to itself, and parts
-    # given in no order
+    # repeated, and parts given in no order
     @given(st.integers(0, 120), st.lists(st.integers(1, 130), max_size=12))
     @example(0, [1, 3])
     @example(49, [7])
@@ -296,9 +303,33 @@ class TestCountB:
     def test_dp_matches_scalar_loop(self, n_max, parts):
         assert _count_by_dp(n_max, parts) == count_by_scalar_loop(n_max, parts)
 
-    # ways[1:lo] zeroed keeps the kernel's promise; ways[0] and ways[lo:] are
-    # arbitrary.  A part above the last index, equal to it, or whose square
-    # it is; lo below, at and above p, lo = 1 (no promise) and lo past the end
+    # (n_max, parts, packed): whether _knapsack_split packs the large parts.
+    # B's parts; the closed product's lists, where a part may repeat; parts
+    # above n_max; n_max = 0 and 1; and large parts too few to pack
+    @pytest.mark.parametrize("n_max, parts, packed", [
+        (0, [], False),
+        (0, [1, 3], False),
+        (1, [1], False),
+        (1, [2, 1, 1], False),
+        (60, _b_parts(60, 2, 0), True),
+        (200, _b_parts(200, 5, 4), True),
+        (1000, _b_parts(1000, 3, 1), True),
+        (165, closed_product_parts(3, 5, 60), True),  # 3, 6, ..., 15 twice
+        (135, closed_product_parts(2, 8, 40), True),  # 2, 4, ..., 16 twice
+        (44, closed_product_parts(2, 4, 10), False),  # the large 8 is listed
+        (60, [10, 9, 8], False),
+        (60, [10, 9, 8, 8], True),
+        (100, list(range(11, 131)), True),
+        (100, [25, 20, 3, 3, 101], False),
+    ])
+    def test_dp_matches_scalar_loop_across_the_split(self, n_max, parts, packed):
+        assert bool(_knapsack_split(n_max, sorted(parts, reverse=True))[0]) == packed
+        assert _count_by_dp(n_max, parts) == count_by_scalar_loop(n_max, parts)
+
+    # ways[1:lo] zeroed, as a listed part finds it; ways[0] and ways[lo:]
+    # are arbitrary.  A part above the last index, equal to it, or whose
+    # square it is; lo below, at and above p, lo = 1 (no zero prefix) and
+    # lo past the end
     @given(
         st.lists(st.integers(-9, 9), min_size=1, max_size=121),
         st.integers(1, 130),
@@ -313,12 +344,11 @@ class TestCountB:
     @settings(max_examples=150, deadline=None)
     def test_zero_prefix_matches_running_sum(self, ways, p, lo):
         ways[1:lo] = [0] * len(ways[1:lo])
-        with_lo, plain = ways.copy(), ways.copy()
-        _add_part(with_lo, p, lo)
-        _add_part(plain, p)
+        summed = ways.copy()
+        _add_part(summed, p)
         for s in range(p, len(ways)):
             ways[s] += ways[s - p]
-        assert with_lo == plain == ways
+        assert summed == ways
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -286,19 +286,6 @@ class TestBivariateSeries:
         assert (s + t).coeffs == termwise_by_index(add, s.coeffs, t.coeffs)
         assert (s - t).coeffs == termwise_by_index(sub, s.coeffs, t.coeffs)
 
-    # the product by the inverse is the reference for the division;
-    # mixed_qseries reaches below and past small_bivar's q-order
-    @given(small_bivar, st.sampled_from([1, -1]), mixed_qseries)
-    @example(SPARSE_BIVAR, 1, QSeries(euler_product(4).coeffs[1:]))
-    @settings(max_examples=100, deadline=None)
-    def test_div_qseries_matches_product_by_inverse(self, s, eps, tail):
-        unit = QSeries((eps,) + tail.coeffs)
-        assert s.div_qseries(unit) == s.mul_qseries(unit.invert_unit())
-
-    def test_div_qseries_rejects_non_unit(self):
-        with pytest.raises(ValueError, match="not a unit"):
-            BivariateSeries.one(1, 4).div_qseries(QSeries.from_coeffs([2, 1], 4))
-
     @given(small_bivar, small_bivar)
     @settings(max_examples=40, deadline=None)
     def test_mul_commutes(self, a, b):

@@ -1,6 +1,7 @@
 """Verifier reports, mutation behaviour, and the command-line interface."""
 
 import ast
+import inspect
 import json
 import sys
 import tracemalloc
@@ -77,6 +78,22 @@ class TestReports:
         assert {s.status for s in rep.subreports} == {"aborted"}
         for sub in rep.subreports:
             assert any("a^0 row of R_3" in note for note in sub.notes), sub.notes
+
+    def test_corollary_aborts_on_a_slot_overflow(self, monkeypatch):
+        # B's packed counts at (2, 0), n = 1000 reach 46 bits: 56-bit slots
+        # hold them below the guard bits, and 48-bit slots, one byte
+        # narrower, do not; the report is aborted and names the width
+        packed = partitions._knapsack_split(1000, partitions._b_parts(1000, 2, 0))[0]
+        assert max(partitions._packed_knapsack(1000, packed)).bit_length() == 46
+        rep = verify.verify_corollary(2, 0, 1000, 8)
+        assert rep.status == "pass"
+        assert "72-bit slots" in rep.notes[-1] and "< 2^69" in rep.notes[-1]
+        monkeypatch.setattr(partitions, "knapsack_width", lambda n_max, parts: 56)
+        assert verify.verify_corollary(2, 0, 1000, 8).status == "pass"
+        monkeypatch.setattr(partitions, "knapsack_width", lambda n_max, parts: 48)
+        rep = verify.verify_corollary(2, 0, 1000, 8)
+        assert (rep.status, rep.witness) == ("aborted", None)
+        assert len(rep.notes) == 1 and "guard bits of its 48-bit slots" in rep.notes[0]
 
     def test_machinery_aborts_without_stabilization(self):
         rep = verify.verify_machinery(3, 24, 20, closed_product_j=4, enum_j=3, enum_n=8)
@@ -449,6 +466,8 @@ UNROUTED = {
     "appell.StabilizationError": "a type",
     "appell.SlotOverflowError": "a type",
     "appell.slot_note": "the text of a note",
+    "partitions.SlotOverflowError": "a type",
+    "partitions.b_slot_note": "the text of a note",
 }
 
 
@@ -633,10 +652,10 @@ class TestMutations:
         # do not use it, at the first weight the part 5 reaches
         real = partitions._add_part
 
-        def twice_for_5(ways, p, lo=1):
-            real(ways, p, lo)
+        def twice_for_5(ways, p):
+            real(ways, p)
             if p == 5:
-                real(ways, p, min(lo, p))  # ways[1:5] is still zero
+                real(ways, p)
 
         monkeypatch.setattr(partitions, "_add_part", twice_for_5)
         rep = verify.verify_corollary(2, 0, 60, 25)
@@ -712,21 +731,25 @@ class TestMutations:
         assert rep.witness["n"] == 40
         assert rep.witness["count_B"] == rep.witness["product_coefficient"] + 1
 
-    def test_zero_prefix_block_start_slip(self, monkeypatch):
-        # the kernel's block sums start one past p + lo, so the sum at p + lo
-        # misses ways[lo]: the knapsack at (2, 0) first runs the part 8 after
-        # the part 9, and loses the partition 9+8 of 17; the product route
-        # does not use the kernel and catches it at that first n
+    def test_packed_doubling_slip(self, monkeypatch):
+        # the packed knapsack's first doubling step for each part shifts one
+        # slot too far, q^{p+1} for q^p: at (2, 0) its smallest packed part,
+        # 8, lands 8+8 on q^17, and B loses that partition of 16; the
+        # product route packs no knapsack and catches it at that first n
         count_b = partitions.count_B_table(60, 2, 0)
-        real = partitions._add_part
-        monkeypatch.setattr(partitions, "_add_part", lambda ways, p, lo=1: real(ways, p, lo + 1))
-        slipped = partitions.count_B_table(60, 2, 0)
-        first = next(n for n, (a, b) in enumerate(zip(slipped, count_b)) if a != b)
-        assert (first, slipped[first]) == (17, count_b[17] - 1)
+        source = inspect.getsource(partitions._packed_knapsack)
+        slipped = source.replace("rest += rest >> width * s", "rest += rest >> width * (s + (s == p))")
+        assert slipped != source
+        namespace = dict(vars(partitions))
+        exec(slipped, namespace)
+        monkeypatch.setattr(partitions, "_packed_knapsack", namespace["_packed_knapsack"])
+        slipped_b = partitions.count_B_table(60, 2, 0)
+        first = next(n for n, (a, b) in enumerate(zip(slipped_b, count_b)) if a != b)
+        assert (first, slipped_b[first]) == (16, count_b[16] - 1)
         rep = verify.verify_corollary(2, 0, 60, 25)
         assert (rep.status, rep.notes) == ("fail", [])
-        assert rep.witness == {"n": 17, "count_B": count_b[17] - 1,
-                               "product_coefficient": count_b[17]}
+        assert rep.witness == {"n": 16, "count_B": count_b[16] - 1,
+                               "product_coefficient": count_b[16]}
 
     def test_corollary_inverse_off_by_one(self, monkeypatch):
         # a slip in the product route's division by Euler's product reaches
