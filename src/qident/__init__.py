@@ -27,7 +27,6 @@ from .overpartitions import (
     specialize_overpartition,
 )
 from .partitions import (
-    count_B,
     count_C,
     count_C_table,
     enumerate_partitions,
@@ -67,7 +66,6 @@ __all__ = [
     "build_R",
     "check_functional_equation",
     "congruence_product_series",
-    "count_B",
     "count_C",
     "count_C_table",
     "count_pj",

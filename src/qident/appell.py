@@ -247,11 +247,11 @@ def _packed(rs: RSequence) -> list:
     return [pack(t, width) for t in rs.terms]
 
 
-def r_terms(k: int, j_max: int, q_order: int, a_order: int | None = None) -> Iterator:
+def r_terms(k: int, j_max: int, q_order: int) -> Iterator:
     """Yield R_0..R_{j_max} from the recursion as PackedTerms, R_0 = 1 (with
-    R_j = 0 for -k < j < 0).
+    R_j = 0 for -k < j < 0), with a-rows 0..max_overline_count(k, q_order):
+    every row above is zero below the truncation.
 
-    a_order defaults to the exact overline-count bound for this truncation.
     Each term starts from R_{j-1}'s rows; row m gains row m - 1 of R_{j-k}
     shifted by q^{j-k+1}, then is divided by (1 - q^j) in doubling steps
     P += q^s P, s = j, 2j, 4j, ... while s <= q_order, the partial products
@@ -263,13 +263,12 @@ def r_terms(k: int, j_max: int, q_order: int, a_order: int | None = None) -> Ite
     no more holds O(k) terms.  The parameters are checked at the call,
     before the first term.
     """
-    check_params(k, j_max=j_max, q_order=q_order, a_order=a_order)
-    if a_order is None:
-        a_order = max_overline_count(k, q_order)
-    return _r_terms(k, j_max, q_order, a_order)
+    check_params(k, j_max=j_max, q_order=q_order)
+    return _r_terms(k, j_max, q_order)
 
 
-def _r_terms(k: int, j_max: int, q_order: int, a_order: int) -> Iterator:
+def _r_terms(k: int, j_max: int, q_order: int) -> Iterator:
+    a_order = max_overline_count(k, q_order)
     width = slot_width(q_order)
     guard = _layout(width, q_order + 1)[0]
 
@@ -315,12 +314,10 @@ def _r_terms(k: int, j_max: int, q_order: int, a_order: int) -> Iterator:
         yield window[-1]
 
 
-def build_R(k: int, j_max: int, q_order: int, a_order: int | None = None) -> RSequence:
+def build_R(k: int, j_max: int, q_order: int) -> RSequence:
     """R_0..R_{j_max} from r_terms, all kept, unpacked."""
-    terms = r_terms(k, j_max, q_order, a_order)
-    if a_order is None:
-        a_order = max_overline_count(k, q_order)
-    return RSequence(k, q_order, a_order, [unpack(t) for t in terms])
+    terms = [unpack(t) for t in r_terms(k, j_max, q_order)]
+    return RSequence(k, q_order, max_overline_count(k, q_order), terms)
 
 
 def functional_equation_step(k: int, j: int, term, prev, low) -> tuple | None:
@@ -359,31 +356,27 @@ def check_functional_equation(rs: RSequence) -> tuple | None:
     return None
 
 
-def closed_product_F_coefficients(
-    k: int, j_top: int, q_order: int, a_order: int | None = None
-) -> list:
+def closed_product_F_coefficients(k: int, j_top: int, q_order: int) -> list:
     """x^0..x^{j_top} coefficients of prod_{t>=0} (1 + a x^k q^{tk+1}) / (1 - x q^t).
 
     Euler's two identities expand the product: the a^d row of the x^j
     coefficient is q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}), zero
     when kd > j, counted as partitions into the parts k, 2k, ..., dk and
-    1, ..., j - kd.  The coefficients must equal the recursion's terms.
+    1, ..., j - kd, for d <= max_overline_count(k, q_order).  The
+    coefficients must equal the recursion's terms.
     """
-    check_params(k, j_top=j_top, q_order=q_order, a_order=a_order)
-    if a_order is None:
-        a_order = max_overline_count(k, q_order)
+    check_params(k, j_top=j_top, q_order=q_order)
     zero = (0,) * (q_order + 1)
 
     def row(j, d):
-        shift = d + k * d * (d - 1) // 2
-        if k * d > j or shift > q_order:
+        if k * d > j:
             return zero
+        shift = least_weight(k, d)  # at most q_order, by the bound on d
         parts = [k * t for t in range(1, d + 1)] + list(range(1, j - k * d + 1))
         return (0,) * shift + tuple(_count_by_dp(q_order - shift, parts))
 
-    return [
-        BivariateSeries(tuple(row(j, d) for d in range(a_order + 1))) for j in range(j_top + 1)
-    ]
+    rows = range(max_overline_count(k, q_order) + 1)
+    return [BivariateSeries(tuple(row(j, d) for d in rows)) for j in range(j_top + 1)]
 
 
 def require_depth(k: int, j_max: int, q_order: int) -> None:

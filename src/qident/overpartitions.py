@@ -18,7 +18,7 @@ partition's distinct values (bit idx overlines the idx-th largest), and
 only admissible masks are formed: the rule looks only upward from an
 overlined value, so a partition's masks are its largest-first prefix's
 plus those that overline the new value.  `_overline_step` is that
-one-group step, and `masks_of_weight` carries it down one walk headed for
+one-group step, and `_walk_to` carries it down one walk headed for
 weight n.  The walk also carries each partition's text, built once per
 node from its parent's, so `d_strings` yields each object's string as
 the walk reaches its leaf, by marking that text; `_mark` is the one
@@ -145,27 +145,9 @@ def _overline_step(masks: list, groups: tuple, k: int) -> list:
     ]
 
 
-def masks_of_weight(n: int, k: int) -> Iterator[tuple]:
-    """(groups, masks) of every partition of n, in lex-decreasing order:
-    groups is ((value, multiplicity), ...) with values strictly decreasing,
-    and masks its D_k-admissible overline masks, ascending.
-
-    One depth-first walk headed for weight n: a child adds a new smallest
-    value v with multiplicity c to its parent and takes its masks from the
-    parent's through the one-group step, so the rule is applied once per
-    group and k is checked once per walk.  The value 1 is taken only as the
-    whole remainder; a node whose smallest value is at least 2 can always
-    be finished with 1s, so no node that cannot reach n is walked.
-    Children are pushed v ascending, then c ascending, so the largest is
-    walked first.
-    """
-    check_params(k, n=n)
-    return ((groups, masks) for groups, masks, _, _ in _walk_to(n, k))
-
-
 def d_strings(n: int, k: int) -> Iterator[str]:
     """The strings of the D_k-admissible overpartitions of n, one at a time
-    as the walk of masks_of_weight reaches them, in the order of
+    as _walk_to reaches them, in the order of
     enumerate_overpartitions: each partition's text is built once along the
     walk, and each mask marks it.  The parameters are checked at the call,
     before the first string."""
@@ -174,10 +156,21 @@ def d_strings(n: int, k: int) -> Iterator[str]:
 
 
 def _walk_to(n: int, k: int) -> Iterator[tuple]:
-    """The walk of masks_of_weight, yielding (groups, masks, text, ends) at
-    weight n.  Each node also carries its partition's text and the end
-    offset of each group's "v+v+...+v" in it, a child's text being its
-    parent's, '+', and the new group's."""
+    """(groups, masks, text, ends) of every partition of n, in
+    lex-decreasing order: groups is ((value, multiplicity), ...) with values
+    strictly decreasing, masks its D_k-admissible overline masks, ascending,
+    text the partition's string and ends the end offset of each group's
+    "v+v+...+v" in it.
+
+    One depth-first walk headed for weight n: a child adds a new smallest
+    value v with multiplicity c to its parent and takes its masks from the
+    parent's through the one-group step, so the rule is applied once per
+    group.  A child's text is its parent's, '+', and the new group's.  The
+    value 1 is taken only as the whole remainder; a node whose smallest
+    value is at least 2 can always be finished with 1s, so no node that
+    cannot reach n is walked.  Children are pushed v ascending, then c
+    ascending, so the largest is walked first.  The callers check k and n.
+    """
     step = _overline_step
     # (weight, groups, smallest value so far, masks, text, ends); the
     # root's bound n + 1 lets its children take any value up to n

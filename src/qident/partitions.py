@@ -14,8 +14,9 @@ coefficients packed in slots as wide as a bound the parts themselves give
 shift by q^s is a right shift and the integer is only as long as the
 slots from the smallest part taken so far (`_packed_knapsack`).  Its small
 parts then run on the unpacked list through `_add_part`, the running-sum
-kernel the sweep's plain copies run on too.  Schur's product side expands
-its product.
+kernel the sweep's plain copies run on too.  Schur's product side is the
+same knapsack, over the parts congruent to +-1 mod 6; Schur's sweep and
+walk share neither kernel with it.
 
 Enumeration is one walk of the prefix tree, `partitions_up_to`, on a
 side's rule, which lists once per walk the parts each state may add (the
@@ -36,8 +37,6 @@ from itertools import accumulate, chain
 from math import inf
 from operator import add
 from typing import Callable, Iterator, Sequence
-
-from .series import BivariateSeries, Monomial
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 
@@ -330,10 +329,6 @@ def b_slot_note(n_max: int, k: int, i: int) -> str:
             f" x = e^(-pi/sqrt(6*{n_max}))")
 
 
-def count_B(n: int, k: int, i: int) -> int:
-    return count_B_table(n, k, i)[n]
-
-
 def b_witnesses(n: int, k: int, i: int) -> list:
     """All partitions counted by B_{i,k}(n), generated from allowed parts only."""
     check_params(k, i)
@@ -536,14 +531,11 @@ def count_C(n: int, k: int, i: int) -> int:
 
 def count_schur_product_table(n_max: int) -> list:
     """Partitions into parts congruent to +-1 mod 6, for n = 0..n_max: the
-    coefficients of the product 1/((q; q^6)_inf (q^5; q^6)_inf), one
-    binomial per factor of both residue classes, then inverted."""
+    coefficients of the product 1/((q; q^6)_inf (q^5; q^6)_inf), from
+    _count_by_dp, count_B_table's knapsack, which raises SlotOverflowError
+    when a packed slot overflows."""
     check_params(n_max=n_max)
-    denominator = BivariateSeries.one(0, n_max)
-    for e in range(1, n_max + 1):
-        if e % 6 in (1, 5):
-            denominator = denominator.mul_binomial(Monomial(0, e, -1))
-    return list(denominator.to_qseries().invert_unit().coeffs)
+    return _count_by_dp(n_max, [p for p in range(1, n_max + 1) if p % 6 in (1, 5)])
 
 
 def satisfies_schur_gap(parts: Partition) -> bool:

@@ -241,11 +241,6 @@ class BivariateSeries:
                 rows[m][n] += c
         return cls(tuple(tuple(r) for r in rows))
 
-    @classmethod
-    def from_qseries(cls, s: QSeries, a_order: int) -> "BivariateSeries":
-        rows = [tuple(s.coeffs)] + [(0,) * (s.order + 1)] * a_order
-        return cls(tuple(rows))
-
     def coefficient(self, m: int, n: int) -> int:
         if m < 0 or n < 0:
             return 0

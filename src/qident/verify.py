@@ -237,14 +237,16 @@ def verify_dual(k: int, n_max: int = 200, enum_limit: int = 25) -> VerificationR
 
 
 def verify_schur(n_max: int = 40) -> VerificationReport:
+    """The product's knapsack against the gap partitions' walk and sweep.  A
+    slot overflow in the knapsack aborts the report, naming the slot width."""
     start = time.perf_counter()
     rng = {"n_max": n_max}
     try:
         partitions.check_params(n_max=n_max)
         _refuse_beyond(n_max)
-    except ValueError as exc:
+        product = partitions.count_schur_product_table(n_max)
+    except (ValueError, partitions.SlotOverflowError) as exc:
         return _aborted("schur", {}, rng, str(exc), start)
-    product = partitions.count_schur_product_table(n_max)
     routes = (
         ("gap_count", partitions.walk_schur_gap_table(n_max)),
         ("sweep_count", partitions.count_schur_gap_table(n_max)),
@@ -303,16 +305,15 @@ def verify_machinery(
         )
     except ValueError as exc:
         return _aborted("machinery", params, rng, str(exc), start)
-    a_order = appell.max_overline_count(k, q_order)
     cp_rng = {"j_max": min(closed_product_j, j_max)}
     enum_rng = {"j_max": min(enum_j, j_max), "n_max": min(enum_n, q_order)}
     stages = (
         ("machinery/functional-equation", {"j_max": j_max}, _functional_equation(k, j_max)),
         ("machinery/closed-product", cp_rng,
-         _closed_product(k, q_order, a_order, cp_rng["j_max"])),
-        ("machinery/appell-limit", {"q_order": q_order}, _appell_limit(k, q_order, a_order, j_max)),
+         _closed_product(k, q_order, cp_rng["j_max"])),
+        ("machinery/appell-limit", {"q_order": q_order}, _appell_limit(k, q_order, j_max)),
         ("machinery/bounded-enumeration", enum_rng,
-         _bounded_enumeration(k, q_order, a_order, enum_rng["j_max"], enum_rng["n_max"])),
+         _bounded_enumeration(k, q_order, enum_rng["j_max"], enum_rng["n_max"])),
     )
     outcomes, seconds = [None] * len(stages), [0.0] * len(stages)
 
@@ -330,7 +331,7 @@ def verify_machinery(
         step(n, None)  # runs each stage up to its first term
     window = deque(maxlen=k + 1)  # R_{j-k}..R_j
     try:
-        for term in appell.r_terms(k, j_max, q_order, a_order):
+        for term in appell.r_terms(k, j_max, q_order):
             window.append(term)
             for n, outcome in enumerate(outcomes):
                 if outcome is None:
@@ -369,10 +370,10 @@ def _functional_equation(k: int, j_max: int):
     return None, notes
 
 
-def _closed_product(k: int, q_order: int, a_order: int, j_top: int):
+def _closed_product(k: int, q_order: int, j_top: int):
     """The closed product's x^j coefficients against R_j as each arrives; the
     first differing j, and its first differing cell, is the witness."""
-    xc = appell.closed_product_F_coefficients(k, j_top, q_order, a_order)
+    xc = appell.closed_product_F_coefficients(k, j_top, q_order)
     for j, coeff in enumerate(xc):
         term = appell.unpack((yield)[-1])
         if coeff != term:
@@ -380,7 +381,7 @@ def _closed_product(k: int, q_order: int, a_order: int, j_top: int):
     return None, []
 
 
-def _appell_limit(k: int, q_order: int, a_order: int, j_max: int):
+def _appell_limit(k: int, q_order: int, j_max: int):
     """The certified limit of R_j against the theorem's product.  A settled
     coefficient that changes later is a mismatch found, so it fails with its
     cell; a limit too short to certify aborts before the first term."""
@@ -393,7 +394,7 @@ def _appell_limit(k: int, q_order: int, a_order: int, j_max: int):
     except appell.StabilizationError as exc:
         return dict(zip(("a_degree", "q_degree"), exc.witness)), [str(exc)]
     lim = appell.unpack(lim)
-    product = appell.theorem_product(k, q_order, a_order)
+    product = appell.theorem_product(k, q_order)
     diff = lim.first_difference(product)
     if diff is not None:
         m, n = diff
@@ -406,15 +407,15 @@ def _appell_limit(k: int, q_order: int, a_order: int, j_max: int):
     return None, [f"every q^d settled by j = d + {k - 1}, through j = {j_max}"]
 
 
-def _bounded_enumeration(k: int, q_order: int, a_order: int, j_top: int, n_top: int):
+def _bounded_enumeration(k: int, q_order: int, j_top: int, n_top: int):
     """The counts r_j(m, n), p_j(m, n), read off one D_k sweep after each
     value j, against the coefficients of R_j, P_j for j <= j_top, n <= n_top
     and every m the truncation holds; the first mismatch in (j, n, m) order,
     R before P, is the witness.  The sweep steps with the stream, and R_0..R_j
     are kept for P_j.  Each j's rows are compared whole, and its cells are
     scanned only when a row differs."""
-    m_top = min(appell.max_overline_count(k, n_top), a_order)
-    head = appell.RSequence(k, q_order, a_order, [])
+    m_top = appell.max_overline_count(k, n_top)  # n_top <= q_order: R_j's rows reach m_top
+    head = appell.RSequence(k, q_order, appell.max_overline_count(k, q_order), [])
     for j, states in enumerate(overpartitions.dk_sweep(n_top, k, m_top, j_top)):
         head.terms.append(appell.unpack((yield)[-1]))
         p_rows = [partitions.state_total(states, m) for m in range(m_top + 1)]

@@ -24,7 +24,7 @@ def test_criterion_1_golden_example():
     start = time.perf_counter()
     rep = verify.golden_example_n10()
     ok = rep.status == "pass"
-    b = partitions.count_B(10, 2, 0)
+    b = partitions.count_B_table(10, 2, 0)[10]
     c = partitions.count_C(10, 2, 0)
     ok = ok and b == 10 and c == 10
     _report("1 golden-n10", ok, time.perf_counter() - start, 1.0)

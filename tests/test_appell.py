@@ -200,45 +200,40 @@ def perturbed(rs, j, m, n, delta):
     return RSequence(rs.k, rs.q_order, rs.a_order, terms)
 
 
+def with_zero_rows(s: QSeries, a_order: int) -> BivariateSeries:
+    """s as the a^0 row of a series with a-rows 0..a_order."""
+    return BivariateSeries((s.coeffs,) + ((0,) * (s.order + 1),) * a_order)
+
+
 def initial_R(j: int, q_order: int, a_order: int) -> BivariateSeries:
     """The closed form R_j = 1 / (q;q)_j, which holds for 0 <= j < k."""
     pochhammer = QSeries.one(q_order)
     for m in range(1, j + 1):
         pochhammer = pochhammer * QSeries.from_coeffs([1] + [0] * (m - 1) + [-1], q_order)
-    return BivariateSeries.from_qseries(pochhammer.invert_unit(), a_order)
-
-
-# a_order: the default, or an explicit offset from max_overline_count (below and above it)
-a_order_offsets = st.none() | st.integers(-3, 2)
-
-
-def _a_order(k, q_order, offset):
-    return None if offset is None else max(0, max_overline_count(k, q_order) + offset)
+    return with_zero_rows(pochhammer.invert_unit(), a_order)
 
 
 class TestRunningSumsMatchOracles:
-    @given(st.integers(2, 5), st.integers(0, 30), st.integers(0, 36), a_order_offsets)
-    @example(5, 20, 4, None)  # j_max below k: only the closed initial terms
-    @example(3, 0, 2, -3)
-    @example(2, 30, 34, 2)
+    @given(st.integers(2, 5), st.integers(0, 30), st.integers(0, 36))
+    @example(5, 20, 4)  # j_max below k: only the closed initial terms
+    @example(3, 0, 2)
+    @example(2, 30, 34)
     @settings(max_examples=80, deadline=None)
-    def test_build_R(self, k, q_order, j_max, offset):
+    def test_build_R(self, k, q_order, j_max):
         # build_R is the packed stream unpacked
-        rs = build_R(k, j_max, q_order, _a_order(k, q_order, offset))
+        rs = build_R(k, j_max, q_order)
+        assert rs.a_order == max_overline_count(k, q_order)
         assert rs.terms == build_R_by_convolution(k, j_max, q_order, rs.a_order)
         assert rs.terms == r_terms_full_rows(k, j_max, q_order, rs.a_order)
 
-    @given(st.integers(2, 5), st.integers(0, 30), st.integers(0, 12), a_order_offsets)
-    @example(4, 30, 2, None)  # j_top below k: no numerator factor reaches it
-    @example(3, 30, 12, 2)
-    @example(2, 0, 12, -3)
+    @given(st.integers(2, 5), st.integers(0, 30), st.integers(0, 12))
+    @example(4, 30, 2)  # j_top below k: no numerator factor reaches it
+    @example(3, 30, 12)
+    @example(2, 0, 12)
     @settings(max_examples=80, deadline=None)
-    def test_closed_product(self, k, q_order, j_top, offset):
-        a_order = _a_order(k, q_order, offset)
-        got = closed_product_F_coefficients(k, j_top, q_order, a_order)
-        if a_order is None:
-            a_order = max_overline_count(k, q_order)
-        want = closed_product_by_shifted_sums(k, j_top, q_order, a_order)
+    def test_closed_product(self, k, q_order, j_top):
+        got = closed_product_F_coefficients(k, j_top, q_order)
+        want = closed_product_by_shifted_sums(k, j_top, q_order, max_overline_count(k, q_order))
         assert got == want
         # the rows above a-degree d // k, which are returned as zeros, are zero
         for d, coeff in enumerate(want):
@@ -252,14 +247,20 @@ class TestLeastWeight:
                 for lo in (1, 2, 7):
                     assert least_weight(k, m, lo) == sum(lo + t * k for t in range(m))
 
-    # a_order: the default, none above a^0, one row, and rows past the truncation
+    # a_order: the oracle's a-rows, at r_terms' bound, none above a^0, one
+    # row, and rows past the truncation.  r_terms' rows, cut to the oracle's
+    # or padded with zero rows, equal them: a lower a-order truncates each
+    # term to its low rows, and every row above the bound is zero
     @pytest.mark.parametrize("a_order", [None, 0, 1, 30])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_r_terms_match_full_rows(self, k, a_order):
         for q_order in range(61):
-            terms = [unpack(t) for t in r_terms(k, q_order + k, q_order, a_order)]
+            terms = [unpack(t) for t in r_terms(k, q_order + k, q_order)]
             rows = max_overline_count(k, q_order) if a_order is None else a_order
-            assert terms == r_terms_full_rows(k, q_order + k, q_order, rows), q_order
+            zero_rows = ((0,) * (q_order + 1),) * rows
+            want = r_terms_full_rows(k, q_order + k, q_order, rows)
+            assert [(t.coeffs + zero_rows)[: rows + 1] for t in terms] == [
+                w.coeffs for w in want], q_order
             for j, term in enumerate(terms):
                 for m, row in enumerate(term.coeffs):
                     assert not any(row[: least_weight(k, m)]), (q_order, j, m)
@@ -356,23 +357,23 @@ class TestPackedRows:
 
 class TestBuildR:
     def test_r0_is_one(self):
-        rs = build_R(2, 0, 8, 3)
-        assert rs.terms[0] == BivariateSeries.one(3, 8)
+        rs = build_R(2, 0, 8)
+        assert rs.terms[0] == BivariateSeries.one(2, 8)
 
     def test_r1_is_geometric(self):
-        rs = build_R(2, 1, 8, 3)
-        expected = BivariateSeries.from_qseries(geometric_inverse(1, 8), 3)
+        rs = build_R(2, 1, 8)
+        expected = with_zero_rows(geometric_inverse(1, 8), 2)
         assert rs.terms[1] == expected
 
     def test_initial_conditions_agree(self):
         # recursion from R_0=1 (zeros below) vs the closed form 1/(q;q)_j
         for k in range(2, 7):
-            rs = build_R(k, k - 1, 12, 3)
+            rs = build_R(k, k - 1, 12)
             for j in range(k):
-                assert rs.terms[j] == initial_R(j, 12, 3), (k, j)
+                assert rs.terms[j] == initial_R(j, 12, rs.a_order), (k, j)
 
     def test_terms_match_bounded_enumeration(self):
-        rs = build_R(2, 6, 12, 3)
+        rs = build_R(2, 6, 12)
         for m in range(3):
             for n in range(10):
                 assert rs.terms[6].coefficient(m, n) == count_rj(m, n, 6, 2)
@@ -405,7 +406,7 @@ class TestFunctionalEquation:
         assert check_functional_equation(build_R(5, 8, 2)) is None
 
     def test_large_k2_case(self):
-        rs = build_R(2, 40, 40, 6)
+        rs = build_R(2, 40, 40)
         assert check_functional_equation(rs) is None
 
     # the second case differs at two a-degrees; the lower one is reported
@@ -415,7 +416,7 @@ class TestFunctionalEquation:
         ([(1, 5), (2, 1)], (4, 1, 5)),
     ], ids=["a-degree-0", "a-degree-1"])
     def test_mutation_gives_witness(self, cells, witness):
-        rs = build_R(2, 8, 8, 2)
+        rs = build_R(2, 8, 8)
         rows = [list(r) for r in rs.terms[4].coeffs]
         for m, n in cells:
             rows[m][n] += 1
@@ -425,26 +426,25 @@ class TestFunctionalEquation:
         assert check_functional_equation(broken) == witness
 
     # perturbations at a-degree 0, above it, and below q^j (n < j), where
-    # q^j R_j adds nothing, at full and truncated a-orders; out-of-range
-    # draws are clamped to the last index
-    @given(st.integers(2, 4), st.integers(0, 14), st.integers(0, 6), a_order_offsets,
+    # q^j R_j adds nothing; out-of-range draws are clamped to the last index
+    @given(st.integers(2, 4), st.integers(0, 14), st.integers(0, 6),
            st.integers(0, 20), st.integers(0, 6), st.integers(0, 14), st.sampled_from([1, -1, 5]))
-    @example(2, 10, 2, None, 5, 0, 6, 1)
-    @example(2, 10, 2, None, 5, 1, 7, 1)
-    @example(3, 12, 3, None, 9, 2, 3, -1)
-    @example(2, 10, 2, -2, 0, 0, 0, 1)
+    @example(2, 10, 2, 5, 0, 6, 1)
+    @example(2, 10, 2, 5, 1, 7, 1)
+    @example(3, 12, 3, 9, 2, 3, -1)
+    @example(2, 10, 2, 0, 0, 0, 1)
     # the last slot, n = q_order, at a-degree 0 and above it, where a mask
     # one slot short would hide the cell
-    @example(2, 10, 2, None, 5, 0, 10, 1)
-    @example(2, 10, 2, None, 12, 0, 10, -1)
-    @example(3, 14, 3, None, 9, 2, 14, 5)
-    @example(2, 10, 2, None, 4, 1, 10, -1)
+    @example(2, 10, 2, 5, 0, 10, 1)
+    @example(2, 10, 2, 12, 0, 10, -1)
+    @example(3, 14, 3, 9, 2, 14, 5)
+    @example(2, 10, 2, 4, 1, 10, -1)
     # a negative slot at q^{q_order}, which the shift q^j R_j drops: a
     # floored shift borrows one from the slot kept, and the witness is wrong
-    @example(k=2, q_order=1, extra_j=0, offset=None, j=1, m=1, n=1, delta=-1)
+    @example(k=2, q_order=1, extra_j=0, j=1, m=1, n=1, delta=-1)
     @settings(max_examples=100, deadline=None)
-    def test_matches_series_arithmetic(self, k, q_order, extra_j, offset, j, m, n, delta):
-        rs = build_R(k, q_order + extra_j, q_order, _a_order(k, q_order, offset))
+    def test_matches_series_arithmetic(self, k, q_order, extra_j, j, m, n, delta):
+        rs = build_R(k, q_order + extra_j, q_order)
         rs = perturbed(rs, min(j, rs.j_max), min(m, rs.a_order), min(n, q_order), delta)
         witness = functional_equation_by_series(rs)
         assert witness is not None or rs.j_max == 0
@@ -475,11 +475,11 @@ class TestFunctionalEquation:
 
 class TestClosedProduct:
     def test_x0_coefficient_is_one(self):
-        assert closed_product_F_coefficients(2, 0, 8, 2)[0] == BivariateSeries.one(2, 8)
+        assert closed_product_F_coefficients(2, 0, 8)[0] == BivariateSeries.one(2, 8)
 
     def test_x1_coefficient_is_geometric(self):
-        coeff = closed_product_F_coefficients(2, 1, 8, 2)[1]
-        assert coeff == BivariateSeries.from_qseries(geometric_inverse(1, 8), 2)
+        coeff = closed_product_F_coefficients(2, 1, 8)[1]
+        assert coeff == with_zero_rows(geometric_inverse(1, 8), 2)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -491,7 +491,7 @@ class TestClosedProduct:
     def test_matches_recursion(self, k):
         q_order = 15
         rs = build_R(k, 10, q_order)
-        xc = closed_product_F_coefficients(k, 10, q_order, rs.a_order)
+        xc = closed_product_F_coefficients(k, 10, q_order)
         for j in range(11):
             assert xc[j] == rs.terms[j], (k, j)
 

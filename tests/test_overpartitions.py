@@ -15,13 +15,12 @@ from qident.overpartitions import (
     dk_sweep,
     enumerate_overpartitions,
     is_Dk_admissible,
-    masks_of_weight,
     specialize_overpartition,
 )
 from qident.partitions import c_witnesses, enumerate_partitions
 from qident.series import Monomial, euler_product, pochhammer_inf
 from qident.appell import max_overline_count, theorem_product
-from qident.overpartitions import _build
+from qident.overpartitions import _build, _walk_to
 
 
 def largest_part(o):
@@ -51,7 +50,7 @@ def single_weight_bounded(n, j_max, k, m_max):
     alone: the per-n route the bounded counts took before the sweep."""
     r_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
     p_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
-    for groups, masks in masks_of_weight(n, k):
+    for groups, masks in walk_masks(n, k):
         largest = groups[0][0] if groups else 0
         if largest > j_max:
             continue
@@ -88,19 +87,25 @@ def sweep_tables(n_max, j_max, k, m_max):
     return r, p
 
 
+def walk_masks(n, k):
+    """(groups, masks) of every partition of n, from the walk d_strings and
+    d_witnesses share."""
+    return ((groups, masks) for groups, masks, _, _ in _walk_to(n, k))
+
+
 def filter_admissible(n, k):
     """The brute-force route: every overpartition, filtered by the rule."""
     return [o for o in enumerate_overpartitions(n) if is_Dk_admissible(o, k)]
 
 
 def walk_objects(n, k):
-    """The objects of masks_of_weight(n, k), in its order."""
-    return [_build(groups, mask) for groups, masks in masks_of_weight(n, k) for mask in masks]
+    """The objects of walk_masks(n, k), in its order."""
+    return [_build(groups, mask) for groups, masks in walk_masks(n, k) for mask in masks]
 
 
 def masks_of(groups, k):
-    """The masks masks_of_weight gives one partition's groups."""
-    return dict(masks_of_weight(sum(v * mult for v, mult in groups), k))[tuple(groups)]
+    """The masks the walk gives one partition's groups."""
+    return dict(walk_masks(sum(v * mult for v, mult in groups), k))[tuple(groups)]
 
 
 def filter_Dk_table(n_max, k, m_max):
@@ -225,7 +230,7 @@ class TestAdmissibleMasks:
     def test_masks_equal_filter(self, k):
         # ascending, and exactly the masks is_Dk_admissible accepts
         for n in range(17):
-            walked = dict(masks_of_weight(n, k))
+            walked = dict(walk_masks(n, k))
             for parts in enumerate_partitions(n):
                 groups = [(v, len(list(g))) for v, g in groupby(parts)]
                 expected = [
@@ -261,7 +266,7 @@ class TestAdmissibleMasks:
                     admissible, key=lambda o: tuple((v, mult) for v, mult, _ in o.entries)
                 )
             ]
-            assert list(masks_of_weight(n, k)) == expected, n
+            assert list(walk_masks(n, k)) == expected, n
             for count in range(n + 1) if m is None else (m,):
                 assert d_witnesses(count, n, k) == [
                     o for o in admissible if o.overline_count == count
@@ -283,7 +288,7 @@ class TestDkEntryPointsRejectSmallK:
         lambda: count_Dk_table(5, 1),
         lambda: count_Dk_table(-1, 0),
         lambda: d_witnesses(1, 5, 1),
-        lambda: masks_of_weight(4, 1),
+        lambda: d_strings(4, 1),
         lambda: specialize_overpartition(Overpartition(()), 0, 1),
         lambda: is_Dk_admissible(Overpartition(()), 1),
     ], ids=["table", "empty-table", "witnesses", "masks", "objects", "rule"])

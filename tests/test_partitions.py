@@ -22,7 +22,6 @@ from qident.partitions import (
     b_part_allowed,
     b_witnesses,
     c_witnesses,
-    count_B,
     count_B_table,
     count_C,
     count_C_table,
@@ -37,7 +36,7 @@ from qident.partitions import (
     schur_gap_witnesses,
     walk_C_table,
 )
-from qident.series import euler_product
+from qident.series import Monomial, euler_product, pochhammer_inf
 
 
 def filter_witnesses(n, accepts):
@@ -244,7 +243,7 @@ class TestEnumeration:
 
 class TestCountB:
     def test_worked_example(self):
-        assert count_B(10, 2, 0) == 10
+        assert count_B_table(10, 2, 0)[10] == 10
         assert set(b_witnesses(10, 2, 0)) == {
             (9, 1),
             (8, 1, 1),
@@ -261,7 +260,7 @@ class TestCountB:
     def test_empty_partition(self):
         for k in range(2, 6):
             for i in range(k):
-                assert count_B(0, k, i) == 1
+                assert count_B_table(0, k, i)[0] == 1
 
     def test_frozen_table_k2_i1(self):
         # computed by brute-force filtering of the full enumeration
@@ -352,11 +351,11 @@ class TestCountB:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            count_B(5, 1, 0)
+            count_B_table(5, 1, 0)[5]
         with pytest.raises(ValueError):
-            count_B(5, 3, 3)
+            count_B_table(5, 3, 3)[5]
         with pytest.raises(ValueError):
-            count_B(5, 3, -1)
+            count_B_table(5, 3, -1)[5]
 
 
 class TestCountC:
@@ -381,7 +380,7 @@ class TestCountC:
                 assert count_C(0, k, i) == 1
 
     def test_frozen_table_k3_i1(self):
-        # brute-force filter, cross-checked against count_B per the identity
+        # brute-force filter, cross-checked against count_B_table per the identity
         expected = [1, 0, 1, 1, 2, 1, 3, 2, 5, 4, 7, 6, 12, 9, 16, 15]
         assert [count_C(n, 3, 1) for n in range(16)] == expected
         assert count_B_table(15, 3, 1) == expected
@@ -462,6 +461,15 @@ def count_schur_gap(n):
     return len(schur_gap_witnesses(n))
 
 
+def schur_product_by_binomials(n_max):
+    """Schur's product as count_schur_product_table expanded it before it ran
+    the knapsack: the binomials of the classes q^1 and q^5 mod 6 multiplied
+    out, then inverted."""
+    denominator = (pochhammer_inf(Monomial(0, 1, -1), 6, n_max)
+                   * pochhammer_inf(Monomial(0, 5, -1), 6, n_max))
+    return list(denominator.to_qseries().invert_unit().coeffs)
+
+
 class TestSchur:
     def test_small_values(self):
         assert count_schur_product(0) == 1
@@ -476,11 +484,33 @@ class TestSchur:
         for n in range(31):
             assert count_schur_product(n) == count_schur_gap(n)
 
-    # the product expansion against the knapsack over parts +-1 mod 6
+    # the product's knapsack against the scalar running sums over parts +-1 mod 6
     @pytest.mark.parametrize("n_max", [0, 1, 5, 6, 200])
     def test_product_matches_knapsack(self, n_max):
         parts = [p for p in range(1, n_max + 1) if p % 6 in (1, 5)]
         assert count_schur_product_table(n_max) == count_by_scalar_loop(n_max, parts)
+
+    def test_product_matches_binomial_expansion(self):
+        # every n_max <= 200, packed (from n_max = 40) or not, is a prefix
+        # of the product multiplied out
+        want = schur_product_by_binomials(200)
+        for n_max in range(201):
+            assert count_schur_product_table(n_max) == want[: n_max + 1], n_max
+
+    def test_sum_routes_share_no_kernel_with_the_product(self, monkeypatch):
+        # the sweep's moves are SKIP and ONE, so neither it nor the walk runs
+        # the knapsack's kernels; the product runs them
+        product = count_schur_product_table(45)
+
+        def raising(*args, **kwargs):
+            raise AssertionError("a kernel of the product ran")
+
+        for kernel in ("_count_by_dp", "_packed_knapsack", "_add_part"):
+            monkeypatch.setattr(partitions, kernel, raising)
+        assert count_schur_gap_table(45) == product
+        assert partitions.walk_schur_gap_table(45) == product
+        with pytest.raises(AssertionError, match="product ran"):
+            count_schur_product_table(45)
 
     def test_product_rejects_negative_order(self):
         with pytest.raises(ValueError, match="n_max must be non-negative"):

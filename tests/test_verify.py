@@ -5,6 +5,7 @@ import inspect
 import json
 import sys
 import tracemalloc
+from collections import Counter
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -95,6 +96,19 @@ class TestReports:
         assert (rep.status, rep.witness) == ("aborted", None)
         assert len(rep.notes) == 1 and "guard bits of its 48-bit slots" in rep.notes[0]
 
+    def test_schur_aborts_on_a_slot_overflow(self, monkeypatch):
+        # the product's knapsack packs its large parts at n = 40; an
+        # overflow there aborts the report with the knapsack's own words
+        note = "slot overflow: the knapsack reached the guard bits of its 8-bit slots"
+
+        def overflowing(n_max, parts):
+            raise partitions.SlotOverflowError(note)
+
+        assert verify.verify_schur(40).status == "pass"
+        monkeypatch.setattr(partitions, "_packed_knapsack", overflowing)
+        rep = verify.verify_schur(40)
+        assert (rep.status, rep.witness, rep.notes) == ("aborted", None, [note])
+
     def test_machinery_aborts_without_stabilization(self):
         rep = verify.verify_machinery(3, 24, 20, closed_product_j=4, enum_j=3, enum_n=8)
         sub = {s.identity: s for s in rep.subreports}
@@ -151,7 +165,6 @@ class TestReports:
         (lambda: appell.build_R(1, 5, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.build_R(2, -1, 8), lambda: verify.verify_machinery(2, 8, -1)),
         (lambda: appell.build_R(2, 5, -1), lambda: verify.verify_machinery(2, -1)),
-        (lambda: appell.build_R(2, 5, 5, -1), "a_order must be non-negative"),
         (lambda: appell.r_terms(1, 5, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.closed_product_F_coefficients(1, 4, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.closed_product_F_coefficients(2, 3, -1), lambda: verify.verify_machinery(2, -1)),
@@ -169,7 +182,7 @@ class TestReports:
          lambda: verify.verify_corollary(1, 0)),
     ], ids=[
         "count_B_table-k", "count_B_table-i", "count_B_table-n_max", "partitions_up_to-n_max",
-        "build_R-k", "build_R-j_max", "build_R-q_order", "build_R-a_order", "r_terms-k",
+        "build_R-k", "build_R-j_max", "build_R-q_order", "r_terms-k",
         "closed_product-k",
         "closed_product-q_order", "theorem_product-k", "theorem_product-q_order",
         "theorem_product-a_order", "dk_sweep-k", "dk_sweep-n_max", "dk_sweep-j_max",
@@ -470,6 +483,41 @@ UNROUTED = {
     "partitions.b_slot_note": "the text of a note",
 }
 
+# the library modules whose definitions test_every_definition_has_a_caller reads
+LIBRARY = ("series", "partitions", "overpartitions", "appell", "verify")
+
+# the definitions nothing in src references, each with the reason it stays;
+# a name the benchmark (perfbench/) binds or calls needs none
+UNCALLED = {
+    "series.pochhammer_inf": "a test oracle: the products multiplied out factor by factor",
+    "series.BivariateSeries.to_qseries": "a test oracle's step: the a^0 row of such a product",
+    "series.specialize": "the specialization route the tests check, which a bridge"
+                         " between D_k and the corollary would call",
+    "partitions.satisfies_corollary": "a test oracle: the corollary's definition",
+    "partitions.satisfies_thm12": "a test oracle: the i = k-1 phrasing's definition",
+    "partitions.satisfies_thm13": "a test oracle: the i = 0 phrasing's definition",
+    "partitions.satisfies_schur_gap": "a test oracle: Schur's gap definition",
+    "overpartitions.Overpartition.overline_count": "a test oracle: the filters bin objects by it",
+}
+
+
+def definitions(tree: ast.Module, module: str) -> Iterator:
+    """(key, node) of each module-level function and class, keyed
+    module.name, and of each public method, keyed module.Class.name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{module}.{node.name}.{method.name}", method
+
+
+def references(node: ast.AST) -> list:
+    """Every name node reads, as a bare name or an attribute."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
 
 class TestMutations:
     @pytest.mark.parametrize("route, at, when, caught", ROUTE_SLIPS)
@@ -503,6 +551,28 @@ class TestMutations:
         slipped = {row.values[0] for row in ROUTE_SLIPS}
         assert read - slipped - UNROUTED.keys() == set()
         assert UNROUTED.keys() <= read
+
+    def test_every_definition_has_a_caller(self):
+        # a library function, class or public method that nothing in src
+        # references outside its own body is dead code, unless the benchmark
+        # uses its name or UNCALLED gives a reason; imports are not references
+        src = Path(verify.__file__).parent
+        trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+        used = Counter(name for tree in trees.values() for name in references(tree))
+        bench = set()
+        for path in (Path(__file__).parents[1] / "perfbench").rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            bench.update(references(tree))
+            bench.update(n.value for n in ast.walk(tree) if isinstance(n, ast.Constant))
+        defined = dict(kv for module in LIBRARY for kv in definitions(trees[module], module))
+        uncalled = {
+            key for key, node in defined.items()
+            if used[node.name] == Counter(references(node))[node.name]
+        }
+        unexplained = {key for key in uncalled if key.rsplit(".", 1)[1] not in bench}
+        assert unexplained - UNCALLED.keys() == set()
+        # and each reason still names a definition nothing calls
+        assert UNCALLED.keys() <= unexplained
 
     # each slip lists extra's last part, leading to state leads_to, where
     # the corollary's table refuses it: an odd part repeated, or a part at
