@@ -13,12 +13,8 @@ R_infty, which must reproduce the infinite product
 product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf: its finite numerator
 factor by factor, largest first, then each parity class divided by Euler's
 product, so that route shares no algorithm with the B-side knapsack.
-Both products divide their rows (a-rows, or parity classes) in one pass of
-the pentagonal recurrence over packed columns (_divided_columns): column d
-holds row m's coefficient of q^d in slot m, slot_width(q_order) bits wide.
-The recurrence is linear integer arithmetic, so it is exact on the packed
-columns whatever its partial sums reach, and each quotient slot is a count
-below the slot bound, read back by mask and shift.
+Both products divide their rows in one pass over packed columns
+(_divided_columns), in slots sized for their own product's parts.
 
 The recursion is a stream: r_terms yields R_0, R_1, ... and keeps only the
 last k terms, and build_R is that stream kept whole.  The functional
@@ -27,24 +23,9 @@ reads R_j, R_{j-1}, R_{j-k}; limit_step reads R_j, R_{j-1}), so a caller
 can check them as the terms arrive; check_functional_equation and
 appell_limit are the same steps looped over an RSequence, packed first.
 
-The stream's terms are packed (Kronecker substitution): a-row m of R_j is
-one integer, sum_n c_{m,n} 2^{w (q_order - n)} for n <= q_order, in a
-PackedTerm, so q^0 is the top slot.  The slot width w, from slot_width,
-leaves three guard bits above every coefficient the recursion can reach,
-so a row add is one integer add, a shift by q^s is a right shift by w s
-bits, whose slots past q^{q_order} fall off the bottom, and the division
-by (1 - q^j) is ceil(log2((q_order + 1) / j)) doubling steps
-P += q^{j 2^t} P.  An addition at most doubles a slot, so from slots below
-2^{w-3} three stay below 2^w and carry nothing: r_terms checks the guard
-bits after every third addition to a row and at the end of each row
-(SlotOverflowError).  The two checks compare packed rows by their
-difference, zero exactly when every signed slot difference is; on a
-mismatch, the first differing q-degree is the first slot of the
-difference, biased into bytes, that is not the bias.  A term with a
-negative slot (pack marks it signed) is shifted with rounding, not
-flooring, so the slots shifted out borrow nothing from those kept.  Only
-this module knows the format; unpack turns a term back into a
-BivariateSeries where coefficients are read.
+The stream's terms are packed (PackedTerm): a-row m of R_j is one integer,
+q^0 on top, so a row add is one integer add and a shift by q^s one right
+shift; unpack turns a term into a BivariateSeries where it is read.
 
 Euler's two identities give R_j in closed form: its a^d row is
 q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}).  The closed product
@@ -64,14 +45,13 @@ its least weight are its leading zeros.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import add, rshift
 
-from .partitions import GUARD_BITS, SlotOverflowError, _count_by_dp, check_params
+from . import packed
+from .partitions import _count_by_dp, check_params
 from .series import BivariateSeries, QSeries, _divide_rows, euler_product
 
 
@@ -106,50 +86,20 @@ def max_overline_count(k: int, q_order: int) -> int:
     return m
 
 
-def slot_width(q_order: int) -> int:
-    """The bits of one packed slot for coefficients up to q^{q_order}: a
-    whole number of bytes with GUARD_BITS bits above every value the R_j
-    stream and its checks reach.
-
-    Every coefficient of R_j counts overpartitions of some n <= N = q_order
-    (configurations of n with m overlined parts), and so does every partial
-    sum on the way to it: the add step's R_{j-1} + a q^{j-k+1} R_{j-k} is
-    (1 - q^j) R_j, and the doubling steps' partial products of
-    1/(1 - q^j) sum fewer terms of R_j's nonnegative coefficients.  The
-    overpartitions of n grow with n, and a partition of N has at most
-    isqrt(2N) distinct parts (d distinct parts weigh at least d(d+1)/2), so
-    pbar(N) <= 2^isqrt(2N) p(N) < 2^isqrt(2N) e^{pi sqrt(2N/3)}, by
-    p(N) < e^{pi sqrt(2N/3)} (Apostol, Introduction to Analytic Number
-    Theory, Thm 14.5).  That is below 2^b, b = isqrt(2N) + floor(x) + 1 with
-    x = pi sqrt(2N/3) / ln 2, and w = b + GUARD_BITS rounded up to bytes:
-    48 at q_order 60, 80 at 200, 120 at 500.  Values below 2^{w-3} keep the
-    sum of two (any add) below 2^{w-2}, so no slot carries into the next,
-    and the functional equation's difference of four below 2^{w-1}.  The
-    same bound covers both products' quotient coefficients, which count
-    overpartitions (theorem_product) or partitions (the corollary's
-    product) of some n <= N, so it is also their columns' slot width.
-    """
-    x = math.pi * math.sqrt(2 * q_order / 3) / math.log(2)
-    return _whole_bytes(math.isqrt(2 * q_order) + math.floor(x) + 1)
+def product_parts(k: int, q_order: int) -> tuple:
+    """(plain, distinct) parts of theorem_product's slot bound: every a-row is
+    at most (-q; q^k)_inf / (q; q)_inf, at k = 1 the overpartitions'."""
+    return range(1, q_order + 1), range(1, q_order + 1, k)
 
 
-def slot_note(term: PackedTerm) -> str:
-    """What term's slot width rests on, for a report's note."""
-    width, n, n2 = term.width, term.q_order, 2 * term.q_order
-    return (f"a-rows packed in {width}-bit slots: each coefficient counts overpartitions"
-            f" of some n <= {n}, at most pbar({n}) <= 2^isqrt({n2}) p({n})"
-            f" < 2^isqrt({n2}) e^(pi sqrt({n2}/3)) < 2^{width - GUARD_BITS}"
-            f" (p(n) < e^(pi sqrt(2n/3)): Apostol, Thm 14.5)")
-
-
-def _whole_bytes(bits: int) -> int:
-    """bits plus the guard bits, rounded up to whole bytes."""
-    return -(-(bits + GUARD_BITS) // 8) * 8
+def congruence_parts(k: int, i: int, q_order: int) -> tuple:
+    """(plain, distinct) parts of congruence_product_series's own product."""
+    return range(2, q_order + 1, 2), range(2 * i + 1, q_order + 1, 2 * k)
 
 
 @dataclass(frozen=True)
 class PackedTerm:
-    """R_j(a, q) with a-row m packed highest q-degree last: rows[m] =
+    """R_j(a, q) with a-row m in the packed layout: rows[m] =
     sum_n c_{m,n} 2^{width (q_order - n)}, n <= q_order, so q^0 is the top
     slot.  A slot may hold a signed value below 2^{width - 1}; signed, set
     by pack, says some slot is negative."""
@@ -160,48 +110,19 @@ class PackedTerm:
     signed: bool = False
 
 
-@lru_cache(maxsize=None)
-def _layout(width: int, slots: int) -> tuple:
-    """(guard, bias) for `slots` slots of `width` bits: the top GUARD_BITS of
-    each slot, and 2^{width - 1} in each."""
-    ones = ((1 << width * slots) - 1) // ((1 << width) - 1)  # 1 in every slot
-    return ones * (((1 << GUARD_BITS) - 1) << (width - GUARD_BITS)), ones << (width - 1)
-
-
 def pack(series: BivariateSeries, width: int) -> PackedTerm:
     """series with each a-row packed into `width`-bit slots, q^0 on top; a
-    coefficient must be a signed value below 2^{width - 1}.  Each slot is
-    biased by 2^{width - 1} into big-endian bytes and the bias subtracted
-    from the row whole."""
-    q_order = series.q_order
-    size, half = width // 8, 1 << (width - 1)
-    bias = _layout(width, q_order + 1)[1]
-    rows = tuple(
-        int.from_bytes(b"".join((c + half).to_bytes(size, "big") for c in row), "big") - bias
-        if any(row) else 0
-        for row in series.coeffs
-    )
-    signed = any(c < 0 for row in series.coeffs for c in row)
-    return PackedTerm(rows, width, q_order, signed)
+    coefficient must be a signed value below 2^{width - 1}."""
+    rows = tuple(packed.pack_row(row, width) for row in series.coeffs)
+    return PackedTerm(rows, width, series.q_order, any(c < 0 for row in series.coeffs for c in row))
 
 
 def unpack(term: PackedTerm) -> BivariateSeries:
-    """The BivariateSeries whose a-rows term packs: each row biased by
-    2^{width - 1} a slot, read as big-endian bytes, and each slot unbiased."""
-    width, n1 = term.width, term.q_order + 1
-    size, half = width // 8, 1 << (width - 1)
-    bias = _layout(width, n1)[1]
-    read = int.from_bytes
-    zero = (0,) * n1
-    rows = []
-    for row in term.rows:
-        if not row:
-            rows.append(zero)
-            continue
-        b = (row + bias).to_bytes(size * n1, "big")
-        rows.append(tuple([read(b[i : i + size], "big") - half
-                           for i in range(0, size * n1, size)]))
-    return BivariateSeries(tuple(rows))
+    """The BivariateSeries whose a-rows term packs."""
+    n1 = term.q_order + 1
+    return BivariateSeries(tuple(
+        tuple(packed.read_slots(row, term.width, n1, term.signed)) if row else (0,) * n1
+        for row in term.rows))
 
 
 def _round_shift(x: int, bits: int) -> int:
@@ -214,15 +135,6 @@ def _round_shift(x: int, bits: int) -> int:
 def _shifter(term: PackedTerm):
     """The right shift that drops the low slots of term's rows exactly."""
     return _round_shift if term.signed else rshift
-
-
-def _first_slot(residue: int, width: int, slots: int) -> int:
-    """The top nonzero slot of a nonzero residue of `slots` signed slots,
-    counted from the top: the first differing q-degree."""
-    size = width // 8
-    bias = _layout(width, slots)[1]
-    biased = zip((residue + bias).to_bytes(size * slots, "big"), bias.to_bytes(size * slots, "big"))
-    return next(i for i, (x, y) in enumerate(biased) if x != y) // size
 
 
 @dataclass
@@ -243,7 +155,7 @@ def _packed(rs: RSequence) -> list:
     """rs's terms packed in slots wide enough for its largest coefficient,
     so the checks are exact for any RSequence, a perturbed one included."""
     top = max((abs(c) for t in rs.terms for row in t.coeffs for c in row), default=0)
-    width = _whole_bytes(top.bit_length())
+    width = packed.whole_bytes(top.bit_length())
     return [pack(t, width) for t in rs.terms]
 
 
@@ -256,12 +168,17 @@ def r_terms(k: int, j_max: int, q_order: int) -> Iterator:
     shifted by q^{j-k+1}, then is divided by (1 - q^j) in doubling steps
     P += q^s P, s = j, 2j, 4j, ... while s <= q_order, the partial products
     of 1/(1 - q^j) = (1 + q^j)(1 + q^{2j})(1 + q^{4j})...  Each shift drops
-    the slots past q^{q_order}.  The guard bits are read after every third
-    addition to a row and at the end of each row; a slot that reaches them
-    raises SlotOverflowError naming j and the a-row that a read after every
-    addition would name.  Only the last k terms are kept, so a caller that keeps
-    no more holds O(k) terms.  The parameters are checked at the call,
-    before the first term.
+    the slots past q^{q_order}.
+
+    Every value reached counts overpartitions of some n <= q_order: the add
+    step's R_{j-1} + a q^{j-k+1} R_{j-k} is (1 - q^j) R_j, and the doubling
+    steps' partial products sum fewer terms of R_j.  So the slots are as
+    wide as packed.slot_width gives for product_parts(1, q_order), the
+    overpartitions' generating function.  The guard bits are read after
+    every third addition to a row and at the end of each row; a slot that
+    reaches them raises SlotOverflowError naming j and the a-row that a
+    read after every addition would name.  Only the last k terms are kept.
+    The parameters are checked at the call, before the first term.
     """
     check_params(k, j_max=j_max, q_order=q_order)
     return _r_terms(k, j_max, q_order)
@@ -269,14 +186,8 @@ def r_terms(k: int, j_max: int, q_order: int) -> Iterator:
 
 def _r_terms(k: int, j_max: int, q_order: int) -> Iterator:
     a_order = max_overline_count(k, q_order)
-    width = slot_width(q_order)
-    guard = _layout(width, q_order + 1)[0]
-
-    def overflow(j, m):
-        return SlotOverflowError(
-            f"slot overflow: the a^{m} row of R_{j} reached the guard bits of its"
-            f" {width}-bit slots at q_order={q_order}"
-        )
+    width = packed.slot_width(q_order, *product_parts(1, q_order))
+    guard = packed.guard_mask(width, q_order + 1)
 
     one = PackedTerm((1 << width * q_order,) + (0,) * a_order, width, q_order)
     window = deque([one], maxlen=k)  # R_{j-k}..R_{j-1}
@@ -308,7 +219,10 @@ def _r_terms(k: int, j_max: int, q_order: int) -> Iterator:
             if row & guard:
                 # an add step that tripped a later row is named first, as a
                 # check after every addition would: rows[m:] still hold those sums
-                raise overflow(j, next((t for t in range(m, len(rows)) if rows[t] & guard), m))
+                m = next((t for t in range(m, len(rows)) if rows[t] & guard), m)
+                raise packed.SlotOverflowError(
+                    f"slot overflow: the a^{m} row of R_{j} reached the guard bits of its"
+                    f" {width}-bit slots at q_order={q_order}")
             rows[m] = row
         window.append(PackedTerm(tuple(rows), width, q_order))
         yield window[-1]
@@ -326,9 +240,9 @@ def functional_equation_step(k: int, j: int, term, prev, low) -> tuple | None:
     term, prev and low are the PackedTerms R_j, R_{j-1} and R_{j-k} (None
     when j < k).  Each a-row of R_j is compared with the same row of
     R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k}: the shifts drop the slots past
-    q^{q_order}, and the difference is zero exactly when every slot is.
-    Returns the first failing (a-degree, q-degree), a-degree before
-    q-degree, or None.
+    q^{q_order}, and the difference of four values below 2^{w-3} is zero
+    exactly when every slot is.  Returns the first failing (a-degree,
+    q-degree), a-degree before q-degree, or None.
     """
     width, slots = term.width, term.q_order + 1
     shift, bits = _shifter(term), width * j
@@ -338,7 +252,7 @@ def functional_equation_step(k: int, j: int, term, prev, low) -> tuple | None:
         if under:  # a q^{j-k+1} R_{j-k}
             residue -= _shifter(low)(under, width * (j - k + 1))
         if residue:
-            return m, _first_slot(residue, width, slots)
+            return m, packed.first_slot(residue, width, slots)
     return None
 
 
@@ -402,7 +316,7 @@ def limit_step(k: int, j: int, term, prev) -> PackedTerm:
     for m, (row, before) in enumerate(zip(term.rows, prev.rows)):
         kept, kept_before = shift(row, cut), prev_shift(before, cut)
         if kept != kept_before:
-            e = _first_slot(kept - kept_before, width, slots)
+            e = packed.first_slot(kept - kept_before, width, slots)
             raise StabilizationError(
                 f"not stabilized: coefficient of a^{m} q^{e} changes between"
                 f" j={j - 1} and j={j}, though it settles by j={e + k - 1}",
@@ -453,7 +367,8 @@ def theorem_product(k: int, q_order: int, a_order: int | None = None) -> Bivaria
         if a_order:
             rows[1][e] += 1
         lo = e
-    rows = _divided_columns(rows, euler_product(q_order).coeffs, slot_width(q_order))
+    width = packed.slot_width(q_order, *product_parts(k, q_order))
+    rows = _divided_columns(rows, euler_product(q_order).coeffs, width)
     return BivariateSeries(tuple(map(tuple, rows)))
 
 
@@ -493,22 +408,29 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
         row[e + lo :] = map(add, row[e + lo :], row[lo : q_order + 1 - e])
         lo = e
     euler = euler_product(q_order // 2).coeffs
-    row[::2], row[1::2] = _divided_columns([row[::2], row[1::2]], euler, slot_width(q_order))
+    width = packed.slot_width(q_order, *congruence_parts(k, i, q_order))
+    row[::2], row[1::2] = _divided_columns([row[::2], row[1::2]], euler, width)
     return QSeries(tuple(row))
 
 
 def _divided_columns(rows: list, unit, width: int) -> list:
     """rows, each divided by the q-series unit at its own length, in one
-    _divide_rows pass over their columns: column d is
-    sum_m rows[m][d] 2^{width m} (a row shorter than rows[0] adds 0 past
-    its end).  The recurrence is integer arithmetic, linear in the row, so
-    it divides every packed row at once, exactly, whatever its partial sums
-    reach; each quotient row is read back by mask and shift, exact when
-    every quotient coefficient lies in [0, 2^width)."""
+    _divide_rows pass over their packed columns, row 0 in the top slot: the
+    recurrence is linear integer arithmetic, so it is exact whatever its
+    partial sums reach.  The quotient columns, packed into one row, have
+    their guard bits read once; slots are signed, so a negative quotient,
+    which no count is, reads back exact for the comparison to catch."""
+    slots = len(rows)
     columns = [0] * len(rows[0])
     for m, row in enumerate(rows):
-        bits = width * m
+        bits = width * (slots - 1 - m)
         columns[: len(row)] = map(add, columns, (c << bits for c in row))
     (columns,) = _divide_rows([columns], unit)
-    mask = (1 << width) - 1
-    return [[c >> width * m & mask for c in columns[: len(row)]] for m, row in enumerate(rows)]
+    # each column is one (width * slots)-bit slot: one past its range cannot pack
+    half, n = 1 << (width * slots - 1), slots * len(columns)
+    fits = all(-half <= c < half for c in columns)
+    if not fits or packed.overflowed(quotients := packed.pack_row(columns, width * slots), width, n):
+        raise packed.SlotOverflowError(
+            f"slot overflow: a quotient reached the guard bits of its {width}-bit slots")
+    read = packed.read_slots(quotients, width, n, signed=True)
+    return [read[m::slots][: len(row)] for m, row in enumerate(rows)]

@@ -1,0 +1,106 @@
+"""Packed slots: many counts held in one integer (Kronecker substitution).
+
+A packed row c_0..c_N is sum_s c_s 2^{w (N - s)}: c_0 in the top slot, so a
+shift by s slots is a right shift by w s bits and the slots shifted past
+c_N fall off the bottom.  A slot may be signed; w is whole bytes, with
+GUARD_BITS clear bits above slot_width's bound, which overflowed reads.
+Each route keeps its own arithmetic on the packed integers, so compared
+routes share only this format, no kernel.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+# the bits kept clear above every value a packed slot may reach
+GUARD_BITS = 3
+
+
+class SlotOverflowError(ArithmeticError):
+    """Raised when a packed slot reaches its guard bits: the slot width is
+    too narrow, and the packed value can no longer be trusted."""
+
+
+def whole_bytes(bits: int) -> int:
+    """bits plus the guard bits, rounded up to whole bytes."""
+    return -(-(bits + GUARD_BITS) // 8) * 8
+
+
+@lru_cache(maxsize=8)
+def slot_width(n: int, plain, distinct=()) -> int:
+    """The bits of one slot for the coefficients up to q^n of
+    F(q) = prod_{p in plain} 1/(1 - q^p) * prod_{p in distinct} (1 + q^p)
+    (repeats allowed, each a range or a tuple), and for any value at most
+    one of them.  A route and its report's note ask for the same width, so
+    it is cached.
+
+    F has non-negative coefficients, so each one up to q^n is at most
+    F(x)/x^n for every 0 < x < 1 (Flajolet and Sedgewick, Analytic
+    Combinatorics, Prop. VIII.1).  At x = e^{-t}, t = pi/sqrt(6 max(n, 1)),
+    p(n)'s saddle point, that is 2^b with b = (n t - sum_plain
+    ln(1 - e^{-p t}) + sum_distinct ln(1 + e^{-p t})) / ln 2, so at most
+    floor(b) + 1 bits; one more bit covers the float rounding.
+    """
+    t = math.pi / math.sqrt(6 * max(n, 1))
+    b = (n * t - sum(math.log1p(-math.exp(-p * t)) for p in plain)
+         + sum(math.log1p(math.exp(-p * t)) for p in distinct)) / math.log(2)
+    return whole_bytes(math.floor(b) + 2)
+
+
+def slot_note(what: str, n: int, *parts) -> str:
+    """What slot_width(n, *parts) rests on, for a report's note on the counts
+    what names; parts as the route passes them, so its width is cached."""
+    plain, distinct = (*parts, ())[:2]
+    f = f"prod 1/(1 - x^p) over {len(plain)} parts p" + (
+        f" times prod (1 + x^p) over {len(distinct)} distinct parts p" if distinct else "")
+    width = slot_width(n, *parts)
+    return (f"{what} packed in {width}-bit slots: each coefficient up to q^{n} is at most"
+            f" F(x)/x^{n} < 2^{width - GUARD_BITS} at x = e^(-pi/sqrt(6*{max(n, 1)})),"
+            f" F(x) = {f}")
+
+
+@lru_cache(maxsize=16)
+def _repeated(top: int, width: int, slots: int) -> int:
+    """The byte top at the head of each of `slots` slots of `width` bits."""
+    return int.from_bytes((bytes([top]) + bytes(width // 8 - 1)) * slots, "big")
+
+
+def guard_mask(width: int, slots: int) -> int:
+    """The top GUARD_BITS of each of `slots` slots of `width` bits."""
+    return _repeated(0xFF << (8 - GUARD_BITS) & 0xFF, width, slots)
+
+
+def overflowed(x: int, width: int, slots: int) -> bool:
+    """Whether a row of `slots` slots holds one outside [-2^{width-3},
+    2^{width-3}): biased by 2^{width-3} a slot, each slot of a row inside is
+    clear of the top two guard bits, and the top slot carries nothing out."""
+    x += _repeated(0x100 >> GUARD_BITS, width, slots)
+    guard = _repeated(0xFF << (9 - GUARD_BITS) & 0xFF, width, slots)
+    return x < 0 or bool(x & guard) or x >> width * slots != 0
+
+
+def pack_row(values, width: int) -> int:
+    """values packed one to a slot, the first on top, each below 2^{width - 1}
+    in absolute value: biased by 2^{width - 1} into bytes, and the bias
+    subtracted from the row whole."""
+    size, half = width // 8, 1 << (width - 1)
+    row = b"".join((c + half).to_bytes(size, "big") for c in values)
+    return int.from_bytes(row, "big") - _repeated(0x80, width, len(values))
+
+
+def read_slots(x: int, width: int, slots: int, signed: bool = False) -> list:
+    """The `slots` slot values of the row x, top first.  Signed slots are
+    biased by 2^{width - 1} for the read and unbiased after."""
+    size, read = width // 8, int.from_bytes
+    if signed:
+        b, half = (x + _repeated(0x80, width, slots)).to_bytes(size * slots, "big"), 1 << (width - 1)
+        return [read(b[i : i + size], "big") - half for i in range(0, size * slots, size)]
+    b = x.to_bytes(size * slots, "big")
+    return [read(b[i : i + size], "big") for i in range(0, size * slots, size)]
+
+
+def first_slot(residue: int, width: int, slots: int) -> int:
+    """The top nonzero slot of a nonzero residue of `slots` signed slots:
+    the first differing q-degree."""
+    return next(s for s, c in enumerate(read_slots(residue, width, slots, signed=True)) if c)

@@ -8,15 +8,11 @@ over the part values v = 1..N whose state is a capped distance to the last
 relevant part: Schur's gaps and the corollary's difference conditions here,
 the D_k rule in overpartitions.  A side is a `moves(v, state)` table, not a
 loop of its own.  The B side is the knapsack over its allowed parts, run
-largest first.  Its large parts (p * p > N) run on one integer, the
-coefficients packed in slots as wide as a bound the parts themselves give
-(`knapsack_width`), q^N in the lowest slot and ways[0] kept out, so a
-shift by q^s is a right shift and the integer is only as long as the
-slots from the smallest part taken so far (`_packed_knapsack`).  Its small
-parts then run on the unpacked list through `_add_part`, the running-sum
-kernel the sweep's plain copies run on too.  Schur's product side is the
-same knapsack, over the parts congruent to +-1 mod 6; Schur's sweep and
-walk share neither kernel with it.
+largest first: the large ones (`packed_parts`) on one packed integer
+(`_packed_knapsack`), then the small ones on the list through `_add_part`,
+the running-sum kernel the sweep's plain copies run on too.  Schur's
+product side is the same knapsack, over the parts congruent to +-1 mod 6;
+Schur's sweep and walk share neither kernel with it.
 
 Enumeration is one walk of the prefix tree, `partitions_up_to`, on a
 side's rule, which lists once per walk the parts each state may add (the
@@ -31,12 +27,13 @@ i = k-1 and i = 0); the `satisfies_*` predicates are their definitions.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
 from itertools import accumulate, chain
 from math import inf
 from operator import add
 from typing import Callable, Iterator, Sequence
+
+from . import packed
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 
@@ -189,71 +186,41 @@ def state_total(states: dict, m: int = 0) -> list:
 def _count_by_dp(n_max: int, allowed_parts: Sequence[int]) -> list:
     """ways[s] = number of multisets from allowed_parts summing to s.
 
-    The parts run largest first: those _knapsack_split packs on one
-    integer (_packed_knapsack), then the rest as _add_part's running sums
-    on the unpacked list, the small ones (p * p <= n_max) down each residue
-    class mod p.
+    The parts run largest first: those packed_parts picks on one integer
+    (_packed_knapsack), then the rest as _add_part's running sums on the
+    unpacked list, the small ones (p * p <= n_max) down each residue class
+    mod p.
     """
-    packed, listed = _knapsack_split(n_max, sorted(allowed_parts, reverse=True))
-    ways = _packed_knapsack(n_max, packed)
-    for p in listed:
+    large = packed_parts(n_max, allowed_parts)
+    ways = _packed_knapsack(n_max, large)
+    listed = [p for p in allowed_parts if p * p <= n_max] if large else allowed_parts
+    for p in sorted(listed, reverse=True):
         _add_part(ways, p)
     return ways
 
 
-def _knapsack_split(n_max: int, parts: list) -> tuple:
-    """(packed, listed): the parts, largest first, that _count_by_dp packs,
-    and those it runs on the list.
+def packed_parts(n_max: int, allowed_parts: Sequence[int]) -> tuple:
+    """The parts, largest first, that _count_by_dp packs; it runs the others
+    on the list.
 
     The large parts (p * p > n_max) are packed, those above n_max dropped,
     when the list would run them in at least n_max / 3 blocks of
-    _add_part, sum n_max // p.  The unpack reads n_max slots one at a time;
+    _add_part, sum n_max // p.  The read takes n_max slots one at a time;
     below a fifth to a third of n_max blocks the list measured faster
     (n_max = 1000 to 60), as for the few large parts of most closed-product
     rows.  The small parts are listed.
     """
-    if not parts or parts[0] * parts[0] <= n_max:
-        return [], parts
-    large = [p for p in parts if p * p > n_max]  # a prefix: parts run largest first
-    if 3 * sum(n_max // p for p in large) < n_max:
-        return [], parts
-    return [p for p in large if p <= n_max], parts[len(large) :]
-
-
-# the bits kept clear above every value a packed slot may reach, here and
-# in appell's R_j stream
-GUARD_BITS = 3
-
-
-class SlotOverflowError(ArithmeticError):
-    """Raised when a packed slot reaches its guard bits: the slot width is
-    too narrow for the coefficients, and the packed value can no longer be
-    trusted."""
-
-
-def knapsack_width(n_max: int, parts: Sequence[int]) -> int:
-    """The bits of one slot of the packed knapsack over parts (repeats
-    allowed, n_max >= 1): a whole number of bytes with GUARD_BITS bits above
-    every value the knapsack reaches up to q^{n_max}.
-
-    Every coefficient of F(q) = prod_p 1/(1 - q^p), and of every partial
-    product on the way to it, is non-negative and at most F's own, so each
-    one up to q^N is at most F(x)/x^N for any 0 < x < 1.  At x = e^{-t},
-    t = pi/sqrt(6N) (the saddle point of p(N)'s generating function), that
-    is 2^b with b = (N t - sum_p ln(1 - e^{-p t})) / ln 2.  A value at most
-    2^b has at most floor(b) + 1 bits; one more bit covers the float
-    rounding, and w adds GUARD_BITS and rounds up to bytes: 72 at the
-    parts B_{0,2} packs at N = 1000, where the largest count needs 46 bits.
-    """
-    t = math.pi / math.sqrt(6 * n_max)
-    b = (n_max * t - sum(math.log1p(-math.exp(-p * t)) for p in parts)) / math.log(2)
-    return -(-(math.floor(b) + 2 + GUARD_BITS) // 8) * 8
+    large = sorted([p for p in allowed_parts if p * p > n_max], reverse=True)
+    if 3 * sum([n_max // p for p in large]) < n_max:
+        return ()
+    return tuple([p for p in large if p <= n_max])
 
 
 def _packed_knapsack(n_max: int, parts: Sequence[int]) -> list:
     """ways of the knapsack over parts, each with p * p > n_max, largest
-    first, on one integer: slot s of ways[1:] is at bits w (n_max - s),
-    w = knapsack_width, and ways[0] = 1 is kept out until the unpack.
+    first, on one integer in the packed layout: slot s of ways[1:] is at
+    bits w (n_max - s), w = packed.slot_width over parts, and ways[0] = 1
+    is kept out until the read.
 
     With rest = ways[1:], 1/(1 - q^p) takes 1 + rest to 1 + (q^p + rest)
     (1 + q^p)(1 + q^{2p})(1 + q^{4p})...: rest gains the slot of q^p, then
@@ -266,7 +233,7 @@ def _packed_knapsack(n_max: int, parts: Sequence[int]) -> list:
     """
     if not parts:
         return [1] + [0] * n_max
-    width = knapsack_width(n_max, parts)
+    width = packed.slot_width(n_max, parts)
     rest = 0
     for p in parts:
         rest += 1 << width * (n_max - p)
@@ -274,16 +241,12 @@ def _packed_knapsack(n_max: int, parts: Sequence[int]) -> list:
         while s <= n_max - p:
             rest += rest >> width * s
             s *= 2
-    size, top = width // 8, width * n_max
-    if rest.bit_length() <= top:  # else the top slot carried out
-        packed, read = (rest + (1 << top)).to_bytes(size * (n_max + 1), "big"), int.from_bytes
-        ways = [read(packed[t : t + size], "big") for t in range(0, size * (n_max + 1), size)]
-        if not max(ways) >> (width - GUARD_BITS):
-            return ways
-    raise SlotOverflowError(
-        f"slot overflow: the knapsack over {len(parts)} parts p with p^2 > {n_max}"
-        f" reached the guard bits of its {width}-bit slots at n_max={n_max}"
-    )
+    if packed.overflowed(rest, width, n_max):
+        raise packed.SlotOverflowError(
+            f"slot overflow: the knapsack over {len(parts)} parts p with p^2 > {n_max}"
+            f" reached the guard bits of its {width}-bit slots at n_max={n_max}"
+        )
+    return packed.read_slots(rest + (1 << width * n_max), width, n_max + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +266,7 @@ def b_part_allowed(p: int, k: int, i: int) -> bool:
     return r in (2 * i + 1, 2 * k + 2 * i + 1)
 
 
-def _b_parts(n_max: int, k: int, i: int) -> list:
+def b_parts(n_max: int, k: int, i: int) -> list:
     """B's allowed parts up to n_max, largest first: b_part_allowed reads
     only p mod 4k, so each residue it admits runs up to n_max."""
     period = 4 * k
@@ -314,19 +277,7 @@ def _b_parts(n_max: int, k: int, i: int) -> list:
 def count_B_table(n_max: int, k: int, i: int) -> list:
     """B_{i,k}(0..n_max) by dynamic programming over the allowed parts."""
     check_params(k, i, n_max=n_max)
-    return _count_by_dp(n_max, _b_parts(n_max, k, i))
-
-
-def b_slot_note(n_max: int, k: int, i: int) -> str:
-    """What count_B_table's slot width rests on, for a report's note."""
-    packed = _knapsack_split(n_max, _b_parts(n_max, k, i))[0]
-    if not packed:
-        return f"B's knapsack packed no part at n_max={n_max}"
-    width = knapsack_width(n_max, packed)
-    return (f"B's {len(packed)} parts p with p^2 > {n_max} packed in {width}-bit slots:"
-            f" each coefficient up to q^{n_max} is at most F(x)/x^{n_max}"
-            f" < 2^{width - GUARD_BITS}, F(x) = prod 1/(1 - x^p) over those parts,"
-            f" x = e^(-pi/sqrt(6*{n_max}))")
+    return _count_by_dp(n_max, b_parts(n_max, k, i))
 
 
 def b_witnesses(n: int, k: int, i: int) -> list:
@@ -535,7 +486,12 @@ def count_schur_product_table(n_max: int) -> list:
     _count_by_dp, count_B_table's knapsack, which raises SlotOverflowError
     when a packed slot overflows."""
     check_params(n_max=n_max)
-    return _count_by_dp(n_max, [p for p in range(1, n_max + 1) if p % 6 in (1, 5)])
+    return _count_by_dp(n_max, schur_parts(n_max))
+
+
+def schur_parts(n_max: int) -> list:
+    """The parts up to n_max of Schur's product side: those congruent to +-1 mod 6."""
+    return [p for p in range(1, n_max + 1) if p % 6 in (1, 5)]
 
 
 def satisfies_schur_gap(parts: Partition) -> bool:

@@ -23,7 +23,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from . import appell, overpartitions, partitions
+from . import appell, overpartitions, packed, partitions
 
 SCHEMA_VERSION = 1
 
@@ -127,9 +127,9 @@ def verify_overpartition(k: int, n_max: int, m_max: int | None = None) -> Verifi
     rng = {"n_max": n_max, "m_max": m_max}
     try:
         partitions.check_params(k, n_max=n_max, m_max=m_max)
-    except ValueError as exc:
+        product = appell.theorem_product(k, n_max, m_max)
+    except (ValueError, packed.SlotOverflowError) as exc:
         return _aborted("overpartition", params, rng, str(exc), start)
-    product = appell.theorem_product(k, n_max, m_max)
     table = overpartitions.count_Dk_table(n_max, k, m_max)
     first = next(((n, m) for n in range(n_max + 1) for m in range(m_max + 1)
                   if table[m][n] != product.coefficient(m, n)), None)
@@ -146,6 +146,8 @@ def verify_overpartition(k: int, n_max: int, m_max: int | None = None) -> Verifi
         else:
             witness = {"n": n, "m": m, **counts}
             notes = [f"no objects listed: {_REFUSED}"]
+    else:
+        notes = [packed.slot_note("the product's a-rows", n_max, *appell.product_parts(k, n_max))]
     return _outcome("overpartition", params, rng, witness, start, notes)
 
 
@@ -159,8 +161,8 @@ def verify_corollary(
 ) -> VerificationReport:
     """Three-way check B = C = product coefficient up to enum_limit, then
     two-way DP-vs-product up to n_max.  A slot overflow in B's packed
-    knapsack aborts the report, naming the slot width; a pass notes the
-    width and the bound it rests on."""
+    knapsack or in the product's packed columns aborts the report, naming
+    the slot width; a pass notes each width and the bound it rests on."""
     start = time.perf_counter()
     params = {"k": k, "i": i}
     enum_top = min(n_max, enum_limit)
@@ -169,9 +171,9 @@ def verify_corollary(
         partitions.check_params(k, i, n_max=n_max, enum_limit=enum_limit)
         _refuse_beyond(enum_top)
         b_table = partitions.count_B_table(n_max, k, i)
-    except (ValueError, partitions.SlotOverflowError) as exc:
+        product = appell.congruence_product_series(k, i, n_max).coeffs
+    except (ValueError, packed.SlotOverflowError) as exc:
         return _aborted("corollary", params, rng, str(exc), start)
-    product = appell.congruence_product_series(k, i, n_max).coeffs
     alt_phrasing = "thm12" if i == k - 1 else ("thm13" if i == 0 else None)
     c_table = partitions.walk_C_table(enum_top, k, i, "corollary")
     c_sweep = partitions.count_C_table(enum_top, k, i)
@@ -215,8 +217,16 @@ def verify_corollary(
                 f"theorem phrasing '{alt_phrasing}' agreed with the corollary phrasing for n <= {enum_top}"
             )
         notes.append(f"three-way check for n <= {enum_top}; DP-vs-series for n <= {n_max}")
-        notes.append(partitions.b_slot_note(n_max, k, i))
+        notes += _knapsack_note("B's knapsack", n_max, partitions.b_parts(n_max, k, i))
+        notes.append(packed.slot_note(
+            "the product's parity classes", n_max, *appell.congruence_parts(k, i, n_max)))
     return _outcome("corollary", params, rng, witness, start, notes)
+
+
+def _knapsack_note(what: str, n_max: int, allowed: list) -> list:
+    """The note on the parts _count_by_dp packs from allowed, if it packs any."""
+    parts = partitions.packed_parts(n_max, allowed)
+    return [packed.slot_note(f"{what}'s parts p with p^2 > {n_max}", n_max, parts)] if parts else []
 
 
 def verify_andrews(k: int, n_max: int = 200, enum_limit: int = 25) -> VerificationReport:
@@ -238,14 +248,15 @@ def verify_dual(k: int, n_max: int = 200, enum_limit: int = 25) -> VerificationR
 
 def verify_schur(n_max: int = 40) -> VerificationReport:
     """The product's knapsack against the gap partitions' walk and sweep.  A
-    slot overflow in the knapsack aborts the report, naming the slot width."""
+    slot overflow in the knapsack aborts the report, naming the slot width;
+    a pass notes the width and the bound it rests on."""
     start = time.perf_counter()
     rng = {"n_max": n_max}
     try:
         partitions.check_params(n_max=n_max)
         _refuse_beyond(n_max)
         product = partitions.count_schur_product_table(n_max)
-    except (ValueError, partitions.SlotOverflowError) as exc:
+    except (ValueError, packed.SlotOverflowError) as exc:
         return _aborted("schur", {}, rng, str(exc), start)
     routes = (
         ("gap_count", partitions.walk_schur_gap_table(n_max)),
@@ -264,7 +275,9 @@ def verify_schur(n_max: int = 40) -> VerificationReport:
         for route, gap in routes
         if gap[n] != product[n]
     )
-    return _outcome("schur", {}, rng, next(witnesses, None), start)
+    witness = next(witnesses, None)
+    notes = _knapsack_note("the product's knapsack", n_max, partitions.schur_parts(n_max))
+    return _outcome("schur", {}, rng, witness, start, notes if witness is None else ())
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +321,7 @@ def verify_machinery(
     cp_rng = {"j_max": min(closed_product_j, j_max)}
     enum_rng = {"j_max": min(enum_j, j_max), "n_max": min(enum_n, q_order)}
     stages = (
-        ("machinery/functional-equation", {"j_max": j_max}, _functional_equation(k, j_max)),
+        ("machinery/functional-equation", {"j_max": j_max}, _functional_equation(k, q_order, j_max)),
         ("machinery/closed-product", cp_rng,
          _closed_product(k, q_order, cp_rng["j_max"])),
         ("machinery/appell-limit", {"q_order": q_order}, _appell_limit(k, q_order, j_max)),
@@ -323,7 +336,7 @@ def verify_machinery(
             stages[n][2].send(window)
         except StopIteration as done:
             outcomes[n] = done.value
-        except appell.StabilizationError as exc:
+        except (appell.StabilizationError, packed.SlotOverflowError) as exc:
             outcomes[n] = exc
         seconds[n] += time.perf_counter() - t0
 
@@ -338,7 +351,7 @@ def verify_machinery(
                     step(n, window)
             if None not in outcomes:
                 break
-    except appell.SlotOverflowError as exc:
+    except packed.SlotOverflowError as exc:
         # the stream stopped: every stage it had not decided is aborted
         outcomes = [exc if outcome is None else outcome for outcome in outcomes]
     subs = []
@@ -355,12 +368,12 @@ def verify_machinery(
     return _timed(VerificationReport("machinery", params, rng, overall, subreports=subs), start)
 
 
-def _functional_equation(k: int, j_max: int):
+def _functional_equation(k: int, q_order: int, j_max: int):
     """R_j against R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k}, read from the
     window, for 1 <= j <= j_max.  The note names the packed terms' slot
     width and the bound it rests on."""
     window = yield  # R_0 has no equation
-    notes = [appell.slot_note(window[-1])]
+    notes = [packed.slot_note("R_j's a-rows", q_order, *appell.product_parts(1, q_order))]
     for j in range(1, j_max + 1):
         window = yield
         low = window[0] if j >= k else None
@@ -404,7 +417,8 @@ def _appell_limit(k: int, q_order: int, j_max: int):
             "limit": lim.coeffs[m][n],
             "product": product.coeffs[m][n],
         }, []
-    return None, [f"every q^d settled by j = d + {k - 1}, through j = {j_max}"]
+    return None, [f"every q^d settled by j = d + {k - 1}, through j = {j_max}",
+                  packed.slot_note("the product's a-rows", q_order, *appell.product_parts(k, q_order))]
 
 
 def _bounded_enumeration(k: int, q_order: int, j_top: int, n_top: int):

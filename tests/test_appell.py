@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qident import appell
+from qident import appell, packed
 from qident.appell import (
     StabilizationError,
     appell_limit,
@@ -23,15 +23,15 @@ from qident.appell import (
     limit_step,
     max_overline_count,
     pj_series,
+    product_parts,
     r_terms,
     RSequence,
-    SlotOverflowError,
     pack,
-    slot_width,
     theorem_product,
     unpack,
 )
 from qident.overpartitions import count_pj, count_rj, d_witnesses
+from qident.packed import SlotOverflowError, slot_width
 from qident.partitions import count_B_table
 from qident.series import (
     BivariateSeries, Monomial, QSeries, euler_product, pochhammer_inf, specialize,
@@ -289,16 +289,19 @@ def overpartition_counts(n_max):
 class TestPackedRows:
     def test_slot_width_covers_every_overpartition_count(self):
         # the proved bound leaves three guard bits above pbar(N) at every N
-        assert [slot_width(n) for n in (60, 200, 500)] == [48, 80, 120]
+        def width(n):
+            return slot_width(n, *product_parts(1, n))
+
+        assert [width(n) for n in (60, 200, 500)] == [40, 72, 104]
         for n, count in enumerate(overpartition_counts(600)):
-            assert slot_width(n) % 8 == 0
-            assert count.bit_length() <= slot_width(n) - 3, n
+            assert width(n) % 8 == 0
+            assert count.bit_length() <= width(n) - 3, n
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_largest_coefficient_has_three_guard_bits(self, k):
         *_, last = r_terms(k, 500 + k, 500)
         top = max(max(row) for row in unpack(last).coeffs)
-        assert top.bit_length() <= last.width - 3 == 117
+        assert top.bit_length() <= last.width - 3 == 101
         # R_{j_max} is settled: its a^0 row is p(n) at n = 500
         assert unpack(last).coefficient(0, 500) == 2300165032574323995027
 
@@ -324,7 +327,7 @@ class TestPackedRows:
     def test_guard_bits_trip_in_the_stream(self, monkeypatch):
         # 8-bit slots hold values below 2^5 = 32: R_2's a^0 row is at most
         # 31, at q^60, and R_3's passes 31 in its division by 1 - q^3
-        monkeypatch.setattr(appell, "slot_width", lambda q_order: 8)
+        monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(): 8)
         terms = r_terms(2, 62, 60)
         assert max(max(row) for row in unpack(list(islice(terms, 3))[-1]).coeffs) == 31
         with pytest.raises(SlotOverflowError, match=r"a\^0 row of R_3 .* 8-bit slots"):
@@ -339,7 +342,7 @@ class TestPackedRows:
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("width", [8, 16, 24])
     def test_guard_read_every_third_addition_names_the_same_row(self, monkeypatch, k, width):
-        monkeypatch.setattr(appell, "slot_width", lambda q_order: width)
+        monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(): width)
         trips = 0
         for q_order in range(0, 121, 4):
             want = guard_trip_per_addition(k, q_order + k, q_order, width)

@@ -11,15 +11,14 @@ from qident import partitions
 from qident.partitions import (
     _SCHUR_GAP_RULE,
     _add_part,
-    _b_parts,
     _b_rule,
     _c_rule,
     _corollary_rule,
     _count_by_dp,
-    _knapsack_split,
     _thm12_rule,
     _thm13_rule,
     b_part_allowed,
+    b_parts,
     b_witnesses,
     c_witnesses,
     count_B_table,
@@ -28,6 +27,7 @@ from qident.partitions import (
     count_schur_gap_table,
     count_schur_product_table,
     enumerate_partitions,
+    packed_parts,
     partitions_up_to,
     satisfies_corollary,
     satisfies_schur_gap,
@@ -302,7 +302,7 @@ class TestCountB:
     def test_dp_matches_scalar_loop(self, n_max, parts):
         assert _count_by_dp(n_max, parts) == count_by_scalar_loop(n_max, parts)
 
-    # (n_max, parts, packed): whether _knapsack_split packs the large parts.
+    # (n_max, parts, packed): whether packed_parts packs the large parts.
     # B's parts; the closed product's lists, where a part may repeat; parts
     # above n_max; n_max = 0 and 1; and large parts too few to pack
     @pytest.mark.parametrize("n_max, parts, packed", [
@@ -310,9 +310,9 @@ class TestCountB:
         (0, [1, 3], False),
         (1, [1], False),
         (1, [2, 1, 1], False),
-        (60, _b_parts(60, 2, 0), True),
-        (200, _b_parts(200, 5, 4), True),
-        (1000, _b_parts(1000, 3, 1), True),
+        (60, b_parts(60, 2, 0), True),
+        (200, b_parts(200, 5, 4), True),
+        (1000, b_parts(1000, 3, 1), True),
         (165, closed_product_parts(3, 5, 60), True),  # 3, 6, ..., 15 twice
         (135, closed_product_parts(2, 8, 40), True),  # 2, 4, ..., 16 twice
         (44, closed_product_parts(2, 4, 10), False),  # the large 8 is listed
@@ -322,7 +322,7 @@ class TestCountB:
         (100, [25, 20, 3, 3, 101], False),
     ])
     def test_dp_matches_scalar_loop_across_the_split(self, n_max, parts, packed):
-        assert bool(_knapsack_split(n_max, sorted(parts, reverse=True))[0]) == packed
+        assert bool(packed_parts(n_max, parts)) == packed
         assert _count_by_dp(n_max, parts) == count_by_scalar_loop(n_max, parts)
 
     # ways[1:lo] zeroed, as a listed part finds it; ways[0] and ways[lo:]

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import qident
-from qident import appell, cli, overpartitions, partitions, verify
+from qident import appell, cli, overpartitions, packed, partitions, verify
 from qident.cli import main
 from qident.series import BivariateSeries, QSeries
 from test_overpartitions import entries_string, filter_admissible
@@ -73,7 +73,7 @@ class TestReports:
     def test_machinery_aborts_on_a_slot_overflow(self, monkeypatch):
         # 8-bit slots are too narrow at q-order 60: R_3's a^0 row reaches the
         # guard bits, and every stage that had not decided aborts, naming it
-        monkeypatch.setattr(appell, "slot_width", lambda q_order: 8)
+        monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(): 8)
         rep = verify.verify_machinery(2, 60)
         assert rep.status == "aborted"
         assert {s.status for s in rep.subreports} == {"aborted"}
@@ -83,17 +83,20 @@ class TestReports:
     def test_corollary_aborts_on_a_slot_overflow(self, monkeypatch):
         # B's packed counts at (2, 0), n = 1000 reach 46 bits: 56-bit slots
         # hold them below the guard bits, and 48-bit slots, one byte
-        # narrower, do not; the report is aborted and names the width
-        packed = partitions._knapsack_split(1000, partitions._b_parts(1000, 2, 0))[0]
-        assert max(partitions._packed_knapsack(1000, packed)).bit_length() == 46
+        # narrower, do not; the report is aborted and names the width.  The
+        # knapsack's bound alone is narrowed: it has no distinct parts
+        parts = partitions.packed_parts(1000, partitions.b_parts(1000, 2, 0))
+        assert max(partitions._packed_knapsack(1000, parts)).bit_length() == 46
         rep = verify.verify_corollary(2, 0, 1000, 8)
         assert rep.status == "pass"
-        assert "72-bit slots" in rep.notes[-1] and "< 2^69" in rep.notes[-1]
-        monkeypatch.setattr(partitions, "knapsack_width", lambda n_max, parts: 56)
-        assert verify.verify_corollary(2, 0, 1000, 8).status == "pass"
-        monkeypatch.setattr(partitions, "knapsack_width", lambda n_max, parts: 48)
-        rep = verify.verify_corollary(2, 0, 1000, 8)
-        assert (rep.status, rep.witness) == ("aborted", None)
+        (note,) = [note for note in rep.notes if note.startswith("B's knapsack")]
+        assert "72-bit slots" in note and "< 2^69" in note
+        real = packed.slot_width
+        for width, status in ((56, "pass"), (48, "aborted")):
+            monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(): (
+                real(n, plain, distinct) if distinct else width))
+            rep = verify.verify_corollary(2, 0, 1000, 8)
+            assert (rep.status, rep.witness) == (status, None)
         assert len(rep.notes) == 1 and "guard bits of its 48-bit slots" in rep.notes[0]
 
     def test_schur_aborts_on_a_slot_overflow(self, monkeypatch):
@@ -102,12 +105,45 @@ class TestReports:
         note = "slot overflow: the knapsack reached the guard bits of its 8-bit slots"
 
         def overflowing(n_max, parts):
-            raise partitions.SlotOverflowError(note)
+            raise packed.SlotOverflowError(note)
 
-        assert verify.verify_schur(40).status == "pass"
+        rep = verify.verify_schur(40)
+        assert rep.status == "pass"
+        assert rep.notes == [packed.slot_note(
+            "the product's knapsack's parts p with p^2 > 40", 40,
+            partitions.packed_parts(40, partitions.schur_parts(40)))]
         monkeypatch.setattr(partitions, "_packed_knapsack", overflowing)
         rep = verify.verify_schur(40)
         assert (rep.status, rep.witness, rep.notes) == ("aborted", None, [note])
+
+    # each product's quotient columns have their guard bits read: with no
+    # parts in its bound, F = 1, the product's slots are too narrow (64 bits
+    # at n = 1000, 24 at n = 100), and the report or stage that reads the
+    # product is aborted, naming the width
+    def test_corollary_aborts_on_a_product_slot_overflow(self, monkeypatch):
+        monkeypatch.setattr(appell, "congruence_parts", lambda k, i, q_order: ((), ()))
+        rep = verify.verify_corollary(2, 0, 1000, 8)
+        assert (rep.status, rep.witness) == ("aborted", None)
+        assert len(rep.notes) == 1 and "guard bits of its 64-bit slots" in rep.notes[0]
+
+    def test_overpartition_aborts_on_a_product_slot_overflow(self, monkeypatch):
+        monkeypatch.setattr(appell, "product_parts", lambda k, q_order: ((), ()))
+        rep = verify.verify_overpartition(2, 100)
+        assert (rep.status, rep.witness) == ("aborted", None)
+        assert len(rep.notes) == 1 and "guard bits of its 24-bit slots" in rep.notes[0]
+
+    def test_machinery_aborts_on_a_product_slot_overflow(self, monkeypatch):
+        # the stream's bound is the product's at k = 1, which keeps its parts
+        real = appell.product_parts
+        monkeypatch.setattr(appell, "product_parts", lambda k, q_order: (
+            ((), ()) if k == 2 else real(k, q_order)))
+        rep = verify.verify_machinery(2, 100, closed_product_j=4, enum_j=4, enum_n=8)
+        sub = {s.identity: s for s in rep.subreports}
+        limit = sub.pop("machinery/appell-limit")
+        assert (limit.status, limit.witness) == ("aborted", None)
+        assert "guard bits of its 24-bit slots" in limit.notes[0]
+        assert {s.status for s in sub.values()} == {"pass"}
+        assert rep.status == "aborted"
 
     def test_machinery_aborts_without_stabilization(self):
         rep = verify.verify_machinery(3, 24, 20, closed_product_j=4, enum_j=3, enum_n=8)
@@ -453,6 +489,17 @@ ROUTE_SLIPS = [
     route_slip("partitions.state_total", (7,), {
         "machinery/bounded-enumeration": {"series": "P", "j": 0, "m": 2, "n": 7}},
         when=lambda states, m=0: m == 2),
+    # the one slot reader, which every packed route reads through: slot 1
+    # read one high.  B's knapsack and the product's odd class both read 2
+    # at n = 1, so C's walk is the route that differs there
+    route_slip("packed.read_slots", (1,), {
+        "overpartition": {"n": 0, "m": 1, "sweep_count": 0, "product_coefficient": 1},
+        "corollary": {"n": 1, "count_B": 2, "count_C": 1},
+        "schur": {"n": 1, "product_count": 2, "gap_count": 1},
+        "machinery/closed-product": {"j": 0, "a_degree": 0, "q_degree": 1},
+        "machinery/appell-limit": {"a_degree": 0, "q_degree": 1, "limit": 2, "product": 1},
+        "machinery/bounded-enumeration": {"series": "R", "j": 0, "m": 0, "n": 1},
+    }),
     route_slip("partitions.b_witnesses", (0,), {
         "golden-n10": {"product_expected_only": ["(9, 1)"]}}),
     route_slip("partitions.c_witnesses", (0,), {
@@ -477,14 +524,17 @@ UNROUTED = {
     "appell.require_depth": "a precondition: it raises or returns nothing",
     "appell.RSequence": "a type",
     "appell.StabilizationError": "a type",
-    "appell.SlotOverflowError": "a type",
-    "appell.slot_note": "the text of a note",
-    "partitions.SlotOverflowError": "a type",
-    "partitions.b_slot_note": "the text of a note",
+    "packed.SlotOverflowError": "a type",
+    "packed.slot_note": "the text of a note",
+    "appell.product_parts": "a route's parts: the text of a note",
+    "appell.congruence_parts": "a route's parts: the text of a note",
+    "partitions.packed_parts": "a route's parts: the text of a note",
+    "partitions.b_parts": "a route's parts: the text of a note",
+    "partitions.schur_parts": "a route's parts: the text of a note",
 }
 
 # the library modules whose definitions test_every_definition_has_a_caller reads
-LIBRARY = ("series", "partitions", "overpartitions", "appell", "verify")
+LIBRARY = ("series", "packed", "partitions", "overpartitions", "appell", "verify")
 
 # the definitions nothing in src references, each with the reason it stays;
 # a name the benchmark (perfbench/) binds or calls needs none
@@ -546,7 +596,7 @@ class TestMutations:
         read = {
             f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id in ("appell", "partitions", "overpartitions")
+            and node.value.id in ("appell", "packed", "partitions", "overpartitions")
         }
         slipped = {row.values[0] for row in ROUTE_SLIPS}
         assert read - slipped - UNROUTED.keys() == set()
@@ -823,17 +873,18 @@ class TestMutations:
 
     def test_corollary_inverse_off_by_one(self, monkeypatch):
         # a slip in the product route's division by Euler's product reaches
-        # that route alone: the even class's q^20 is n = 40, and the knapsack
-        # keeps count_B, so the two routes share no kernel
+        # that route alone: 1 added to column 20 lands in its bottom slot,
+        # the odd class's q^20, which is n = 41, and the knapsack keeps
+        # count_B, so the two routes share no kernel
         count_b = partitions.count_B_table(60, 2, 0)
         monkeypatch.setattr(appell, "_divide_rows", bumped(
             appell._divide_rows, (0, 20), when=lambda rows, unit: len(rows[0]) > 20))
         assert partitions.count_B_table(60, 2, 0) == count_b
         rep = verify.verify_corollary(2, 0, 60, 12)
         assert rep.status == "fail"
-        assert rep.witness["n"] == 40
-        assert rep.witness["count_B"] == count_b[40]
-        assert rep.witness["product_coefficient"] == count_b[40] + 1
+        assert rep.witness["n"] == 41
+        assert rep.witness["count_B"] == count_b[41]
+        assert rep.witness["product_coefficient"] == count_b[41] + 1
 
     def test_euler_product_off_by_one(self, monkeypatch):
         # a slip in Euler's product reaches the two product routes alone: the
