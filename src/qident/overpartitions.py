@@ -259,15 +259,14 @@ def count_Dk_table(n_max: int, k: int, m_max: int | None = None) -> list:
     """table[m][n] = D_k(m, n) for m <= m_max (default n_max), n <= n_max,
     from the sweep."""
     m_max = n_max if m_max is None else m_max
-    states = final_states(dk_sweep(n_max, k, m_max))
-    return [state_total(states, m) for m in range(m_max + 1)]
+    return state_total(final_states(dk_sweep(n_max, k, m_max)))
 
 
 def count_pj(m: int, n: int, j: int, k: int) -> int:
     """Admissible overpartitions of n with m overlines and all parts <= j:
     one sweep to value j at weight n."""
     check_params(k, j=j)
-    return state_total(final_states(dk_sweep(n, k, m, j)), m)[n] if m >= 0 else 0
+    return state_total(final_states(dk_sweep(n, k, m, j)))[m][n] if m >= 0 else 0
 
 
 def count_rj(m: int, n: int, j: int, k: int) -> int:

@@ -178,9 +178,13 @@ def final_states(snapshots: Iterator[dict]) -> dict:
     return deque(snapshots, maxlen=1)[0]
 
 
-def state_total(states: dict, m: int = 0) -> list:
-    """a-row m of a sweep's states, summed over every state."""
-    return [sum(column) for column in zip(*(rows[m] for rows in states.values()))]
+def state_total(states: dict) -> list:
+    """Every a-row of a sweep's states, summed over the states, as new rows."""
+    rows = iter(states.values())
+    total = [list(row) for row in next(rows)]
+    for more in rows:
+        total = [list(map(add, a, b)) for a, b in zip(total, more)]
+    return total
 
 
 def _count_by_dp(n_max: int, allowed_parts: Sequence[int]) -> list:
@@ -462,7 +466,8 @@ def count_C_table(n_max: int, k: int, i: int) -> list:
     """C_{i,k}(0..n_max) from the corollary's sweep; the phrasings' walks
     are walk_C_table."""
     check_params(k, i, n_max=n_max)
-    return state_total(final_states(sweep(n_max, (2 * k, 2 * i + 1), _corollary_moves(k, i))))
+    states = final_states(sweep(n_max, (2 * k, 2 * i + 1), _corollary_moves(k, i)))
+    return state_total(states)[0]
 
 
 def walk_C_table(n_max: int, k: int, i: int, phrasing: str = "corollary") -> list:
@@ -527,7 +532,7 @@ def _schur_moves(v: int, state: tuple) -> list:
 def count_schur_gap_table(n_max: int) -> list:
     """Gap partitions of Schur's identity for n = 0..n_max, from the sweep."""
     check_params(n_max=n_max)
-    return state_total(final_states(sweep(n_max, (6, False), _schur_moves)))
+    return state_total(final_states(sweep(n_max, (6, False), _schur_moves)))[0]
 
 
 def walk_schur_gap_table(n_max: int) -> list:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Iterable, Sequence
 
 # The convolution kernel.  bivar_mul is the one multiply loop; conv_trunc,
 # the product of two q-series, is its one-row case.  QSeries and
@@ -116,13 +115,6 @@ def _shifted(items: tuple, exp: int, zero=0) -> tuple:
     return (zero,) * (len(items) - len(kept)) + tuple(kept)
 
 
-def _as_coeff_tuple(coeffs: Iterable[int], order: int) -> tuple:
-    out = list(coeffs)[: order + 1]
-    if len(out) < order + 1:
-        out.extend([0] * (order + 1 - len(out)))
-    return tuple(int(c) for c in out)
-
-
 @dataclass(frozen=True)
 class QSeries:
     """A truncated formal power series in q with integer coefficients."""
@@ -132,23 +124,6 @@ class QSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[int], order: int | None = None) -> "QSeries":
-        """Build a series, padding with zeros (or truncating) to `order`."""
-        if order is None:
-            order = len(coeffs) - 1 if len(coeffs) else 0
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        return cls(_as_coeff_tuple(coeffs, order))
-
-    @classmethod
-    def zero(cls, order: int) -> "QSeries":
-        return cls.from_coeffs([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "QSeries":
-        return cls.from_coeffs([1], order)
 
     def coefficient(self, n: int) -> int:
         """Coefficient of q^n; raises IndexError beyond the truncation order."""
@@ -221,11 +196,6 @@ class BivariateSeries:
     @property
     def q_order(self) -> int:
         return len(self.coeffs[0]) - 1
-
-    @classmethod
-    def zero(cls, a_order: int, q_order: int) -> "BivariateSeries":
-        row = (0,) * (q_order + 1)
-        return cls(tuple(row for _ in range(a_order + 1)))
 
     @classmethod
     def one(cls, a_order: int, q_order: int) -> "BivariateSeries":

@@ -432,7 +432,7 @@ def _bounded_enumeration(k: int, q_order: int, j_top: int, n_top: int):
     head = appell.RSequence(k, q_order, appell.max_overline_count(k, q_order), [])
     for j, states in enumerate(overpartitions.dk_sweep(n_top, k, m_top, j_top)):
         head.terms.append(appell.unpack((yield)[-1]))
-        p_rows = [partitions.state_total(states, m) for m in range(m_top + 1)]
+        p_rows = partitions.state_total(states)
         routes = (("R", states[k], head.terms[j]), ("P", p_rows, appell.pj_series(head, j)))
         if all(counts == [list(row[: n_top + 1]) for row in coeff.coeffs[: m_top + 1]]
                for _, counts, coeff in routes):

@@ -412,28 +412,6 @@ class TestCountC:
             assert count_C_table(25, k, k - 1) == walk_C_table(25, k, k - 1, "thm12"), k
             assert count_C_table(25, k, 0) == walk_C_table(25, k, 0, "thm13"), k
 
-    def test_walks_borrow_no_route(self, monkeypatch):
-        # each phrasing's walk runs on its own rule alone: with every other
-        # route raising, the theorem walks still count C (the corollary
-        # sweep's table), and so does the corollary walk with the theorem
-        # rules raising.  No whole-partition predicate runs in either.
-        expected = {(k, i): count_C_table(25, k, i) for k in range(2, 6) for i in range(k)}
-
-        def raising(*args):
-            raise AssertionError("another route was called")
-
-        with monkeypatch.context() as patched:
-            for name in ("_corollary_rule", "satisfies_corollary", "satisfies_thm12",
-                         "satisfies_thm13"):
-                patched.setattr(partitions, name, raising)
-            for k in range(2, 6):
-                assert walk_C_table(25, k, k - 1, "thm12") == expected[k, k - 1], k
-                assert walk_C_table(25, k, 0, "thm13") == expected[k, 0], k
-        for name in ("_thm12_rule", "_thm13_rule"):
-            monkeypatch.setattr(partitions, name, raising)
-        for (k, i), table in expected.items():
-            assert walk_C_table(25, k, i, "corollary") == table, (k, i)
-
     def test_monotone_inclusion_in_k(self):
         # the forbidden windows grow with k, so witnesses at k+1 embed in k
         for k in range(2, 5):
@@ -496,21 +474,6 @@ class TestSchur:
         want = schur_product_by_binomials(200)
         for n_max in range(201):
             assert count_schur_product_table(n_max) == want[: n_max + 1], n_max
-
-    def test_sum_routes_share_no_kernel_with_the_product(self, monkeypatch):
-        # the sweep's moves are SKIP and ONE, so neither it nor the walk runs
-        # the knapsack's kernels; the product runs them
-        product = count_schur_product_table(45)
-
-        def raising(*args, **kwargs):
-            raise AssertionError("a kernel of the product ran")
-
-        for kernel in ("_count_by_dp", "_packed_knapsack", "_add_part"):
-            monkeypatch.setattr(partitions, kernel, raising)
-        assert count_schur_gap_table(45) == product
-        assert partitions.walk_schur_gap_table(45) == product
-        with pytest.raises(AssertionError, match="product ran"):
-            count_schur_product_table(45)
 
     def test_product_rejects_negative_order(self):
         with pytest.raises(ValueError, match="n_max must be non-negative"):
