@@ -175,9 +175,9 @@ def r_terms(k: int, j_max: int, q_order: int) -> Iterator:
     steps' partial products sum fewer terms of R_j.  So the slots are as
     wide as packed.slot_width gives for product_parts(1, q_order), the
     overpartitions' generating function.  The guard bits are read after
-    every third addition to a row and at the end of each row; a slot that
-    reaches them raises SlotOverflowError naming j and the a-row that a
-    read after every addition would name.  Only the last k terms are kept.
+    every packed.GUARD_BITS-th addition to a row and at the end of each
+    row; a slot that reaches them raises SlotOverflowError naming j and the
+    a-row that a read after every addition would name.  Only the last k terms are kept.
     The parameters are checked at the call, before the first term.
     """
     check_params(k, j_max=j_max, q_order=q_order)
@@ -187,7 +187,7 @@ def r_terms(k: int, j_max: int, q_order: int) -> Iterator:
 def _r_terms(k: int, j_max: int, q_order: int) -> Iterator:
     a_order = max_overline_count(k, q_order)
     width = packed.slot_width(q_order, *product_parts(1, q_order))
-    guard = packed.guard_mask(width, q_order + 1)
+    guard, cadence = packed.guard_mask(width, q_order + 1), packed.GUARD_BITS
 
     one = PackedTerm((1 << width * q_order,) + (0,) * a_order, width, q_order)
     window = deque([one], maxlen=k)  # R_{j-k}..R_{j-1}
@@ -210,11 +210,11 @@ def _r_terms(k: int, j_max: int, q_order: int) -> Iterator:
         for m, row in enumerate(rows):
             if not row:
                 continue
-            # from slots below 2^{w-3}, three additions stay below 2^w and
-            # carry nothing, so the guard is read after every third and at the end
+            # from slots below 2^{w-G}, G = GUARD_BITS additions stay below 2^w
+            # and carry nothing, so the guard is read after every G-th and at the end
             for t, bits in enumerate(steps, 1 + (added and m > 0)):
                 row += row >> bits
-                if t % 3 == 0 and row & guard:
+                if t % cadence == 0 and row & guard:
                     break
             if row & guard:
                 # an add step that tripped a later row is named first, as a

@@ -78,10 +78,9 @@ def _divide_rows(rows, unit) -> list:
     row's length: t[d] = eps * (row[d] - sum_{i>=1} unit[i] t[d - i]), with
     eps = unit[0] = +-1 and the sum over the nonzero unit[i] only, so
     dividing by the sparse Euler product (q; q)_inf is the pentagonal
-    recurrence.  unit must reach every row's order; t is 0 below the row's
-    first nonzero coefficient, so the loop starts there.  Only integer
-    adds and products by the unit's coefficients are used, so a row of
-    packed columns is divided exactly, each slot as its own row."""
+    recurrence.  unit must reach every row's order.  Only integer adds and
+    products by the unit's coefficients are used, so a row of packed
+    columns is divided exactly, each slot as its own row."""
     eps = unit[0]
     if eps not in (1, -1):
         raise ValueError(f"constant term {eps} is not a unit in the integers")
@@ -89,8 +88,7 @@ def _divide_rows(rows, unit) -> list:
     out = []
     for row in rows:
         t = [0] * len(row)
-        start = next((d for d, c in enumerate(row) if c), len(row))
-        for d in range(start, len(row)):
+        for d in range(len(row)):
             s = 0
             for i, ci in nonzero:
                 if i > d:

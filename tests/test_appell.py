@@ -79,14 +79,14 @@ def r_terms_full_rows(k, j_max, q_order, a_order):
     return terms
 
 
-def guard_trip_per_addition(k, j_max, q_order, width):
-    """(j, a-degree) of the first a-row of R_1..R_{j_max} to reach its guard
-    bits, or None: the stream's loop on rows packed lowest q-degree first,
-    each shift masked to the slots that stay at or below q^{q_order}, and
-    the guard read after every addition."""
+def guard_trip_per_addition(k, j_max, q_order, width, guard_bits):
+    """(j, a-degree) of the first a-row of R_1..R_{j_max} to reach its top
+    guard_bits bits, or None: the stream's loop on rows packed lowest
+    q-degree first, each shift masked to the slots that stay at or below
+    q^{q_order}, and the guard read after every addition."""
     a_order = max_overline_count(k, q_order)
     ones = ((1 << width * (q_order + 1)) - 1) // ((1 << width) - 1)
-    guard = ones * (7 << (width - 3))
+    guard = ones * ((1 << guard_bits) - 1 << width - guard_bits)
 
     def low_slots(s):
         return (1 << width * (q_order + 1 - s)) - 1
@@ -331,29 +331,32 @@ class TestPackedRows:
         with pytest.raises(SlotOverflowError, match=r"a\^0 row of R_3 .* 8-bit slots"):
             next(terms)
 
-    # the guard is read after every third addition and at the end of each
-    # row; the stream must still name the row a read after every addition
-    # names.  At 16-bit slots, q_order 48, and at 24-bit slots, q_order 100
-    # (k = 2) and 68 (k = 5), R_j's a^1 row trips in its add step and its
-    # a^0 row only in the division, so a stream that read each row once,
-    # in order, would name the a^0 row
+    # the guard is read after every G-th addition, G = packed.GUARD_BITS, and
+    # at the end of each row; the stream must still name the row a read
+    # after every addition names, for G = 3 and for the G it would read at
+    # with 2 or 4 guard bits.  At 16-bit slots, q_order 48, and at 24-bit
+    # slots, q_order 100 (k = 2) and 68 (k = 5), R_j's a^1 row trips in its
+    # add step and its a^0 row only in the division, so a stream that read
+    # each row once, in order, would name the a^0 row
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("width", [8, 16, 24])
     def test_guard_read_every_third_addition_names_the_same_row(self, monkeypatch, k, width):
         monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(): width)
-        trips = 0
-        for q_order in range(0, 121, 4):
-            want = guard_trip_per_addition(k, q_order + k, q_order, width)
-            try:
-                for _ in r_terms(k, q_order + k, q_order):
-                    pass
-                got = None
-            except SlotOverflowError as exc:
-                m, j = map(int, re.search(r"a\^(\d+) row of R_(\d+) ", str(exc)).groups())
-                got = j, m
-            assert got == want, q_order
-            trips += got is not None
-        assert trips >= 10
+        for guard_bits in (2, 3, 4):
+            monkeypatch.setattr(packed, "GUARD_BITS", guard_bits)
+            trips = 0
+            for q_order in range(0, 121, 4):
+                want = guard_trip_per_addition(k, q_order + k, q_order, width, guard_bits)
+                try:
+                    for _ in r_terms(k, q_order + k, q_order):
+                        pass
+                    got = None
+                except SlotOverflowError as exc:
+                    m, j = map(int, re.search(r"a\^(\d+) row of R_(\d+) ", str(exc)).groups())
+                    got = j, m
+                assert got == want, (guard_bits, q_order)
+                trips += got is not None
+            assert trips >= 10, guard_bits
 
 
 class TestBuildR:

@@ -45,36 +45,6 @@ def filter_bounded(n, j_max, k, m_max):
     return r, p
 
 
-def single_weight_bounded(n, j_max, k, m_max):
-    """The bounded tables of one weight n, [j][m], from the partitions of n
-    alone: the per-n route the bounded counts took before the sweep."""
-    r_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
-    p_first = [[0] * (m_max + 1) for _ in range(j_max + 1)]
-    for groups, masks in walk_masks(n, k):
-        largest = groups[0][0] if groups else 0
-        if largest > j_max:
-            continue
-        for mask in masks:
-            m = mask.bit_count()
-            if m > m_max:
-                continue
-            r_from = largest
-            if mask:
-                top_over = groups[(mask & -mask).bit_length() - 1][0]
-                r_from = max(largest, top_over + k - 1)
-            p_first[largest][m] += 1
-            if r_from <= j_max:
-                r_first[r_from][m] += 1
-
-    def accumulate(first):
-        out = [first[0]]
-        for row in first[1:]:
-            out.append([a + b for a, b in zip(out[-1], row)])
-        return out
-
-    return accumulate(r_first), accumulate(p_first)
-
-
 def sweep_tables(n_max, j_max, k, m_max):
     """r[n][j][m] and p[n][j][m], read off dk_sweep's snapshot after each
     value j <= j_max: R_j from state k, P_j from every state."""
@@ -377,17 +347,11 @@ class TestBoundedCounters:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_tables_match_per_cell_filter(self, k):
-        r, p = sweep_tables(12, 8, k, 12)
-        for n in range(13):
-            assert (r[n], p[n]) == filter_bounded(n, 8, k, 12), n
-
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    @pytest.mark.parametrize("m_max", [2, 14])
-    def test_every_weight_matches_single_weight_tables(self, k, m_max):
-        r, p = sweep_tables(14, 8, k, m_max)
-        assert len(r) == len(p) == 15
-        for n in range(15):
-            assert (r[n], p[n]) == single_weight_bounded(n, 8, k, m_max), n
+        for m_max in (2, 14):
+            r, p = sweep_tables(14, 8, k, m_max)
+            assert len(r) == len(p) == 15
+            for n in range(15):
+                assert (r[n], p[n]) == filter_bounded(n, 8, k, m_max), (m_max, n)
 
     @pytest.mark.parametrize("n_max, j_max, k, m_max", [
         (14, 5, 2, max_overline_count(2, 14)),
@@ -400,7 +364,7 @@ class TestBoundedCounters:
     def test_tables_match_per_partition_oracle(self, n_max, j_max, k, m_max):
         r, p = sweep_tables(n_max, j_max, k, m_max)
         for n in range(n_max + 1):
-            assert (r[n], p[n]) == single_weight_bounded(n, j_max, k, m_max), n
+            assert (r[n], p[n]) == filter_bounded(n, j_max, k, m_max), n
 
     def test_negative_m_counts_nothing(self):
         assert count_pj(-1, 4, 4, 2) == 0
