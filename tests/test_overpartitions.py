@@ -347,11 +347,17 @@ class TestBoundedCounters:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_tables_match_per_cell_filter(self, k):
-        for m_max in (2, 14):
-            r, p = sweep_tables(14, 8, k, m_max)
-            assert len(r) == len(p) == 15
-            for n in range(15):
-                assert (r[n], p[n]) == filter_bounded(n, 8, k, m_max), (m_max, n)
+        r, p = sweep_tables(12, 12, k, 12)
+        for n in range(13):
+            assert (r[n], p[n]) == filter_bounded(n, 12, k, 12), n
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("m_max", [2, 14])
+    def test_every_weight_matches_single_weight_tables(self, k, m_max):
+        r, p = sweep_tables(14, 8, k, m_max)
+        assert len(r) == len(p) == 15
+        for n in range(15):
+            assert (r[n], p[n]) == filter_bounded(n, 8, k, m_max), n
 
     @pytest.mark.parametrize("n_max, j_max, k, m_max", [
         (14, 5, 2, max_overline_count(2, 14)),

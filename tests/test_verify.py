@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from collections.abc import Callable, Iterator
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -821,6 +822,30 @@ class TestMutations:
         cut = row._replace(caught={stage: row.caught[stage]})
         assert slip_misses(monkeypatch, cut).keys() == {
             "machinery/closed-product", "machinery/appell-limit", "machinery/bounded-enumeration"}
+
+    @staticmethod
+    def narrowed(monkeypatch, route, at, **ranges):
+        """The misses of the ROUTE_SLIPS row bumping route at `at`, run
+        under VERIFIERS' machinery call with the stage ranges given."""
+        (row,) = [r for r in ROUTE_SLIPS if r[:2] == (route, at)]
+        ranges = {"closed_product_j": 6, "enum_j": 6, "enum_n": 10, **ranges}
+        call = partial(verify.verify_machinery, 2, 16, 20, **ranges)
+        return slip_misses(monkeypatch, row._replace(calls={"machinery": call}))
+
+    # three rows' slips, still caught alone when another stage's range shrinks
+    @pytest.mark.parametrize("series, j, m, n", [("R", 3, 1, 5)])
+    def test_bounded_enumeration_perturbed_table(self, monkeypatch, series, j, m, n):
+        assert self.narrowed(monkeypatch, "overpartitions.dk_sweep", (j, 2, m, n),
+                             closed_product_j=4) == {}
+
+    @pytest.mark.parametrize("j, m, n", [(4, 2, 7)])
+    def test_bounded_enumeration_perturbed_pj_series(self, monkeypatch, j, m, n):
+        assert self.narrowed(monkeypatch, "appell.pj_series", (m, n), closed_product_j=4) == {}
+
+    @pytest.mark.parametrize("j", [3])
+    def test_closed_product_perturbed_coefficient(self, monkeypatch, j):
+        assert self.narrowed(monkeypatch, "appell.closed_product_F_coefficients",
+                             (j, 1, j + 2), enum_j=3, enum_n=8) == {}
 
     def test_every_route_has_a_slip(self):
         # every module name verify reads has a row, or a reason in UNROUTED
