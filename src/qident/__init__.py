@@ -1,10 +1,10 @@
 """Mechanical verification of a family of partition and overpartition identities.
 
-Both sides of each identity are computed two independent ways: enumeration
-pruned by the combinatorial rules, and exact truncated q-series
-arithmetic (infinite products, a q-difference recursion, and a formal
-Appell-style limit).  Verifiers report agreement or the first
-counterexample.
+Each identity is checked by independent routes: a sweep over the part values
+counts the sum sides with no object built, exact q-series arithmetic (B's
+knapsack, packed products, a q-difference recursion, an Appell-style limit)
+the product sides, and pruned enumeration lists the witnesses and tallies the
+C and Schur walks.  Verifiers report agreement or the first counterexample.
 """
 
 from .appell import (

@@ -23,9 +23,9 @@ reads R_j, R_{j-1}, R_{j-k}; limit_step reads R_j, R_{j-1}), so a caller
 can check them as the terms arrive; check_functional_equation and
 appell_limit are the same steps looped over an RSequence, packed first.
 
-The stream's terms are packed (PackedTerm): a-row m of R_j is one integer,
-q^0 on top, so a row add is one integer add and a shift by q^s one right
-shift; unpack turns a term into a BivariateSeries where it is read.
+The stream's terms are packed (PackedTerm): a-row m of R_j is one integer
+of unsigned counts, q^0 on top, so a row add is one integer add and a shift
+by q^s a bare right shift; unpack turns a term into a BivariateSeries.
 
 Euler's two identities give R_j in closed form: its a^d row is
 q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}).  The closed product
@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import add, rshift
+from operator import add
 
 from . import packed
 from .partitions import _count_by_dp, check_params
@@ -101,40 +101,31 @@ def congruence_parts(k: int, i: int, q_order: int) -> tuple:
 class PackedTerm:
     """R_j(a, q) with a-row m in the packed layout: rows[m] =
     sum_n c_{m,n} 2^{width (q_order - n)}, n <= q_order, so q^0 is the top
-    slot.  A slot may hold a signed value below 2^{width - 1}; signed, set
-    by pack, says some slot is negative."""
+    slot.  A coefficient counts objects, so every slot is unsigned, below
+    2^{width - GUARD_BITS}, and a shift by q^s is a bare right shift."""
 
     rows: tuple
     width: int
     q_order: int
-    signed: bool = False
 
 
 def pack(series: BivariateSeries, width: int) -> PackedTerm:
-    """series with each a-row packed into `width`-bit slots, q^0 on top; a
-    coefficient must be a signed value below 2^{width - 1}."""
-    rows = tuple(packed.pack_row(row, width) for row in series.coeffs)
-    return PackedTerm(rows, width, series.q_order, any(c < 0 for row in series.coeffs for c in row))
+    """series with each a-row packed into `width`-bit slots, q^0 on top.  An
+    R_j coefficient counts objects: the first, a-degree before q-degree,
+    outside [0, 2^{width - GUARD_BITS}) raises ValueError naming it."""
+    top = 1 << (width - packed.GUARD_BITS)
+    for m, row in enumerate(series.coeffs):
+        if not 0 <= min(row) <= max(row) < top:
+            n, c = next((n, c) for n, c in enumerate(row) if not 0 <= c < top)
+            raise ValueError(f"coefficient {c} of a^{m} q^{n} is outside [0, {top})")
+    return PackedTerm(tuple(packed.pack_row(row, width) for row in series.coeffs), width, series.q_order)
 
 
 def unpack(term: PackedTerm) -> BivariateSeries:
     """The BivariateSeries whose a-rows term packs."""
     n1 = term.q_order + 1
     return BivariateSeries(tuple(
-        tuple(packed.read_slots(row, term.width, n1, term.signed)) if row else (0,) * n1
-        for row in term.rows))
-
-
-def _round_shift(x: int, bits: int) -> int:
-    """x >> bits for a row with signed slots: rounded, not floored, so the
-    slots shifted out, which sum to less than 2^{bits - 1} in absolute
-    value, borrow nothing from the slots kept."""
-    return (x + (1 << bits >> 1)) >> bits
-
-
-def _shifter(term: PackedTerm):
-    """The right shift that drops the low slots of term's rows exactly."""
-    return _round_shift if term.signed else rshift
+        tuple(packed.read_slots(row, term.width, n1)) if row else (0,) * n1 for row in term.rows))
 
 
 @dataclass
@@ -153,8 +144,9 @@ class RSequence:
 
 def _packed(rs: RSequence) -> list:
     """rs's terms packed in slots wide enough for its largest coefficient,
-    so the checks are exact for any RSequence, a perturbed one included."""
-    top = max((abs(c) for t in rs.terms for row in t.coeffs for c in row), default=0)
+    so the checks are exact for any RSequence of counts, a perturbed one
+    included; pack refuses a negative one."""
+    top = max((c for t in rs.terms for row in t.coeffs for c in row), default=0)
     width = packed.whole_bytes(top.bit_length())
     return [pack(t, width) for t in rs.terms]
 
@@ -170,15 +162,19 @@ def r_terms(k: int, j_max: int, q_order: int) -> Iterator:
     of 1/(1 - q^j) = (1 + q^j)(1 + q^{2j})(1 + q^{4j})...  Each shift drops
     the slots past q^{q_order}.
 
-    Every value reached counts overpartitions of some n <= q_order: the add
-    step's R_{j-1} + a q^{j-k+1} R_{j-k} is (1 - q^j) R_j, and the doubling
-    steps' partial products sum fewer terms of R_j.  So the slots are as
-    wide as packed.slot_width gives for product_parts(1, q_order), the
-    overpartitions' generating function.  The guard bits are read after
-    every packed.GUARD_BITS-th addition to a row and at the end of each
-    row; a slot that reaches them raises SlotOverflowError naming j and the
-    a-row that a read after every addition would name.  Only the last k terms are kept.
-    The parameters are checked at the call, before the first term.
+    Every value formed while building R_j is at most the matching
+    coefficient of R_j, a count of D_k objects of weight <= q_order (the add
+    step forms (1 - q^j) R_j, each doubling step a partial sum of R_j's
+    series), so under packed.slot_width's bound for product_parts(1,
+    q_order) no slot reaches its guard bits.  They are read once per term,
+    after the doubling steps, as in _packed_knapsack; a slot holding one
+    raises SlotOverflowError naming j and the lowest a-row holding one.
+    Given up, as there and in the products: were the width wrong by
+    GUARD_BITS bits or more, a carry could clear a guard bit before the
+    read, though a stream so corrupted would still have to agree with
+    routes sharing none of its arithmetic for any stage to pass.  Only the
+    last k terms are kept; the parameters are checked at the call, before
+    the first term.
     """
     check_params(k, j_max=j_max, q_order=q_order)
     return _r_terms(k, j_max, q_order)
@@ -187,7 +183,7 @@ def r_terms(k: int, j_max: int, q_order: int) -> Iterator:
 def _r_terms(k: int, j_max: int, q_order: int) -> Iterator:
     a_order = max_overline_count(k, q_order)
     width = packed.slot_width(q_order, *product_parts(1, q_order))
-    guard, cadence = packed.guard_mask(width, q_order + 1), packed.GUARD_BITS
+    guard = packed.guard_mask(width, q_order + 1)
 
     one = PackedTerm((1 << width * q_order,) + (0,) * a_order, width, q_order)
     window = deque([one], maxlen=k)  # R_{j-k}..R_{j-1}
@@ -195,35 +191,24 @@ def _r_terms(k: int, j_max: int, q_order: int) -> Iterator:
     for j in range(1, j_max + 1):
         rows = list(window[-1].rows)
         s = j - k + 1
-        added = j >= k and s <= q_order
-        if added:
+        if j >= k and s <= q_order:
             # row m gains row m - 1 shifted by q^s; the slots past q^{q_order} fall off
             bits = width * s
             for m, low in enumerate(window[0].rows[:a_order], 1):
                 if low:
                     rows[m] += low >> bits
-        steps = []
-        s = j
-        while s <= q_order:
-            steps.append(width * s)
-            s *= 2
+        # the doubling steps' shifts: q^s for s = j, 2j, 4j, ... <= q_order
+        steps = [width * j << t for t in range((q_order // j).bit_length())]
         for m, row in enumerate(rows):
-            if not row:
-                continue
-            # from slots below 2^{w-G}, G = GUARD_BITS additions stay below 2^w
-            # and carry nothing, so the guard is read after every G-th and at the end
-            for t, bits in enumerate(steps, 1 + (added and m > 0)):
-                row += row >> bits
-                if t % cadence == 0 and row & guard:
-                    break
+            if row:
+                for bits in steps:
+                    row += row >> bits
+                rows[m] = row
+        for m, row in enumerate(rows):
             if row & guard:
-                # an add step that tripped a later row is named first, as a
-                # check after every addition would: rows[m:] still hold those sums
-                m = next((t for t in range(m, len(rows)) if rows[t] & guard), m)
                 raise packed.SlotOverflowError(
                     f"slot overflow: the a^{m} row of R_{j} reached the guard bits of its"
                     f" {width}-bit slots at q_order={q_order}")
-            rows[m] = row
         window.append(PackedTerm(tuple(rows), width, q_order))
         yield window[-1]
 
@@ -245,12 +230,11 @@ def functional_equation_step(k: int, j: int, term, prev, low) -> tuple | None:
     q-degree), a-degree before q-degree, or None.
     """
     width, slots = term.width, term.q_order + 1
-    shift, bits = _shifter(term), width * j
     lows = (0, *low.rows) if low is not None else (0,) * len(term.rows)
     for m, (row, before, under) in enumerate(zip(term.rows, prev.rows, lows)):
-        residue = row - before - shift(row, bits)
+        residue = row - before - (row >> width * j)
         if under:  # a q^{j-k+1} R_{j-k}
-            residue -= _shifter(low)(under, width * (j - k + 1))
+            residue -= under >> width * (j - k + 1)
         if residue:
             return m, packed.first_slot(residue, width, slots)
     return None
@@ -312,9 +296,8 @@ def limit_step(k: int, j: int, term, prev) -> PackedTerm:
     width = term.width
     slots = min(j - k + 1, term.q_order + 1)
     cut = width * (term.q_order + 1 - slots)
-    shift, prev_shift = _shifter(term), _shifter(prev)
     for m, (row, before) in enumerate(zip(term.rows, prev.rows)):
-        kept, kept_before = shift(row, cut), prev_shift(before, cut)
+        kept, kept_before = row >> cut, before >> cut
         if kept != kept_before:
             e = packed.first_slot(kept - kept_before, width, slots)
             raise StabilizationError(

@@ -1,7 +1,6 @@
 """The recursion, functional equation, closed product, and formal limit."""
 
 import re
-from collections import deque
 from itertools import islice
 from operator import add
 
@@ -79,35 +78,15 @@ def r_terms_full_rows(k, j_max, q_order, a_order):
     return terms
 
 
-def guard_trip_per_addition(k, j_max, q_order, width, guard_bits):
-    """(j, a-degree) of the first a-row of R_1..R_{j_max} to reach its top
-    guard_bits bits, or None: the stream's loop on rows packed lowest
-    q-degree first, each shift masked to the slots that stay at or below
-    q^{q_order}, and the guard read after every addition."""
-    a_order = max_overline_count(k, q_order)
-    ones = ((1 << width * (q_order + 1)) - 1) // ((1 << width) - 1)
-    guard = ones * ((1 << guard_bits) - 1 << width - guard_bits)
-
-    def low_slots(s):
-        return (1 << width * (q_order + 1 - s)) - 1
-
-    window = deque([(1,) + (0,) * a_order], maxlen=k)
-    for j in range(1, j_max + 1):
-        rows = list(window[-1])
-        s = j - k + 1
-        if j >= k and s <= q_order:
-            for m, low in enumerate(window[0][:a_order], 1):
-                rows[m] += (low & low_slots(s)) << width * s
-                if rows[m] & guard:
-                    return j, m
-        for m in range(len(rows)):
-            s = j
-            while s <= q_order:
-                rows[m] += (rows[m] & low_slots(s)) << width * s
-                if rows[m] & guard:
-                    return j, m
-                s *= 2
-        window.append(tuple(rows))
+def first_past_the_bound(terms, width, guard_bits):
+    """(j, a-degree) of the first R_j among terms with a coefficient at or
+    above 2^{width - guard_bits}, the a-degree the lowest row holding one,
+    or None: where the stream's guard read must trip, read off the values."""
+    top = 1 << (width - guard_bits)
+    for j, term in enumerate(terms):
+        for m, row in enumerate(term.coeffs):
+            if max(row) >= top:
+                return j, m
     return None
 
 
@@ -303,24 +282,31 @@ class TestPackedRows:
         # R_{j_max} is settled: its a^0 row is p(n) at n = 500
         assert unpack(last).coefficient(0, 500) == 2300165032574323995027
 
-    # signed values at the slot's extremes, in the last slot, n = q_order,
-    # and at a-degree 0, where a mask or bias one slot off would show
+    # counts at the slot's extremes, 0 and 2^{w-3} - 1, in the last slot,
+    # n = q_order, and at a-degree 0, where a mask or bias one slot off would
+    # show; one cell just outside [0, 2^{w-3}) is refused, and named
     @given(st.integers(0, 3), st.integers(0, 12), st.sampled_from([8, 16, 48]), st.data())
     @example(0, 0, 8, None)
     @settings(max_examples=60, deadline=None)
     def test_pack_round_trip(self, a_order, q_order, width, data):
-        half = 1 << (width - 1)
+        top = 1 << (width - 3)
         if data is None:
-            rows = ((-half,),)
+            rows, m, n = ((top - 1,),), 0, 0
         else:
-            value = st.integers(-half, half - 1) | st.sampled_from([-half, half - 1, -1, 0, 1])
+            value = st.integers(0, top - 1) | st.sampled_from([0, 1, top - 1])
             rows = tuple(tuple(data.draw(st.lists(value, min_size=q_order + 1,
                                                   max_size=q_order + 1)))
                          for _ in range(a_order + 1))
+            m, n = data.draw(st.integers(0, a_order)), data.draw(st.integers(0, q_order))
         series = BivariateSeries(rows)
         term = pack(series, width)
         assert unpack(term) == series
         assert (term.width, term.q_order, len(term.rows)) == (width, q_order, a_order + 1)
+        for past in (-1, top):
+            cells = [list(r) for r in rows]
+            cells[m][n] = past
+            with pytest.raises(ValueError, match=rf"coefficient {past} of a\^{m} q\^{n} "):
+                pack(BivariateSeries(tuple(map(tuple, cells))), width)
 
     def test_guard_bits_trip_in_the_stream(self, monkeypatch):
         # 8-bit slots hold values below 2^5 = 32: R_2's a^0 row is at most
@@ -331,32 +317,31 @@ class TestPackedRows:
         with pytest.raises(SlotOverflowError, match=r"a\^0 row of R_3 .* 8-bit slots"):
             next(terms)
 
-    # the guard is read after every G-th addition, G = packed.GUARD_BITS, and
-    # at the end of each row; the stream must still name the row a read
-    # after every addition names, for G = 3 and for the G it would read at
-    # with 2 or 4 guard bits.  At 16-bit slots, q_order 48, and at 24-bit
-    # slots, q_order 100 (k = 2) and 68 (k = 5), R_j's a^1 row trips in its
-    # add step and its a^0 row only in the division, so a stream that read
-    # each row once, in order, would name the a^0 row
+    # the guard is read once per term, after its doubling steps: for
+    # G = packed.GUARD_BITS = 3, and for 2 and 4 guard bits, the stream must
+    # trip at the first R_j with a value at or past 2^{w-G}, name the lowest
+    # a-row holding one, and yield every term before it exactly
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("width", [8, 16, 24])
-    def test_guard_read_every_third_addition_names_the_same_row(self, monkeypatch, k, width):
+    def test_guard_read_names_the_first_row_past_the_bound(self, monkeypatch, k, width):
         monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(): width)
-        for guard_bits in (2, 3, 4):
-            monkeypatch.setattr(packed, "GUARD_BITS", guard_bits)
-            trips = 0
-            for q_order in range(0, 121, 4):
-                want = guard_trip_per_addition(k, q_order + k, q_order, width, guard_bits)
+        trips = dict.fromkeys((2, 3, 4), 0)
+        for q_order in range(0, 121, 4):
+            full = r_terms_full_rows(k, q_order + k, q_order, max_overline_count(k, q_order))
+            for guard_bits in trips:
+                monkeypatch.setattr(packed, "GUARD_BITS", guard_bits)
+                want = first_past_the_bound(full, width, guard_bits)
+                got, yielded = None, []
                 try:
-                    for _ in r_terms(k, q_order + k, q_order):
-                        pass
-                    got = None
+                    for term in r_terms(k, q_order + k, q_order):
+                        yielded.append(unpack(term))
                 except SlotOverflowError as exc:
                     m, j = map(int, re.search(r"a\^(\d+) row of R_(\d+) ", str(exc)).groups())
                     got = j, m
                 assert got == want, (guard_bits, q_order)
-                trips += got is not None
-            assert trips >= 10, guard_bits
+                assert yielded == full[: want[0] if want else None], (guard_bits, q_order)
+                trips[guard_bits] += got is not None
+        assert min(trips.values()) >= 10, trips
 
 
 class TestBuildR:
@@ -443,23 +428,33 @@ class TestFunctionalEquation:
     @example(2, 10, 2, 12, 0, 10, -1)
     @example(3, 14, 3, 9, 2, 14, 5)
     @example(2, 10, 2, 4, 1, 10, -1)
-    # a negative slot at q^{q_order}, which the shift q^j R_j drops: a
-    # floored shift borrows one from the slot kept, and the witness is wrong
+    # -1 on a zero cell, here R_1's a^1 row at q^{q_order}: no R_j coefficient
+    # is negative, so the sequence is refused, naming the cell
     @example(k=2, q_order=1, extra_j=0, j=1, m=1, n=1, delta=-1)
     @settings(max_examples=100, deadline=None)
     def test_matches_series_arithmetic(self, k, q_order, extra_j, j, m, n, delta):
         rs = build_R(k, q_order + extra_j, q_order)
-        rs = perturbed(rs, min(j, rs.j_max), min(m, rs.a_order), min(n, q_order), delta)
+        j, m, n = min(j, rs.j_max), min(m, rs.a_order), min(n, q_order)
+        rs = perturbed(rs, j, m, n, delta)
+        if rs.terms[j].coefficient(m, n) < 0:
+            with pytest.raises(ValueError, match=rf"coefficient -1 of a\^{m} q\^{n} "):
+                check_functional_equation(rs)
+            return
         witness = functional_equation_by_series(rs)
         assert witness is not None or rs.j_max == 0
         assert check_functional_equation(rs) == witness
 
     # the witness's q-degree read from the top slot, q^0, and the bottom
-    # one, q^{q_order}, for either sign
+    # one, q^{q_order}, for either sign; R_6's a^1 row is zero at q^0, so
+    # -1 there is refused, naming the cell
     @pytest.mark.parametrize("delta", [1, -1])
     @pytest.mark.parametrize("j, m, n", [(5, 0, 0), (6, 1, 0), (5, 0, 10), (12, 1, 10)])
     def test_witness_at_the_end_slots(self, j, m, n, delta):
         rs = perturbed(build_R(2, 12, 10), j, m, n, delta)
+        if rs.terms[j].coefficient(m, n) < 0:
+            with pytest.raises(ValueError, match=rf"coefficient -1 of a\^{m} q\^{n} "):
+                check_functional_equation(rs)
+            return
         witness = functional_equation_by_series(rs)
         assert witness[2] in (0, 10)
         assert check_functional_equation(rs) == witness
@@ -560,14 +555,14 @@ class TestAppellLimit:
             assert appell_limit(build_R(k, 12 + k, 12)) == theorem_product(k, 12)
 
     # rows of 8-bit slots, q^0..q^4, compared below q^{j-k+1} = q^2 (k = 2,
-    # j = 3): the -1 at q^2 is just past the slots compared, and a floored
-    # shift would borrow one from the q^1 slot
+    # j = 3): the slots from q^2 on hold up to 2^5 - 1, the largest count a
+    # slot takes, and the bare shift that drops them changes none it keeps
     @pytest.mark.parametrize("row, before, witness", [
-        ((0, 1, -1, 0, 0), (0, 0, 0, 0, 0), (0, 1)),  # a floored shift hides q^1
-        ((0, 1, -1, 0, 0), (0, 1, 0, 0, 0), None),  # a floored shift fakes q^1
-        ((0, 0, 0, 0, 0), (0, 1, -1, 0, 0), (0, 1)),
-        ((5, 0, -3, 7, 0), (5, 0, 2, 0, 1), None),
-        ((0, 2, -100, 0, 0), (-1, 2, 0, 0, 0), (0, 0)),
+        ((0, 1, 31, 0, 0), (0, 0, 0, 0, 0), (0, 1)),
+        ((0, 1, 31, 0, 0), (0, 1, 0, 0, 0), None),
+        ((0, 0, 0, 0, 0), (0, 1, 31, 0, 0), (0, 1)),
+        ((5, 0, 3, 31, 0), (5, 0, 2, 0, 31), None),
+        ((0, 2, 31, 31, 31), (1, 2, 0, 0, 0), (0, 0)),
     ], ids=["hides", "fakes", "hides-in-prev", "signed-past-the-window", "top-slot"])
     def test_signed_slots_just_past_the_window(self, row, before, witness):
         term, prev = (pack(BivariateSeries((r,)), 8) for r in (row, before))
@@ -578,16 +573,19 @@ class TestAppellLimit:
             limit_step(2, 3, term, prev)
         assert exc.value.witness == witness
 
-    # j - k >= q_order: every slot is compared, the bottom one q^{q_order} included
+    # j - k >= q_order: every slot is compared, the bottom one q^{q_order}
+    # included; R_13's a^2 row, bumped, is R_j (delta -1) or R_{j-1} (delta 1),
+    # so the difference read has either sign
     @pytest.mark.parametrize("delta", [1, -1])
     @pytest.mark.parametrize("n", [0, 10])
     def test_witness_at_the_end_slots(self, n, delta):
         terms = list(r_terms(2, 14, 10))
         bumped = [list(r) for r in unpack(terms[13]).coeffs]
-        bumped[2][n] += delta
+        bumped[2][n] += 1
         term = pack(BivariateSeries(tuple(map(tuple, bumped))), terms[13].width)
+        pair = (terms[13], term) if delta == 1 else (term, terms[13])
         with pytest.raises(StabilizationError) as exc:
-            limit_step(2, 13, terms[13], term)
+            limit_step(2, 13, *pair)
         assert exc.value.witness == (2, n)
         assert limit_step(2, 14, terms[14], terms[13]) is terms[14]
 

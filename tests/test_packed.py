@@ -52,3 +52,18 @@ def test_guard_read_at_the_edges(width):
             row = [0, 1, -lim]
             row[at] = past
             assert packed.overflowed(packed.pack_row(row, width), width, 3), row
+
+
+@pytest.mark.parametrize("width", [8, 16, 72])
+def test_guard_mask_at_the_edges(width):
+    # the stream's one read: a row of counts below 2^{w-3} shares no bit with
+    # the mask, and one slot at 2^{w-3} does, at the top, in the middle and
+    # at the bottom
+    lim = 1 << (width - packed.GUARD_BITS)
+    guard = packed.guard_mask(width, 3)
+    for at in range(3):
+        row = [0, 1, lim - 1]
+        row[at] = lim - 1
+        assert not packed.pack_row(row, width) & guard, row
+        row[at] = lim
+        assert packed.pack_row(row, width) & guard, row
