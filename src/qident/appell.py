@@ -13,8 +13,8 @@ R_infty, which must reproduce the infinite product
 product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf: its finite numerator
 factor by factor, largest first, then each parity class divided by Euler's
 product, so that route shares no algorithm with the B-side knapsack.
-Both products divide their rows in one pass over packed columns
-(_divided_columns), in slots sized for their own product's parts.
+Both products divide plain integer rows by the pentagonal recurrence
+(series._divide_rows); only the R_j stream here is packed.
 
 The recursion is a stream: r_terms yields R_0, R_1, ... and keeps only the
 last k terms, and build_R is that stream kept whole.  The functional
@@ -86,15 +86,10 @@ def max_overline_count(k: int, q_order: int) -> int:
     return m
 
 
-def product_parts(k: int, q_order: int) -> tuple:
-    """(plain, distinct) parts of theorem_product's slot bound: every a-row is
-    at most (-q; q^k)_inf / (q; q)_inf, at k = 1 the overpartitions'."""
-    return range(1, q_order + 1), range(1, q_order + 1, k)
-
-
-def congruence_parts(k: int, i: int, q_order: int) -> tuple:
-    """(plain, distinct) parts of congruence_product_series's own product."""
-    return range(2, q_order + 1, 2), range(2 * i + 1, q_order + 1, 2 * k)
+def overpartition_parts(q_order: int) -> tuple:
+    """(plain, distinct) parts of the R_j stream's slot bound: every a-row of
+    R_j is at most the overpartitions' (-q; q)_inf / (q; q)_inf."""
+    return range(1, q_order + 1), range(1, q_order + 1)
 
 
 @dataclass(frozen=True)
@@ -165,14 +160,14 @@ def r_terms(k: int, j_max: int, q_order: int) -> Iterator:
     Every value formed while building R_j is at most the matching
     coefficient of R_j, a count of D_k objects of weight <= q_order (the add
     step forms (1 - q^j) R_j, each doubling step a partial sum of R_j's
-    series), so under packed.slot_width's bound for product_parts(1,
-    q_order) no slot reaches its guard bits.  They are read once per term,
-    after the doubling steps, as in _packed_knapsack; a slot holding one
-    raises SlotOverflowError naming j and the lowest a-row holding one.
-    Given up, as there and in the products: were the width wrong by
-    GUARD_BITS bits or more, a carry could clear a guard bit before the
-    read, though a stream so corrupted would still have to agree with
-    routes sharing none of its arithmetic for any stage to pass.  Only the
+    series), so under packed.slot_width's bound for
+    overpartition_parts(q_order) no slot reaches its guard bits.  They are
+    read once per term, after the doubling steps, as in _packed_knapsack; a
+    slot holding one raises SlotOverflowError naming j and the lowest a-row
+    holding one.  Given up, as there: were the width wrong by GUARD_BITS
+    bits or more, a carry could clear a guard bit before the read, though a
+    stream so corrupted would still have to agree with routes sharing none
+    of its arithmetic for any stage to pass.  Only the
     last k terms are kept; the parameters are checked at the call, before
     the first term.
     """
@@ -182,7 +177,7 @@ def r_terms(k: int, j_max: int, q_order: int) -> Iterator:
 
 def _r_terms(k: int, j_max: int, q_order: int) -> Iterator:
     a_order = max_overline_count(k, q_order)
-    width = packed.slot_width(q_order, *product_parts(1, q_order))
+    width = packed.slot_width(q_order, *overpartition_parts(q_order))
     guard = packed.guard_mask(width, q_order + 1)
 
     one = PackedTerm((1 << width * q_order,) + (0,) * a_order, width, q_order)
@@ -226,8 +221,11 @@ def functional_equation_step(k: int, j: int, term, prev, low) -> tuple | None:
     when j < k).  Each a-row of R_j is compared with the same row of
     R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k}: the shifts drop the slots past
     q^{q_order}, and the difference of four values below 2^{w-3} is zero
-    exactly when every slot is.  Returns the first failing (a-degree,
-    q-degree), a-degree before q-degree, or None.
+    exactly when every slot is.  Only on a mismatch is that sum formed, as
+    row - residue, three values below 2^{w-3} a slot, so no slot carries
+    and the first slot it differs from R_j in is read off the two rows.
+    Returns the first failing (a-degree, q-degree), a-degree before
+    q-degree, or None.
     """
     width, slots = term.width, term.q_order + 1
     lows = (0, *low.rows) if low is not None else (0,) * len(term.rows)
@@ -236,7 +234,7 @@ def functional_equation_step(k: int, j: int, term, prev, low) -> tuple | None:
         if under:  # a q^{j-k+1} R_{j-k}
             residue -= under >> width * (j - k + 1)
         if residue:
-            return m, packed.first_slot(residue, width, slots)
+            return m, packed.first_slot(row, row - residue, width, slots)
     return None
 
 
@@ -299,7 +297,7 @@ def limit_step(k: int, j: int, term, prev) -> PackedTerm:
     for m, (row, before) in enumerate(zip(term.rows, prev.rows)):
         kept, kept_before = row >> cut, before >> cut
         if kept != kept_before:
-            e = packed.first_slot(kept - kept_before, width, slots)
+            e = packed.first_slot(kept, kept_before, width, slots)
             raise StabilizationError(
                 f"not stabilized: coefficient of a^{m} q^{e} changes between"
                 f" j={j - 1} and j={j}, though it settles by j={e + k - 1}",
@@ -333,9 +331,9 @@ def theorem_product(k: int, q_order: int, a_order: int | None = None) -> Bivaria
     below least_weight(k, m - 1, lo), so a factor adds row m - 1, shifted by
     e, to row m only from there; row 1 gains q^e alone.  Rows are updated
     from the top a-degree down, so each reads its neighbour before the
-    factor.  The a-rows are then divided by (q; q)_inf together, as packed
-    columns, in one pass of the pentagonal recurrence, so 1/(q; q)_inf is
-    never expanded or convolved."""
+    factor.  Each a-row is then divided by (q; q)_inf by the pentagonal
+    recurrence (_divide_rows), from its first nonzero coefficient, so
+    1/(q; q)_inf is never expanded or convolved."""
     check_params(k, q_order=q_order, a_order=a_order)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
@@ -350,8 +348,7 @@ def theorem_product(k: int, q_order: int, a_order: int | None = None) -> Bivaria
         if a_order:
             rows[1][e] += 1
         lo = e
-    width = packed.slot_width(q_order, *product_parts(k, q_order))
-    rows = _divided_columns(rows, euler_product(q_order).coeffs, width)
+    rows = _divide_rows(rows, euler_product(q_order).coeffs)
     return BivariateSeries(tuple(map(tuple, rows)))
 
 
@@ -380,8 +377,7 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
     row[1:lo] is still zero, so a factor adds row[0] at e and the copy
     shifted by e from e + lo on.  Both parity classes of the numerator are
     then divided by Euler's product (q; q)_inf, which is 1/(q^2; q^2)_inf on
-    the exponents of one parity, in one pass of the pentagonal recurrence
-    over their packed columns.
+    the exponents of one parity, each class as one row of _divide_rows.
     """
     check_params(k, i, q_order=q_order)
     row = [1] + [0] * q_order
@@ -390,30 +386,6 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
         row[e] += row[0]
         row[e + lo :] = map(add, row[e + lo :], row[lo : q_order + 1 - e])
         lo = e
-    euler = euler_product(q_order // 2).coeffs
-    width = packed.slot_width(q_order, *congruence_parts(k, i, q_order))
-    row[::2], row[1::2] = _divided_columns([row[::2], row[1::2]], euler, width)
+    row[::2], row[1::2] = _divide_rows([row[::2], row[1::2]], euler_product(q_order // 2).coeffs)
     return QSeries(tuple(row))
 
-
-def _divided_columns(rows: list, unit, width: int) -> list:
-    """rows, each divided by the q-series unit at its own length, in one
-    _divide_rows pass over their packed columns, row 0 in the top slot: the
-    recurrence is linear integer arithmetic, so it is exact whatever its
-    partial sums reach.  The quotient columns, packed into one row, have
-    their guard bits read once; slots are signed, so a negative quotient,
-    which no count is, reads back exact for the comparison to catch."""
-    slots = len(rows)
-    columns = [0] * len(rows[0])
-    for m, row in enumerate(rows):
-        bits = width * (slots - 1 - m)
-        columns[: len(row)] = map(add, columns, (c << bits for c in row))
-    (columns,) = _divide_rows([columns], unit)
-    # each column is one (width * slots)-bit slot: one past its range cannot pack
-    half, n = 1 << (width * slots - 1), slots * len(columns)
-    fits = all(-half <= c < half for c in columns)
-    if not fits or packed.overflowed(quotients := packed.pack_row(columns, width * slots), width, n):
-        raise packed.SlotOverflowError(
-            f"slot overflow: a quotient reached the guard bits of its {width}-bit slots")
-    read = packed.read_slots(quotients, width, n, signed=True)
-    return [read[m::slots][: len(row)] for m, row in enumerate(rows)]

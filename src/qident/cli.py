@@ -10,7 +10,7 @@ from json.encoder import encode_basestring_ascii
 
 import click
 
-from . import appell, overpartitions, packed, partitions, verify
+from . import appell, overpartitions, partitions, verify
 
 K = click.IntRange(min=2)
 NONNEG = click.IntRange(min=0)
@@ -166,15 +166,6 @@ def golden_cmd(ctx):
     _emit_reports(ctx, [verify.golden_example_n10()])
 
 
-def _product(route, *args):
-    """route(*args), a product series; a packed slot overflow ends the
-    command with the route's note, which names the slot width."""
-    try:
-        return route(*args)
-    except packed.SlotOverflowError as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
 @main.command("coeffs")
 @click.option("--side", type=click.Choice(["product", "sum", "overpartition-product"]),
               required=True)
@@ -186,7 +177,7 @@ def coeffs_cmd(ctx, side, k, i, n_max):
     """Print a coefficient table for one side of an identity."""
     _check_i(k, i)
     if side == "overpartition-product":
-        series = _product(appell.theorem_product, k, n_max)
+        series = appell.theorem_product(k, n_max)
         rows = [
             {"m": m, "n": n, "coefficient": series.coefficient(m, n)}
             for m in range(series.a_order + 1)
@@ -194,7 +185,7 @@ def coeffs_cmd(ctx, side, k, i, n_max):
             if series.coefficient(m, n)
         ]
     elif side == "product":
-        series = _product(appell.congruence_product_series, k, i, n_max)
+        series = appell.congruence_product_series(k, i, n_max)
         rows = [{"n": n, "coefficient": series.coefficient(n)} for n in range(n_max + 1)]
     else:  # sum side: the corollary sweep's table
         table = partitions.count_C_table(n_max, k, i)

@@ -2,10 +2,11 @@
 
 A packed row c_0..c_N is sum_s c_s 2^{w (N - s)}: c_0 in the top slot, so a
 shift by s slots is a right shift by w s bits and the slots shifted past
-c_N fall off the bottom.  A slot may be signed; w is whole bytes, with
-GUARD_BITS clear bits above slot_width's bound, which overflowed reads.
-Each route keeps its own arithmetic on the packed integers, so compared
-routes share only this format, no kernel.
+c_N fall off the bottom.  Two routes pack, the R_j stream and the
+knapsack's large parts, and both hold counts, so every slot is unsigned;
+w is whole bytes, with GUARD_BITS clear bits above slot_width's bound,
+which guard_mask reads.  Each route keeps its own arithmetic on the packed
+integers, so compared routes share only this format, no kernel.
 """
 
 from __future__ import annotations
@@ -71,36 +72,21 @@ def guard_mask(width: int, slots: int) -> int:
     return _repeated(0xFF << (8 - GUARD_BITS) & 0xFF, width, slots)
 
 
-def overflowed(x: int, width: int, slots: int) -> bool:
-    """Whether a row of `slots` slots holds one outside [-2^{width-3},
-    2^{width-3}): biased by 2^{width-3} a slot, each slot of a row inside is
-    clear of the top two guard bits, and the top slot carries nothing out."""
-    x += _repeated(0x100 >> GUARD_BITS, width, slots)
-    guard = _repeated(0xFF << (9 - GUARD_BITS) & 0xFF, width, slots)
-    return x < 0 or bool(x & guard) or x >> width * slots != 0
-
-
 def pack_row(values, width: int) -> int:
-    """values packed one to a slot, the first on top, each below 2^{width - 1}
-    in absolute value: biased by 2^{width - 1} into bytes, and the bias
-    subtracted from the row whole."""
-    size, half = width // 8, 1 << (width - 1)
-    row = b"".join((c + half).to_bytes(size, "big") for c in values)
-    return int.from_bytes(row, "big") - _repeated(0x80, width, len(values))
+    """values packed one to a slot, the first on top, each in [0, 2^width)."""
+    size = width // 8
+    return int.from_bytes(b"".join(c.to_bytes(size, "big") for c in values), "big")
 
 
-def read_slots(x: int, width: int, slots: int, signed: bool = False) -> list:
-    """The `slots` slot values of the row x, top first.  Signed slots are
-    biased by 2^{width - 1} for the read and unbiased after."""
+def read_slots(x: int, width: int, slots: int) -> list:
+    """The `slots` slot values of the row x, top first."""
     size, read = width // 8, int.from_bytes
-    if signed:
-        b, half = (x + _repeated(0x80, width, slots)).to_bytes(size * slots, "big"), 1 << (width - 1)
-        return [read(b[i : i + size], "big") - half for i in range(0, size * slots, size)]
     b = x.to_bytes(size * slots, "big")
     return [read(b[i : i + size], "big") for i in range(0, size * slots, size)]
 
 
-def first_slot(residue: int, width: int, slots: int) -> int:
-    """The top nonzero slot of a nonzero residue of `slots` signed slots:
-    the first differing q-degree."""
-    return next(s for s, c in enumerate(read_slots(residue, width, slots, signed=True)) if c)
+def first_slot(a: int, b: int, width: int, slots: int) -> int:
+    """The top slot where two different rows of `slots` unsigned slots
+    differ: that of the highest bit of a ^ b, exact since no slot carries
+    into the next, so the first differing q-degree."""
+    return slots - 1 - ((a ^ b).bit_length() - 1) // width

@@ -245,7 +245,7 @@ def _packed_knapsack(n_max: int, parts: Sequence[int]) -> list:
         while s <= n_max - p:
             rest += rest >> width * s
             s *= 2
-    if packed.overflowed(rest, width, n_max):
+    if rest & packed.guard_mask(width, n_max) or rest >> width * n_max:
         raise packed.SlotOverflowError(
             f"slot overflow: the knapsack over {len(parts)} parts p with p^2 > {n_max}"
             f" reached the guard bits of its {width}-bit slots at n_max={n_max}"

@@ -15,11 +15,10 @@ Operations work on whole coefficient rows where they can: a multiplication
 by a binomial 1 +- a^s q^e is one slice add or subtract per a-row, and
 division by a unit (inversion is division of 1) sums over the nonzero
 coefficients only, so dividing by the sparse Euler product (q; q)_inf is
-the pentagonal recurrence.  That division is plain integer arithmetic,
-linear in the row, so appell runs it once on rows packed as columns.
-Euler's product itself is not multiplied out:
-by the pentagonal number theorem its only nonzero coefficients are +-1 at
-the generalized pentagonal numbers, and euler_product writes just those.
+the pentagonal recurrence, started at each row's first nonzero
+coefficient.  Euler's product itself is not multiplied out: by the
+pentagonal number theorem its only nonzero coefficients are +-1 at the
+generalized pentagonal numbers, and euler_product writes just those.
 """
 
 from __future__ import annotations
@@ -76,25 +75,34 @@ _bivar_mul = bivar_mul
 def _divide_rows(rows, unit) -> list:
     """Each coefficient row divided by the q-series unit, truncated at the
     row's length: t[d] = eps * (row[d] - sum_{i>=1} unit[i] t[d - i]), with
-    eps = unit[0] = +-1 and the sum over the nonzero unit[i] only, so
-    dividing by the sparse Euler product (q; q)_inf is the pentagonal
-    recurrence.  unit must reach every row's order.  Only integer adds and
-    products by the unit's coefficients are used, so a row of packed
-    columns is divided exactly, each slot as its own row."""
+    eps = unit[0] = +-1 and the sum over the nonzero unit[i] only, grouped
+    by value, so dividing by the sparse Euler product (q; q)_inf is the
+    pentagonal recurrence with one multiply per group, +1 and -1, and none
+    per term.  A row is zero below its first nonzero coefficient, and so is
+    its quotient: each row's recurrence starts there, found by a scan.
+    unit must reach every row's order."""
     eps = unit[0]
     if eps not in (1, -1):
         raise ValueError(f"constant term {eps} is not a unit in the integers")
-    nonzero = [(i, ci) for i, ci in enumerate(unit) if ci and i]
+    groups = {}
+    for i, ci in enumerate(unit):
+        if ci and i:
+            groups.setdefault(ci, []).append(i)
+    groups = list(groups.items())
     out = []
     for row in rows:
+        start = next((d for d, c in enumerate(row) if c), len(row))
         t = [0] * len(row)
-        for d in range(len(row)):
-            s = 0
-            for i, ci in nonzero:
-                if i > d:
-                    break
-                s += ci * t[d - i]
-            t[d] = eps * (row[d] - s)
+        for d in range(start, len(row)):
+            top, s = d - start, row[d]
+            for ci, offsets in groups:
+                part = 0
+                for i in offsets:
+                    if i > top:
+                        break
+                    part += t[d - i]
+                s -= ci * part
+            t[d] = eps * s
         out.append(t)
     return out
 

@@ -128,7 +128,7 @@ def verify_overpartition(k: int, n_max: int, m_max: int | None = None) -> Verifi
     try:
         partitions.check_params(k, n_max=n_max, m_max=m_max)
         product = appell.theorem_product(k, n_max, m_max)
-    except (ValueError, packed.SlotOverflowError) as exc:
+    except ValueError as exc:
         return _aborted("overpartition", params, rng, str(exc), start)
     table = overpartitions.count_Dk_table(n_max, k, m_max)
     first = next(((n, m) for n in range(n_max + 1) for m in range(m_max + 1)
@@ -146,8 +146,6 @@ def verify_overpartition(k: int, n_max: int, m_max: int | None = None) -> Verifi
         else:
             witness = {"n": n, "m": m, **counts}
             notes = [f"no objects listed: {_REFUSED}"]
-    else:
-        notes = [packed.slot_note("the product's a-rows", n_max, *appell.product_parts(k, n_max))]
     return _outcome("overpartition", params, rng, witness, start, notes)
 
 
@@ -161,8 +159,8 @@ def verify_corollary(
 ) -> VerificationReport:
     """Three-way check B = C = product coefficient up to enum_limit, then
     two-way DP-vs-product up to n_max.  A slot overflow in B's packed
-    knapsack or in the product's packed columns aborts the report, naming
-    the slot width; a pass notes each width and the bound it rests on."""
+    knapsack aborts the report, naming the slot width; a pass notes the
+    width and the bound it rests on."""
     start = time.perf_counter()
     params = {"k": k, "i": i}
     enum_top = min(n_max, enum_limit)
@@ -218,8 +216,6 @@ def verify_corollary(
             )
         notes.append(f"three-way check for n <= {enum_top}; DP-vs-series for n <= {n_max}")
         notes += _knapsack_note("B's knapsack", n_max, partitions.b_parts(n_max, k, i))
-        notes.append(packed.slot_note(
-            "the product's parity classes", n_max, *appell.congruence_parts(k, i, n_max)))
     return _outcome("corollary", params, rng, witness, start, notes)
 
 
@@ -336,7 +332,7 @@ def verify_machinery(
             stages[n][2].send(window)
         except StopIteration as done:
             outcomes[n] = done.value
-        except (appell.StabilizationError, packed.SlotOverflowError) as exc:
+        except appell.StabilizationError as exc:
             outcomes[n] = exc
         seconds[n] += time.perf_counter() - t0
 
@@ -373,7 +369,7 @@ def _functional_equation(k: int, q_order: int, j_max: int):
     window, for 1 <= j <= j_max.  The note names the packed terms' slot
     width and the bound it rests on."""
     window = yield  # R_0 has no equation
-    notes = [packed.slot_note("R_j's a-rows", q_order, *appell.product_parts(1, q_order))]
+    notes = [packed.slot_note("R_j's a-rows", q_order, *appell.overpartition_parts(q_order))]
     for j in range(1, j_max + 1):
         window = yield
         low = window[0] if j >= k else None
@@ -417,8 +413,7 @@ def _appell_limit(k: int, q_order: int, j_max: int):
             "limit": lim.coeffs[m][n],
             "product": product.coeffs[m][n],
         }, []
-    return None, [f"every q^d settled by j = d + {k - 1}, through j = {j_max}",
-                  packed.slot_note("the product's a-rows", q_order, *appell.product_parts(k, q_order))]
+    return None, [f"every q^d settled by j = d + {k - 1}, through j = {j_max}"]
 
 
 def _bounded_enumeration(k: int, q_order: int, j_top: int, n_top: int):

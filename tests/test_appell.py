@@ -20,8 +20,8 @@ from qident.appell import (
     least_weight,
     limit_step,
     max_overline_count,
+    overpartition_parts,
     pj_series,
-    product_parts,
     r_terms,
     RSequence,
     pack,
@@ -33,6 +33,7 @@ from qident.packed import SlotOverflowError, slot_width
 from qident.series import (
     BivariateSeries, Monomial, QSeries, euler_product, pochhammer_inf, specialize,
 )
+from test_series import divide_row_by_scalar_loop
 
 
 # Oracles: the series-arithmetic formulations that build_R replaced with
@@ -91,18 +92,9 @@ def first_past_the_bound(terms, width, guard_bits):
 
 
 def divide_each_row(rows, unit):
-    """Each row divided by the q-series unit on its own, t[d] = eps (row[d]
-    - sum_{i >= 1} unit[i] t[d - i]): the pentagonal recurrence as both
-    products ran it, one row at a time, before their rows were divided as
-    packed columns."""
-    eps, nonzero = unit[0], [(i, c) for i, c in enumerate(unit) if c and i]
-    out = []
-    for row in rows:
-        t = []
-        for d, c in enumerate(row):
-            t.append(eps * (c - sum(u * t[d - i] for i, u in nonzero if i <= d)))
-        out.append(tuple(t))
-    return tuple(out)
+    """Each row divided by the q-series unit on its own, by test_series'
+    one-term-at-a-time oracle for _divide_rows."""
+    return tuple(tuple(divide_row_by_scalar_loop(row, unit)) for row in rows)
 
 
 def congruence_product_by_rows(k, i, q_order):
@@ -267,7 +259,7 @@ class TestPackedRows:
     def test_slot_width_covers_every_overpartition_count(self):
         # the proved bound leaves three guard bits above pbar(N) at every N
         def width(n):
-            return slot_width(n, *product_parts(1, n))
+            return slot_width(n, *overpartition_parts(n))
 
         assert [width(n) for n in (60, 200, 500)] == [40, 72, 104]
         for n, count in enumerate(overpartition_counts(600)):
@@ -626,8 +618,8 @@ class TestCongruenceProduct:
             direct = congruence_product_series(k, i, N)
             assert via_specialization.coeffs == direct.coeffs, (k, i)
 
-    # the parity classes' columns pack two slots; the odd class is one
-    # shorter at an even q-order
+    # the odd parity class is one coefficient shorter than the even one at
+    # an even q-order
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("q_order", [0, 1, 2, 22, 60, 200])
     def test_matches_row_by_row_division(self, k, q_order):

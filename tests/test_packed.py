@@ -7,7 +7,7 @@ from qident import appell, packed, partitions
 
 def stream(n):
     *_, last = appell.r_terms(2, n + 2, n)
-    return appell.unpack(last).coeffs, appell.product_parts(1, n)
+    return appell.unpack(last).coeffs, appell.overpartition_parts(n)
 
 
 def knapsack(n, allowed):
@@ -18,10 +18,6 @@ def knapsack(n, allowed):
 # each packed route's counts up to q^n, and the parts its width is taken over
 ROUTES = {
     "stream": stream,
-    "theorem-product": lambda n: (
-        appell.theorem_product(2, n).coeffs, appell.product_parts(2, n)),
-    "congruence-product": lambda n: (
-        [appell.congruence_product_series(2, 0, n).coeffs], appell.congruence_parts(2, 0, n)),
     "b-knapsack": lambda n: knapsack(n, partitions.b_parts(n, 2, 0)),
     "schur-knapsack": lambda n: knapsack(n, partitions.schur_parts(n)),
 }
@@ -37,21 +33,19 @@ def test_largest_coefficient_below_the_guard_bits(route, n):
 
 
 @pytest.mark.parametrize("width", [8, 16, 72])
-def test_guard_read_at_the_edges(width):
-    # a row inside [-2^{w-3}, 2^{w-3}) in every slot passes, and one slot
-    # one past either end trips, at the top, in the middle and at the bottom
+def test_first_slot_at_the_edges(width):
+    # two rows of unsigned slots that differ in one slot alone, at the top,
+    # in the middle or at the bottom, by 1 in its lowest bit or as 0 against
+    # 2^{w-3} - 1, the largest count a slot holds: that slot is returned,
+    # whichever row is the larger
     lim = 1 << (width - packed.GUARD_BITS)
-    for edge in (lim - 1, -lim, 0):
+    for low, high in ((0, 1), (lim - 2, lim - 1), (0, lim - 1)):
         for at in range(3):
-            row = [0, 1, lim - 1]
-            row[at] = edge
-            assert not packed.overflowed(packed.pack_row(row, width), width, 3), row
-            assert packed.read_slots(packed.pack_row(row, width), width, 3, signed=True) == row
-    for past in (lim, -lim - 1):
-        for at in range(3):
-            row = [0, 1, -lim]
-            row[at] = past
-            assert packed.overflowed(packed.pack_row(row, width), width, 3), row
+            a, b = [lim - 1, 1, 0], [lim - 1, 1, 0]
+            a[at], b[at] = low, high
+            a, b = packed.pack_row(a, width), packed.pack_row(b, width)
+            assert packed.first_slot(a, b, width, 3) == at
+            assert packed.first_slot(b, a, width, 3) == at
 
 
 @pytest.mark.parametrize("width", [8, 16, 72])

@@ -110,6 +110,15 @@ def invert_unit_by_scalar_loop(c):
     return tuple(t)
 
 
+def divide_row_by_scalar_loop(row, unit):
+    """row divided by unit one coefficient at a time, over every i = 1..d,
+    from q^0 on."""
+    t = [0] * len(row)
+    for d in range(len(row)):
+        t[d] = unit[0] * (row[d] - sum(unit[i] * t[d - i] for i in range(1, d + 1)))
+    return t
+
+
 def mul_binomial_by_scalar_loop(coeffs, a_exp, q_exp, sign):
     """1 + sign a^{a_exp} q^{q_exp} times coeffs, one coefficient at a time,
     as mul_binomial did before it added whole rows."""
@@ -249,6 +258,22 @@ class TestQSeries:
     def test_invert_matches_scalar_loop(self, eps, tail):
         c = (eps, *tail)
         assert QSeries(c).invert_unit().coeffs == invert_unit_by_scalar_loop(c)
+
+    # rows of several lengths with up to a dozen leading zeros, so each
+    # starts late and at its own place, divided by units whose coefficients
+    # repeat values other than +-1 as well as +-1, in one call
+    @given(st.sampled_from([1, -1]),
+           st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 7]), max_size=30),
+           st.lists(st.tuples(st.integers(0, 12), st.lists(st.integers(-9, 9), max_size=20)),
+                    min_size=1, max_size=4))
+    @example(1, list(euler_product(30).coeffs[1:]), [(0, [1]), (5, [1, 2]), (31, [])])
+    @example(-1, [2, 2, -3, 0, -3], [(1, [4, 0, -1])])
+    @settings(max_examples=100, deadline=None)
+    def test_divide_rows_matches_scalar_loop(self, eps, tail, rows):
+        unit = (eps, *tail)
+        rows = [([0] * zeros + body)[: len(unit)] for zeros, body in rows]
+        want = [divide_row_by_scalar_loop(row, unit) for row in rows]
+        assert series._divide_rows(rows, unit) == want
 
 
 class TestBivariateSeries:

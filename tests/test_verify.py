@@ -118,35 +118,6 @@ class TestReports:
         rep = verify.verify_schur(40)
         assert (rep.status, rep.witness, rep.notes) == ("aborted", None, [note])
 
-    # each product's quotient columns have their guard bits read: with no
-    # parts in its bound, F = 1, the product's slots are too narrow (64 bits
-    # at n = 1000, 24 at n = 100), and the report or stage that reads the
-    # product is aborted, naming the width
-    def test_corollary_aborts_on_a_product_slot_overflow(self, monkeypatch):
-        monkeypatch.setattr(appell, "congruence_parts", lambda k, i, q_order: ((), ()))
-        rep = verify.verify_corollary(2, 0, 1000, 8)
-        assert (rep.status, rep.witness) == ("aborted", None)
-        assert len(rep.notes) == 1 and "guard bits of its 64-bit slots" in rep.notes[0]
-
-    def test_overpartition_aborts_on_a_product_slot_overflow(self, monkeypatch):
-        monkeypatch.setattr(appell, "product_parts", lambda k, q_order: ((), ()))
-        rep = verify.verify_overpartition(2, 100)
-        assert (rep.status, rep.witness) == ("aborted", None)
-        assert len(rep.notes) == 1 and "guard bits of its 24-bit slots" in rep.notes[0]
-
-    def test_machinery_aborts_on_a_product_slot_overflow(self, monkeypatch):
-        # the stream's bound is the product's at k = 1, which keeps its parts
-        real = appell.product_parts
-        monkeypatch.setattr(appell, "product_parts", lambda k, q_order: (
-            ((), ()) if k == 2 else real(k, q_order)))
-        rep = verify.verify_machinery(2, 100, closed_product_j=4, enum_j=4, enum_n=8)
-        sub = {s.identity: s for s in rep.subreports}
-        limit = sub.pop("machinery/appell-limit")
-        assert (limit.status, limit.witness) == ("aborted", None)
-        assert "guard bits of its 24-bit slots" in limit.notes[0]
-        assert {s.status for s in sub.values()} == {"pass"}
-        assert rep.status == "aborted"
-
     def test_machinery_aborts_without_stabilization(self):
         rep = verify.verify_machinery(3, 24, 20, closed_product_j=4, enum_j=3, enum_n=8)
         sub = {s.identity: s for s in rep.subreports}
@@ -465,10 +436,10 @@ ROUTE_SLIPS = [
         "overpartition": {"n": 7, "m": 2, "sweep_count": 5, "product_coefficient": 4}}),
     RouteSlip("appell.congruence_product_series", (7,), {
         "corollary": {"n": 7, "count_B": 4, "product_coefficient": 5}}),
-    # the product's division by Euler's product: 1 added to column 20 lands
-    # in its bottom slot, the odd class's q^20, which is n = 41
+    # the product's division by Euler's product: 1 added to the even
+    # class's q^20, which is n = 40
     RouteSlip("appell._divide_rows", (0, 20), {
-        "corollary": {"n": 41, "count_B": 1850, "product_coefficient": 1851}},
+        "corollary": {"n": 40, "count_B": 1617, "product_coefficient": 1618}},
         when=lambda rows, unit: len(rows[0]) > 20),
     # the corollary's 1/(q^2; q^2) puts q^7 at n = 14, and the theorem's
     # divides the a^0 row first
@@ -552,11 +523,9 @@ ROUTE_SLIPS = [
     RouteSlip("partitions.state_total", (2, 7), {
         "machinery/bounded-enumeration": {"series": "P", "j": 0, "m": 2, "n": 7}}),
     # the one slot reader, which every packed route reads through: slot 1
-    # read one high.  B's knapsack and the product's odd class both read 2
-    # at n = 1, so C's walk is the route that differs there
+    # read one high, so B's knapsack counts 2 at n = 1
     RouteSlip("packed.read_slots", (1,), {
-        "overpartition": {"n": 0, "m": 1, "sweep_count": 0, "product_coefficient": 1},
-        "corollary": {"n": 1, "count_B": 2, "count_C": 1},
+        "corollary": {"n": 1, "count_B": 2, "product_coefficient": 1},
         "schur": {"n": 1, "product_count": 2, "gap_count": 1},
         "machinery/closed-product": {"j": 0, "a_degree": 0, "q_degree": 1},
         "machinery/appell-limit": {"a_degree": 0, "q_degree": 1, "limit": 2, "product": 1},
@@ -628,8 +597,7 @@ UNROUTED = {
     "appell.StabilizationError": "a type",
     "packed.SlotOverflowError": "a type",
     "packed.slot_note": "the text of a note",
-    "appell.product_parts": "a route's parts: the text of a note",
-    "appell.congruence_parts": "a route's parts: the text of a note",
+    "appell.overpartition_parts": "a route's parts: the text of a note",
     "partitions.packed_parts": "a route's parts: the text of a note",
     "partitions.b_parts": "a route's parts: the text of a note",
     "partitions.schur_parts": "a route's parts: the text of a note",
@@ -712,6 +680,7 @@ SLOTS = {
     "packed.whole_bytes": "the slot bound rounded to bytes",
     "packed._repeated": "a constant of the layout: one byte at the head of each slot",
     "packed.read_slots": "the one slot reader, with a ROUTE_SLIPS row of its own",
+    "packed.guard_mask": "the guard read: it aborts or passes",
 }
 A_ORDER = dict.fromkeys(["appell.least_weight", "appell.max_overline_count"], "the a-order bound")
 WALKER = dict.fromkeys(
@@ -719,7 +688,7 @@ WALKER = dict.fromkeys(
     "the walker, which hands each phrasing its own rule table: the tables are what is compared")
 PAIRS = {
     ("Dk-sweep", "Dk-product"): {},
-    ("B", "B-product"): {**SLOTS, "packed.overflowed": "the guard read: it aborts or passes"},
+    ("B", "B-product"): {},
     ("B", "C-walk"): {},
     ("B", "C-sweep"): {"partitions._add_part": "the running sum, which B's product never runs"},
     ("C-walk-i1", "thm12-walk"): WALKER,
@@ -728,8 +697,7 @@ PAIRS = {
     ("schur-knapsack", "schur-sweep"): {},
     ("stream", "closed-product"): {**A_ORDER, **SLOTS},
     ("stream", "bounded-sweep"): {},
-    ("stream", "Dk-product"): {**A_ORDER, **SLOTS,
-                               "appell.product_parts": "the parts both slot widths are sized by"},
+    ("stream", "Dk-product"): A_ORDER,
     ("pj", "Dk-product"): {},
     ("rj", "Dk-product"): {},
 }
@@ -1242,19 +1210,6 @@ class TestCli:
     def test_nonzero_exit_on_abort(self):
         result = self.run("verify", "schur", "--n-max", str(verify.ENUM_HARD_LIMIT + 1))
         assert result.exit_code == 1
-
-    # with no parts in a product's bound, as in the verifiers' abort tests, its
-    # columns overflow: the command ends in an error naming the width, not a traceback
-    @pytest.mark.parametrize("side, parts, n_max, width", [
-        ("product", "congruence_parts", 1000, 64),
-        ("overpartition-product", "product_parts", 100, 24),
-    ])
-    def test_coeffs_product_slot_overflow(self, monkeypatch, side, parts, n_max, width):
-        monkeypatch.setattr(appell, parts, lambda *args: ((), ()))
-        result = self.run("coeffs", "--side", side, "--k", "2", "--n-max", str(n_max))
-        assert (result.exit_code, type(result.exception)) == (1, SystemExit)
-        assert result.output == (
-            f"Error: slot overflow: a quotient reached the guard bits of its {width}-bit slots\n")
 
     def test_coeffs_product_csv(self):
         result = self.run("--format", "csv", "coeffs", "--side", "product", "--k", "2",
