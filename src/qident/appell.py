@@ -29,11 +29,11 @@ by q^s a bare right shift; unpack turns a term into a BivariateSeries.
 
 Euler's two identities give R_j in closed form: its a^d row is
 q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}).  The closed product
-counts each row from that form, sharing no code with r_terms, and the
-limit checks the bound it implies: the coefficient of q^e is fixed once
-j >= e + k - 1.  Checked between neighbours, that is R_j = R_{j-1} below
-q^{j-k+1}; the windows grow with j, so the agreements chain forward to
-R_{j_max}.
+counts each row from that form on a plain list, sharing no arithmetic with
+r_terms, and the limit checks the bound it implies: the coefficient of q^e
+is fixed once j >= e + k - 1.  Checked between neighbours, that is R_j =
+R_{j-1} below q^{j-k+1}; the windows grow with j, so the agreements chain
+forward to R_{j_max}.  pj_series sums P_j on the stream's last k terms.
 
 theorem_product skips what must be zero: by Euler's expansion of
 (-aq; q^k)_inf, row m is zero below the least weight of m overlined parts,
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from operator import add
 
 from . import packed
-from .partitions import _count_by_dp, check_params
+from .partitions import _add_part, check_params
 from .series import BivariateSeries, QSeries, _divide_rows, euler_product
 
 
@@ -258,8 +258,9 @@ def closed_product_F_coefficients(k: int, j_top: int, q_order: int) -> list:
     Euler's two identities expand the product: the a^d row of the x^j
     coefficient is q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}), zero
     when kd > j, counted as partitions into the parts k, 2k, ..., dk and
-    1, ..., j - kd, for d <= max_overline_count(k, q_order).  The
-    coefficients must equal the recursion's terms.
+    1, ..., j - kd, for d <= max_overline_count(k, q_order), by _add_part's
+    running sums on a plain list: nothing packed, so the only code it shares
+    with the stream it must equal is the a-order bound.
     """
     check_params(k, j_top=j_top, q_order=q_order)
     zero = (0,) * (q_order + 1)
@@ -268,8 +269,10 @@ def closed_product_F_coefficients(k: int, j_top: int, q_order: int) -> list:
         if k * d > j:
             return zero
         shift = least_weight(k, d)  # at most q_order, by the bound on d
-        parts = [k * t for t in range(1, d + 1)] + list(range(1, j - k * d + 1))
-        return (0,) * shift + tuple(_count_by_dp(q_order - shift, parts))
+        ways = [1] + [0] * (q_order - shift)
+        for p in [k * t for t in range(1, d + 1)] + list(range(1, j - k * d + 1)):
+            _add_part(ways, p)
+        return (0,) * shift + tuple(ways)
 
     rows = range(max_overline_count(k, q_order) + 1)
     return [BivariateSeries(tuple(row(j, d) for d in rows)) for j in range(j_top + 1)]
@@ -352,19 +355,26 @@ def theorem_product(k: int, q_order: int, a_order: int | None = None) -> Bivaria
     return BivariateSeries(tuple(map(tuple, rows)))
 
 
-def pj_series(rs: RSequence, j: int) -> BivariateSeries:
-    """P_j built independently as a sum over the largest overline position.
+def pj_series(k: int, terms, j: int) -> PackedTerm:
+    """P_j built independently as a sum over the largest overline position,
+    from the stream's terms: terms[-1] is R_j and terms[-1 - t] is R_{j-t}.
 
     An admissible configuration with parts <= j either has no overline above
     j-k+1 (counted by R_j), or its largest overline b lies in
     {j-k+2, ..., j}; removing that overline forbids plain parts in [b, j]
     and overlines above b-k, leaving exactly the configurations of R_{b-1}.
-    Hence P_j = R_j + sum_b a q^b R_{b-1}.
+    Hence P_j = R_j + sum_b a q^b R_{b-1}, which reads only the last k
+    terms: row m is R_j's row m plus row m - 1 of each R_{b-1} shifted right
+    by q^b, dropping the slots past q^{q_order}.  P_j counts D_k objects, so
+    its slots stay under the stream's bound.
     """
-    out = rs.terms[j]
-    for b in range(max(1, j - rs.k + 2), j + 1):
-        out = out + rs.terms[b - 1].shift(1, b)
-    return out
+    term = terms[-1]
+    rows = list(term.rows)
+    for b in range(max(1, j - k + 2), j + 1):
+        bits = term.width * b
+        for m, low in enumerate(terms[b - j - 2].rows[:-1], 1):  # R_{b-1}
+            rows[m] += low >> bits
+    return PackedTerm(tuple(rows), term.width, term.q_order)
 
 
 def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:

@@ -8,11 +8,12 @@ over the part values v = 1..N whose state is a capped distance to the last
 relevant part: Schur's gaps and the corollary's difference conditions here,
 the D_k rule in overpartitions.  A side is a `moves(v, state)` table, not a
 loop of its own.  The B side is the knapsack over its allowed parts, run
-largest first: the large ones (`packed_parts`) on one packed integer
-(`_packed_knapsack`), then the small ones on the list through `_add_part`,
-the running-sum kernel the sweep's plain copies run on too.  Schur's
-product side is the same knapsack, over the parts congruent to +-1 mod 6;
-Schur's sweep and walk share neither kernel with it.
+largest first: every part p with p * p > N (`packed_parts`) on one packed
+integer (`_packed_knapsack`), then the small ones on the list through
+`_add_part`, the running-sum kernel the sweep's plain copies and the
+closed product's rows (appell) run on too.  Schur's product side is the
+same knapsack, over the parts congruent to +-1 mod 6; Schur's sweep and
+walk share neither kernel with it.
 
 Enumeration is one walk of the prefix tree, `partitions_up_to`, on a
 side's rule, which lists once per walk the parts each state may add (the
@@ -190,34 +191,20 @@ def state_total(states: dict) -> list:
 def _count_by_dp(n_max: int, allowed_parts: Sequence[int]) -> list:
     """ways[s] = number of multisets from allowed_parts summing to s.
 
-    The parts run largest first: those packed_parts picks on one integer
-    (_packed_knapsack), then the rest as _add_part's running sums on the
-    unpacked list, the small ones (p * p <= n_max) down each residue class
-    mod p.
+    The parts run largest first: the large ones (p * p > n_max) packed on
+    one integer (_packed_knapsack), then the small ones as _add_part's
+    prefix sums down each residue class mod p on the unpacked list.
     """
-    large = packed_parts(n_max, allowed_parts)
-    ways = _packed_knapsack(n_max, large)
-    listed = [p for p in allowed_parts if p * p <= n_max] if large else allowed_parts
-    for p in sorted(listed, reverse=True):
+    ways = _packed_knapsack(n_max, packed_parts(n_max, allowed_parts))
+    for p in sorted([p for p in allowed_parts if p * p <= n_max], reverse=True):
         _add_part(ways, p)
     return ways
 
 
 def packed_parts(n_max: int, allowed_parts: Sequence[int]) -> tuple:
-    """The parts, largest first, that _count_by_dp packs; it runs the others
-    on the list.
-
-    The large parts (p * p > n_max) are packed, those above n_max dropped,
-    when the list would run them in at least n_max / 3 blocks of
-    _add_part, sum n_max // p.  The read takes n_max slots one at a time;
-    below a fifth to a third of n_max blocks the list measured faster
-    (n_max = 1000 to 60), as for the few large parts of most closed-product
-    rows.  The small parts are listed.
-    """
-    large = sorted([p for p in allowed_parts if p * p > n_max], reverse=True)
-    if 3 * sum([n_max // p for p in large]) < n_max:
-        return ()
-    return tuple([p for p in large if p <= n_max])
+    """The parts, largest first, that _count_by_dp packs: the large ones
+    (p * p > n_max) up to n_max; those above n_max add nothing."""
+    return tuple(sorted([p for p in allowed_parts if n_max < p * p and p <= n_max], reverse=True))
 
 
 def _packed_knapsack(n_max: int, parts: Sequence[int]) -> list:

@@ -294,12 +294,12 @@ def verify_machinery(
 
     R_0..R_{j_max} are built once, by appell.r_terms, and each stage checks
     them as they arrive through a window of the last k + 1 terms, so no more
-    is kept than the window and the head a stage asks for.  The terms are
-    packed; a stage unpacks one only where it reads coefficients.  A stage
-    is a generator: it is sent the window once per term until it returns
-    (witness or None, notes), or raises StabilizationError to abort, and its
-    time is the sum of its own steps.  A slot overflow in the stream aborts
-    every stage that has not yet returned.
+    is kept than the window.  The terms are packed: the bounded stage reads
+    slots off them, the others unpack one only where they read coefficients.
+    A stage is a generator: it is sent the window once per term until it
+    returns (witness or None, notes), or raises StabilizationError to abort,
+    and its time is the sum of its own steps.  A slot overflow in the stream
+    aborts every stage that has not yet returned.
     """
     start = time.perf_counter()
     if j_max is None:
@@ -420,25 +420,28 @@ def _bounded_enumeration(k: int, q_order: int, j_top: int, n_top: int):
     """The counts r_j(m, n), p_j(m, n), read off one D_k sweep after each
     value j, against the coefficients of R_j, P_j for j <= j_top, n <= n_top
     and every m the truncation holds; the first mismatch in (j, n, m) order,
-    R before P, is the witness.  The sweep steps with the stream, and R_0..R_j
-    are kept for P_j.  Each j's rows are compared whole, and its cells are
-    scanned only when a row differs."""
+    R before P, is the witness.  The sweep steps with the stream, P_j is
+    added up from the window's packed terms, and each row is read to q^{n_top},
+    compared whole and scanned cell by cell only when it differs."""
     m_top = appell.max_overline_count(k, n_top)  # n_top <= q_order: R_j's rows reach m_top
-    head = appell.RSequence(k, q_order, appell.max_overline_count(k, q_order), [])
+
+    def coefficients(term):
+        return [packed.read_slots(row >> term.width * (q_order - n_top), term.width, n_top + 1)
+                for row in term.rows[: m_top + 1]]
+
     for j, states in enumerate(overpartitions.dk_sweep(n_top, k, m_top, j_top)):
-        head.terms.append(appell.unpack((yield)[-1]))
-        p_rows = partitions.state_total(states)
-        routes = (("R", states[k], head.terms[j]), ("P", p_rows, appell.pj_series(head, j)))
-        if all(counts == [list(row[: n_top + 1]) for row in coeff.coeffs[: m_top + 1]]
-               for _, counts, coeff in routes):
+        window = list((yield))
+        pj = appell.pj_series(k, window, j)
+        routes = (("R", states[k], coefficients(window[-1])),
+                  ("P", partitions.state_total(states), coefficients(pj)))
+        if all(counts == coeffs for _, counts, coeffs in routes):
             continue
         for n in range(n_top + 1):
             for m in range(m_top + 1):
-                for series, counts, coeff in routes:
-                    enum, want = counts[m][n], coeff.coefficient(m, n)
-                    if enum != want:
+                for series, counts, coeffs in routes:
+                    if counts[m][n] != coeffs[m][n]:
                         return {"series": series, "j": j, "m": m, "n": n,
-                                "enumeration": enum, "coefficient": want}, []
+                                "enumeration": counts[m][n], "coefficient": coeffs[m][n]}, []
     return None, []
 
 

@@ -261,7 +261,7 @@ class TestPackedRows:
         def width(n):
             return slot_width(n, *overpartition_parts(n))
 
-        assert [width(n) for n in (60, 200, 500)] == [40, 72, 104]
+        assert [width(n) for n in (2, 10, 25, 45, 60, 200, 500)] == [16, 24, 32, 40, 40, 72, 104]
         for n, count in enumerate(overpartition_counts(600)):
             assert width(n) % 8 == 0
             assert count.bit_length() <= width(n) - 3, n
@@ -592,12 +592,19 @@ class TestAppellLimit:
 class TestPjSeries:
     def test_matches_enumeration(self):
         for k in (2, 3):
-            rs = build_R(k, 8, 10)
+            terms = list(r_terms(k, 8, 10))
             for j in range(9):
-                pj = pj_series(rs, j)
-                for m in range(min(3, rs.a_order) + 1):
+                pj = unpack(pj_series(k, terms[: j + 1], j))
+                for m in range(min(3, pj.a_order) + 1):
                     for n in range(11):
                         assert pj.coefficient(m, n) == count_pj(m, n, j, k), (k, j, m, n)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_reads_only_the_last_k_terms(self, k):
+        terms = list(r_terms(k, 2 * k, 12))
+        for j in range(2 * k + 1):
+            last_k = terms[max(0, j - k + 1): j + 1]
+            assert pj_series(k, last_k, j) == pj_series(k, terms[: j + 1], j)
 
 
 class TestCongruenceProduct:

@@ -302,9 +302,10 @@ class TestCountB:
     def test_dp_matches_scalar_loop(self, n_max, parts):
         assert _count_by_dp(n_max, parts) == count_by_scalar_loop(n_max, parts)
 
-    # (n_max, parts, packed): whether packed_parts packs the large parts.
-    # B's parts; the closed product's lists, where a part may repeat; parts
-    # above n_max; n_max = 0 and 1; and large parts too few to pack
+    # (n_max, parts, packed): whether packed_parts packs any part; it packs
+    # every large part up to n_max.  B's parts; lists like the closed
+    # product's, where a part may repeat; parts above n_max; n_max = 0 and
+    # 1; and only a few large parts
     @pytest.mark.parametrize("n_max, parts, packed", [
         (0, [], False),
         (0, [1, 3], False),
@@ -315,11 +316,11 @@ class TestCountB:
         (1000, b_parts(1000, 3, 1), True),
         (165, closed_product_parts(3, 5, 60), True),  # 3, 6, ..., 15 twice
         (135, closed_product_parts(2, 8, 40), True),  # 2, 4, ..., 16 twice
-        (44, closed_product_parts(2, 4, 10), False),  # the large 8 is listed
-        (60, [10, 9, 8], False),
+        (44, closed_product_parts(2, 4, 10), True),  # the large 8 alone
+        (60, [10, 9, 8], True),
         (60, [10, 9, 8, 8], True),
         (100, list(range(11, 131)), True),
-        (100, [25, 20, 3, 3, 101], False),
+        (100, [25, 20, 3, 3, 101], True),
     ])
     def test_dp_matches_scalar_loop_across_the_split(self, n_max, parts, packed):
         assert bool(packed_parts(n_max, parts)) == packed
