@@ -23,9 +23,10 @@ reads R_j, R_{j-1}, R_{j-k}; limit_step reads R_j, R_{j-1}), so a caller
 can check them as the terms arrive; check_functional_equation and
 appell_limit are the same steps looped over an RSequence, packed first.
 
-The stream's terms are packed (PackedTerm): a-row m of R_j is one integer
-of unsigned counts, q^0 on top, so a row add is one integer add and a shift
-by q^s a bare right shift; unpack turns a term into a BivariateSeries.
+The stream's terms are packed (packed.PackedTerm, as the D_k sweep's
+states are): a-row m of R_j is one integer of unsigned counts, q^0 on top,
+so a row add is one integer add and a shift by q^s a bare right shift;
+unpack turns a term into a BivariateSeries.
 
 Euler's two identities give R_j in closed form: its a^d row is
 q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}).  The closed product
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 from operator import add
 
 from . import packed
+from .packed import PackedTerm
 from .partitions import _add_part, check_params
 from .series import BivariateSeries, QSeries, _divide_rows, euler_product
 
@@ -92,18 +94,6 @@ def overpartition_parts(q_order: int) -> tuple:
     return range(1, q_order + 1), range(1, q_order + 1)
 
 
-@dataclass(frozen=True)
-class PackedTerm:
-    """R_j(a, q) with a-row m in the packed layout: rows[m] =
-    sum_n c_{m,n} 2^{width (q_order - n)}, n <= q_order, so q^0 is the top
-    slot.  A coefficient counts objects, so every slot is unsigned, below
-    2^{width - GUARD_BITS}, and a shift by q^s is a bare right shift."""
-
-    rows: tuple
-    width: int
-    q_order: int
-
-
 def pack(series: BivariateSeries, width: int) -> PackedTerm:
     """series with each a-row packed into `width`-bit slots, q^0 on top.  An
     R_j coefficient counts objects: the first, a-degree before q-degree,
@@ -118,9 +108,7 @@ def pack(series: BivariateSeries, width: int) -> PackedTerm:
 
 def unpack(term: PackedTerm) -> BivariateSeries:
     """The BivariateSeries whose a-rows term packs."""
-    n1 = term.q_order + 1
-    return BivariateSeries(tuple(
-        tuple(packed.read_slots(row, term.width, n1)) if row else (0,) * n1 for row in term.rows))
+    return BivariateSeries(tuple(map(tuple, packed.read_rows(term))))
 
 
 @dataclass

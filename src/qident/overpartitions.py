@@ -9,9 +9,11 @@ D_k is counted by the transfer-matrix sweep (`dk_sweep`, on
 `partitions.sweep`), whose state before value v is the distance to the
 last overlined value, capped at k: `count_Dk_table` reads its last states,
 and the bounded counts its states after each value j, R_j from state k and
-P_j from them all.  The proof machinery's bounded stage reads every j off
-one sweep; `count_pj` and `count_rj` run one sweep to a single j.
-Counting enumerates nothing, so no weight limit applies to it.
+P_j from them all.  Its rows are packed in the R_j stream's width, so the
+proof machinery's bounded stage reads every j off one sweep at the
+stream's q-order and compares the rows as integers; `count_pj` and
+`count_rj` run one sweep to a single j.  Counting enumerates nothing, so
+no weight limit applies to it.
 
 Witness lists enumerate.  An admissible object is a bitmask over its
 partition's distinct values (bit idx overlines the idx-th largest), and
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator
 
+from . import appell, packed
 from .partitions import (
     ANY, OVER, SKIP, check_params, enumerate_partitions, final_states, state_total, sweep,
 )
@@ -250,29 +253,32 @@ def _dk_moves(k: int):
 def dk_sweep(n_max: int, k: int, m_max: int, j_max: int | None = None) -> Iterator[dict]:
     """The D_k sweep over the values 1..j_max (default n_max), weights
     <= n_max and a-rows 0..m_max.  After value j, state k counts R_j's
-    objects (no overlined value in j-k+2..j) and all states P_j's."""
+    objects (no overlined value in j-k+2..j) and all states P_j's.  Every
+    count is at most an overpartition count, so the rows are packed in the
+    R_j stream's width at q-order n_max."""
     check_params(k, n_max=n_max, m_max=m_max, j_max=j_max)
-    return sweep(n_max, k, _dk_moves(k), j_max, m_max)
+    width = packed.slot_width(n_max, *appell.overpartition_parts(n_max))
+    return sweep(n_max, k, _dk_moves(k), width, j_max, m_max, name=f"the D_{k} sweep")
 
 
 def count_Dk_table(n_max: int, k: int, m_max: int | None = None) -> list:
     """table[m][n] = D_k(m, n) for m <= m_max (default n_max), n <= n_max,
     from the sweep."""
     m_max = n_max if m_max is None else m_max
-    return state_total(final_states(dk_sweep(n_max, k, m_max)))
+    return packed.read_rows(state_total(final_states(dk_sweep(n_max, k, m_max))))
 
 
 def count_pj(m: int, n: int, j: int, k: int) -> int:
     """Admissible overpartitions of n with m overlines and all parts <= j:
     one sweep to value j at weight n."""
     check_params(k, j=j)
-    return state_total(final_states(dk_sweep(n, k, m, j)))[m][n] if m >= 0 else 0
+    return packed.read_rows(state_total(final_states(dk_sweep(n, k, m, j))))[m][n] if m >= 0 else 0
 
 
 def count_rj(m: int, n: int, j: int, k: int) -> int:
     """As count_pj, but additionally no overlined value in {j-k+2, ..., j}."""
     check_params(k, j=j)
-    return final_states(dk_sweep(n, k, m, j))[k][m][n] if m >= 0 else 0
+    return packed.read_rows(final_states(dk_sweep(n, k, m, j))[k])[m][n] if m >= 0 else 0
 
 
 def specialize_overpartition(o: Overpartition, i: int, k: int) -> tuple:

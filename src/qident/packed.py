@@ -2,10 +2,12 @@
 
 A packed row c_0..c_N is sum_s c_s 2^{w (N - s)}: c_0 in the top slot, so a
 shift by s slots is a right shift by w s bits and the slots shifted past
-c_N fall off the bottom.  Two routes pack, the R_j stream and the
-knapsack's large parts, and both hold counts, so every slot is unsigned;
-w is whole bytes, with GUARD_BITS clear bits above slot_width's bound,
-which guard_mask reads.  Each route keeps its own arithmetic on the packed
+c_N fall off the bottom.  Three routes pack: the R_j stream, the
+transfer-matrix sweep (partitions.sweep) and the knapsack's large parts.
+All hold counts, so every slot is unsigned; w is whole bytes, with
+GUARD_BITS clear bits above slot_width's bound, which guard_mask reads.
+The stream and the sweep hold a series in a as a PackedTerm, one packed
+row per a-degree.  Each route keeps its own arithmetic on the packed
 integers, so compared routes share only this format, no kernel.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 # the bits kept clear above every value a packed slot may reach
 GUARD_BITS = 3
@@ -70,6 +73,24 @@ def _repeated(top: int, width: int, slots: int) -> int:
 def guard_mask(width: int, slots: int) -> int:
     """The top GUARD_BITS of each of `slots` slots of `width` bits."""
     return _repeated(0xFF << (8 - GUARD_BITS) & 0xFF, width, slots)
+
+
+class PackedTerm(NamedTuple):
+    """A series in a and q with a-row m packed: rows[m] =
+    sum_n c_{m,n} 2^{width (q_order - n)}, n <= q_order, so q^0 is the top
+    slot.  A coefficient counts objects, so every slot is unsigned, below
+    2^{width - GUARD_BITS}, and a shift by q^s is a bare right shift.  A
+    named tuple: the sweep builds one per state and value."""
+
+    rows: tuple
+    width: int
+    q_order: int
+
+
+def read_rows(term: PackedTerm) -> list:
+    """The slot values of each of term's rows, q^0 first, as lists."""
+    n1 = term.q_order + 1
+    return [read_slots(row, term.width, n1) if row else [0] * n1 for row in term.rows]
 
 
 def pack_row(values, width: int) -> int:

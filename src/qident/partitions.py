@@ -7,13 +7,14 @@ Every sum-side rule is local, so each side is counted by `sweep`, one pass
 over the part values v = 1..N whose state is a capped distance to the last
 relevant part: Schur's gaps and the corollary's difference conditions here,
 the D_k rule in overpartitions.  A side is a `moves(v, state)` table, not a
-loop of its own.  The B side is the knapsack over its allowed parts, run
-largest first: every part p with p * p > N (`packed_parts`) on one packed
-integer (`_packed_knapsack`), then the small ones on the list through
-`_add_part`, the running-sum kernel the sweep's plain copies and the
-closed product's rows (appell) run on too.  Schur's product side is the
-same knapsack, over the parts congruent to +-1 mod 6; Schur's sweep and
-walk share neither kernel with it.
+loop of its own.  The sweep holds each state's a-rows packed (packed.py)
+and divides by 1 - q^v in doubling steps of its own.  The B side is the
+knapsack over its allowed parts, run largest first: every part p with
+p * p > N (`packed_parts`) on one packed integer (`_packed_knapsack`),
+then the small ones on the list through `_add_part`, the running-sum
+kernel the closed product's rows (appell) run on too.  Schur's product
+side is the same knapsack, over the parts congruent to +-1 mod 6; Schur's
+sweep and walk share neither kernel with it, only the packed format.
 
 Enumeration is one walk of the prefix tree, `partitions_up_to`, on a
 side's rule, which lists once per walk the parts each state may add (the
@@ -132,46 +133,76 @@ SKIP, ANY, SOME, ONE, OVER = range(5)
 
 
 def sweep(
-    n_max: int, start, moves: Callable, v_max: int | None = None, a_order: int = 0
+    n_max: int, start, moves: Callable, width: int, v_max: int | None = None,
+    a_order: int = 0, name: str = "the sweep",
 ) -> Iterator[dict]:
     """The transfer-matrix sweep over the part values v = 1..v_max (default
-    n_max): yields {state: rows} before the first value and after each one.
+    n_max): yields {state: PackedTerm} before the first value and after
+    each one.
 
-    rows[m][n] counts the objects of weight n <= n_max with m overlined
-    parts (m <= a_order), built from the values so far, that end in that
-    state; the sweep starts from the empty object in state start.
-    moves(v, state) lists the (kind, target state) moves at v, and a state
-    reached by several moves sums them.  No yielded row changes later.
+    Row m of a state's term packs, in `width`-bit slots (packed.py), the
+    counts of the objects of weight n <= n_max with m overlined parts
+    (m <= a_order), built from the values so far, that end in that state;
+    the sweep starts from the empty object in state start.  moves(v, state)
+    lists the (kind, target state) moves at v.  At each v the rows of each
+    (kind, target)'s sources are summed first, and the kind is applied
+    once: OVER moves them up one a-row, OVER, SOME and ONE shift them by
+    q^v, a right shift by width * v bits, and ANY and SOME divide by
+    1 - q^v in doubling steps row += row >> width * s for s in
+    _doublings(v, n_max), the partial products of (1 + q^v)(1 + q^{2v})...
+    A state reached by several moves sums them.  No yielded term changes.
+
+    Every value formed at v is at most a count of its target after v (a
+    sum of its sources, and each doubling step a partial sum of the
+    quotient), so while `width` bounds the counts no slot reaches its
+    guard bits.  They are read once per v, after every target's
+    arithmetic; a slot holding one raises SlotOverflowError naming the
+    sweep, the value and the width.
     """
-    zero = [0] * (n_max + 1)
-    states = {start: [[1] + zero[1:]] + [zero] * a_order}
+    states = {start: packed.PackedTerm((1 << width * n_max,) + (0,) * a_order, width, n_max)}
     yield states
+    guard = packed.guard_mask(width, n_max + 1)
     for v in range(1, (n_max if v_max is None else v_max) + 1):
-        reached = {}
-        for state, rows in states.items():
-            for kind, target in moves(v, state):
-                moved = _moved(kind, rows, v, zero)
-                old = reached.get(target)
-                reached[target] = moved if old is None else [
-                    list(map(add, a, b)) for a, b in zip(old, moved)
-                ]
-        states = reached
+        sources = {}
+        for state, term in states.items():
+            rows = term.rows
+            for move in moves(v, state):
+                old = sources.get(move)
+                sources[move] = rows if old is None else list(map(add, old, rows))
+        shift, steps, reached = width * v, None, {}
+        for (kind, target), rows in sources.items():
+            if kind != SKIP:
+                if kind == OVER:
+                    rows = (0, *rows[:-1])
+                if kind != ANY:
+                    rows = [row >> shift for row in rows]
+                if kind == ANY or kind == SOME:
+                    if steps is None:
+                        steps = [width * s for s in _doublings(v, n_max)]
+                    divided = []
+                    for row in rows:
+                        if row:
+                            for bits in steps:
+                                row += row >> bits
+                        divided.append(row)
+                    rows = divided
+            old = reached.get(target)
+            reached[target] = rows if old is None else list(map(add, old, rows))
+        states = {}
+        for target, rows in reached.items():
+            for m, row in enumerate(rows):
+                if row & guard:
+                    raise packed.SlotOverflowError(
+                        f"slot overflow: {name}'s a^{m} row reached the guard bits of its"
+                        f" {width}-bit slots at v={v}, n_max={n_max}")
+            states[target] = packed.PackedTerm(tuple(rows), width, n_max)
         yield states
 
 
-def _moved(kind: int, rows: list, v: int, zero: list) -> list:
-    """rows times the generating function of one kind of move at v, as new
-    rows; a skip returns rows itself."""
-    if kind == SKIP:
-        return rows
-    if kind == OVER:
-        rows = [zero] + rows[:-1]
-    # a shift by q^v, or for ANY a copy, so _add_part changes no shared row
-    rows = [row.copy() for row in rows] if kind == ANY else [zero[:v] + row[:-v] for row in rows]
-    if kind == ANY or kind == SOME:
-        for row in rows:
-            _add_part(row, v)
-    return rows
+def _doublings(v: int, n_max: int) -> list:
+    """The sweep's doubling steps for 1/(1 - q^v) to q^{n_max}: s = v, 2v,
+    4v, ... <= n_max."""
+    return [v << t for t in range((n_max // v).bit_length())]
 
 
 def final_states(snapshots: Iterator[dict]) -> dict:
@@ -179,13 +210,11 @@ def final_states(snapshots: Iterator[dict]) -> dict:
     return deque(snapshots, maxlen=1)[0]
 
 
-def state_total(states: dict) -> list:
-    """Every a-row of a sweep's states, summed over the states, as new rows."""
-    rows = iter(states.values())
-    total = [list(row) for row in next(rows)]
-    for more in rows:
-        total = [list(map(add, a, b)) for a, b in zip(total, more)]
-    return total
+def state_total(states: dict) -> packed.PackedTerm:
+    """Every state's term summed, a-row by a-row, as a new PackedTerm."""
+    terms = list(states.values())
+    rows = tuple(map(sum, zip(*(term.rows for term in terms))))
+    return packed.PackedTerm(rows, terms[0].width, terms[0].q_order)
 
 
 def _count_by_dp(n_max: int, allowed_parts: Sequence[int]) -> list:
@@ -453,8 +482,10 @@ def count_C_table(n_max: int, k: int, i: int) -> list:
     """C_{i,k}(0..n_max) from the corollary's sweep; the phrasings' walks
     are walk_C_table."""
     check_params(k, i, n_max=n_max)
-    states = final_states(sweep(n_max, (2 * k, 2 * i + 1), _corollary_moves(k, i)))
-    return state_total(states)[0]
+    width = packed.slot_width(n_max, range(1, n_max + 1))  # C_{i,k}(n) <= p(n)
+    states = final_states(sweep(n_max, (2 * k, 2 * i + 1), _corollary_moves(k, i), width,
+                                name=f"the C_{{{i},{k}}} sweep"))
+    return packed.read_rows(state_total(states))[0]
 
 
 def walk_C_table(n_max: int, k: int, i: int, phrasing: str = "corollary") -> list:
@@ -519,7 +550,9 @@ def _schur_moves(v: int, state: tuple) -> list:
 def count_schur_gap_table(n_max: int) -> list:
     """Gap partitions of Schur's identity for n = 0..n_max, from the sweep."""
     check_params(n_max=n_max)
-    return state_total(final_states(sweep(n_max, (6, False), _schur_moves)))[0]
+    width = packed.slot_width(n_max, range(1, n_max + 1))  # at most p(n)
+    states = final_states(sweep(n_max, (6, False), _schur_moves, width, name="Schur's gap sweep"))
+    return packed.read_rows(state_total(states))[0]
 
 
 def walk_schur_gap_table(n_max: int) -> list:

@@ -119,18 +119,22 @@ def _refuse_beyond(n: int) -> None:
 
 
 def verify_overpartition(k: int, n_max: int, m_max: int | None = None) -> VerificationReport:
-    """D_k(m, n) from the sweep vs. the coefficient of a^m q^n in the product."""
+    """D_k(m, n) from the sweep vs. the coefficient of a^m q^n in the product,
+    for m <= m_max: by default every a-row a weight n_max holds
+    (appell.max_overline_count), and at least min(n_max, 8).  A slot
+    overflow in the sweep aborts the report, naming the slot width."""
     start = time.perf_counter()
-    if m_max is None:
-        m_max = min(n_max, 8)
     params = {"k": k}
-    rng = {"n_max": n_max, "m_max": m_max}
+    rng = {"n_max": n_max, "m_max": min(n_max, 8) if m_max is None else m_max}
     try:
         partitions.check_params(k, n_max=n_max, m_max=m_max)
+        if m_max is None:  # the bound needs the k and n_max just checked
+            rng["m_max"] = max(rng["m_max"], appell.max_overline_count(k, n_max))
+        m_max = rng["m_max"]
         product = appell.theorem_product(k, n_max, m_max)
-    except ValueError as exc:
+        table = overpartitions.count_Dk_table(n_max, k, m_max)
+    except (ValueError, packed.SlotOverflowError) as exc:
         return _aborted("overpartition", params, rng, str(exc), start)
-    table = overpartitions.count_Dk_table(n_max, k, m_max)
     first = next(((n, m) for n in range(n_max + 1) for m in range(m_max + 1)
                   if table[m][n] != product.coefficient(m, n)), None)
     witness, notes = None, []
@@ -159,8 +163,8 @@ def verify_corollary(
 ) -> VerificationReport:
     """Three-way check B = C = product coefficient up to enum_limit, then
     two-way DP-vs-product up to n_max.  A slot overflow in B's packed
-    knapsack aborts the report, naming the slot width; a pass notes the
-    width and the bound it rests on."""
+    knapsack or in the C sweep aborts the report, naming the slot width; a
+    pass notes the knapsack's width and the bound it rests on."""
     start = time.perf_counter()
     params = {"k": k, "i": i}
     enum_top = min(n_max, enum_limit)
@@ -170,11 +174,11 @@ def verify_corollary(
         _refuse_beyond(enum_top)
         b_table = partitions.count_B_table(n_max, k, i)
         product = appell.congruence_product_series(k, i, n_max).coeffs
+        c_sweep = partitions.count_C_table(enum_top, k, i)
     except (ValueError, packed.SlotOverflowError) as exc:
         return _aborted("corollary", params, rng, str(exc), start)
     alt_phrasing = "thm12" if i == k - 1 else ("thm13" if i == 0 else None)
     c_table = partitions.walk_C_table(enum_top, k, i, "corollary")
-    c_sweep = partitions.count_C_table(enum_top, k, i)
     alt_table = (
         partitions.walk_C_table(enum_top, k, i, alt_phrasing) if alt_phrasing is not None else None
     )
@@ -244,20 +248,19 @@ def verify_dual(k: int, n_max: int = 200, enum_limit: int = 25) -> VerificationR
 
 def verify_schur(n_max: int = 40) -> VerificationReport:
     """The product's knapsack against the gap partitions' walk and sweep.  A
-    slot overflow in the knapsack aborts the report, naming the slot width;
-    a pass notes the width and the bound it rests on."""
+    slot overflow in the knapsack or the sweep aborts the report, naming
+    the slot width; a pass notes the knapsack's width and the bound it
+    rests on."""
     start = time.perf_counter()
     rng = {"n_max": n_max}
     try:
         partitions.check_params(n_max=n_max)
         _refuse_beyond(n_max)
         product = partitions.count_schur_product_table(n_max)
+        swept = partitions.count_schur_gap_table(n_max)
     except (ValueError, packed.SlotOverflowError) as exc:
         return _aborted("schur", {}, rng, str(exc), start)
-    routes = (
-        ("gap_count", partitions.walk_schur_gap_table(n_max)),
-        ("sweep_count", partitions.count_schur_gap_table(n_max)),
-    )
+    routes = (("gap_count", partitions.walk_schur_gap_table(n_max)), ("sweep_count", swept))
     witnesses = (
         {
             "n": n,
@@ -294,12 +297,13 @@ def verify_machinery(
 
     R_0..R_{j_max} are built once, by appell.r_terms, and each stage checks
     them as they arrive through a window of the last k + 1 terms, so no more
-    is kept than the window.  The terms are packed: the bounded stage reads
-    slots off them, the others unpack one only where they read coefficients.
-    A stage is a generator: it is sent the window once per term until it
-    returns (witness or None, notes), or raises StabilizationError to abort,
-    and its time is the sum of its own steps.  A slot overflow in the stream
-    aborts every stage that has not yet returned.
+    is kept than the window.  The terms are packed: the bounded stage
+    compares their rows as integers, the others unpack one only where they
+    read coefficients.  A stage is a generator: it is sent the window once
+    per term until it returns (witness or None, notes), or raises
+    StabilizationError, or SlotOverflowError from its own sweep, to abort,
+    and its time is the sum of its own steps.  A slot overflow in the
+    stream aborts every stage that has not yet returned.
     """
     start = time.perf_counter()
     if j_max is None:
@@ -332,7 +336,7 @@ def verify_machinery(
             stages[n][2].send(window)
         except StopIteration as done:
             outcomes[n] = done.value
-        except appell.StabilizationError as exc:
+        except (appell.StabilizationError, packed.SlotOverflowError) as exc:
             outcomes[n] = exc
         seconds[n] += time.perf_counter() - t0
 
@@ -420,25 +424,30 @@ def _bounded_enumeration(k: int, q_order: int, j_top: int, n_top: int):
     """The counts r_j(m, n), p_j(m, n), read off one D_k sweep after each
     value j, against the coefficients of R_j, P_j for j <= j_top, n <= n_top
     and every m the truncation holds; the first mismatch in (j, n, m) order,
-    R before P, is the witness.  The sweep steps with the stream, P_j is
-    added up from the window's packed terms, and each row is read to q^{n_top},
-    compared whole and scanned cell by cell only when it differs."""
+    R before P, is the witness.  The sweep steps with the stream at weight
+    q_order, so its rows are packed in the stream's width; P_j is added up
+    from the window's packed terms.  Every row is shifted down to q^{n_top}
+    and compared as an integer, and a j's slots are read, each term's in its
+    own width, only when its rows differ, to find the witness cell."""
     m_top = appell.max_overline_count(k, n_top)  # n_top <= q_order: R_j's rows reach m_top
 
-    def coefficients(term):
-        return [packed.read_slots(row >> term.width * (q_order - n_top), term.width, n_top + 1)
-                for row in term.rows[: m_top + 1]]
+    def head(term):  # the rows up to q^{n_top}, as integers
+        bits = term.width * (q_order - n_top)
+        return [row >> bits for row in term.rows[: m_top + 1]]
 
-    for j, states in enumerate(overpartitions.dk_sweep(n_top, k, m_top, j_top)):
+    def cells(term):
+        return [packed.read_slots(row, term.width, n_top + 1) for row in head(term)]
+
+    for j, states in enumerate(overpartitions.dk_sweep(q_order, k, m_top, j_top)):
         window = list((yield))
-        pj = appell.pj_series(k, window, j)
-        routes = (("R", states[k], coefficients(window[-1])),
-                  ("P", partitions.state_total(states), coefficients(pj)))
-        if all(counts == coeffs for _, counts, coeffs in routes):
+        routes = (("R", states[k], window[-1]),
+                  ("P", partitions.state_total(states), appell.pj_series(k, window, j)))
+        if all(head(counts) == head(coeffs) for _, counts, coeffs in routes):
             continue
+        read = [(series, cells(counts), cells(coeffs)) for series, counts, coeffs in routes]
         for n in range(n_top + 1):
             for m in range(m_top + 1):
-                for series, counts, coeffs in routes:
+                for series, counts, coeffs in read:
                     if counts[m][n] != coeffs[m][n]:
                         return {"series": series, "j": j, "m": m, "n": n,
                                 "enumeration": counts[m][n], "coefficient": coeffs[m][n]}, []

@@ -17,6 +17,7 @@ from qident.overpartitions import (
     is_Dk_admissible,
     specialize_overpartition,
 )
+from qident.packed import read_rows
 from qident.partitions import c_witnesses, enumerate_partitions
 from qident.series import Monomial, euler_product, pochhammer_inf
 from qident.appell import max_overline_count, theorem_product
@@ -48,7 +49,8 @@ def filter_bounded(n, j_max, k, m_max):
 def sweep_tables(n_max, j_max, k, m_max):
     """r[n][j][m] and p[n][j][m], read off dk_sweep's snapshot after each
     value j <= j_max: R_j from state k, P_j from every state."""
-    snapshots = list(dk_sweep(n_max, k, m_max, j_max))
+    snapshots = [{state: read_rows(term) for state, term in s.items()}
+                 for s in dk_sweep(n_max, k, m_max, j_max)]
     assert len(snapshots) == j_max + 1
     ms = range(m_max + 1)
     r = [[[s[k][m][n] for m in ms] for s in snapshots] for n in range(n_max + 1)]

@@ -1,16 +1,25 @@
-"""The transfer-matrix sweep: its kernel, and each side's moves against
-enumeration at small n and against the products at series range."""
+"""The transfer-matrix sweep: its packed rows against a list-row oracle, and
+each side's moves against enumeration at small n and against the products at
+series range."""
+
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qident import appell
-from qident.overpartitions import count_Dk_table, count_pj, count_rj, d_witnesses
+from qident.overpartitions import (
+    _dk_moves, count_Dk_table, count_pj, count_rj, d_witnesses, dk_sweep,
+)
+from qident.packed import read_rows, whole_bytes
 from qident.partitions import (
     ANY,
     ONE,
     OVER,
     SKIP,
     SOME,
+    _add_part,
     count_B_table,
     count_C_table,
     count_schur_gap_table,
@@ -25,6 +34,61 @@ from qident.partitions import (
 from test_overpartitions import filter_bounded
 
 CELLS = [(k, i) for k in range(2, 6) for i in range(k)]
+KINDS = (SKIP, ANY, SOME, ONE, OVER)
+
+
+def list_sweep(n_max, start, moves, v_max=None, a_order=0):
+    """The oracle: the sweep on list rows, {state: rows} before the first
+    value and after each one, rows[m][n] the counts.  Each move multiplies
+    a copy of its source's rows by its kind's generating function on its
+    own (_moved), and a target sums the moves that reach it."""
+    zero = [0] * (n_max + 1)
+    states = {start: [[1] + zero[1:]] + [zero] * a_order}
+    yield states
+    for v in range(1, (n_max if v_max is None else v_max) + 1):
+        reached = {}
+        for state, rows in states.items():
+            for kind, target in moves(v, state):
+                moved = _moved(kind, rows, v, zero)
+                old = reached.get(target)
+                reached[target] = moved if old is None else [
+                    list(map(add, a, b)) for a, b in zip(old, moved)
+                ]
+        states = reached
+        yield states
+
+
+def _moved(kind, rows, v, zero):
+    """rows times the generating function of one kind of move at v, as new
+    rows; a skip returns rows itself."""
+    if kind == SKIP:
+        return rows
+    if kind == OVER:
+        rows = [zero] + rows[:-1]
+    # a shift by q^v, or for ANY a copy, so _add_part changes no shared row
+    rows = [row.copy() for row in rows] if kind == ANY else [zero[:v] + row[:-v] for row in rows]
+    if kind == ANY or kind == SOME:
+        for row in rows:
+            _add_part(row, v)
+    return rows
+
+
+def unpacked(states):
+    """A packed snapshot as the oracle's: {state: rows[m][n]}."""
+    return {state: read_rows(term) for state, term in states.items()}
+
+
+@st.composite
+def move_tables(draw):
+    """(n_max, v_max, a_order, table): table[v, state] lists up to three
+    moves of any kind, repeats allowed, among up to three states."""
+    n_max = draw(st.integers(0, 30))
+    v_max = draw(st.integers(0, n_max + 2))
+    states = draw(st.integers(1, 3))
+    move = st.tuples(st.sampled_from(KINDS), st.integers(0, states - 1))
+    table = {(v, state): draw(st.lists(move, max_size=3))
+             for v in range(1, v_max + 1) for state in range(states)}
+    return n_max, v_max, draw(st.integers(0, 3)), table
 
 
 class TestKernel:
@@ -40,21 +104,22 @@ class TestKernel:
         }
         for kind, expected in rows.items():
             states = final_states(
-                sweep(6, "s", lambda v, s, kind=kind: [(kind if v == 2 else SKIP, s)], 2, 1)
+                sweep(6, "s", lambda v, s, kind=kind: [(kind if v == 2 else SKIP, s)], 8, 2, 1)
             )
-            assert states == {"s": expected}, kind
+            assert unpacked(states) == {"s": expected}, kind
+            assert (states["s"].width, states["s"].q_order) == (8, 6)
 
     def test_moves_into_one_state_are_summed(self):
         # distinct parts: each value skipped or taken once; 1 + q + q^2 + 2q^3 ...
-        states = final_states(sweep(6, 0, lambda v, s: [(SKIP, 0), (ONE, 0)]))
-        assert state_total(states) == [[1, 1, 1, 2, 2, 3, 4]]
+        states = final_states(sweep(6, 0, lambda v, s: [(SKIP, 0), (ONE, 0)], 8))
+        assert read_rows(state_total(states)) == [[1, 1, 1, 2, 2, 3, 4]]
 
     def test_yields_every_snapshot_unchanged(self):
-        snapshots = list(sweep(5, 0, lambda v, s: [(ANY, 0)]))
+        snapshots = list(sweep(5, 0, lambda v, s: [(ANY, 0)], 8))
         assert len(snapshots) == 6
         # after value j, the partitions into parts <= j; no snapshot is
         # changed by the values after it
-        assert [rows[0] for rows in (s[0] for s in snapshots)] == [
+        assert [unpacked(s)[0][0] for s in snapshots] == [
             [1, 0, 0, 0, 0, 0],
             [1, 1, 1, 1, 1, 1],
             [1, 1, 2, 2, 3, 3],
@@ -65,8 +130,31 @@ class TestKernel:
 
     def test_values_past_the_weight(self):
         # v_max above n_max adds nothing, and no move past the weight fails
-        states = final_states(sweep(3, 0, lambda v, s: [(ANY, 0), (OVER, 0)], 9, 1))
-        assert states[0] == [[1, 1, 2, 3], [0, 1, 1, 3]]
+        states = final_states(sweep(3, 0, lambda v, s: [(ANY, 0), (OVER, 0)], 8, 9, 1))
+        assert unpacked(states)[0] == [[1, 1, 2, 3], [0, 1, 1, 3]]
+
+
+class TestAgainstOracle:
+    @given(move_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_every_snapshot_equals_the_list_sweep(self, case):
+        # random tables of every kind of move; the slots are as wide as the
+        # oracle's largest count needs, since a table's counts have no bound
+        n_max, v_max, a_order, table = case
+        moves = lambda v, state: table[v, state]
+        expected = list(list_sweep(n_max, 0, moves, v_max, a_order))
+        top = max(c for states in expected for rows in states.values() for row in rows for c in row)
+        width = whole_bytes(top.bit_length())
+        snapshots = list(sweep(n_max, 0, moves, width, v_max, a_order))
+        assert [unpacked(states) for states in snapshots] == expected
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_Dk_snapshots_equal_the_list_sweep(self, k):
+        # the D_k table at series range, every a-row, after every value
+        m_max = appell.max_overline_count(k, 80)
+        expected = list_sweep(80, k, _dk_moves(k), None, m_max)
+        for got, want in zip(dk_sweep(80, k, m_max), expected, strict=True):
+            assert unpacked(got) == want
 
 
 class TestAgainstEnumeration:

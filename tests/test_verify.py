@@ -75,13 +75,59 @@ class TestReports:
 
     def test_machinery_aborts_on_a_slot_overflow(self, monkeypatch):
         # 8-bit slots are too narrow at q-order 60: R_3's a^0 row reaches the
-        # guard bits, and every stage that had not decided aborts, naming it
+        # guard bits, and every stage that had not decided aborts, naming it.
+        # The bounded stage's sweep, one value ahead of the stream, trips
+        # first at v = 3 and aborts that stage alone, naming the sweep
         monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(): 8)
         rep = verify.verify_machinery(2, 60)
         assert rep.status == "aborted"
         assert {s.status for s in rep.subreports} == {"aborted"}
-        for sub in rep.subreports:
+        *streamed, bounded = rep.subreports
+        for sub in streamed:
             assert any("a^0 row of R_3" in note for note in sub.notes), sub.notes
+        assert bounded.notes == ["aborted: slot overflow: the D_2 sweep's a^0 row reached"
+                                 " the guard bits of its 8-bit slots at v=3, n_max=60"]
+
+    @staticmethod
+    def narrowing(monkeypatch, caller, width):
+        """packed.slot_width, `width` bits wide where the function `caller`
+        asks for it and as it was for every other caller."""
+        real = packed.slot_width
+
+        def slot_width(n, *parts):
+            return width if sys._getframe(1).f_code.co_name == caller else real(n, *parts)
+
+        monkeypatch.setattr(packed, "slot_width", slot_width)
+
+    # each sweep in 8-bit slots, which hold counts below 2^5: the report, or
+    # the bounded stage alone, is aborted, and the note names the sweep and
+    # its width; the other routes keep their widths
+    @pytest.mark.parametrize("caller, call, note", [
+        ("dk_sweep", lambda: verify.verify_overpartition(2, 22),
+         "the D_2 sweep's a^0 row reached the guard bits of its 8-bit slots at v=3, n_max=22"),
+        ("count_C_table", lambda: verify.verify_corollary(2, 0, 200, 25),
+         "the C_{0,2} sweep's a^0 row reached the guard bits of its 8-bit slots at v=8,"
+         " n_max=25"),
+        ("count_schur_gap_table", lambda: verify.verify_schur(40),
+         "Schur's gap sweep's a^0 row reached the guard bits of its 8-bit slots at v=24,"
+         " n_max=40"),
+    ], ids=["overpartition", "corollary", "schur"])
+    def test_sweep_overflow_aborts_the_report(self, monkeypatch, caller, call, note):
+        assert call().status == "pass"
+        self.narrowing(monkeypatch, caller, 8)
+        rep = call()
+        assert (rep.status, rep.witness, rep.notes) == ("aborted", None, [f"slot overflow: {note}"])
+
+    def test_sweep_overflow_aborts_the_bounded_stage_alone(self, monkeypatch):
+        # the stream keeps its width, so the other three stages pass
+        self.narrowing(monkeypatch, "dk_sweep", 8)
+        rep = verify.verify_machinery(2, 60, enum_j=62, enum_n=60)
+        assert rep.status == "aborted"
+        *streamed, bounded = rep.subreports
+        assert {s.status for s in streamed} == {"pass"}
+        assert (bounded.status, bounded.witness, bounded.notes) == ("aborted", None, [
+            "aborted: slot overflow: the D_2 sweep's a^0 row reached the guard bits of its"
+            " 8-bit slots at v=3, n_max=60"])
 
     def test_corollary_aborts_on_a_slot_overflow(self, monkeypatch):
         # B's packed counts at (2, 0), n = 1000 reach 46 bits: 56-bit slots
@@ -135,10 +181,21 @@ class TestReports:
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_overpartition_past_the_limit(self, k):
-        # the sweep and the product enumerate nothing, so n = 100 runs
+        # the sweep and the product enumerate nothing, so n = 100 runs, on
+        # every a-row weight 100 holds: 10 overlines 1, 3, ..., 19 at k = 2,
+        # and at k = 5 six, fewer than the 8 rows kept at least
         rep = verify.verify_overpartition(k, 100)
         assert rep.status == "pass"
-        assert rep.range == {"n_max": 100, "m_max": 8}
+        assert rep.range == {"n_max": 100, "m_max": {2: 10, 5: 8}[k]}
+
+    def test_overpartition_checks_every_a_row_by_default(self):
+        for k, n_max in ((2, 0), (2, 5), (2, 22), (2, 200), (3, 200), (5, 400)):
+            rep = verify.verify_overpartition(k, n_max)
+            rows = max(min(n_max, 8), appell.max_overline_count(k, n_max))
+            assert (rep.status, rep.range["m_max"]) == ("pass", rows), (k, n_max)
+        # the suite's pinned (k, 22) cells keep their 8 rows
+        cells = [r for r in verify.verify_all(5) if r.identity == "overpartition"]
+        assert [r.range for r in cells] == [{"n_max": 22, "m_max": 8}] * 4
 
     def test_machinery_bounded_stage_past_the_limit(self):
         for rep, stage_range in (
@@ -357,10 +414,9 @@ def bumped(real, at, when=None):
     at is a path of indices into the output: n into a count list or a
     QSeries, (m, n) into a row matrix, a BivariateSeries or a packed R_j,
     (j, m, n) into the stream of R_j terms or the closed product's x^j
-    list, and
-    (j, state, m, n) into a sweep's snapshots (an iterator is read into a
-    list first).  A path that ends at an object, not a count, drops that
-    object from its list.  Each level on the path is copied, so no row that
+    list, (j, state, m, n) into a sweep's snapshots (an iterator is read
+    into a list first), and t into the sweep's doubling steps.  A path
+    that ends at an object, not a count, drops that object from its list.  Each level on the path is copied, so no row that
     real returned, or shares, changes.  slip.calls keeps (args, kwargs,
     real's output) for every bumped call."""
 
@@ -382,7 +438,7 @@ def settled(out):
 
 
 def _bumped_at(out, at):
-    if isinstance(out, appell.PackedTerm):  # unpack, bump, repack
+    if isinstance(out, packed.PackedTerm):  # unpack, bump, repack
         return appell.pack(_bumped_at(appell.unpack(out), at), out.width)
     if isinstance(out, (QSeries, BivariateSeries)):
         return type(out)(_bumped_at(out.coeffs, at))
@@ -523,14 +579,24 @@ ROUTE_SLIPS = [
         calls={"machinery": lambda: verify.verify_machinery(2, 60, enum_j=62, enum_n=60)}),
     RouteSlip("partitions.state_total", (2, 7), {
         "machinery/bounded-enumeration": {"series": "P", "j": 0, "m": 2, "n": 7}}),
-    # the one slot reader, which every packed route reads through: slot 1
-    # read one high, so B's knapsack counts 2 at n = 1
+    # the sweep's division by 1 - q^2 with its first doubling step one slot
+    # too far, q^3 for q^2: each sweep first falls short at q^2, where the
+    # part 2 is lost
+    RouteSlip("partitions._doublings", (0,), {
+        "overpartition": {"n": 2, "m": 0, "sweep_count": 1, "product_coefficient": 2},
+        "machinery/bounded-enumeration": {"series": "R", "j": 2, "m": 0, "n": 2,
+                                          "enumeration": 1, "coefficient": 2}},
+        when=lambda v, n_max: v == 2),
+    # the one slot reader, which every packed route reads through to a
+    # table: slot 1 read one high, so B's knapsack and the D_k sweep count 2
+    # at n = 1.  The bounded stage compares its packed rows whole and reads
+    # no slot on a pass, so it passes
     RouteSlip("packed.read_slots", (1,), {
+        "overpartition": {"n": 1, "m": 0, "sweep_count": 2, "product_coefficient": 1},
         "corollary": {"n": 1, "count_B": 2, "product_coefficient": 1},
         "schur": {"n": 1, "product_count": 2, "gap_count": 1},
         "machinery/closed-product": {"j": 0, "a_degree": 0, "q_degree": 1},
         "machinery/appell-limit": {"a_degree": 0, "q_degree": 1, "limit": 2, "product": 1},
-        "machinery/bounded-enumeration": {"series": "R", "j": 0, "m": 0, "n": 1},
     }),
     RouteSlip("partitions.b_witnesses", (0,), {
         "golden-n10": {"product_expected_only": ["(9, 1)"]}}),
@@ -678,21 +744,34 @@ ROUTES = {
 # what each pair of compared routes may both enter besides check_params,
 # the bad-input rule, each with the reason that no count rests on it
 A_ORDER = dict.fromkeys(["appell.least_weight", "appell.max_overline_count"], "the a-order bound")
+# the packed format a sweep shares with the other packed routes: the width
+# sizes the slots and the guard read can only abort, so no count rests on them
+FORMAT = {
+    "packed.slot_width": "the slot bound: a width too narrow trips the guard read",
+    "packed.whole_bytes": "the slot bound's rounding to whole bytes",
+    "packed.guard_mask": "the guard read, which can only abort",
+    "packed._repeated": "the guard read's mask",
+}
 WALKER = dict.fromkeys(
     ["partitions.partitions_up_to", "partitions._tally", "partitions.walk_C_table", "partitions._c_rule"],
     "the walker, which hands each phrasing its own rule table: the tables are what is compared")
+# the bounded stage compares the D_k sweep's rows with the stream's as
+# integers, so both are packed in the stream's width
+STREAM_WIDTH = {"appell.overpartition_parts": "the parts of the stream's slot bound"}
 PAIRS = {
     ("Dk-sweep", "Dk-product"): {},
     ("B", "B-product"): {},
     ("B", "C-walk"): {},
-    ("B", "C-sweep"): {"partitions._add_part": "the running sum, which B's product never runs"},
+    ("B", "C-sweep"): {**FORMAT, "packed.read_slots":
+                       "the slot reader, which the product and the C walk never run"},
     ("C-walk-i1", "thm12-walk"): WALKER,
     ("C-walk", "thm13-walk"): WALKER,
     ("schur-knapsack", "schur-walk"): {},
-    ("schur-knapsack", "schur-sweep"): {},
+    ("schur-knapsack", "schur-sweep"): {**FORMAT, "packed.read_slots":
+                                        "the slot reader, which the gap walk never runs"},
     ("stream", "closed-product"): A_ORDER,
-    ("stream", "bounded-sweep"): {},
-    ("pj-stream", "bounded-sweep"): {},
+    ("stream", "bounded-sweep"): {**FORMAT, **STREAM_WIDTH},
+    ("pj-stream", "bounded-sweep"): {**FORMAT, **STREAM_WIDTH},
     ("stream", "Dk-product"): A_ORDER,
     ("pj", "Dk-product"): {},
     ("rj", "Dk-product"): {},
