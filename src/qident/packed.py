@@ -31,13 +31,13 @@ def whole_bytes(bits: int) -> int:
     return -(-(bits + GUARD_BITS) // 8) * 8
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=32)
 def slot_width(n: int, plain, distinct=()) -> int:
     """The bits of one slot for the coefficients up to q^n of
     F(q) = prod_{p in plain} 1/(1 - q^p) * prod_{p in distinct} (1 + q^p)
     (repeats allowed, each a range or a tuple), and for any value at most
     one of them.  A route and its report's note ask for the same width, so
-    it is cached.
+    it is cached, with room for the 20 widths one verify_all(5) asks for.
 
     F has non-negative coefficients, so each one up to q^n is at most
     F(x)/x^n for every 0 < x < 1 (Flajolet and Sedgewick, Analytic

@@ -3,13 +3,14 @@
 A partition is a tuple of weakly decreasing positive integers.  Lists come
 out lexicographically decreasing, largest part first, so they diff cleanly.
 
-Every sum-side rule is local, so each side is counted by `sweep`, one pass
+Every sum-side rule is local, so a side is counted by `sweep`, one pass
 over the part values v = 1..N whose state is a capped distance to the last
-relevant part: Schur's gaps and the corollary's difference conditions here,
-the D_k rule in overpartitions.  A side is a `moves(v, state)` table, not a
-loop of its own.  The sweep holds each state's a-rows packed (packed.py)
-and divides by 1 - q^v in doubling steps of its own.  The B side is the
-knapsack over its allowed parts, run largest first: every part p with
+relevant part: Schur's gaps here, the D_k rule in overpartitions.  A side
+is a `moves(v, state)` table, not a loop of its own.  The sweep holds each
+state's a-rows packed (packed.py) and divides by 1 - q^v in doubling steps
+of its own.  The corollary's C side has no table: `count_C_table` reads
+the D_k table and specializes it, (a, q) -> (q^{2i-1}, q^2).  The B side
+is the knapsack over its allowed parts, run largest first: every part p with
 p * p > N (`packed_parts`) on one packed integer (`_packed_knapsack`),
 then the small ones on the list through `_add_part`, the running-sum
 kernel the closed product's rows (appell) run on too.  Schur's product
@@ -127,9 +128,9 @@ def _add_part(ways: list, p: int) -> None:
 
 
 # The moves a sweep may take at a part value v: leave v out, any number of
-# plain copies (1/(1 - q^v)), at least one (q^v/(1 - q^v)), exactly one
-# (q^v), or one overlined copy (a q^v).
-SKIP, ANY, SOME, ONE, OVER = range(5)
+# plain copies (1/(1 - q^v)), exactly one (q^v), or one overlined copy
+# (a q^v).
+SKIP, ANY, ONE, OVER = range(4)
 
 
 def sweep(
@@ -146,10 +147,10 @@ def sweep(
     the sweep starts from the empty object in state start.  moves(v, state)
     lists the (kind, target state) moves at v.  At each v the rows of each
     (kind, target)'s sources are summed first, and the kind is applied
-    once: OVER moves them up one a-row, OVER, SOME and ONE shift them by
-    q^v, a right shift by width * v bits, and ANY and SOME divide by
-    1 - q^v in doubling steps row += row >> width * s for s in
-    _doublings(v, n_max), the partial products of (1 + q^v)(1 + q^{2v})...
+    once: OVER moves them up one a-row, OVER and ONE shift them by q^v, a
+    right shift by width * v bits, and ANY divides by 1 - q^v in doubling
+    steps row += row >> width * s for s in _doublings(v, n_max), the
+    partial products of (1 + q^v)(1 + q^{2v})...
     A state reached by several moves sums them.  No yielded term changes.
 
     Every value formed at v is at most a count of its target after v (a
@@ -171,21 +172,20 @@ def sweep(
                 sources[move] = rows if old is None else list(map(add, old, rows))
         shift, steps, reached = width * v, None, {}
         for (kind, target), rows in sources.items():
-            if kind != SKIP:
+            if kind == ANY:
+                if steps is None:
+                    steps = [width * s for s in _doublings(v, n_max)]
+                divided = []
+                for row in rows:
+                    if row:
+                        for bits in steps:
+                            row += row >> bits
+                    divided.append(row)
+                rows = divided
+            elif kind != SKIP:
                 if kind == OVER:
                     rows = (0, *rows[:-1])
-                if kind != ANY:
-                    rows = [row >> shift for row in rows]
-                if kind == ANY or kind == SOME:
-                    if steps is None:
-                        steps = [width * s for s in _doublings(v, n_max)]
-                    divided = []
-                    for row in rows:
-                        if row:
-                            for bits in steps:
-                                row += row >> bits
-                        divided.append(row)
-                    rows = divided
+                rows = [row >> shift for row in rows]
             old = reached.get(target)
             reached[target] = rows if old is None else list(map(add, old, rows))
         states = {}
@@ -456,36 +456,26 @@ def c_witnesses(n: int, k: int, i: int, phrasing: str = "corollary") -> list:
     return list(enumerate_partitions(n, rule=_c_rule(k, i, phrasing)))
 
 
-def _corollary_moves(k: int, i: int) -> Callable:
-    """The corollary rule as sweep moves.  Before value w the state is
-    (o, e): w minus the last odd part, capped at 2k, and w minus the last
-    even part, capped at 2i+1 (each at its cap when there is none).  An
-    even w (one copy or more) needs o > 2k-2i-3 and leaves e = 1; an odd w
-    (one copy) needs w >= 2i+1, o = 2k and e > 2i-1, and leaves o = 1."""
-    o_cap, e_cap = 2 * k, 2 * i + 1
-
-    def moves(w: int, state: tuple) -> list:
-        o, e = state
-        o1, e1 = min(o + 1, o_cap), min(e + 1, e_cap)
-        out = [(SKIP, (o1, e1))]
-        if w % 2 == 0:
-            if o > 2 * k - 2 * i - 3:
-                out.append((SOME, (o1, 1)))
-        elif w >= e_cap and o == o_cap and e > 2 * i - 1:
-            out.append((ONE, (1, e1)))
-        return out
-
-    return moves
-
-
 def count_C_table(n_max: int, k: int, i: int) -> list:
-    """C_{i,k}(0..n_max) from the corollary's sweep; the phrasings' walks
-    are walk_C_table."""
+    """C_{i,k}(0..n_max) through the overpartition identity: the D_k sweep's
+    table, specialized.  specialize_overpartition maps the D_k objects of
+    weight w with m overlines one to one onto the C partitions of
+    2w + (2i-1)m, so each D_k(m, w) is added into C at that n.  m runs to
+    the most overlines whose least image, (2i+1)m + km(m-1), fits in n_max,
+    and w to (n_max + m) / 2.  The phrasings' walks are walk_C_table."""
+    from .overpartitions import count_Dk_table  # it imports this module
+
     check_params(k, i, n_max=n_max)
-    width = packed.slot_width(n_max, range(1, n_max + 1))  # C_{i,k}(n) <= p(n)
-    states = final_states(sweep(n_max, (2 * k, 2 * i + 1), _corollary_moves(k, i), width,
-                                name=f"the C_{{{i},{k}}} sweep"))
-    return packed.read_rows(state_total(states))[0]
+    m_max = 0
+    while (2 * i + 1) * (m_max + 1) + k * (m_max + 1) * m_max <= n_max:
+        m_max += 1
+    counts = [0] * (n_max + 1)
+    for m, row in enumerate(count_Dk_table((n_max + m_max) // 2, k, m_max)):
+        for w, count in enumerate(row):
+            n = 2 * w + (2 * i - 1) * m
+            if 0 <= n <= n_max:
+                counts[n] += count
+    return counts
 
 
 def walk_C_table(n_max: int, k: int, i: int, phrasing: str = "corollary") -> list:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qident import appell, packed, partitions
+from qident import appell, packed, partitions, verify
 
 
 def stream(n):
@@ -61,3 +61,12 @@ def test_guard_mask_at_the_edges(width):
         assert not packed.pack_row(row, width) & guard, row
         row[at] = lim
         assert packed.pack_row(row, width) & guard, row
+
+
+def test_one_suite_pass_fits_the_width_cache():
+    # a route and its note ask for the same widths, pass after pass: a
+    # second verify_all(5) in the same process works none of them out again
+    verify.verify_all(5)
+    misses = packed.slot_width.cache_info().misses
+    verify.verify_all(5)
+    assert packed.slot_width.cache_info().misses == misses

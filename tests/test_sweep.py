@@ -18,7 +18,6 @@ from qident.partitions import (
     ONE,
     OVER,
     SKIP,
-    SOME,
     _add_part,
     count_B_table,
     count_C_table,
@@ -34,7 +33,7 @@ from qident.partitions import (
 from test_overpartitions import filter_bounded
 
 CELLS = [(k, i) for k in range(2, 6) for i in range(k)]
-KINDS = (SKIP, ANY, SOME, ONE, OVER)
+KINDS = (SKIP, ANY, ONE, OVER)
 
 
 def list_sweep(n_max, start, moves, v_max=None, a_order=0):
@@ -65,11 +64,12 @@ def _moved(kind, rows, v, zero):
         return rows
     if kind == OVER:
         rows = [zero] + rows[:-1]
-    # a shift by q^v, or for ANY a copy, so _add_part changes no shared row
-    rows = [row.copy() for row in rows] if kind == ANY else [zero[:v] + row[:-v] for row in rows]
-    if kind == ANY or kind == SOME:
-        for row in rows:
-            _add_part(row, v)
+    if kind != ANY:
+        return [zero[:v] + row[:-v] for row in rows]
+    # a copy, so _add_part changes no shared row
+    rows = [row.copy() for row in rows]
+    for row in rows:
+        _add_part(row, v)
     return rows
 
 
@@ -98,7 +98,6 @@ class TestKernel:
         rows = {
             SKIP: [[1, 0, 0, 0, 0, 0, 0], [0] * 7],
             ANY: [[1, 0, 1, 0, 1, 0, 1], [0] * 7],
-            SOME: [[0, 0, 1, 0, 1, 0, 1], [0] * 7],
             ONE: [[0, 0, 1, 0, 0, 0, 0], [0] * 7],
             OVER: [[0] * 7, [0, 0, 1, 0, 0, 0, 0]],
         }

@@ -105,9 +105,9 @@ class TestReports:
     @pytest.mark.parametrize("caller, call, note", [
         ("dk_sweep", lambda: verify.verify_overpartition(2, 22),
          "the D_2 sweep's a^0 row reached the guard bits of its 8-bit slots at v=3, n_max=22"),
-        ("count_C_table", lambda: verify.verify_corollary(2, 0, 200, 25),
-         "the C_{0,2} sweep's a^0 row reached the guard bits of its 8-bit slots at v=8,"
-         " n_max=25"),
+        # C to n = 25 reads D_2 to weight 14, with up to three overlines
+        ("dk_sweep", lambda: verify.verify_corollary(2, 0, 200, 25),
+         "the D_2 sweep's a^0 row reached the guard bits of its 8-bit slots at v=4, n_max=14"),
         ("count_schur_gap_table", lambda: verify.verify_schur(40),
          "Schur's gap sweep's a^0 row reached the guard bits of its 8-bit slots at v=24,"
          " n_max=40"),
@@ -589,11 +589,12 @@ ROUTE_SLIPS = [
         when=lambda v, n_max: v == 2),
     # the one slot reader, which every packed route reads through to a
     # table: slot 1 read one high, so B's knapsack and the D_k sweep count 2
-    # at n = 1.  The bounded stage compares its packed rows whole and reads
-    # no slot on a pass, so it passes
+    # at n = 1.  C at (2, 0) reads D_2's a^2 row, whose weight 1 lands on
+    # n = 0, so C is off there first.  The bounded stage compares its packed
+    # rows whole and reads no slot on a pass, so it passes
     RouteSlip("packed.read_slots", (1,), {
         "overpartition": {"n": 1, "m": 0, "sweep_count": 2, "product_coefficient": 1},
-        "corollary": {"n": 1, "count_B": 2, "product_coefficient": 1},
+        "corollary": {"n": 0, "count_B": 1, "count_C": 2, "route": "sweep"},
         "schur": {"n": 1, "product_count": 2, "gap_count": 1},
         "machinery/closed-product": {"j": 0, "a_degree": 0, "q_degree": 1},
         "machinery/appell-limit": {"a_degree": 0, "q_degree": 1, "limit": 2, "product": 1},
@@ -1045,7 +1046,8 @@ class TestMutations:
     def test_Dk_sweep_transition_off(self, monkeypatch):
         # plain copies of v one past an overlined v - 1 (d = k - 1 = 1) are
         # refused, as if they needed d = k; the first object lost is 2+1~,
-        # at n = 3 with m = 1
+        # at n = 3 with m = 1.  The C count reads the same sweep, so it
+        # loses 2+1~'s image, 4+1 at i = 0 and 4+3 at i = 1
         def plain_needs_k(v, d, moves):
             return [(partitions.SKIP, t) if d == 1 and kind == partitions.ANY else (kind, t)
                     for kind, t in moves]
@@ -1064,17 +1066,12 @@ class TestMutations:
         w = sub.witness
         assert (sub.status, w["series"], w["j"], w["m"], w["n"]) == ("fail", "R", 2, 1, 3)
         assert w["enumeration"] == w["coefficient"] - 1
-
-    def test_corollary_sweep_transition_off(self, monkeypatch):
-        # at (k, i) = (3, 1) an even part may follow an odd one at a
-        # distance o >= 2; with o = 3 off, 6+3 is the first partition lost
-        monkeypatch.setattr(partitions, "_corollary_moves", edited_moves(
-            partitions._corollary_moves, dropping(partitions.SOME, lambda state: state[0] == 3)))
-        rep = verify.verify_corollary(3, 1, 40, 25)
-        assert (rep.status, rep.notes) == ("fail", [])
-        w = rep.witness
-        assert (w["n"], w["route"], w["count_C"]) == (9, "sweep", w["count_B"] - 1)
-        assert "6+3" in w["C_partitions"]
+        for i, n, image in ((0, 5, "4+1"), (1, 7, "4+3")):
+            rep = verify.verify_corollary(2, i, 40, 25)
+            assert (rep.status, rep.notes) == ("fail", [])
+            w = rep.witness
+            assert (w["n"], w["route"], w["count_C"]) == (n, "sweep", w["count_B"] - 1)
+            assert image in w["C_partitions"]
 
     def test_schur_sweep_transition_off(self, monkeypatch):
         # a part exactly 3 above the last is dropped; 4+1 is lost at n = 5
