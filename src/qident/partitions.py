@@ -20,12 +20,15 @@ sweep and walk share neither kernel with it, only the packed format.
 Enumeration is one walk of the prefix tree, `partitions_up_to`, on a
 side's rule, which lists once per walk the parts each state may add (the
 state: the smallest part, and for the C phrasings the smallest odd part,
-capped).  Every node is a counted partition of its own weight: one walk to
-N tallies every n <= N (`walk_C_table`, `walk_schur_gap_table`), the route
-the verifiers check the sweep against, and a witness list yields only the
-nodes of weight n (`enumerate_partitions`).  The rules share no helper with
-the sweep's moves or each other (thm12 and thm13 are a second route at
-i = k-1 and i = 0); the `satisfies_*` predicates are their definitions.
+capped).  Every node is a counted partition of its own weight, and what
+lies below it depends only on its remaining weight and state, so `_tally`
+counts the tree with the nodes merged by that pair: one pass to N counts
+every n <= N (`walk_C_table`, `walk_schur_gap_table`), the route the
+verifiers check the sweep against.  A witness list walks the tree node by
+node and yields only the nodes of weight n (`enumerate_partitions`).  The
+rules share no helper with the sweep's moves or each other (thm12 and thm13
+are a second route at i = k-1 and i = 0); the `satisfies_*` predicates are
+their definitions.
 """
 
 from __future__ import annotations
@@ -103,11 +106,32 @@ def enumerate_partitions(n: int, rule: tuple | None = None) -> Iterator[Partitio
     return partitions_up_to(n, rule, _exact=True)
 
 
-def _tally(n_max: int, rule: tuple) -> list:
-    """counts[n] = number of partitions of n that rule admits, n <= n_max."""
-    counts = [0] * (n_max + 1)
-    for parts in partitions_up_to(n_max, rule=rule):
-        counts[sum(parts)] += 1
+def _tally(n_max: int, rule: tuple | None) -> list:
+    """counts[n] = number of partitions of n that rule admits, n <= n_max:
+    the walk of partitions_up_to with its nodes merged by (remaining weight,
+    state), since what lies below a node depends on nothing else.
+
+    levels[r] maps each state to the number of prefixes of remaining weight
+    r that reach it.  r runs from n_max down, each level popped off the end
+    in its turn: its total is the count of weight n_max - r, and each
+    state's count is added into level r - part of each child its table
+    lists, parts <= r.  Each state is listed once, as in the walk."""
+    check_params(n_max=n_max)
+    start, nexts = _ANY_PART if rule is None else rule
+    levels = [{} for _ in range(n_max)] + [{start: 1}]
+    counts, table = [], {}
+    while levels:
+        r, level = len(levels) - 1, levels.pop()
+        counts.append(sum(level.values()))
+        for state, ways in level.items():
+            children = table.get(state)
+            if children is None:
+                children = table[state] = nexts(state, n_max)
+            for part, child in children:
+                if part > r:
+                    break
+                below = levels[r - part]
+                below[child] = below.get(child, 0) + ways
     return counts
 
 
@@ -479,8 +503,9 @@ def count_C_table(n_max: int, k: int, i: int) -> list:
 
 
 def walk_C_table(n_max: int, k: int, i: int, phrasing: str = "corollary") -> list:
-    """C_{i,k}(0..n_max) under the selected phrasing, tallied from one walk
-    of its rule: the enumeration route, the witness lists' own."""
+    """C_{i,k}(0..n_max) under the selected phrasing, tallied from one
+    merged walk of its rule (_tally): the enumeration route, on the rule
+    table the witness lists walk."""
     return _tally(n_max, _c_rule(k, i, phrasing))
 
 
@@ -546,7 +571,8 @@ def count_schur_gap_table(n_max: int) -> list:
 
 
 def walk_schur_gap_table(n_max: int) -> list:
-    """The same counts tallied from one walk: the enumeration route."""
+    """The same counts tallied from one merged walk of the gap rule
+    (_tally): the enumeration route."""
     return _tally(n_max, _SCHUR_GAP_RULE)
 
 

@@ -15,6 +15,7 @@ from qident.partitions import (
     _c_rule,
     _corollary_rule,
     _count_by_dp,
+    _tally,
     _thm12_rule,
     _thm13_rule,
     b_part_allowed,
@@ -239,6 +240,40 @@ class TestEnumeration:
                         assert c_witnesses(n, k, i, phrasing) == walk_slice(
                             n, _c_rule(k, i, phrasing)
                         ), (n, k, i, phrasing)
+
+
+def node_tally(n_max, rule):
+    """The oracle: the tally as it ran before merging, one count per node of
+    the walk, the node's own weight."""
+    counts = Counter(map(sum, partitions_up_to(n_max, rule)))
+    return [counts[n] for n in range(n_max + 1)]
+
+
+@st.composite
+def rule_tables(draw):
+    """A small rule: a few int states, each listing (part, child state)
+    pairs, parts ascending; the start is state 0."""
+    states = draw(st.integers(1, 4))
+    entries = st.tuples(st.integers(1, 7), st.integers(0, states - 1))
+    table = [sorted(draw(st.lists(entries, max_size=5))) for _ in range(states)]
+    return 0, lambda state, top: [(p, c) for p, c in table[state] if p <= top]
+
+
+class TestTally:
+    def test_every_phrasing_equals_the_node_tally(self):
+        for n in range(31):
+            assert _tally(n, None) == node_tally(n, None), n
+            assert _tally(n, _SCHUR_GAP_RULE) == node_tally(n, _SCHUR_GAP_RULE), n
+            for k in range(2, 7):
+                for i in range(k):
+                    for phrasing in c_rules(k, i):
+                        rule = _c_rule(k, i, phrasing)
+                        assert _tally(n, rule) == node_tally(n, rule), (n, k, i, phrasing)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rule_tables(), st.integers(0, 16))
+    def test_random_tables_equal_the_node_tally(self, rule, n):
+        assert _tally(n, rule) == node_tally(n, rule)
 
 
 class TestCountB:

@@ -233,6 +233,7 @@ class TestReports:
         (lambda: partitions.count_B_table(10, 3, 5), lambda: verify.verify_corollary(3, 5)),
         (lambda: partitions.count_B_table(-1, 2, 0), lambda: verify.verify_corollary(2, 0, -1)),
         (lambda: list(partitions.partitions_up_to(-1)), lambda: verify.verify_schur(-1)),
+        (lambda: partitions._tally(-1, None), lambda: verify.verify_schur(-1)),
         (lambda: appell.build_R(1, 5, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.build_R(2, -1, 8), lambda: verify.verify_machinery(2, 8, -1)),
         (lambda: appell.build_R(2, 5, -1), lambda: verify.verify_machinery(2, -1)),
@@ -253,6 +254,7 @@ class TestReports:
          lambda: verify.verify_corollary(1, 0)),
     ], ids=[
         "count_B_table-k", "count_B_table-i", "count_B_table-n_max", "partitions_up_to-n_max",
+        "tally-n_max",
         "build_R-k", "build_R-j_max", "build_R-q_order", "r_terms-k",
         "closed_product-k",
         "closed_product-q_order", "theorem_product-k", "theorem_product-q_order",
@@ -322,17 +324,18 @@ def state_after(rule, parts):
 
 
 def admitting(real, at, entry):
-    """partitions_up_to that, wherever a rule is given, also lists entry, a
-    (part, child state) pair, in state at: the walk pushing one child its
-    table does not list.  Every side's walk trusts its table, so whatever
-    the child's state lists comes along."""
+    """real, partitions_up_to or _tally, except that wherever a rule is
+    given its table also lists entry, a (part, child state) pair, in state
+    at: the walk, or the merged tally, taking one child its table does not
+    list.  Both trust the table, so whatever the child's state lists comes
+    along."""
 
-    def partitions_up_to(n_max, rule=None, **private):
+    def walk(n_max, rule=None, **private):
         if rule is not None:
             rule = edited_rule(lambda: rule, adding_entry(at, entry))()
         return real(n_max, rule, **private)
 
-    return partitions_up_to
+    return walk
 
 
 def first_weight_below(cut, n_max, accepts):
@@ -754,7 +757,7 @@ FORMAT = {
     "packed._repeated": "the guard read's mask",
 }
 WALKER = dict.fromkeys(
-    ["partitions.partitions_up_to", "partitions._tally", "partitions.walk_C_table", "partitions._c_rule"],
+    ["partitions._tally", "partitions.walk_C_table", "partitions._c_rule"],
     "the walker, which hands each phrasing its own rule table: the tables are what is compared")
 # the bounded stage compares the D_k sweep's rows with the stream's as
 # integers, so both are packed in the stream's width
@@ -980,19 +983,45 @@ class TestMutations:
         (2, 0, (3, 3), (3, 3)), (2, 0, (4, 3), (3, 3)), (3, 2, (5, 4), (4, 5)),
     ], ids=["2-0-child0", "2-0-child1", "3-2-child2"])
     def test_walk_extends_a_rejected_prefix(self, monkeypatch, k, i, child, leads_to):
-        # every rule assumes the walk pushes only the children its table
-        # lists; one unlisted child pushed anyway must be caught at its weight
+        # every rule assumes the walk and the tally take only the children
+        # its table lists; one unlisted child taken anyway must be caught at
+        # its weight
         assert partitions.satisfies_corollary(child[:-1], k, i)
         assert not partitions.satisfies_corollary(child, k, i)
         at = state_after(partitions._corollary_rule(k, i), child[:-1])
-        monkeypatch.setattr(partitions, "partitions_up_to", admitting(
-            partitions.partitions_up_to, at, (child[-1], leads_to)
-        ))
+        for name in ("partitions_up_to", "_tally"):
+            monkeypatch.setattr(partitions, name, admitting(
+                getattr(partitions, name), at, (child[-1], leads_to)
+            ))
         rep = verify.verify_corollary(k, i, 40, 25)
         assert (rep.status, rep.notes) == ("fail", [])
         assert rep.witness["n"] == sum(child)
         assert rep.witness["count_C"] > rep.witness["count_B"]
         assert partitions.format_partition(child) in rep.witness["C_partitions"]
+
+    @pytest.mark.parametrize("call, witness, listed", [
+        (lambda: verify.verify_corollary(2, 0, 40, 25), {"n": 6, "count_B": 4, "count_C": 3},
+         ("C_partitions", 4)),
+        (lambda: verify.verify_schur(30), {"n": 12, "product_count": 6, "gap_count": 5},
+         ("gap_partitions", 6)),
+    ], ids=["corollary-2-0", "schur"])
+    def test_tally_overwriting_a_merged_state(self, monkeypatch, call, witness, listed):
+        # the tally overwrites a child state's count with its last parent's
+        # in place of adding to it, so the prefixes that meet in one state
+        # count as the last one alone: the walk tables fall short where two
+        # first meet, while the witness lists, which do not merge, still
+        # list every partition
+        source = inspect.getsource(partitions._tally)
+        slipped = source.replace("below[child] = below.get(child, 0) + ways", "below[child] = ways")
+        assert slipped != source
+        namespace = dict(vars(partitions))
+        exec(slipped, namespace)
+        monkeypatch.setattr(partitions, "_tally", namespace["_tally"])
+        rep = call()
+        assert (rep.status, rep.notes) == ("fail", [])
+        assert witness.items() <= rep.witness.items()
+        key, length = listed
+        assert len(rep.witness[key]) == length
 
     # each cut is the lightest prefix to reach its parent's state and then
     # add its last part, so the first weight the cut costs is its own
