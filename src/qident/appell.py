@@ -248,22 +248,27 @@ def closed_product_F_coefficients(k: int, j_top: int, q_order: int) -> list:
     when kd > j, counted as partitions into the parts k, 2k, ..., dk and
     1, ..., j - kd, for d <= max_overline_count(k, q_order), by _add_part's
     running sums on a plain list: nothing packed, so the only code it shares
-    with the stream it must equal is the a-order bound.
+    with the stream it must equal is the a-order bound.  Each d keeps one
+    running list: at j = kd it holds the parts k, ..., dk, and each later j
+    adds the one part j - kd, since row(j, d) = row(j-1, d) / (1 - q^{j-kd}).
     """
     check_params(k, j_top=j_top, q_order=q_order)
-    zero = (0,) * (q_order + 1)
-
-    def row(j, d):
-        if k * d > j:
-            return zero
-        shift = least_weight(k, d)  # at most q_order, by the bound on d
-        ways = [1] + [0] * (q_order - shift)
-        for p in [k * t for t in range(1, d + 1)] + list(range(1, j - k * d + 1)):
-            _add_part(ways, p)
-        return (0,) * shift + tuple(ways)
-
-    rows = range(max_overline_count(k, q_order) + 1)
-    return [BivariateSeries(tuple(row(j, d) for d in rows)) for j in range(j_top + 1)]
+    d_max = max_overline_count(k, q_order)
+    # running[d] is row d from its q^{least_weight(k, d)} on (a shift of at
+    # most q_order, by the bound on d), once j has reached kd
+    running, out = [], []
+    for j in range(j_top + 1):
+        for d, ways in enumerate(running):
+            _add_part(ways, j - k * d)
+        d = len(running)
+        if d <= d_max and k * d == j:
+            ways = [1] + [0] * (q_order - least_weight(k, d))
+            for t in range(1, d + 1):
+                _add_part(ways, k * t)
+            running.append(ways)
+        rows = [(0,) * (q_order + 1 - len(ways)) + tuple(ways) for ways in running]
+        out.append(BivariateSeries(tuple(rows + [(0,) * (q_order + 1)] * (d_max + 1 - len(rows)))))
+    return out
 
 
 def require_depth(k: int, j_max: int, q_order: int) -> None:

@@ -187,7 +187,7 @@ def coeffs_cmd(ctx, side, k, i, n_max):
     elif side == "product":
         series = appell.congruence_product_series(k, i, n_max)
         rows = [{"n": n, "coefficient": series.coefficient(n)} for n in range(n_max + 1)]
-    else:  # sum side: the D_k sweep's table, specialized to C
+    else:  # sum side: the D_k moves, specialized to C on one sweep row
         table = partitions.count_C_table(n_max, k, i)
         rows = [{"n": n, "coefficient": c} for n, c in enumerate(table)]
     text = (" ".join(f"{k_}={v}" for k_, v in row.items()) for row in rows)

@@ -8,7 +8,7 @@ local: multiplicity(v) >= 2, or multiplicity(v) == 1 and v is not overlined.
 D_k is counted by the transfer-matrix sweep (`dk_sweep`, on
 `partitions.sweep`), whose state before value v is the distance to the
 last overlined value, capped at k: `count_Dk_table` reads its last states
-(and `partitions.count_C_table` that table, specialized), and the bounded
+(and `partitions.count_C_table` runs its moves, specialized), and the bounded
 counts its states after each value j, R_j from state k and P_j from them
 all.  Its rows are packed in the R_j stream's width, so the proof
 machinery's bounded stage reads every j off one sweep at the stream's

@@ -6,10 +6,11 @@ out lexicographically decreasing, largest part first, so they diff cleanly.
 Every sum-side rule is local, so a side is counted by `sweep`, one pass
 over the part values v = 1..N whose state is a capped distance to the last
 relevant part: Schur's gaps here, the D_k rule in overpartitions.  A side
-is a `moves(v, state)` table, not a loop of its own.  The sweep holds each
-state's a-rows packed (packed.py) and divides by 1 - q^v in doubling steps
-of its own.  The corollary's C side has no table: `count_C_table` reads
-the D_k table and specializes it, (a, q) -> (q^{2i-1}, q^2).  The B side
+is a `moves(v, state)` table, not a loop of its own, with a hook for the
+weight of a copy of v (v by default).  The sweep holds each state's a-rows
+packed (packed.py) and divides by 1 - q^p in doubling steps of its own.
+The corollary's C side has no table: `count_C_table` runs the D_k moves
+specialized, (a, q) -> (q^{2i-1}, q^2), on one a-row.  The B side
 is the knapsack over its allowed parts, run largest first: every part p with
 p * p > N (`packed_parts`) on one packed integer (`_packed_knapsack`),
 then the small ones on the list through `_add_part`, the running-sum
@@ -153,13 +154,18 @@ def _add_part(ways: list, p: int) -> None:
 
 # The moves a sweep may take at a part value v: leave v out, any number of
 # plain copies (1/(1 - q^v)), exactly one (q^v), or one overlined copy
-# (a q^v).
+# (a q^v), at the default part sizes.
 SKIP, ANY, ONE, OVER = range(4)
+
+
+def _same_size(v: int) -> tuple:
+    """The sweep's default part sizes: every copy of value v weighs v."""
+    return v, v
 
 
 def sweep(
     n_max: int, start, moves: Callable, width: int, v_max: int | None = None,
-    a_order: int = 0, name: str = "the sweep",
+    a_order: int = 0, name: str = "the sweep", sizes: Callable = _same_size,
 ) -> Iterator[dict]:
     """The transfer-matrix sweep over the part values v = 1..v_max (default
     n_max): yields {state: PackedTerm} before the first value and after
@@ -169,12 +175,14 @@ def sweep(
     counts of the objects of weight n <= n_max with m overlined parts
     (m <= a_order), built from the values so far, that end in that state;
     the sweep starts from the empty object in state start.  moves(v, state)
-    lists the (kind, target state) moves at v.  At each v the rows of each
-    (kind, target)'s sources are summed first, and the kind is applied
-    once: OVER moves them up one a-row, OVER and ONE shift them by q^v, a
-    right shift by width * v bits, and ANY divides by 1 - q^v in doubling
-    steps row += row >> width * s for s in _doublings(v, n_max), the
-    partial products of (1 + q^v)(1 + q^{2v})...
+    lists the (kind, target state) moves at v, and sizes(v) the weights
+    (p, o) of a plain copy of v and of a single one (ONE or OVER), v and v
+    by default.  At each v the rows of each (kind, target)'s sources are
+    summed first, and the kind is applied once: OVER moves them up one
+    a-row, OVER and ONE shift them by q^o, a right shift by width * o
+    bits, and ANY divides by 1 - q^p in doubling steps
+    row += row >> width * s for s in _doublings(p, n_max), the partial
+    products of (1 + q^p)(1 + q^{2p})...
     A state reached by several moves sums them.  No yielded term changes.
 
     Every value formed at v is at most a count of its target after v (a
@@ -194,11 +202,12 @@ def sweep(
             for move in moves(v, state):
                 old = sources.get(move)
                 sources[move] = rows if old is None else list(map(add, old, rows))
-        shift, steps, reached = width * v, None, {}
+        plain, single = sizes(v)
+        shift, steps, reached = width * single, None, {}
         for (kind, target), rows in sources.items():
             if kind == ANY:
                 if steps is None:
-                    steps = [width * s for s in _doublings(v, n_max)]
+                    steps = [width * s for s in _doublings(plain, n_max)]
                 divided = []
                 for row in rows:
                     if row:
@@ -223,10 +232,10 @@ def sweep(
         yield states
 
 
-def _doublings(v: int, n_max: int) -> list:
-    """The sweep's doubling steps for 1/(1 - q^v) to q^{n_max}: s = v, 2v,
-    4v, ... <= n_max."""
-    return [v << t for t in range((n_max // v).bit_length())]
+def _doublings(p: int, n_max: int) -> list:
+    """The sweep's doubling steps for 1/(1 - q^p) to q^{n_max}: s = p, 2p,
+    4p, ... <= n_max."""
+    return [p << t for t in range((n_max // p).bit_length())]
 
 
 def final_states(snapshots: Iterator[dict]) -> dict:
@@ -481,25 +490,27 @@ def c_witnesses(n: int, k: int, i: int, phrasing: str = "corollary") -> list:
 
 
 def count_C_table(n_max: int, k: int, i: int) -> list:
-    """C_{i,k}(0..n_max) through the overpartition identity: the D_k sweep's
-    table, specialized.  specialize_overpartition maps the D_k objects of
-    weight w with m overlines one to one onto the C partitions of
-    2w + (2i-1)m, so each D_k(m, w) is added into C at that n.  m runs to
-    the most overlines whose least image, (2i+1)m + km(m-1), fits in n_max,
-    and w to (n_max + m) / 2.  The phrasings' walks are walk_C_table."""
-    from .overpartitions import count_Dk_table  # it imports this module
+    """C_{i,k}(0..n_max) through the overpartition identity: the D_k sweep,
+    specialized, (a, q) -> (q^{2i-1}, q^2), on its one a^0 row.
+    specialize_overpartition maps each plain copy of value v to the part 2v
+    and an overlined v to 2v + 2i - 1, one to one onto the C partitions, so
+    the sweep runs D_k's moves with those part sizes and an overline read
+    as ONE copy: its final states count C by weight.  v runs to
+    n_max // 2 + 1, the last value whose overline (i = 0: 2v - 1) can fit.
+    D_k's moves do not read v, so their table is built once per state.
+    Every count is at most p(n), so the slots are sized by the partitions'
+    bound.  The phrasings' walks are walk_C_table."""
+    from .overpartitions import _dk_moves  # it imports this module
 
     check_params(k, i, n_max=n_max)
-    m_max = 0
-    while (2 * i + 1) * (m_max + 1) + k * (m_max + 1) * m_max <= n_max:
-        m_max += 1
-    counts = [0] * (n_max + 1)
-    for m, row in enumerate(count_Dk_table((n_max + m_max) // 2, k, m_max)):
-        for w, count in enumerate(row):
-            n = 2 * w + (2 * i - 1) * m
-            if 0 <= n <= n_max:
-                counts[n] += count
-    return counts
+    dk = _dk_moves(k)
+    table = {d: tuple((ONE if kind == OVER else kind, target) for kind, target in dk(None, d))
+             for d in range(1, k + 1)}
+    width = packed.slot_width(n_max, range(1, n_max + 1))  # at most p(n)
+    states = final_states(sweep(
+        n_max, k, lambda v, d: table[d], width, n_max // 2 + 1,
+        name=f"the C_{{{i},{k}}} sweep", sizes=lambda v: (2 * v, 2 * v + 2 * i - 1)))
+    return packed.read_rows(state_total(states))[0]
 
 
 def walk_C_table(n_max: int, k: int, i: int, phrasing: str = "corollary") -> list:

@@ -30,6 +30,7 @@ from qident.appell import (
 )
 from qident.overpartitions import count_pj, count_rj, d_witnesses
 from qident.packed import SlotOverflowError, slot_width
+from qident.partitions import _add_part
 from qident.series import (
     BivariateSeries, Monomial, QSeries, euler_product, pochhammer_inf, specialize,
 )
@@ -39,8 +40,10 @@ from test_series import divide_row_by_scalar_loop
 # Oracles: the series-arithmetic formulations that build_R replaced with
 # packed-row running sums and closed_product_F_coefficients with Euler's
 # closed form, the recursion on whole coefficient lists that r_terms
-# replaced with packed rows, and the factor-by-factor product that
-# theorem_product's in-place numerator replaced.
+# replaced with packed rows, the closed form's rows built from scratch at
+# each j that closed_product_F_coefficients replaced with one running row
+# per a-degree, and the factor-by-factor product that theorem_product's
+# in-place numerator replaced.
 
 
 def geometric_inverse(j: int, q_order: int) -> QSeries:
@@ -128,6 +131,25 @@ def closed_product_by_shifted_sums(k, j_top, q_order, a_order):
             new.append(acc)
         xc = new
     return xc
+
+
+def closed_product_from_scratch(k, j_top, q_order):
+    """Euler's closed form with every row(j, d) built on its own list: the
+    partitions into the parts k, 2k, ..., dk and 1, ..., j - kd, shifted by
+    least_weight(k, d), zero when kd > j."""
+    zero = (0,) * (q_order + 1)
+
+    def row(j, d):
+        if k * d > j:
+            return zero
+        shift = least_weight(k, d)
+        ways = [1] + [0] * (q_order - shift)
+        for p in [k * t for t in range(1, d + 1)] + list(range(1, j - k * d + 1)):
+            _add_part(ways, p)
+        return (0,) * shift + tuple(ways)
+
+    rows = range(max_overline_count(k, q_order) + 1)
+    return [BivariateSeries(tuple(row(j, d) for d in rows)) for j in range(j_top + 1)]
 
 
 def functional_equation_by_series(rs):
@@ -477,6 +499,15 @@ class TestClosedProduct:
             closed_product_F_coefficients(1, 4, 8)
         with pytest.raises(ValueError):
             closed_product_F_coefficients(2, -1, 8)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("q_order", [8, 60])
+    def test_running_rows_match_rows_from_scratch(self, k, q_order):
+        # each running row, one part added per j, against the row built
+        # whole at each j, to j_top = q_order + k
+        j_top = q_order + k
+        assert closed_product_F_coefficients(k, j_top, q_order) == closed_product_from_scratch(
+            k, j_top, q_order)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_recursion(self, k):

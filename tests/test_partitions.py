@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qident import partitions
+from qident.overpartitions import count_Dk_table
 from qident.partitions import (
     _SCHUR_GAP_RULE,
     _add_part,
@@ -60,6 +61,23 @@ def closed_product_parts(k, d, j):
     """The parts the closed product's a^d row of the x^j term counts:
     k, 2k, ..., dk and 1, ..., j - kd."""
     return [k * t for t in range(1, d + 1)] + list(range(1, j - k * d + 1))
+
+
+def c_by_summed_dk_rows(n_max, k, i):
+    """C_{i,k}(0..n_max) as count_C_table summed it before it ran on one
+    a-row: every D_k(m, w) added into C at n = 2w + (2i-1)m, for m up to the
+    most overlines whose least image, (2i+1)m + km(m-1), fits in n_max, and
+    w up to (n_max + m) / 2."""
+    m_max = 0
+    while (2 * i + 1) * (m_max + 1) + k * (m_max + 1) * m_max <= n_max:
+        m_max += 1
+    counts = [0] * (n_max + 1)
+    for m, row in enumerate(count_Dk_table((n_max + m_max) // 2, k, m_max)):
+        for w, count in enumerate(row):
+            n = 2 * w + (2 * i - 1) * m
+            if 0 <= n <= n_max:
+                counts[n] += count
+    return counts
 
 
 def c_rules(k, i):
@@ -442,6 +460,15 @@ class TestCountC:
             assert count_C_table(22, k, i) == lists["corollary"], (k, i)
             for phrasing, counts in lists.items():
                 assert walk_C_table(22, k, i, phrasing) == counts, (k, i, phrasing)
+
+    @pytest.mark.parametrize("n_max, k_top", [(0, 8), (1, 8), (2, 8), (3, 8), (25, 8), (45, 8),
+                                              (200, 8), (1000, 5)])
+    def test_one_row_equals_the_summed_dk_rows(self, n_max, k_top):
+        # the specialized sweep on one a-row against the D_k table's rows
+        # summed onto n = 2w + (2i-1)m
+        for k in range(2, k_top + 1):
+            for i in range(k):
+                assert count_C_table(n_max, k, i) == c_by_summed_dk_rows(n_max, k, i), (k, i)
 
     def test_phrasing_equivalence(self):
         for k in range(2, 6):

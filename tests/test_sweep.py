@@ -36,11 +36,12 @@ CELLS = [(k, i) for k in range(2, 6) for i in range(k)]
 KINDS = (SKIP, ANY, ONE, OVER)
 
 
-def list_sweep(n_max, start, moves, v_max=None, a_order=0):
+def list_sweep(n_max, start, moves, v_max=None, a_order=0, sizes=lambda v: (v, v)):
     """The oracle: the sweep on list rows, {state: rows} before the first
     value and after each one, rows[m][n] the counts.  Each move multiplies
     a copy of its source's rows by its kind's generating function on its
-    own (_moved), and a target sums the moves that reach it."""
+    own (_moved), at the part sizes sizes(v), and a target sums the moves
+    that reach it."""
     zero = [0] * (n_max + 1)
     states = {start: [[1] + zero[1:]] + [zero] * a_order}
     yield states
@@ -48,7 +49,7 @@ def list_sweep(n_max, start, moves, v_max=None, a_order=0):
         reached = {}
         for state, rows in states.items():
             for kind, target in moves(v, state):
-                moved = _moved(kind, rows, v, zero)
+                moved = _moved(kind, rows, sizes(v), zero)
                 old = reached.get(target)
                 reached[target] = moved if old is None else [
                     list(map(add, a, b)) for a, b in zip(old, moved)
@@ -57,19 +58,22 @@ def list_sweep(n_max, start, moves, v_max=None, a_order=0):
         yield states
 
 
-def _moved(kind, rows, v, zero):
-    """rows times the generating function of one kind of move at v, as new
-    rows; a skip returns rows itself."""
+def _moved(kind, rows, sizes, zero):
+    """rows times the generating function of one kind of move, as new rows,
+    with sizes = (p, o) the weights of a plain copy and of a single one: ANY
+    divides by 1 - q^p, ONE and OVER shift by q^o.  A skip returns rows
+    itself."""
     if kind == SKIP:
         return rows
+    plain, single = sizes
     if kind == OVER:
         rows = [zero] + rows[:-1]
     if kind != ANY:
-        return [zero[:v] + row[:-v] for row in rows]
+        return [(zero[:single] + row)[: len(zero)] for row in rows]
     # a copy, so _add_part changes no shared row
     rows = [row.copy() for row in rows]
     for row in rows:
-        _add_part(row, v)
+        _add_part(row, plain)
     return rows
 
 
@@ -80,33 +84,49 @@ def unpacked(states):
 
 @st.composite
 def move_tables(draw):
-    """(n_max, v_max, a_order, table): table[v, state] lists up to three
-    moves of any kind, repeats allowed, among up to three states."""
+    """(n_max, v_max, a_order, table, sizes): table[v, state] lists up to
+    three moves of any kind, repeats allowed, among up to three states, and
+    sizes is None (each copy of v weighs v) or sizes[v] the weights of a
+    plain and of a single copy of v, each up to n_max + 2."""
     n_max = draw(st.integers(0, 30))
     v_max = draw(st.integers(0, n_max + 2))
     states = draw(st.integers(1, 3))
     move = st.tuples(st.sampled_from(KINDS), st.integers(0, states - 1))
     table = {(v, state): draw(st.lists(move, max_size=3))
              for v in range(1, v_max + 1) for state in range(states)}
-    return n_max, v_max, draw(st.integers(0, 3)), table
+    size = st.integers(1, n_max + 2)
+    sizes = None if draw(st.booleans()) else {
+        v: (draw(size), draw(size)) for v in range(1, v_max + 1)}
+    return n_max, v_max, draw(st.integers(0, 3)), table, sizes
 
 
 class TestKernel:
     def test_each_kind_of_move(self):
         # one state, one value v = 2 at weight <= 6 with a-rows 0..1: every
-        # kind multiplies the empty object by its generating function
-        rows = {
-            SKIP: [[1, 0, 0, 0, 0, 0, 0], [0] * 7],
-            ANY: [[1, 0, 1, 0, 1, 0, 1], [0] * 7],
-            ONE: [[0, 0, 1, 0, 0, 0, 0], [0] * 7],
-            OVER: [[0] * 7, [0, 0, 1, 0, 0, 0, 0]],
+        # kind multiplies the empty object by its generating function, at
+        # the default part sizes and with a plain copy of 2 weighing 3 and
+        # a single one 5 (ANY divides by 1 - q^3, ONE and OVER shift by q^5)
+        cases = {
+            (2, 2): {
+                SKIP: [[1, 0, 0, 0, 0, 0, 0], [0] * 7],
+                ANY: [[1, 0, 1, 0, 1, 0, 1], [0] * 7],
+                ONE: [[0, 0, 1, 0, 0, 0, 0], [0] * 7],
+                OVER: [[0] * 7, [0, 0, 1, 0, 0, 0, 0]],
+            },
+            (3, 5): {
+                SKIP: [[1, 0, 0, 0, 0, 0, 0], [0] * 7],
+                ANY: [[1, 0, 0, 1, 0, 0, 1], [0] * 7],
+                ONE: [[0, 0, 0, 0, 0, 1, 0], [0] * 7],
+                OVER: [[0] * 7, [0, 0, 0, 0, 0, 1, 0]],
+            },
         }
-        for kind, expected in rows.items():
-            states = final_states(
-                sweep(6, "s", lambda v, s, kind=kind: [(kind if v == 2 else SKIP, s)], 8, 2, 1)
-            )
-            assert unpacked(states) == {"s": expected}, kind
-            assert (states["s"].width, states["s"].q_order) == (8, 6)
+        for sizes, rows in cases.items():
+            hook = {} if sizes == (2, 2) else {"sizes": lambda v: sizes if v == 2 else (v, v)}
+            for kind, expected in rows.items():
+                states = final_states(sweep(
+                    6, "s", lambda v, s, kind=kind: [(kind if v == 2 else SKIP, s)], 8, 2, 1, **hook))
+                assert unpacked(states) == {"s": expected}, (sizes, kind)
+                assert (states["s"].width, states["s"].q_order) == (8, 6)
 
     def test_moves_into_one_state_are_summed(self):
         # distinct parts: each value skipped or taken once; 1 + q + q^2 + 2q^3 ...
@@ -137,14 +157,16 @@ class TestAgainstOracle:
     @given(move_tables())
     @settings(max_examples=150, deadline=None)
     def test_every_snapshot_equals_the_list_sweep(self, case):
-        # random tables of every kind of move; the slots are as wide as the
-        # oracle's largest count needs, since a table's counts have no bound
-        n_max, v_max, a_order, table = case
+        # random tables of every kind of move, at the default part sizes or
+        # random ones; the slots are as wide as the oracle's largest count
+        # needs, since a table's counts have no bound
+        n_max, v_max, a_order, table, sizes = case
         moves = lambda v, state: table[v, state]
-        expected = list(list_sweep(n_max, 0, moves, v_max, a_order))
+        hook = {} if sizes is None else {"sizes": sizes.__getitem__}
+        expected = list(list_sweep(n_max, 0, moves, v_max, a_order, **hook))
         top = max(c for states in expected for rows in states.values() for row in rows for c in row)
         width = whole_bytes(top.bit_length())
-        snapshots = list(sweep(n_max, 0, moves, width, v_max, a_order))
+        snapshots = list(sweep(n_max, 0, moves, width, v_max, a_order, **hook))
         assert [unpacked(states) for states in snapshots] == expected
 
     @pytest.mark.parametrize("k", [2, 5])

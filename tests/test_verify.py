@@ -105,9 +105,9 @@ class TestReports:
     @pytest.mark.parametrize("caller, call, note", [
         ("dk_sweep", lambda: verify.verify_overpartition(2, 22),
          "the D_2 sweep's a^0 row reached the guard bits of its 8-bit slots at v=3, n_max=22"),
-        # C to n = 25 reads D_2 to weight 14, with up to three overlines
-        ("dk_sweep", lambda: verify.verify_corollary(2, 0, 200, 25),
-         "the D_2 sweep's a^0 row reached the guard bits of its 8-bit slots at v=4, n_max=14"),
+        # C to n = 25 runs D_2's moves on its own sweep, one a-row at weight 25
+        ("count_C_table", lambda: verify.verify_corollary(2, 0, 200, 25),
+         "the C_{0,2} sweep's a^0 row reached the guard bits of its 8-bit slots at v=4, n_max=25"),
         ("count_schur_gap_table", lambda: verify.verify_schur(40),
          "Schur's gap sweep's a^0 row reached the guard bits of its 8-bit slots at v=24,"
          " n_max=40"),
@@ -435,6 +435,18 @@ def bumped(real, at, when=None):
     return slip
 
 
+def slip_source(monkeypatch, module, name, old, new):
+    """Replace module.name with the function its source defines once the
+    text old is replaced by new: a code mutant, where a bump of the
+    route's output cannot express the slip."""
+    source = inspect.getsource(getattr(module, name))
+    slipped = source.replace(old, new)
+    assert slipped != source
+    namespace = dict(vars(module))
+    exec(slipped, namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
 def settled(out):
     """out, or the list of what it yields if it is an iterator."""
     return list(out) if isinstance(out, Iterator) else out
@@ -591,13 +603,13 @@ ROUTE_SLIPS = [
                                           "enumeration": 1, "coefficient": 2}},
         when=lambda v, n_max: v == 2),
     # the one slot reader, which every packed route reads through to a
-    # table: slot 1 read one high, so B's knapsack and the D_k sweep count 2
-    # at n = 1.  C at (2, 0) reads D_2's a^2 row, whose weight 1 lands on
-    # n = 0, so C is off there first.  The bounded stage compares its packed
-    # rows whole and reads no slot on a pass, so it passes
+    # table: slot 1 read one high, so B's knapsack, the D_k sweep and the C
+    # sweep count 2 at n = 1, and B is off the product first.  The bounded
+    # stage compares its packed rows whole and reads no slot on a pass, so
+    # it passes
     RouteSlip("packed.read_slots", (1,), {
         "overpartition": {"n": 1, "m": 0, "sweep_count": 2, "product_coefficient": 1},
-        "corollary": {"n": 0, "count_B": 1, "count_C": 2, "route": "sweep"},
+        "corollary": {"n": 1, "count_B": 2, "product_coefficient": 1},
         "schur": {"n": 1, "product_count": 2, "gap_count": 1},
         "machinery/closed-product": {"j": 0, "a_degree": 0, "q_degree": 1},
         "machinery/appell-limit": {"a_degree": 0, "q_degree": 1, "limit": 2, "product": 1},
@@ -1011,12 +1023,8 @@ class TestMutations:
         # count as the last one alone: the walk tables fall short where two
         # first meet, while the witness lists, which do not merge, still
         # list every partition
-        source = inspect.getsource(partitions._tally)
-        slipped = source.replace("below[child] = below.get(child, 0) + ways", "below[child] = ways")
-        assert slipped != source
-        namespace = dict(vars(partitions))
-        exec(slipped, namespace)
-        monkeypatch.setattr(partitions, "_tally", namespace["_tally"])
+        slip_source(monkeypatch, partitions, "_tally",
+                    "below[child] = below.get(child, 0) + ways", "below[child] = ways")
         rep = call()
         assert (rep.status, rep.notes) == ("fail", [])
         assert witness.items() <= rep.witness.items()
@@ -1153,12 +1161,8 @@ class TestMutations:
         # 8, lands 8+8 on q^17, and B loses that partition of 16; the
         # product route packs no knapsack and catches it at that first n
         count_b = partitions.count_B_table(60, 2, 0)
-        source = inspect.getsource(partitions._packed_knapsack)
-        slipped = source.replace("rest += rest >> width * s", "rest += rest >> width * (s + (s == p))")
-        assert slipped != source
-        namespace = dict(vars(partitions))
-        exec(slipped, namespace)
-        monkeypatch.setattr(partitions, "_packed_knapsack", namespace["_packed_knapsack"])
+        slip_source(monkeypatch, partitions, "_packed_knapsack",
+                    "rest += rest >> width * s", "rest += rest >> width * (s + (s == p))")
         slipped_b = partitions.count_B_table(60, 2, 0)
         first = next(n for n, (a, b) in enumerate(zip(slipped_b, count_b)) if a != b)
         assert (first, slipped_b[first]) == (16, count_b[16] - 1)
@@ -1166,6 +1170,31 @@ class TestMutations:
         assert (rep.status, rep.notes) == ("fail", [])
         assert rep.witness == {"n": 16, "count_B": count_b[16] - 1,
                                "product_coefficient": count_b[16]}
+
+    def test_closed_product_running_part_off_by_one(self, monkeypatch):
+        # each running row takes the part j - kd + 1 in place of j - kd, so
+        # the a^0 row of the x^1 term takes 2 for 1 and loses q^1; the
+        # closed-product stage alone fails, at its first j
+        slip_source(monkeypatch, appell, "closed_product_F_coefficients",
+                    "_add_part(ways, j - k * d)", "_add_part(ways, j - k * d + 1)")
+        rep = verify.verify_machinery(2, 60, closed_product_j=62)
+        sub = {s.identity: s for s in rep.subreports}
+        assert rep.status == "fail"
+        assert (sub["machinery/closed-product"].status, sub["machinery/closed-product"].witness) == (
+            "fail", {"j": 1, "a_degree": 0, "q_degree": 1})
+        assert {s.status for name, s in sub.items() if name != "machinery/closed-product"} == {
+            "pass"}
+
+    def test_C_sweep_overline_two_too_heavy(self, monkeypatch):
+        # the C sweep weighs an overlined v as 2v + 2i + 1 in place of
+        # 2v + 2i - 1: at (2, 0) the overlined 1 maps to 3 for 1, and C
+        # loses the partition 1 at n = 1, its first n
+        slip_source(monkeypatch, partitions, "count_C_table", "2 * v + 2 * i - 1", "2 * v + 2 * i + 1")
+        rep = verify.verify_corollary(2, 0, 40, 25)
+        assert (rep.status, rep.notes) == ("fail", [])
+        w = rep.witness
+        assert (w["n"], w["count_B"], w["count_C"], w["route"]) == (1, 1, 0, "sweep")
+        assert w["C_partitions"] == ["1"]
 
     def test_bounded_enumeration_first_cell_of_a_j(self, monkeypatch):
         # two slips after value 4: R at (m, n) = (0, 8) in state k = 2, P
