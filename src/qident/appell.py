@@ -11,10 +11,12 @@ closed product solution for F, and takes the formal coefficientwise limit
 R_infty, which must reproduce the infinite product
 (-aq; q^k)_inf / (q; q)_inf.  It also expands the corollary family's
 product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf: its finite numerator
-factor by factor, largest first, then each parity class divided by Euler's
-product, so that route shares no algorithm with the B-side knapsack.
-Both products divide plain integer rows by the pentagonal recurrence
-(series._divide_rows); only the R_j stream here is packed.
+factor by factor, largest first, then both parity classes divided by
+Euler's product at once, so that route shares no algorithm with the B-side
+knapsack.  Each product runs the pentagonal recurrence (series._divide_rows)
+once: theorem_product on the one plain row 1/(q; q)_inf, the corollary's
+product on its packed numerator read back in two-slot columns.  The R_j
+stream is packed too; the closed product packs nothing.
 
 The recursion is a stream: r_terms yields R_0, R_1, ... and keeps only the
 last k terms, and build_R is that stream kept whole.  The functional
@@ -322,29 +324,27 @@ def appell_limit(rs: RSequence) -> BivariateSeries:
 def theorem_product(k: int, q_order: int, a_order: int | None = None) -> BivariateSeries:
     """The product side (-aq; q^k)_inf / (q; q)_inf of the overpartition identity.
 
-    The numerator prod (1 + a q^e), e = 1, 1 + k, ..., is expanded in place
-    on a-rows, largest e first.  With lo the last e taken, row m - 1 is zero
-    below least_weight(k, m - 1, lo), so a factor adds row m - 1, shifted by
-    e, to row m only from there; row 1 gains q^e alone.  Rows are updated
-    from the top a-degree down, so each reads its neighbour before the
-    factor.  Each a-row is then divided by (q; q)_inf by the pentagonal
-    recurrence (_divide_rows), from its first nonzero coefficient, so
-    1/(q; q)_inf is never expanded or convolved."""
+    Row 0 starts as 1/(q; q)_inf, 1 divided by Euler's product by the
+    pentagonal recurrence (_divide_rows), the one division, so 1/(q; q)_inf
+    is never convolved.  The numerator prod (1 + a q^e), e = 1, 1 + k, ...,
+    then multiplies into the a-rows in place, largest e first.  With lo
+    the last e taken, row m - 1 is zero below least_weight(k, m - 1, lo),
+    so a factor adds row m - 1, shifted by e, to row m only from there.
+    Rows are updated from the top a-degree down, so each reads its
+    neighbour before the factor."""
     check_params(k, q_order=q_order, a_order=a_order)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
     n1 = q_order + 1
-    rows = [[1] + [0] * q_order] + [[0] * n1 for _ in range(a_order)]
+    rows = _divide_rows([[1] + [0] * q_order], euler_product(q_order).coeffs)
+    rows += [[0] * n1 for _ in range(a_order)]
     lo = n1
     for e in reversed(range(1, n1, k)):
-        for m in range(a_order, 1, -1):
+        for m in range(a_order, 0, -1):
             s = least_weight(k, m - 1, lo)
             if e + s < n1:
                 rows[m][e + s :] = map(add, rows[m][e + s :], rows[m - 1][s : n1 - e])
-        if a_order:
-            rows[1][e] += 1
         lo = e
-    rows = _divide_rows(rows, euler_product(q_order).coeffs)
     return BivariateSeries(tuple(map(tuple, rows)))
 
 
@@ -375,20 +375,47 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
 
     Expanded from the product itself, sharing no algorithm with the allowed
     parts that count_B_table's knapsack sums over, so the two are
-    independent routes to B_{i,k}.  The finite numerator prod (1 + q^e)
-    starts from 1 and takes its largest e first: with lo the last e taken,
-    row[1:lo] is still zero, so a factor adds row[0] at e and the copy
-    shifted by e from e + lo on.  Both parity classes of the numerator are
-    then divided by Euler's product (q; q)_inf, which is 1/(q^2; q^2)_inf on
-    the exponents of one parity, each class as one row of _divide_rows.
+    independent routes to B_{i,k}.  The finite numerator prod (1 + q^e) is
+    packed in w-bit slots, q^0 on top, as 1 + rest, the 1 kept outside:
+    taking the largest e first, (1 + rest)(1 + q^e) adds q^e and rest
+    shifted by e, and rest stays short while e is large.  w is
+    packed.slot_width's bound on the product's own coefficients, which
+    bound the numerator's.
+
+    Read at width 2w, after a zero slot when q_order is even, each chunk is
+    the column (q^{2d}, q^{2d+1}), so both parity classes are divided by
+    Euler's product (q; q)_inf, which is 1/(q^2; q^2)_inf on the exponents
+    of one parity, in one row of _divide_rows.  The recurrence is linear
+    over the integers, so the quotient columns are exact and only the
+    product's coefficients need to fit their slots.  Each column is read
+    back with its low slot signed, so a wrong division still reaches the
+    comparison, and a coefficient at or above 2^{w - GUARD_BITS} raises
+    SlotOverflowError naming the width.  Given up, as in r_terms: were the
+    width wrong by two bits or more, a low slot could pass 2^{w-1} and read
+    negative, and then fail the comparison rather than abort.
     """
     check_params(k, i, q_order=q_order)
-    row = [1] + [0] * q_order
-    lo = q_order + 1
-    for e in reversed(range(2 * i + 1, q_order + 1, 2 * k)):
-        row[e] += row[0]
-        row[e + lo :] = map(add, row[e + lo :], row[lo : q_order + 1 - e])
-        lo = e
-    row[::2], row[1::2] = _divide_rows([row[::2], row[1::2]], euler_product(q_order // 2).coeffs)
-    return QSeries(tuple(row))
-
+    n = q_order
+    odd = range(2 * i + 1, n + 1, 2 * k)
+    w = packed.slot_width(n, range(2, n + 1, 2), odd)
+    rest = 0
+    for e in reversed(odd):
+        rest += (1 << w * (n - e)) + (rest >> w * e)
+    cols = n // 2 + 1
+    numerator = ((1 << w * n) + rest) << w * (2 * cols - 1 - n)
+    (quotient,) = _divide_rows([packed.read_slots(numerator, 2 * w, cols)],
+                               euler_product(n // 2).coeffs)
+    low, sign = (1 << w) - 1, 1 << (w - 1)
+    coeffs = []
+    for col in quotient:
+        lo = col & low
+        lo -= (lo & sign) << 1
+        coeffs += ((col - lo) >> w, lo)
+    del coeffs[n + 1 :]
+    top = 1 << (w - packed.GUARD_BITS)
+    if max(coeffs) >= top:
+        e = next(e for e, c in enumerate(coeffs) if c >= top)
+        raise packed.SlotOverflowError(
+            f"slot overflow: the B_{{{i},{k}}} product's q^{e} coefficient reached the guard"
+            f" bits of its {w}-bit slots at q_order={n}")
+    return QSeries(tuple(coeffs))

@@ -2,13 +2,16 @@
 
 A packed row c_0..c_N is sum_s c_s 2^{w (N - s)}: c_0 in the top slot, so a
 shift by s slots is a right shift by w s bits and the slots shifted past
-c_N fall off the bottom.  Three routes pack: the R_j stream, the
-transfer-matrix sweep (partitions.sweep) and the knapsack's large parts.
-All hold counts, so every slot is unsigned; w is whole bytes, with
-GUARD_BITS clear bits above slot_width's bound, which guard_mask reads.
-The stream and the sweep hold a series in a as a PackedTerm, one packed
-row per a-degree.  Each route keeps its own arithmetic on the packed
-integers, so compared routes share only this format, no kernel.
+c_N fall off the bottom.  Four routes pack: the R_j stream, the
+transfer-matrix sweep (partitions.sweep), the knapsack's large parts and
+the corollary's product (appell.congruence_product_series), whose
+numerator is read back through read_slots at twice its width, one
+two-slot column a chunk.  All hold counts, so every slot is unsigned; w
+is whole bytes, with GUARD_BITS clear bits above slot_width's bound,
+which guard_mask reads.  The stream and the sweep hold a series in a as a
+PackedTerm, one packed row per a-degree.  Each route keeps its own
+arithmetic on the packed integers, so compared routes share only this
+format, no kernel.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ def whole_bytes(bits: int) -> int:
     return -(-(bits + GUARD_BITS) // 8) * 8
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def slot_width(n: int, plain, distinct=()) -> int:
     """The bits of one slot for the coefficients up to q^n of
     F(q) = prod_{p in plain} 1/(1 - q^p) * prod_{p in distinct} (1 + q^p)
     (repeats allowed, each a range or a tuple), and for any value at most
     one of them.  A route and its report's note ask for the same width, so
-    it is cached, with room for the 20 widths one verify_all(5) asks for.
+    it is cached, with room for the 33 widths one verify_all(5) asks for.
 
     F has non-negative coefficients, so each one up to q^n is at most
     F(x)/x^n for every 0 < x < 1 (Flajolet and Sedgewick, Analytic

@@ -163,9 +163,9 @@ def verify_corollary(
 ) -> VerificationReport:
     """Three-way check B = C = product coefficient up to enum_limit, then
     two-way DP-vs-product up to n_max.  A slot overflow in B's packed
-    knapsack or in the C sweep (the D_k moves, specialized) aborts the
-    report, naming the slot width; a pass notes the knapsack's width and
-    the bound it rests on."""
+    knapsack, the product's packed numerator or the C sweep (the D_k
+    moves, specialized) aborts the report, naming the slot width; a pass
+    notes the knapsack's width and the bound it rests on."""
     start = time.perf_counter()
     params = {"k": k, "i": i}
     enum_top = min(n_max, enum_limit)

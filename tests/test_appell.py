@@ -1,6 +1,7 @@
 """The recursion, functional equation, closed product, and formal limit."""
 
 import re
+from functools import lru_cache
 from itertools import islice
 from operator import add
 
@@ -107,6 +108,25 @@ def congruence_product_by_rows(k, i, q_order):
     out = list(numer)
     out[::2], out[1::2] = divide_each_row([numer[::2], numer[1::2]], euler_product(q_order // 2).coeffs)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def even_partitions(q_order):
+    """1/(q^2; q^2)_inf, one factor 1/(1 - q^p) at a time as running sums."""
+    row = [1] + [0] * q_order
+    for p in range(2, q_order + 1, 2):
+        for s in range(p, q_order + 1):
+            row[s] += row[s - p]
+    return tuple(row)
+
+
+def congruence_product_factor_by_factor(k, i, q_order):
+    """The corollary's product as 1/(q^2; q^2)_inf times each numerator
+    factor (1 + q^e) in turn: no packing and no division."""
+    row = list(even_partitions(q_order))
+    for e in range(2 * i + 1, q_order + 1, 2 * k):
+        row[e:] = map(add, row[e:], row[: q_order + 1 - e])
+    return tuple(row)
 
 
 def closed_product_by_shifted_sums(k, j_top, q_order, a_order):
@@ -665,6 +685,27 @@ class TestCongruenceProduct:
             want = congruence_product_by_rows(k, i, q_order)
             assert congruence_product_series(k, i, q_order).coeffs == want, i
 
+    # k <= 8 and every i; an even q-order pads the two-slot columns with a
+    # slot past q^{q_order}, an odd one does not
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_factor_by_factor(self, k):
+        for q_order in (0, 1, 2, 3, 7, 30, 101, 1000):
+            for i in range(k):
+                want = congruence_product_factor_by_factor(k, i, q_order)
+                assert congruence_product_series(k, i, q_order).coeffs == want, (q_order, i)
+
+    @pytest.mark.parametrize("width, first", [(8, 16), (16, 53)])
+    def test_guard_read_names_the_first_coefficient_past_the_bound(self, monkeypatch, width, first):
+        # too narrow a width: the first product coefficient at or above
+        # 2^{w-3} is named, here B_{0,2}'s 34 at q^16 and 8579 at q^53
+        want = congruence_product_factor_by_factor(2, 0, 200)
+        assert min(e for e, c in enumerate(want) if c >= 1 << (width - 3)) == first
+        monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(): width)
+        with pytest.raises(SlotOverflowError, match=re.escape(
+                f"B_{{0,2}} product's q^{first} coefficient reached the guard bits of its"
+                f" {width}-bit slots at q_order=200")):
+            congruence_product_series(2, 0, 200)
+
 
 class TestTheoremProduct:
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -673,6 +714,15 @@ class TestTheoremProduct:
         numer = pochhammer_inf(Monomial(1, 1, 1), k, q_order, max_overline_count(k, q_order))
         want = divide_each_row(numer.coeffs, euler_product(q_order).coeffs)
         assert theorem_product(k, q_order).coeffs == want
+
+    # an a-order of none, one, a few, and one past every row's least weight
+    @pytest.mark.parametrize("a_order", [0, 1, 3, 40])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_given_a_order_matches_row_by_row_division(self, k, a_order):
+        for q_order in (0, 1, 2, 3, 7, 30, 101, 200):
+            numer = pochhammer_inf(Monomial(1, 1, 1), k, q_order, a_order)
+            want = divide_each_row(numer.coeffs, euler_product(q_order).coeffs)
+            assert theorem_product(k, q_order, a_order).coeffs == want, q_order
 
     def test_closes_the_loop_with_enumeration(self):
         for k in (2, 4):

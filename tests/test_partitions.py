@@ -1,6 +1,7 @@
 """Partition enumeration and the B/C/Schur counters."""
 
 from collections import Counter
+from functools import cache
 from math import inf
 
 import pytest
@@ -267,6 +268,20 @@ def node_tally(n_max, rule):
     return [counts[n] for n in range(n_max + 1)]
 
 
+def top_down_tally(n_max, rule):
+    """The oracle for random tables, whose walks can have ~10^11 nodes at
+    n = 16: f(s, r), the number of part sequences from state s weighing r,
+    memoized, with f(s, 0) = 1 and f(s, r) the sum of f(c, r - p) over the
+    pairs (p, c) that s lists with p <= r; counts[w] = f(start, w)."""
+    start, nexts = rule
+
+    @cache
+    def f(state, r):
+        return 1 if r == 0 else sum(f(c, r - p) for p, c in nexts(state, n_max) if p <= r)
+
+    return [f(start, w) for w in range(n_max + 1)]
+
+
 @st.composite
 def rule_tables(draw):
     """A small rule: a few int states, each listing (part, child state)
@@ -291,7 +306,13 @@ class TestTally:
     @settings(max_examples=200, deadline=None)
     @given(rule_tables(), st.integers(0, 16))
     def test_random_tables_equal_the_node_tally(self, rule, n):
-        assert _tally(n, rule) == node_tally(n, rule)
+        assert _tally(n, rule) == top_down_tally(n, rule)
+
+    def test_top_down_tally_equals_the_node_tally(self):
+        # the random tables' oracle against the walk on the fixed phrasings
+        for n in (0, 1, 12, 20):
+            for rule in (_SCHUR_GAP_RULE, _c_rule(3, 1, "corollary"), _b_rule(4, 2)):
+                assert top_down_tally(n, rule) == node_tally(n, rule), n
 
 
 class TestCountB:

@@ -148,6 +148,15 @@ class TestReports:
             assert (rep.status, rep.witness) == (status, None)
         assert len(rep.notes) == 1 and "guard bits of its 48-bit slots" in rep.notes[0]
 
+    def test_product_overflow_aborts_the_corollary(self, monkeypatch):
+        # the product's own slots at 8 bits hold counts below 2^5, and
+        # B_{0,2}'s count at n = 16 is 34; B and C keep their widths
+        self.narrowing(monkeypatch, "congruence_product_series", 8)
+        rep = verify.verify_corollary(2, 0, 200, 25)
+        assert (rep.status, rep.witness, rep.notes) == ("aborted", None, [
+            "slot overflow: the B_{0,2} product's q^16 coefficient reached the guard bits of"
+            " its 8-bit slots at q_order=200"])
+
     def test_schur_aborts_on_a_slot_overflow(self, monkeypatch):
         # the product's knapsack packs its large parts at n = 40; an
         # overflow there aborts the report with the knapsack's own words
@@ -508,10 +517,10 @@ ROUTE_SLIPS = [
         "overpartition": {"n": 7, "m": 2, "sweep_count": 5, "product_coefficient": 4}}),
     RouteSlip("appell.congruence_product_series", (7,), {
         "corollary": {"n": 7, "count_B": 4, "product_coefficient": 5}}),
-    # the product's division by Euler's product: 1 added to the even
-    # class's q^20, which is n = 40
+    # the product's division by Euler's product: 1 added to column 20,
+    # (q^40, q^41), lands on its low slot, the odd class's q^41
     RouteSlip("appell._divide_rows", (0, 20), {
-        "corollary": {"n": 40, "count_B": 1617, "product_coefficient": 1618}},
+        "corollary": {"n": 41, "count_B": 1850, "product_coefficient": 1851}},
         when=lambda rows, unit: len(rows[0]) > 20),
     # the corollary's 1/(q^2; q^2) puts q^7 at n = 14, and the theorem's
     # divides the a^0 row first
@@ -776,10 +785,18 @@ WALKER = dict.fromkeys(
 STREAM_WIDTH = {"appell.overpartition_parts": "the parts of the stream's slot bound"}
 PAIRS = {
     ("Dk-sweep", "Dk-product"): {},
-    ("B", "B-product"): {},
+    # the product reads its packed numerator back in two-slot columns, so
+    # one slip in the reader lands on other coefficients there than in B's
+    ("B", "B-product"): {
+        "packed.slot_width": "the slot bound: a width too narrow trips each route's own guard read",
+        "packed.whole_bytes": "the slot bound's rounding to whole bytes",
+        "packed.read_slots": "the slot reader, which the product runs at twice B's width,"
+                             " one column (q^{2d}, q^{2d+1}) a chunk",
+    },
     ("B", "C-walk"): {},
     ("B", "C-sweep"): {**FORMAT, "packed.read_slots":
-                       "the slot reader, which the product and the C walk never run"},
+                       "the slot reader, which the C walk never runs and the product"
+                       " runs on two-slot columns"},
     ("C-walk-i1", "thm12-walk"): WALKER,
     ("C-walk", "thm13-walk"): WALKER,
     ("schur-knapsack", "schur-walk"): {},
