@@ -16,7 +16,7 @@ Euler's product at once, so that route shares no algorithm with the B-side
 knapsack.  Each product runs the pentagonal recurrence (series._divide_rows)
 once: theorem_product on the one plain row 1/(q; q)_inf, the corollary's
 product on its packed numerator read back in two-slot columns.  The R_j
-stream is packed too; the closed product packs nothing.
+stream and the closed product are packed too, in one width.
 
 The recursion is a stream: r_terms yields R_0, R_1, ... and keeps only the
 last k terms, and build_R is that stream kept whole.  The functional
@@ -32,11 +32,12 @@ unpack turns a term into a BivariateSeries.
 
 Euler's two identities give R_j in closed form: its a^d row is
 q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}).  The closed product
-counts each row from that form on a plain list, sharing no arithmetic with
-r_terms, and the limit checks the bound it implies: the coefficient of q^e
-is fixed once j >= e + k - 1.  Checked between neighbours, that is R_j =
-R_{j-1} below q^{j-k+1}; the windows grow with j, so the agreements chain
-forward to R_{j_max}.  pj_series sums P_j on the stream's last k terms.
+counts each row from that form on packed rows in the stream's width, so a
+caller compares its terms with R_j as integers; it runs its own divisions
+and shares no arithmetic with r_terms.  The limit checks the bound the
+closed form implies: the coefficient of q^e is fixed once j >= e + k - 1.
+Checked between neighbours, that is R_j = R_{j-1} below q^{j-k+1}; the
+windows grow with j, so the agreements chain forward to R_{j_max}.  pj_series sums P_j on the stream's last k terms.
 
 theorem_product skips what must be zero: by Euler's expansion of
 (-aq; q^k)_inf, row m is zero below the least weight of m overlined parts,
@@ -55,7 +56,7 @@ from operator import add
 
 from . import packed
 from .packed import PackedTerm
-from .partitions import _add_part, check_params
+from .partitions import check_params
 from .series import BivariateSeries, QSeries, _divide_rows, euler_product
 
 
@@ -242,35 +243,60 @@ def check_functional_equation(rs: RSequence) -> tuple | None:
     return None
 
 
-def closed_product_F_coefficients(k: int, j_top: int, q_order: int) -> list:
-    """x^0..x^{j_top} coefficients of prod_{t>=0} (1 + a x^k q^{tk+1}) / (1 - x q^t).
+def closed_product_F_coefficients(k: int, j_top: int, q_order: int) -> Iterator:
+    """Yield the x^0..x^{j_top} coefficients of
+    prod_{t>=0} (1 + a x^k q^{tk+1}) / (1 - x q^t) as PackedTerms, in the R_j
+    stream's width: slot_width for overpartition_parts(q_order).
 
     Euler's two identities expand the product: the a^d row of the x^j
     coefficient is q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}), zero
-    when kd > j, counted as partitions into the parts k, 2k, ..., dk and
-    1, ..., j - kd, for d <= max_overline_count(k, q_order), by _add_part's
-    running sums on a plain list: nothing packed, so the only code it shares
-    with the stream it must equal is the a-order bound.  Each d keeps one
-    running list: at j = kd it holds the parts k, ..., dk, and each later j
-    adds the one part j - kd, since row(j, d) = row(j-1, d) / (1 - q^{j-kd}).
+    when kd > j, for d <= max_overline_count(k, q_order).  Row d starts at
+    j = kd as q^{least_weight(k, d)} divided by (1 - q^{kt}), t = 1..d, and
+    each later j divides it by (1 - q^{j-kd}), since row(j, d) =
+    row(j-1, d) / (1 - q^{j-kd}).  Each division runs doubling steps
+    row += q^s row, s = p, 2p, 4p, ... <= q_order, written here and run by
+    no other route, so the only code it shares with the stream it must
+    equal is the packed format and the a-order bound.
+
+    Every value formed is at most the matching coefficient of the x^j term,
+    which is R_j's, so the stream's width bounds it.  The guard bits are
+    read once per j, after its divisions; a slot holding one raises
+    SlotOverflowError naming j and the width.  Given up, as in r_terms: a
+    carry could clear a guard bit before the read were the width wrong by
+    GUARD_BITS bits or more.  The parameters are checked at the call,
+    before the first term.
     """
     check_params(k, j_top=j_top, q_order=q_order)
+    return _closed_product_terms(k, j_top, q_order)
+
+
+def _closed_product_terms(k: int, j_top: int, q_order: int) -> Iterator:
     d_max = max_overline_count(k, q_order)
-    # running[d] is row d from its q^{least_weight(k, d)} on (a shift of at
-    # most q_order, by the bound on d), once j has reached kd
-    running, out = [], []
+    width = packed.slot_width(q_order, *overpartition_parts(q_order))
+    guard = packed.guard_mask(width, q_order + 1)
+
+    def divided(row, p):  # row / (1 - q^p), the slots past q^{q_order} dropped
+        s = p
+        while s <= q_order:
+            row += row >> width * s
+            s += s
+        return row
+
+    rows = [0] * (d_max + 1)
     for j in range(j_top + 1):
-        for d, ways in enumerate(running):
-            _add_part(ways, j - k * d)
-        d = len(running)
-        if d <= d_max and k * d == j:
-            ways = [1] + [0] * (q_order - least_weight(k, d))
+        for d in range(min(-(-j // k), d_max + 1)):  # the rows started before j
+            rows[d] = divided(rows[d], j - k * d)
+        d, r = divmod(j, k)
+        if r == 0 and d <= d_max:
+            row = 1 << width * (q_order - least_weight(k, d))
             for t in range(1, d + 1):
-                _add_part(ways, k * t)
-            running.append(ways)
-        rows = [(0,) * (q_order + 1 - len(ways)) + tuple(ways) for ways in running]
-        out.append(BivariateSeries(tuple(rows + [(0,) * (q_order + 1)] * (d_max + 1 - len(rows)))))
-    return out
+                row = divided(row, k * t)
+            rows[d] = row
+        if any(row & guard for row in rows):
+            raise packed.SlotOverflowError(
+                f"slot overflow: the closed product's x^{j} coefficient reached the guard bits"
+                f" of its {width}-bit slots at q_order={q_order}")
+        yield PackedTerm(tuple(rows), width, q_order)
 
 
 def require_depth(k: int, j_max: int, q_order: int) -> None:

@@ -2,16 +2,17 @@
 
 A packed row c_0..c_N is sum_s c_s 2^{w (N - s)}: c_0 in the top slot, so a
 shift by s slots is a right shift by w s bits and the slots shifted past
-c_N fall off the bottom.  Four routes pack: the R_j stream, the
+c_N fall off the bottom.  Five routes pack: the R_j stream, the closed
+product (appell.closed_product_F_coefficients, in the stream's width), the
 transfer-matrix sweep (partitions.sweep), the knapsack's large parts and
 the corollary's product (appell.congruence_product_series), whose
 numerator is read back through read_slots at twice its width, one
 two-slot column a chunk.  All hold counts, so every slot is unsigned; w
 is whole bytes, with GUARD_BITS clear bits above slot_width's bound,
-which guard_mask reads.  The stream and the sweep hold a series in a as a
-PackedTerm, one packed row per a-degree.  Each route keeps its own
-arithmetic on the packed integers, so compared routes share only this
-format, no kernel.
+which guard_mask reads.  The stream, the closed product and the sweep
+hold a series in a as a PackedTerm, one packed row per a-degree.  Each
+route keeps its own arithmetic on the packed integers, so compared routes
+share only this format, no kernel.
 """
 
 from __future__ import annotations

@@ -298,10 +298,12 @@ def verify_machinery(
 
     R_0..R_{j_max} are built once, by appell.r_terms, and each stage checks
     them as they arrive through a window of the last k + 1 terms, so no more
-    is kept than the window.  The terms are packed: the bounded stage
-    compares their rows as integers, the others unpack one only where they
-    read coefficients.  A stage is a generator: it is sent the window once
-    per term until it returns (witness or None, notes), or raises
+    is kept than the window.  The terms are packed: the closed-product and
+    bounded stages compare their rows as integers, the functional equation
+    and the limit steps read them packed, and the limit stage unpacks only
+    its last term, to compare with the theorem's product.  A stage is a
+    generator: it is sent the window once per term until it returns
+    (witness or None, notes), or raises
     StabilizationError, or SlotOverflowError from its own sweep, to abort,
     and its time is the sum of its own steps.  A slot overflow in the
     stream aborts every stage that has not yet returned.
@@ -385,14 +387,36 @@ def _functional_equation(k: int, q_order: int, j_max: int):
 
 
 def _closed_product(k: int, q_order: int, j_top: int):
-    """The closed product's x^j coefficients against R_j as each arrives; the
-    first differing j, and its first differing cell, is the witness."""
-    xc = appell.closed_product_F_coefficients(k, j_top, q_order)
-    for j, coeff in enumerate(xc):
-        term = appell.unpack((yield)[-1])
-        if coeff != term:
-            return dict(zip(("j", "a_degree", "q_degree"), (j, *coeff.first_difference(term)))), []
+    """The closed product's x^j coefficients against R_j as each arrives,
+    both packed in the stream's width and compared row by row as integers;
+    the first differing j, and its first differing cell, is the witness.
+    The x^j term is built only once R_j has arrived, so a stream that stops
+    aborts the stage before the closed form runs past it."""
+    xc = iter(appell.closed_product_F_coefficients(k, j_top, q_order))
+    for j in range(j_top + 1):
+        term = (yield)[-1]
+        coeff = next(xc)
+        if coeff.rows != term.rows:
+            cell = _first_cell(coeff, term)
+            if cell is not None:
+                return dict(zip(("j", "a_degree", "q_degree"), (j, *cell))), []
     return None, []
+
+
+def _first_cell(a, b):
+    """The first (a-degree, q-degree) where the PackedTerms a and b, of one
+    q-order, differ, or None.  In one width the q-degree is read off the
+    first differing rows by packed.first_slot; in two (one route's width
+    narrowed), each row's slots are read in its own width."""
+    slots = a.q_order + 1
+    for m, (x, y) in enumerate(zip(a.rows, b.rows)):
+        if a.width != b.width:
+            x, y = packed.read_slots(x, a.width, slots), packed.read_slots(y, b.width, slots)
+            if x != y:
+                return m, next(n for n, (c, d) in enumerate(zip(x, y)) if c != d)
+        elif x != y:
+            return m, packed.first_slot(x, y, a.width, slots)
+    return None
 
 
 def _appell_limit(k: int, q_order: int, j_max: int):

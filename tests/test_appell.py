@@ -42,9 +42,10 @@ from test_series import divide_row_by_scalar_loop
 # packed-row running sums and closed_product_F_coefficients with Euler's
 # closed form, the recursion on whole coefficient lists that r_terms
 # replaced with packed rows, the closed form's rows built from scratch at
-# each j that closed_product_F_coefficients replaced with one running row
-# per a-degree, and the factor-by-factor product that theorem_product's
-# in-place numerator replaced.
+# each j and then as one running list per a-degree, which
+# closed_product_F_coefficients replaced with packed running rows, and the
+# factor-by-factor product that theorem_product's in-place numerator
+# replaced.
 
 
 def geometric_inverse(j: int, q_order: int) -> QSeries:
@@ -172,6 +173,32 @@ def closed_product_from_scratch(k, j_top, q_order):
     return [BivariateSeries(tuple(row(j, d) for d in rows)) for j in range(j_top + 1)]
 
 
+def closed_product_by_running_lists(k, j_top, q_order):
+    """Euler's closed form with one running list per a-degree d, by
+    _add_part's running sums: at j = kd it holds the parts k, ..., dk, and
+    each later j adds the one part j - kd."""
+    d_max = max_overline_count(k, q_order)
+    # running[d] is row d from its q^{least_weight(k, d)} on, once j has reached kd
+    running, out = [], []
+    for j in range(j_top + 1):
+        for d, ways in enumerate(running):
+            _add_part(ways, j - k * d)
+        d = len(running)
+        if d <= d_max and k * d == j:
+            ways = [1] + [0] * (q_order - least_weight(k, d))
+            for t in range(1, d + 1):
+                _add_part(ways, k * t)
+            running.append(ways)
+        rows = [(0,) * (q_order + 1 - len(ways)) + tuple(ways) for ways in running]
+        out.append(BivariateSeries(tuple(rows + [(0,) * (q_order + 1)] * (d_max + 1 - len(rows)))))
+    return out
+
+
+def closed_product(k, j_top, q_order):
+    """closed_product_F_coefficients' terms, unpacked."""
+    return [unpack(term) for term in closed_product_F_coefficients(k, j_top, q_order)]
+
+
 def functional_equation_by_series(rs):
     """check_functional_equation as built from BivariateSeries sums,
     differences and shifts, one new series per side and j."""
@@ -243,7 +270,7 @@ class TestRunningSumsMatchOracles:
     @example(2, 0, 12)
     @settings(max_examples=80, deadline=None)
     def test_closed_product(self, k, q_order, j_top):
-        got = closed_product_F_coefficients(k, j_top, q_order)
+        got = closed_product(k, j_top, q_order)
         want = closed_product_by_shifted_sums(k, j_top, q_order, max_overline_count(k, q_order))
         assert got == want
         # the rows above a-degree d // k, which are returned as zeros, are zero
@@ -508,10 +535,10 @@ class TestFunctionalEquation:
 
 class TestClosedProduct:
     def test_x0_coefficient_is_one(self):
-        assert closed_product_F_coefficients(2, 0, 8)[0] == BivariateSeries.one(2, 8)
+        assert unpack(next(closed_product_F_coefficients(2, 0, 8))) == BivariateSeries.one(2, 8)
 
     def test_x1_coefficient_is_geometric(self):
-        coeff = closed_product_F_coefficients(2, 1, 8)[1]
+        coeff = unpack(list(closed_product_F_coefficients(2, 1, 8))[1])
         assert coeff == with_zero_rows(geometric_inverse(1, 8), 2)
 
     def test_rejects_bad_parameters(self):
@@ -521,19 +548,44 @@ class TestClosedProduct:
             closed_product_F_coefficients(2, -1, 8)
 
     @pytest.mark.parametrize("k", range(2, 7))
-    @pytest.mark.parametrize("q_order", [8, 60])
+    @pytest.mark.parametrize("q_order", [0, 1, 5, 8, 60])
     def test_running_rows_match_rows_from_scratch(self, k, q_order):
-        # each running row, one part added per j, against the row built
-        # whole at each j, to j_top = q_order + k
+        # the packed running rows, one division per row and j, against one
+        # running list per row and against each row built whole at each j,
+        # at every j <= q_order + k
         j_top = q_order + k
-        assert closed_product_F_coefficients(k, j_top, q_order) == closed_product_from_scratch(
-            k, j_top, q_order)
+        got = closed_product(k, j_top, q_order)
+        assert got == closed_product_by_running_lists(k, j_top, q_order)
+        assert got == closed_product_from_scratch(k, j_top, q_order)
+
+    @pytest.mark.parametrize("k, q_order", [(2, 0), (2, 60), (5, 200)])
+    def test_terms_are_in_the_stream_width(self, k, q_order):
+        width = slot_width(q_order, *overpartition_parts(q_order))
+        for term, stream in zip(closed_product_F_coefficients(k, q_order + k, q_order),
+                                r_terms(k, q_order + k, q_order)):
+            assert (term.width, term.q_order) == (width, q_order)
+            assert term.rows == stream.rows
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_guard_read_names_the_first_j_past_the_bound(self, monkeypatch, width):
+        # in narrow slots the closed form trips at the first x^j holding a
+        # coefficient at or above 2^{width - GUARD_BITS}, read off its values
+        terms = closed_product(2, 62, 60)
+        j, _ = first_past_the_bound(terms, width, packed.GUARD_BITS)
+        monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(): width)
+        kept = []
+        with pytest.raises(SlotOverflowError) as raised:
+            kept.extend(closed_product_F_coefficients(2, 62, 60))
+        assert str(raised.value) == (
+            f"slot overflow: the closed product's x^{j} coefficient reached the guard bits"
+            f" of its {width}-bit slots at q_order=60")
+        assert [unpack(t) for t in kept] == terms[:j]
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_recursion(self, k):
         q_order = 15
         rs = build_R(k, 10, q_order)
-        xc = closed_product_F_coefficients(k, 10, q_order)
+        xc = closed_product(k, 10, q_order)
         for j in range(11):
             assert xc[j] == rs.terms[j], (k, j)
 

@@ -56,7 +56,7 @@ class TestReports:
 
     def test_machinery_keeps_a_window_of_terms(self):
         # R_j streams through the stages: k + 1 terms, the closed product's
-        # x^0..x^10 and the bounded stage's R_0..R_4 are alive at most;
+        # running rows and the bounded stage's R_0..R_4 are alive at most;
         # keeping every R_j to j = 205 peaked at 12.5 MB
         tracemalloc.start()
         try:
@@ -128,6 +128,33 @@ class TestReports:
         assert (bounded.status, bounded.witness, bounded.notes) == ("aborted", None, [
             "aborted: slot overflow: the D_2 sweep's a^0 row reached the guard bits of its"
             " 8-bit slots at v=3, n_max=60"])
+
+    def test_closed_product_overflow_aborts_its_stage_alone(self, monkeypatch):
+        # the closed form in 8-bit slots, which hold counts below 2^5: its
+        # x^3 term's a^0 row reaches 331 at q^60.  The stream keeps its
+        # width, so the terms before x^3 are read slot by slot and agree,
+        # and the other three stages pass
+        self.narrowing(monkeypatch, "_closed_product_terms", 8)
+        rep = verify.verify_machinery(2, 60)
+        sub = {s.identity: s for s in rep.subreports}
+        stage = sub.pop("machinery/closed-product")
+        assert (rep.status, stage.status, stage.witness) == ("aborted", "aborted", None)
+        assert stage.notes == ["aborted: slot overflow: the closed product's x^3 coefficient"
+                               " reached the guard bits of its 8-bit slots at q_order=60"]
+        assert {s.status for s in sub.values()} == {"pass"}
+
+    def test_closed_product_at_every_j_keeps_no_lists(self):
+        # the closed form is packed in the stream's width and compared as
+        # integers: when each R_j was unpacked against tuple rows, the stage
+        # at every j to q-order 200 peaked at 10.1 MB
+        tracemalloc.start()
+        try:
+            rep = verify.verify_machinery(2, 200, closed_product_j=202)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 2**20
 
     def test_corollary_aborts_on_a_slot_overflow(self, monkeypatch):
         # B's packed counts at (2, 0), n = 1000 reach 46 bits: 56-bit slots
@@ -426,7 +453,7 @@ def bumped(real, at, when=None):
     at is a path of indices into the output: n into a count list or a
     QSeries, (m, n) into a row matrix, a BivariateSeries or a packed R_j,
     (j, m, n) into the stream of R_j terms or the closed product's x^j
-    list, (j, state, m, n) into a sweep's snapshots (an iterator is read
+    terms, (j, state, m, n) into a sweep's snapshots (an iterator is read
     into a list first), and t into the sweep's doubling steps.  A path
     that ends at an object, not a count, drops that object from its list.  Each level on the path is copied, so no row that
     real returned, or shares, changes.  slip.calls keeps (args, kwargs,
@@ -569,10 +596,9 @@ ROUTE_SLIPS = [
     # every step returns its R_j bumped, and the last is the limit compared
     RouteSlip("appell.limit_step", (2, 9), {
         "machinery/appell-limit": {"a_degree": 2, "q_degree": 9, "limit": 13, "product": 12}}),
-    # every R_j a stage unpacks is off at a^1 q^3, from R_0 on; the bounded
-    # stage reads slots, not unpacked terms, so it passes
+    # the limit R_{j_max}, the one term a stage unpacks, is off at a^1 q^3;
+    # the closed-product and bounded stages compare packed rows, so they pass
     RouteSlip("appell.unpack", (1, 3), {
-        "machinery/closed-product": {"j": 0, "a_degree": 1, "q_degree": 3},
         "machinery/appell-limit": {"a_degree": 1, "q_degree": 3, "limit": 4, "product": 3},
     }),
     RouteSlip("appell.pj_series", (2, 7), {
@@ -613,14 +639,13 @@ ROUTE_SLIPS = [
         when=lambda v, n_max: v == 2),
     # the one slot reader, which every packed route reads through to a
     # table: slot 1 read one high, so B's knapsack, the D_k sweep and the C
-    # sweep count 2 at n = 1, and B is off the product first.  The bounded
-    # stage compares its packed rows whole and reads no slot on a pass, so
-    # it passes
+    # sweep count 2 at n = 1, and B is off the product first.  The
+    # closed-product and bounded stages compare their packed rows whole and
+    # read no slot on a pass, so they pass
     RouteSlip("packed.read_slots", (1,), {
         "overpartition": {"n": 1, "m": 0, "sweep_count": 2, "product_coefficient": 1},
         "corollary": {"n": 1, "count_B": 2, "product_coefficient": 1},
         "schur": {"n": 1, "product_count": 2, "gap_count": 1},
-        "machinery/closed-product": {"j": 0, "a_degree": 0, "q_degree": 1},
         "machinery/appell-limit": {"a_degree": 0, "q_degree": 1, "limit": 2, "product": 1},
     }),
     RouteSlip("partitions.b_witnesses", (0,), {
@@ -684,6 +709,7 @@ UNROUTED = {
     "partitions.format_partition": "the string form of a listed witness",
     "partitions.schur_gap_witnesses": "it only lists a failing witness's objects",
     "appell.functional_equation_step": "the comparison itself",
+    "packed.first_slot": "the comparison itself: where two rows already found unequal first differ",
     "appell.require_depth": "a precondition: it raises or returns nothing",
     "appell.StabilizationError": "a type",
     "packed.SlotOverflowError": "a type",
@@ -760,7 +786,7 @@ ROUTES = {
     "stream": lambda: [appell.unpack(term) for term in appell.r_terms(2, 62, 60)],
     "pj-stream": lambda: [appell.pj_series(2, terms[: j + 1], j)
                           for terms in [list(appell.r_terms(2, 20, 18))] for j in range(21)],
-    "closed-product": lambda: appell.closed_product_F_coefficients(2, 10, 60),
+    "closed-product": lambda: list(appell.closed_product_F_coefficients(2, 10, 60)),
     "bounded-sweep": lambda: list(map(partitions.state_total, overpartitions.dk_sweep(18, 2, 3, 10))),
     "pj": lambda: overpartitions.count_pj(2, 12, 9, 2),
     "rj": lambda: overpartitions.count_rj(2, 12, 9, 2),
@@ -769,8 +795,9 @@ ROUTES = {
 # what each pair of compared routes may both enter besides check_params,
 # the bad-input rule, each with the reason that no count rests on it
 A_ORDER = dict.fromkeys(["appell.least_weight", "appell.max_overline_count"], "the a-order bound")
-# the packed format a sweep shares with the other packed routes: the width
-# sizes the slots and the guard read can only abort, so no count rests on them
+# the packed format a sweep or the closed form shares with the other packed
+# routes: the width sizes the slots and the guard read can only abort, so no
+# count rests on them
 FORMAT = {
     "packed.slot_width": "the slot bound: a width too narrow trips the guard read",
     "packed.whole_bytes": "the slot bound's rounding to whole bytes",
@@ -780,8 +807,9 @@ FORMAT = {
 WALKER = dict.fromkeys(
     ["partitions._tally", "partitions.walk_C_table", "partitions._c_rule"],
     "the walker, which hands each phrasing its own rule table: the tables are what is compared")
-# the bounded stage compares the D_k sweep's rows with the stream's as
-# integers, so both are packed in the stream's width
+# the bounded and closed-product stages compare the D_k sweep's and the
+# closed form's rows with the stream's as integers, so all three are packed
+# in the stream's width
 STREAM_WIDTH = {"appell.overpartition_parts": "the parts of the stream's slot bound"}
 PAIRS = {
     ("Dk-sweep", "Dk-product"): {},
@@ -802,7 +830,7 @@ PAIRS = {
     ("schur-knapsack", "schur-walk"): {},
     ("schur-knapsack", "schur-sweep"): {**FORMAT, "packed.read_slots":
                                         "the slot reader, which the gap walk never runs"},
-    ("stream", "closed-product"): A_ORDER,
+    ("stream", "closed-product"): {**A_ORDER, **FORMAT, **STREAM_WIDTH},
     ("stream", "bounded-sweep"): {**FORMAT, **STREAM_WIDTH},
     ("pj-stream", "bounded-sweep"): {**FORMAT, **STREAM_WIDTH},
     ("stream", "Dk-product"): A_ORDER,
@@ -1188,19 +1216,41 @@ class TestMutations:
         assert rep.witness == {"n": 16, "count_B": count_b[16] - 1,
                                "product_coefficient": count_b[16]}
 
-    def test_closed_product_running_part_off_by_one(self, monkeypatch):
-        # each running row takes the part j - kd + 1 in place of j - kd, so
-        # the a^0 row of the x^1 term takes 2 for 1 and loses q^1; the
-        # closed-product stage alone fails, at its first j
-        slip_source(monkeypatch, appell, "closed_product_F_coefficients",
-                    "_add_part(ways, j - k * d)", "_add_part(ways, j - k * d + 1)")
+    @staticmethod
+    def closed_product_fails_alone_at(cell):
+        """Assert that the closed form, as patched, first differs from the
+        stream at cell, (j, a-degree, q-degree), and that the closed-product
+        stage at every j to q-order 60 fails there while the others pass."""
+        stream = [appell.unpack(t) for t in appell.r_terms(2, 62, 60)]
+        closed = [appell.unpack(t) for t in appell.closed_product_F_coefficients(2, 62, 60)]
+        assert next((j, *c.first_difference(t))
+                    for j, (c, t) in enumerate(zip(closed, stream)) if c != t) == cell
         rep = verify.verify_machinery(2, 60, closed_product_j=62)
         sub = {s.identity: s for s in rep.subreports}
-        assert rep.status == "fail"
-        assert (sub["machinery/closed-product"].status, sub["machinery/closed-product"].witness) == (
-            "fail", {"j": 1, "a_degree": 0, "q_degree": 1})
-        assert {s.status for name, s in sub.items() if name != "machinery/closed-product"} == {
-            "pass"}
+        stage = sub.pop("machinery/closed-product")
+        assert (rep.status, stage.status) == ("fail", "fail")
+        assert stage.witness == dict(zip(("j", "a_degree", "q_degree"), cell))
+        assert {s.status for s in sub.values()} == {"pass"}
+
+    def test_closed_product_running_part_off_by_one(self, monkeypatch):
+        # each running row takes the part j - kd + 1 in place of j - kd, so
+        # the a^0 row of the x^1 term takes 2 for 1 and loses q^1
+        slip_source(monkeypatch, appell, "_closed_product_terms",
+                    "divided(rows[d], j - k * d)", "divided(rows[d], j - k * d + 1)")
+        self.closed_product_fails_alone_at((1, 0, 1))
+
+    def test_closed_product_doubling_one_step_short(self, monkeypatch):
+        # each division skips its step s = q_order: 1/(1 - q^15), the first
+        # with a step there, loses q^60 from the x^15 term's a^0 row
+        slip_source(monkeypatch, appell, "_closed_product_terms",
+                    "while s <= q_order", "while s < q_order")
+        self.closed_product_fails_alone_at((15, 0, 60))
+
+    def test_closed_product_row_started_one_slot_late(self, monkeypatch):
+        # each new row d >= 1 starts at q^{least_weight(k, d) + 1}: the a^1
+        # row of the x^2 term loses q^1
+        monkeypatch.setattr(appell, "least_weight", self.one_late_in("_closed_product_terms"))
+        self.closed_product_fails_alone_at((2, 1, 1))
 
     def test_C_sweep_overline_two_too_heavy(self, monkeypatch):
         # the C sweep weighs an overlined v as 2v + 2i + 1 in place of
