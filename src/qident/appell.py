@@ -19,16 +19,17 @@ product on its packed numerator read back in two-slot columns.  The R_j
 stream and the closed product are packed too, in one width.
 
 The recursion is a stream: r_terms yields R_0, R_1, ... and keeps only the
-last k terms, and build_R is that stream kept whole.  The functional
+last k terms, and build_R keeps every term it yields.  The functional
 equation and the limit are checked one j at a time (functional_equation_step
 reads R_j, R_{j-1}, R_{j-k}; limit_step reads R_j, R_{j-1}), so a caller
 can check them as the terms arrive; check_functional_equation and
-appell_limit are the same steps looped over an RSequence, packed first.
+appell_limit run the same steps over an RSequence's terms as they are.
 
 The stream's terms are packed (packed.PackedTerm, as the D_k sweep's
 states are): a-row m of R_j is one integer of unsigned counts, q^0 on top,
 so a row add is one integer add and a shift by q^s a bare right shift;
-unpack turns a term into a BivariateSeries.
+unpack turns a term into a BivariateSeries, as appell_limit returns its
+limit.
 
 Euler's two identities give R_j in closed form: its a^d row is
 q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}).  The closed product
@@ -37,7 +38,8 @@ caller compares its terms with R_j as integers; it runs its own divisions
 and shares no arithmetic with r_terms.  The limit checks the bound the
 closed form implies: the coefficient of q^e is fixed once j >= e + k - 1.
 Checked between neighbours, that is R_j = R_{j-1} below q^{j-k+1}; the
-windows grow with j, so the agreements chain forward to R_{j_max}.  pj_series sums P_j on the stream's last k terms.
+windows grow with j, so the agreements chain forward to R_{j_max}.
+pj_series sums P_j on the stream's last k terms.
 
 theorem_product skips what must be zero: by Euler's expansion of
 (-aq; q^k)_inf, row m is zero below the least weight of m overlined parts,
@@ -97,18 +99,6 @@ def overpartition_parts(q_order: int) -> tuple:
     return range(1, q_order + 1), range(1, q_order + 1)
 
 
-def pack(series: BivariateSeries, width: int) -> PackedTerm:
-    """series with each a-row packed into `width`-bit slots, q^0 on top.  An
-    R_j coefficient counts objects: the first, a-degree before q-degree,
-    outside [0, 2^{width - GUARD_BITS}) raises ValueError naming it."""
-    top = 1 << (width - packed.GUARD_BITS)
-    for m, row in enumerate(series.coeffs):
-        if not 0 <= min(row) <= max(row) < top:
-            n, c = next((n, c) for n, c in enumerate(row) if not 0 <= c < top)
-            raise ValueError(f"coefficient {c} of a^{m} q^{n} is outside [0, {top})")
-    return PackedTerm(tuple(packed.pack_row(row, width) for row in series.coeffs), width, series.q_order)
-
-
 def unpack(term: PackedTerm) -> BivariateSeries:
     """The BivariateSeries whose a-rows term packs."""
     return BivariateSeries(tuple(map(tuple, packed.read_rows(term))))
@@ -116,7 +106,8 @@ def unpack(term: PackedTerm) -> BivariateSeries:
 
 @dataclass
 class RSequence:
-    """terms[j] = R_j(a, q) for j = 0..j_max, at a shared truncation."""
+    """terms[j] = R_j(a, q) for j = 0..j_max, at a shared truncation, each
+    the stream's PackedTerm."""
 
     k: int
     q_order: int
@@ -126,15 +117,6 @@ class RSequence:
     @property
     def j_max(self) -> int:
         return len(self.terms) - 1
-
-
-def _packed(rs: RSequence) -> list:
-    """rs's terms packed in slots wide enough for its largest coefficient,
-    so the checks are exact for any RSequence of counts, a perturbed one
-    included; pack refuses a negative one."""
-    top = max((c for t in rs.terms for row in t.coeffs for c in row), default=0)
-    width = packed.whole_bytes(top.bit_length())
-    return [pack(t, width) for t in rs.terms]
 
 
 def r_terms(k: int, j_max: int, q_order: int) -> Iterator:
@@ -200,9 +182,8 @@ def _r_terms(k: int, j_max: int, q_order: int) -> Iterator:
 
 
 def build_R(k: int, j_max: int, q_order: int) -> RSequence:
-    """R_0..R_{j_max} from r_terms, all kept, unpacked."""
-    terms = [unpack(t) for t in r_terms(k, j_max, q_order)]
-    return RSequence(k, q_order, max_overline_count(k, q_order), terms)
+    """R_0..R_{j_max} from r_terms, all kept as they are yielded."""
+    return RSequence(k, q_order, max_overline_count(k, q_order), list(r_terms(k, j_max, q_order)))
 
 
 def functional_equation_step(k: int, j: int, term, prev, low) -> tuple | None:
@@ -234,7 +215,7 @@ def check_functional_equation(rs: RSequence) -> tuple | None:
     of (1-x)F = (1 + a x^k q) F(x -> xq).  Returns the first failing
     (j, a-degree, q-degree), or None when every equation holds.
     """
-    k, terms = rs.k, _packed(rs)
+    k, terms = rs.k, rs.terms
     for j in range(1, rs.j_max + 1):
         low = terms[j - k] if j >= k else None
         diff = functional_equation_step(k, j, terms[j], terms[j - 1], low)
@@ -341,10 +322,9 @@ def appell_limit(rs: RSequence) -> BivariateSeries:
     its (a-degree, q-degree).
     """
     require_depth(rs.k, rs.j_max, rs.q_order)
-    terms = _packed(rs)
     for j in range(rs.k, rs.j_max + 1):
-        limit = limit_step(rs.k, j, terms[j], terms[j - 1])
-    return unpack(limit)
+        limit_step(rs.k, j, rs.terms[j], rs.terms[j - 1])
+    return unpack(rs.terms[-1])
 
 
 def theorem_product(k: int, q_order: int, a_order: int | None = None) -> BivariateSeries:

@@ -13,8 +13,8 @@ The corollary's C side has no table: `count_C_table` runs the D_k moves
 specialized, (a, q) -> (q^{2i-1}, q^2), on one a-row.  The B side
 is the knapsack over its allowed parts, run largest first: every part p with
 p * p > N (`packed_parts`) on one packed integer (`_packed_knapsack`),
-then the small ones on the list through `_add_part`, the running-sum
-kernel the closed product's rows (appell) run on too.  Schur's product
+then the small ones on the list through `_add_part`, a running sum by
+residue class mod p.  Schur's product
 side is the same knapsack, over the parts congruent to +-1 mod 6; Schur's
 sweep and walk share neither kernel with it, only the packed format.
 

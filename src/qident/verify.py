@@ -405,17 +405,13 @@ def _closed_product(k: int, q_order: int, j_top: int):
 
 def _first_cell(a, b):
     """The first (a-degree, q-degree) where the PackedTerms a and b, of one
-    q-order, differ, or None.  In one width the q-degree is read off the
-    first differing rows by packed.first_slot; in two (one route's width
-    narrowed), each row's slots are read in its own width."""
+    q-order, differ, or None: each row's slots are read in its own term's
+    width, so a route whose width was narrowed is compared by value."""
     slots = a.q_order + 1
     for m, (x, y) in enumerate(zip(a.rows, b.rows)):
-        if a.width != b.width:
-            x, y = packed.read_slots(x, a.width, slots), packed.read_slots(y, b.width, slots)
-            if x != y:
-                return m, next(n for n, (c, d) in enumerate(zip(x, y)) if c != d)
-        elif x != y:
-            return m, packed.first_slot(x, y, a.width, slots)
+        x, y = packed.read_slots(x, a.width, slots), packed.read_slots(y, b.width, slots)
+        if x != y:
+            return m, next(n for n, (c, d) in enumerate(zip(x, y)) if c != d)
     return None
 
 
