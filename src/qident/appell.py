@@ -13,7 +13,7 @@ R_infty, which must reproduce the infinite product
 product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf: its finite numerator
 factor by factor, largest first, then both parity classes divided by
 Euler's product at once, so that route shares no algorithm with the B-side
-knapsack.  Each product runs the pentagonal recurrence (series._divide_rows)
+knapsack.  Each product runs the pentagonal recurrence (series._divide)
 once: theorem_product on the one plain row 1/(q; q)_inf, the corollary's
 product on its packed numerator read back in two-slot columns.  The R_j
 stream and the closed product are packed too, in one width.
@@ -59,7 +59,7 @@ from operator import add
 from . import packed
 from .packed import PackedTerm
 from .partitions import check_params
-from .series import BivariateSeries, QSeries, _divide_rows, euler_product
+from .series import BivariateSeries, QSeries, _divide, euler_product
 
 
 class StabilizationError(ValueError):
@@ -331,7 +331,7 @@ def theorem_product(k: int, q_order: int, a_order: int | None = None) -> Bivaria
     """The product side (-aq; q^k)_inf / (q; q)_inf of the overpartition identity.
 
     Row 0 starts as 1/(q; q)_inf, 1 divided by Euler's product by the
-    pentagonal recurrence (_divide_rows), the one division, so 1/(q; q)_inf
+    pentagonal recurrence (_divide), the one division, so 1/(q; q)_inf
     is never convolved.  The numerator prod (1 + a q^e), e = 1, 1 + k, ...,
     then multiplies into the a-rows in place, largest e first.  With lo
     the last e taken, row m - 1 is zero below least_weight(k, m - 1, lo),
@@ -342,7 +342,7 @@ def theorem_product(k: int, q_order: int, a_order: int | None = None) -> Bivaria
     if a_order is None:
         a_order = max_overline_count(k, q_order)
     n1 = q_order + 1
-    rows = _divide_rows([[1] + [0] * q_order], euler_product(q_order).coeffs)
+    rows = [_divide([1] + [0] * q_order, euler_product(q_order).coeffs)]
     rows += [[0] * n1 for _ in range(a_order)]
     lo = n1
     for e in reversed(range(1, n1, k)):
@@ -391,7 +391,7 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
     Read at width 2w, after a zero slot when q_order is even, each chunk is
     the column (q^{2d}, q^{2d+1}), so both parity classes are divided by
     Euler's product (q; q)_inf, which is 1/(q^2; q^2)_inf on the exponents
-    of one parity, in one row of _divide_rows.  The recurrence is linear
+    of one parity, in one call of _divide.  The recurrence is linear
     over the integers, so the quotient columns are exact and only the
     product's coefficients need to fit their slots.  Each column is read
     back with its low slot signed, so a wrong division still reaches the
@@ -409,8 +409,7 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
         rest += (1 << w * (n - e)) + (rest >> w * e)
     cols = n // 2 + 1
     numerator = ((1 << w * n) + rest) << w * (2 * cols - 1 - n)
-    (quotient,) = _divide_rows([packed.read_slots(numerator, 2 * w, cols)],
-                               euler_product(n // 2).coeffs)
+    quotient = _divide(packed.read_slots(numerator, 2 * w, cols), euler_product(n // 2).coeffs)
     low, sign = (1 << w) - 1, 1 << (w - 1)
     coeffs = []
     for col in quotient:

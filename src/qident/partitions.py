@@ -107,7 +107,7 @@ def enumerate_partitions(n: int, rule: tuple | None = None) -> Iterator[Partitio
     return partitions_up_to(n, rule, _exact=True)
 
 
-def _tally(n_max: int, rule: tuple | None) -> list:
+def _tally(n_max: int, rule: tuple) -> list:
     """counts[n] = number of partitions of n that rule admits, n <= n_max:
     the walk of partitions_up_to with its nodes merged by (remaining weight,
     state), since what lies below a node depends on nothing else.
@@ -118,7 +118,7 @@ def _tally(n_max: int, rule: tuple | None) -> list:
     state's count is added into level r - part of each child its table
     lists, parts <= r.  Each state is listed once, as in the walk."""
     check_params(n_max=n_max)
-    start, nexts = _ANY_PART if rule is None else rule
+    start, nexts = rule
     levels = [{} for _ in range(n_max)] + [{start: 1}]
     counts, table = [], {}
     while levels:
@@ -138,18 +138,10 @@ def _tally(n_max: int, rule: tuple | None) -> list:
 
 def _add_part(ways: list, p: int) -> None:
     """Multiply ways by 1/(1 - q^p) in place: the running sum
-    ways[s] += ways[s - p], s ascending.
-
-    A small part (p * p <= the last index) is a prefix sum down each residue
-    class mod p; a larger one runs a block of p sums at a time, each
-    reading the finished block below it."""
-    n_max = len(ways) - 1
-    if p * p <= n_max:
-        for r in range(p):
-            ways[r::p] = accumulate(ways[r::p])
-        return
-    for s in range(p, n_max + 1, p):
-        ways[s : s + p] = map(add, ways[s : s + p], ways[s - p : s])
+    ways[s] += ways[s - p], s ascending, as a prefix sum down each residue
+    class mod p."""
+    for r in range(p):
+        ways[r::p] = accumulate(ways[r::p])
 
 
 # The moves a sweep may take at a part value v: leave v out, any number of

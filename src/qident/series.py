@@ -15,10 +15,9 @@ Operations work on whole coefficient rows where they can: a multiplication
 by a binomial 1 +- a^s q^e is one slice add or subtract per a-row, and
 division by a unit (inversion is division of 1) sums over the nonzero
 coefficients only, so dividing by the sparse Euler product (q; q)_inf is
-the pentagonal recurrence, started at each row's first nonzero
-coefficient.  Euler's product itself is not multiplied out: by the
-pentagonal number theorem its only nonzero coefficients are +-1 at the
-generalized pentagonal numbers, and euler_product writes just those.
+the pentagonal recurrence.  Euler's product itself is not multiplied out:
+by the pentagonal number theorem its only nonzero coefficients are +-1 at
+the generalized pentagonal numbers, and euler_product writes just those.
 """
 
 from __future__ import annotations
@@ -72,15 +71,13 @@ def bivar_mul(rows1, rows2, a_order, q_order):
 _bivar_mul = bivar_mul
 
 
-def _divide_rows(rows, unit) -> list:
-    """Each coefficient row divided by the q-series unit, truncated at the
-    row's length: t[d] = eps * (row[d] - sum_{i>=1} unit[i] t[d - i]), with
-    eps = unit[0] = +-1 and the sum over the nonzero unit[i] only, grouped
-    by value, so dividing by the sparse Euler product (q; q)_inf is the
-    pentagonal recurrence with one multiply per group, +1 and -1, and none
-    per term.  A row is zero below its first nonzero coefficient, and so is
-    its quotient: each row's recurrence starts there, found by a scan.
-    unit must reach every row's order."""
+def _divide(row, unit) -> list:
+    """row divided by the q-series unit, truncated at the row's length:
+    t[d] = eps * (row[d] - sum_{i>=1} unit[i] t[d - i]), with eps = unit[0]
+    = +-1 and the sum over the nonzero unit[i] only, grouped by value, so
+    dividing by the sparse Euler product (q; q)_inf is the pentagonal
+    recurrence with one multiply per group, +1 and -1, and none per term.
+    unit must reach the row's order."""
     eps = unit[0]
     if eps not in (1, -1):
         raise ValueError(f"constant term {eps} is not a unit in the integers")
@@ -89,22 +86,17 @@ def _divide_rows(rows, unit) -> list:
         if ci and i:
             groups.setdefault(ci, []).append(i)
     groups = list(groups.items())
-    out = []
-    for row in rows:
-        start = next((d for d, c in enumerate(row) if c), len(row))
-        t = [0] * len(row)
-        for d in range(start, len(row)):
-            top, s = d - start, row[d]
-            for ci, offsets in groups:
-                part = 0
-                for i in offsets:
-                    if i > top:
-                        break
-                    part += t[d - i]
-                s -= ci * part
-            t[d] = eps * s
-        out.append(t)
-    return out
+    t = [0] * len(row)
+    for d, s in enumerate(row):
+        for ci, offsets in groups:
+            part = 0
+            for i in offsets:
+                if i > d:
+                    break
+                part += t[d - i]
+            s -= ci * part
+        t[d] = eps * s
+    return t
 
 
 def _termwise(op, rows1, rows2) -> tuple:
@@ -163,12 +155,12 @@ class QSeries:
         """Multiplicative inverse up to the truncation order.
 
         The constant term must be +1 or -1 (a unit in the integers).  It is
-        1 divided by the series (_divide_rows), so a sparse series such as
+        1 divided by the series (_divide), so a sparse series such as
         (q; q)_inf (the pentagonal recurrence) costs one term per nonzero
         coefficient below d.
         """
         one = [1] + [0] * self.order
-        return QSeries(tuple(_divide_rows([one], self.coeffs)[0]))
+        return QSeries(tuple(_divide(one, self.coeffs)))
 
 
 @dataclass(frozen=True)

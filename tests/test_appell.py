@@ -97,7 +97,7 @@ def first_past_the_bound(terms, width, guard_bits):
 
 def divide_each_row(rows, unit):
     """Each row divided by the q-series unit on its own, by test_series'
-    one-term-at-a-time oracle for _divide_rows."""
+    one-term-at-a-time oracle for _divide."""
     return tuple(tuple(divide_row_by_scalar_loop(row, unit)) for row in rows)
 
 

@@ -6,6 +6,9 @@ change to one is a change to a verified count, even when both routes of a
 comparison moved in step.  No change to the program should need to change
 the file; one that does says why.  D_k's a^0 row is also tied to a source
 outside the code: it is p(n), from Euler's pentagonal recurrence below.
+
+A second grid at n = 1000, frozen_tables_1000.json, is too slow for every
+test run; CI recomputes it with ``python tests/test_frozen_tables.py``.
 """
 
 import hashlib
@@ -15,6 +18,7 @@ from pathlib import Path
 from qident import appell, overpartitions, packed, partitions
 
 DIGESTS = Path(__file__).with_name("frozen_tables.json")
+LARGE_DIGESTS = Path(__file__).with_name("frozen_tables_1000.json")
 KS = range(2, 9)
 
 
@@ -37,6 +41,27 @@ def grid():
             packed.read_rows(t) for t in appell.build_R(k, 60 + k, 60).terms]
 
 
+def large_grid():
+    """(name, zero-argument call) for each table of the n = 1000 grid: the
+    corollary's three tables for every (k, i) with k <= 5, the theorem's
+    product for k <= 5, Schur's knapsack and sweep, and D_k on every a-row
+    for k = 2 and 5."""
+    n = 1000
+    for k in range(2, 6):
+        for i in range(k):
+            yield f"count_B_table({n}, {k}, {i})", lambda k=k, i=i: partitions.count_B_table(n, k, i)
+            yield f"congruence_product_series({k}, {i}, {n})", lambda k=k, i=i: (
+                appell.congruence_product_series(k, i, n).coeffs)
+            yield f"count_C_table({n}, {k}, {i})", lambda k=k, i=i: partitions.count_C_table(n, k, i)
+    for k in range(2, 6):
+        yield f"theorem_product({k}, {n})", lambda k=k: appell.theorem_product(k, n).coeffs
+    yield f"count_schur_product_table({n})", lambda: partitions.count_schur_product_table(n)
+    yield f"count_schur_gap_table({n})", lambda: partitions.count_schur_gap_table(n)
+    for k in (2, 5):
+        m = appell.max_overline_count(k, n)
+        yield f"count_Dk_table({n}, {k}, {m})", lambda k=k, m=m: overpartitions.count_Dk_table(n, k, m)
+
+
 def digest(table) -> str:
     return hashlib.sha256(json.dumps(table, separators=(",", ":")).encode()).hexdigest()
 
@@ -57,11 +82,17 @@ def partition_numbers(n_max: int) -> list:
     return p
 
 
-def test_tables_match_their_frozen_digests():
-    frozen = json.loads(DIGESTS.read_text())
-    computed = {name: digest(call()) for name, call in grid()}
+def check_digests(path: Path, tables) -> None:
+    """Each table's digest equals the file's, and the file names the same
+    tables in the same order."""
+    frozen = json.loads(path.read_text())
+    computed = {name: digest(call()) for name, call in tables}
     assert list(computed) == list(frozen)
     assert [name for name in frozen if computed[name] != frozen[name]] == []
+
+
+def test_tables_match_their_frozen_digests():
+    check_digests(DIGESTS, grid())
 
 
 def test_dk_plain_row_is_the_partition_numbers():
@@ -70,3 +101,8 @@ def test_dk_plain_row_is_the_partition_numbers():
     assert p[200] == 3972999029388  # MacMahon's table
     for k in KS:
         assert overpartitions.count_Dk_table(200, k, 0)[0] == p, k
+
+
+if __name__ == "__main__":
+    check_digests(LARGE_DIGESTS, large_grid())
+    print(f"every table matches {LARGE_DIGESTS.name}")

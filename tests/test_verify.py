@@ -269,7 +269,7 @@ class TestReports:
         (lambda: partitions.count_B_table(10, 3, 5), lambda: verify.verify_corollary(3, 5)),
         (lambda: partitions.count_B_table(-1, 2, 0), lambda: verify.verify_corollary(2, 0, -1)),
         (lambda: list(partitions.partitions_up_to(-1)), lambda: verify.verify_schur(-1)),
-        (lambda: partitions._tally(-1, None), lambda: verify.verify_schur(-1)),
+        (lambda: partitions._tally(-1, partitions._SCHUR_GAP_RULE), lambda: verify.verify_schur(-1)),
         (lambda: appell.build_R(1, 5, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.build_R(2, -1, 8), lambda: verify.verify_machinery(2, 8, -1)),
         (lambda: appell.build_R(2, 5, -1), lambda: verify.verify_machinery(2, -1)),
@@ -548,9 +548,9 @@ ROUTE_SLIPS = [
         "corollary": {"n": 7, "count_B": 4, "product_coefficient": 5}}),
     # the product's division by Euler's product: 1 added to column 20,
     # (q^40, q^41), lands on its low slot, the odd class's q^41
-    RouteSlip("appell._divide_rows", (0, 20), {
+    RouteSlip("appell._divide", (20,), {
         "corollary": {"n": 41, "count_B": 1850, "product_coefficient": 1851}},
-        when=lambda rows, unit: len(rows[0]) > 20),
+        when=lambda row, unit: len(row) > 20),
     # the corollary's 1/(q^2; q^2) puts q^7 at n = 14, and the theorem's
     # divides the a^0 row first
     RouteSlip("appell.euler_product", (7,), {
