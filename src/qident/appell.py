@@ -26,10 +26,11 @@ can check them as the terms arrive; check_functional_equation and
 appell_limit run the same steps over an RSequence's terms as they are.
 
 The stream's terms are packed (packed.PackedTerm, as the D_k sweep's
-states are): a-row m of R_j is one integer of unsigned counts, q^0 on top,
-so a row add is one integer add and a shift by q^s a bare right shift;
-unpack turns a term into a BivariateSeries, as appell_limit returns its
-limit.
+states are), in the width of the D_k counts' bound, the module below's
+overpartition_parts: a-row m of R_j is one integer of unsigned counts,
+q^0 on top, so a row add is one integer add and a shift by q^s a bare
+right shift.  unpack turns a term into a BivariateSeries, as appell_limit
+returns its limit and as the machinery's stages read a differing term.
 
 Euler's two identities give R_j in closed form: its a^d row is
 q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}).  The closed product
@@ -57,6 +58,7 @@ from dataclasses import dataclass
 from operator import add
 
 from . import packed
+from .overpartitions import overpartition_parts
 from .packed import PackedTerm
 from .partitions import check_params
 from .series import BivariateSeries, QSeries, _divide, euler_product
@@ -91,12 +93,6 @@ def max_overline_count(k: int, q_order: int) -> int:
     while least_weight(k, m + 1) <= q_order:
         m += 1
     return m
-
-
-def overpartition_parts(q_order: int) -> tuple:
-    """(plain, distinct) parts of the R_j stream's slot bound: every a-row of
-    R_j is at most the overpartitions' (-q; q)_inf / (q; q)_inf."""
-    return range(1, q_order + 1), range(1, q_order + 1)
 
 
 def unpack(term: PackedTerm) -> BivariateSeries:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator
 
-from . import appell, packed
+from . import packed
 from .partitions import (
     ANY, OVER, SKIP, check_params, enumerate_partitions, final_states, state_total, sweep,
 )
@@ -251,6 +251,13 @@ def _dk_moves(k: int):
     return moves
 
 
+def overpartition_parts(q_order: int) -> tuple:
+    """(plain, distinct) parts of the R_j stream's slot bound: every D_k
+    count, and so every a-row of R_j, is at most the overpartitions'
+    (-q; q)_inf / (q; q)_inf."""
+    return range(1, q_order + 1), range(1, q_order + 1)
+
+
 def dk_sweep(n_max: int, k: int, m_max: int, j_max: int | None = None) -> Iterator[dict]:
     """The D_k sweep over the values 1..j_max (default n_max), weights
     <= n_max and a-rows 0..m_max.  After value j, state k counts R_j's
@@ -258,7 +265,7 @@ def dk_sweep(n_max: int, k: int, m_max: int, j_max: int | None = None) -> Iterat
     count is at most an overpartition count, so the rows are packed in the
     R_j stream's width at q-order n_max."""
     check_params(k, n_max=n_max, m_max=m_max, j_max=j_max)
-    width = packed.slot_width(n_max, *appell.overpartition_parts(n_max))
+    width = packed.slot_width(n_max, *overpartition_parts(n_max))
     return sweep(n_max, k, _dk_moves(k), width, j_max, m_max, name=f"the D_{k} sweep")
 
 

@@ -376,7 +376,7 @@ def _functional_equation(k: int, q_order: int, j_max: int):
     window, for 1 <= j <= j_max.  The note names the packed terms' slot
     width and the bound it rests on."""
     window = yield  # R_0 has no equation
-    notes = [packed.slot_note("R_j's a-rows", q_order, *appell.overpartition_parts(q_order))]
+    notes = [packed.slot_note("R_j's a-rows", q_order, *overpartitions.overpartition_parts(q_order))]
     for j in range(1, j_max + 1):
         window = yield
         low = window[0] if j >= k else None
@@ -388,31 +388,20 @@ def _functional_equation(k: int, q_order: int, j_max: int):
 
 def _closed_product(k: int, q_order: int, j_top: int):
     """The closed product's x^j coefficients against R_j as each arrives,
-    both packed in the stream's width and compared row by row as integers;
-    the first differing j, and its first differing cell, is the witness.
-    The x^j term is built only once R_j has arrived, so a stream that stops
-    aborts the stage before the closed form runs past it."""
+    both packed in the stream's width and compared row by row as integers.
+    Where rows differ, both terms are unpacked, each in its own width (so a
+    narrowed route is compared by value), and their first_difference is the
+    witness cell.  The x^j term is built only once R_j has arrived, so a
+    stream that stops aborts the stage before the closed form runs past it."""
     xc = iter(appell.closed_product_F_coefficients(k, j_top, q_order))
     for j in range(j_top + 1):
         term = (yield)[-1]
         coeff = next(xc)
         if coeff.rows != term.rows:
-            cell = _first_cell(coeff, term)
+            cell = appell.unpack(coeff).first_difference(appell.unpack(term))
             if cell is not None:
                 return dict(zip(("j", "a_degree", "q_degree"), (j, *cell))), []
     return None, []
-
-
-def _first_cell(a, b):
-    """The first (a-degree, q-degree) where the PackedTerms a and b, of one
-    q-order, differ, or None: each row's slots are read in its own term's
-    width, so a route whose width was narrowed is compared by value."""
-    slots = a.q_order + 1
-    for m, (x, y) in enumerate(zip(a.rows, b.rows)):
-        x, y = packed.read_slots(x, a.width, slots), packed.read_slots(y, b.width, slots)
-        if x != y:
-            return m, next(n for n, (c, d) in enumerate(zip(x, y)) if c != d)
-    return None
 
 
 def _appell_limit(k: int, q_order: int, j_max: int):
@@ -448,16 +437,13 @@ def _bounded_enumeration(k: int, q_order: int, j_top: int, n_top: int):
     R before P, is the witness.  The sweep steps with the stream at weight
     q_order, so its rows are packed in the stream's width; P_j is added up
     from the window's packed terms.  Every row is shifted down to q^{n_top}
-    and compared as an integer, and a j's slots are read, each term's in its
-    own width, only when its rows differ, to find the witness cell."""
+    and compared as an integer.  Only a j whose rows differ is unpacked
+    (appell.unpack, each term in its own width) to find the witness cell."""
     m_top = appell.max_overline_count(k, n_top)  # n_top <= q_order: R_j's rows reach m_top
 
     def head(term):  # the rows up to q^{n_top}, as integers
         bits = term.width * (q_order - n_top)
         return [row >> bits for row in term.rows[: m_top + 1]]
-
-    def cells(term):
-        return [packed.read_slots(row, term.width, n_top + 1) for row in head(term)]
 
     for j, states in enumerate(overpartitions.dk_sweep(q_order, k, m_top, j_top)):
         window = list((yield))
@@ -465,7 +451,8 @@ def _bounded_enumeration(k: int, q_order: int, j_top: int, n_top: int):
                   ("P", partitions.state_total(states), appell.pj_series(k, window, j)))
         if all(head(counts) == head(coeffs) for _, counts, coeffs in routes):
             continue
-        read = [(series, cells(counts), cells(coeffs)) for series, counts, coeffs in routes]
+        read = [(series, appell.unpack(counts).coeffs, appell.unpack(coeffs).coeffs)
+                for series, counts, coeffs in routes]
         for n in range(n_top + 1):
             for m in range(m_top + 1):
                 for series, counts, coeffs in read:

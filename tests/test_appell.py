@@ -21,14 +21,13 @@ from qident.appell import (
     least_weight,
     limit_step,
     max_overline_count,
-    overpartition_parts,
     pj_series,
     r_terms,
     RSequence,
     theorem_product,
     unpack,
 )
-from qident.overpartitions import count_pj, count_rj, d_witnesses
+from qident.overpartitions import count_pj, count_rj, d_witnesses, overpartition_parts
 from qident.packed import PackedTerm, SlotOverflowError, slot_width
 from qident.partitions import _add_part
 from qident.series import (

@@ -2,12 +2,12 @@
 
 import pytest
 
-from qident import appell, packed, partitions, verify
+from qident import appell, overpartitions, packed, partitions, verify
 
 
 def stream(n):
     *_, last = appell.r_terms(2, n + 2, n)
-    return appell.unpack(last).coeffs, appell.overpartition_parts(n)
+    return appell.unpack(last).coeffs, overpartitions.overpartition_parts(n)
 
 
 def knapsack(n, allowed):

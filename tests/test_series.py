@@ -269,7 +269,7 @@ class TestQSeries:
     @example(1, list(euler_product(30).coeffs[1:]), [(0, [1]), (5, [1, 2]), (31, [])])
     @example(-1, [2, 2, -3, 0, -3], [(1, [4, 0, -1])])
     @settings(max_examples=100, deadline=None)
-    def test_divide_rows_matches_scalar_loop(self, eps, tail, rows):
+    def test_divide_matches_scalar_loop(self, eps, tail, rows):
         unit = (eps, *tail)
         rows = [([0] * zeros + body)[: len(unit)] for zeros, body in rows]
         for row in rows:

@@ -598,8 +598,9 @@ ROUTE_SLIPS = [
     # every step returns its R_j bumped, and the last is the limit compared
     RouteSlip("appell.limit_step", (2, 9), {
         "machinery/appell-limit": {"a_degree": 2, "q_degree": 9, "limit": 13, "product": 12}}),
-    # the limit R_{j_max}, the one term a stage unpacks, is off at a^1 q^3;
-    # the closed-product and bounded stages compare packed rows, so they pass
+    # the limit R_{j_max}, the one term a stage unpacks on a pass, is off at
+    # a^1 q^3; the closed-product and bounded stages compare packed rows and
+    # unpack only at a mismatch, so they pass
     RouteSlip("appell.unpack", (1, 3), {
         "machinery/appell-limit": {"a_degree": 1, "q_degree": 3, "limit": 4, "product": 3},
     }),
@@ -715,7 +716,7 @@ UNROUTED = {
     "appell.StabilizationError": "a type",
     "packed.SlotOverflowError": "a type",
     "packed.slot_note": "the text of a note",
-    "appell.overpartition_parts": "a route's parts: the text of a note",
+    "overpartitions.overpartition_parts": "a route's parts: the text of a note",
     "partitions.packed_parts": "a route's parts: the text of a note",
     "partitions.b_parts": "a route's parts: the text of a note",
     "partitions.schur_parts": "a route's parts: the text of a note",
@@ -812,7 +813,7 @@ WALKER = dict.fromkeys(
 # the bounded and closed-product stages compare the D_k sweep's and the
 # closed form's rows with the stream's as integers, so all three are packed
 # in the stream's width
-STREAM_WIDTH = {"appell.overpartition_parts": "the parts of the stream's slot bound"}
+STREAM_WIDTH = {"overpartitions.overpartition_parts": "the parts of the stream's slot bound"}
 PAIRS = {
     ("Dk-sweep", "Dk-product"): {},
     # the product reads its packed numerator back in two-slot columns, so
