@@ -201,14 +201,18 @@ def coeffs_cmd(ctx, side, k, i, n_max):
 @click.option("--n", type=NONNEG, required=True)
 @click.pass_context
 def list_cmd(ctx, side, k, i, n):
-    """Print the witness objects counted on one side at a single n."""
+    """Print the witness objects counted on one side at a single n.
+
+    \f
+    Each side's strings are built along the walk that finds its objects
+    (b_strings, c_strings, d_strings) and streamed; no object is built."""
     _check_i(k, i)
     if n > verify.ENUM_HARD_LIMIT:
         raise click.UsageError(verify._REFUSED)
     if side == "B":
-        items = map(partitions.format_partition, partitions.b_witnesses(n, k, i))
+        items = partitions.b_strings(n, k, i)
     elif side == "C":
-        items = map(partitions.format_partition, partitions.c_witnesses(n, k, i))
+        items = partitions.c_strings(n, k, i)
     else:
         items = overpartitions.d_strings(n, k)
     # one iterator behind both: _emit draws the payload or the text lines

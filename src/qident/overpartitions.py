@@ -24,8 +24,10 @@ plus those that overline the new value.  `_overline_step` is that
 one-group step, and `_walk_to` carries it down one walk headed for
 weight n.  The walk also carries each partition's text, built once per
 node from its parent's, so `d_strings` yields each object's string as
-the walk reaches its leaf, by marking that text; `_mark` is the one
-string rule, and `Overpartition.__str__` calls it too.  Objects are built
+the walk reaches its leaf.  The masks are closed under dropping the
+highest bit (the smallest overlined value), so `_mark`, the one string
+rule, forms each mask's string from that smaller mask's by one '~';
+`Overpartition.__str__` passes it its own mask's chain.  Objects are built
 only where a caller asks for them (`d_witnesses`).  `is_Dk_admissible` over
 `enumerate_overpartitions` stays the definition the masks, the strings
 and the sweep are tested against.
@@ -76,12 +78,15 @@ class Overpartition:
         return False
 
     def __str__(self) -> str:
-        text, ends, mask = "", [], 0
+        # chain: the masks of the overlines so far, each its predecessor
+        # plus one higher bit
+        text, ends, chain = "", [], [0]
         for idx, (v, mult, over) in enumerate(self.entries):
             text += ("+" if text else "") + "+".join([str(v)] * mult)
             ends.append(len(text))
-            mask |= over << idx
-        return _mark(text, ends, mask)
+            if over:
+                chain.append(chain[-1] | 1 << idx)
+        return _mark(text, ends, chain)[chain[-1]]
 
 
 def _groups(parts: tuple) -> tuple:
@@ -89,19 +94,26 @@ def _groups(parts: tuple) -> tuple:
     return tuple((v, len(list(g))) for v, g in groupby(parts))
 
 
-def _mark(text: str, ends: list, mask: int) -> str:
-    """The one string rule: an overpartition's text from its partition's
-    text (parts largest first, joined by '+'), the end offset of each
-    group's "v+v+...+v" and its overline mask (bit idx overlines group
-    idx): '~' after the last occurrence of each overlined value, and '0'
-    for the empty overpartition.  The highest bit is marked first, so the
-    lower groups' offsets still hold."""
-    while mask:
+def _mark(text: str, ends: list, masks: list) -> dict:
+    """The one string rule: {mask: string} for the overline masks of one
+    partition, from its text (parts largest first, joined by '+') and the
+    end offset of each group's "v+v+...+v" (bit idx overlines group idx).
+    A string has '~' after the last occurrence of each overlined value, and
+    mask 0's is the text itself, '0' for the empty partition.
+
+    masks is ascending, from 0, and holds each mask's rest, the mask with
+    its highest bit idx dropped (admissible masks do: the D_k rules look
+    only upward from an overlined value).  So a mask's string is its
+    rest's, already formed, with one '~' inserted at ends[idx] plus the
+    rest's overline count, the marks that lie before that offset."""
+    marked = {0: text or "0"}
+    for mask in masks[1:]:
         idx = mask.bit_length() - 1
-        end = ends[idx]
-        text = f"{text[:end]}~{text[end:]}"
-        mask ^= 1 << idx
-    return text or "0"
+        rest = mask ^ 1 << idx
+        before = marked[rest]
+        at = ends[idx] + rest.bit_count()
+        marked[mask] = f"{before[:at]}~{before[at:]}"
+    return marked
 
 
 def _build(groups: list, mask: int) -> Overpartition:
@@ -151,12 +163,15 @@ def _overline_step(masks: list, groups: tuple, k: int) -> list:
 
 def d_strings(n: int, k: int) -> Iterator[str]:
     """The strings of the D_k-admissible overpartitions of n, one at a time
-    as _walk_to reaches them, in the order of
-    enumerate_overpartitions: each partition's text is built once along the
-    walk, and each mask marks it.  The parameters are checked at the call,
-    before the first string."""
+    as _walk_to reaches them, in the order of enumerate_overpartitions: each
+    partition's text is built once along the walk, and each mask's string
+    from its rest's (_mark).  The parameters are checked at the call, before
+    the first string."""
     check_params(k, n=n)
-    return (_mark(text, ends, mask) for _, masks, text, ends in _walk_to(n, k) for mask in masks)
+    return (
+        string for _, masks, text, ends in _walk_to(n, k)
+        for string in _mark(text, ends, masks).values()
+    )
 
 
 def _walk_to(n: int, k: int) -> Iterator[tuple]:

@@ -26,10 +26,12 @@ lies below it depends only on its remaining weight and state, so `_tally`
 counts the tree with the nodes merged by that pair: one pass to N counts
 every n <= N (`walk_C_table`, `walk_schur_gap_table`), the route the
 verifiers check the sweep against.  A witness list walks the tree node by
-node and yields only the nodes of weight n (`enumerate_partitions`).  The
-rules share no helper with the sweep's moves or each other (thm12 and thm13
-are a second route at i = k-1 and i = 0); the `satisfies_*` predicates are
-their definitions.
+node and yields only the nodes of weight n (`enumerate_partitions`).  A
+node's label is its parent's plus the new part's piece, a tuple for the
+objects or text for `b_strings`/`c_strings`, so each string `qident list`
+prints is built once, along the walk.  The rules share no helper with the
+sweep's moves or each other (thm12 and thm13 are a second route at
+i = k-1 and i = 0); the `satisfies_*` predicates are their definitions.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ def check_params(k: int | None = None, i: int | None = None, **ranges: int) -> N
 
 
 def partitions_up_to(
-    n_max: int, rule: tuple | None = None, *, _exact: bool = False
-) -> Iterator[Partition]:
+    n_max: int, rule: tuple | None = None, *, _exact: bool = False, _text: bool = False
+) -> Iterator[Partition | str]:
     """Yield every partition of weight <= n_max that rule admits, in
     depth-first pre-order.
 
@@ -74,27 +76,33 @@ def partitions_up_to(
     one weight come out in lex-decreasing order.  With _exact, only the
     nodes of weight n_max are yielded (enumerate_partitions); the walk is
     the same.
+
+    A node's label is its parent's label plus the new part's piece, which
+    the table holds once per state: (p,) for a tuple, or with _text "+p",
+    so each string is built along the walk and yielded as label[1:], "0"
+    for the empty partition (format_partition's text).
     """
     check_params(n_max=n_max)
     start, nexts = _ANY_PART if rule is None else rule
     # a node is yielded when its remaining weight is at most floor: 0 for
     # the weight-n_max nodes alone, n_max for every node
     floor = 0 if _exact else n_max
-    # (prefix, remaining weight, state); children are pushed smallest part
+    piece = (lambda p: f"+{p}") if _text else (lambda p: (p,))
+    # (label, remaining weight, state); children are pushed smallest part
     # first so the largest is walked first
-    stack, table = [((), n_max, start)], {}
+    stack, table = [("" if _text else (), n_max, start)], {}
     pop, push, listed = stack.pop, stack.append, table.get  # bound once: once per node
     while stack:
-        prefix, remaining, state = pop()
+        label, remaining, state = pop()
         if remaining <= floor:
-            yield prefix
+            yield (label[1:] or "0") if _text else label
         children = listed(state)
         if children is None:
-            children = table[state] = nexts(state, n_max)
-        for part, child in children:
+            children = table[state] = [(p, piece(p), child) for p, child in nexts(state, n_max)]
+        for part, tail, child in children:
             if part > remaining:
                 break
-            push((prefix + (part,), remaining - part, child))
+            push((label + tail, remaining - part, child))
 
 
 # no rule: the state is the smallest part s, and every part <= s may follow
@@ -331,10 +339,21 @@ def b_witnesses(n: int, k: int, i: int) -> list:
     return list(enumerate_partitions(n, rule=_b_rule(k, i)))
 
 
+def b_strings(n: int, k: int, i: int) -> Iterator[str]:
+    """The strings of b_witnesses(n, k, i), in its order, each built along
+    the walk that finds it.  The parameters are checked at the call, before
+    the first string."""
+    check_params(k, i, n=n)
+    return partitions_up_to(n, _b_rule(k, i), _exact=True, _text=True)
+
+
 def _b_rule(k: int, i: int) -> tuple:
-    """The B side as a walk rule: any allowed part up to the last may follow."""
+    """The B side as a walk rule: any allowed part up to the last may follow.
+    b_part_allowed reads only p mod 4k, so its residues are read once."""
+    period = 4 * k
+    admitted = [b_part_allowed(r, k, i) for r in range(period)]
     return inf, lambda s, top: [
-        (p, p) for p in range(1, min(s, top) + 1) if b_part_allowed(p, k, i)
+        (p, p) for p in range(1, min(s, top) + 1) if admitted[p % period]
     ]
 
 
@@ -479,6 +498,14 @@ def _c_rule(k: int, i: int, phrasing: str) -> tuple:
 def c_witnesses(n: int, k: int, i: int, phrasing: str = "corollary") -> list:
     """All partitions counted by C_{i,k}(n) under the selected phrasing."""
     return list(enumerate_partitions(n, rule=_c_rule(k, i, phrasing)))
+
+
+def c_strings(n: int, k: int, i: int) -> Iterator[str]:
+    """The strings of c_witnesses(n, k, i), in its order, each built along
+    the walk that finds it.  The parameters are checked at the call, before
+    the first string."""
+    check_params(k, i, n=n)
+    return partitions_up_to(n, _corollary_rule(k, i), _exact=True, _text=True)
 
 
 def count_C_table(n_max: int, k: int, i: int) -> list:

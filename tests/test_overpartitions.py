@@ -21,7 +21,7 @@ from qident.packed import read_rows
 from qident.partitions import c_witnesses, enumerate_partitions
 from qident.series import Monomial, euler_product, pochhammer_inf
 from qident.appell import max_overline_count, theorem_product
-from qident.overpartitions import _build, _walk_to
+from qident.overpartitions import _build, _mark, _walk_to
 
 
 def largest_part(o):
@@ -115,6 +115,22 @@ class TestFormat:
             strings = list(d_strings(n, k))
             assert [str(o) for o in objects] == strings, (n, k)
             assert [entries_string(o) for o in objects] == strings, (n, k)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_each_mask_marks_its_rest(self, k):
+        # every admissible mask's string, formed from its rest's, against
+        # the object that mask builds
+        for n in range(17):
+            for groups, masks, text, ends in _walk_to(n, k):
+                marked = _mark(text, ends, masks)
+                assert list(marked) == masks, (n, k, groups)
+                assert list(marked.values()) == [str(_build(groups, m)) for m in masks], (n, k)
+
+    def test_str_of_every_overpartition(self):
+        # admissible or not, __str__ marks its own mask's chain of rests
+        for n in range(11):
+            for o in enumerate_overpartitions(n):
+                assert str(o) == entries_string(o), o.entries
 
     def test_d_strings_checks_at_the_call(self):
         # a bad k raises before the first string is asked for

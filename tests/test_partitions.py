@@ -5,7 +5,7 @@ from functools import cache
 from math import inf
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qident import partitions
@@ -23,7 +23,9 @@ from qident.partitions import (
     _thm13_rule,
     b_part_allowed,
     b_parts,
+    b_strings,
     b_witnesses,
+    c_strings,
     c_witnesses,
     count_B_table,
     count_C,
@@ -31,6 +33,7 @@ from qident.partitions import (
     count_schur_gap_table,
     count_schur_product_table,
     enumerate_partitions,
+    format_partition,
     packed_parts,
     partitions_up_to,
     satisfies_corollary,
@@ -314,6 +317,72 @@ class TestTally:
         for n in (0, 1, 12, 20):
             for rule in (_SCHUR_GAP_RULE, _c_rule(3, 1, "corollary"), _b_rule(4, 2)):
                 assert top_down_tally(n, rule) == node_tally(n, rule), n
+
+
+def text_walk(n, rule, exact=True):
+    """The text labels of partitions_up_to(n, rule), as the lists print them."""
+    return list(partitions_up_to(n, rule, _exact=exact, _text=True))
+
+
+def formatted_walk(n, rule, exact=True):
+    """The oracle: the tuple walk's partitions, each joined by format_partition."""
+    return list(map(format_partition, partitions_up_to(n, rule, _exact=exact)))
+
+
+def text_rules():
+    """Every rule the lists walk: none, B at every (k, i) with k <= 6, the
+    corollary at every i, thm12 at i = k-1, thm13 at i = 0, and Schur's."""
+    rules = {"none": None, "schur": _SCHUR_GAP_RULE}
+    for k in range(2, 7):
+        for i in range(k):
+            rules[f"B-{k}-{i}"] = _b_rule(k, i)
+            rules[f"corollary-{k}-{i}"] = _c_rule(k, i, "corollary")
+        rules[f"thm12-{k}"] = _c_rule(k, k - 1, "thm12")
+        rules[f"thm13-{k}"] = _c_rule(k, 0, "thm13")
+    return rules
+
+
+class TestText:
+    def test_labels_equal_formatted_tuples(self):
+        # order-exact: the text walk yields format_partition of each tuple
+        # the walk yields, in the tuple walk's order, "0" for the empty one
+        for name, rule in text_rules().items():
+            for n in range(23):
+                assert text_walk(n, rule) == formatted_walk(n, rule), (name, n)
+            assert text_walk(0, rule) == ["0"], name
+            assert text_walk(12, rule, exact=False) == formatted_walk(12, rule, exact=False), name
+
+    def test_entry_points_equal_the_witness_lists(self):
+        for n in (0, 1, 2, 10, 22):
+            for k in range(2, 7):
+                for i in range(k):
+                    assert list(b_strings(n, k, i)) == list(
+                        map(format_partition, b_witnesses(n, k, i))), (n, k, i)
+                    assert list(c_strings(n, k, i)) == list(
+                        map(format_partition, c_witnesses(n, k, i))), (n, k, i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rule_tables(), st.integers(0, 10))
+    def test_random_tables_label_as_the_tuples(self, rule, n):
+        # random tables can reach 10^11 nodes at n = 16: the tally bounds
+        # the walk's node count before it is walked
+        assume(sum(_tally(n, rule)) <= 10**5)
+        assert text_walk(n, rule) == formatted_walk(n, rule)
+        assert text_walk(n, rule, exact=False) == formatted_walk(n, rule, exact=False)
+
+    @pytest.mark.parametrize("call", [
+        lambda: b_strings(5, 1, 0),
+        lambda: b_strings(5, 3, 3),
+        lambda: b_strings(5, 3, -1),
+        lambda: b_strings(-1, 3, 1),
+        lambda: c_strings(5, 1, 0),
+        lambda: c_strings(5, 3, 3),
+        lambda: c_strings(-1, 3, 1),
+    ])
+    def test_bad_parameters_raise_at_the_call(self, call):
+        # before the first string is asked for
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestCountB:
