@@ -11,8 +11,9 @@ closed product solution for F, and takes the formal coefficientwise limit
 R_infty, which must reproduce the infinite product
 (-aq; q^k)_inf / (q; q)_inf.  It also expands the corollary family's
 product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf: its finite numerator
-factor by factor, largest first, then both parity classes divided by
-Euler's product at once, so that route shares no algorithm with the B-side
+factor by factor, largest first, in the slots its own coefficients need,
+widened to the product's, then both parity classes divided by Euler's
+product at once, so that route shares no algorithm with the B-side
 knapsack.  Each product runs the pentagonal recurrence (series._divide)
 once: theorem_product on the one plain row 1/(q; q)_inf, the corollary's
 product on its packed numerator read back in two-slot columns.  The R_j
@@ -378,11 +379,14 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
     Expanded from the product itself, sharing no algorithm with the allowed
     parts that count_B_table's knapsack sums over, so the two are
     independent routes to B_{i,k}.  The finite numerator prod (1 + q^e) is
-    packed in w-bit slots, q^0 on top, as 1 + rest, the 1 kept outside:
-    taking the largest e first, (1 + rest)(1 + q^e) adds q^e and rest
-    shifted by e, and rest stays short while e is large.  w is
-    packed.slot_width's bound on the product's own coefficients, which
-    bound the numerator's.
+    packed, q^0 on top, as 1 + rest, the 1 kept outside: taking the largest
+    e first, (1 + rest)(1 + q^e) adds q^e and rest shifted by e, and rest
+    stays short while e is large.  It runs in its own slots,
+    packed.slot_width's bound on prod (1 + q^e) alone, or w if that is no
+    narrower; w is the bound on the product's own coefficients, which
+    bound the numerator's too.  Narrower, rest's guard bits are read once,
+    a trip raising SlotOverflowError naming the numerator's width, and
+    each slot is widened to w (packed.widen).
 
     Read at width 2w, after a zero slot when q_order is even, each chunk is
     the column (q^{2d}, q^{2d+1}), so both parity classes are divided by
@@ -400,9 +404,16 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
     n = q_order
     odd = range(2 * i + 1, n + 1, 2 * k)
     w = packed.slot_width(n, range(2, n + 1, 2), odd)
+    own = min(packed.slot_width(n, (), odd), w)
     rest = 0
     for e in reversed(odd):
-        rest += (1 << w * (n - e)) + (rest >> w * e)
+        rest += (1 << own * (n - e)) + (rest >> own * e)
+    if own < w:
+        if rest & packed.guard_mask(own, n) or rest >> own * n:
+            raise packed.SlotOverflowError(
+                f"slot overflow: the B_{{{i},{k}}} product's numerator reached the guard bits"
+                f" of its {own}-bit slots at q_order={n}")
+        rest = packed.widen(rest, own, w, n)
     cols = n // 2 + 1
     numerator = ((1 << w * n) + rest) << w * (2 * cols - 1 - n)
     quotient = _divide(packed.read_slots(numerator, 2 * w, cols), euler_product(n // 2).coeffs)

@@ -13,10 +13,12 @@ The corollary's C side has no table: `count_C_table` runs the D_k moves
 specialized, (a, q) -> (q^{2i-1}, q^2), on one a-row.  The B side
 is the knapsack over its allowed parts, run largest first: every part p with
 p * p > N (`packed_parts`) on one packed integer (`_packed_knapsack`),
-then the small ones on the list through `_add_part`, a running sum by
-residue class mod p.  Schur's product
-side is the same knapsack, over the parts congruent to +-1 mod 6; Schur's
-sweep and walk share neither kernel with it, only the packed format.
+whose slots widen by stage, parts above N/2, N/4, ..., each stage as wide
+as its own partial counts need (`knapsack_stages`), then the small ones
+on the list through `_add_part`, a running sum by residue class mod p.
+Schur's product side is the same knapsack, over the parts congruent to
++-1 mod 6; Schur's sweep and walk share neither kernel with it, only the
+packed format.
 
 Enumeration is one walk of the prefix tree, `partitions_up_to`, on a
 side's rule, which lists once per walk the parts each state may add (the
@@ -269,36 +271,75 @@ def packed_parts(n_max: int, allowed_parts: Sequence[int]) -> tuple:
     return tuple(sorted([p for p in allowed_parts if n_max < p * p and p <= n_max], reverse=True))
 
 
+def knapsack_stages(n_max: int, parts: Sequence[int]) -> list:
+    """(low, width) of each stage of _packed_knapsack over parts, largest
+    first: the parts above low that no earlier stage ran run in width-bit
+    slots, the last stage's low is 0, and its width is packed.slot_width
+    over parts.
+
+    The stages before it are low = n_max // 2, n_max // 4, ..., while
+    parts at or below low remain for a later stage, each in
+    slot_width(n_max, range(low + 1, n_max + 1)) bits, widening, and taken
+    while narrower than the last stage.  Every partial product of a stage,
+    and every value formed on the way to it, is at most a coefficient of
+    prod 1/(1 - q^p) over low < p <= n_max: its parts are some of those,
+    and each factor left out has non-negative coefficients and constant
+    term 1.  That bound holds for every part set at that n_max, so the
+    width cache is shared by every (k, i).
+    """
+    final = packed.slot_width(n_max, parts)
+    stages, low, width = [], n_max // 2, 0
+    while low >= parts[-1]:
+        width = max(width, packed.slot_width(n_max, range(low + 1, n_max + 1)))
+        if width >= final:
+            break
+        if stages and stages[-1][1] == width:
+            stages.pop()
+        stages.append((low, width))
+        low //= 2
+    return stages + [(0, final)]
+
+
 def _packed_knapsack(n_max: int, parts: Sequence[int]) -> list:
     """ways of the knapsack over parts, each with p * p > n_max, largest
     first, on one integer in the packed layout: slot s of ways[1:] is at
-    bits w (n_max - s), w = packed.slot_width over parts, and ways[0] = 1
-    is kept out until the read.
+    bits w (n_max - s), and ways[0] = 1 is kept out until the read.  w
+    widens by stage (knapsack_stages): each stage's parts run in its own
+    width, bounded by its own partial counts, and the integer is widened
+    (packed.widen) before the next stage's parts.
 
     With rest = ways[1:], 1/(1 - q^p) takes 1 + rest to 1 + (q^p + rest)
     (1 + q^p)(1 + q^{2p})(1 + q^{4p})...: rest gains the slot of q^p, then
     each doubling step rest += q^s rest is a right shift by w s bits, for
     s = p, 2p, 4p, ... while s <= n_max - p.  Every larger part has run, so
     q^p + rest is zero below q^p: the integer is n_max - p + 1 slots long,
-    and q^s of it past q^{n_max} when s > n_max - p.  No value passes the
-    width's bound, so nothing carries; the guard bits are read once, after
-    the last part, and a trip raises SlotOverflowError naming the width.
+    and q^s of it past q^{n_max} when s > n_max - p.  No value passes its
+    stage's bound, so nothing carries; the guard bits are read at the end
+    of each stage, before it widens, and a trip raises SlotOverflowError
+    naming that stage's width.
     """
     if not parts:
         return [1] + [0] * n_max
-    width = packed.slot_width(n_max, parts)
-    rest = 0
-    for p in parts:
-        rest += 1 << width * (n_max - p)
-        s = p
-        while s <= n_max - p:
-            rest += rest >> width * s
-            s *= 2
-    if rest & packed.guard_mask(width, n_max) or rest >> width * n_max:
-        raise packed.SlotOverflowError(
-            f"slot overflow: the knapsack over {len(parts)} parts p with p^2 > {n_max}"
-            f" reached the guard bits of its {width}-bit slots at n_max={n_max}"
-        )
+    rest, width, at = 0, 0, 0
+    for low, stage_width in knapsack_stages(n_max, parts):
+        if width:
+            rest = packed.widen(rest, width, stage_width, n_max)
+        width = stage_width
+        for p in parts[at:]:
+            if p <= low:
+                break
+            at += 1
+            rest += 1 << width * (n_max - p)
+            s = p
+            while s <= n_max - p:
+                rest += rest >> width * s
+                s *= 2
+        if rest & packed.guard_mask(width, n_max) or rest >> width * n_max:
+            above = f" for its parts above {low}" if low else ""
+            raise packed.SlotOverflowError(
+                f"slot overflow: the knapsack over {len(parts)} parts p with p^2 > {n_max}"
+                f" reached the guard bits of its {width}-bit slots{above} at n_max={n_max}"
+            )
     return packed.read_slots(rest + (1 << width * n_max), width, n_max + 1)
 
 

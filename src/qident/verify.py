@@ -225,9 +225,19 @@ def verify_corollary(
 
 
 def _knapsack_note(what: str, n_max: int, allowed: list) -> list:
-    """The note on the parts _count_by_dp packs from allowed, if it packs any."""
+    """The note on the parts _count_by_dp packs from allowed, if it packs
+    any: the last stage's width and bound, and the narrower stages before it."""
     parts = partitions.packed_parts(n_max, allowed)
-    return [packed.slot_note(f"{what}'s parts p with p^2 > {n_max}", n_max, parts)] if parts else []
+    if not parts:
+        return []
+    note = packed.slot_note(f"{what}'s parts p with p^2 > {n_max}", n_max, parts)
+    *stages, _ = partitions.knapsack_stages(n_max, parts)
+    if stages:
+        note += "; the stages before it ran " + ", ".join(
+            f"the parts above {low} in {width}-bit slots" for low, width in stages) + (
+            f", each stage's counts at most F(x)/x^{n_max} at its own x,"
+            f" F(x) = prod 1/(1 - x^p) over low < p <= {n_max}")
+    return [note]
 
 
 def verify_andrews(k: int, n_max: int = 200, enum_limit: int = 25) -> VerificationReport:

@@ -340,7 +340,7 @@ class TestPackedRows:
         def width(n):
             return slot_width(n, *overpartition_parts(n))
 
-        assert [width(n) for n in (2, 10, 25, 45, 60, 200, 500)] == [16, 24, 32, 40, 40, 72, 104]
+        assert [width(n) for n in (2, 10, 25, 45, 60, 200, 500)] == [16, 16, 24, 32, 40, 72, 104]
         for n, count in enumerate(overpartition_counts(600)):
             assert width(n) % 8 == 0
             assert count.bit_length() <= width(n) - 3, n

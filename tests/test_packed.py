@@ -1,6 +1,8 @@
 """The packed-slot layout, its guard read, and the one slot bound."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qident import appell, overpartitions, packed, partitions, verify
 
@@ -61,6 +63,22 @@ def test_guard_mask_at_the_edges(width):
         assert not packed.pack_row(row, width) & guard, row
         row[at] = lim
         assert packed.pack_row(row, width) & guard, row
+
+
+# slots at the extremes, 0 and 2^w - 1, no slots, one slot, and a widening
+# by no byte; each slot keeps its value and place, under zero bytes
+@given(st.sampled_from([8, 16, 24, 72]), st.integers(0, 3),
+       st.lists(st.integers(0, 2**72 - 1), max_size=20))
+@example(8, 0, [])
+@example(8, 1, [255])
+@example(16, 2, [0, 65535, 0, 1])
+@settings(max_examples=100, deadline=None)
+def test_widen_round_trip(width, more, values):
+    values = [v % (1 << width) for v in values]
+    new = width + 8 * more
+    widened = packed.widen(packed.pack_row(values, width), width, new, len(values))
+    assert widened == packed.pack_row(values, new)
+    assert packed.read_slots(widened, new, len(values)) == values
 
 
 def test_one_suite_pass_fits_the_width_cache():

@@ -2,13 +2,14 @@
 
 from collections import Counter
 from functools import cache
+from itertools import accumulate
 from math import inf
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qident import partitions
+from qident import packed, partitions
 from qident.overpartitions import count_Dk_table
 from qident.partitions import (
     _ANY_PART,
@@ -18,6 +19,7 @@ from qident.partitions import (
     _c_rule,
     _corollary_rule,
     _count_by_dp,
+    _packed_knapsack,
     _tally,
     _thm12_rule,
     _thm13_rule,
@@ -41,6 +43,7 @@ from qident.partitions import (
     satisfies_thm12,
     satisfies_thm13,
     schur_gap_witnesses,
+    schur_parts,
     walk_C_table,
 )
 from qident.series import Monomial, euler_product, pochhammer_inf
@@ -60,6 +63,23 @@ def count_by_scalar_loop(n_max, allowed_parts):
         for s in range(p, n_max + 1):
             ways[s] += ways[s - p]
     return ways
+
+
+def single_width_knapsack(n_max, parts):
+    """_packed_knapsack as it ran before its stages: every part, largest
+    first, in one width, packed.slot_width over parts."""
+    if not parts:
+        return [1] + [0] * n_max
+    width = packed.slot_width(n_max, parts)
+    rest = 0
+    for p in parts:
+        rest += 1 << width * (n_max - p)
+        s = p
+        while s <= n_max - p:
+            rest += rest >> width * s
+            s *= 2
+    assert not rest & packed.guard_mask(width, n_max) and not rest >> width * n_max
+    return packed.read_slots(rest + (1 << width * n_max), width, n_max + 1)
 
 
 def closed_product_parts(k, d, j):
@@ -493,6 +513,56 @@ class TestCountB:
         for s in range(p, len(ways)):
             ways[s] += ways[s - p]
         assert summed == ways
+
+    # random part sets, repeats allowed, large enough to take stages, and
+    # B's and Schur's parts, which widen three and two times at n = 400
+    @given(st.integers(0, 400).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, n + 1), max_size=n))))
+    @example((400, b_parts(400, 2, 0)))
+    @example((400, schur_parts(400)))
+    @example((400, list(range(21, 401))))
+    @example((400, [400, 201, 200, 21, 21]))
+    @settings(max_examples=60, deadline=None)
+    def test_stages_match_one_width(self, drawn):
+        n_max, parts = drawn
+        parts = packed_parts(n_max, parts)
+        assert _packed_knapsack(n_max, parts) == single_width_knapsack(n_max, parts)
+
+    def test_stage_bounds_cover_every_part_set(self):
+        # a stage above low runs a subset of low < p <= n, so its counts are
+        # at most partitions into parts above low, which grow as low falls:
+        # for every n <= 600 and every low = n // 2, n // 4, ... >= 1, the
+        # largest such count up to q^n stays below its stage width's guard bits
+        top = 600
+        lows = {}
+        for n in range(2, top + 1):
+            low = n // 2
+            while low:
+                lows.setdefault(low, []).append(n)
+                low //= 2
+        ways = [1] + [0] * top  # partitions into parts above low
+        for low in range(top, 0, -1):
+            if low in lows:
+                most = list(accumulate(ways, max))
+                for n in lows[low]:
+                    width = packed.slot_width.__wrapped__(n, range(low + 1, n + 1))
+                    assert most[n].bit_length() <= width - packed.GUARD_BITS, (n, low)
+            for s in range(low, top + 1):
+                ways[s] += ways[s - low]
+
+    @pytest.mark.parametrize("n_max, stages", [
+        (25, [(0, 16)]),
+        (60, [(15, 16), (0, 24)]),
+        (200, [(100, 16), (50, 24), (0, 32)]),
+        (1000, [(500, 24), (250, 32), (125, 40), (62, 56), (0, 64)]),
+    ])
+    def test_stage_widths_of_b(self, n_max, stages):
+        # B_{0,2}'s stages: each narrower than the next, the last at its
+        # parts' own width; 60's stage above 30 is as wide as the one above
+        # 15 and joins it
+        parts = packed_parts(n_max, b_parts(n_max, 2, 0))
+        assert partitions.knapsack_stages(n_max, parts) == stages
+        assert stages[-1][1] == packed.slot_width(n_max, parts)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -157,23 +157,55 @@ class TestReports:
         assert peak < 2**20
 
     def test_corollary_aborts_on_a_slot_overflow(self, monkeypatch):
-        # B's packed counts at (2, 0), n = 1000 reach 46 bits: 56-bit slots
-        # hold them below the guard bits, and 48-bit slots, one byte
-        # narrower, do not; the report is aborted and names the width.  The
-        # knapsack's bound alone is narrowed: it has no distinct parts
+        # B's packed counts at (2, 0), n = 1000 reach 46 bits, and those of
+        # its parts above 62, the last stage before them, 33: 56- and 40-bit
+        # slots hold them below the guard bits, and 48- and 32-bit slots, one
+        # byte narrower, do not; the report is aborted and names the width,
+        # and the stage's parts.  The knapsack's bounds alone are narrowed,
+        # the stages above 62 to at most the stage's width
         parts = partitions.packed_parts(1000, partitions.b_parts(1000, 2, 0))
         assert max(partitions._packed_knapsack(1000, parts)).bit_length() == 46
+        above = tuple(p for p in parts if p > 62)
+        assert max(partitions._packed_knapsack(1000, above)).bit_length() == 33
         rep = verify.verify_corollary(2, 0, 1000, 8)
         assert rep.status == "pass"
         (note,) = [note for note in rep.notes if note.startswith("B's knapsack")]
-        assert "72-bit slots" in note and "< 2^69" in note
+        assert "64-bit slots" in note and "< 2^61" in note
+        assert "the parts above 500 in 24-bit slots, the parts above 250 in 32-bit slots," \
+               " the parts above 125 in 40-bit slots, the parts above 62 in 56-bit slots" in note
         real = packed.slot_width
-        for width, status in ((56, "pass"), (48, "aborted")):
-            monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(): (
-                real(n, plain, distinct) if distinct else width))
+        for last, stage, status, trip in (
+            (56, 40, "pass", None),
+            (48, 40, "aborted", "guard bits of its 48-bit slots at n_max=1000"),
+            (56, 32, "aborted", "guard bits of its 32-bit slots for its parts above 62 at"),
+        ):
+            def slot_width(n, plain, distinct=(), last=last, stage=stage):
+                if plain == parts:
+                    return last
+                if isinstance(plain, range) and plain.step == 1 and plain.start >= 63:
+                    return min(real(n, plain), stage)
+                return real(n, plain, distinct)
+
+            monkeypatch.setattr(packed, "slot_width", slot_width)
             rep = verify.verify_corollary(2, 0, 1000, 8)
             assert (rep.status, rep.witness) == (status, None)
-        assert len(rep.notes) == 1 and "guard bits of its 48-bit slots" in rep.notes[0]
+            if trip:
+                assert len(rep.notes) == 1 and trip in rep.notes[0], rep.notes
+
+    def test_numerator_overflow_aborts_the_corollary(self, monkeypatch):
+        # the product's numerator at (2, 0), n = 1000 reaches 32 bits in its
+        # own slots: 40 bits hold it below the guard bits and 32 do not, and
+        # the guard read before it widens names that width
+        odd = range(1, 1001, 4)
+        assert packed.slot_width(1000, (), odd) == 48
+        real = packed.slot_width
+        for own, status in ((40, "pass"), (32, "aborted")):
+            monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(), own=own: (
+                own if distinct and not plain else real(n, plain, distinct)))
+            rep = verify.verify_corollary(2, 0, 1000, 8)
+            assert (rep.status, rep.witness) == (status, None)
+        assert rep.notes == ["slot overflow: the B_{0,2} product's numerator reached the guard"
+                             " bits of its 32-bit slots at q_order=1000"]
 
     def test_product_overflow_aborts_the_corollary(self, monkeypatch):
         # the product's own slots at 8 bits hold counts below 2^5, and
@@ -454,8 +486,9 @@ def bumped(real, at, when=None):
     QSeries, (m, n) into a row matrix, a BivariateSeries or a packed R_j,
     (j, m, n) into the stream of R_j terms or the closed product's x^j
     terms, (j, state, m, n) into a sweep's snapshots (an iterator is read
-    into a list first), and t into the sweep's doubling steps.  A path
-    that ends at an object, not a count, drops that object from its list.  Each level on the path is copied, so no row that
+    into a list first), t into the sweep's doubling steps, and (bit,) into
+    a packed integer.  A path that ends at an object, not a count, drops
+    that object from its list.  Each level on the path is copied, so no row that
     real returned, or shares, changes.  slip.calls keeps (args, kwargs,
     real's output) for every bumped call."""
 
@@ -493,6 +526,8 @@ def _bumped_at(out, at):
         (m, n), rows = at, list(out.rows)
         rows[m] += 1 << out.width * (out.q_order - n)
         return out._replace(rows=tuple(rows))
+    if isinstance(out, int):  # a packed integer, +1 at bit at[0]
+        return out + (1 << at[0])
     if isinstance(out, (QSeries, BivariateSeries)):
         return type(out)(_bumped_at(out.coeffs, at))
     here, rest = at[0], at[1:]
@@ -651,6 +686,12 @@ ROUTE_SLIPS = [
         "schur": {"n": 1, "product_count": 2, "gap_count": 1},
         "machinery/appell-limit": {"a_degree": 0, "q_degree": 1, "limit": 2, "product": 1},
     }),
+    # bit 24 of every widened integer: at n = 60 B widens its knapsack from
+    # 16 to 24 bits, where that bit is the foot of q^59's slot, and the
+    # product its numerator from 16 to 32, where it is 2^24 in q^60's, so
+    # one slip in the shared widening lands on B first, at q^59
+    RouteSlip("packed.widen", (24,), {
+        "corollary": {"n": 59, "count_B": 17489, "product_coefficient": 17488}}),
     RouteSlip("partitions.b_witnesses", (0,), {
         "golden-n10": {"product_expected_only": ["(9, 1)"]}}),
     RouteSlip("partitions.c_witnesses", (0,), {
@@ -718,6 +759,7 @@ UNROUTED = {
     "packed.slot_note": "the text of a note",
     "overpartitions.overpartition_parts": "a route's parts: the text of a note",
     "partitions.packed_parts": "a route's parts: the text of a note",
+    "partitions.knapsack_stages": "a route's stages: the text of a note",
     "partitions.b_parts": "a route's parts: the text of a note",
     "partitions.schur_parts": "a route's parts: the text of a note",
 }
@@ -803,6 +845,7 @@ A_ORDER = dict.fromkeys(["appell.least_weight", "appell.max_overline_count"], "t
 # count rests on them
 FORMAT = {
     "packed.slot_width": "the slot bound: a width too narrow trips the guard read",
+    "packed.saddle": "the slot bound's x: every 0 < x < 1 gives a valid bound",
     "packed.whole_bytes": "the slot bound's rounding to whole bytes",
     "packed.guard_mask": "the guard read, which can only abort",
     "packed._repeated": "the guard read's mask",
@@ -819,8 +862,12 @@ PAIRS = {
     # the product reads its packed numerator back in two-slot columns, so
     # one slip in the reader lands on other coefficients there than in B's
     ("B", "B-product"): {
+        **FORMAT,
         "packed.slot_width": "the slot bound: a width too narrow trips each route's own guard read",
-        "packed.whole_bytes": "the slot bound's rounding to whole bytes",
+        "packed.widen": "the widening, byte slicing with no arithmetic: B widens its partial"
+                        " products between stages, the product its numerator before the"
+                        " division, at other widths, so one slip lands on other coefficients"
+                        " in each",
         "packed.read_slots": "the slot reader, which the product runs at twice B's width,"
                              " one column (q^{2d}, q^{2d+1}) a chunk",
     },
