@@ -6,7 +6,6 @@ import csv
 import io
 import json
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -40,18 +39,18 @@ def _emit(ctx, payload, text_lines):
     per line, as --format asks (main admits csv for `coeffs` only).  Text
     lines are written CHUNK at a time.  A witness list comes as an iterator
     of strings rather than a list, and is drawn and written CHUNK strings at
-    a time with the C string encoder: byte for byte what
-    json.dumps(list(payload), indent=2) writes, since with indent set
-    json.dumps runs the pure-Python encoder.  Reports and coefficient rows,
-    a dict or a list, keep json.dumps."""
+    a time, each chunk quoted by one join: witness strings hold only
+    digits, '+' and '~', which JSON writes as they are, so the bytes are
+    those of json.dumps(list(payload), indent=2).  Reports and coefficient
+    rows, a dict or a list, keep json.dumps."""
     fmt = ctx.obj["format"]
     if fmt == "json" and isinstance(payload, (dict, list)):
         click.echo(json.dumps(payload, indent=2))
     elif fmt == "json":
         opened = False
         for chunk in _chunks(payload):
-            head = ",\n  " if opened else "[\n  "
-            click.echo(head + ",\n  ".join(map(encode_basestring_ascii, chunk)), nl=False)
+            head = ',\n  "' if opened else '[\n  "'
+            click.echo(head + '",\n  "'.join(chunk) + '"', nl=False)
             opened = True
         click.echo("\n]" if opened else "[]")
     elif fmt == "csv":
@@ -205,7 +204,9 @@ def list_cmd(ctx, side, k, i, n):
 
     \f
     Each side's strings are built along the walk that finds its objects
-    (b_strings, c_strings, d_strings) and streamed; no object is built."""
+    and streamed; no object is built.  B and C's walk (b_strings,
+    c_strings) carries one string per node, D's (d_strings) one per
+    admissible overline mask."""
     _check_i(k, i)
     if n > verify.ENUM_HARD_LIMIT:
         raise click.UsageError(verify._REFUSED)

@@ -18,25 +18,23 @@ no weight limit applies to it.
 
 Witness lists enumerate.  An admissible object is a bitmask over its
 partition's distinct values (bit idx overlines the idx-th largest), and
-only admissible masks are formed: the rule looks only upward from an
-overlined value, so a partition's masks are its largest-first prefix's
-plus those that overline the new value.  `_overline_step` is that
-one-group step, and `_walk_to` carries it down one walk headed for
-weight n.  The walk also carries each partition's text, built once per
-node from its parent's, so `d_strings` yields each object's string as
-the walk reaches its leaf.  The masks are closed under dropping the
-highest bit (the smallest overlined value), so `_mark`, the one string
-rule, forms each mask's string from that smaller mask's by one '~';
-`Overpartition.__str__` passes it its own mask's chain.  Objects are built
-only where a caller asks for them (`d_witnesses`).  `is_Dk_admissible` over
-`enumerate_overpartitions` stays the definition the masks, the strings
-and the sweep are tested against.
+only admissible objects are formed: the rule looks only upward from an
+overlined value, so a partition's objects are its largest-first prefix's
+plus those that overline the new value.  `_walk_to` carries, down one walk
+headed for weight n, each node's objects as strings in ascending mask
+order with the smallest overlined value of each, which is all the rule
+reads; `_overlinable` is the rule at a new value that occurs once.  So
+`d_strings` yields each object's string as the walk reaches its leaf, and
+`d_witnesses` parses the strings it keeps (`Overpartition.parse`, the
+inverse of `Overpartition.__str__`).  `is_Dk_admissible` over
+`enumerate_overpartitions` stays the definition the strings and the sweep
+are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Iterator
 
 from . import packed
@@ -78,147 +76,124 @@ class Overpartition:
         return False
 
     def __str__(self) -> str:
-        # chain: the masks of the overlines so far, each its predecessor
-        # plus one higher bit
-        text, ends, chain = "", [], [0]
-        for idx, (v, mult, over) in enumerate(self.entries):
-            text += ("+" if text else "") + "+".join([str(v)] * mult)
-            ends.append(len(text))
+        """Parts largest first, joined by '+', with '~' after the last copy
+        of each overlined value; '0' for the empty overpartition."""
+        pieces = []
+        for v, mult, over in self.entries:
+            pieces += [str(v)] * (mult - 1 if over else mult)
             if over:
-                chain.append(chain[-1] | 1 << idx)
-        return _mark(text, ends, chain)[chain[-1]]
+                pieces.append(f"{v}~")
+        return "+".join(pieces) or "0"
 
-
-def _groups(parts: tuple) -> tuple:
-    """((value, multiplicity), ...) of a partition, values strictly decreasing."""
-    return tuple((v, len(list(g))) for v, g in groupby(parts))
-
-
-def _mark(text: str, ends: list, masks: list) -> dict:
-    """The one string rule: {mask: string} for the overline masks of one
-    partition, from its text (parts largest first, joined by '+') and the
-    end offset of each group's "v+v+...+v" (bit idx overlines group idx).
-    A string has '~' after the last occurrence of each overlined value, and
-    mask 0's is the text itself, '0' for the empty partition.
-
-    masks is ascending, from 0, and holds each mask's rest, the mask with
-    its highest bit idx dropped (admissible masks do: the D_k rules look
-    only upward from an overlined value).  So a mask's string is its
-    rest's, already formed, with one '~' inserted at ends[idx] plus the
-    rest's overline count, the marks that lie before that offset."""
-    marked = {0: text or "0"}
-    for mask in masks[1:]:
-        idx = mask.bit_length() - 1
-        rest = mask ^ 1 << idx
-        before = marked[rest]
-        at = ends[idx] + rest.bit_count()
-        marked[mask] = f"{before[:at]}~{before[at:]}"
-    return marked
-
-
-def _build(groups: list, mask: int) -> Overpartition:
-    return Overpartition(
-        tuple((v, mult, bool((mask >> idx) & 1)) for idx, (v, mult) in enumerate(groups))
-    )
+    @classmethod
+    def parse(cls, text: str) -> Overpartition:
+        """The overpartition str() prints as text."""
+        entries = []
+        for token in () if text == "0" else text.split("+"):
+            over = token.endswith("~")
+            v = int(token[:-1] if over else token)
+            if entries and entries[-1][0] == v and not entries[-1][2]:
+                entries[-1] = (v, entries[-1][1] + 1, over)
+            else:
+                entries.append((v, 1, over))
+        return cls(tuple(entries))
 
 
 def enumerate_overpartitions(n: int) -> Iterator[Overpartition]:
     """Yield every overpartition of n exactly once.
 
     Deterministic order: underlying partitions in lex-decreasing order,
-    then overline subsets by increasing bitmask over the distinct values.
+    then overline subsets by increasing bitmask over the distinct values
+    (bit idx overlines the idx-th largest).
     """
     for parts in enumerate_partitions(n):
-        groups = _groups(parts)
+        groups = [(v, len(list(g))) for v, g in groupby(parts)]
         for mask in range(1 << len(groups)):
-            yield _build(groups, mask)
+            yield Overpartition(tuple(
+                (v, mult, bool(mask >> idx & 1)) for idx, (v, mult) in enumerate(groups)
+            ))
 
 
-def _overline_step(masks: list, groups: tuple, k: int) -> list:
-    """The one-group step of the D_k rule: the admissible masks of groups,
-    from masks, those of groups[:-1].
+def _overlinable(strings: list, lows: list, b: int, above: int, k: int) -> list:
+    """The D_k rule at a new smallest value b that occurs once: those of a
+    node's strings whose objects may also overline b, in their order.
 
-    groups is ((value, multiplicity), ...) with values strictly decreasing,
-    and bit idx overlines groups[idx].  Adding a new smallest value keeps
-    every mask of the prefix admissible (the rules look only upward from an
-    overlined value).  The new value b may itself be overlined only if it
-    occurs once and no part lies in b+1..b+k-2, and then only beside masks
-    whose smallest overlined value is at least b+k.  Together these are
-    is_Dk_admissible's rules: a part in b+1..b+k-2 is plain or, overlined,
-    too close to b.  masks is returned as is when nothing is added; it is
-    shared, never changed in place.
+    above is the value just above b, and lows[idx] the smallest overlined
+    value of strings[idx]; the walk passes n + k for each where there is
+    none, so neither bars b.  b may be overlined only if no part lies in
+    b+1..b+k-2, and then only beside objects whose smallest overlined value
+    is at least b+k.  Together these are is_Dk_admissible's rules: a part
+    in b+1..b+k-2 is plain or, overlined, too close to b.  They look only
+    upward from an overlined value, so a new, smaller value spoils no
+    object of the node.
     """
-    idx = len(groups) - 1
-    b, mult = groups[idx]
-    if mult > 1 or (idx and groups[idx - 1][0] < b + k - 1):
-        return masks
-    # every mask of the prefix lies below bit idx, so appending keeps the
-    # list ascending; a mask's highest set bit is its smallest overlined value
-    return masks + [
-        mask | (1 << idx)
-        for mask in masks
-        if not mask or groups[mask.bit_length() - 1][0] >= b + k
-    ]
+    if above < b + k - 1:
+        return []
+    far = b + k
+    return [s for s, low in zip(strings, lows) if low >= far]
 
 
 def d_strings(n: int, k: int) -> Iterator[str]:
     """The strings of the D_k-admissible overpartitions of n, one at a time
-    as _walk_to reaches them, in the order of enumerate_overpartitions: each
-    partition's text is built once along the walk, and each mask's string
-    from its rest's (_mark).  The parameters are checked at the call, before
-    the first string."""
+    as _walk_to reaches them, in the order of enumerate_overpartitions.  The
+    parameters are checked at the call, before the first string."""
     check_params(k, n=n)
-    return (
-        string for _, masks, text, ends in _walk_to(n, k)
-        for string in _mark(text, ends, masks).values()
-    )
+    return chain.from_iterable(_walk_to(n, k))
 
 
-def _walk_to(n: int, k: int) -> Iterator[tuple]:
-    """(groups, masks, text, ends) of every partition of n, in
-    lex-decreasing order: groups is ((value, multiplicity), ...) with values
-    strictly decreasing, masks its D_k-admissible overline masks, ascending,
-    text the partition's string and ends the end offset of each group's
-    "v+v+...+v" in it.
+def _walk_to(n: int, k: int) -> Iterator[list]:
+    """For each partition of n, in lex-decreasing order, the strings of its
+    D_k-admissible overpartitions in ascending mask order.
 
-    One depth-first walk headed for weight n: a child adds a new smallest
-    value v with multiplicity c to its parent and takes its masks from the
-    parent's through the one-group step, so the rule is applied once per
-    group.  A child's text is its parent's, '+', and the new group's.  The
-    value 1 is taken only as the whole remainder; a node whose smallest
-    value is at least 2 can always be finished with 1s, so no node that
-    cannot reach n is walked.  Children are pushed v ascending, then c
-    ascending, so the largest is walked first.  The callers check k and n.
+    One depth-first walk headed for weight n.  Each node carries its
+    objects' strings so far, in ascending mask order, and the smallest
+    overlined value of each (n + k for none), which is all the rule reads.
+    A child adds a new smallest value v with multiplicity c; its strings
+    are built when it is popped: each of its parent's takes the new
+    group's piece "+v+...+v".  When c = 1, those the rule keeps
+    (_overlinable) also take "+v~", appended after the plain ones, since
+    their masks carry the new, highest bit.  The value 1 is taken only as
+    the whole remainder; a node whose smallest value is at least 2 can
+    always be finished with 1s, so no node that cannot reach n is walked.
+    Children are pushed v ascending, then c ascending, so the largest is
+    walked first.  The callers check k and n.
     """
-    step = _overline_step
-    # (weight, groups, smallest value so far, masks, text, ends); the
-    # root's bound n + 1 lets its children take any value up to n
-    stack = [(0, (), n + 1, [0], "", ())]
+    rule = _overlinable
+    top = n + k
+    # (weight, smallest value, the value above it when it occurs once
+    # (else 0), the parent's strings and their lows, the new piece); the
+    # root's bound top lets its children take any value up to n, and its
+    # one string is "0" only when it is itself the partition of n
+    stack = [(0, top, 0, ["" if n else "0"], [top], "")]
     pop, push = stack.pop, stack.append  # bound once: this loop runs once per node
     while stack:
-        weight, groups, last, masks, text, ends = pop()
+        weight, last, above, base, lows, piece = pop()
+        strings = [s + piece for s in base]
+        if above:
+            over = rule(base, lows, last, above, k)
+            if over:
+                piece += "~"
+                strings += [s + piece for s in over]
+                lows = lows + [last] * len(over)
         room = n - weight
         if not room:
-            yield groups, masks, text, ends
+            yield strings
             continue
-        head = text + "+" if text else ""
+        sep = "+" if weight else ""
         if last > 1:
             # pushed before the larger values, so walked after them: the 1s
             # come last in lex-decreasing order
-            child = groups + ((1, room),)
-            t = head + "1+" * (room - 1) + "1"
-            push((n, child, 1, step(masks, child, k), t, ends + (len(t),)))
+            push((n, 1, last if room == 1 else 0, strings, lows, sep + "1+" * (room - 1) + "1"))
         for v in range(2, min(last - 1, room) + 1):
-            child = groups + ((v, 1),)
             digits = str(v)
-            t = head + digits
-            push((weight + v, child, v, step(masks, child, k), t, ends + (len(t),)))
-            # the step never overlines a repeated value, so c >= 2 keeps
-            # masks; each further copy appends "+v" to the text
-            part = "+" + digits
+            part = sep + digits
+            push((weight + v, v, last, strings, lows, part))
+            # a repeated value is never overlined; each further copy
+            # appends "+v" to the piece
+            more = "+" + digits
             for c in range(2, room // v + 1):
-                t += part
-                push((weight + c * v, groups + ((v, c),), v, masks, t, ends + (len(t),)))
+                part += more
+                push((weight + c * v, v, 0, strings, lows, part))
 
 
 def is_Dk_admissible(o: Overpartition, k: int) -> bool:
@@ -243,14 +218,8 @@ def is_Dk_admissible(o: Overpartition, k: int) -> bool:
 
 def d_witnesses(m: int, n: int, k: int) -> list:
     """Admissible overpartitions of n with exactly m overlined values, in
-    the order of enumerate_overpartitions."""
-    check_params(k, n=n)
-    return [
-        _build(groups, mask)
-        for groups, masks, _, _ in _walk_to(n, k)
-        for mask in masks
-        if mask.bit_count() == m
-    ]
+    the order of enumerate_overpartitions, read from the walk's strings."""
+    return [Overpartition.parse(s) for s in d_strings(n, k) if s.count("~") == m]
 
 
 def _dk_moves(k: int):

@@ -21,7 +21,7 @@ from qident.packed import read_rows
 from qident.partitions import c_witnesses, enumerate_partitions
 from qident.series import Monomial, euler_product, pochhammer_inf
 from qident.appell import max_overline_count, theorem_product
-from qident.overpartitions import _build, _mark, _walk_to
+from qident.overpartitions import _walk_to
 
 
 def largest_part(o):
@@ -59,10 +59,14 @@ def sweep_tables(n_max, j_max, k, m_max):
     return r, p
 
 
-def walk_masks(n, k):
-    """(groups, masks) of every partition of n, from the walk d_strings and
-    d_witnesses share."""
-    return ((groups, masks) for groups, masks, _, _ in _walk_to(n, k))
+def walk_strings(n, k):
+    """(parts, strings) of every partition of n: the admissible objects'
+    strings the walk d_strings and d_witnesses share gives each partition,
+    paired with enumerate_partitions, whose order the walk keeps."""
+    partitions = list(enumerate_partitions(n))
+    walked = list(_walk_to(n, k))
+    assert len(walked) == len(partitions), (n, k)
+    return list(zip(partitions, walked))
 
 
 def filter_admissible(n, k):
@@ -71,13 +75,13 @@ def filter_admissible(n, k):
 
 
 def walk_objects(n, k):
-    """The objects of walk_masks(n, k), in its order."""
-    return [_build(groups, mask) for groups, masks in walk_masks(n, k) for mask in masks]
+    """The objects of walk_strings(n, k), in its order."""
+    return [Overpartition.parse(x) for _, strings in walk_strings(n, k) for x in strings]
 
 
-def masks_of(groups, k):
-    """The masks the walk gives one partition's groups."""
-    return dict(walk_masks(sum(v * mult for v, mult in groups), k))[tuple(groups)]
+def strings_of(parts, k):
+    """The strings the walk gives one partition."""
+    return dict(walk_strings(sum(parts), k))[tuple(parts)]
 
 
 def filter_Dk_table(n_max, k, m_max):
@@ -116,21 +120,17 @@ class TestFormat:
             assert [str(o) for o in objects] == strings, (n, k)
             assert [entries_string(o) for o in objects] == strings, (n, k)
 
-    @pytest.mark.parametrize("k", range(2, 7))
-    def test_each_mask_marks_its_rest(self, k):
-        # every admissible mask's string, formed from its rest's, against
-        # the object that mask builds
-        for n in range(17):
-            for groups, masks, text, ends in _walk_to(n, k):
-                marked = _mark(text, ends, masks)
-                assert list(marked) == masks, (n, k, groups)
-                assert list(marked.values()) == [str(_build(groups, m)) for m in masks], (n, k)
-
     def test_str_of_every_overpartition(self):
-        # admissible or not, __str__ marks its own mask's chain of rests
+        # admissible or not, __str__ is the entries rule, and parse inverts it
         for n in range(11):
             for o in enumerate_overpartitions(n):
                 assert str(o) == entries_string(o), o.entries
+                assert Overpartition.parse(str(o)) == o, o.entries
+
+    @pytest.mark.parametrize("text", ["", "1~~", "1~+1", "1+2", "x"])
+    def test_parse_rejects_what_str_never_prints(self, text):
+        with pytest.raises(ValueError):
+            Overpartition.parse(text)
 
     def test_d_strings_checks_at_the_call(self):
         # a bad k raises before the first string is asked for
@@ -216,23 +216,19 @@ class TestAdmissibility:
 class TestAdmissibleMasks:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_masks_equal_filter(self, k):
-        # ascending, and exactly the masks is_Dk_admissible accepts
+        # each partition's strings are those of the masks is_Dk_admissible
+        # accepts, in ascending mask order
         for n in range(17):
-            walked = dict(walk_masks(n, k))
-            for parts in enumerate_partitions(n):
+            for parts, strings in walk_strings(n, k):
                 groups = [(v, len(list(g))) for v, g in groupby(parts)]
-                expected = [
-                    mask
+                objects = (
+                    Overpartition(tuple(
+                        (v, mult, bool(mask >> idx & 1)) for idx, (v, mult) in enumerate(groups)
+                    ))
                     for mask in range(1 << len(groups))
-                    if is_Dk_admissible(
-                        Overpartition(tuple(
-                            (v, mult, bool(mask >> idx & 1))
-                            for idx, (v, mult) in enumerate(groups)
-                        )),
-                        k,
-                    )
-                ]
-                assert walked[tuple(groups)] == expected, (parts, k)
+                )
+                expected = [entries_string(o) for o in objects if is_Dk_admissible(o, k)]
+                assert strings == expected, (parts, k)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_objects_equal_filter(self, k):
@@ -242,19 +238,19 @@ class TestAdmissibleMasks:
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("m", [None, 1, 3])
     def test_walk_slices_equal_per_partition_masks(self, k, m):
-        # the walk headed for weight n gives each partition the masks
+        # the walk headed for weight n gives each partition the objects
         # is_Dk_admissible keeps over enumerate_overpartitions, order
         # included; d_witnesses keeps those with m overlines (None: each m)
         for n in range(17):
             admissible = filter_admissible(n, k)
             expected = [
-                (groups, [sum(over << idx for idx, (_, _, over) in enumerate(o.entries))
-                          for o in objects])
-                for groups, objects in groupby(
-                    admissible, key=lambda o: tuple((v, mult) for v, mult, _ in o.entries)
+                (parts, [entries_string(o) for o in objects])
+                for parts, objects in groupby(
+                    admissible,
+                    key=lambda o: tuple(v for v, mult, _ in o.entries for _ in range(mult)),
                 )
             ]
-            assert list(walk_masks(n, k)) == expected, n
+            assert walk_strings(n, k) == expected, n
             for count in range(n + 1) if m is None else (m,):
                 assert d_witnesses(count, n, k) == [
                     o for o in admissible if o.overline_count == count
@@ -263,12 +259,12 @@ class TestAdmissibleMasks:
     def test_rules(self):
         # k = 3: 5 eligible (4 is not in 6..6), 4 not (5 lies in 5..5),
         # 1 eligible; 5 and 1 are far enough apart to be overlined together
-        assert masks_of([(5, 1), (4, 1), (1, 1)], 3) == [0, 1, 4, 5]
-        # a repeated value is never overlined, here 2 (mult 2)
-        assert masks_of([(4, 1), (2, 2)], 2) == [0, 1]
+        assert strings_of([5, 4, 1], 3) == ["5+4+1", "5~+4+1", "5+4+1~", "5~+4+1~"]
+        # a repeated value is never overlined, here 2
+        assert strings_of([4, 2, 2], 2) == ["4+2+2", "4~+2+2"]
         # overlined values closer than k exclude each other
-        assert masks_of([(3, 1), (1, 1)], 3) == [0, 1, 2]
-        assert masks_of([], 4) == [0]
+        assert strings_of([3, 1], 3) == ["3+1", "3~+1", "3+1~"]
+        assert strings_of([], 4) == ["0"]
 
 
 class TestDkEntryPointsRejectSmallK:

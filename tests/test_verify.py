@@ -4,6 +4,7 @@ import ast
 import gc
 import inspect
 import json
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -417,14 +418,15 @@ def first_weight_below(cut, n_max, accepts):
 
 
 def dropping_new_overlines(real, min_distinct):
-    """_overline_step that, once a prefix has at least min_distinct values,
-    adds no mask overlining its new, smallest value."""
+    """_overlinable that, once a prefix with its new, smallest value has at
+    least min_distinct values, lets no object overline that value."""
 
-    def overline_step(masks, groups, k):
-        extended = real(masks, groups, k)
-        return masks if len(groups) >= min_distinct else extended
+    def overlinable(strings, lows, b, above, k):
+        # strings[0], the node's object without overlines, holds its values
+        values = set(strings[0].split("+")) if strings[0] else set()
+        return [] if len(values) + 1 >= min_distinct else real(strings, lows, b, above, k)
 
-    return overline_step
+    return overlinable
 
 
 def edited_moves(real, edit):
@@ -1174,8 +1176,8 @@ class TestMutations:
         assert lost in {str(o) for o in overpartitions.d_witnesses(m, n, 2)}
         table = overpartitions.count_Dk_table(10, 2, 8)
         monkeypatch.setattr(
-            overpartitions, "_overline_step",
-            dropping_new_overlines(overpartitions._overline_step, min_distinct),
+            overpartitions, "_overlinable",
+            dropping_new_overlines(overpartitions._overlinable, min_distinct),
         )
         assert overpartitions.count_Dk_table(10, 2, 8) == table
         assert verify.verify_overpartition(2, 10).status == "pass"
@@ -1609,6 +1611,28 @@ class TestCli:
                               "--i", str(i), "--n", str(n))
             assert result.exit_code == 0, (side, k, i, n)
             assert result.stdout_bytes == self.oracle_bytes(fmt, expected), (side, k, i, n)
+
+    @pytest.mark.parametrize("side", "BCD")
+    def test_json_list_is_json_dumps(self, side):
+        # the writer quotes each chunk with one join, which is json.dumps's
+        # layout only while no string needs escaping
+        strings = {
+            "B": partitions.b_strings,
+            "C": partitions.c_strings,
+            "D": lambda n, k, i: overpartitions.d_strings(n, k),
+        }[side]
+        lengths = set()
+        for k, i in ((2, 0), (2, 1), (3, 1), (5, 4)):
+            for n in (0, 1, 10):
+                items = list(strings(n, k, i))
+                lengths.add(len(items))
+                assert all(re.fullmatch(r"[0-9+~]+", x) for x in items), (side, k, i, n)
+                result = self.run("--format", "json", "list", "--side", side, "--k", str(k),
+                                  "--i", str(i), "--n", str(n))
+                assert result.exit_code == 0, (side, k, i, n)
+                assert result.stdout_bytes == (json.dumps(items, indent=2) + "\n").encode()
+        # B and C at (3, 1, 1) are empty; D never is
+        assert (0 in lengths) == (side != "D")
 
     def test_list_prints_the_empty_array_and_the_empty_object(self):
         result = self.run("--format", "json", "list", "--side", "B", "--k", "3", "--i", "1", "--n", "1")
