@@ -11,13 +11,18 @@ closed product solution for F, and takes the formal coefficientwise limit
 R_infty, which must reproduce the infinite product
 (-aq; q^k)_inf / (q; q)_inf.  It also expands the corollary family's
 product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf: its finite numerator
-factor by factor, largest first, in the slots its own coefficients need,
-widened to the product's, then both parity classes divided by Euler's
-product at once, so that route shares no algorithm with the B-side
-knapsack.  Each product runs the pentagonal recurrence (series._divide)
-once: theorem_product on the one plain row 1/(q; q)_inf, the corollary's
-product on its packed numerator read back in two-slot columns.  The R_j
-stream and the closed product are packed too, in one width.
+(product_numerator) in the slots its own coefficients need, widened to
+the product's, then both parity classes divided by Euler's product at
+once, so that route shares no algorithm with the B-side knapsack.  Each
+expanded product runs the pentagonal recurrence (series._divide) once:
+theorem_product on the one plain row 1/(q; q)_inf, the corollary's
+product on its packed numerator read back in two-slot columns.  Those
+expansions are the coeffs output and the frozen tables' oracles.  The
+verifiers check each product side the other way round, with euler_check:
+the counted table times Euler's product, a few dozen shifts of one packed
+integer an a-row, against the numerator prod (1 + a q^e), packed, so no
+coefficient of the product is formed.  The R_j stream and the closed
+product are packed too, in one width.
 
 The recursion is a stream: r_terms yields R_0, R_1, ... and keeps only the
 last k terms, and build_R keeps every term it yields.  The functional
@@ -45,10 +50,9 @@ pj_series sums P_j on the stream's last k terms.
 
 theorem_product skips what must be zero: by Euler's expansion of
 (-aq; q^k)_inf, row m is zero below the least weight of m overlined parts,
-least_weight(k, m) = m + k m(m-1)/2, so each row's adds start there.  The
-Appell limit compares whole rows with it, so a start one too late is
-caught.  The packed stream needs no such start: a row's zero slots below
-its least weight are its leading zeros.
+least_weight(k, m) = m + k m(m-1)/2, so each row's adds start there; the
+frozen tables catch a start one too late.  The packed rows need no such
+start: a row's zero slots below its least weight are its leading zeros.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count, takewhile
 from operator import add
 
 from . import packed
@@ -378,15 +383,15 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
 
     Expanded from the product itself, sharing no algorithm with the allowed
     parts that count_B_table's knapsack sums over, so the two are
-    independent routes to B_{i,k}.  The finite numerator prod (1 + q^e) is
-    packed, q^0 on top, as 1 + rest, the 1 kept outside: taking the largest
-    e first, (1 + rest)(1 + q^e) adds q^e and rest shifted by e, and rest
-    stays short while e is large.  It runs in its own slots,
-    packed.slot_width's bound on prod (1 + q^e) alone, or w if that is no
-    narrower; w is the bound on the product's own coefficients, which
-    bound the numerator's too.  Narrower, rest's guard bits are read once,
-    a trip raising SlotOverflowError naming the numerator's width, and
-    each slot is widened to w (packed.widen).
+    independent routes to B_{i,k}: the coeffs output and the frozen
+    tables' oracle, which no verifier runs (euler_check multiplies instead).
+    The finite numerator prod (1 + q^e) is product_numerator's one row at
+    a = 1.  It runs in its own slots, packed.slot_width's bound on
+    prod (1 + q^e) alone, or w if that is no narrower; w is the bound on
+    the product's own coefficients, which bound the numerator's too.
+    Narrower, its guard bits are read once (numerator_bound), a trip
+    raising SlotOverflowError naming the numerator's width, and each slot
+    is widened to w (packed.widen).
 
     Read at width 2w, after a zero slot when q_order is even, each chunk is
     the column (q^{2d}, q^{2d+1}), so both parity classes are divided by
@@ -405,18 +410,14 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
     odd = range(2 * i + 1, n + 1, 2 * k)
     w = packed.slot_width(n, range(2, n + 1, 2), odd)
     own = min(packed.slot_width(n, (), odd), w)
-    rest = 0
-    for e in reversed(odd):
-        rest += (1 << own * (n - e)) + (rest >> own * e)
+    numerator = product_numerator(odd, n, own)
+    (row,) = numerator.rows
     if own < w:
-        if rest & packed.guard_mask(own, n) or rest >> own * n:
-            raise packed.SlotOverflowError(
-                f"slot overflow: the B_{{{i},{k}}} product's numerator reached the guard bits"
-                f" of its {own}-bit slots at q_order={n}")
-        rest = packed.widen(rest, own, w, n)
+        numerator_bound(numerator, own, f"the B_{{{i},{k}}} product's numerator")
+        row = packed.widen(row, own, w, n + 1)
     cols = n // 2 + 1
-    numerator = ((1 << w * n) + rest) << w * (2 * cols - 1 - n)
-    quotient = _divide(packed.read_slots(numerator, 2 * w, cols), euler_product(n // 2).coeffs)
+    row <<= w * (2 * cols - 1 - n)
+    quotient = _divide(packed.read_slots(row, 2 * w, cols), euler_product(n // 2).coeffs)
     low, sign = (1 << w) - 1, 1 << (w - 1)
     coeffs = []
     for col in quotient:
@@ -431,3 +432,138 @@ def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
             f"slot overflow: the B_{{{i},{k}}} product's q^{e} coefficient reached the guard"
             f" bits of its {w}-bit slots at q_order={n}")
     return QSeries(tuple(coeffs))
+
+
+def product_numerator(parts: range, q_order: int, width: int, a_order: int | None = None) -> PackedTerm:
+    """prod (1 + a q^e) over the parts e = f, f + d, f + 2d, ... <= q_order
+    (the range parts), up to q^{q_order} in width-bit slots, q^0 on top:
+    its a-rows 0..a_order, or with a_order None its one row at a = 1.
+
+    By Euler's expansion of (-a q^f; q^d)_inf (Andrews, The Theory of
+    Partitions, ch. 2), its a^m row is q^{L_m} / (q^d; q^d)_m, L_m =
+    f + (f + d) + ... + (f + (m-1)d) the least weight of m parts, so row m
+    is row m - 1 times q^{f + (m-1)d}, divided by (1 - q^{dm}) in doubling
+    steps row += q^s row, s = dm, 2dm, 4dm, ..., each dropping the slots
+    past q^{q_order}.  At a = 1 the rows are summed from the top down, in
+    Horner's form 1 + q^f/(1 - q^d) (1 + q^{f+d}/(1 - q^{2d}) (1 + ...)):
+    the sum from row m up is held in the slots up to q^{q_order - L_m}, so
+    read in the slots of row m - 1, up to q^{q_order - L_{m-1}}, it is
+    already times q^{f + (m-1)d}, and the inner sums stay short.  Every
+    value formed is at most one of the product's coefficients.  No slot is
+    read; numerator_bound reads them against the caller's bound.
+    """
+    n, f, d = q_order, parts.start, parts.step
+
+    def divided(row, p, top):  # row / (1 - q^p), in the slots up to q^top
+        while p <= top:
+            row += row >> width * p
+            p += p
+        return row
+
+    if a_order is not None:
+        rows = [1 << width * n]
+        for m in range(1, a_order + 1):
+            rows.append(divided(rows[-1] >> width * (f + (m - 1) * d), d * m, n))
+        return PackedTerm(tuple(rows), width, n)
+    # q_order - L_m, the top slot of row m's sum, for each L_m <= q_order
+    tops = list(takewhile(lambda top: top >= 0, (n - least_weight(d, m, f) for m in count())))
+    row = 0
+    for m in range(len(tops) - 1, 0, -1):
+        row = divided(row + (1 << width * tops[m]), d * m, tops[m])
+    return PackedTerm((row + (1 << width * n),), width, n)
+
+
+def numerator_bound(numerator: PackedTerm, own: int, what: str) -> None:
+    """Read every slot of numerator, however wide, to be below
+    2^{own - GUARD_BITS}, the bound of the own-bit slots packed.slot_width
+    gives it; a slot at or past it raises SlotOverflowError naming `what`
+    and the own width.  Given up, as in r_terms: a carry could clear the
+    bits read before the read were the bound wrong by as many bits as are
+    read, GUARD_BITS in own-bit slots and more in wider ones."""
+    width, slots = numerator.width, numerator.q_order + 1
+    high = packed.guard_mask(width, slots, width - own + packed.GUARD_BITS)
+    if any(row & high or row >> width * slots for row in numerator.rows):
+        raise packed.SlotOverflowError(
+            f"slot overflow: {what} reached the guard bits of its {own}-bit slots"
+            f" at q_order={numerator.q_order}")
+
+
+def _packed_signs(row, width: int) -> tuple:
+    """The integers row = c_0..c_N as two packed rows (P, M), q^0 on top:
+    P packs the positive c_s, M the magnitudes of the negative ones (0 when
+    there are none), so each shifts slot by slot."""
+    if min(row) >= 0:
+        return packed.pack_row(row, width), 0
+    return (packed.pack_row([max(c, 0) for c in row], width),
+            packed.pack_row([max(-c, 0) for c in row], width))
+
+
+def euler_check(table, t: int, parts: range, what: str, a_order: int | None = None) -> tuple:
+    """Check table (q^t; q^t)_inf = prod (1 + a q^e) over the range parts,
+    one packed integer an a-row: the product side numerator /
+    (q^t; q^t)_inf of each identity, with none of its coefficients formed.
+
+    table is the counted rows, q^0 first, as lists (negative entries too,
+    packed by _packed_signs) or as a PackedTerm, whose guard read holds its
+    slots below 2^{width - GUARD_BITS}; the numerator is
+    product_numerator's rows 0..a_order, or its one row at a = 1 with
+    a_order None.  By Euler's pentagonal theorem (Andrews, The Theory of
+    Partitions, ch. 1) (q^t; q^t)_inf is +-1 at q^{tg}, g a generalized
+    pentagonal number, and 0 elsewhere, so a row times it is the sum of
+    +-(row >> W t g) over the c terms with t g <= N = the table's q-order,
+    grouped by sign (c is the sum of the coefficients' sizes, should one be
+    other than +-1).
+
+    W is worked out from the data.  b is the larger of the table's largest
+    bit length and the numerator's bound, own - GUARD_BITS for own its
+    packed.slot_width, and W is b + bit_length(c) + 2, in whole bytes.  The
+    numerator is built in W-bit slots, not widened, and every slot is read
+    against that bound (numerator_bound), a trip raising SlotOverflowError
+    that names `what`; so W rests on what the table holds and what the read
+    finds, and a slot_width too narrow trips the read rather than narrowing
+    W.  Each coefficient of row (q^t; q^t)_inf - numerator is
+    then below (c + 1) 2^b <= 2^{W-2} in size, so the slots below the first
+    nonzero one cannot cancel it: the integers are equal exactly when the
+    coefficient lists are, and the first nonzero slot, found from the
+    difference's bit length, is read by rounding.  It is the first n where
+    the row and the product differ, and as (q^t; q^t)_inf starts with 1,
+    its value there, delta, is the table's count less the product's
+    coefficient.
+
+    Returns (W, cells): a cell (m, n, count, coefficient) for each a-row m
+    that differs, in a-row order, with its first n, the table's count and
+    the product's coefficient there.
+    """
+    if isinstance(table, PackedTerm):
+        n, bits = table.q_order, table.width - packed.GUARD_BITS
+    else:
+        n, bits = len(table[0]) - 1, max(max(map(abs, row)) for row in table).bit_length()
+    own = packed.slot_width(n, (), parts)
+    euler = euler_product(n // t).coeffs
+    terms = sum(map(abs, euler))
+    width = -(-(max(bits, own - packed.GUARD_BITS) + terms.bit_length() + 2) // 8) * 8
+    groups = {}  # the shift of each nonzero coefficient's term, grouped by its value
+    for g, c in enumerate(euler):
+        if c:
+            groups.setdefault(c, []).append(width * t * g)
+    numerator = product_numerator(parts, n, width, a_order)
+    numerator_bound(numerator, own, what)
+    if isinstance(table, PackedTerm):
+        rows = [(packed.widen(row, table.width, width, n + 1), 0) for row in table.rows]
+    else:
+        rows = [_packed_signs(row, width) for row in table]
+
+    def times(row):  # row (q^t; q^t)_inf
+        return sum(c * sum(row >> bits for bits in shifts) for c, shifts in groups.items())
+
+    cells, mask = [], (1 << width) - 1
+    for m, ((row, negative), wanted) in enumerate(zip(rows, numerator.rows)):
+        diff = times(row) - wanted
+        if negative:
+            diff -= times(negative)
+        if diff:
+            x = diff.bit_length() // width * width  # the first differing slot's shift
+            delta = (diff + (1 << x >> 1)) >> x  # its value, the slots below rounded off
+            counted = (row >> x & mask) - (negative >> x & mask)
+            cells.append((m, n - x // width, counted, counted - delta))
+    return width, cells

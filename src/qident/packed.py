@@ -2,21 +2,26 @@
 
 A packed row c_0..c_N is sum_s c_s 2^{w (N - s)}: c_0 in the top slot, so a
 shift by s slots is a right shift by w s bits and the slots shifted past
-c_N fall off the bottom.  Five routes pack: the R_j stream, the closed
+c_N fall off the bottom.  Six routes pack: the R_j stream, the closed
 product (appell.closed_product_F_coefficients, in the stream's width), the
-transfer-matrix sweep (partitions.sweep), the knapsack's large parts and
-the corollary's product (appell.congruence_product_series), whose
+transfer-matrix sweep (partitions.sweep), the knapsack's large parts, the
+check of each product side against Euler's product (appell.euler_check,
+which packs a counted table with pack_row, or widens the stream's last
+term, and builds the product's numerator in the same slots), and the
+corollary's expanded product (appell.congruence_product_series), whose
 numerator is read back through read_slots at twice its width, one
-two-slot column a chunk.  All hold counts, so every slot is unsigned; w
-is whole bytes, with GUARD_BITS clear bits above slot_width's bound,
-which guard_mask reads.  slot_width takes its x at the parts' own saddle
-point, estimated from their counts (saddle).  The knapsack and the
-corollary's numerator run narrower than their final counts need while
-their partial counts allow it, then widen each slot (widen).  The
-stream, the closed product and the sweep hold a series in a as a
-PackedTerm, one packed row per a-degree.  Each
-route keeps its own arithmetic on the packed integers, so compared routes
-share only this format, no kernel.
+two-slot column a chunk.  The counts are unsigned in every slot; only
+the check's differences are signed, and it packs a table's negative
+entries apart.  w is whole bytes, with GUARD_BITS clear bits above
+slot_width's bound, which guard_mask reads; the check reads its
+numerator against a narrower bound, the top bits of its wider slots.
+slot_width takes its x at the parts' own saddle point, estimated from
+their counts (saddle).  The knapsack and the expanded product's
+numerator run narrower than their final counts need while their partial
+counts allow it, then widen each slot (widen).  The stream, the closed
+product, the sweep and the numerator hold a series in a as a PackedTerm,
+one packed row per a-degree.  Each route keeps its own arithmetic on the
+packed integers, so compared routes share only this format, no kernel.
 """
 
 from __future__ import annotations
@@ -108,14 +113,17 @@ def slot_note(what: str, n: int, *parts) -> str:
 
 
 @lru_cache(maxsize=16)
-def _repeated(top: int, width: int, slots: int) -> int:
-    """The byte top at the head of each of `slots` slots of `width` bits."""
-    return int.from_bytes((bytes([top]) + bytes(width // 8 - 1)) * slots, "big")
+def _repeated(head: bytes, width: int, slots: int) -> int:
+    """The bytes head at the top of each of `slots` slots of `width` bits."""
+    return int.from_bytes((head + bytes(width // 8 - len(head))) * slots, "big")
 
 
-def guard_mask(width: int, slots: int) -> int:
-    """The top GUARD_BITS of each of `slots` slots of `width` bits."""
-    return _repeated(0xFF << (8 - GUARD_BITS) & 0xFF, width, slots)
+def guard_mask(width: int, slots: int, bits: int | None = None) -> int:
+    """The top `bits` bits (GUARD_BITS by default) of each of `slots` slots
+    of `width` bits."""
+    full, part = divmod(GUARD_BITS if bits is None else bits, 8)
+    return _repeated(b"\xff" * full + bytes([0xFF << (8 - part) & 0xFF] if part else []),
+                     width, slots)
 
 
 class PackedTerm(NamedTuple):

@@ -3,8 +3,12 @@
 Each verifier computes both sides of an identity by independent routes
 and reports agreement or the first discrepancy.  The sum sides are
 counted by the transfer-matrix sweep; the C and Schur sides are also
-tallied from the enumeration walk their witness lists take, and every
-count is compared with a product expanded by series arithmetic.  Reports
+tallied from the enumeration walk their witness lists take.  The
+product sides with Euler's product as their denominator (D_k's, the
+corollary's, and the theorem's product the Appell limit must equal) are
+never expanded: appell.euler_check multiplies the counted table by
+Euler's product and compares it with the product's numerator, so no
+verifier divides; Schur's product is counted by its knapsack.  Reports
 are deterministic apart from the timing field, and a report never claims a
 pass for a range it did not fully check.  Only a walk is refused past
 ENUM_HARD_LIMIT: the C and Schur walks' ranges come back "aborted", and a
@@ -119,10 +123,15 @@ def _refuse_beyond(n: int) -> None:
 
 
 def verify_overpartition(k: int, n_max: int, m_max: int | None = None) -> VerificationReport:
-    """D_k(m, n) from the sweep vs. the coefficient of a^m q^n in the product,
-    for m <= m_max: by default every a-row a weight n_max holds
-    (appell.max_overline_count), and at least min(n_max, 8).  A slot
-    overflow in the sweep aborts the report, naming the slot width."""
+    """D_k(m, n) from the sweep vs. the coefficient of a^m q^n in the product
+    (-aq; q^k)_inf / (q; q)_inf, for m <= m_max: by default every a-row a
+    weight n_max holds (appell.max_overline_count), and at least
+    min(n_max, 8).  The product's coefficients are never formed:
+    appell.euler_check multiplies each a-row of the table by (q; q)_inf and
+    compares it with the same row of prod (1 + a q^e), e = 1 mod k, and the
+    first differing cell in (n, m) order is the witness.  A slot overflow
+    in the sweep or the numerator aborts the report, naming the slot width;
+    a pass notes the width the check ran in."""
     start = time.perf_counter()
     params = {"k": k}
     rng = {"n_max": n_max, "m_max": min(n_max, 8) if m_max is None else m_max}
@@ -131,16 +140,19 @@ def verify_overpartition(k: int, n_max: int, m_max: int | None = None) -> Verifi
         if m_max is None:  # the bound needs the k and n_max just checked
             rng["m_max"] = max(rng["m_max"], appell.max_overline_count(k, n_max))
         m_max = rng["m_max"]
-        product = appell.theorem_product(k, n_max, m_max)
         table = overpartitions.count_Dk_table(n_max, k, m_max)
+        width, cells = appell.euler_check(
+            table, 1, range(1, n_max + 1, k), f"the D_{k} product's numerator", m_max)
     except (ValueError, packed.SlotOverflowError) as exc:
         return _aborted("overpartition", params, rng, str(exc), start)
-    first = next(((n, m) for n in range(n_max + 1) for m in range(m_max + 1)
-                  if table[m][n] != product.coefficient(m, n)), None)
     witness, notes = None, []
-    if first is not None:
-        n, m = first
-        counts = {"sweep_count": table[m][n], "product_coefficient": product.coefficient(m, n)}
+    if not cells:
+        notes = [f"the sweep's table times (q; q)_inf equals the numerator prod (1 + a q^e),"
+                 f" e = 1 mod {k}, on every a-row m <= {m_max} at every n <= {n_max},"
+                 f" on {width}-bit slots"]
+    else:
+        m, n, count, coefficient = min(cells, key=lambda cell: (cell[1], cell[0]))
+        counts = {"sweep_count": count, "product_coefficient": coefficient}
         if n <= ENUM_HARD_LIMIT:
             # the objects listed at the first difference; their number is the
             # enumeration count, a third count beside the sweep's and the product's
@@ -162,10 +174,15 @@ def verify_corollary(
     k: int, i: int, n_max: int = 200, enum_limit: int = 25
 ) -> VerificationReport:
     """Three-way check B = C = product coefficient up to enum_limit, then
-    two-way DP-vs-product up to n_max.  A slot overflow in B's packed
-    knapsack, the product's packed numerator or the C sweep (the D_k
-    moves, specialized) aborts the report, naming the slot width; a pass
-    notes the knapsack's width and the bound it rests on."""
+    two-way DP-vs-product up to n_max.  The product
+    (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf is never expanded:
+    appell.euler_check multiplies B's table by (q^2; q^2)_inf and compares
+    it with the numerator prod (1 + q^e), e = 2i+1 mod 2k, and its first
+    differing n, with the product's coefficient there, is where B and the
+    product first differ.  A slot overflow in B's packed knapsack, the
+    product's packed numerator or the C sweep (the D_k moves, specialized)
+    aborts the report, naming the slot width; a pass notes the width the
+    check ran in, and the knapsack's width and the bound it rests on."""
     start = time.perf_counter()
     params = {"k": k, "i": i}
     enum_top = min(n_max, enum_limit)
@@ -174,7 +191,8 @@ def verify_corollary(
         partitions.check_params(k, i, n_max=n_max, enum_limit=enum_limit)
         _refuse_beyond(enum_top)
         b_table = partitions.count_B_table(n_max, k, i)
-        product = appell.congruence_product_series(k, i, n_max).coeffs
+        width, cells = appell.euler_check(
+            [b_table], 2, range(2 * i + 1, n_max + 1, 2 * k), f"the B_{{{i},{k}}} product's numerator")
         c_sweep = partitions.count_C_table(enum_top, k, i)
     except (ValueError, packed.SlotOverflowError) as exc:
         return _aborted("corollary", params, rng, str(exc), start)
@@ -184,13 +202,15 @@ def verify_corollary(
         partitions.walk_C_table(enum_top, k, i, alt_phrasing) if alt_phrasing is not None else None
     )
     witness, notes = None, []
+    # the first n where B differs from the product, if any
+    off = {n: coefficient for _, n, _, coefficient in cells}
     # the first disagreement, in this order: B against the product, then C
     # (the walk, then the sweep) against B, then the theorem phrasing
     # against the walk
     for n, count_b in enumerate(b_table):
         enumerated = n <= enum_top
-        if product[n] != count_b:
-            witness = {"n": n, "count_B": count_b, "product_coefficient": product[n]}
+        if n in off:
+            witness = {"n": n, "count_B": count_b, "product_coefficient": off[n]}
         elif enumerated and (c_table[n] != count_b or c_sweep[n] != count_b):
             walked = c_table[n] != count_b
             witness = {
@@ -219,7 +239,10 @@ def verify_corollary(
             notes.append(
                 f"theorem phrasing '{alt_phrasing}' agreed with the corollary phrasing for n <= {enum_top}"
             )
-        notes.append(f"three-way check for n <= {enum_top}; DP-vs-series for n <= {n_max}")
+        notes.append(
+            f"three-way check for n <= {enum_top}; B times (q^2; q^2)_inf equals the numerator"
+            f" prod (1 + q^e), e = {2 * i + 1} mod {2 * k}, at every n <= {n_max},"
+            f" on {width}-bit slots")
         notes += _knapsack_note("B's knapsack", n_max, partitions.b_parts(n_max, k, i))
     return _outcome("corollary", params, rng, witness, start, notes)
 
@@ -310,8 +333,8 @@ def verify_machinery(
     them as they arrive through a window of the last k + 1 terms, so no more
     is kept than the window.  The terms are packed: the closed-product and
     bounded stages compare their rows as integers, the functional equation
-    and the limit steps read them packed, and the limit stage unpacks only
-    its last term, to compare with the theorem's product.  A stage is a
+    and the limit steps read them packed, and the limit stage checks its
+    last term, packed, against the theorem's product.  A stage is a
     generator: it is sent the window once per term until it returns
     (witness or None, notes), or raises
     StabilizationError, or SlotOverflowError from its own sweep, to abort,
@@ -417,7 +440,11 @@ def _closed_product(k: int, q_order: int, j_top: int):
 def _appell_limit(k: int, q_order: int, j_max: int):
     """The certified limit of R_j against the theorem's product.  A settled
     coefficient that changes later is a mismatch found, so it fails with its
-    cell; a limit too short to certify aborts before the first term."""
+    cell; a limit too short to certify aborts before the first term.  The
+    limit R_{j_max} stays packed: appell.euler_check widens its rows,
+    multiplies them by (q; q)_inf and compares them with the numerator
+    prod (1 + a q^e), e = 1 mod k, and the first differing cell, a-degree
+    first, is the witness."""
     appell.require_depth(k, j_max, q_order)
     try:
         for j in range(j_max + 1):
@@ -426,18 +453,14 @@ def _appell_limit(k: int, q_order: int, j_max: int):
                 lim = appell.limit_step(k, j, window[-1], window[-2])
     except appell.StabilizationError as exc:
         return dict(zip(("a_degree", "q_degree"), exc.witness)), [str(exc)]
-    lim = appell.unpack(lim)
-    product = appell.theorem_product(k, q_order)
-    diff = lim.first_difference(product)
-    if diff is not None:
-        m, n = diff
-        return {
-            "a_degree": m,
-            "q_degree": n,
-            "limit": lim.coeffs[m][n],
-            "product": product.coeffs[m][n],
-        }, []
-    return None, [f"every q^d settled by j = d + {k - 1}, through j = {j_max}"]
+    width, cells = appell.euler_check(
+        lim, 1, range(1, q_order + 1, k), f"the D_{k} product's numerator", len(lim.rows) - 1)
+    if cells:
+        m, n, limit, product = cells[0]
+        return {"a_degree": m, "q_degree": n, "limit": limit, "product": product}, []
+    return None, [f"every q^d settled by j = d + {k - 1}, through j = {j_max}",
+                  f"R_{j_max} times (q; q)_inf equals the numerator prod (1 + a q^e),"
+                  f" e = 1 mod {k}, on every a-row at every q^d, d <= {q_order}, on {width}-bit slots"]
 
 
 def _bounded_enumeration(k: int, q_order: int, j_top: int, n_top: int):

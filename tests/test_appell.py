@@ -31,7 +31,7 @@ from qident.overpartitions import count_pj, count_rj, d_witnesses, overpartition
 from qident.packed import PackedTerm, SlotOverflowError, slot_width
 from qident.partitions import _add_part
 from qident.series import (
-    BivariateSeries, Monomial, QSeries, euler_product, pochhammer_inf, specialize,
+    BivariateSeries, Monomial, QSeries, _divide, euler_product, pochhammer_inf, specialize,
 )
 from test_series import divide_row_by_scalar_loop
 
@@ -782,3 +782,112 @@ class TestTheoremProduct:
                 m = max_overline_count(k, q)
                 assert m + k * m * (m - 1) // 2 <= q
                 assert (m + 1) + k * m * (m + 1) // 2 > q
+
+
+def numerator_rows(parts, q_order, a_order):
+    """prod (1 + a q^e) over the range parts, multiplied out factor by
+    factor: its a-rows 0..a_order, or with a_order None its one row at a = 1."""
+    if a_order is None:
+        return pochhammer_inf(Monomial(0, parts.start, 1), parts.step, q_order).coeffs
+    return pochhammer_inf(Monomial(1, parts.start, 1), parts.step, q_order, a_order).coeffs
+
+
+def divided_cells(table, parts, t, a_order):
+    """The cells euler_check must return, read off the product itself: each
+    numerator row divided by (q^t; q^t)_inf (_divide, Euler's product spread
+    to the multiples of t), then, for each a-row where the table differs,
+    (m, first differing n, the table's count, the product's coefficient)."""
+    n = len(table[0]) - 1
+    unit = [0] * (n + 1)
+    for g, c in enumerate(euler_product(n // t).coeffs):
+        unit[t * g] = c
+    cells = []
+    for m, (row, numer) in enumerate(zip(table, numerator_rows(parts, n, a_order))):
+        product = _divide(list(numer), unit)
+        e = next((e for e, (a, b) in enumerate(zip(row, product)) if a != b), None)
+        if e is not None:
+            cells.append((m, e, row[e], product[e]))
+    return cells
+
+
+class TestEulerCheck:
+    # a = 1 and a few a-orders; parts from 1 or past the order, spaced 1 to 10
+    @pytest.mark.parametrize("a_order", [None, 0, 1, 3, 9])
+    def test_numerator_matches_factor_by_factor(self, a_order):
+        for q_order in (0, 1, 2, 7, 30, 101):
+            for f, d in ((1, 1), (1, 2), (1, 5), (3, 4), (9, 10), (200, 1)):
+                parts = range(f, q_order + 1, d)
+                got = appell.product_numerator(parts, q_order, 64, a_order)
+                want = numerator_rows(parts, q_order, a_order)
+                assert packed.read_rows(got) == list(map(list, want)), (q_order, f, d)
+
+    # random tables at n <= 60, right and wrong, with entries up to 2^80,
+    # and some negative: the check's verdict, first cell and product
+    # coefficient are the ones the division of its numerator by Euler's
+    # product gives
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_division(self, data):
+        n, t = data.draw(st.integers(0, 60)), data.draw(st.sampled_from([1, 2]))
+        parts = range(data.draw(st.integers(1, 6)), n + 1, data.draw(st.integers(1, 6)))
+        a_order = data.draw(st.sampled_from([None, 0, 1, 2, 5]))
+        unit = [0] * (n + 1)
+        for g, c in enumerate(euler_product(n // t).coeffs):
+            unit[t * g] = c
+        table = [_divide(list(numer), unit) for numer in numerator_rows(parts, n, a_order)]
+        kind = data.draw(st.sampled_from(["product", "moved", "random", "signed"]))
+        if kind == "moved":
+            for _ in range(data.draw(st.integers(1, 3))):
+                m, e = data.draw(st.integers(0, len(table) - 1)), data.draw(st.integers(0, n))
+                table[m][e] = max(0, table[m][e] + data.draw(st.integers(-3, 3)))
+        elif kind != "product":
+            top = data.draw(st.sampled_from([1, 2**8, 2**80]))
+            low = -top if kind == "signed" else 0
+            table = [data.draw(st.lists(st.integers(low, top), min_size=n + 1, max_size=n + 1))
+                     for _ in table]
+        _, got = appell.euler_check(table, t, parts, "the numerator", a_order)
+        assert got == divided_cells(table, parts, t, a_order)
+        assert kind != "product" or got == []
+
+    def test_a_carry_at_the_right_tables_width_is_caught(self):
+        # W0 is the width the product's own table gets.  Lowered by 1 at q^d
+        # and raised by 2^{W0} at q^{d+1}, the table packs at W0 to the same
+        # integer, but its largest entry widens the check, which fails at d
+        n, parts = 200, range(1, 201, 4)
+        table = list(congruence_product_series(2, 0, n).coeffs)
+        w0, cells = appell.euler_check([table], 2, parts, "B")
+        assert cells == []
+        for d in (0, 57, n - 1):
+            moved = list(table)
+            moved[d] -= 1
+            moved[d + 1] += 1 << w0
+            assert sum(c << w0 * (n - e) for e, c in enumerate(moved)) == sum(
+                c << w0 * (n - e) for e, c in enumerate(table))
+            width, cells = appell.euler_check([moved], 2, parts, "B")
+            assert width > w0
+            assert cells == [(0, d, table[d] - 1, table[d])], d
+
+    @pytest.mark.parametrize("e", [0, 1, 30, 60])
+    def test_a_negative_entry_fails_the_check(self, e):
+        # the product's own a-rows with one entry negative: the check fails
+        # there, and raises nothing
+        table = [list(row) for row in theorem_product(2, 60, 3).coeffs]
+        for m, value in ((0, -1), (2, -table[2][e] - 5)):
+            wrong = [list(row) for row in table]
+            wrong[m][e] = value
+            _, cells = appell.euler_check(wrong, 1, range(1, 61, 2), "D_2", 3)
+            assert cells == [(m, e, value, table[m][e])]
+
+    def test_a_packed_table_reads_as_its_rows(self):
+        # the stream's last term, as it is and bumped at a few cells, checked
+        # packed (widened) and as lists: the same cells, and the same width
+        *_, last = r_terms(2, 62, 60)
+        for cell in ((None, None), (0, 0), (1, 1), (3, 60), (7, 59)):
+            term = last
+            if cell[0] is not None:
+                rows = list(last.rows)
+                rows[cell[0]] += 1 << last.width * (60 - cell[1])
+                term = last._replace(rows=tuple(rows))
+            lists = [list(row) for row in unpack(term).coeffs]
+            assert appell.euler_check(lists, 1, range(1, 61, 2), "D_2", 7)[1] == appell.euler_check(
+                term, 1, range(1, 61, 2), "D_2", 7)[1], cell

@@ -20,6 +20,7 @@ import qident
 from qident import appell, cli, overpartitions, packed, partitions, verify
 from qident.cli import main
 from qident.series import BivariateSeries, QSeries
+import test_frozen_tables
 from test_overpartitions import entries_string, filter_admissible
 
 
@@ -194,9 +195,10 @@ class TestReports:
                 assert len(rep.notes) == 1 and trip in rep.notes[0], rep.notes
 
     def test_numerator_overflow_aborts_the_corollary(self, monkeypatch):
-        # the product's numerator at (2, 0), n = 1000 reaches 32 bits in its
-        # own slots: 40 bits hold it below the guard bits and 32 do not, and
-        # the guard read before it widens names that width
+        # the product's numerator at (2, 0), n = 1000 reaches 32 bits: its
+        # own bound at 40 bits holds it below the guard bits and 32 does not,
+        # and the read against that bound, in the check's wider slots, names
+        # that width
         odd = range(1, 1001, 4)
         assert packed.slot_width(1000, (), odd) == 48
         real = packed.slot_width
@@ -209,12 +211,14 @@ class TestReports:
                              " bits of its 32-bit slots at q_order=1000"]
 
     def test_product_overflow_aborts_the_corollary(self, monkeypatch):
-        # the product's own slots at 8 bits hold counts below 2^5, and
-        # B_{0,2}'s count at n = 16 is 34; B and C keep their widths
-        self.narrowing(monkeypatch, "congruence_product_series", 8)
+        # the product side is its numerator, checked against B's table times
+        # Euler's product: its own bound at 8 bits holds counts below 2^5,
+        # and prod (1 + q^e), e = 1 mod 4, passes that by n = 200, so its
+        # read aborts the report, naming that width; B and C keep theirs
+        self.narrowing(monkeypatch, "euler_check", 8)
         rep = verify.verify_corollary(2, 0, 200, 25)
         assert (rep.status, rep.witness, rep.notes) == ("aborted", None, [
-            "slot overflow: the B_{0,2} product's q^16 coefficient reached the guard bits of"
+            "slot overflow: the B_{0,2} product's numerator reached the guard bits of"
             " its 8-bit slots at q_order=200"])
 
     def test_schur_aborts_on_a_slot_overflow(self, monkeypatch):
@@ -567,29 +571,47 @@ class RouteSlip(NamedTuple):
     calls: dict | None = None
 
 
+def theorems(parts, q_order, width, a_order=None):
+    """The product_numerator calls that build a-rows, the theorem's."""
+    return a_order is not None
+
+
+def corollaries(parts, q_order, width, a_order=None):
+    """The product_numerator calls that build one row at a = 1, the corollary's."""
+    return a_order is None
+
+
 # one row per route a verifier compares, so dropping any row fails
 # test_every_route_has_a_slip; a route may have further rows at other cells
 ROUTE_SLIPS = [
-    RouteSlip("appell.theorem_product", (1, 1), {
+    # the theorem's numerator, one high at a cell: each check that reads it
+    # finds its table's row times (q; q)_inf one short there, so the
+    # product, the numerator divided by (q; q)_inf, is one high
+    RouteSlip("appell.product_numerator", (1, 1), {
         "overpartition": {"n": 1, "m": 1, "sweep_count": 1, "product_coefficient": 2,
                           "enumeration_count": 1, "overpartitions": ["1~"]},
         "machinery/appell-limit": {"a_degree": 1, "q_degree": 1, "limit": 1, "product": 2},
-    }),
-    RouteSlip("appell.theorem_product", (0, 5), {
-        "machinery/appell-limit": {"a_degree": 0, "q_degree": 5, "limit": 7, "product": 8}}),
-    RouteSlip("appell.theorem_product", (2, 9), {
-        "machinery/appell-limit": {"a_degree": 2, "q_degree": 9, "limit": 12, "product": 13}}),
+    }, when=theorems),
+    RouteSlip("appell.product_numerator", (0, 5), {
+        "machinery/appell-limit": {"a_degree": 0, "q_degree": 5, "limit": 7, "product": 8}},
+        when=theorems),
+    RouteSlip("appell.product_numerator", (2, 9), {
+        "machinery/appell-limit": {"a_degree": 2, "q_degree": 9, "limit": 12, "product": 13}},
+        when=theorems),
     RouteSlip("overpartitions.count_Dk_table", (2, 7), {
         "overpartition": {"n": 7, "m": 2, "sweep_count": 5, "product_coefficient": 4}}),
-    RouteSlip("appell.congruence_product_series", (7,), {
-        "corollary": {"n": 7, "count_B": 4, "product_coefficient": 5}}),
-    # the product's division by Euler's product: 1 added to column 20,
-    # (q^40, q^41), lands on its low slot, the odd class's q^41
-    RouteSlip("appell._divide", (20,), {
+    # the corollary's numerator, its one row at a = 1, one high at q^7 and
+    # at q^41, where B is 4 and 1850
+    RouteSlip("appell.product_numerator", (0, 7), {
+        "corollary": {"n": 7, "count_B": 4, "product_coefficient": 5}},
+        when=corollaries),
+    RouteSlip("appell.product_numerator", (0, 41), {
         "corollary": {"n": 41, "count_B": 1850, "product_coefficient": 1851}},
-        when=lambda row, unit: len(row) > 20),
-    # the corollary's 1/(q^2; q^2) puts q^7 at n = 14, and the theorem's
-    # divides the a^0 row first
+        when=corollaries),
+    # Euler's product 2 at q^7, where it is 1: each table times it is one
+    # too high t * 7 past its constant term, so the product reads one short
+    # there, at n = 14 for the corollary's (q^2; q^2) and n = 7 for the
+    # theorem's (q; q)
     RouteSlip("appell.euler_product", (7,), {
         "corollary": {"n": 14, "count_B": 24, "product_coefficient": 23},
         "overpartition": {"n": 7, "m": 0, "sweep_count": 15, "product_coefficient": 14}},
@@ -635,12 +657,6 @@ ROUTE_SLIPS = [
     # every step returns its R_j bumped, and the last is the limit compared
     RouteSlip("appell.limit_step", (2, 9), {
         "machinery/appell-limit": {"a_degree": 2, "q_degree": 9, "limit": 13, "product": 12}}),
-    # the limit R_{j_max}, the one term a stage unpacks on a pass, is off at
-    # a^1 q^3; the closed-product and bounded stages compare packed rows and
-    # unpack only at a mismatch, so they pass
-    RouteSlip("appell.unpack", (1, 3), {
-        "machinery/appell-limit": {"a_degree": 1, "q_degree": 3, "limit": 4, "product": 3},
-    }),
     RouteSlip("appell.pj_series", (2, 7), {
         "machinery/bounded-enumeration": {"series": "P", "j": 4, "m": 2, "n": 7,
                                           "enumeration": 2, "coefficient": 3}},
@@ -679,19 +695,18 @@ ROUTE_SLIPS = [
         when=lambda v, n_max: v == 2),
     # the one slot reader, which every packed route reads through to a
     # table: slot 1 read one high, so B's knapsack, the D_k sweep and the C
-    # sweep count 2 at n = 1, and B is off the product first.  The
-    # closed-product and bounded stages compare their packed rows whole and
-    # read no slot on a pass, so they pass
+    # sweep count 2 at n = 1, and B is off the product first.  The checks
+    # against Euler's product and the machinery's stages compare packed
+    # rows whole and read no slot on a pass, so the machinery passes
     RouteSlip("packed.read_slots", (1,), {
         "overpartition": {"n": 1, "m": 0, "sweep_count": 2, "product_coefficient": 1},
         "corollary": {"n": 1, "count_B": 2, "product_coefficient": 1},
         "schur": {"n": 1, "product_count": 2, "gap_count": 1},
-        "machinery/appell-limit": {"a_degree": 0, "q_degree": 1, "limit": 2, "product": 1},
     }),
     # bit 24 of every widened integer: at n = 60 B widens its knapsack from
-    # 16 to 24 bits, where that bit is the foot of q^59's slot, and the
-    # product its numerator from 16 to 32, where it is 2^24 in q^60's, so
-    # one slip in the shared widening lands on B first, at q^59
+    # 16 to 24 bits, where that bit is the foot of q^59's slot; the check
+    # packs B's table and builds its numerator in their 24-bit slots and
+    # widens neither, so the slip lands on B alone, at q^59
     RouteSlip("packed.widen", (24,), {
         "corollary": {"n": 59, "count_B": 17489, "product_coefficient": 17488}}),
     RouteSlip("partitions.b_witnesses", (0,), {
@@ -755,6 +770,8 @@ UNROUTED = {
     "partitions.format_partition": "the string form of a listed witness",
     "partitions.schur_gap_witnesses": "it only lists a failing witness's objects",
     "appell.functional_equation_step": "the comparison itself",
+    "appell.euler_check": "the comparison itself: its numerator and Euler's product have rows",
+    "appell.unpack": "it reads the cells of two terms already found to differ, for the witness",
     "appell.require_depth": "a precondition: it raises or returns nothing",
     "appell.StabilizationError": "a type",
     "packed.SlotOverflowError": "a type",
@@ -782,7 +799,6 @@ UNCALLED = {
     "partitions.satisfies_schur_gap": "a test oracle: Schur's gap definition",
     "overpartitions.Overpartition.overline_count": "a test oracle: the filters bin objects by it",
     "overpartitions.Overpartition.weight": "a test oracle: the specialization tests read it",
-    "packed.pack_row": "the tests' way to build a packed term by hand, and the layout's own tests",
 }
 
 
@@ -815,13 +831,19 @@ def references(node: ast.AST, local: frozenset = frozenset()) -> Iterator[str]:
         yield from references(child, local)
 
 
+# the product sides' own coefficients, worked out before any route runs:
+# the tables the product routes check against Euler's product
+DK_PRODUCT = appell.theorem_product(2, 60).coeffs
+B_PRODUCT = appell.congruence_product_series(2, 0, 200).coeffs
+
 # every route a verifier compares, as one call at a range where it packs
-# whatever it packs
+# whatever it packs.  A product side is the check: a table times Euler's
+# product against the product's numerator
 ROUTES = {
     "Dk-sweep": lambda: overpartitions.count_Dk_table(60, 2, 8),
-    "Dk-product": lambda: appell.theorem_product(2, 60),
+    "Dk-product": lambda: appell.euler_check(DK_PRODUCT, 1, range(1, 61, 2), "D_2", 7),
     "B": lambda: partitions.count_B_table(200, 2, 0),
-    "B-product": lambda: appell.congruence_product_series(2, 0, 200),
+    "B-product": lambda: appell.euler_check([B_PRODUCT], 2, range(1, 201, 4), "B_{0,2}"),
     "C-walk": lambda: partitions.walk_C_table(30, 2, 0),
     "C-sweep": lambda: partitions.count_C_table(200, 2, 0),
     "C-walk-i1": lambda: partitions.walk_C_table(30, 2, 1),
@@ -860,23 +882,14 @@ WALKER = dict.fromkeys(
 # in the stream's width
 STREAM_WIDTH = {"overpartitions.overpartition_parts": "the parts of the stream's slot bound"}
 PAIRS = {
-    ("Dk-sweep", "Dk-product"): {},
-    # the product reads its packed numerator back in two-slot columns, so
-    # one slip in the reader lands on other coefficients there than in B's
+    ("Dk-sweep", "Dk-product"): FORMAT,
     ("B", "B-product"): {
         **FORMAT,
         "packed.slot_width": "the slot bound: a width too narrow trips each route's own guard read",
-        "packed.widen": "the widening, byte slicing with no arithmetic: B widens its partial"
-                        " products between stages, the product its numerator before the"
-                        " division, at other widths, so one slip lands on other coefficients"
-                        " in each",
-        "packed.read_slots": "the slot reader, which the product runs at twice B's width,"
-                             " one column (q^{2d}, q^{2d+1}) a chunk",
     },
     ("B", "C-walk"): {},
     ("B", "C-sweep"): {**FORMAT, "packed.read_slots":
-                       "the slot reader, which the C walk never runs and the product"
-                       " runs on two-slot columns"},
+                       "the slot reader, which the C walk and the product's check never run"},
     ("C-walk-i1", "thm12-walk"): WALKER,
     ("C-walk", "thm13-walk"): WALKER,
     ("schur-knapsack", "schur-walk"): {},
@@ -885,9 +898,9 @@ PAIRS = {
     ("stream", "closed-product"): {**A_ORDER, **FORMAT, **STREAM_WIDTH},
     ("stream", "bounded-sweep"): {**FORMAT, **STREAM_WIDTH},
     ("pj-stream", "bounded-sweep"): {**FORMAT, **STREAM_WIDTH},
-    ("stream", "Dk-product"): A_ORDER,
-    ("pj", "Dk-product"): {},
-    ("rj", "Dk-product"): {},
+    ("stream", "Dk-product"): FORMAT,
+    ("pj", "Dk-product"): FORMAT,
+    ("rj", "Dk-product"): FORMAT,
 }
 
 
@@ -941,10 +954,11 @@ def entered(route) -> set:
 
 def sharing(left: str, right: str) -> tuple:
     """(unexplained, stale) for a PAIRS row: the functions both routes enter
-    that it does not list, and those it lists that they do not share."""
+    that it does not list, check_params aside, and those it lists that they
+    do not share."""
     shared = entered(ROUTES[left]) & entered(ROUTES[right])
-    allowed = set(map(function, ["partitions.check_params", *PAIRS[left, right]]))
-    return shared - allowed, allowed - shared
+    listed = set(map(function, PAIRS[left, right]))
+    return shared - listed - {function("partitions.check_params")}, listed - shared
 
 
 class TestIndependence:
@@ -955,13 +969,13 @@ class TestIndependence:
         assert sharing(left, right) == (set(), set())
 
     def test_an_unlisted_shared_function_is_reported(self, monkeypatch):
-        real = appell.congruence_product_series
+        real = appell.euler_check
 
-        def also_summing(k, i, q_order):
+        def also_summing(*args):
             partitions._add_part([1, 0], 1)
-            return real(k, i, q_order)
+            return real(*args)
 
-        monkeypatch.setattr(appell, "congruence_product_series", also_summing)
+        monkeypatch.setattr(appell, "euler_check", also_summing)
         assert sharing("B", "B-product") == ({function("partitions._add_part")}, set())
 
     def test_a_collected_generator_is_not_entered(self):
@@ -985,6 +999,17 @@ class TestIndependence:
         arithmetic = {"__add__", "__sub__", "__mul__", "shift", "mul_qseries", "mul_binomial",
                       "invert_unit", "set_a", "conv_trunc", "bivar_mul", "_termwise", "_shifted"}
         assert {f for f, _ in entered(run) if f.rsplit(".", 1)[1] in arithmetic} == set()
+
+    def test_no_verifier_expands_a_product(self):
+        # each product side is checked by multiplying its table by Euler's
+        # product: no verifier expands a product or runs the division
+        def run():
+            verify.verify_all(5)
+            verify.verify_machinery(2, 200, 205, 10, 4, 6)
+            verify.verify_corollary(2, 0, 1000, 8)
+
+        expanding = ["series._divide", "appell.theorem_product", "appell.congruence_product_series"]
+        assert entered(run).isdisjoint(map(function, expanding))
 
     def test_batch_checks_read_the_stream_terms_as_they_are(self):
         # build_R keeps r_terms' own PackedTerms, and the batch checks read
@@ -1235,7 +1260,7 @@ class TestMutations:
         def walked(*args, **kwargs):
             raise AssertionError("an enumeration ran")
 
-        monkeypatch.setattr(appell, "theorem_product", bumped(appell.theorem_product, (0, 60)))
+        monkeypatch.setattr(appell, "product_numerator", bumped(appell.product_numerator, (0, 60)))
         monkeypatch.setattr(overpartitions, "d_witnesses", walked)
         monkeypatch.setattr(overpartitions, "_walk_to", walked)
         rep = verify.verify_overpartition(2, 100)
@@ -1246,16 +1271,17 @@ class TestMutations:
         assert rep.notes == [f"no objects listed: {verify._REFUSED}"]
 
     def test_corollary_reports_product_before_c(self, monkeypatch):
-        # the product and C both differ from B at n = 7: B against the product
-        # is reported; with the product mended, the C sweep against B
-        real_series = appell.congruence_product_series
+        # the product and C both differ from B at n = 7 (the numerator one
+        # high there puts the product one high): B against the product is
+        # reported; with the product mended, the C sweep against B
+        real_numerator = appell.product_numerator
         monkeypatch.setattr(partitions, "count_C_table", bumped(partitions.count_C_table, (7,)))
-        monkeypatch.setattr(appell, "congruence_product_series", bumped(real_series, (7,)))
+        monkeypatch.setattr(appell, "product_numerator", bumped(real_numerator, (0, 7)))
         count_b = partitions.count_B_table(30, 2, 0)[7]
         rep = verify.verify_corollary(2, 0, 30, 12)
         assert (rep.status, rep.notes) == ("fail", [])
         assert rep.witness == {"n": 7, "count_B": count_b, "product_coefficient": count_b + 1}
-        monkeypatch.setattr(appell, "congruence_product_series", real_series)
+        monkeypatch.setattr(appell, "product_numerator", real_numerator)
         rep = verify.verify_corollary(2, 0, 30, 12)
         assert (rep.status, rep.notes) == ("fail", [])
         assert (rep.witness["n"], rep.witness["count_B"], rep.witness["count_C"]) == (
@@ -1417,23 +1443,16 @@ class TestMutations:
     def test_theorem_product_numerator_start_one_late(self, monkeypatch):
         # each factor a q^e adds row m - 1 to row m from one past its least
         # weight: the pair of overlines 1 + 3 is lost, so the product is one
-        # short at a^2 q^4, first in either order; the Appell limit and the
-        # D_2 sweep each catch it there
+        # short at a^2 q^4, first in either order.  No verifier expands the
+        # product (each multiplies its table by Euler's product), so the
+        # frozen table of theorem_product(2, 60) is what catches it
         real = appell.theorem_product(2, 16)
         monkeypatch.setattr(appell, "least_weight", self.one_late_in("theorem_product"))
         slipped = appell.theorem_product(2, 16)
         assert slipped.first_difference(real) == (2, 4)
         assert slipped.coefficient(2, 4) == real.coefficient(2, 4) - 1
-        rep = VERIFIERS["machinery"]()
-        sub = {s.identity: s for s in rep.subreports}["machinery/appell-limit"]
-        assert sub.status == "fail"
-        w = sub.witness
-        assert (w["a_degree"], w["q_degree"], w["product"]) == (2, 4, w["limit"] - 1)
-        assert rep.status == "fail"
-        rep = VERIFIERS["overpartition"]()
-        assert rep.status == "fail"
-        w = rep.witness
-        assert (w["n"], w["m"], w["product_coefficient"]) == (4, 2, w["sweep_count"] - 1)
+        frozen = json.loads(test_frozen_tables.DIGESTS.read_text())["theorem_product(2, 60)"]
+        assert test_frozen_tables.digest(appell.theorem_product(2, 60).coeffs) != frozen
 
 
 class TestCli:
