@@ -1,10 +1,12 @@
 """Mechanical verification of a family of partition and overpartition identities.
 
-Each identity is checked by independent routes: a sweep over the part values
-counts the sum sides with no object built, exact q-series arithmetic (B's
-knapsack, packed products, a q-difference recursion, an Appell-style limit)
-the product sides, and pruned enumeration lists the witnesses and tallies the
-C and Schur walks.  Verifiers report agreement or the first counterexample.
+Each identity is checked by independent routes.  A sweep over the part
+values counts the sum sides with no object built.  A product side over
+Euler's product is checked against its numerator: a counted table (B's
+knapsack, the sweep, or the limit of a q-difference recursion) times Euler's
+product must equal it, so no product is expanded; Schur's product is counted
+by its knapsack.  Pruned enumeration lists the witnesses and tallies the C
+and Schur walks.  Verifiers report agreement or the first counterexample.
 """
 
 from .appell import (

@@ -9,20 +9,17 @@ checks the termwise content of the functional equation
 (1 - x) F = (1 + a x^k q) F(x -> xq) for F = sum_j R_j x^j, expands the
 closed product solution for F, and takes the formal coefficientwise limit
 R_infty, which must reproduce the infinite product
-(-aq; q^k)_inf / (q; q)_inf.  It also expands the corollary family's
-product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf: its finite numerator
-(product_numerator) in the slots its own coefficients need, widened to
-the product's, then both parity classes divided by Euler's product at
-once, so that route shares no algorithm with the B-side knapsack.  Each
-expanded product runs the pentagonal recurrence (series._divide) once:
-theorem_product on the one plain row 1/(q; q)_inf, the corollary's
-product on its packed numerator read back in two-slot columns.  Those
-expansions are the coeffs output and the frozen tables' oracles.  The
-verifiers check each product side the other way round, with euler_check:
-the counted table times Euler's product, a few dozen shifts of one packed
-integer an a-row, against the numerator prod (1 + a q^e), packed, so no
-coefficient of the product is formed.  The R_j stream and the closed
-product are packed too, in one width.
+(-aq; q^k)_inf / (q; q)_inf.  It also expands that product and the
+corollary family's (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf one way
+(_expanded): the finite numerator prod (1 + a q^e) (product_numerator),
+packed in its own slots, each row then divided by Euler's product by the
+pentagonal recurrence (series._divide).  Those expansions are the coeffs
+output and the frozen tables' oracles.  The verifiers check each product
+side the other way round, with euler_check: the counted table times
+Euler's product, a few dozen shifts of one packed integer an a-row,
+against the same numerator, packed, so no coefficient of the product is
+formed.  The R_j stream and the closed product are packed too, in one
+width.
 
 The recursion is a stream: r_terms yields R_0, R_1, ... and keeps only the
 last k terms, and build_R keeps every term it yields.  The functional
@@ -47,12 +44,6 @@ closed form implies: the coefficient of q^e is fixed once j >= e + k - 1.
 Checked between neighbours, that is R_j = R_{j-1} below q^{j-k+1}; the
 windows grow with j, so the agreements chain forward to R_{j_max}.
 pj_series sums P_j on the stream's last k terms.
-
-theorem_product skips what must be zero: by Euler's expansion of
-(-aq; q^k)_inf, row m is zero below the least weight of m overlined parts,
-least_weight(k, m) = m + k m(m-1)/2, so each row's adds start there; the
-frozen tables catch a start one too late.  The packed rows need no such
-start: a row's zero slots below its least weight are its leading zeros.
 """
 
 from __future__ import annotations
@@ -61,7 +52,6 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count, takewhile
-from operator import add
 
 from . import packed
 from .overpartitions import overpartition_parts
@@ -84,7 +74,8 @@ def least_weight(k: int, m: int, lo: int = 1) -> int:
 
     By Euler's expansion of (-aq; q^k)_inf, whose a^m row is
     q^{m + k m(m-1)/2} / (q^k; q^k)_m, row m of every R_j and of the
-    theorem's product is zero below least_weight(k, m).
+    theorem's product is zero below least_weight(k, m); product_numerator's
+    row m starts at least_weight(d, m, f) for the parts f, f + d, ....
     """
     return m * lo + k * m * (m - 1) // 2
 
@@ -330,29 +321,15 @@ def appell_limit(rs: RSequence) -> BivariateSeries:
 
 
 def theorem_product(k: int, q_order: int, a_order: int | None = None) -> BivariateSeries:
-    """The product side (-aq; q^k)_inf / (q; q)_inf of the overpartition identity.
-
-    Row 0 starts as 1/(q; q)_inf, 1 divided by Euler's product by the
-    pentagonal recurrence (_divide), the one division, so 1/(q; q)_inf
-    is never convolved.  The numerator prod (1 + a q^e), e = 1, 1 + k, ...,
-    then multiplies into the a-rows in place, largest e first.  With lo
-    the last e taken, row m - 1 is zero below least_weight(k, m - 1, lo),
-    so a factor adds row m - 1, shifted by e, to row m only from there.
-    Rows are updated from the top a-degree down, so each reads its
-    neighbour before the factor."""
+    """The product side (-aq; q^k)_inf / (q; q)_inf of the overpartition
+    identity, a-rows 0..a_order (by default max_overline_count(k, q_order),
+    past which every row is zero): _expanded on the parts e = 1 mod k.  The
+    coeffs output and the frozen tables' oracle, which no verifier runs
+    (euler_check multiplies instead)."""
     check_params(k, q_order=q_order, a_order=a_order)
     if a_order is None:
         a_order = max_overline_count(k, q_order)
-    n1 = q_order + 1
-    rows = [_divide([1] + [0] * q_order, euler_product(q_order).coeffs)]
-    rows += [[0] * n1 for _ in range(a_order)]
-    lo = n1
-    for e in reversed(range(1, n1, k)):
-        for m in range(a_order, 0, -1):
-            s = least_weight(k, m - 1, lo)
-            if e + s < n1:
-                rows[m][e + s :] = map(add, rows[m][e + s :], rows[m - 1][s : n1 - e])
-        lo = e
+    rows = _expanded(range(1, q_order + 1, k), 1, q_order, a_order, f"the D_{k} product's numerator")
     return BivariateSeries(tuple(map(tuple, rows)))
 
 
@@ -379,59 +356,15 @@ def pj_series(k: int, terms, j: int) -> PackedTerm:
 
 
 def congruence_product_series(k: int, i: int, q_order: int) -> QSeries:
-    """The product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf of the corollary family.
-
-    Expanded from the product itself, sharing no algorithm with the allowed
-    parts that count_B_table's knapsack sums over, so the two are
-    independent routes to B_{i,k}: the coeffs output and the frozen
-    tables' oracle, which no verifier runs (euler_check multiplies instead).
-    The finite numerator prod (1 + q^e) is product_numerator's one row at
-    a = 1.  It runs in its own slots, packed.slot_width's bound on
-    prod (1 + q^e) alone, or w if that is no narrower; w is the bound on
-    the product's own coefficients, which bound the numerator's too.
-    Narrower, its guard bits are read once (numerator_bound), a trip
-    raising SlotOverflowError naming the numerator's width, and each slot
-    is widened to w (packed.widen).
-
-    Read at width 2w, after a zero slot when q_order is even, each chunk is
-    the column (q^{2d}, q^{2d+1}), so both parity classes are divided by
-    Euler's product (q; q)_inf, which is 1/(q^2; q^2)_inf on the exponents
-    of one parity, in one call of _divide.  The recurrence is linear
-    over the integers, so the quotient columns are exact and only the
-    product's coefficients need to fit their slots.  Each column is read
-    back with its low slot signed, so a wrong division still reaches the
-    comparison, and a coefficient at or above 2^{w - GUARD_BITS} raises
-    SlotOverflowError naming the width.  Given up, as in r_terms: were the
-    width wrong by two bits or more, a low slot could pass 2^{w-1} and read
-    negative, and then fail the comparison rather than abort.
-    """
+    """The product (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf of the corollary
+    family, _expanded's one row at a = 1 on the parts e = 2i+1 mod 2k: a
+    route to B_{i,k} sharing no algorithm with count_B_table's knapsack.
+    The coeffs output and the frozen tables' oracle, which no verifier runs
+    (euler_check multiplies instead)."""
     check_params(k, i, q_order=q_order)
-    n = q_order
-    odd = range(2 * i + 1, n + 1, 2 * k)
-    w = packed.slot_width(n, range(2, n + 1, 2), odd)
-    own = min(packed.slot_width(n, (), odd), w)
-    numerator = product_numerator(odd, n, own)
-    (row,) = numerator.rows
-    if own < w:
-        numerator_bound(numerator, own, f"the B_{{{i},{k}}} product's numerator")
-        row = packed.widen(row, own, w, n + 1)
-    cols = n // 2 + 1
-    row <<= w * (2 * cols - 1 - n)
-    quotient = _divide(packed.read_slots(row, 2 * w, cols), euler_product(n // 2).coeffs)
-    low, sign = (1 << w) - 1, 1 << (w - 1)
-    coeffs = []
-    for col in quotient:
-        lo = col & low
-        lo -= (lo & sign) << 1
-        coeffs += ((col - lo) >> w, lo)
-    del coeffs[n + 1 :]
-    top = 1 << (w - packed.GUARD_BITS)
-    if max(coeffs) >= top:
-        e = next(e for e, c in enumerate(coeffs) if c >= top)
-        raise packed.SlotOverflowError(
-            f"slot overflow: the B_{{{i},{k}}} product's q^{e} coefficient reached the guard"
-            f" bits of its {w}-bit slots at q_order={n}")
-    return QSeries(tuple(coeffs))
+    (row,) = _expanded(range(2 * i + 1, q_order + 1, 2 * k), 2, q_order, None,
+                       f"the B_{{{i},{k}}} product's numerator")
+    return QSeries(tuple(row))
 
 
 def product_numerator(parts: range, q_order: int, width: int, a_order: int | None = None) -> PackedTerm:
@@ -486,6 +419,26 @@ def numerator_bound(numerator: PackedTerm, own: int, what: str) -> None:
         raise packed.SlotOverflowError(
             f"slot overflow: {what} reached the guard bits of its {own}-bit slots"
             f" at q_order={numerator.q_order}")
+
+
+def _expanded(parts: range, t: int, q_order: int, a_order: int | None, what: str) -> list:
+    """prod (1 + a q^e) / (q^t; q^t)_inf over the range parts, up to
+    q^{q_order}, as lists, q^0 first: its a-rows 0..a_order, or with a_order
+    None its one row at a = 1.
+
+    The numerator is euler_check's, product_numerator, here in its own
+    packed.slot_width slots and read against that bound (numerator_bound, a
+    trip raising SlotOverflowError naming `what`).  Each of its rows is then
+    divided by Euler's product, placed on every t-th exponent, by the
+    pentagonal recurrence (series._divide) on plain integers, so only the
+    numerator is held in slots.
+    """
+    own = packed.slot_width(q_order, (), parts)
+    numerator = product_numerator(parts, q_order, own, a_order)
+    numerator_bound(numerator, own, what)
+    euler = [0] * (q_order + 1)
+    euler[::t] = euler_product(q_order // t).coeffs
+    return [_divide(row, euler) for row in packed.read_rows(numerator)]
 
 
 def _packed_signs(row, width: int) -> tuple:

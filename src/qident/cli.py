@@ -174,7 +174,8 @@ def golden_cmd(ctx):
 @click.pass_context
 def coeffs_cmd(ctx, side, k, i, n_max):
     """Print a coefficient table for one side of an identity."""
-    _check_i(k, i)
+    if side in ("product", "sum"):  # the D_k product reads no i
+        _check_i(k, i)
     if side == "overpartition-product":
         series = appell.theorem_product(k, n_max)
         rows = [

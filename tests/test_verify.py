@@ -1008,7 +1008,8 @@ class TestIndependence:
             verify.verify_machinery(2, 200, 205, 10, 4, 6)
             verify.verify_corollary(2, 0, 1000, 8)
 
-        expanding = ["series._divide", "appell.theorem_product", "appell.congruence_product_series"]
+        expanding = ["series._divide", "appell.theorem_product", "appell.congruence_product_series",
+                     "appell._expanded"]
         assert entered(run).isdisjoint(map(function, expanding))
 
     def test_batch_checks_read_the_stream_terms_as_they_are(self):
@@ -1440,19 +1441,26 @@ class TestMutations:
 
         return late
 
-    def test_theorem_product_numerator_start_one_late(self, monkeypatch):
-        # each factor a q^e adds row m - 1 to row m from one past its least
-        # weight: the pair of overlines 1 + 3 is lost, so the product is one
-        # short at a^2 q^4, first in either order.  No verifier expands the
+    def test_expansion_slip_changes_the_frozen_digests(self, monkeypatch):
+        # the division one high at q^7 of every row: no verifier expands a
         # product (each multiplies its table by Euler's product), so the
-        # frozen table of theorem_product(2, 60) is what catches it
-        real = appell.theorem_product(2, 16)
-        monkeypatch.setattr(appell, "least_weight", self.one_late_in("theorem_product"))
-        slipped = appell.theorem_product(2, 16)
-        assert slipped.first_difference(real) == (2, 4)
-        assert slipped.coefficient(2, 4) == real.coefficient(2, 4) - 1
-        frozen = json.loads(test_frozen_tables.DIGESTS.read_text())["theorem_product(2, 60)"]
-        assert test_frozen_tables.digest(appell.theorem_product(2, 60).coeffs) != frozen
+        # suite still passes, and the frozen digests of theorem_product(2, 60)
+        # and of B's table at 200, which the corollary's product equals, are
+        # what catch it
+        frozen = json.loads(test_frozen_tables.DIGESTS.read_text())
+        expansions = {
+            "theorem_product(2, 60)": lambda: appell.theorem_product(2, 60).coeffs,
+            "count_B_table(200, 2, 0)": lambda: appell.congruence_product_series(2, 0, 200).coeffs,
+        }
+        for name, expand in expansions.items():
+            assert test_frozen_tables.digest(expand()) == frozen[name]
+        real = appell.congruence_product_series(2, 0, 200)
+        monkeypatch.setattr(appell, "_divide", bumped(appell._divide, (7,)))
+        slipped = appell.congruence_product_series(2, 0, 200)
+        assert slipped.coefficient(7) == real.coefficient(7) + 1
+        for name, expand in expansions.items():
+            assert test_frozen_tables.digest(expand()) != frozen[name], name
+        assert {r.status for r in verify.verify_all(5)} == {"pass"}
 
 
 class TestCli:
@@ -1552,6 +1560,12 @@ class TestCli:
         assert result.exit_code == 0
         rows = {(r["m"], r["n"]): r["coefficient"] for r in json.loads(result.output)}
         assert rows[(1, 1)] == 1
+
+    def test_coeffs_overpartition_product_reads_no_i(self):
+        # --i belongs to the corollary's sides: the D_k product ignores it
+        result = self.run("coeffs", "--side", "overpartition-product", "--k", "2", "--i", "3")
+        assert result.exit_code == 0
+        assert result.output == self.run("coeffs", "--side", "overpartition-product", "--k", "2").output
 
     def test_coeffs_sum_runs_past_the_limit(self):
         # the sum side is the sweep's table, so it runs past ENUM_HARD_LIMIT
