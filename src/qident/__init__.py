@@ -3,9 +3,9 @@
 Each identity is checked by independent routes.  A sweep over the part
 values counts the sum sides with no object built.  A product side over
 Euler's product is checked against its numerator: a counted table (B's
-knapsack, the sweep, or the limit of a q-difference recursion) times Euler's
-product must equal it, so no product is expanded; Schur's product is counted
-by its knapsack.  Pruned enumeration lists the witnesses and tallies the C
+knapsack, the sweep, or the limit of the sweep's bounded-part counts R_j)
+times Euler's product must equal it, so no product is expanded; Schur's
+product is counted by its knapsack.  Pruned enumeration lists the witnesses and tallies the C
 and Schur walks.  Verifiers report agreement or the first counterexample.
 """
 
@@ -16,7 +16,6 @@ from .appell import (
     build_R,
     check_functional_equation,
     congruence_product_series,
-    r_terms,
     theorem_product,
     unpack,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "is_Dk_admissible",
     "partitions_up_to",
     "pochhammer_inf",
-    "r_terms",
     "specialize",
     "specialize_overpartition",
     "theorem_product",

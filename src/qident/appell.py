@@ -1,15 +1,18 @@
 """The generating-function machinery behind the overpartition identity.
 
-This module builds, as executable objects, the sequence R_j(a, q) of
-bounded-part generating functions via its recursion
+R_j(a, q) counts the D_k objects with parts <= j and no overlined value in
+j-k+2..j.  The paper's combinatorial step is that they obey the recursion
 
     R_j = R_{j-1} / (1 - q^j)  +  a q^{j-k+1} R_{j-k} / (1 - q^j),
 
-checks the termwise content of the functional equation
-(1 - x) F = (1 + a x^k q) F(x -> xq) for F = sum_j R_j x^j, expands the
-closed product solution for F, and takes the formal coefficientwise limit
-R_infty, which must reproduce the infinite product
-(-aq; q^k)_inf / (q; q)_inf.  It also expands that product and the
+the termwise content of the functional equation
+(1 - x) F = (1 + a x^k q) F(x -> xq) for F = sum_j R_j x^j.  This module
+never solves that recursion.  R_j is counted once, as the D_k sweep's
+state-k snapshot after value j (overpartitions.dk_sweep; build_R keeps
+them), and the recursion is checked on those counts.  The module also
+expands the closed product solution for F, and takes the formal
+coefficientwise limit R_infty, which must reproduce the infinite product
+(-aq; q^k)_inf / (q; q)_inf.  It expands that product and the
 corollary family's (-q^{2i+1}; q^{2k})_inf / (q^2; q^2)_inf one way
 (_expanded): the finite numerator prod (1 + a q^e) (product_numerator),
 packed in its own slots, each row then divided by Euler's product by the
@@ -18,43 +21,40 @@ output and the frozen tables' oracles.  The verifiers check each product
 side the other way round, with euler_check: the counted table times
 Euler's product, a few dozen shifts of one packed integer an a-row,
 against the same numerator, packed, so no coefficient of the product is
-formed.  The R_j stream and the closed product are packed too, in one
-width.
+formed.
 
-The recursion is a stream: r_terms yields R_0, R_1, ... and keeps only the
-last k terms, and build_R keeps every term it yields.  The functional
-equation and the limit are checked one j at a time (functional_equation_step
-reads R_j, R_{j-1}, R_{j-k}; limit_step reads R_j, R_{j-1}), so a caller
-can check them as the terms arrive; check_functional_equation and
-appell_limit run the same steps over an RSequence's terms as they are.
+The functional equation and the limit are checked one j at a time
+(functional_equation_step reads R_j, R_{j-1}, R_{j-k}; limit_step reads
+R_j, R_{j-1}), so a caller can check them as the sweep's snapshots
+arrive; check_functional_equation and appell_limit run the same steps
+over an RSequence's terms as they are.
 
-The stream's terms are packed (packed.PackedTerm, as the D_k sweep's
-states are), in the width of the D_k counts' bound, the module below's
-overpartition_parts: a-row m of R_j is one integer of unsigned counts,
-q^0 on top, so a row add is one integer add and a shift by q^s a bare
-right shift.  unpack turns a term into a BivariateSeries, as appell_limit
-returns its limit and as the machinery's stages read a differing term.
+The terms are the sweep's packed states (packed.PackedTerm), in the width
+of the D_k counts' bound, the module below's overpartition_parts: a-row m
+of R_j is one integer of unsigned counts, q^0 on top, so a row add is one
+integer add and a shift by q^s a bare right shift.  unpack turns a term
+into a BivariateSeries, as appell_limit returns its limit and as the
+machinery's stages read a differing term.
 
 Euler's two identities give R_j in closed form: its a^d row is
 q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}).  The closed product
-counts each row from that form on packed rows in the stream's width, so a
+counts each row from that form on packed rows in the sweep's width, so a
 caller compares its terms with R_j as integers; it runs its own divisions
-and shares no arithmetic with r_terms.  The limit checks the bound the
+and shares no arithmetic with the sweep.  The limit checks the bound the
 closed form implies: the coefficient of q^e is fixed once j >= e + k - 1.
 Checked between neighbours, that is R_j = R_{j-1} below q^{j-k+1}; the
 windows grow with j, so the agreements chain forward to R_{j_max}.
-pj_series sums P_j on the stream's last k terms.
+pj_series sums P_j on the last k terms.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count, takewhile
 
 from . import packed
-from .overpartitions import overpartition_parts
+from .overpartitions import dk_sweep, overpartition_parts
 from .packed import PackedTerm
 from .partitions import check_params
 from .series import BivariateSeries, QSeries, _divide, euler_product
@@ -100,7 +100,7 @@ def unpack(term: PackedTerm) -> BivariateSeries:
 @dataclass
 class RSequence:
     """terms[j] = R_j(a, q) for j = 0..j_max, at a shared truncation, each
-    the stream's PackedTerm."""
+    the D_k sweep's state-k PackedTerm."""
 
     k: int
     q_order: int
@@ -112,71 +112,18 @@ class RSequence:
         return len(self.terms) - 1
 
 
-def r_terms(k: int, j_max: int, q_order: int) -> Iterator:
-    """Yield R_0..R_{j_max} from the recursion as PackedTerms, R_0 = 1 (with
-    R_j = 0 for -k < j < 0), with a-rows 0..max_overline_count(k, q_order):
-    every row above is zero below the truncation.
-
-    Each term starts from R_{j-1}'s rows; row m gains row m - 1 of R_{j-k}
-    shifted by q^{j-k+1}, then is divided by (1 - q^j) in doubling steps
-    P += q^s P, s = j, 2j, 4j, ... while s <= q_order, the partial products
-    of 1/(1 - q^j) = (1 + q^j)(1 + q^{2j})(1 + q^{4j})...  Each shift drops
-    the slots past q^{q_order}.
-
-    Every value formed while building R_j is at most the matching
-    coefficient of R_j, a count of D_k objects of weight <= q_order (the add
-    step forms (1 - q^j) R_j, each doubling step a partial sum of R_j's
-    series), so under packed.slot_width's bound for
-    overpartition_parts(q_order) no slot reaches its guard bits.  They are
-    read once per term, after the doubling steps, as in _packed_knapsack; a
-    slot holding one raises SlotOverflowError naming j and the lowest a-row
-    holding one.  Given up, as there: were the width wrong by GUARD_BITS
-    bits or more, a carry could clear a guard bit before the read, though a
-    stream so corrupted would still have to agree with routes sharing none
-    of its arithmetic for any stage to pass.  Only the
-    last k terms are kept; the parameters are checked at the call, before
-    the first term.
+def build_R(k: int, j_max: int, q_order: int) -> RSequence:
+    """R_0..R_{j_max}: the D_k sweep's state-k snapshots after the values
+    0..j_max (overpartitions.dk_sweep), at q-order q_order, with a-rows
+    0..max_overline_count(k, q_order): every row above is zero below the
+    truncation.  State k after value j counts the D_k objects with parts
+    <= j and no overlined value in j-k+2..j, which is R_j; no recursion is
+    solved, so the checks below test the recursion on the counted objects.
+    The parameters are checked at the call, before any work.
     """
     check_params(k, j_max=j_max, q_order=q_order)
-    return _r_terms(k, j_max, q_order)
-
-
-def _r_terms(k: int, j_max: int, q_order: int) -> Iterator:
     a_order = max_overline_count(k, q_order)
-    width = packed.slot_width(q_order, *overpartition_parts(q_order))
-    guard = packed.guard_mask(width, q_order + 1)
-
-    one = PackedTerm((1 << width * q_order,) + (0,) * a_order, width, q_order)
-    window = deque([one], maxlen=k)  # R_{j-k}..R_{j-1}
-    yield window[0]
-    for j in range(1, j_max + 1):
-        rows = list(window[-1].rows)
-        s = j - k + 1
-        if j >= k and s <= q_order:
-            # row m gains row m - 1 shifted by q^s; the slots past q^{q_order} fall off
-            bits = width * s
-            for m, low in enumerate(window[0].rows[:a_order], 1):
-                if low:
-                    rows[m] += low >> bits
-        # the doubling steps' shifts: q^s for s = j, 2j, 4j, ... <= q_order
-        steps = [width * j << t for t in range((q_order // j).bit_length())]
-        for m, row in enumerate(rows):
-            if row:
-                for bits in steps:
-                    row += row >> bits
-                rows[m] = row
-        for m, row in enumerate(rows):
-            if row & guard:
-                raise packed.SlotOverflowError(
-                    f"slot overflow: the a^{m} row of R_{j} reached the guard bits of its"
-                    f" {width}-bit slots at q_order={q_order}")
-        window.append(PackedTerm(tuple(rows), width, q_order))
-        yield window[-1]
-
-
-def build_R(k: int, j_max: int, q_order: int) -> RSequence:
-    """R_0..R_{j_max} from r_terms, all kept as they are yielded."""
-    return RSequence(k, q_order, max_overline_count(k, q_order), list(r_terms(k, j_max, q_order)))
+    return RSequence(k, q_order, a_order, [states[k] for states in dk_sweep(q_order, k, a_order, j_max)])
 
 
 def functional_equation_step(k: int, j: int, term, prev, low) -> tuple | None:
@@ -219,8 +166,8 @@ def check_functional_equation(rs: RSequence) -> tuple | None:
 
 def closed_product_F_coefficients(k: int, j_top: int, q_order: int) -> Iterator:
     """Yield the x^0..x^{j_top} coefficients of
-    prod_{t>=0} (1 + a x^k q^{tk+1}) / (1 - x q^t) as PackedTerms, in the R_j
-    stream's width: slot_width for overpartition_parts(q_order).
+    prod_{t>=0} (1 + a x^k q^{tk+1}) / (1 - x q^t) as PackedTerms, in the D_k
+    sweep's width: slot_width for overpartition_parts(q_order).
 
     Euler's two identities expand the product: the a^d row of the x^j
     coefficient is q^{d + k d(d-1)/2} / ((q^k; q^k)_d (q; q)_{j-kd}), zero
@@ -229,15 +176,16 @@ def closed_product_F_coefficients(k: int, j_top: int, q_order: int) -> Iterator:
     each later j divides it by (1 - q^{j-kd}), since row(j, d) =
     row(j-1, d) / (1 - q^{j-kd}).  Each division runs doubling steps
     row += q^s row, s = p, 2p, 4p, ... <= q_order, written here and run by
-    no other route, so the only code it shares with the stream it must
+    no other route, so the only code it shares with the sweep it must
     equal is the packed format and the a-order bound.
 
     Every value formed is at most the matching coefficient of the x^j term,
-    which is R_j's, so the stream's width bounds it.  The guard bits are
+    which is R_j's, so the sweep's width bounds it.  The guard bits are
     read once per j, after its divisions; a slot holding one raises
-    SlotOverflowError naming j and the width.  Given up, as in r_terms: a
-    carry could clear a guard bit before the read were the width wrong by
-    GUARD_BITS bits or more.  The parameters are checked at the call,
+    SlotOverflowError naming j and the width.  Given up: a carry could
+    clear a guard bit before the read were the width wrong by GUARD_BITS
+    bits or more, though a term so corrupted would still have to equal
+    the sweep's for the stage to pass.  The parameters are checked at the call,
     before the first term.
     """
     check_params(k, j_top=j_top, q_order=q_order)
@@ -335,7 +283,7 @@ def theorem_product(k: int, q_order: int, a_order: int | None = None) -> Bivaria
 
 def pj_series(k: int, terms, j: int) -> PackedTerm:
     """P_j built independently as a sum over the largest overline position,
-    from the stream's terms: terms[-1] is R_j and terms[-1 - t] is R_{j-t}.
+    from R_j's terms: terms[-1] is R_j and terms[-1 - t] is R_{j-t}.
 
     An admissible configuration with parts <= j either has no overline above
     j-k+1 (counted by R_j), or its largest overline b lies in
@@ -344,7 +292,7 @@ def pj_series(k: int, terms, j: int) -> PackedTerm:
     Hence P_j = R_j + sum_b a q^b R_{b-1}, which reads only the last k
     terms: row m is R_j's row m plus row m - 1 of each R_{b-1} shifted right
     by q^b, dropping the slots past q^{q_order}.  P_j counts D_k objects, so
-    its slots stay under the stream's bound.
+    its slots stay under the sweep's bound.
     """
     term = terms[-1]
     rows = list(term.rows)
@@ -410,9 +358,9 @@ def numerator_bound(numerator: PackedTerm, own: int, what: str) -> None:
     """Read every slot of numerator, however wide, to be below
     2^{own - GUARD_BITS}, the bound of the own-bit slots packed.slot_width
     gives it; a slot at or past it raises SlotOverflowError naming `what`
-    and the own width.  Given up, as in r_terms: a carry could clear the
-    bits read before the read were the bound wrong by as many bits as are
-    read, GUARD_BITS in own-bit slots and more in wider ones."""
+    and the own width.  Given up, as in the closed product: a carry could
+    clear the bits read before the read were the bound wrong by as many
+    bits as are read, GUARD_BITS in own-bit slots and more in wider ones."""
     width, slots = numerator.width, numerator.q_order + 1
     high = packed.guard_mask(width, slots, width - own + packed.GUARD_BITS)
     if any(row & high or row >> width * slots for row in numerator.rows):

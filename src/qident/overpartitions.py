@@ -10,11 +10,11 @@ D_k is counted by the transfer-matrix sweep (`dk_sweep`, on
 last overlined value, capped at k: `count_Dk_table` reads its last states
 (and `partitions.count_C_table` runs its moves, specialized), and the bounded
 counts its states after each value j, R_j from state k and P_j from them
-all.  Its rows are packed in the R_j stream's width, so the proof
-machinery's bounded stage reads every j off one sweep at the stream's
-q-order and compares the rows as integers; `count_pj` and `count_rj` run
-one sweep to a single j.  Counting enumerates nothing, so
-no weight limit applies to it.
+all.  This sweep is the one place R_j is built: `appell.build_R` keeps its
+state-k snapshots, and the proof machinery (`verify.verify_machinery`)
+runs one sweep to j_max and checks every stage on its snapshots, the rows
+compared as integers; `count_pj` and `count_rj` run one sweep to a single
+j.  Counting enumerates nothing, so no weight limit applies to it.
 
 Witness lists enumerate.  An admissible object is a bitmask over its
 partition's distinct values (bit idx overlines the idx-th largest), and
@@ -236,7 +236,7 @@ def _dk_moves(k: int):
 
 
 def overpartition_parts(q_order: int) -> tuple:
-    """(plain, distinct) parts of the R_j stream's slot bound: every D_k
+    """(plain, distinct) parts of the D_k sweep's slot bound: every D_k
     count, and so every a-row of R_j, is at most the overpartitions'
     (-q; q)_inf / (q; q)_inf."""
     return range(1, q_order + 1), range(1, q_order + 1)
@@ -246,8 +246,9 @@ def dk_sweep(n_max: int, k: int, m_max: int, j_max: int | None = None) -> Iterat
     """The D_k sweep over the values 1..j_max (default n_max), weights
     <= n_max and a-rows 0..m_max.  After value j, state k counts R_j's
     objects (no overlined value in j-k+2..j) and all states P_j's.  Every
-    count is at most an overpartition count, so the rows are packed in the
-    R_j stream's width at q-order n_max."""
+    count is at most an overpartition count, so the rows are packed in
+    slot_width for overpartition_parts(n_max), the closed product's width
+    at q-order n_max."""
     check_params(k, n_max=n_max, m_max=m_max, j_max=j_max)
     width = packed.slot_width(n_max, *overpartition_parts(n_max))
     return sweep(n_max, k, _dk_moves(k), width, j_max, m_max, name=f"the D_{k} sweep")

@@ -2,12 +2,12 @@
 
 A packed row c_0..c_N is sum_s c_s 2^{w (N - s)}: c_0 in the top slot, so a
 shift by s slots is a right shift by w s bits and the slots shifted past
-c_N fall off the bottom.  Five routes pack: the R_j stream, the closed
-product (appell.closed_product_F_coefficients, in the stream's width), the
-transfer-matrix sweep (partitions.sweep), the knapsack's large parts, and
-the check of each product side against Euler's product (appell.euler_check,
-which packs a counted table with pack_row, or widens the stream's last
-term, and builds the product's numerator in the same slots; the expanded
+c_N fall off the bottom.  Four routes pack: the transfer-matrix sweep
+(partitions.sweep, whose D_k states are R_j), the closed product
+(appell.closed_product_F_coefficients, in the D_k sweep's width), the
+knapsack's large parts, and the check of each product side against
+Euler's product (appell.euler_check, which packs a counted table with
+pack_row, or widens the limit R_{j_max}, and builds the product's numerator in the same slots; the expanded
 products build that numerator in its own slots and read it back with
 read_rows).  The counts are unsigned in every slot; only the check's
 differences are signed, and it packs a table's negative entries apart.  w
@@ -16,8 +16,8 @@ guard_mask reads; the check reads its numerator against a narrower bound,
 the top bits of its wider slots.  slot_width takes its x at the parts'
 own saddle point, estimated from their counts (saddle).  The knapsack runs
 narrower than its final counts need while its partial counts allow it,
-then widens each slot (widen).  The stream, the closed product, the sweep
-and the numerator hold a series in a as a PackedTerm, one packed row per
+then widens each slot (widen).  The sweep, the closed product and the
+numerator hold a series in a as a PackedTerm, one packed row per
 a-degree.  Each route keeps its own arithmetic on the packed integers, so
 compared routes share only this format, no kernel.
 """

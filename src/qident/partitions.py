@@ -191,19 +191,23 @@ def sweep(
     sum of its sources, and each doubling step a partial sum of the
     quotient), so while `width` bounds the counts no slot reaches its
     guard bits.  They are read once per v, after every target's
-    arithmetic; a slot holding one raises SlotOverflowError naming the
-    sweep, the value and the width.
+    arithmetic, on each target whose rows were summed or divided at v: a
+    copy of one source's rows, or its shift by whole slots, keeps that
+    source's guard bits clear.  A slot holding one raises
+    SlotOverflowError naming the sweep, the value and the width.
     """
     states = {start: packed.PackedTerm((1 << width * n_max,) + (0,) * a_order, width, n_max)}
     yield states
     guard = packed.guard_mask(width, n_max + 1)
     for v in range(1, (n_max if v_max is None else v_max) + 1):
-        sources = {}
+        sources, formed = {}, set()  # formed: the targets whose rows are summed or divided
         for state, term in states.items():
             rows = term.rows
             for move in moves(v, state):
                 old = sources.get(move)
                 sources[move] = rows if old is None else list(map(add, old, rows))
+                if old is not None:
+                    formed.add(move[1])
         plain, single = sizes(v)
         shift, steps, reached = width * single, None, {}
         for (kind, target), rows in sources.items():
@@ -223,9 +227,11 @@ def sweep(
                 rows = [row >> shift for row in rows]
             old = reached.get(target)
             reached[target] = rows if old is None else list(map(add, old, rows))
+            if kind == ANY or old is not None:
+                formed.add(target)
         states = {}
         for target, rows in reached.items():
-            for m, row in enumerate(rows):
+            for m, row in enumerate(rows if target in formed else ()):
                 if row & guard:
                     raise packed.SlotOverflowError(
                         f"slot overflow: {name}'s a^{m} row reached the guard bits of its"

@@ -17,8 +17,9 @@ D_k witness past it lists no objects.  The sweeps run to any n.
 Every verifier turns bad input (`partitions.check_params`, the rule the
 library functions raise) or a refused range into an `aborted` report, and
 its first witness, or None, into a fail or pass report through `_outcome`.
-`verify_machinery` builds R_j once, as a stream, and runs its four stages
-in one loop over it; each stage returns its first witness, or None.
+`verify_machinery` counts R_j once, as the D_k sweep's state-k snapshots,
+and runs its four stages in one loop over that sweep; each stage returns
+its first witness, or None.
 """
 
 from __future__ import annotations
@@ -322,24 +323,25 @@ def verify_machinery(
     k: int,
     q_order: int = 60,
     j_max: int | None = None,
-    closed_product_j: int = 10,
-    enum_j: int = 10,
-    enum_n: int = 18,
+    closed_product_j: int | None = None,
+    enum_j: int | None = None,
+    enum_n: int | None = None,
 ) -> VerificationReport:
     """Bundle the recursion-level checks into one report, a timed sub-report
-    per stage.
+    per stage, each at full range unless its range is passed:
+    closed_product_j and enum_j default to j_max, and enum_n to q_order.
 
-    R_0..R_{j_max} are built once, by appell.r_terms, and each stage checks
-    them as they arrive through a window of the last k + 1 terms, so no more
-    is kept than the window.  The terms are packed: the closed-product and
-    bounded stages compare their rows as integers, the functional equation
-    and the limit steps read them packed, and the limit stage checks its
-    last term, packed, against the theorem's product.  A stage is a
-    generator: it is sent the window once per term until it returns
-    (witness or None, notes), or raises
-    StabilizationError, or SlotOverflowError from its own sweep, to abort,
-    and its time is the sum of its own steps.  A slot overflow in the
-    stream aborts every stage that has not yet returned.
+    One D_k sweep (overpartitions.dk_sweep) over the values 1..j_max, at
+    weight q_order on every a-row the truncation holds, is R_0..R_{j_max}:
+    its state-k snapshot after value j counts R_j's objects.  Each stage is
+    a generator, sent (window, snapshot) once per value, the window the
+    last k + 1 state-k terms, so no more is kept.  It returns (witness or
+    None, notes), or raises StabilizationError, or SlotOverflowError from
+    its own arithmetic, to abort, and its time is the sum of its own steps.
+    The terms stay packed: the closed-product and bounded stages compare
+    rows as integers, and the functional equation and limit steps read
+    them packed.  A slot overflow in the sweep aborts every stage that has
+    not yet returned.
     """
     start = time.perf_counter()
     if j_max is None:
@@ -354,8 +356,9 @@ def verify_machinery(
         )
     except ValueError as exc:
         return _aborted("machinery", params, rng, str(exc), start)
-    cp_rng = {"j_max": min(closed_product_j, j_max)}
-    enum_rng = {"j_max": min(enum_j, j_max), "n_max": min(enum_n, q_order)}
+    cp_rng = {"j_max": j_max if closed_product_j is None else min(closed_product_j, j_max)}
+    enum_rng = {"j_max": j_max if enum_j is None else min(enum_j, j_max),
+                "n_max": q_order if enum_n is None else min(enum_n, q_order)}
     stages = (
         ("machinery/functional-equation", {"j_max": j_max}, _functional_equation(k, q_order, j_max)),
         ("machinery/closed-product", cp_rng,
@@ -366,10 +369,10 @@ def verify_machinery(
     )
     outcomes, seconds = [None] * len(stages), [0.0] * len(stages)
 
-    def step(n, window):
+    def step(n, sent):
         t0 = time.perf_counter()
         try:
-            stages[n][2].send(window)
+            stages[n][2].send(sent)
         except StopIteration as done:
             outcomes[n] = done.value
         except (appell.StabilizationError, packed.SlotOverflowError) as exc:
@@ -379,16 +382,17 @@ def verify_machinery(
     for n in range(len(stages)):
         step(n, None)  # runs each stage up to its first term
     window = deque(maxlen=k + 1)  # R_{j-k}..R_j
+    a_order = appell.max_overline_count(k, q_order)
     try:
-        for term in appell.r_terms(k, j_max, q_order):
-            window.append(term)
+        for states in overpartitions.dk_sweep(q_order, k, a_order, j_max):
+            window.append(states[k])
             for n, outcome in enumerate(outcomes):
                 if outcome is None:
-                    step(n, window)
+                    step(n, (window, states))
             if None not in outcomes:
                 break
     except packed.SlotOverflowError as exc:
-        # the stream stopped: every stage it had not decided is aborted
+        # the sweep stopped: every stage it had not decided is aborted
         outcomes = [exc if outcome is None else outcome for outcome in outcomes]
     subs = []
     for (name, stage_rng, _), outcome, timing in zip(stages, outcomes, seconds):
@@ -406,12 +410,15 @@ def verify_machinery(
 
 def _functional_equation(k: int, q_order: int, j_max: int):
     """R_j against R_{j-1} + q^j R_j + a q^{j-k+1} R_{j-k}, read from the
-    window, for 1 <= j <= j_max.  The note names the packed terms' slot
-    width and the bound it rests on."""
-    window = yield  # R_0 has no equation
-    notes = [packed.slot_note("R_j's a-rows", q_order, *overpartitions.overpartition_parts(q_order))]
+    window, for 1 <= j <= j_max: the recursion checked on the sweep's
+    counts of R_j's objects.  The notes say so, and name the packed terms'
+    slot width and the bound it rests on."""
+    yield  # R_0 has no equation
+    notes = [f"the recursion is checked on the D_{k} sweep's counts: R_j is its state {k}"
+             f" after value j, the objects with parts <= j and no overlined value above j-{k - 1}",
+             packed.slot_note("R_j's a-rows", q_order, *overpartitions.overpartition_parts(q_order))]
     for j in range(1, j_max + 1):
-        window = yield
+        window, _ = yield
         low = window[0] if j >= k else None
         diff = appell.functional_equation_step(k, j, window[-1], window[-2], low)
         if diff is not None:
@@ -420,16 +427,17 @@ def _functional_equation(k: int, q_order: int, j_max: int):
 
 
 def _closed_product(k: int, q_order: int, j_top: int):
-    """The closed product's x^j coefficients against R_j as each arrives,
-    both packed in the stream's width and compared row by row as integers.
-    Where rows differ, both terms are unpacked, each in its own width (so a
-    narrowed route is compared by value), and their first_difference is the
-    witness cell.  The x^j term is built only once R_j has arrived, so a
-    stream that stops aborts the stage before the closed form runs past it."""
+    """The closed product's x^j coefficients against the sweep's R_j as each
+    arrives, both packed in the sweep's width and compared row by row as
+    integers.  Where rows differ, both terms are unpacked, each in its own
+    width (so a narrowed route is compared by value), and their
+    first_difference is the witness cell.  The x^j term is built only once
+    R_j has arrived, so a sweep that stops aborts the stage before the
+    closed form runs past it."""
     xc = iter(appell.closed_product_F_coefficients(k, j_top, q_order))
     for j in range(j_top + 1):
-        term = (yield)[-1]
-        coeff = next(xc)
+        window, _ = yield
+        term, coeff = window[-1], next(xc)
         if coeff.rows != term.rows:
             cell = appell.unpack(coeff).first_difference(appell.unpack(term))
             if cell is not None:
@@ -448,7 +456,7 @@ def _appell_limit(k: int, q_order: int, j_max: int):
     appell.require_depth(k, j_max, q_order)
     try:
         for j in range(j_max + 1):
-            window = yield
+            window, _ = yield
             if j >= k:
                 lim = appell.limit_step(k, j, window[-1], window[-2])
     except appell.StabilizationError as exc:
@@ -464,35 +472,31 @@ def _appell_limit(k: int, q_order: int, j_max: int):
 
 
 def _bounded_enumeration(k: int, q_order: int, j_top: int, n_top: int):
-    """The counts r_j(m, n), p_j(m, n), read off one D_k sweep after each
-    value j, against the coefficients of R_j, P_j for j <= j_top, n <= n_top
-    and every m the truncation holds; the first mismatch in (j, n, m) order,
-    R before P, is the witness.  The sweep steps with the stream at weight
-    q_order, so its rows are packed in the stream's width; P_j is added up
-    from the window's packed terms.  Every row is shifted down to q^{n_top}
-    and compared as an integer.  Only a j whose rows differ is unpacked
-    (appell.unpack, each term in its own width) to find the witness cell."""
+    """P_j, summed from the window's R_j by its largest overline
+    (appell.pj_series), against the sweep's count p_j(m, n), the total of
+    every state of the same snapshot, for j <= j_top, n <= n_top and every m
+    the truncation holds; the first mismatch in (j, n, m) order is the
+    witness.  The stage reads P_j only: R_j is the sweep's state-k term, so
+    comparing it with the sweep would compare the sweep with itself.  Every
+    row is shifted down to q^{n_top} and compared as an integer.  Only a j
+    whose rows differ is unpacked (appell.unpack) to find the witness cell."""
     m_top = appell.max_overline_count(k, n_top)  # n_top <= q_order: R_j's rows reach m_top
 
     def head(term):  # the rows up to q^{n_top}, as integers
         bits = term.width * (q_order - n_top)
         return [row >> bits for row in term.rows[: m_top + 1]]
 
-    for j, states in enumerate(overpartitions.dk_sweep(q_order, k, m_top, j_top)):
-        window = list((yield))
-        routes = (("R", states[k], window[-1]),
-                  ("P", partitions.state_total(states), appell.pj_series(k, window, j)))
-        if all(head(counts) == head(coeffs) for _, counts, coeffs in routes):
-            continue
-        read = [(series, appell.unpack(counts).coeffs, appell.unpack(coeffs).coeffs)
-                for series, counts, coeffs in routes]
-        for n in range(n_top + 1):
-            for m in range(m_top + 1):
-                for series, counts, coeffs in read:
-                    if counts[m][n] != coeffs[m][n]:
-                        return {"series": series, "j": j, "m": m, "n": n,
-                                "enumeration": counts[m][n], "coefficient": coeffs[m][n]}, []
-    return None, []
+    for j in range(j_top + 1):
+        window, states = yield
+        counts, coeffs = partitions.state_total(states), appell.pj_series(k, list(window), j)
+        if head(counts) != head(coeffs):  # the same width, so some cell differs
+            counts, coeffs = appell.unpack(counts).coeffs, appell.unpack(coeffs).coeffs
+            m, n = next((m, n) for n in range(n_top + 1) for m in range(m_top + 1)
+                        if counts[m][n] != coeffs[m][n])
+            return {"series": "P", "j": j, "m": m, "n": n,
+                    "enumeration": counts[m][n], "coefficient": coeffs[m][n]}, []
+    return None, [f"P_j summed from the sweep's R_j (state {k}) equals every state's total;"
+                  " R_j itself is checked by the other three stages"]
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +584,7 @@ def verify_all(k_max: int = 5) -> list:
     for k in range(2, k_max + 1):
         specs.append((verify_overpartition, (k, 22)))
         specs += [(verify_corollary, (k, i, 200, 25)) for i in range(k)]
-        # the Appell limit needs j_max >= q_order + k, past 65 once k > 5
-        specs.append((verify_machinery, (k, 60, max(65, 60 + k))))
+        # the Appell limit needs j_max >= q_order + k, past 65 once k > 5;
+        # the suite's cells keep their stage ranges, (10) and (10, 18)
+        specs.append((verify_machinery, (k, 60, max(65, 60 + k), 10, 10, 18)))
     return [fn(*args) for fn, args in specs]

@@ -2,7 +2,6 @@
 
 import re
 from functools import lru_cache
-from itertools import islice
 from operator import add
 
 import pytest
@@ -22,12 +21,11 @@ from qident.appell import (
     limit_step,
     max_overline_count,
     pj_series,
-    r_terms,
     RSequence,
     theorem_product,
     unpack,
 )
-from qident.overpartitions import count_pj, count_rj, d_witnesses, overpartition_parts
+from qident.overpartitions import count_pj, count_rj, d_witnesses, dk_sweep, overpartition_parts
 from qident.packed import PackedTerm, SlotOverflowError, slot_width
 from qident.partitions import _add_part
 from qident.series import (
@@ -36,10 +34,10 @@ from qident.series import (
 from test_series import divide_row_by_scalar_loop
 
 
-# Oracles: the series-arithmetic formulations that build_R replaced with
-# packed-row running sums and closed_product_F_coefficients with Euler's
-# closed form, the recursion on whole coefficient lists that r_terms
-# replaced with packed rows, the closed form's rows built from scratch at
+# Oracles: the recursion as series arithmetic and on whole coefficient
+# lists, which the D_k sweep's counts that build_R keeps must obey, the
+# series-arithmetic formulation that closed_product_F_coefficients
+# replaced with Euler's closed form, the closed form's rows built from scratch at
 # each j and then as one running list per a-degree, which
 # closed_product_F_coefficients replaced with packed running rows, and the
 # factor-by-factor products that the expanded products must equal.
@@ -84,7 +82,7 @@ def r_terms_full_rows(k, j_max, q_order, a_order):
 def first_past_the_bound(terms, width, guard_bits):
     """(j, a-degree) of the first R_j among terms with a coefficient at or
     above 2^{width - guard_bits}, the a-degree the lowest row holding one,
-    or None: where the stream's guard read must trip, read off the values."""
+    or None: where the sweep's guard read must trip, read off the values."""
     top = 1 << (width - guard_bits)
     for j, term in enumerate(terms):
         for m, row in enumerate(term.coeffs):
@@ -198,7 +196,7 @@ def closed_product(k, j_top, q_order):
 
 def packed_term(series: BivariateSeries, width: int) -> PackedTerm:
     """series with each a-row packed in `width`-bit slots, q^0 on top, as
-    the stream's terms are: the way a test builds a term by hand."""
+    the sweep's terms are: the way a test builds a term by hand."""
     return PackedTerm(tuple(packed.pack_row(row, width) for row in series.coeffs),
                       width, series.q_order)
 
@@ -266,7 +264,8 @@ class TestRunningSumsMatchOracles:
     @example(2, 30, 34)
     @settings(max_examples=80, deadline=None)
     def test_build_R(self, k, q_order, j_max):
-        # build_R keeps the packed stream's terms
+        # build_R keeps the D_k sweep's packed state-k terms: the counted
+        # objects obey the recursion
         rs = build_R(k, j_max, q_order)
         assert rs.a_order == max_overline_count(k, q_order)
         terms = [unpack(t) for t in rs.terms]
@@ -294,15 +293,15 @@ class TestLeastWeight:
                 for lo in (1, 2, 7):
                     assert least_weight(k, m, lo) == sum(lo + t * k for t in range(m))
 
-    # a_order: the oracle's a-rows, at r_terms' bound, none above a^0, one
-    # row, and rows past the truncation.  r_terms' rows, cut to the oracle's
+    # a_order: the oracle's a-rows, at build_R's bound, none above a^0, one
+    # row, and rows past the truncation.  build_R's rows, cut to the oracle's
     # or padded with zero rows, equal them: a lower a-order truncates each
     # term to its low rows, and every row above the bound is zero
     @pytest.mark.parametrize("a_order", [None, 0, 1, 30])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_r_terms_match_full_rows(self, k, a_order):
         for q_order in range(61):
-            terms = [unpack(t) for t in r_terms(k, q_order + k, q_order)]
+            terms = [unpack(t) for t in build_R(k, q_order + k, q_order).terms]
             rows = max_overline_count(k, q_order) if a_order is None else a_order
             zero_rows = ((0,) * (q_order + 1),) * rows
             want = r_terms_full_rows(k, q_order + k, q_order, rows)
@@ -346,7 +345,7 @@ class TestPackedRows:
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_largest_coefficient_has_three_guard_bits(self, k):
-        *_, last = r_terms(k, 500 + k, 500)
+        *_, last = build_R(k, 500 + k, 500).terms
         top = max(max(row) for row in unpack(last).coeffs)
         assert top.bit_length() <= last.width - 3 == 101
         # R_{j_max} is settled: its a^0 row is p(n) at n = 500
@@ -376,13 +375,12 @@ class TestPackedRows:
         # 8-bit slots hold values below 2^5 = 32: R_2's a^0 row is at most
         # 31, at q^60, and R_3's passes 31 in its division by 1 - q^3
         monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(): 8)
-        terms = r_terms(2, 62, 60)
-        assert max(max(row) for row in unpack(list(islice(terms, 3))[-1]).coeffs) == 31
-        with pytest.raises(SlotOverflowError, match=r"a\^0 row of R_3 .* 8-bit slots"):
-            next(terms)
+        assert max(max(row) for row in unpack(build_R(2, 2, 60).terms[-1]).coeffs) == 31
+        with pytest.raises(SlotOverflowError, match=r"D_2 sweep's a\^0 row .* 8-bit slots at v=3,"):
+            build_R(2, 62, 60)
 
-    # the guard is read once per term, after its doubling steps: for
-    # G = packed.GUARD_BITS = 3, and for 2 and 4 guard bits, the stream must
+    # the guard is read once per value, after its doubling steps: for
+    # G = packed.GUARD_BITS = 3, and for 2 and 4 guard bits, the sweep must
     # trip at the first R_j with a value at or past 2^{w-G}, name the lowest
     # a-row holding one, and yield every term before it exactly
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -397,10 +395,11 @@ class TestPackedRows:
                 want = first_past_the_bound(full, width, guard_bits)
                 got, yielded = None, []
                 try:
-                    for term in r_terms(k, q_order + k, q_order):
-                        yielded.append(unpack(term))
+                    a_order = max_overline_count(k, q_order)
+                    for states in dk_sweep(q_order, k, a_order, q_order + k):
+                        yielded.append(unpack(states[k]))
                 except SlotOverflowError as exc:
-                    m, j = map(int, re.search(r"a\^(\d+) row of R_(\d+) ", str(exc)).groups())
+                    m, j = map(int, re.search(r"a\^(\d+) row .* at v=(\d+),", str(exc)).groups())
                     got = j, m
                 assert got == want, (guard_bits, q_order)
                 assert yielded == full[: want[0] if want else None], (guard_bits, q_order)
@@ -513,11 +512,11 @@ class TestFunctionalEquation:
         assert check_functional_equation(rs) == witness
 
     def test_step_reads_the_stream_terms(self):
-        terms = list(r_terms(3, 14, 10))
+        terms = build_R(3, 14, 10).terms
         for j in range(1, 15):
             low = terms[j - 3] if j >= 3 else None
             assert functional_equation_step(3, j, terms[j], terms[j - 1], low) is None
-        # R_9's a^1 row bumped at q^0 and at q^10, packed with the stream's width
+        # R_9's a^1 row bumped at q^0 and at q^10, packed with the sweep's width
         for n in (0, 10):
             rs = perturbed(RSequence(3, 10, 2, terms), 9, 1, n, 1)
             assert functional_equation_step(3, 9, rs.terms[9], terms[8], terms[6]) == (1, n)
@@ -552,7 +551,7 @@ class TestClosedProduct:
     def test_terms_are_in_the_stream_width(self, k, q_order):
         width = slot_width(q_order, *overpartition_parts(q_order))
         for term, stream in zip(closed_product_F_coefficients(k, q_order + k, q_order),
-                                r_terms(k, q_order + k, q_order)):
+                                build_R(k, q_order + k, q_order).terms):
             assert (term.width, term.q_order) == (width, q_order)
             assert term.rows == stream.rows
 
@@ -664,7 +663,7 @@ class TestAppellLimit:
     @pytest.mark.parametrize("delta", [1, -1])
     @pytest.mark.parametrize("n", [0, 10])
     def test_witness_at_the_end_slots(self, n, delta):
-        terms = list(r_terms(2, 14, 10))
+        terms = build_R(2, 14, 10).terms
         term = perturbed(RSequence(2, 10, 3, terms), 13, 2, n, 1).terms[13]
         pair = (terms[13], term) if delta == 1 else (term, terms[13])
         with pytest.raises(StabilizationError) as exc:
@@ -683,7 +682,7 @@ class TestAppellLimit:
 class TestPjSeries:
     def test_matches_enumeration(self):
         for k in (2, 3):
-            terms = list(r_terms(k, 8, 10))
+            terms = build_R(k, 8, 10).terms
             for j in range(9):
                 pj = unpack(pj_series(k, terms[: j + 1], j))
                 for m in range(min(3, pj.a_order) + 1):
@@ -692,7 +691,7 @@ class TestPjSeries:
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_reads_only_the_last_k_terms(self, k):
-        terms = list(r_terms(k, 2 * k, 12))
+        terms = build_R(k, 2 * k, 12).terms
         for j in range(2 * k + 1):
             last_k = terms[max(0, j - k + 1): j + 1]
             assert pj_series(k, last_k, j) == pj_series(k, terms[: j + 1], j)
@@ -878,9 +877,9 @@ class TestEulerCheck:
             assert cells == [(m, e, value, table[m][e])]
 
     def test_a_packed_table_reads_as_its_rows(self):
-        # the stream's last term, as it is and bumped at a few cells, checked
-        # packed (widened) and as lists: the same cells, and the same width
-        *_, last = r_terms(2, 62, 60)
+        # R_62's term, as it is and bumped at a few cells, checked packed
+        # (widened) and as lists: the same cells, and the same width
+        *_, last = build_R(2, 62, 60).terms
         for cell in ((None, None), (0, 0), (1, 1), (3, 60), (7, 59)):
             term = last
             if cell[0] is not None:

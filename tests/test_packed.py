@@ -8,7 +8,7 @@ from qident import appell, overpartitions, packed, partitions, verify
 
 
 def stream(n):
-    *_, last = appell.r_terms(2, n + 2, n)
+    *_, last = appell.build_R(2, n + 2, n).terms
     return appell.unpack(last).coeffs, overpartitions.overpartition_parts(n)
 
 

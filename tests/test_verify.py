@@ -57,9 +57,9 @@ class TestReports:
         assert sum(s.timing for s in rep.subreports) <= rep.timing
 
     def test_machinery_keeps_a_window_of_terms(self):
-        # R_j streams through the stages: k + 1 terms, the closed product's
-        # running rows and the bounded stage's R_0..R_4 are alive at most;
-        # keeping every R_j to j = 205 peaked at 12.5 MB
+        # R_j streams through the stages: k + 1 terms, the sweep's states and
+        # the closed product's running rows are alive at most; keeping every
+        # R_j to j = 205 peaked at 12.5 MB
         tracemalloc.start()
         try:
             rep = verify.verify_machinery(2, 200, 205, 10, 4, 6)
@@ -69,6 +69,19 @@ class TestReports:
         assert rep.status == "pass"
         assert peak <= 2 * 2**20
 
+    @pytest.mark.parametrize("k, q_order", [(2, 12), (3, 20)])
+    def test_machinery_stages_run_to_full_range_by_default(self, k, q_order):
+        # the closed-product and bounded stages run to j_max and the bounded
+        # stage to the q-order too, unless a range is passed, as the suite does
+        rep = verify.verify_machinery(k, q_order)
+        top = q_order + k
+        assert rep.passed
+        assert [s.range for s in rep.subreports] == [
+            {"j_max": top}, {"j_max": top}, {"q_order": q_order}, {"j_max": top, "n_max": q_order}]
+        cells = [r for r in verify.verify_all(3) if r.identity == "machinery"]
+        assert [[s.range for s in r.subreports] for r in cells] == [
+            [{"j_max": 65}, {"j_max": 10}, {"q_order": 60}, {"j_max": 10, "n_max": 18}]] * 2
+
     def test_machinery_default_j_max_covers_large_k(self):
         # the limit needs j_max >= q_order + k to check every q^d settled
         rep = verify.verify_machinery(7, 30)
@@ -76,19 +89,15 @@ class TestReports:
         assert rep.status == "pass"
 
     def test_machinery_aborts_on_a_slot_overflow(self, monkeypatch):
-        # 8-bit slots are too narrow at q-order 60: R_3's a^0 row reaches the
-        # guard bits, and every stage that had not decided aborts, naming it.
-        # The bounded stage's sweep, one value ahead of the stream, trips
-        # first at v = 3 and aborts that stage alone, naming the sweep
+        # 8-bit slots are too narrow at q-order 60: the one D_2 sweep trips at
+        # v = 3, where R_3's a^0 row passes 31, before any stage reads R_3,
+        # and every stage aborts, naming the sweep
         monkeypatch.setattr(packed, "slot_width", lambda n, plain, distinct=(): 8)
         rep = verify.verify_machinery(2, 60)
         assert rep.status == "aborted"
-        assert {s.status for s in rep.subreports} == {"aborted"}
-        *streamed, bounded = rep.subreports
-        for sub in streamed:
-            assert any("a^0 row of R_3" in note for note in sub.notes), sub.notes
-        assert bounded.notes == ["aborted: slot overflow: the D_2 sweep's a^0 row reached"
-                                 " the guard bits of its 8-bit slots at v=3, n_max=60"]
+        assert [(s.status, s.notes) for s in rep.subreports] == [("aborted", [
+            "aborted: slot overflow: the D_2 sweep's a^0 row reached the guard bits of its"
+            " 8-bit slots at v=3, n_max=60"])] * 4
 
     @staticmethod
     def narrowing(monkeypatch, caller, width):
@@ -101,9 +110,9 @@ class TestReports:
 
         monkeypatch.setattr(packed, "slot_width", slot_width)
 
-    # each sweep in 8-bit slots, which hold counts below 2^5: the report, or
-    # the bounded stage alone, is aborted, and the note names the sweep and
-    # its width; the other routes keep their widths
+    # each sweep in 8-bit slots, which hold counts below 2^5: the report is
+    # aborted, and the note names the sweep and its width; the other routes
+    # keep their widths
     @pytest.mark.parametrize("caller, call, note", [
         ("dk_sweep", lambda: verify.verify_overpartition(2, 22),
          "the D_2 sweep's a^0 row reached the guard bits of its 8-bit slots at v=3, n_max=22"),
@@ -120,20 +129,24 @@ class TestReports:
         rep = call()
         assert (rep.status, rep.witness, rep.notes) == ("aborted", None, [f"slot overflow: {note}"])
 
-    def test_sweep_overflow_aborts_the_bounded_stage_alone(self, monkeypatch):
-        # the stream keeps its width, so the other three stages pass
+    def test_sweep_overflow_aborts_the_undecided_stages(self, monkeypatch):
+        # the sweep alone in 8-bit slots trips at v = 3: the closed-product
+        # and bounded stages, to j = 2, have passed by then, and the two
+        # stages that run to j_max abort, naming the sweep
         self.narrowing(monkeypatch, "dk_sweep", 8)
-        rep = verify.verify_machinery(2, 60, enum_j=62, enum_n=60)
+        rep = verify.verify_machinery(2, 60, closed_product_j=2, enum_j=2)
         assert rep.status == "aborted"
-        *streamed, bounded = rep.subreports
-        assert {s.status for s in streamed} == {"pass"}
-        assert (bounded.status, bounded.witness, bounded.notes) == ("aborted", None, [
-            "aborted: slot overflow: the D_2 sweep's a^0 row reached the guard bits of its"
-            " 8-bit slots at v=3, n_max=60"])
+        assert [(s.identity, s.status) for s in rep.subreports] == [
+            ("machinery/functional-equation", "aborted"), ("machinery/closed-product", "pass"),
+            ("machinery/appell-limit", "aborted"), ("machinery/bounded-enumeration", "pass")]
+        for sub in rep.subreports[::2]:
+            assert (sub.witness, sub.notes) == (None, [
+                "aborted: slot overflow: the D_2 sweep's a^0 row reached the guard bits of its"
+                " 8-bit slots at v=3, n_max=60"])
 
     def test_closed_product_overflow_aborts_its_stage_alone(self, monkeypatch):
         # the closed form in 8-bit slots, which hold counts below 2^5: its
-        # x^3 term's a^0 row reaches 331 at q^60.  The stream keeps its
+        # x^3 term's a^0 row reaches 331 at q^60.  The sweep keeps its
         # width, so the terms before x^3 are read slot by slot and agree,
         # and the other three stages pass
         self.narrowing(monkeypatch, "_closed_product_terms", 8)
@@ -146,7 +159,7 @@ class TestReports:
         assert {s.status for s in sub.values()} == {"pass"}
 
     def test_closed_product_at_every_j_keeps_no_lists(self):
-        # the closed form is packed in the stream's width and compared as
+        # the closed form is packed in the sweep's width and compared as
         # integers: when each R_j was unpacked against tuple rows, the stage
         # at every j to q-order 200 peaked at 10.1 MB
         tracemalloc.start()
@@ -310,7 +323,6 @@ class TestReports:
         (lambda: appell.build_R(1, 5, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.build_R(2, -1, 8), lambda: verify.verify_machinery(2, 8, -1)),
         (lambda: appell.build_R(2, 5, -1), lambda: verify.verify_machinery(2, -1)),
-        (lambda: appell.r_terms(1, 5, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.closed_product_F_coefficients(1, 4, 8), lambda: verify.verify_machinery(1)),
         (lambda: appell.closed_product_F_coefficients(2, 3, -1), lambda: verify.verify_machinery(2, -1)),
         (lambda: appell.theorem_product(1, 8), lambda: verify.verify_overpartition(1, 5)),
@@ -328,7 +340,7 @@ class TestReports:
     ], ids=[
         "count_B_table-k", "count_B_table-i", "count_B_table-n_max", "partitions_up_to-n_max",
         "tally-n_max",
-        "build_R-k", "build_R-j_max", "build_R-q_order", "r_terms-k",
+        "build_R-k", "build_R-j_max", "build_R-q_order",
         "closed_product-k",
         "closed_product-q_order", "theorem_product-k", "theorem_product-q_order",
         "theorem_product-a_order", "dk_sweep-k", "dk_sweep-n_max", "dk_sweep-j_max",
@@ -490,8 +502,8 @@ def bumped(real, at, when=None):
 
     at is a path of indices into the output: n into a count list or a
     QSeries, (m, n) into a row matrix, a BivariateSeries or a packed R_j,
-    (j, m, n) into the stream of R_j terms or the closed product's x^j
-    terms, (j, state, m, n) into a sweep's snapshots (an iterator is read
+    (j, m, n) into the closed product's x^j terms, (j, state, m, n) into
+    a sweep's snapshots (state k of the D_k sweep's is R_j) (an iterator is read
     into a list first), t into the sweep's doubling steps, and (bit,) into
     a packed integer.  A path that ends at an object, not a count, drops
     that object from its list.  Each level on the path is copied, so no row that
@@ -629,25 +641,6 @@ ROUTE_SLIPS = [
         "schur": {"n": 5, "product_count": 2, "gap_count": 3}}),
     RouteSlip("partitions.count_schur_gap_table", (5,), {
         "schur": {"n": 5, "product_count": 2, "sweep_count": 3}}),
-    # R_6 off at a^1 q^3, settled since j = 4 and inside every stage's range
-    RouteSlip("appell.r_terms", (6, 1, 3), {
-        "machinery/functional-equation": {"j": 6, "a_degree": 1, "q_degree": 3},
-        "machinery/closed-product": {"j": 6, "a_degree": 1, "q_degree": 3},
-        "machinery/appell-limit": {"a_degree": 1, "q_degree": 3},
-        "machinery/bounded-enumeration": {"series": "R", "j": 6, "m": 1, "n": 3},
-    }),
-    # R_14 off at a q^15: past the closed-product and bounded stages' heads
-    # (j <= 6), and at or above q^{j-k+1} in both limit steps that read R_14
-    # (j = 14, 15), so the functional equation alone sees it
-    RouteSlip("appell.r_terms", (14, 1, 15), {
-        "machinery/functional-equation": {"j": 14, "a_degree": 1, "q_degree": 15}}),
-    # a q^5 settles by j = 6, so R_6 off there also fails the limit; the
-    # closed-product and bounded stages stop below j = 6
-    RouteSlip("appell.r_terms", (6, 1, 5), {
-        "machinery/functional-equation": {"j": 6, "a_degree": 1, "q_degree": 5},
-        "machinery/appell-limit": {"a_degree": 1, "q_degree": 5}},
-        calls={"machinery": lambda: verify.verify_machinery(
-            2, 16, 20, closed_product_j=4, enum_j=3, enum_n=8)}),
     RouteSlip("appell.closed_product_F_coefficients", (3, 1, 5), {
         "machinery/closed-product": {"j": 3, "a_degree": 1, "q_degree": 5}}),
     RouteSlip("appell.closed_product_F_coefficients", (0, 1, 2), {
@@ -670,10 +663,14 @@ ROUTE_SLIPS = [
         "machinery/bounded-enumeration": {"series": "P", "j": 3, "m": 1, "n": 10,
                                           "enumeration": 9, "coefficient": 10}},
         when=lambda k, terms, j: j == 3),
-    # the snapshot after value 3, in state k = 2: R_3 (and so P_3) off
+    # the snapshot after value 3, in state k = 2: R_3 off at a q^5.  P_3 is
+    # summed from the same R_3, so the bounded stage sees it at j = 4, where
+    # P_4 takes R_3 shifted by a q^4 and the sweep's own states do not
     RouteSlip("overpartitions.dk_sweep", (3, 2, 1, 5), {
-        "machinery/bounded-enumeration": {"series": "R", "j": 3, "m": 1, "n": 5,
-                                          "enumeration": 4, "coefficient": 3}}),
+        "machinery/functional-equation": {"j": 3, "a_degree": 1, "q_degree": 5},
+        "machinery/closed-product": {"j": 3, "a_degree": 1, "q_degree": 5},
+        "machinery/bounded-enumeration": {"series": "P", "j": 4, "m": 2, "n": 9,
+                                          "enumeration": 3, "coefficient": 4}}),
     # the snapshots after values 4 and 55, in state 1: P alone off, the
     # second past the enumeration limit
     RouteSlip("overpartitions.dk_sweep", (4, 1, 2, 7), {
@@ -683,15 +680,37 @@ ROUTE_SLIPS = [
         "machinery/bounded-enumeration": {"series": "P", "j": 55, "m": 3, "n": 50,
                                           "enumeration": 363170, "coefficient": 363169}},
         calls={"machinery": lambda: verify.verify_machinery(2, 60, enum_j=62, enum_n=60)}),
+    # R_6 off at a^1 q^3, settled since j = 4: the bounded stage, to j = 6,
+    # sums P_6 from the same R_6 and passes
+    RouteSlip("overpartitions.dk_sweep", (6, 2, 1, 3), {
+        "machinery/functional-equation": {"j": 6, "a_degree": 1, "q_degree": 3},
+        "machinery/closed-product": {"j": 6, "a_degree": 1, "q_degree": 3},
+        "machinery/appell-limit": {"a_degree": 1, "q_degree": 3},
+    }),
+    # R_14 off at a q^15: past the closed-product and bounded stages' heads
+    # (j <= 6), and at or above q^{j-k+1} in both limit steps that read R_14
+    # (j = 14, 15), so the functional equation alone sees it
+    RouteSlip("overpartitions.dk_sweep", (14, 2, 1, 15), {
+        "machinery/functional-equation": {"j": 14, "a_degree": 1, "q_degree": 15}}),
+    # a q^5 settles by j = 6, so R_6 off there also fails the limit; the
+    # closed-product and bounded stages stop below j = 6
+    RouteSlip("overpartitions.dk_sweep", (6, 2, 1, 5), {
+        "machinery/functional-equation": {"j": 6, "a_degree": 1, "q_degree": 5},
+        "machinery/appell-limit": {"a_degree": 1, "q_degree": 5}},
+        calls={"machinery": lambda: verify.verify_machinery(
+            2, 16, 20, closed_product_j=4, enum_j=3, enum_n=8)}),
     RouteSlip("partitions.state_total", (2, 7), {
         "machinery/bounded-enumeration": {"series": "P", "j": 0, "m": 2, "n": 7}}),
     # the sweep's division by 1 - q^2 with its first doubling step one slot
     # too far, q^3 for q^2: each sweep first falls short at q^2, where the
-    # part 2 is lost
+    # part 2 is lost.  R_2 is short there, so the recursion, the closed form
+    # and the limit see it; P_2 is summed from the same R_2 and the bounded
+    # stage passes
     RouteSlip("partitions._doublings", (0,), {
         "overpartition": {"n": 2, "m": 0, "sweep_count": 1, "product_coefficient": 2},
-        "machinery/bounded-enumeration": {"series": "R", "j": 2, "m": 0, "n": 2,
-                                          "enumeration": 1, "coefficient": 2}},
+        "machinery/functional-equation": {"j": 2, "a_degree": 0, "q_degree": 2},
+        "machinery/closed-product": {"j": 2, "a_degree": 0, "q_degree": 2},
+        "machinery/appell-limit": {"a_degree": 0, "q_degree": 2, "limit": 1, "product": 2}},
         when=lambda v, n_max: v == 2),
     # the one slot reader, which every packed route reads through to a
     # table: slot 1 read one high, so B's knapsack, the D_k sweep and the C
@@ -852,9 +871,10 @@ ROUTES = {
     "schur-knapsack": lambda: partitions.count_schur_product_table(45),
     "schur-walk": lambda: partitions.walk_schur_gap_table(45),
     "schur-sweep": lambda: partitions.count_schur_gap_table(45),
-    "stream": lambda: [appell.unpack(term) for term in appell.r_terms(2, 62, 60)],
+    # R_j, the D_k sweep's state-k snapshots, and P_j summed from them
+    "stream": lambda: [appell.unpack(term) for term in appell.build_R(2, 62, 60).terms],
     "pj-stream": lambda: [appell.pj_series(2, terms[: j + 1], j)
-                          for terms in [list(appell.r_terms(2, 20, 18))] for j in range(21)],
+                          for terms in [appell.build_R(2, 20, 18).terms] for j in range(21)],
     "closed-product": lambda: list(appell.closed_product_F_coefficients(2, 10, 60)),
     "bounded-sweep": lambda: list(map(partitions.state_total, overpartitions.dk_sweep(18, 2, 3, 10))),
     "pj": lambda: overpartitions.count_pj(2, 12, 9, 2),
@@ -877,10 +897,17 @@ FORMAT = {
 WALKER = dict.fromkeys(
     ["partitions._tally", "partitions.walk_C_table", "partitions._c_rule"],
     "the walker, which hands each phrasing its own rule table: the tables are what is compared")
-# the bounded and closed-product stages compare the D_k sweep's and the
-# closed form's rows with the stream's as integers, so all three are packed
-# in the stream's width
-STREAM_WIDTH = {"overpartitions.overpartition_parts": "the parts of the stream's slot bound"}
+# the closed-product stage compares the closed form's rows with the D_k
+# sweep's R_j as integers, so both are packed in the sweep's width
+SWEEP_WIDTH = {"overpartitions.overpartition_parts": "the parts of the D_k sweep's slot bound"}
+# the bounded stage reads both its sides off the one D_k sweep: P_j summed
+# from state k's R_j by the largest overline, against every state's total.
+# It checks an identity between the sweep's own states, so a slip that keeps
+# that identity is left to the other three stages
+ONE_SWEEP = dict.fromkeys(
+    ["partitions.sweep", "partitions._same_size", "partitions._doublings",
+     "overpartitions.dk_sweep", "overpartitions._dk_moves", "overpartitions._dk_moves.moves"],
+    "the one D_k sweep, whose state k the bounded stage sums into P_j")
 PAIRS = {
     ("Dk-sweep", "Dk-product"): FORMAT,
     ("B", "B-product"): {
@@ -895,9 +922,8 @@ PAIRS = {
     ("schur-knapsack", "schur-walk"): {},
     ("schur-knapsack", "schur-sweep"): {**FORMAT, "packed.read_slots":
                                         "the slot reader, which the gap walk never runs"},
-    ("stream", "closed-product"): {**A_ORDER, **FORMAT, **STREAM_WIDTH},
-    ("stream", "bounded-sweep"): {**FORMAT, **STREAM_WIDTH},
-    ("pj-stream", "bounded-sweep"): {**FORMAT, **STREAM_WIDTH},
+    ("stream", "closed-product"): {**A_ORDER, **FORMAT, **SWEEP_WIDTH},
+    ("pj-stream", "bounded-sweep"): {**FORMAT, **SWEEP_WIDTH, **ONE_SWEEP},
     ("stream", "Dk-product"): FORMAT,
     ("pj", "Dk-product"): FORMAT,
     ("rj", "Dk-product"): FORMAT,
@@ -927,9 +953,12 @@ FUNCTIONS = _functions()
 
 
 def function(name: str) -> tuple:
-    """The function a module-level name in qident is, through a cache's __wrapped__."""
-    module, attr = name.split(".")
+    """The function a module-level name in qident is, through a cache's
+    __wrapped__, or with more dots a function defined in it, by its name."""
+    module, attr, *inner = name.split(".")
     code = inspect.unwrap(getattr(sys.modules[f"qident.{module}"], attr)).__code__
+    for part in inner:
+        (code,) = [c for c in code.co_consts if inspect.iscode(c) and c.co_name == part]
     return FUNCTIONS[code.co_filename, code.co_firstlineno]
 
 
@@ -984,7 +1013,7 @@ class TestIndependence:
         cycle = [overpartitions.dk_sweep(4, 2, 1)]
         next(cycle[0]), next(cycle[0]), cycle.append(cycle)
         del cycle
-        collected = entered(lambda: (gc.collect(), ROUTES["stream"]()))
+        collected = entered(lambda: (gc.collect(), ROUTES["closed-product"]()))
         assert function("partitions.sweep") not in collected
 
     def test_no_verifier_enters_series_arithmetic(self):
@@ -1013,10 +1042,12 @@ class TestIndependence:
         assert entered(run).isdisjoint(map(function, expanding))
 
     def test_batch_checks_read_the_stream_terms_as_they_are(self):
-        # build_R keeps r_terms' own PackedTerms, and the batch checks read
-        # them with no unpacking and no repacking
+        # build_R keeps the D_k sweep's own state-k PackedTerms, and the batch
+        # checks read them with no unpacking and no repacking
         for k, j_max, q_order in ((2, 62, 60), (5, 25, 20)):
-            assert appell.build_R(k, j_max, q_order).terms == list(appell.r_terms(k, j_max, q_order))
+            a_order = appell.max_overline_count(k, q_order)
+            assert appell.build_R(k, j_max, q_order).terms == [
+                states[k] for states in overpartitions.dk_sweep(q_order, k, a_order, j_max)]
         rs = appell.build_R(2, 62, 60)
         assert entered(lambda: appell.check_functional_equation(rs)).isdisjoint(
             {function("appell.unpack"), function("packed.pack_row")})
@@ -1034,13 +1065,13 @@ class TestMutations:
         assert slip_misses(monkeypatch, slip) == {}
 
     def test_a_stage_left_off_a_slip_is_reported(self, monkeypatch):
-        # R_6 off at a^1 q^3 fails all four stages: a row that lists only the
-        # functional equation has the other three reported
-        (row,) = [r for r in ROUTE_SLIPS if r[:2] == ("appell.r_terms", (6, 1, 3))]
+        # R_6 off at a^1 q^3 fails three stages: a row that lists only the
+        # functional equation has the other two reported
+        (row,) = [r for r in ROUTE_SLIPS if r[:2] == ("overpartitions.dk_sweep", (6, 2, 1, 3))]
         stage = "machinery/functional-equation"
         cut = row._replace(caught={stage: row.caught[stage]})
         assert slip_misses(monkeypatch, cut).keys() == {
-            "machinery/closed-product", "machinery/appell-limit", "machinery/bounded-enumeration"}
+            "machinery/closed-product", "machinery/appell-limit"}
 
     @staticmethod
     def narrowed(monkeypatch, route, at, **ranges):
@@ -1230,18 +1261,44 @@ class TestMutations:
         assert (w["n"], w["m"]) == (3, 1)
         assert w["sweep_count"] == w["enumeration_count"] - 1 == w["product_coefficient"] - 1
         assert "2+1~" in w["overpartitions"]
-        # the bounded stage reads the same sweep: R_2 holds 2+1~
+        # the machinery counts R_j on the same sweep: R_2 loses 2+1~, so the
+        # recursion, the closed form and the limit each fail at a q^3.  P_j
+        # is summed from the same states, and the bounded stage passes
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=6, enum_n=10)
-        sub = {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
-        w = sub.witness
-        assert (sub.status, w["series"], w["j"], w["m"], w["n"]) == ("fail", "R", 2, 1, 3)
-        assert w["enumeration"] == w["coefficient"] - 1
+        assert [(s.status, s.witness) for s in rep.subreports] == [
+            ("fail", {"j": 2, "a_degree": 1, "q_degree": 3}),
+            ("fail", {"j": 2, "a_degree": 1, "q_degree": 3}),
+            ("fail", {"a_degree": 1, "q_degree": 3, "limit": 2, "product": 3}),
+            ("pass", None)]
         for i, n, image in ((0, 5, "4+1"), (1, 7, "4+3")):
             rep = verify.verify_corollary(2, i, 40, 25)
             assert (rep.status, rep.notes) == ("fail", [])
             w = rep.witness
             assert (w["n"], w["route"], w["count_C"]) == (n, "sweep", w["count_B"] - 1)
             assert image in w["C_partitions"]
+
+    def test_Dk_sweep_plain_copies_early_past_30(self, monkeypatch):
+        # plain copies of v allowed one state early (d = k - 2) at v >= 30
+        # only, at k = 3: past the suite's bounded range (j <= 10, n <= 18),
+        # so only the counted R_j shows it.  Stage 1 checks the recursion on
+        # them and fails at R_31, first at a q^59; the limit, R_63, is one
+        # over the product there.  The closed-product and bounded stages
+        # fail too at their full-range defaults, and pass at the suite's
+        def early(v, d, moves):
+            return [(partitions.ANY, t) if v >= 30 and d == 1 and kind == partitions.SKIP
+                    else (kind, t) for kind, t in moves]
+
+        monkeypatch.setattr(overpartitions, "_dk_moves",
+                            edited_moves(overpartitions._dk_moves, early))
+        stage_1 = ("fail", {"j": 31, "a_degree": 1, "q_degree": 59})
+        limit = ("fail", {"a_degree": 1, "q_degree": 59, "limit": 1876120, "product": 1876119})
+        rep = verify.verify_machinery(3, 60)
+        outcomes = [(s.status, s.witness) for s in rep.subreports]
+        assert (rep.status, outcomes[0], outcomes[2]) == ("fail", stage_1, limit)
+        assert {status for status, _ in outcomes} == {"fail"}
+        rep = verify.verify_machinery(3, 60, closed_product_j=10, enum_j=10, enum_n=18)
+        assert [(s.status, s.witness) for s in rep.subreports] == [
+            stage_1, ("pass", None), limit, ("pass", None)]
 
     def test_schur_sweep_transition_off(self, monkeypatch):
         # a part exactly 3 above the last is dropped; 4+1 is lost at n = 5
@@ -1308,12 +1365,13 @@ class TestMutations:
     @staticmethod
     def closed_product_fails_alone_at(cell):
         """Assert that the closed form, as patched, first differs from the
-        stream at cell, (j, a-degree, q-degree), and that the closed-product
-        stage at every j to q-order 60 fails there while the others pass."""
-        stream = [appell.unpack(t) for t in appell.r_terms(2, 62, 60)]
+        sweep's R_j at cell, (j, a-degree, q-degree), and that the
+        closed-product stage at every j to q-order 60 fails there while the
+        others pass."""
+        counted = [appell.unpack(t) for t in appell.build_R(2, 62, 60).terms]
         closed = [appell.unpack(t) for t in appell.closed_product_F_coefficients(2, 62, 60)]
         assert next((j, *c.first_difference(t))
-                    for j, (c, t) in enumerate(zip(closed, stream)) if c != t) == cell
+                    for j, (c, t) in enumerate(zip(closed, counted)) if c != t) == cell
         rep = verify.verify_machinery(2, 60, closed_product_j=62)
         sub = {s.identity: s for s in rep.subreports}
         stage = sub.pop("machinery/closed-product")
@@ -1353,11 +1411,11 @@ class TestMutations:
         assert w["C_partitions"] == ["1"]
 
     def test_bounded_enumeration_first_cell_of_a_j(self, monkeypatch):
-        # two slips after value 4: R at (m, n) = (0, 8) in state k = 2, P
-        # alone at (2, 7) in state 1.  The witness is the first cell in
-        # (n, m) order, though R comes before P and m = 0 before m = 2
+        # two slips after value 4, in state 1, so P alone is off: at
+        # (m, n) = (0, 8) and (2, 7).  The witness is the first cell in
+        # (n, m) order, though m = 0 comes before m = 2
         monkeypatch.setattr(overpartitions, "dk_sweep", bumped(
-            bumped(overpartitions.dk_sweep, (4, 2, 0, 8)), (4, 1, 2, 7)))
+            bumped(overpartitions.dk_sweep, (4, 1, 0, 8)), (4, 1, 2, 7)))
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=6, enum_n=10)
         sub = {s.identity: s for s in rep.subreports}["machinery/bounded-enumeration"]
         w = sub.witness
@@ -1401,24 +1459,24 @@ class TestMutations:
 
     def test_machinery_fail_over_aborted(self, monkeypatch):
         # R_3 off at a q^5 with j_max short of q_order + k: three stages fail
-        # at that cell while the limit stage cannot certify, and the
-        # mismatch found decides the report
-        monkeypatch.setattr(appell, "r_terms", bumped(appell.r_terms, (3, 1, 5)))
-        rep = verify.verify_machinery(3, 24, 20, closed_product_j=4, enum_j=3, enum_n=8)
+        # while the limit stage cannot certify, and the mismatch found
+        # decides the report.  The bounded stage sees R_3 in P_4, at a^2 q^9
+        monkeypatch.setattr(overpartitions, "dk_sweep", bumped(overpartitions.dk_sweep, (3, 3, 1, 5)))
+        rep = verify.verify_machinery(3, 24, 20, closed_product_j=4, enum_j=4, enum_n=10)
         sub = {s.identity: s for s in rep.subreports}
         assert sub.pop("machinery/appell-limit").status == "aborted"
         cell = {"j": 3, "a_degree": 1, "q_degree": 5}
         assert sub["machinery/functional-equation"].witness == cell
         assert sub["machinery/closed-product"].witness == cell
         w = sub["machinery/bounded-enumeration"].witness
-        assert (w["series"], w["j"], w["m"], w["n"]) == ("R", 3, 1, 5)
+        assert (w["series"], w["j"], w["m"], w["n"]) == ("P", 4, 2, 9)
         assert all(s.status == "fail" for s in sub.values())
         assert rep.status == "fail"
 
     def test_appell_limit_perturbed_settled_term(self, monkeypatch):
         # R_15 off at a q^5, long after q^5 settles (j = 6) and before the
         # last two terms, which still agree: the settling bound catches it
-        monkeypatch.setattr(appell, "r_terms", bumped(appell.r_terms, (15, 1, 5)))
+        monkeypatch.setattr(overpartitions, "dk_sweep", bumped(overpartitions.dk_sweep, (15, 2, 1, 5)))
         rep = verify.verify_machinery(2, 16, 20, closed_product_j=4, enum_j=3, enum_n=8)
         sub = {s.identity: s for s in rep.subreports}["machinery/appell-limit"]
         assert (sub.status, sub.witness) == ("fail", {"a_degree": 1, "q_degree": 5})
