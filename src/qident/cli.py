@@ -208,7 +208,8 @@ def list_cmd(ctx, side, k, i, n):
     and streamed; no object is built.  B and C's walk (b_strings,
     c_strings) carries one string per node, D's (d_strings) one per
     admissible overline mask."""
-    _check_i(k, i)
+    if side in ("B", "C"):  # D_k reads no i
+        _check_i(k, i)
     if n > verify.ENUM_HARD_LIMIT:
         raise click.UsageError(verify._REFUSED)
     if side == "B":

@@ -5,7 +5,7 @@ shift by s slots is a right shift by w s bits and the slots shifted past
 c_N fall off the bottom.  Four routes pack: the transfer-matrix sweep
 (partitions.sweep, whose D_k states are R_j), the closed product
 (appell.closed_product_F_coefficients, in the D_k sweep's width), the
-knapsack's large parts, and the check of each product side against
+knapsack over B's or Schur's parts, and the check of each product side against
 Euler's product (appell.euler_check, which packs a counted table with
 pack_row, or widens the limit R_{j_max}, and builds the product's numerator in the same slots; the expanded
 products build that numerator in its own slots and read it back with

@@ -11,14 +11,12 @@ weight of a copy of v (v by default).  The sweep holds each state's a-rows
 packed (packed.py) and divides by 1 - q^p in doubling steps of its own.
 The corollary's C side has no table: `count_C_table` runs the D_k moves
 specialized, (a, q) -> (q^{2i-1}, q^2), on one a-row.  The B side
-is the knapsack over its allowed parts, run largest first: every part p with
-p * p > N (`packed_parts`) on one packed integer (`_packed_knapsack`),
-whose slots widen by stage, parts above N/2, N/4, ..., each stage as wide
-as its own partial counts need (`knapsack_stages`), then the small ones
-on the list through `_add_part`, a running sum by residue class mod p.
-Schur's product side is the same knapsack, over the parts congruent to
-+-1 mod 6; Schur's sweep and walk share neither kernel with it, only the
-packed format.
+is the knapsack over its allowed parts, every one run largest first on one
+packed integer (`_packed_knapsack`), whose slots widen by stage, parts
+above N/2, N/4, ..., each stage as wide as its own partial counts need
+(`knapsack_stages`).  Schur's product side is the same knapsack, over the
+parts congruent to +-1 mod 6; Schur's sweep and walk share no kernel with
+it, only the packed format.
 
 Enumeration is one walk of the prefix tree, `partitions_up_to`, on a
 side's rule, which lists once per walk the parts each state may add (the
@@ -39,7 +37,7 @@ i = k-1 and i = 0); the `satisfies_*` predicates are their definitions.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import accumulate, chain
+from itertools import chain
 from math import inf
 from operator import add
 from typing import Callable, Iterator, Sequence
@@ -146,14 +144,6 @@ def _tally(n_max: int, rule: tuple) -> list:
     return counts
 
 
-def _add_part(ways: list, p: int) -> None:
-    """Multiply ways by 1/(1 - q^p) in place: the running sum
-    ways[s] += ways[s - p], s ascending, as a prefix sum down each residue
-    class mod p."""
-    for r in range(p):
-        ways[r::p] = accumulate(ways[r::p])
-
-
 # The moves a sweep may take at a part value v: leave v out, any number of
 # plain copies (1/(1 - q^v)), exactly one (q^v), or one overlined copy
 # (a q^v), at the default part sizes.
@@ -258,25 +248,6 @@ def state_total(states: dict) -> packed.PackedTerm:
     return packed.PackedTerm(rows, terms[0].width, terms[0].q_order)
 
 
-def _count_by_dp(n_max: int, allowed_parts: Sequence[int]) -> list:
-    """ways[s] = number of multisets from allowed_parts summing to s.
-
-    The parts run largest first: the large ones (p * p > n_max) packed on
-    one integer (_packed_knapsack), then the small ones as _add_part's
-    prefix sums down each residue class mod p on the unpacked list.
-    """
-    ways = _packed_knapsack(n_max, packed_parts(n_max, allowed_parts))
-    for p in sorted([p for p in allowed_parts if p * p <= n_max], reverse=True):
-        _add_part(ways, p)
-    return ways
-
-
-def packed_parts(n_max: int, allowed_parts: Sequence[int]) -> tuple:
-    """The parts, largest first, that _count_by_dp packs: the large ones
-    (p * p > n_max) up to n_max; those above n_max add nothing."""
-    return tuple(sorted([p for p in allowed_parts if n_max < p * p and p <= n_max], reverse=True))
-
-
 def knapsack_stages(n_max: int, parts: Sequence[int]) -> list:
     """(low, width) of each stage of _packed_knapsack over parts, largest
     first: the parts above low that no earlier stage ran run in width-bit
@@ -307,12 +278,12 @@ def knapsack_stages(n_max: int, parts: Sequence[int]) -> list:
 
 
 def _packed_knapsack(n_max: int, parts: Sequence[int]) -> list:
-    """ways of the knapsack over parts, each with p * p > n_max, largest
-    first, on one integer in the packed layout: slot s of ways[1:] is at
-    bits w (n_max - s), and ways[0] = 1 is kept out until the read.  w
-    widens by stage (knapsack_stages): each stage's parts run in its own
-    width, bounded by its own partial counts, and the integer is widened
-    (packed.widen) before the next stage's parts.
+    """ways[s] = number of multisets from parts summing to s, the parts at
+    most n_max and largest first, run on one integer in the packed layout:
+    slot s of ways[1:] is at bits w (n_max - s), and ways[0] = 1 is kept
+    out until the read.  w widens by stage (knapsack_stages): each stage's
+    parts run in its own width, bounded by its own partial counts, and the
+    integer is widened (packed.widen) before the next stage's parts.
 
     With rest = ways[1:], 1/(1 - q^p) takes 1 + rest to 1 + (q^p + rest)
     (1 + q^p)(1 + q^{2p})(1 + q^{4p})...: rest gains the slot of q^p, then
@@ -343,7 +314,7 @@ def _packed_knapsack(n_max: int, parts: Sequence[int]) -> list:
         if rest & packed.guard_mask(width, n_max) or rest >> width * n_max:
             above = f" for its parts above {low}" if low else ""
             raise packed.SlotOverflowError(
-                f"slot overflow: the knapsack over {len(parts)} parts p with p^2 > {n_max}"
+                f"slot overflow: the knapsack over {len(parts)} parts"
                 f" reached the guard bits of its {width}-bit slots{above} at n_max={n_max}"
             )
     return packed.read_slots(rest + (1 << width * n_max), width, n_max + 1)
@@ -366,18 +337,19 @@ def b_part_allowed(p: int, k: int, i: int) -> bool:
     return r in (2 * i + 1, 2 * k + 2 * i + 1)
 
 
-def b_parts(n_max: int, k: int, i: int) -> list:
-    """B's allowed parts up to n_max, largest first: b_part_allowed reads
-    only p mod 4k, so each residue it admits runs up to n_max."""
+def b_parts(n_max: int, k: int, i: int) -> tuple:
+    """B's allowed parts up to n_max, largest first, as _packed_knapsack
+    takes them: b_part_allowed reads only p mod 4k, so each residue it
+    admits runs up to n_max."""
     period = 4 * k
     runs = (range(r, n_max + 1, period) for r in range(1, period + 1) if b_part_allowed(r, k, i))
-    return sorted(chain.from_iterable(runs), reverse=True)
+    return tuple(sorted(chain.from_iterable(runs), reverse=True))
 
 
 def count_B_table(n_max: int, k: int, i: int) -> list:
-    """B_{i,k}(0..n_max) by dynamic programming over the allowed parts."""
+    """B_{i,k}(0..n_max): the knapsack over the allowed parts."""
     check_params(k, i, n_max=n_max)
-    return _count_by_dp(n_max, b_parts(n_max, k, i))
+    return _packed_knapsack(n_max, b_parts(n_max, k, i))
 
 
 def b_witnesses(n: int, k: int, i: int) -> list:
@@ -598,15 +570,16 @@ def count_C(n: int, k: int, i: int) -> int:
 def count_schur_product_table(n_max: int) -> list:
     """Partitions into parts congruent to +-1 mod 6, for n = 0..n_max: the
     coefficients of the product 1/((q; q^6)_inf (q^5; q^6)_inf), from
-    _count_by_dp, count_B_table's knapsack, which raises SlotOverflowError
-    when a packed slot overflows."""
+    count_B_table's knapsack, which raises SlotOverflowError when a packed
+    slot overflows."""
     check_params(n_max=n_max)
-    return _count_by_dp(n_max, schur_parts(n_max))
+    return _packed_knapsack(n_max, schur_parts(n_max))
 
 
-def schur_parts(n_max: int) -> list:
-    """The parts up to n_max of Schur's product side: those congruent to +-1 mod 6."""
-    return [p for p in range(1, n_max + 1) if p % 6 in (1, 5)]
+def schur_parts(n_max: int) -> tuple:
+    """The parts up to n_max of Schur's product side, those congruent to
+    +-1 mod 6, largest first, as _packed_knapsack takes them."""
+    return tuple(p for p in range(n_max, 0, -1) if p % 6 in (1, 5))
 
 
 def satisfies_schur_gap(parts: Partition) -> bool:

@@ -248,13 +248,12 @@ def verify_corollary(
     return _outcome("corollary", params, rng, witness, start, notes)
 
 
-def _knapsack_note(what: str, n_max: int, allowed: list) -> list:
-    """The note on the parts _count_by_dp packs from allowed, if it packs
-    any: the last stage's width and bound, and the narrower stages before it."""
-    parts = partitions.packed_parts(n_max, allowed)
+def _knapsack_note(what: str, n_max: int, parts: tuple) -> list:
+    """The note on the knapsack over parts, if there are any: the last
+    stage's width and bound, and the narrower stages before it."""
     if not parts:
         return []
-    note = packed.slot_note(f"{what}'s parts p with p^2 > {n_max}", n_max, parts)
+    note = packed.slot_note(what, n_max, parts)
     *stages, _ = partitions.knapsack_stages(n_max, parts)
     if stages:
         note += "; the stages before it ran " + ", ".join(

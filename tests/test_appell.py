@@ -27,10 +27,10 @@ from qident.appell import (
 )
 from qident.overpartitions import count_pj, count_rj, d_witnesses, dk_sweep, overpartition_parts
 from qident.packed import PackedTerm, SlotOverflowError, slot_width
-from qident.partitions import _add_part
 from qident.series import (
     BivariateSeries, Monomial, QSeries, _divide, euler_product, pochhammer_inf, specialize,
 )
+from test_partitions import add_part
 from test_series import divide_row_by_scalar_loop
 
 
@@ -161,7 +161,7 @@ def closed_product_from_scratch(k, j_top, q_order):
         shift = least_weight(k, d)
         ways = [1] + [0] * (q_order - shift)
         for p in [k * t for t in range(1, d + 1)] + list(range(1, j - k * d + 1)):
-            _add_part(ways, p)
+            add_part(ways, p)
         return (0,) * shift + tuple(ways)
 
     rows = range(max_overline_count(k, q_order) + 1)
@@ -170,19 +170,19 @@ def closed_product_from_scratch(k, j_top, q_order):
 
 def closed_product_by_running_lists(k, j_top, q_order):
     """Euler's closed form with one running list per a-degree d, by
-    _add_part's running sums: at j = kd it holds the parts k, ..., dk, and
+    add_part's running sums: at j = kd it holds the parts k, ..., dk, and
     each later j adds the one part j - kd."""
     d_max = max_overline_count(k, q_order)
     # running[d] is row d from its q^{least_weight(k, d)} on, once j has reached kd
     running, out = [], []
     for j in range(j_top + 1):
         for d, ways in enumerate(running):
-            _add_part(ways, j - k * d)
+            add_part(ways, j - k * d)
         d = len(running)
         if d <= d_max and k * d == j:
             ways = [1] + [0] * (q_order - least_weight(k, d))
             for t in range(1, d + 1):
-                _add_part(ways, k * t)
+                add_part(ways, k * t)
             running.append(ways)
         rows = [(0,) * (q_order + 1 - len(ways)) + tuple(ways) for ways in running]
         out.append(BivariateSeries(tuple(rows + [(0,) * (q_order + 1)] * (d_max + 1 - len(rows)))))

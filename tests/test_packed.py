@@ -12,8 +12,7 @@ def stream(n):
     return appell.unpack(last).coeffs, overpartitions.overpartition_parts(n)
 
 
-def knapsack(n, allowed):
-    parts = partitions.packed_parts(n, allowed)
+def knapsack(n, parts):
     return [partitions._packed_knapsack(n, parts)], (parts,)
 
 

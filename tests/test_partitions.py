@@ -14,11 +14,9 @@ from qident.overpartitions import count_Dk_table
 from qident.partitions import (
     _ANY_PART,
     _SCHUR_GAP_RULE,
-    _add_part,
     _b_rule,
     _c_rule,
     _corollary_rule,
-    _count_by_dp,
     _packed_knapsack,
     _tally,
     _thm12_rule,
@@ -36,7 +34,6 @@ from qident.partitions import (
     count_schur_product_table,
     enumerate_partitions,
     format_partition,
-    packed_parts,
     partitions_up_to,
     satisfies_corollary,
     satisfies_schur_gap,
@@ -56,13 +53,27 @@ def filter_witnesses(n, accepts):
 
 
 def count_by_scalar_loop(n_max, allowed_parts):
-    """The knapsack as _count_by_dp ran it before slicing: one running-sum
-    step ways[s] += ways[s - p] at a time."""
+    """The knapsack one running-sum step ways[s] += ways[s - p] at a time."""
     ways = [1] + [0] * n_max
     for p in sorted(allowed_parts):
         for s in range(p, n_max + 1):
             ways[s] += ways[s - p]
     return ways
+
+
+def add_part(ways, p):
+    """Multiply ways by 1/(1 - q^p) in place: the running sum
+    ways[s] += ways[s - p], s ascending, as a prefix sum down each residue
+    class mod p.  The list oracle of the sweep's and the closed product's
+    tests."""
+    for r in range(p):
+        ways[r::p] = accumulate(ways[r::p])
+
+
+def largest_first(n_max, parts):
+    """parts as _packed_knapsack takes them: those up to n_max, largest
+    first, as a tuple; those above n_max add nothing."""
+    return tuple(sorted([p for p in parts if p <= n_max], reverse=True))
 
 
 def single_width_knapsack(n_max, parts):
@@ -464,13 +475,16 @@ class TestCountB:
     @example(64, [8, 9, 8])
     @settings(max_examples=100, deadline=None)
     def test_dp_matches_scalar_loop(self, n_max, parts):
-        assert _count_by_dp(n_max, parts) == count_by_scalar_loop(n_max, parts)
+        knapsack = _packed_knapsack(n_max, largest_first(n_max, parts))
+        assert knapsack == count_by_scalar_loop(n_max, parts)
 
-    # (n_max, parts, packed): whether packed_parts packs any part; it packs
-    # every large part up to n_max.  B's parts; lists like the closed
-    # product's, where a part may repeat; parts above n_max; n_max = 0 and
-    # 1; and only a few large parts
-    @pytest.mark.parametrize("n_max, parts, packed", [
+    # (n_max, parts, large): whether some part p <= n_max has p * p > n_max,
+    # every part run on the packed integer either way.  B's and Schur's
+    # parts; lists like the closed product's, where a part may repeat;
+    # parts above n_max; n_max = 0 and 1; only a few large parts; and, at
+    # n_max = 2, 3, 10, 45 and 200, sets holding 1 and parts p * p <= n_max,
+    # some with no larger part
+    @pytest.mark.parametrize("n_max, parts, large", [
         (0, [], False),
         (0, [1, 3], False),
         (1, [1], False),
@@ -485,15 +499,26 @@ class TestCountB:
         (60, [10, 9, 8, 8], True),
         (100, list(range(11, 131)), True),
         (100, [25, 20, 3, 3, 101], True),
+        (2, [1], False),
+        (2, [2, 1, 1], True),
+        (3, [3, 2, 1], True),
+        (10, [3, 2, 1], False),
+        (10, list(range(1, 11)), True),
+        (45, b_parts(45, 2, 0), True),
+        (45, [6, 6, 5, 1, 1], False),
+        (200, schur_parts(200), True),
+        (200, list(range(1, 15)), False),
+        (200, list(range(1, 201)), True),
     ])
-    def test_dp_matches_scalar_loop_across_the_split(self, n_max, parts, packed):
-        assert bool(packed_parts(n_max, parts)) == packed
-        assert _count_by_dp(n_max, parts) == count_by_scalar_loop(n_max, parts)
+    def test_dp_matches_scalar_loop_across_the_split(self, n_max, parts, large):
+        assert any(n_max < p * p and p <= n_max for p in parts) == large
+        knapsack = _packed_knapsack(n_max, largest_first(n_max, parts))
+        assert knapsack == count_by_scalar_loop(n_max, parts)
 
-    # ways[1:lo] zeroed, as a listed part finds it; ways[0] and ways[lo:]
-    # are arbitrary.  A part above the last index, equal to it, or whose
-    # square it is; lo below, at and above p, lo = 1 (no zero prefix) and
-    # lo past the end
+    # the running-sum oracle against one step at a time, on lists whose
+    # ways[1:lo] is zeroed and ways[0] and ways[lo:] are arbitrary.  A part
+    # above the last index, equal to it, or whose square it is; lo below, at
+    # and above p, lo = 1 (no zero prefix) and lo past the end
     @given(
         st.lists(st.integers(-9, 9), min_size=1, max_size=121),
         st.integers(1, 130),
@@ -509,13 +534,13 @@ class TestCountB:
     def test_zero_prefix_matches_running_sum(self, ways, p, lo):
         ways[1:lo] = [0] * len(ways[1:lo])
         summed = ways.copy()
-        _add_part(summed, p)
+        add_part(summed, p)
         for s in range(p, len(ways)):
             ways[s] += ways[s - p]
         assert summed == ways
 
     # random part sets, repeats allowed, large enough to take stages, and
-    # B's and Schur's parts, which widen three and two times at n = 400
+    # B's and Schur's parts, which widen four and two times at n = 400
     @given(st.integers(0, 400).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.integers(1, n + 1), max_size=n))))
     @example((400, b_parts(400, 2, 0)))
@@ -525,7 +550,7 @@ class TestCountB:
     @settings(max_examples=60, deadline=None)
     def test_stages_match_one_width(self, drawn):
         n_max, parts = drawn
-        parts = packed_parts(n_max, parts)
+        parts = largest_first(n_max, parts)
         assert _packed_knapsack(n_max, parts) == single_width_knapsack(n_max, parts)
 
     def test_stage_bounds_cover_every_part_set(self):
@@ -551,16 +576,17 @@ class TestCountB:
                 ways[s] += ways[s - low]
 
     @pytest.mark.parametrize("n_max, stages", [
-        (25, [(0, 16)]),
-        (60, [(15, 16), (0, 24)]),
-        (200, [(100, 16), (50, 24), (0, 32)]),
-        (1000, [(500, 24), (250, 32), (125, 40), (62, 56), (0, 64)]),
+        (25, [(3, 16), (0, 24)]),
+        (60, [(15, 16), (3, 24), (0, 32)]),
+        (200, [(100, 16), (50, 24), (25, 32), (12, 40), (0, 48)]),
+        (1000, [(500, 24), (250, 32), (125, 40), (62, 56), (31, 72), (15, 88), (0, 96)]),
     ])
     def test_stage_widths_of_b(self, n_max, stages):
-        # B_{0,2}'s stages: each narrower than the next, the last at its
-        # parts' own width; 60's stage above 30 is as wide as the one above
-        # 15 and joins it
-        parts = packed_parts(n_max, b_parts(n_max, 2, 0))
+        # B_{0,2}'s stages down to its smallest part, 1: each narrower than
+        # the next, the last at its parts' own width; 60's stage above 30 is
+        # as wide as the one above 15 and joins it, and its stage above 7 as
+        # the one above 3
+        parts = b_parts(n_max, 2, 0)
         assert partitions.knapsack_stages(n_max, parts) == stages
         assert stages[-1][1] == packed.slot_width(n_max, parts)
 

@@ -18,7 +18,6 @@ from qident.partitions import (
     ONE,
     OVER,
     SKIP,
-    _add_part,
     count_B_table,
     count_C_table,
     count_schur_gap_table,
@@ -31,6 +30,7 @@ from qident.partitions import (
 )
 
 from test_overpartitions import filter_bounded
+from test_partitions import add_part
 
 CELLS = [(k, i) for k in range(2, 6) for i in range(k)]
 KINDS = (SKIP, ANY, ONE, OVER)
@@ -70,10 +70,10 @@ def _moved(kind, rows, sizes, zero):
         rows = [zero] + rows[:-1]
     if kind != ANY:
         return [(zero[:single] + row)[: len(zero)] for row in rows]
-    # a copy, so _add_part changes no shared row
+    # a copy, so add_part changes no shared row
     rows = [row.copy() for row in rows]
     for row in rows:
-        _add_part(row, plain)
+        add_part(row, plain)
     return rows
 
 

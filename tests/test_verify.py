@@ -172,32 +172,33 @@ class TestReports:
         assert peak < 2**20
 
     def test_corollary_aborts_on_a_slot_overflow(self, monkeypatch):
-        # B's packed counts at (2, 0), n = 1000 reach 46 bits, and those of
-        # its parts above 62, the last stage before them, 33: 56- and 40-bit
-        # slots hold them below the guard bits, and 48- and 32-bit slots, one
+        # B's counts at (2, 0), n = 1000 reach 81 bits, and those of its
+        # parts above 15, the last stage before them, 58: 88- and 64-bit
+        # slots hold them below the guard bits, and 80- and 56-bit slots, one
         # byte narrower, do not; the report is aborted and names the width,
         # and the stage's parts.  The knapsack's bounds alone are narrowed,
-        # the stages above 62 to at most the stage's width
-        parts = partitions.packed_parts(1000, partitions.b_parts(1000, 2, 0))
-        assert max(partitions._packed_knapsack(1000, parts)).bit_length() == 46
-        above = tuple(p for p in parts if p > 62)
-        assert max(partitions._packed_knapsack(1000, above)).bit_length() == 33
+        # the stages above 15 to at most the stage's width
+        parts = partitions.b_parts(1000, 2, 0)
+        assert max(partitions._packed_knapsack(1000, parts)).bit_length() == 81
+        above = tuple(p for p in parts if p > 15)
+        assert max(partitions._packed_knapsack(1000, above)).bit_length() == 58
         rep = verify.verify_corollary(2, 0, 1000, 8)
         assert rep.status == "pass"
         (note,) = [note for note in rep.notes if note.startswith("B's knapsack")]
-        assert "64-bit slots" in note and "< 2^61" in note
+        assert "96-bit slots" in note and "< 2^93" in note
         assert "the parts above 500 in 24-bit slots, the parts above 250 in 32-bit slots," \
-               " the parts above 125 in 40-bit slots, the parts above 62 in 56-bit slots" in note
+               " the parts above 125 in 40-bit slots, the parts above 62 in 56-bit slots," \
+               " the parts above 31 in 72-bit slots, the parts above 15 in 88-bit slots" in note
         real = packed.slot_width
         for last, stage, status, trip in (
-            (56, 40, "pass", None),
-            (48, 40, "aborted", "guard bits of its 48-bit slots at n_max=1000"),
-            (56, 32, "aborted", "guard bits of its 32-bit slots for its parts above 62 at"),
+            (88, 64, "pass", None),
+            (80, 64, "aborted", "guard bits of its 80-bit slots at n_max=1000"),
+            (88, 56, "aborted", "guard bits of its 56-bit slots for its parts above 15 at"),
         ):
             def slot_width(n, plain, distinct=(), last=last, stage=stage):
                 if plain == parts:
                     return last
-                if isinstance(plain, range) and plain.step == 1 and plain.start >= 63:
+                if isinstance(plain, range) and plain.step == 1 and plain.start >= 16:
                     return min(real(n, plain), stage)
                 return real(n, plain, distinct)
 
@@ -235,8 +236,9 @@ class TestReports:
             " its 8-bit slots at q_order=200"])
 
     def test_schur_aborts_on_a_slot_overflow(self, monkeypatch):
-        # the product's knapsack packs its large parts at n = 40; an
-        # overflow there aborts the report with the knapsack's own words
+        # the product's knapsack packs every part at n = 40, those above 10
+        # in 16-bit slots and then all 13 in 24; an overflow there aborts
+        # the report with the knapsack's own words
         note = "slot overflow: the knapsack reached the guard bits of its 8-bit slots"
 
         def overflowing(n_max, parts):
@@ -245,8 +247,11 @@ class TestReports:
         rep = verify.verify_schur(40)
         assert rep.status == "pass"
         assert rep.notes == [packed.slot_note(
-            "the product's knapsack's parts p with p^2 > 40", 40,
-            partitions.packed_parts(40, partitions.schur_parts(40)))]
+            "the product's knapsack", 40, partitions.schur_parts(40))
+            + "; the stages before it ran the parts above 10 in 16-bit slots, each stage's"
+            " counts at most F(x)/x^40 at its own x, F(x) = prod 1/(1 - x^p) over"
+            " low < p <= 40"]
+        assert "24-bit slots" in rep.notes[0]
         monkeypatch.setattr(partitions, "_packed_knapsack", overflowing)
         rep = verify.verify_schur(40)
         assert (rep.status, rep.witness, rep.notes) == ("aborted", None, [note])
@@ -796,7 +801,6 @@ UNROUTED = {
     "packed.SlotOverflowError": "a type",
     "packed.slot_note": "the text of a note",
     "overpartitions.overpartition_parts": "a route's parts: the text of a note",
-    "partitions.packed_parts": "a route's parts: the text of a note",
     "partitions.knapsack_stages": "a route's stages: the text of a note",
     "partitions.b_parts": "a route's parts: the text of a note",
     "partitions.schur_parts": "a route's parts: the text of a note",
@@ -1000,12 +1004,12 @@ class TestIndependence:
     def test_an_unlisted_shared_function_is_reported(self, monkeypatch):
         real = appell.euler_check
 
-        def also_summing(*args):
-            partitions._add_part([1, 0], 1)
+        def also_allowing(*args):
+            partitions.b_part_allowed(1, 2, 0)
             return real(*args)
 
-        monkeypatch.setattr(appell, "euler_check", also_summing)
-        assert sharing("B", "B-product") == ({function("partitions._add_part")}, set())
+        monkeypatch.setattr(appell, "euler_check", also_allowing)
+        assert sharing("B", "B-product") == ({function("partitions.b_part_allowed")}, set())
 
     def test_a_collected_generator_is_not_entered(self):
         # a started sweep reachable only from a reference cycle: the
@@ -1348,19 +1352,19 @@ class TestMutations:
 
     def test_packed_doubling_slip(self, monkeypatch):
         # the packed knapsack's first doubling step for each part shifts one
-        # slot too far, q^{p+1} for q^p: at (2, 0) its smallest packed part,
-        # 8, lands 8+8 on q^17, and B loses that partition of 16; the
-        # product route packs no knapsack and catches it at that first n
+        # slot too far, q^{p+1} for q^p: at (2, 0) its smallest part, 1,
+        # lands 1+1 on q^3, and B loses that partition of 2; the product
+        # route packs no knapsack and catches it at that first n
         count_b = partitions.count_B_table(60, 2, 0)
         slip_source(monkeypatch, partitions, "_packed_knapsack",
                     "rest += rest >> width * s", "rest += rest >> width * (s + (s == p))")
         slipped_b = partitions.count_B_table(60, 2, 0)
         first = next(n for n, (a, b) in enumerate(zip(slipped_b, count_b)) if a != b)
-        assert (first, slipped_b[first]) == (16, count_b[16] - 1)
+        assert (first, slipped_b[first]) == (2, count_b[2] - 1)
         rep = verify.verify_corollary(2, 0, 60, 25)
         assert (rep.status, rep.notes) == ("fail", [])
-        assert rep.witness == {"n": 16, "count_B": count_b[16] - 1,
-                               "product_coefficient": count_b[16]}
+        assert rep.witness == {"n": 2, "count_B": count_b[2] - 1,
+                               "product_coefficient": count_b[2]}
 
     @staticmethod
     def closed_product_fails_alone_at(cell):
@@ -1624,6 +1628,13 @@ class TestCli:
         result = self.run("coeffs", "--side", "overpartition-product", "--k", "2", "--i", "3")
         assert result.exit_code == 0
         assert result.output == self.run("coeffs", "--side", "overpartition-product", "--k", "2").output
+
+    def test_list_d_reads_no_i(self):
+        # --i belongs to the corollary's sides: D_k's list ignores it
+        result = self.run("list", "--side", "D", "--k", "2", "--i", "5", "--n", "3")
+        assert result.exit_code == 0
+        assert result.output == self.run("list", "--side", "D", "--k", "2", "--n", "3").output
+        assert result.output.endswith("total: 6\n")
 
     def test_coeffs_sum_runs_past_the_limit(self):
         # the sum side is the sweep's table, so it runs past ENUM_HARD_LIMIT
